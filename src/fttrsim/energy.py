@@ -120,22 +120,18 @@ class EnergyLedger:
     def __init__(self, node: str, initial: PowerState, start: int = 0):
         self.node = node
         self.records: list[tuple[PowerState, int, int]] = []
-        self._state = initial
+        self.state = initial          # current state, entered at _since
         self._since = start
-
-    @property
-    def state(self) -> PowerState:
-        return self._state
 
     def transition(self, new: PowerState, now: int) -> None:
         if now < self._since:
             raise LedgerError(f"{self.node}: ledger time regression")
-        self.records.append((self._state, self._since, now))
-        self._state = new
+        self.records.append((self.state, self._since, now))
+        self.state = new
         self._since = now
 
     def close(self, horizon: int) -> None:
-        self.records.append((self._state, self._since, horizon))
+        self.records.append((self.state, self._since, horizon))
         self._since = horizon
 
     def check_tiling(self, horizon: int) -> None:

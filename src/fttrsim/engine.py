@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 SimTime = int  # nanoseconds
@@ -31,17 +30,28 @@ def transmit_time_ns(nbytes: int, rate_bps: int) -> int:
     return -(-bits * NS_PER_S // rate_bps)
 
 
-@dataclass
-class Event:
-    fire_time: SimTime
-    seq: int
-    target: str
-    kind: str
-    payload: Any = None
-    cancelled: bool = field(default=False, compare=False)
+def draw_int(getrandbits: Callable[[int], int], hi: int) -> int:
+    """The value `random.Random.randint(0, hi)` returns, drawn from the same
+    bits: CPython draws `(hi + 1).bit_length()` bits and rejects values
+    above `hi`, so a stream yields the same numbers through either call."""
+    k = (hi + 1).bit_length()
+    r = getrandbits(k)
+    while r > hi:
+        r = getrandbits(k)
+    return r
 
-    def sort_key(self):
-        return (self.fire_time, self.seq)
+
+class Event:
+    __slots__ = ("fire_time", "seq", "target", "kind", "payload", "cancelled")
+
+    def __init__(self, fire_time: SimTime, seq: int, target: str, kind: str,
+                 payload: Any = None):
+        self.fire_time = fire_time
+        self.seq = seq
+        self.target = target
+        self.kind = kind
+        self.payload = payload
+        self.cancelled = False
 
 
 class RngStreams:
@@ -70,7 +80,7 @@ class Simulator:
     def __init__(self, seed: int = 0):
         self.now: SimTime = 0
         self.rng = RngStreams(seed)
-        self._queue: list[tuple[tuple[int, int], Event]] = []
+        self._queue: list[tuple[int, int, Event]] = []
         self._seq = 0
         self._handlers: dict[str, Callable[[Event], None]] = {}
         self._digest = hashlib.sha256()
@@ -88,10 +98,11 @@ class Simulator:
             raise SimError(
                 f"attempt to schedule event '{kind}' for {target} at "
                 f"t={fire_time} ns while clock is at t={self.now} ns")
-        ev = Event(fire_time, self._seq, target, kind, payload)
-        self._seq += 1
+        seq = self._seq
+        ev = Event(fire_time, seq, target, kind, payload)
+        self._seq = seq + 1
         self.n_scheduled += 1
-        heapq.heappush(self._queue, (ev.sort_key(), ev))
+        heapq.heappush(self._queue, (fire_time, seq, ev))
         return ev
 
     def schedule_in(self, delay: SimTime, target: str, kind: str,
@@ -105,23 +116,26 @@ class Simulator:
 
     def run_until(self, horizon: SimTime) -> str:
         """Dispatch every event with fire_time <= horizon; return trace digest."""
-        while self._queue and self._queue[0][0][0] <= horizon:
-            _, ev = heapq.heappop(self._queue)
+        queue, handlers = self._queue, self._handlers
+        pop, feed = heapq.heappop, self._digest.update
+        while queue and queue[0][0] <= horizon:
+            ev = pop(queue)[2]
             if ev.cancelled:
                 continue
-            if ev.fire_time < self.now:
+            t = ev.fire_time
+            if t < self.now:
                 raise SimError("clock regression detected")
-            self.now = ev.fire_time
-            self._digest.update(
-                f"{ev.fire_time}|{ev.target}|{ev.kind}\n".encode())
-            handler = self._handlers.get(ev.target)
+            self.now = t
+            target = ev.target
+            feed(f"{t}|{target}|{ev.kind}\n".encode())
+            handler = handlers.get(target)
             if handler is None:
-                raise SimError(f"no handler registered for target '{ev.target}'")
+                raise SimError(f"no handler registered for target '{target}'")
             self.n_dispatched += 1
             handler(ev)
         self.now = horizon
         self.n_beyond_horizon = sum(
-            1 for _, ev in self._queue if not ev.cancelled)
+            1 for _, _, ev in self._queue if not ev.cancelled)
         return self.trace_digest()
 
     def trace_digest(self) -> str:

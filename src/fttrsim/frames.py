@@ -18,6 +18,7 @@ Layout summary:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 import zlib
@@ -407,12 +408,17 @@ def _keystream(n: int) -> bytes:
     return bytes(out)
 
 
-_KEYSTREAM = _keystream(65536)
+@functools.cache
+def _keystream_period() -> bytes:
+    """One 64 KiB period of the keystream, built on first use rather than
+    at import, because a simulation run never scrambles a byte."""
+    return _keystream(65536)
 
 
 def _scramble(data: bytes) -> bytes:
     n = len(data)
-    ks = (_KEYSTREAM * (n // len(_KEYSTREAM) + 1))[:n]
+    period = _keystream_period()
+    ks = (period * (n // len(period) + 1))[:n]
     return (int.from_bytes(data, "big") ^ int.from_bytes(ks, "big")).to_bytes(n, "big") if n else b""
 
 

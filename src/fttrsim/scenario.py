@@ -274,9 +274,13 @@ def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
             start_ms=_num(f.get("start_ms", 0.0), f"{p}.start_ms", nonneg=True),
             stop_ms=f.get("stop_ms"),
         ))
-        if model == "constant_rate" and flows[-1].rate_mbps <= 0:
+        # the interarrival time divides by the rate in whole bit/s
+        if model != "batch" and int(flows[-1].rate_mbps * 1e6) <= 0:
             raise ConfigError(f"{p}.rate_mbps",
-                              "constant_rate flow needs rate_mbps > 0")
+                              f"{model} flow needs rate_mbps > 0 "
+                              "(at least 1 bit/s)")
+        if model == "on_off" and flows[-1].on_ms <= 0:
+            raise ConfigError(f"{p}.on_ms", "on_off flow needs on_ms > 0")
         if model == "batch" and flows[-1].count <= 0:
             raise ConfigError(f"{p}.count", "batch flow needs count > 0")
 

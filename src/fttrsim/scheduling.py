@@ -68,30 +68,37 @@ def grant_downlink_airtime(reports: list[SfuStatusReport],
     ends. Non-conflicting SFUs may hold simultaneous grants.
     """
     grants: list[AirGrant] = []
+    granted_end: dict[str, int] = {}     # sfu -> latest end of its grants
     for report in sorted(reports, key=report_order_key):
         if report.buffered_bytes <= 0:
             continue
         start = now
-        for g in grants:
-            if graph.conflicts(g.sfu, report.sfu):
-                start = max(start, g.start + g.max_duration)
+        for other in graph.neighbors(report.sfu):
+            start = max(start, granted_end.get(other, start))
         duration = min(airtime_ns_for(report), txop_max_ns)
         if window_end is not None:
             duration = min(duration, window_end - start)
         if duration <= 0:
             continue
         grants.append(AirGrant(report.sfu, start, duration))
+        granted_end[report.sfu] = max(granted_end.get(report.sfu, 0),
+                                      start + duration)
     return grants
 
 
 def check_grant_overlap(grants: list[AirGrant],
                         graph: InterferenceGraph) -> list[tuple[AirGrant, AirGrant]]:
-    """Structural checker: return every conflicting pair of overlapping grants."""
+    """Structural checker: return every conflicting pair of overlapping grants,
+    ordered by the positions of the pair's grants in `grants`."""
+    positions: dict[str, list[int]] = {}
+    for j, g in enumerate(grants):
+        positions.setdefault(g.sfu, []).append(j)
     bad = []
     for i, a in enumerate(grants):
-        for b in grants[i + 1:]:
-            if not graph.conflicts(a.sfu, b.sfu):
-                continue
+        later = sorted(j for other in graph.neighbors(a.sfu)
+                       for j in positions.get(other, ()) if j > i)
+        for j in later:
+            b = grants[j]
             if a.start < b.start + b.max_duration and b.start < a.start + a.max_duration:
                 bad.append((a, b))
     return bad

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
-from .engine import Simulator, SimTime, transmit_time_ns, NS_PER_S
+from .engine import (Event, Simulator, SimTime, draw_int, transmit_time_ns,
+                     NS_PER_S)
 from .frames import (APDU_OVERHEAD, FEM_HEADER_LEN, classification_tag,
                      pma_wire_len, OmciMessage, OmciType, encode_omci,
                      decode_omci)
@@ -32,7 +35,7 @@ MFU = "mfu"
 OLT = "olt"
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     flow: str
     dst: str
@@ -40,6 +43,7 @@ class Frame:
     created_at: SimTime
     tag: int
     seq: int
+    airtime_ns: int = 0          # air occupancy, set when the SFU queues it
 
 
 @dataclass
@@ -94,11 +98,16 @@ class SimResults:
     rejected_transitions: int = 0
 
 
+SLEEP_STATES = (PowerState.LIGHT_SLEEP, PowerState.DEEP_SLEEP)
+
+
 class SfuSim:
     def __init__(self, name: str, cell: WifiCell, cfg: ScenarioConfig):
         self.name = name
+        self.target = f"sfu:{name}"
         self.cell = cell
-        self.queues: dict[int, deque[Frame]] = {}
+        # one FIFO per queue tag; tag 0 (priority 7) is served first
+        self.queues: list[deque[Frame]] = [deque() for _ in range(8)]
         self.queued_bytes = 0
         self.queued_airtime_ns = 0
         self.cw = cell.overhead.cw_min
@@ -117,32 +126,32 @@ class SfuSim:
 
     @property
     def asleep(self) -> bool:
-        return self.power.state in (PowerState.LIGHT_SLEEP, PowerState.DEEP_SLEEP)
+        return self.power.ledger.state in SLEEP_STATES
 
     def enqueue(self, frame: Frame) -> None:
-        self.queues.setdefault(frame.tag, deque()).append(frame)
+        frame.airtime_ns = self.cell.airtime_ns(frame.size)
+        self.queues[frame.tag].append(frame)
         self.queued_bytes += frame.size
-        self.queued_airtime_ns += self.cell.airtime_ns(frame.size)
+        self.queued_airtime_ns += frame.airtime_ns
 
     def pop_frame(self) -> Frame | None:
-        for tag in sorted(self.queues):
-            q = self.queues[tag]
+        for q in self.queues:
             if q:
                 frame = q.popleft()
                 self.queued_bytes -= frame.size
-                self.queued_airtime_ns -= self.cell.airtime_ns(frame.size)
+                self.queued_airtime_ns -= frame.airtime_ns
                 return frame
         return None
 
     def head_frame(self) -> Frame | None:
-        for tag in sorted(self.queues):
-            if self.queues[tag]:
-                return self.queues[tag][0]
+        for q in self.queues:
+            if q:
+                return q[0]
         return None
 
     def top_priority(self) -> int:
-        for tag in sorted(self.queues):
-            if self.queues[tag]:
+        for tag, q in enumerate(self.queues):
+            if q:
                 return 7 - tag
         return -1
 
@@ -157,57 +166,105 @@ class ContentionDomain:
 
     def __init__(self, idx: int, members: list[str], sim: "Simulation"):
         self.idx = idx
+        self.target = f"domain:{idx}"
         self.members = sorted(members)
         self.sim = sim
         self.busy_until = 0
         self.round_pending = False
+        # every cell of a run shares the scenario's overhead parameters
+        self.overhead = sim.cfg.wifi_overhead
+        # per member, in member order: its SFU, the getrandbits of its
+        # backoff stream and its cell counters
+        self.contenders = [(sim.sfus[m], sim.sim.rng.for_node(m).getrandbits,
+                            sim.results.cell_stats[m]) for m in self.members]
 
     def notify(self) -> None:
         if self.round_pending:
             return
-        if not any(self.sim.sfus[m].queued_bytes > 0 and self.sim.sfus[m].alive
-                   and not self.sim.sfus[m].asleep for m in self.members):
+        for sfu, _, _ in self.contenders:
+            if sfu.queued_bytes > 0 and sfu.alive and not sfu.asleep:
+                break
+        else:
             return
         self.round_pending = True
-        at = max(self.sim.sim.now, self.busy_until)
-        self.sim.sim.schedule(at, f"domain:{self.idx}", "round")
+        engine = self.sim.sim
+        engine.schedule(max(engine.now, self.busy_until), self.target, "round")
 
-    def on_round(self) -> None:
+    def on_round(self, ev: Event) -> None:
         self.round_pending = False
-        sim = self.sim
-        now = sim.sim.now
-        contenders = [m for m in self.members
-                      if sim.sfus[m].queued_bytes > 0 and sim.sfus[m].alive
-                      and not sim.sfus[m].asleep]
-        if not contenders:
+        # contender test, backoff draw and minimum in one pass over members
+        best = -1
+        winners = []
+        for entry in self.contenders:
+            sfu = entry[0]
+            # `not sfu.asleep`, spelled out: the property calls cost more
+            # than the rest of the test
+            if (sfu.queued_bytes > 0 and sfu.alive
+                    and sfu.power.ledger.state not in SLEEP_STATES):
+                slots = draw_int(entry[1], sfu.cw)
+                if slots < best or best < 0:
+                    best = slots
+                    winners = [entry]
+                elif slots == best:
+                    winners.append(entry)
+        if not winners:
             return
-        draws = {}
-        for m in contenders:
-            sfu = sim.sfus[m]
-            draws[m] = sim.sim.rng.for_node(m).randint(0, sfu.cw)
-        m_min = min(draws.values())
-        winners = [m for m in contenders if draws[m] == m_min]
-        oh = sim.sfus[contenders[0]].cell.overhead
-        start = now + oh.difs_ns + m_min * oh.slot_ns
+        oh = self.overhead
+        engine = self.sim.sim
+        start = engine.now + oh.difs_ns + best * oh.slot_ns
         if len(winners) == 1:
-            w = winners[0]
-            sfu = sim.sfus[w]
+            sfu, _, stats = winners[0]
             frame = sfu.pop_frame()
-            dur = sfu.cell.airtime_ns(frame.size)
-            sim.results.cell_stats[w].airtime_ns += dur
+            dur = frame.airtime_ns
+            stats.airtime_ns += dur
             sfu.cw = oh.cw_min
             self.busy_until = start + dur
-            sim.sim.schedule(start + dur, f"sfu:{w}", "air_delivered", frame)
+            engine.schedule(start + dur, sfu.target, "air_delivered", frame)
         else:
             dur = 0
-            for w in winners:
-                sfu = sim.sfus[w]
-                head = sfu.head_frame()
-                dur = max(dur, sfu.cell.airtime_ns(head.size))
-                sim.results.cell_stats[w].collisions += 1
+            for sfu, _, stats in winners:
+                dur = max(dur, sfu.head_frame().airtime_ns)
+                stats.collisions += 1
                 sfu.cw = min((sfu.cw + 1) * 2 - 1, oh.cw_max)
             self.busy_until = start + dur
         self.notify()
+
+
+class FlowRun:
+    """Arrival timing of one flow, fixed at construction, and the end of its
+    current on period (on_off flows)."""
+
+    __slots__ = ("spec", "sfu", "stats", "tag", "interarrival_ns", "stop_ns",
+                 "on_ns", "off_ns", "next_end")
+
+    def __init__(self, spec: FlowSpec, sfu: SfuSim, stats: FlowStats,
+                 horizon_ns: int):
+        self.spec = spec
+        self.sfu = sfu
+        self.stats = stats
+        self.tag = classification_tag(spec.priority)
+        self.interarrival_ns = (
+            None if spec.model == "batch" else
+            transmit_time_ns(spec.size_bytes, int(spec.rate_mbps * 1_000_000)))
+        stop = (int(spec.stop_ms * 1_000_000) if spec.stop_ms is not None
+                else horizon_ns)
+        self.stop_ns = min(stop, horizon_ns)
+        self.on_ns = int(spec.on_ms * 1_000_000)
+        self.off_ns = int(spec.off_ms * 1_000_000)
+        self.next_end = 0
+
+
+def _dispatcher(node: str, table: dict[str, Callable[[Event], None]]
+                ) -> Callable[[Event], None]:
+    """Event handler of one target: calls the handler `table` holds for the
+    event's kind."""
+    def dispatch(ev: Event) -> None:
+        try:
+            handler = table[ev.kind]
+        except KeyError:
+            raise RuntimeError(f"unknown {node} event {ev.kind}") from None
+        handler(ev)
+    return dispatch
 
 
 class Simulation:
@@ -235,8 +292,10 @@ class Simulation:
                               for s in cfg.sfus}
         self.flow_stats = {f.name: FlowStats() for f in cfg.flows}
         self.results.flow_stats = self.flow_stats
-        self.flow_specs = {f.name: f for f in cfg.flows}
-        self.flow_next_end: dict[str, int] = {}
+        self.flows = {f.name: FlowRun(f, self.sfus[f.dst],
+                                      self.flow_stats[f.name], cfg.horizon_ns)
+                      for f in cfg.flows}
+        self._downstream_ser: dict[int, int] = {}   # frame size -> ns
         self.monitor = LivenessMonitor(cfg.k_miss)
         self.adapter = OmciAdapter(port_id=1)
         for i, s in enumerate(cfg.sfus):
@@ -256,11 +315,33 @@ class Simulation:
                 dom = ContentionDomain(i, comp, self)
                 self.domains.append(dom)
                 self.domain_of.update({m: dom for m in comp})
-                self.sim.register(f"domain:{i}", self._on_domain)
-        self.sim.register(MFU, self._on_mfu)
-        self.sim.register(OLT, self._on_olt)
-        for s in cfg.sfus:
-            self.sim.register(f"sfu:{s}", self._on_sfu)
+                self.sim.register(dom.target, dom.on_round)
+        self.sim.register(MFU, _dispatcher("MFU", {
+            "flow_arrival": self._flow_arrival,
+            "status_cycle": self._status_cycle,
+            "alloc_cycle": self._alloc_cycle,
+            "poll_cycle": self._poll_cycle,
+            "upstream_burst_done": self._upstream_burst_done,
+            "power_check": self._power_check,
+        }))
+        self.sim.register(OLT, _dispatcher("OLT", {"omci_rx": self._olt_rx}))
+        per_sfu = {
+            "optical_rx": self._on_optical_rx,
+            "grant_start": self._grant_start,
+            "burst_start": self._burst_start,
+            "omci_rx": self._sfu_omci_rx,
+            "deep_cmd": self._deep_cmd,
+            "wake_done": self._wake_done,
+            "kill": self._kill,
+            "recover": self._recover,
+        }
+        for sfu in self.sfus.values():
+            table = {kind: partial(handler, sfu)
+                     for kind, handler in per_sfu.items()}
+            table.update(air_delivered=self._deliver,
+                         power_check=self._power_check,
+                         sleep_check=self._sleep_check)
+            self.sim.register(sfu.target, _dispatcher("SFU", table))
 
     # ------------------------------------------------------------------
     # setup
@@ -278,7 +359,7 @@ class Simulation:
             else:
                 self.sim.schedule(start, MFU, "flow_arrival", flow.name)
                 if flow.model == "on_off":
-                    self.flow_next_end[flow.name] = start + int(flow.on_ms * 1_000_000)
+                    self.flows[flow.name].next_end = start + int(flow.on_ms * 1_000_000)
         if cfg.mode != SchedulerMode.DISTRIBUTED_BASELINE and cfg.flows:
             self.sim.schedule(0, MFU, "status_cycle")
         if cfg.uplink_bursts or cfg.storm:
@@ -286,26 +367,29 @@ class Simulation:
         self.sim.schedule(0, MFU, "poll_cycle")
         for burst in cfg.uplink_bursts:
             t = int(burst.start_ms * 1_000_000)
-            self.sim.schedule(t, f"sfu:{burst.sfu}", "burst_start", burst)
+            self.sim.schedule(t, self.sfus[burst.sfu].target, "burst_start",
+                              burst)
         if cfg.storm:
             self._prime_storm()
         if cfg.kill:
-            at = int(cfg.kill.at_ms * 1_000_000)
-            self.sim.schedule(at, f"sfu:{cfg.kill.sfu}", "kill")
+            target = self.sfus[cfg.kill.sfu].target
+            self.sim.schedule(int(cfg.kill.at_ms * 1_000_000), target, "kill")
             if cfg.kill.recover_ms is not None:
                 self.sim.schedule(int(cfg.kill.recover_ms * 1_000_000),
-                                  f"sfu:{cfg.kill.sfu}", "recover")
+                                  target, "recover")
         for s in cfg.sfus:
             self._schedule_power_check(s)
         self._schedule_power_check(MFU)
 
     def _prime_storm(self) -> None:
         cfg = self.cfg
-        rng = self.sim.rng.for_node(OLT)
+        bits = self.sim.rng.for_node(OLT).getrandbits
         for i in range(cfg.storm.count):
             target = cfg.storm.targets[i % len(cfg.storm.targets)]
             port, sfu_id = self.adapter.route_of(target)
-            content = bytes(rng.randrange(256) for _ in range(cfg.storm.content_bytes))
+            # the bytes rng.randrange(256) would draw
+            content = bytes([draw_int(bits, 255)
+                             for _ in range(cfg.storm.content_bytes)])
             msg = OmciMessage(transaction_id=i & 0xFFFF, msg_type=OmciType.SET,
                               entity_class=cfg.storm.entity_class,
                               entity_instance=i % 64, content=content,
@@ -316,69 +400,65 @@ class Simulation:
     # ------------------------------------------------------------------
     # traffic
 
-    def _flow_arrival(self, name: str) -> None:
-        flow = self.flow_specs[name]
+    def _flow_arrival(self, ev: Event) -> None:
+        name = ev.payload
+        flow = self.flows[name]
         now = self.sim.now
-        stats = self.flow_stats[name]
+        stats = flow.stats
         stats.offered += 1
-        sfu = self.sfus[flow.dst]
-        frame = Frame(name, flow.dst, flow.size_bytes, now,
-                      classification_tag(flow.priority), sfu.fem_seq)
+        sfu = flow.sfu
+        frame = Frame(name, sfu.name, flow.spec.size_bytes, now, flow.tag,
+                      sfu.fem_seq)
         sfu.fem_seq += 1
         self._mark_mfu_activity(now)
         if sfu.asleep or sfu.wake_pending:
-            buf = self.sleep_buffers[flow.dst]
+            buf = self.sleep_buffers[sfu.name]
             before = buf.dropped
             buf.push(frame)
             if buf.dropped > before:
                 stats.dropped += buf.dropped - before
                 self.results.sleep_drops += buf.dropped - before
-            self._trigger_wake(flow.dst)
+            self._trigger_wake(sfu.name)
         else:
             self._optical_downstream(frame)
         self._schedule_next_arrival(flow)
 
-    def _schedule_next_arrival(self, flow: FlowSpec) -> None:
-        if flow.model == "batch":
+    def _schedule_next_arrival(self, flow: FlowRun) -> None:
+        if flow.interarrival_ns is None:  # batch: every arrival is primed
             return
-        now = self.sim.now
-        stop = (int(flow.stop_ms * 1_000_000) if flow.stop_ms is not None
-                else self.cfg.horizon_ns)
-        interarrival = transmit_time_ns(flow.size_bytes,
-                                        int(flow.rate_mbps * 1_000_000))
-        nxt = now + interarrival
-        if flow.model == "on_off":
-            on_ns = int(flow.on_ms * 1_000_000)
-            off_ns = int(flow.off_ms * 1_000_000)
-            end = self.flow_next_end[flow.name]
+        nxt = self.sim.now + flow.interarrival_ns
+        if flow.spec.model == "on_off":
+            end = flow.next_end
             if nxt >= end:  # jump over the off period to the next on period
-                nxt = end + off_ns
-                self.flow_next_end[flow.name] = nxt + on_ns
-        if nxt <= min(stop, self.cfg.horizon_ns):
-            self.sim.schedule(nxt, MFU, "flow_arrival", flow.name)
-
-    def _wire_bytes(self, frame_size: int) -> int:
-        dll = APDU_OVERHEAD + frame_size + FEM_HEADER_LEN
-        return pma_wire_len(dll)
+                nxt = end + flow.off_ns
+                flow.next_end = nxt + flow.on_ns
+        if nxt <= flow.stop_ns:
+            self.sim.schedule(nxt, MFU, "flow_arrival", flow.spec.name)
 
     def _optical_downstream(self, frame: Frame) -> None:
         now = self.sim.now
-        wire = self._wire_bytes(frame.size)
+        ser = self._downstream_ser.get(frame.size)
+        if ser is None:
+            dll = APDU_OVERHEAD + frame.size + FEM_HEADER_LEN
+            ser = self.optical.downstream_ser_ns(pma_wire_len(dll))
+            self._downstream_ser[frame.size] = ser
         depart = max(now, self.mfu_tx_free)
-        ser = self.optical.downstream_ser_ns(wire)
         self.mfu_tx_free = depart + ser
         arrive = depart + ser + self.optical.prop_delay_ns[frame.dst]
-        self.sim.schedule(arrive, f"sfu:{frame.dst}", "optical_rx", frame)
+        self.sim.schedule(arrive, self.sfus[frame.dst].target, "optical_rx",
+                          frame)
 
-    def _on_optical_rx(self, sfu: SfuSim, frame: Frame) -> None:
-        now = self.sim.now
-        self._mark_sfu_activity(sfu, now, frame.size)
+    def _on_optical_rx(self, sfu: SfuSim, ev: Event) -> None:
+        frame = ev.payload
+        self._mark_sfu_activity(sfu, self.sim.now, frame.size)
         sfu.enqueue(frame)
-        if self.cfg.mode == SchedulerMode.DISTRIBUTED_BASELINE:
-            self.domain_of[sfu.name].notify()
+        domain = self.domain_of.get(sfu.name)
+        if domain is not None:
+            domain.notify()
 
-    def _deliver(self, frame: Frame) -> None:
+    def _deliver(self, ev: Event) -> None:
         """Frame handed to its STA over the air; record end-to-end latency."""
+        frame = ev.payload
         now = self.sim.now
         stats = self.flow_stats[frame.flow]
         stats.delivered += 1
@@ -390,7 +470,7 @@ class Simulation:
     # ------------------------------------------------------------------
     # centralized scheduling
 
-    def _status_cycle(self) -> None:
+    def _status_cycle(self, ev: Event) -> None:
         cfg = self.cfg
         now = self.sim.now
         reports = []
@@ -416,36 +496,34 @@ class Simulation:
                 f"scheduler emitted overlapping grants: {overlaps}")
         for g in grants:
             self.results.grants.append(g)
-            self.sim.schedule(g.start, f"sfu:{g.sfu}", "grant_start", g)
+            self.sim.schedule(g.start, self.sfus[g.sfu].target, "grant_start",
+                              g)
         nxt = now + cfg.status_cycle_ns
         if nxt <= cfg.horizon_ns:
             self.sim.schedule(nxt, MFU, "status_cycle")
 
-    def _grant_start(self, sfu: SfuSim, grant: AirGrant) -> None:
+    def _grant_start(self, sfu: SfuSim, ev: Event) -> None:
+        grant = ev.payload
         now = self.sim.now
         if not sfu.alive or sfu.asleep:
             return
         end = grant.start + grant.max_duration
+        stats = self.results.cell_stats[sfu.name]
         # coordination-failure check against conflicting in-flight transmissions
         for other in self.graph.neighbors(sfu.name):
             tx = self.sfus[other].active_tx
             if tx and tx[0] < end and now < tx[1]:
-                self.results.cell_stats[sfu.name].coordination_failures += 1
+                stats.coordination_failures += 1
         cursor = now
-        last_end = now
         while True:
             head = sfu.head_frame()
-            if head is None:
-                break
-            dur = sfu.cell.airtime_ns(head.size)
-            if cursor + dur > end:
+            if head is None or cursor + head.airtime_ns > end:
                 break
             frame = sfu.pop_frame()
-            cursor += dur
-            self.sim.schedule(cursor, f"sfu:{sfu.name}", "air_delivered", frame)
-            self.results.cell_stats[sfu.name].airtime_ns += dur
-            last_end = cursor
-        sfu.active_tx = (now, last_end)
+            cursor += frame.airtime_ns
+            self.sim.schedule(cursor, sfu.target, "air_delivered", frame)
+            stats.airtime_ns += frame.airtime_ns
+        sfu.active_tx = (now, cursor)
 
     # ------------------------------------------------------------------
     # upstream allocation calendar (alloc cycles, OMCI slot, data slots)
@@ -478,7 +556,7 @@ class Simulation:
         self.results.upstream_slots.append((sfu, start, duration, tcont))
         return start
 
-    def _alloc_cycle(self) -> None:
+    def _alloc_cycle(self, ev: Event) -> None:
         cfg = self.cfg
         now = self.sim.now
         k = now // cfg.alloc_cycle_ns
@@ -517,16 +595,16 @@ class Simulation:
                               (now, encode_omci(err)))
             return
         self.sim.schedule(now + self.cfg.control_delay_ns,
-                          f"sfu:{target}", "omci_rx", encode_omci(std))
+                          self.sfus[target].target, "omci_rx", encode_omci(std))
 
-    def _sfu_omci_rx(self, sfu: SfuSim, data: bytes) -> None:
+    def _sfu_omci_rx(self, sfu: SfuSim, ev: Event) -> None:
         now = self.sim.now
-        msg = decode_omci(data)
+        msg = decode_omci(ev.payload)
         response = apply_omci(msg, self.results.mibs[sfu.name])
         sfu.omci_pending.append((now, response))
 
-    def _olt_rx(self, payload) -> None:
-        created, data = payload
+    def _olt_rx(self, ev: Event) -> None:
+        created, data = ev.payload
         msg = decode_omci(data)
         self.results.olt_received.append(msg)
         self.results.omci_delivered += 1
@@ -535,7 +613,8 @@ class Simulation:
     # ------------------------------------------------------------------
     # OFDMA uplink bursts
 
-    def _burst_start(self, sfu: SfuSim, spec) -> None:
+    def _burst_start(self, sfu: SfuSim, ev: Event) -> None:
+        spec = ev.payload
         cfg = self.cfg
         now = self.sim.now
         air_ns = int(spec.air_duration_us * 1000)
@@ -567,10 +646,10 @@ class Simulation:
                               (sfu.name, nbytes))
         nxt = now + int(spec.period_us * 1000)
         if nxt <= cfg.horizon_ns:
-            self.sim.schedule(nxt, f"sfu:{sfu.name}", "burst_start", spec)
+            self.sim.schedule(nxt, sfu.target, "burst_start", spec)
 
-    def _upstream_burst_done(self, payload) -> None:
-        sfu, nbytes = payload
+    def _upstream_burst_done(self, ev: Event) -> None:
+        _, nbytes = ev.payload
         if self.cfg.mode == SchedulerMode.PHY_RELAY:
             self.relay_buffer_level = max(0, self.relay_buffer_level - nbytes)
         self._mark_mfu_activity(self.sim.now)
@@ -586,17 +665,17 @@ class Simulation:
     def _mark_sfu_activity(self, sfu: SfuSim, now: int, nbytes: int) -> None:
         sfu.last_activity = now
         sfu.window_bytes += nbytes
-        if sfu.power.state in (PowerState.IDLE, PowerState.RF_OFF):
-            sfu.power.request(PowerState.ACTIVE, now)
-        elif sfu.power.state == PowerState.REDUCED_TX:
+        if sfu.power.state in (PowerState.IDLE, PowerState.RF_OFF,
+                               PowerState.REDUCED_TX):
             sfu.power.request(PowerState.ACTIVE, now)
 
     def _schedule_power_check(self, node: str) -> None:
-        target = MFU if node == MFU else f"sfu:{node}"
+        target = MFU if node == MFU else self.sfus[node].target
         self.sim.schedule(self.sim.now + self.cfg.t_act_idle_ns, target,
                           "power_check", node)
 
-    def _power_check(self, node: str) -> None:
+    def _power_check(self, ev: Event) -> None:
+        node = ev.payload
         now = self.sim.now
         cfg = self.cfg
         if node == MFU:
@@ -604,22 +683,20 @@ class Simulation:
         else:
             sfu = self.sfus[node]
             machine, last = sfu.power, sfu.last_activity
+        target = ev.target
         if machine.state == PowerState.ACTIVE:
             if now - last >= cfg.t_act_idle_ns:
                 machine.request(PowerState.IDLE, now)
                 if node != MFU and cfg.savings_enabled:
                     self.sim.schedule(now + cfg.t_idle_sleep_ns,
-                                      f"sfu:{node}", "sleep_check", node)
-                self.sim.schedule(now + cfg.t_act_idle_ns,
-                                  MFU if node == MFU else f"sfu:{node}",
+                                      target, "sleep_check", node)
+                self.sim.schedule(now + cfg.t_act_idle_ns, target,
                                   "power_check", node)
             else:
-                self.sim.schedule(last + cfg.t_act_idle_ns,
-                                  MFU if node == MFU else f"sfu:{node}",
+                self.sim.schedule(last + cfg.t_act_idle_ns, target,
                                   "power_check", node)
         else:
-            self.sim.schedule(now + cfg.t_act_idle_ns,
-                              MFU if node == MFU else f"sfu:{node}",
+            self.sim.schedule(now + cfg.t_act_idle_ns, target,
                               "power_check", node)
 
     def _features(self, sfu: SfuSim, now: int) -> ScenarioFeatures:
@@ -642,7 +719,8 @@ class Simulation:
             user_activity=idle_ns < self.cfg.t_act_idle_ns,
             idle_ns=idle_ns)
 
-    def _sleep_check(self, node: str) -> None:
+    def _sleep_check(self, ev: Event) -> None:
+        node = ev.payload
         sfu = self.sfus[node]
         now = self.sim.now
         cfg = self.cfg
@@ -650,7 +728,7 @@ class Simulation:
             return
         if now - sfu.last_activity < cfg.t_act_idle_ns + cfg.t_idle_sleep_ns:
             self.sim.schedule(sfu.last_activity + cfg.t_act_idle_ns
-                              + cfg.t_idle_sleep_ns, f"sfu:{node}",
+                              + cfg.t_idle_sleep_ns, sfu.target,
                               "sleep_check", node)
             return
         policy = select_policy(self._features(sfu, now))
@@ -679,9 +757,9 @@ class Simulation:
             for s in eligible:
                 if self.mfu_sleep_view.get(s) == "light":
                     self.sim.schedule(now + self.cfg.control_delay_ns,
-                                      f"sfu:{s}", "deep_cmd")
+                                      self.sfus[s].target, "deep_cmd")
 
-    def _deep_cmd(self, sfu: SfuSim) -> None:
+    def _deep_cmd(self, sfu: SfuSim, ev: Event) -> None:
         now = self.sim.now
         if sfu.wake_pending:
             self.results.rejected_transitions += 1
@@ -709,9 +787,9 @@ class Simulation:
         else:
             wake_done = cmd_at + prof.wake_light_ns
         self.results.events.append((now, "wake_command", name))
-        self.sim.schedule(wake_done, f"sfu:{name}", "wake_done")
+        self.sim.schedule(wake_done, sfu.target, "wake_done")
 
-    def _wake_done(self, sfu: SfuSim) -> None:
+    def _wake_done(self, sfu: SfuSim, ev: Event) -> None:
         now = self.sim.now
         sfu.power.request(PowerState.IDLE, now)
         sfu.wake_pending = False
@@ -726,7 +804,7 @@ class Simulation:
     # ------------------------------------------------------------------
     # liveness
 
-    def _poll_cycle(self) -> None:
+    def _poll_cycle(self, ev: Event) -> None:
         now = self.sim.now
         for name in self.cfg.sfus:
             sfu = self.sfus[name]
@@ -739,60 +817,11 @@ class Simulation:
         if nxt <= self.cfg.horizon_ns:
             self.sim.schedule(nxt, MFU, "poll_cycle")
 
-    # ------------------------------------------------------------------
-    # event dispatch
+    def _kill(self, sfu: SfuSim, ev: Event) -> None:
+        sfu.alive = False
 
-    def _on_mfu(self, ev) -> None:
-        if ev.kind == "flow_arrival":
-            self._flow_arrival(ev.payload)
-        elif ev.kind == "status_cycle":
-            self._status_cycle()
-        elif ev.kind == "alloc_cycle":
-            self._alloc_cycle()
-        elif ev.kind == "poll_cycle":
-            self._poll_cycle()
-        elif ev.kind == "upstream_burst_done":
-            self._upstream_burst_done(ev.payload)
-        elif ev.kind == "power_check":
-            self._power_check(MFU)
-        else:
-            raise RuntimeError(f"unknown MFU event {ev.kind}")
-
-    def _on_sfu(self, ev) -> None:
-        name = ev.target.split(":", 1)[1]
-        sfu = self.sfus[name]
-        if ev.kind == "optical_rx":
-            self._on_optical_rx(sfu, ev.payload)
-        elif ev.kind == "air_delivered":
-            self._deliver(ev.payload)
-        elif ev.kind == "grant_start":
-            self._grant_start(sfu, ev.payload)
-        elif ev.kind == "burst_start":
-            self._burst_start(sfu, ev.payload)
-        elif ev.kind == "omci_rx":
-            self._sfu_omci_rx(sfu, ev.payload)
-        elif ev.kind == "power_check":
-            self._power_check(name)
-        elif ev.kind == "sleep_check":
-            self._sleep_check(name)
-        elif ev.kind == "deep_cmd":
-            self._deep_cmd(sfu)
-        elif ev.kind == "wake_done":
-            self._wake_done(sfu)
-        elif ev.kind == "kill":
-            sfu.alive = False
-        elif ev.kind == "recover":
-            sfu.alive = True
-        else:
-            raise RuntimeError(f"unknown SFU event {ev.kind}")
-
-    def _on_domain(self, ev) -> None:
-        idx = int(ev.target.split(":", 1)[1])
-        self.domains[idx].on_round()
-
-    def _on_olt(self, ev) -> None:
-        if ev.kind == "omci_rx":
-            self._olt_rx(ev.payload)
+    def _recover(self, sfu: SfuSim, ev: Event) -> None:
+        sfu.alive = True
 
     # ------------------------------------------------------------------
 

@@ -82,3 +82,11 @@ def test_compare_refuses_different_shapes(tmp_path, capsys):
                  "--out", str(tmp_path / "p")]) == 0
     assert main(["compare", str(tmp_path / "g" / "summary.json"),
                  str(tmp_path / "p" / "summary.json")]) == 2
+
+
+def test_run_rejects_on_off_flow_without_on_period(tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("horizon_ms: 10\ntopology:\n  sfus: [a]\nflows:\n"
+                   "  - {dst: a, size_bytes: 100, model: on_off,"
+                   " rate_mbps: 1, on_ms: 0, off_ms: 0}\n")
+    assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2

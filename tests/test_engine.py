@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
-from fttrsim.engine import (Simulator, SimError, RngStreams, transmit_time_ns,
-                            NS_PER_S)
+from fttrsim.engine import (Simulator, SimError, RngStreams, draw_int,
+                            transmit_time_ns, NS_PER_S)
 
 
 def collect(sim, horizon):
@@ -146,3 +148,29 @@ def test_serialization_time_rounds_up():
     assert transmit_time_ns(1, NS_PER_S) == 8
     # 8 bits at 3 bit/s = 2.666... s, rounded up to the next nanosecond
     assert transmit_time_ns(1, 3) == 2_666_666_667
+
+
+CONTENTION_WINDOWS = [2 ** k - 1 for k in range(4, 11)]   # 15, 31, ..., 1023
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2 ** 40 + 3])
+def test_draw_int_matches_randint_for_every_contention_window(seed):
+    for cw in CONTENTION_WINDOWS:
+        ref, rng = random.Random(seed), random.Random(seed)
+        assert [draw_int(rng.getrandbits, cw) for _ in range(10_000)] == \
+               [ref.randint(0, cw) for _ in range(10_000)]
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2 ** 40 + 3])
+def test_draw_int_matches_randrange_for_bytes(seed):
+    ref, rng = random.Random(seed), random.Random(seed)
+    assert [draw_int(rng.getrandbits, 255) for _ in range(10_000)] == \
+           [ref.randrange(256) for _ in range(10_000)]
+
+
+def test_draw_int_matches_randint_when_the_window_changes_between_draws():
+    # a CSMA stream doubles and resets its window between draws
+    windows = random.Random(0).choices(CONTENTION_WINDOWS, k=10_000)
+    ref, rng = random.Random(3), random.Random(3)
+    assert [draw_int(rng.getrandbits, cw) for cw in windows] == \
+           [ref.randint(0, cw) for cw in windows]

@@ -85,6 +85,28 @@ def test_flow_field_validation():
                                        "rate_mbps": 1}]))
 
 
+def test_on_off_flow_without_rate_rejected():
+    # used to raise ZeroDivisionError at the second arrival
+    with pytest.raises(ConfigError) as exc:
+        parse_scenario(minimal(flows=[{"dst": "a", "size_bytes": 100,
+                                       "model": "on_off", "rate_mbps": 0,
+                                       "on_ms": 5, "off_ms": 5}]))
+    assert "flows[0].rate_mbps" in str(exc.value)
+    # a rate below 1 bit/s truncates to a zero rate as well
+    with pytest.raises(ConfigError):
+        parse_scenario(minimal(flows=[{"dst": "a", "size_bytes": 100,
+                                       "rate_mbps": 1e-7}]))
+
+
+def test_on_off_flow_without_on_period_rejected():
+    # on_ms = off_ms = 0 used to fire arrivals at one timestamp forever
+    with pytest.raises(ConfigError) as exc:
+        parse_scenario(minimal(flows=[{"dst": "a", "size_bytes": 100,
+                                       "model": "on_off", "rate_mbps": 1,
+                                       "on_ms": 0, "off_ms": 0}]))
+    assert "flows[0].on_ms" in str(exc.value)
+
+
 def test_wifi_parameters_validated():
     with pytest.raises(ConfigError):
         parse_scenario(minimal(wifi={"cw_min": 14}))

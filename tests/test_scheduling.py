@@ -86,6 +86,70 @@ def test_overlap_checker_flags_conflicting_overlap_only():
     assert {bad[0][0].sfu, bad[0][1].sfu} == {"a", "b"}
 
 
+# The all-pairs forms of the allocator and the checker, kept as references
+# for the neighbour-indexed versions in scheduling.py.
+
+def all_pairs_grants(reports, graph, txop_max_ns, now, airtime_ns_for,
+                     window_end=None):
+    grants = []
+    for rep in sorted(reports, key=sch.report_order_key):
+        if rep.buffered_bytes <= 0:
+            continue
+        start = now
+        for g in grants:
+            if graph.conflicts(g.sfu, rep.sfu):
+                start = max(start, g.start + g.max_duration)
+        duration = min(airtime_ns_for(rep), txop_max_ns)
+        if window_end is not None:
+            duration = min(duration, window_end - start)
+        if duration <= 0:
+            continue
+        grants.append(sch.AirGrant(rep.sfu, start, duration))
+    return grants
+
+
+def all_pairs_overlaps(grants, graph):
+    return [(a, b) for i, a in enumerate(grants) for b in grants[i + 1:]
+            if graph.conflicts(a.sfu, b.sfu)
+            and a.start < b.start + b.max_duration
+            and b.start < a.start + a.max_duration]
+
+
+CELLS = "abcdef"
+edges_st = st.lists(st.tuples(st.sampled_from(CELLS), st.sampled_from(CELLS))
+                    .filter(lambda e: e[0] != e[1]), max_size=12)
+
+
+def graph_of(edges):
+    g = InterferenceGraph(edges)
+    for c in CELLS[:-1]:     # one cell may be missing from the graph
+        g.add_node(c)
+    return g
+
+
+@given(edges_st,
+       st.lists(st.tuples(st.sampled_from(CELLS), st.integers(0, 5000),
+                          st.integers(-1, 7)), max_size=10),
+       st.integers(500, 4000), st.none() | st.integers(1000, 12_000))
+def test_grants_match_all_pairs_reference(edges, raw, txop, window_end):
+    graph = graph_of(edges)
+    # duplicate SFUs are kept: a report list need not name each cell once
+    reports = [report(c, buffered, prio, ts=i)
+               for i, (c, buffered, prio) in enumerate(raw)]
+    args = (reports, graph, txop, 100, airtime_identity, window_end)
+    assert sch.grant_downlink_airtime(*args) == all_pairs_grants(*args)
+
+
+@given(edges_st,
+       st.lists(st.tuples(st.sampled_from(CELLS), st.integers(0, 300),
+                          st.integers(1, 200)), max_size=12))
+def test_overlap_checker_matches_all_pairs_reference(edges, raw):
+    graph = graph_of(edges)
+    grants = [sch.AirGrant(c, start, dur) for c, start, dur in raw]
+    assert sch.check_grant_overlap(grants, graph) == \
+        all_pairs_overlaps(grants, graph)
+
+
 # ---------------------------------------------------------------------------
 # uplink requests / TAMap generation
 
