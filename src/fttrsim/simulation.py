@@ -165,23 +165,21 @@ class ContentionDomain:
     """
 
     def __init__(self, idx: int, members: list[str], sim: "Simulation"):
-        self.idx = idx
         self.target = f"domain:{idx}"
-        self.members = sorted(members)
         self.sim = sim
         self.busy_until = 0
         self.round_pending = False
         # every cell of a run shares the scenario's overhead parameters
         self.overhead = sim.cfg.wifi_overhead
-        # per member, in member order: its SFU, the getrandbits of its
-        # backoff stream and its cell counters
-        self.contenders = [(sim.sfus[m], sim.sim.rng.for_node(m).getrandbits,
-                            sim.results.cell_stats[m]) for m in self.members]
+        # per member, in name order: its SFU, the getrandbits of its backoff
+        # stream and its cell counters
+        self.stations = [(sim.sfus[m], sim.sim.rng.for_node(m).getrandbits,
+                          sim.results.cell_stats[m]) for m in sorted(members)]
 
     def notify(self) -> None:
         if self.round_pending:
             return
-        for sfu, _, _ in self.contenders:
+        for sfu, _, _ in self.stations:
             if sfu.queued_bytes > 0 and sfu.alive and not sfu.asleep:
                 break
         else:
@@ -195,7 +193,7 @@ class ContentionDomain:
         # contender test, backoff draw and minimum in one pass over members
         best = -1
         winners = []
-        for entry in self.contenders:
+        for entry in self.stations:
             sfu = entry[0]
             # `not sfu.asleep`, spelled out: the property calls cost more
             # than the rest of the test
