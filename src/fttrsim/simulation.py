@@ -106,8 +106,9 @@ class SfuSim:
         self.name = name
         self.target = f"sfu:{name}"
         self.cell = cell
-        # one FIFO per queue tag; tag 0 (priority 7) is served first
-        self.queues: list[deque[Frame]] = [deque() for _ in range(8)]
+        # one FIFO per queue tag, made on the tag's first frame (a deque
+        # takes 760 bytes); tag 0 (priority 7) is served first
+        self.queues: list[deque[Frame] | None] = [None] * 8
         self.queued_bytes = 0
         self.queued_airtime_ns = 0
         self.cw = cell.overhead.cw_min
@@ -130,7 +131,10 @@ class SfuSim:
 
     def enqueue(self, frame: Frame) -> None:
         frame.airtime_ns = self.cell.airtime_ns(frame.size)
-        self.queues[frame.tag].append(frame)
+        q = self.queues[frame.tag]
+        if q is None:
+            q = self.queues[frame.tag] = deque()
+        q.append(frame)
         self.queued_bytes += frame.size
         self.queued_airtime_ns += frame.airtime_ns
 
