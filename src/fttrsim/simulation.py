@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from .engine import (Event, Simulator, SimTime, draw_int, transmit_time_ns,
-                     NS_PER_S)
+from .engine import (Event, Simulator, SimError, SimTime, draw_int,
+                     transmit_time_ns, NS_PER_S)
 from .frames import (APDU_OVERHEAD, FEM_HEADER_LEN, classification_tag,
                      pma_wire_len, OmciMessage, OmciType, encode_omci,
                      decode_omci)
@@ -541,6 +541,12 @@ class Simulation:
         """Place a data burst on the upstream calendar, skipping the reserved
         OMCI window at the head of every allocation cycle."""
         cfg = self.cfg
+        room = cfg.alloc_cycle_ns - cfg.omci_slot_ns - cfg.guard_ns
+        if room <= 0 or duration > room:
+            raise SimError(
+                f"upstream burst of {duration} ns from {sfu} does not fit the "
+                f"{max(room, 0)} ns between two OMCI windows "
+                f"(alloc cycle {cfg.alloc_cycle_ns} ns)")
         start = max(earliest, self.upstream_next_free)
         while True:
             k = start // cfg.alloc_cycle_ns

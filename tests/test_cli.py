@@ -90,3 +90,23 @@ def test_run_rejects_on_off_flow_without_on_period(tmp_path):
                    "  - {dst: a, size_bytes: 100, model: on_off,"
                    " rate_mbps: 1, on_ms: 0, off_ms: 0}\n")
     assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_run_exits_3_when_relayed_burst_outgrows_the_cycle(tmp_path, capsys):
+    # the relayed bursts (307200 ns and 384000 ns) are longer than the
+    # 239900 ns between two OMCI windows of a 250 us alloc cycle
+    for name in ("golden", "ofdma_uplink_burst"):
+        scenario = str(ROOT / "scenarios" / f"{name}.yaml")
+        assert main(["run", scenario, "--mode", "phy_relay",
+                     "--out", str(tmp_path / name)]) == 3
+        assert "does not fit" in capsys.readouterr().err
+
+
+def test_run_exits_3_when_alloc_cycle_is_shorter_than_omci_slot(tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("horizon_ms: 10\ntopology:\n  sfus: [a]\n"
+                   "control: {alloc_cycle_us: 5, omci_slot_us: 10}\n"
+                   "uplink_bursts:\n"
+                   "  - {sfu: a, period_us: 1000, air_duration_us: 10,"
+                   " rus: [{sta: s, bytes: 100}]}\n")
+    assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 3

@@ -1,18 +1,20 @@
 """Output pins for every shipped scenario.
 
 `PINS` holds the sha256 of the full `summary.json` (trace digest and event
-counters included) and of `flows.csv` in the two air-access modes. A change
+counters included) and of `flows.csv` in the two air-access modes and in
+`phy_relay` mode. A change
 that is only about performance must leave all of these bytes unchanged. A
 change to the model re-pins them here, in its own commit, and says in
 CHANGES.md which numbers moved.
 
 `MODEL_PINS` holds the sha256 of `summary.json` without `digest` and the
-`events_*` counters, and of `flows.csv`, in the `centralized`, `distributed`
-and `mac_integrated` modes. A change to how events are scheduled, which
-moves the digest and the event counts but not what the model computes,
-leaves these unchanged. `phy_relay` mode is left out: `golden.yaml` in that
-mode never ends (the upstream slot search in
-`Simulation._reserve_data_slot` does not terminate).
+`events_*` counters, and of `flows.csv`, in all four modes. A change to how
+events are scheduled, which moves the digest and the event counts but not
+what the model computes, leaves these unchanged.
+
+`golden` and `ofdma_uplink_burst` have no `phy_relay` pin: in that mode
+their relayed bursts are longer than the room between two OMCI windows,
+and the run ends with `SimError` (see `tests/test_cli.py`).
 """
 
 import hashlib
@@ -34,11 +36,17 @@ PINS = {
     ("conflict_pair", "distributed"): (
         "ee52be95f7ad1b38434f2d2564e45ad29ca7d2416e037b97608ec777a2c24279",
         "b38216e277d3ef8fc6ace04855064fa14a064dfe9c90644999b52ebdc67e286a"),
+    ("conflict_pair", "phy_relay"): (
+        "c486d3322580c3add81690d7b57f50acc802d8c9a89deb8584dbe600d3a8b72d",
+        "eaa3a2f19b839d4ba70e498fe0ad577bb3742c7ace18d910fc48077279ead461"),
     ("four_room_household", "centralized"): (
         "b6ebe4e9c9297c333ca6ba665c39390ffdceb99c18d2cb6caab4446214a79661",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("four_room_household", "distributed"): (
         "6e87af1cb81d301b8f46a0bb0699e4dcfca831333c34210be4a31b1a3562469c",
+        "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
+    ("four_room_household", "phy_relay"): (
+        "6f543fe321ebb42e8e31ef7d59f7aa6d855e82d84eae954fdbfbcb6e80ca25b8",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("golden", "centralized"): (
         "99627a324c2a40e6f3f81c48987ac72448ec217f63c27f50acfd2caf5df94cbf",
@@ -52,6 +60,9 @@ PINS = {
     ("idle_night", "distributed"): (
         "e4ac3b1cb85a42a4d20d59a3719eeee4fa8622a77b1685a105fbca60c48ad2e6",
         "a705d415ba98a671fbb54cfa1391ccd169be0abacfcde807cf2c11d19ec8a768"),
+    ("idle_night", "phy_relay"): (
+        "994c9168f980347f31c7a743f7700022dbec03d739680d16a8d12cc4c87e613c",
+        "28545f526021417db646596bf472fb87e1691869aea735f41c1cc6df9fecc23d"),
     ("ofdma_uplink_burst", "centralized"): (
         "19a3a3e59c6c7329701313c194b9b5dd7f2f7560b4cfba7d0bfe2255eaa76090",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
@@ -64,11 +75,17 @@ PINS = {
     ("phy_relay_burst", "distributed"): (
         "4d807c3b26992c9ddac632909b81fbf9687f3afcaa5638119022bf108726767e",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
+    ("phy_relay_burst", "phy_relay"): (
+        "4773c9ecf72c3c55a7550c40f9ba3b9093e71bd24fb29c5c04c23d359be1ea07",
+        "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "centralized"): (
         "9802e84f774adb9e58ac9af14ab96bc4f00f7bf8c8b0eb2a279eb832970c499e",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "distributed"): (
         "f2f5ff1653fe9fe548f6b90dbff5102bae179023461ff5aed2f2bf11b9f68197",
+        "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
+    ("provisioning_storm", "phy_relay"): (
+        "939a505f94ccc3651c49187a11c8f7e5221b51030d25eacd6b160aa6d81eedf6",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("staged_kill", "centralized"): (
         "5d5208b55a4acfa55bc97bc020ca57dbe23aa697e0f02fc89bd259d3d325d0f2",
@@ -76,6 +93,9 @@ PINS = {
     ("staged_kill", "distributed"): (
         "0259995a3dcd08cce52259a1415baca81a9bb02e9faed1ee1d5ddfea6d89ba94",
         "400061c7dce4fd9c72b4ee7bae471447ea60399d805c2657b1ba6acdda6452ec"),
+    ("staged_kill", "phy_relay"): (
+        "a97cbd7b31829af4fba2def8ca6ba1df9cb170cadb03c2ac89a120d35994d231",
+        "95211e17a5817c20edce0d81e47b2cf493b4aa7b0bb68125cc30b710e435ca5d"),
 }
 
 # (scenario, mode) -> (sha256 of summary.json without the digest and the
@@ -90,6 +110,9 @@ MODEL_PINS = {
     ("conflict_pair", "mac_integrated"): (
         "57b92718e2b6f16015a14b480ab32a96423041080c056a79b33a6906afb61de8",
         "80c74b0063138ae2e6c1b7067b385844fc9432a8a01626775d2ef585d0bbab9c"),
+    ("conflict_pair", "phy_relay"): (
+        "ab5717511332b69a9be8b6e883e23c36b07b90774fe9b8690f5263710e62788c",
+        "eaa3a2f19b839d4ba70e498fe0ad577bb3742c7ace18d910fc48077279ead461"),
     ("four_room_household", "centralized"): (
         "7e75f8be2b1551a5aa1223e99ed2d0d1977a22438aaeb2500716f82c6d3bce5a",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
@@ -98,6 +121,9 @@ MODEL_PINS = {
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("four_room_household", "mac_integrated"): (
         "b60b2f93faabff89094833fadbc33c1e52b04e0ccc841506f50f268815e51607",
+        "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
+    ("four_room_household", "phy_relay"): (
+        "04a60e2384d8e589e8a1f964b924ecba2864d4a88abe5988feb953fa55281b15",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("golden", "centralized"): (
         "963c87563d57fa21fb68791c39ad58ec57d962bc5f70910b4fd8f70844699fdf",
@@ -117,6 +143,9 @@ MODEL_PINS = {
     ("idle_night", "mac_integrated"): (
         "62ac20c9739e7b8aa5a08b7058517ce1442952f5f69e1a381a06de56232a881b",
         "873c0f5f8ba7672b0281b01cdc87c0dd948119b0cd56b653c3a8f0be693dbede"),
+    ("idle_night", "phy_relay"): (
+        "dc6df2765d4c62886e6f20001a0f2826bcd904838c337638d2ddc3dd5f6914d5",
+        "28545f526021417db646596bf472fb87e1691869aea735f41c1cc6df9fecc23d"),
     ("ofdma_uplink_burst", "centralized"): (
         "afc126041d57da67665e54179aa4bb19bbb9c3a492a678598ac8e5a0ac0f7aa9",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
@@ -135,6 +164,9 @@ MODEL_PINS = {
     ("phy_relay_burst", "mac_integrated"): (
         "a15d3186fc33cd10b3c5f560b88586babb542bc02073ca3c836d19e4eddf6bdd",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
+    ("phy_relay_burst", "phy_relay"): (
+        "d2fad6653a2c4f18044b5dfb574869548890be4aa29fa90ecfd21a0bc7991ea8",
+        "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "centralized"): (
         "1eec46c52ccc55b833f2816c18a84231561c3509397d3496a3ad15924d5eb583",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
@@ -143,6 +175,9 @@ MODEL_PINS = {
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "mac_integrated"): (
         "633abb0bfb583ee43d92fc855c415efc8a3c62fa5e0dc420bd134d5b67db7c52",
+        "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
+    ("provisioning_storm", "phy_relay"): (
+        "89b3d75e997d2063993db6bec11deb7924f47b589d3eb3275d11a3359ef97bce",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("staged_kill", "centralized"): (
         "abf2173a2f6f2c0a73e30c9ef1a2402e34b47cc1a9a6dbbe4784f50326bf06be",
@@ -153,6 +188,9 @@ MODEL_PINS = {
     ("staged_kill", "mac_integrated"): (
         "e29e48f50ef03a74ae9f0b6a62251b5d1d6da1c38f37dc1cf93098803cfb00a2",
         "3056e3f80b867112aeaf83e2c638bb2ac8f0ef760c1b48806a827c0f534e07f2"),
+    ("staged_kill", "phy_relay"): (
+        "569547d6eba7de1783cfc2b975dbb3f047faa670d7183e3b0732d938e3700368",
+        "95211e17a5817c20edce0d81e47b2cf493b4aa7b0bb68125cc30b710e435ca5d"),
 }
 
 
