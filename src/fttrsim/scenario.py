@@ -283,6 +283,10 @@ def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
             raise ConfigError(f"{p}.on_ms", "on_off flow needs on_ms > 0")
         if model == "batch" and flows[-1].count <= 0:
             raise ConfigError(f"{p}.count", "batch flow needs count > 0")
+        # flows are keyed by name in the run and in flows.csv
+        if any(prev.name == flows[-1].name for prev in flows[:-1]):
+            raise ConfigError(f"{p}.name",
+                              f"duplicate flow name {flows[-1].name!r}")
 
     bursts = []
     for i, b in enumerate(raw.get("uplink_bursts", [])):

@@ -55,6 +55,18 @@ def test_duplicate_sfu_names_rejected():
         parse_scenario({"horizon_ms": 1, "topology": {"sfus": ["a", "a"]}})
 
 
+def test_duplicate_flow_names_rejected():
+    flows = [{"name": "f", "dst": "a", "size_bytes": 1500, "rate_mbps": 10},
+             {"name": "f", "dst": "b", "size_bytes": 500, "rate_mbps": 1}]
+    with pytest.raises(ConfigError, match=r"flows\[1\]\.name"):
+        parse_scenario(minimal(flows=flows))
+    # an explicit name may not take the default name of another flow
+    flows = [{"dst": "a", "size_bytes": 1500, "rate_mbps": 10},
+             {"name": "flow0", "dst": "b", "size_bytes": 500, "rate_mbps": 1}]
+    with pytest.raises(ConfigError):
+        parse_scenario(minimal(flows=flows))
+
+
 def test_conflict_validation():
     with pytest.raises(ConfigError):
         parse_scenario(minimal(topology={"sfus": ["a", "b"],
