@@ -216,3 +216,17 @@ def ftth_baseline_joules(activity_spans: list[tuple[int, int]], horizon: int,
     active_ns = sum(end - start for start, end in spans)
     idle_ns = horizon - active_ns
     return (active_ns * active_w + idle_ns * idle_w) / NS_PER_S
+
+
+def merge_spans(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """`spans` sorted, with overlapping or touching spans folded into one.
+    The result covers the same time, so ftth_baseline_joules gives the same
+    joules for it, alone or with further spans, as for the raw spans."""
+    merged: list[tuple[int, int]] = []
+    for start, end in sorted(spans):
+        if merged and start <= merged[-1][1]:
+            if end > merged[-1][1]:
+                merged[-1] = (merged[-1][0], end)
+        else:
+            merged.append((start, end))
+    return merged

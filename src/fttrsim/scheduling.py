@@ -25,7 +25,7 @@ class SchedulerMode(Enum):
     PHY_RELAY = "phy_relay"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SfuStatusReport:
     sfu: str
     buffered_bytes: int          # total across queues
@@ -34,7 +34,7 @@ class SfuStatusReport:
     timestamp: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AirGrant:
     sfu: str
     start: int

@@ -10,6 +10,7 @@ the trace digest and every metric.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
@@ -28,7 +29,8 @@ from .scheduling import (SchedulerMode, SfuStatusReport, AirGrant,
 from .management import (MibStore, OmciAdapter, LivenessMonitor, AlarmKind,
                          AdapterError, apply_omci)
 from .energy import (PowerMachine, PowerState, SleepBuffer, ScenarioFeatures,
-                     select_policy, EnergyPolicy, ftth_baseline_joules)
+                     select_policy, EnergyPolicy, ftth_baseline_joules,
+                     merge_spans)
 from .scenario import ScenarioConfig, FlowSpec
 
 MFU = "mfu"
@@ -42,7 +44,6 @@ class Frame:
     size: int
     created_at: SimTime
     tag: int
-    seq: int
     airtime_ns: int = 0          # air occupancy, set when the SFU queues it
 
 
@@ -51,7 +52,7 @@ class FlowStats:
     offered: int = 0
     delivered: int = 0
     dropped: int = 0
-    latencies: list[int] = field(default_factory=list)
+    latencies: array = field(default_factory=lambda: array("q"))  # ns
 
 
 @dataclass
@@ -92,6 +93,8 @@ class SimResults:
     upstream_collisions: int = 0
     sleep_drops: int = 0
     events: list[tuple[int, str, str]] = field(default_factory=list)
+    # (created, delivered) of delivered frames, folded by merge_spans
+    # whenever the list doubles
     activity_spans: list[tuple[int, int]] = field(default_factory=list)
     counters: dict = field(default_factory=dict)
     ftth_joules: float = 0.0
@@ -99,6 +102,9 @@ class SimResults:
 
 
 SLEEP_STATES = (PowerState.LIGHT_SLEEP, PowerState.DEEP_SLEEP)
+
+# activity spans held before the first merge
+SPANS_MERGE_MIN = 1024
 
 
 class SfuSim:
@@ -123,7 +129,6 @@ class SfuSim:
         self.omci_pending: deque[tuple[int, OmciMessage]] = deque()
         self.active_tx: tuple[int, int] | None = None
         self.iot = name in cfg.iot_sfus
-        self.fem_seq = 0
 
     @property
     def asleep(self) -> bool:
@@ -221,7 +226,7 @@ class ContentionDomain:
             stats.airtime_ns += dur
             sfu.cw = oh.cw_min
             self.busy_until = start + dur
-            engine.schedule(start + dur, sfu.target, "air_delivered", frame)
+            self.sim._deliver(frame, start + dur)
         else:
             dur = 0
             for sfu, _, stats in winners:
@@ -298,6 +303,8 @@ class Simulation:
                                       self.flow_stats[f.name], cfg.horizon_ns)
                       for f in cfg.flows}
         self._downstream_ser: dict[int, int] = {}   # frame size -> ns
+        self._proc_ns = cfg.proc_mfu_ns + cfg.proc_sfu_ns
+        self._spans_merge_at = SPANS_MERGE_MIN
         self.monitor = LivenessMonitor(cfg.k_miss)
         self.adapter = OmciAdapter(port_id=1)
         for i, s in enumerate(cfg.sfus):
@@ -340,8 +347,7 @@ class Simulation:
         for sfu in self.sfus.values():
             table = {kind: partial(handler, sfu)
                      for kind, handler in per_sfu.items()}
-            table.update(air_delivered=self._deliver,
-                         power_check=self._power_check,
+            table.update(power_check=self._power_check,
                          sleep_check=self._sleep_check)
             self.sim.register(sfu.target, _dispatcher("SFU", table))
 
@@ -409,9 +415,7 @@ class Simulation:
         stats = flow.stats
         stats.offered += 1
         sfu = flow.sfu
-        frame = Frame(name, sfu.name, flow.spec.size_bytes, now, flow.tag,
-                      sfu.fem_seq)
-        sfu.fem_seq += 1
+        frame = Frame(name, sfu.name, flow.spec.size_bytes, now, flow.tag)
         self._mark_mfu_activity(now)
         if sfu.asleep or sfu.wake_pending:
             buf = self.sleep_buffers[sfu.name]
@@ -458,16 +462,20 @@ class Simulation:
         if domain is not None:
             domain.notify()
 
-    def _deliver(self, ev: Event) -> None:
-        """Frame handed to its STA over the air; record end-to-end latency."""
-        frame = ev.payload
-        now = self.sim.now
+    def _deliver(self, frame: Frame, t: int) -> None:
+        """Frame handed to its STA over the air at `t`; record end-to-end
+        latency. Called when the frame's airtime is scheduled. A frame due
+        after the horizon is not delivered in this run and stays in `lost`."""
+        if t > self.cfg.horizon_ns:
+            return
         stats = self.flow_stats[frame.flow]
         stats.delivered += 1
-        latency = (now - frame.created_at
-                   + self.cfg.proc_mfu_ns + self.cfg.proc_sfu_ns)
-        stats.latencies.append(latency)
-        self.results.activity_spans.append((frame.created_at, now))
+        stats.latencies.append(t - frame.created_at + self._proc_ns)
+        spans = self.results.activity_spans
+        spans.append((frame.created_at, t))
+        if len(spans) >= self._spans_merge_at:
+            spans[:] = merge_spans(spans)
+            self._spans_merge_at = max(2 * len(spans), SPANS_MERGE_MIN)
 
     # ------------------------------------------------------------------
     # centralized scheduling
@@ -517,13 +525,14 @@ class Simulation:
             if tx and tx[0] < end and now < tx[1]:
                 stats.coordination_failures += 1
         cursor = now
+        deliver = self._deliver
         while True:
             head = sfu.head_frame()
             if head is None or cursor + head.airtime_ns > end:
                 break
             frame = sfu.pop_frame()
             cursor += frame.airtime_ns
-            self.sim.schedule(cursor, sfu.target, "air_delivered", frame)
+            deliver(frame, cursor)
             stats.airtime_ns += frame.airtime_ns
         sfu.active_tx = (now, cursor)
 
@@ -857,10 +866,10 @@ class Simulation:
             "events_cancelled": self.sim.n_cancelled,
             "events_beyond_horizon": self.sim.n_beyond_horizon,
         }
-        spans = [(0, 0)] + sorted(res.activity_spans)
+        res.activity_spans = merge_spans(res.activity_spans)
         res.ftth_joules = ftth_baseline_joules(
-            spans, cfg.horizon_ns, cfg.ftth_active_w, cfg.ftth_idle_w,
-            cfg.t_act_idle_ns)
+            [(0, 0)] + res.activity_spans, cfg.horizon_ns, cfg.ftth_active_w,
+            cfg.ftth_idle_w, cfg.t_act_idle_ns)
         return res
 
 

@@ -1,10 +1,13 @@
+from random import Random
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from fttrsim.energy import (PowerState, PowerProfile, PowerMachine,
                             EnergyLedger, LedgerError, EnergyPolicy,
                             ScenarioFeatures, select_policy, SleepBuffer,
-                            ftth_baseline_joules, SHORT_IDLE_NS, LONG_IDLE_NS,
-                            LEGAL_TRANSITIONS)
+                            ftth_baseline_joules, merge_spans, SHORT_IDLE_NS,
+                            LONG_IDLE_NS, LEGAL_TRANSITIONS)
 
 WATTS = {PowerState.ACTIVE: 4.5, PowerState.IDLE: 3.0,
          PowerState.REDUCED_TX: 2.5, PowerState.RF_OFF: 2.0,
@@ -185,3 +188,33 @@ def test_reference_with_no_traffic_is_all_idle():
     j = ftth_baseline_joules([], horizon=1_000_000_000, active_w=13.0,
                              idle_w=12.0, hold_ns=0)
     assert j == pytest.approx(12.0, rel=1e-12)
+
+
+# spans on a small grid, so that overlapping and touching spans are common
+span_lists = st.lists(
+    st.tuples(st.integers(0, 300), st.integers(0, 40)).map(
+        lambda p: (p[0], p[0] + p[1])),
+    max_size=60)
+
+
+@given(spans=span_lists, chunk=st.integers(1, 16), order=st.randoms(),
+       hold_ns=st.integers(0, 50), horizon=st.integers(0, 400))
+@example(spans=[(0, 10), (10, 20), (30, 40), (5, 8)], chunk=1,
+         order=Random(0), hold_ns=5, horizon=100)
+def test_spans_merged_in_chunks_give_the_same_reference(spans, chunk, order,
+                                                        hold_ns, horizon):
+    shuffled = list(spans)
+    order.shuffle(shuffled)
+    merged: list = []
+    for i in range(0, len(shuffled), chunk):
+        merged = merge_spans(merged + shuffled[i:i + chunk])
+    # sorted, and no two spans overlap or touch
+    assert all(a[1] < b[0] for a, b in zip(merged, merged[1:]))
+    assert all(start <= end for start, end in merged)
+    assert (ftth_baseline_joules(merged, horizon, 2.0, 1.0, hold_ns)
+            == ftth_baseline_joules(spans, horizon, 2.0, 1.0, hold_ns))
+
+
+def test_merge_folds_overlapping_and_touching_spans():
+    assert merge_spans([(30, 40), (0, 10), (10, 20), (5, 8), (41, 50)]) == [
+        (0, 20), (30, 40), (41, 50)]
