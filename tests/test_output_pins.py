@@ -31,13 +31,13 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # (scenario, mode) -> (sha256 of summary.json, sha256 of flows.csv)
 PINS = {
     ("conflict_pair", "centralized"): (
-        "dca58d9962dcc910c5acf70ceaaa364a3c744be4a312d4818e628b5e96bd331a",
+        "26f1a22a53d1bdb49222046985625d26f2ffce9a4b9324f89724f2b49602fdbc",
         "0699922d1256e434c7c1815ccb7c17fdeb17128b88d05371616e5f12a2cf56d3"),
     ("conflict_pair", "distributed"): (
-        "ee52be95f7ad1b38434f2d2564e45ad29ca7d2416e037b97608ec777a2c24279",
+        "8874ec706137a089aef5f8a3c149f1b9e2aa35b5aac1841f8e8cbad0f98da51c",
         "b38216e277d3ef8fc6ace04855064fa14a064dfe9c90644999b52ebdc67e286a"),
     ("conflict_pair", "phy_relay"): (
-        "c486d3322580c3add81690d7b57f50acc802d8c9a89deb8584dbe600d3a8b72d",
+        "0731aad8a58bffda442e002dbd1b637bbb6940dda6a013342e531862f8ce8385",
         "eaa3a2f19b839d4ba70e498fe0ad577bb3742c7ace18d910fc48077279ead461"),
     ("four_room_household", "centralized"): (
         "b6ebe4e9c9297c333ca6ba665c39390ffdceb99c18d2cb6caab4446214a79661",
@@ -49,19 +49,19 @@ PINS = {
         "6f543fe321ebb42e8e31ef7d59f7aa6d855e82d84eae954fdbfbcb6e80ca25b8",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("golden", "centralized"): (
-        "99627a324c2a40e6f3f81c48987ac72448ec217f63c27f50acfd2caf5df94cbf",
+        "6376637076cff9370c0efa16fabf6431ba3c3d911c0484a343cd78071e2aa82b",
         "537d351de7b375ff49adc9cd35c8a47a43d92bf491e8ec29d32ffe893de87999"),
     ("golden", "distributed"): (
-        "90423e8ae25ccd2ae5e1990e6807ac17b4240573d03acface8830bdae43a270a",
+        "8200a69fc206f7689fc95f3209ac2b9e9c333ff18295f7fdc9830744e747687d",
         "4122b453971055f25395ac0f32ca9d81103e7fd9db57d9b295879055ee26c092"),
     ("idle_night", "centralized"): (
-        "4aee22d187c11f907ac8ccb72b26140c464bd1ad0cba2a45e9ca86a533bee294",
+        "fbda267a63f2ad9d712faf239522d5a63d078311a1a872428df72bf60356ff18",
         "afe8f3408ee7411b4c7f06512f66ff4e5c6d63ffdb4f09cdd8262eecef454abc"),
     ("idle_night", "distributed"): (
-        "e4ac3b1cb85a42a4d20d59a3719eeee4fa8622a77b1685a105fbca60c48ad2e6",
+        "b238196fccd29d351eeab5cdcc2c8364444641fe10b267e0cc785bb1b177bebc",
         "a705d415ba98a671fbb54cfa1391ccd169be0abacfcde807cf2c11d19ec8a768"),
     ("idle_night", "phy_relay"): (
-        "994c9168f980347f31c7a743f7700022dbec03d739680d16a8d12cc4c87e613c",
+        "f19f0d95f9a8c27814c25b47bd5615c587ade09fdbef197856909987275b987d",
         "28545f526021417db646596bf472fb87e1691869aea735f41c1cc6df9fecc23d"),
     ("ofdma_uplink_burst", "centralized"): (
         "19a3a3e59c6c7329701313c194b9b5dd7f2f7560b4cfba7d0bfe2255eaa76090",
@@ -88,13 +88,13 @@ PINS = {
         "939a505f94ccc3651c49187a11c8f7e5221b51030d25eacd6b160aa6d81eedf6",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("staged_kill", "centralized"): (
-        "5d5208b55a4acfa55bc97bc020ca57dbe23aa697e0f02fc89bd259d3d325d0f2",
+        "159b74122f4086f06c6ecb2ebf75656b6ab0ed1aa0a66c8da73d78a6c2143128",
         "f338d9dbba59d249f3230511c18adf506eddd66319d5c543c92cfc79e3a59a6c"),
     ("staged_kill", "distributed"): (
-        "0259995a3dcd08cce52259a1415baca81a9bb02e9faed1ee1d5ddfea6d89ba94",
+        "a36db93712e3aa3b2ccb3a6871255a0db06555276ad5d367d0a0e75e207830cd",
         "400061c7dce4fd9c72b4ee7bae471447ea60399d805c2657b1ba6acdda6452ec"),
     ("staged_kill", "phy_relay"): (
-        "a97cbd7b31829af4fba2def8ca6ba1df9cb170cadb03c2ac89a120d35994d231",
+        "24f74fdc66b58cd0e635e9f6d9f278fe38ce9689b05f6d2475d96f691363dc52",
         "95211e17a5817c20edce0d81e47b2cf493b4aa7b0bb68125cc30b710e435ca5d"),
 }
 
