@@ -205,15 +205,9 @@ def ftth_baseline_joules(activity_spans: list[tuple[int, int]], horizon: int,
     """Single-gateway reference: Active during traffic activity plus a
     hold-down of hold_ns after each span (mirroring the FTTR active->idle
     timer), Idle otherwise. Spans may overlap; they are merged first."""
-    spans = []
-    for start, end in sorted(activity_spans):
-        end = min(end + hold_ns, horizon)
-        start = min(start, horizon)
-        if spans and start <= spans[-1][1]:
-            spans[-1] = (spans[-1][0], max(spans[-1][1], end))
-        else:
-            spans.append((start, end))
-    active_ns = sum(end - start for start, end in spans)
+    held = merge_spans([(min(start, horizon), min(end + hold_ns, horizon))
+                        for start, end in activity_spans])
+    active_ns = sum(end - start for start, end in held)
     idle_ns = horizon - active_ns
     return (active_ns * active_w + idle_ns * idle_w) / NS_PER_S
 

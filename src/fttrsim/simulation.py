@@ -866,7 +866,6 @@ class Simulation:
             "events_cancelled": self.sim.n_cancelled,
             "events_beyond_horizon": self.sim.n_beyond_horizon,
         }
-        res.activity_spans = merge_spans(res.activity_spans)
         res.ftth_joules = ftth_baseline_joules(
             [(0, 0)] + res.activity_spans, cfg.horizon_ns, cfg.ftth_active_w,
             cfg.ftth_idle_w, cfg.t_act_idle_ns)

@@ -211,8 +211,12 @@ def test_spans_merged_in_chunks_give_the_same_reference(spans, chunk, order,
     # sorted, and no two spans overlap or touch
     assert all(a[1] < b[0] for a, b in zip(merged, merged[1:]))
     assert all(start <= end for start, end in merged)
-    assert (ftth_baseline_joules(merged, horizon, 2.0, 1.0, hold_ns)
-            == ftth_baseline_joules(spans, horizon, 2.0, 1.0, hold_ns))
+    # reference: count the covered nanoseconds one by one
+    active_ns = sum(any(start <= t < end + hold_ns for start, end in spans)
+                    for t in range(horizon))
+    expected = (active_ns * 2.0 + (horizon - active_ns) * 1.0) / 1e9
+    assert ftth_baseline_joules(merged, horizon, 2.0, 1.0, hold_ns) == expected
+    assert ftth_baseline_joules(spans, horizon, 2.0, 1.0, hold_ns) == expected
 
 
 def test_merge_folds_overlapping_and_touching_spans():
