@@ -2,10 +2,9 @@
 
 `PINS` holds the sha256 of the full `summary.json` (trace digest and event
 counters included) and of `flows.csv` in the two air-access modes and in
-`phy_relay` mode. A change
-that is only about performance must leave all of these bytes unchanged. A
-change to the model re-pins them here, in its own commit, and says in
-CHANGES.md which numbers moved.
+`phy_relay` mode. A change that is only about performance must leave all of
+these bytes unchanged. A change to the model re-pins them here, in its own
+commit, and says in CHANGES.md which numbers moved.
 
 `MODEL_PINS` holds the sha256 of `summary.json` without `digest` and the
 `events_*` counters, and of `flows.csv`, in all four modes. A change to how
