@@ -8,7 +8,7 @@ the joule total a closed-form interval sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .engine import NS_PER_S
@@ -49,7 +49,6 @@ class PowerProfile:
     wake_light_ns: int = 10_000_000     # 10 ms
     wake_deep_ns: int = 100_000_000     # 100 ms
     t_listen_ns: int = 1_000_000_000    # deep-sleep listen interval
-    listen_window_ns: int = 2_000_000
 
     def validate(self):
         w = self.watts
@@ -70,8 +69,6 @@ class EnergyPolicy(Enum):
     TX_POWER_ADJUST = "tx_power_adjust"
     LIGHT_SLEEP = "light_sleep"
     DEEP_SLEEP = "deep_sleep"
-    OPTICAL_RATE_ADAPTATION = "optical_rate_adaptation"
-    GLOBAL_POLICY_SWITCHING = "global_policy_switching"
 
 
 @dataclass
@@ -80,8 +77,6 @@ class ScenarioFeatures:
     services: frozenset = frozenset()
     user_activity: bool = False
     idle_ns: int = 0
-    optical_idle: bool = False
-    predicted_load: str | None = None    # scenario-provided prediction input
 
 
 # Idle-duration thresholds splitting short-term from long-term idle; the
@@ -100,16 +95,12 @@ def select_policy(features: ScenarioFeatures) -> EnergyPolicy:
     low_activity = features.load_class in ("idle", "background") and not features.user_activity
     if iot and low_activity:
         return EnergyPolicy.RF_OFF
-    if features.predicted_load is not None:
-        return EnergyPolicy.GLOBAL_POLICY_SWITCHING
     if features.load_class == "moderate":
         return EnergyPolicy.TX_POWER_ADJUST
     if features.idle_ns >= LONG_IDLE_NS and not iot:
         return EnergyPolicy.DEEP_SLEEP
     if features.idle_ns >= SHORT_IDLE_NS and not iot:
         return EnergyPolicy.LIGHT_SLEEP
-    if features.optical_idle and features.user_activity:
-        return EnergyPolicy.OPTICAL_RATE_ADAPTATION
     return EnergyPolicy.LIGHT_SLEEP if not iot else EnergyPolicy.RF_OFF
 
 

@@ -42,7 +42,7 @@ def draw_int(getrandbits: Callable[[int], int], hi: int) -> int:
 
 
 class Event:
-    __slots__ = ("fire_time", "seq", "target", "kind", "payload", "cancelled")
+    __slots__ = ("fire_time", "seq", "target", "kind", "payload")
 
     def __init__(self, fire_time: SimTime, seq: int, target: str, kind: str,
                  payload: Any = None):
@@ -51,7 +51,6 @@ class Event:
         self.target = target
         self.kind = kind
         self.payload = payload
-        self.cancelled = False
 
 
 class RngStreams:
@@ -86,7 +85,6 @@ class Simulator:
         self._digest = hashlib.sha256()
         self.n_scheduled = 0
         self.n_dispatched = 0
-        self.n_cancelled = 0
         self.n_beyond_horizon = 0
 
     def register(self, target: str, handler: Callable[[Event], None]) -> None:
@@ -105,23 +103,12 @@ class Simulator:
         heapq.heappush(self._queue, (fire_time, seq, ev))
         return ev
 
-    def schedule_in(self, delay: SimTime, target: str, kind: str,
-                    payload: Any = None) -> Event:
-        return self.schedule(self.now + delay, target, kind, payload)
-
-    def cancel(self, ev: Event) -> None:
-        if not ev.cancelled:
-            ev.cancelled = True
-            self.n_cancelled += 1
-
     def run_until(self, horizon: SimTime) -> str:
         """Dispatch every event with fire_time <= horizon; return trace digest."""
         queue, handlers = self._queue, self._handlers
         pop, feed = heapq.heappop, self._digest.update
         while queue and queue[0][0] <= horizon:
             ev = pop(queue)[2]
-            if ev.cancelled:
-                continue
             t = ev.fire_time
             if t < self.now:
                 raise SimError("clock regression detected")
@@ -134,8 +121,7 @@ class Simulator:
             self.n_dispatched += 1
             handler(ev)
         self.now = horizon
-        self.n_beyond_horizon = sum(
-            1 for _, _, ev in self._queue if not ev.cancelled)
+        self.n_beyond_horizon = len(queue)
         return self.trace_digest()
 
     def trace_digest(self) -> str:

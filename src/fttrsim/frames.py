@@ -25,16 +25,9 @@ import zlib
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-BROADCAST = 0xFFFF
-
 SERVICE_CLASSES = ("control", "video", "gaming", "iot", "background")
 # Tie-break order among equal-priority SDUs: control first, background last.
 CLASS_RANK = {name: i for i, name in enumerate(SERVICE_CLASSES)}
-
-# FMCI/WMCI control DUs share the highest-priority queue (tag 0) with
-# priority-7 traffic rather than bypassing the APDU queueing path entirely;
-# either reading is defensible, the reserved top tag keeps them ordered.
-CONTROL_TAG = 0
 
 OMCI_TCONT = 1  # dedicated management T-CONT; data T-CONTs are >= 2
 DATA_TCONT_BASE = 2

@@ -41,7 +41,6 @@ class WifiCell:
     owner: str
     air_rate_bps: int
     overhead: WifiOverhead
-    stas: tuple[str, ...] = ()
 
     def airtime_ns(self, payload_bytes: int) -> int:
         """Full medium occupancy of one transmission including ACK exchange."""
@@ -99,14 +98,5 @@ class OpticalLink:
     upstream_bps: int
     prop_delay_ns: dict[str, int] = field(default_factory=dict)
 
-    def validate(self):
-        if self.downstream_bps <= 0 or self.upstream_bps <= 0:
-            raise ValueError("optical rates must be positive")
-        if any(d < 0 for d in self.prop_delay_ns.values()):
-            raise ValueError("propagation delay must be >= 0")
-
     def downstream_ser_ns(self, nbytes: int) -> int:
         return transmit_time_ns(nbytes, self.downstream_bps)
-
-    def upstream_ser_ns(self, nbytes: int) -> int:
-        return transmit_time_ns(nbytes, self.upstream_bps)

@@ -5,7 +5,7 @@ and liveness/fault alarms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .frames import OmciMessage, OmciType, FrameError
@@ -108,8 +108,6 @@ def apply_omci(msg: OmciMessage, mib: MibStore) -> OmciMessage:
 class AlarmKind(Enum):
     LINK_DOWN = "LinkDown"
     UNRESPONSIVE = "Unresponsive"
-    SLOT_VIOLATION = "SlotViolation"
-    BUFFER_OVERFLOW = "BufferOverflow"
 
 
 @dataclass
@@ -160,9 +158,6 @@ class LivenessMonitor:
                 if a:
                     out.append(a)
         return out
-
-    def raise_alarm(self, sfu: str, kind: AlarmKind, now: int) -> Alarm:
-        return self._raise(sfu, kind, now)
 
     def _raise(self, sfu: str, kind: AlarmKind, now: int) -> Alarm:
         alarm = Alarm(sfu, kind, now)

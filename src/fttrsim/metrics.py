@@ -91,8 +91,6 @@ def build_summary(res: SimResults) -> dict:
         },
         "counters": {
             **res.counters,
-            "slot_violations": res.slot_violations,
-            "upstream_collisions": res.upstream_collisions,
             "sleep_drops": res.sleep_drops,
             "rejected_transitions": res.rejected_transitions,
         },

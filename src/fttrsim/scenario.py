@@ -8,14 +8,15 @@ offending field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
 from .energy import PowerProfile, PowerState
+from .frames import SERVICE_CLASSES
 from .links import WifiOverhead
-from .scheduling import SchedulerMode
+from .scheduling import PROCESSING_NS, SchedulerMode
 
 
 class ConfigError(ValueError):
@@ -24,7 +25,6 @@ class ConfigError(ValueError):
         self.path = path
 
 
-SERVICE_CLASSES = ("control", "video", "gaming", "background", "iot")
 ARRIVAL_MODELS = ("constant_rate", "on_off", "batch")
 
 
@@ -153,6 +153,27 @@ def _ns_from_us(v: float) -> int:
     return int(round(v * 1_000))
 
 
+def _given(section: dict, path: str, fields: dict) -> dict:
+    """Keyword arguments for the `fields` set in `section`, where `fields`
+    maps a scenario key to (argument name, unit conversion). Each value is
+    checked by `_num`; a field not set keeps the constructor's default."""
+    return {name: convert(_num(section[key], f"{path}.{key}"))
+            for key, (name, convert) in fields.items() if key in section}
+
+
+_WIFI_FIELDS = {
+    "difs_us": ("difs_ns", _ns_from_us), "sifs_us": ("sifs_ns", _ns_from_us),
+    "slot_us": ("slot_ns", _ns_from_us), "cw_min": ("cw_min", int),
+    "cw_max": ("cw_max", int), "preamble_us": ("preamble_ns", _ns_from_us),
+    "ack_us": ("ack_ns", _ns_from_us)}
+_PROFILE_FIELDS = {
+    "wake_light_ms": ("wake_light_ns", _ns_from_ms),
+    "wake_deep_ms": ("wake_deep_ns", _ns_from_ms),
+    "t_listen_ms": ("t_listen_ns", _ns_from_ms)}
+_PROCESSING_FIELDS = {"mfu_us": ("mfu", _ns_from_us),
+                      "sfu_us": ("sfu", _ns_from_us)}
+
+
 def load_scenario(path: str | Path, overrides: dict | None = None) -> ScenarioConfig:
     with open(path) as fh:
         raw = yaml.safe_load(fh)
@@ -214,15 +235,7 @@ def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
     wifi = raw.get("wifi", {})
     air_rate_bps = int(_num(wifi.get("air_rate_mbps", 1200.0),
                             "wifi.air_rate_mbps", positive=True) * 1e6)
-    overhead = WifiOverhead(
-        difs_ns=_ns_from_us(wifi.get("difs_us", 34)),
-        sifs_ns=_ns_from_us(wifi.get("sifs_us", 16)),
-        slot_ns=_ns_from_us(wifi.get("slot_us", 9)),
-        cw_min=int(wifi.get("cw_min", 15)),
-        cw_max=int(wifi.get("cw_max", 1023)),
-        preamble_ns=_ns_from_us(wifi.get("preamble_us", 40)),
-        ack_ns=_ns_from_us(wifi.get("ack_us", 28)),
-    )
+    overhead = WifiOverhead(**_given(wifi, "wifi", _WIFI_FIELDS))
     try:
         overhead.validate()
     except ValueError as exc:
@@ -352,12 +365,8 @@ def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
             except ValueError:
                 raise ConfigError(f"energy.{key}.watts", f"unknown state {state_name!r}")
             watts[state] = _num(w, f"energy.{key}.watts.{state_name}", positive=True)
-        prof = PowerProfile(
-            watts=watts,
-            wake_light_ns=_ns_from_ms(section.get("wake_light_ms", 10)),
-            wake_deep_ns=_ns_from_ms(section.get("wake_deep_ms", 100)),
-            t_listen_ns=_ns_from_ms(section.get("t_listen_ms", 1000)),
-        )
+        prof = PowerProfile(watts=watts, **_given(section, f"energy.{key}",
+                                                   _PROFILE_FIELDS))
         try:
             prof.validate()
         except ValueError as exc:
@@ -365,6 +374,9 @@ def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
         return prof
 
     relay = raw.get("phy_relay", {})
+    proc_ns = {**PROCESSING_NS[mode],
+               **_given(raw.get("processing", {}), "processing",
+                        _PROCESSING_FIELDS)}
 
     cfg = ScenarioConfig(
         name=name, seed=seed, horizon_ns=_ns_from_ms(horizon_ms), mode=mode,
@@ -388,12 +400,7 @@ def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
                          positive=True),
         sleep_buffer_frames=int(_num(en.get("sleep_buffer_frames", 4096),
                                      "energy.sleep_buffer_frames", positive=True)),
-        proc_mfu_ns=_ns_from_us(raw.get("processing", {}).get(
-            "mfu_us", {"distributed": 0, "centralized": 0,
-                       "mac_integrated": 25, "phy_relay": 30}[mode.value])),
-        proc_sfu_ns=_ns_from_us(raw.get("processing", {}).get(
-            "sfu_us", {"distributed": 20, "centralized": 20,
-                       "mac_integrated": 0, "phy_relay": 0}[mode.value])),
+        proc_mfu_ns=proc_ns["mfu"], proc_sfu_ns=proc_ns["sfu"],
         sample_rate_sps=int(_num(relay.get("sample_rate_msps", 160),
                                  "phy_relay.sample_rate_msps", positive=True) * 1e6),
         bit_width=int(_num(relay.get("bit_width", 24), "phy_relay.bit_width",

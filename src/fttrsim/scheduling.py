@@ -30,7 +30,6 @@ class SfuStatusReport:
     sfu: str
     buffered_bytes: int          # total across queues
     top_priority: int            # highest priority present, -1 if empty
-    active_users: int
     timestamp: int
 
 

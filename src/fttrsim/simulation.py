@@ -26,7 +26,7 @@ from .scheduling import (SchedulerMode, SfuStatusReport, AirGrant,
                          grant_downlink_airtime, check_grant_overlap,
                          phy_relay_buffer_bytes, phy_relay_slot_ns,
                          ofdma_uplink_request)
-from .management import (MibStore, OmciAdapter, LivenessMonitor, AlarmKind,
+from .management import (MibStore, OmciAdapter, LivenessMonitor,
                          AdapterError, apply_omci)
 from .energy import (PowerMachine, PowerState, SleepBuffer, ScenarioFeatures,
                      select_policy, EnergyPolicy, ftth_baseline_joules,
@@ -89,8 +89,6 @@ class SimResults:
     alarms: list = field(default_factory=list)
     bursts: list[BurstRecord] = field(default_factory=list)
     relay_overflow_drops: int = 0
-    slot_violations: int = 0
-    upstream_collisions: int = 0
     sleep_drops: int = 0
     events: list[tuple[int, str, str]] = field(default_factory=list)
     # (created, delivered) of delivered frames, folded by merge_spans
@@ -490,8 +488,7 @@ class Simulation:
                 continue
             reports.append(SfuStatusReport(
                 sfu=name, buffered_bytes=sfu.queued_bytes,
-                top_priority=sfu.top_priority(), active_users=len(sfu.cell.stas),
-                timestamp=now))
+                top_priority=sfu.top_priority(), timestamp=now))
         t0 = now + cfg.control_delay_ns
 
         def airtime_for(report: SfuStatusReport) -> int:
@@ -863,7 +860,6 @@ class Simulation:
         res.counters = {
             "events_scheduled": self.sim.n_scheduled,
             "events_dispatched": self.sim.n_dispatched,
-            "events_cancelled": self.sim.n_cancelled,
             "events_beyond_horizon": self.sim.n_beyond_horizon,
         }
         res.ftth_joules = ftth_baseline_joules(

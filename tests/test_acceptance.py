@@ -207,7 +207,7 @@ def test_sweep_emits_no_overlapping_allocations():
     for trial in range(8):
         size = trial % 5 + 1
         reports = [SfuStatusReport(f"s{k}", rng.randint(0, 3) * 1000,
-                                   rng.randint(0, 7), 1, 0)
+                                   rng.randint(0, 7), 0)
                    for k in range(size)]
         keys = [report_order_key(r) for r in reports]
         assert len(set(keys)) == len(reports)

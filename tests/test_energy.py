@@ -133,18 +133,6 @@ def test_moderate_load_adjusts_tx_power():
     assert select_policy(feats) is EnergyPolicy.TX_POWER_ADJUST
 
 
-def test_optical_idle_with_user_activity_adapts_line_rate():
-    feats = ScenarioFeatures(load_class="background", user_activity=True,
-                             optical_idle=True)
-    assert select_policy(feats) is EnergyPolicy.OPTICAL_RATE_ADAPTATION
-
-
-def test_predicted_load_switches_policy_globally():
-    feats = ScenarioFeatures(load_class="background", user_activity=True,
-                             predicted_load="evening_peak")
-    assert select_policy(feats) is EnergyPolicy.GLOBAL_POLICY_SWITCHING
-
-
 # ---------------------------------------------------------------------------
 # sleep buffer
 

@@ -52,7 +52,7 @@ def test_handler_can_schedule_followups():
     def handler(ev):
         fired.append(ev.kind)
         if ev.kind == "first":
-            sim.schedule_in(5, "n", "second")
+            sim.schedule(sim.now + 5, "n", "second")
 
     sim.register("n", handler)
     sim.schedule(0, "n", "first")
@@ -60,32 +60,16 @@ def test_handler_can_schedule_followups():
     assert fired == ["first", "second"]
 
 
-def test_cancelled_events_do_not_fire():
-    sim = Simulator()
-    handler, seen = collect(sim, 100)
-    sim.register("n", handler)
-    ev = sim.schedule(10, "n", "a")
-    sim.schedule(20, "n", "b")
-    sim.cancel(ev)
-    sim.run_until(100)
-    assert [k for _, _, k in seen] == ["b"]
-    assert sim.n_cancelled == 1
-
-
 def test_event_counters_are_conserved():
     sim = Simulator()
     sim.register("n", lambda ev: None)
     for t in (5, 10, 200, 300):
         sim.schedule(t, "n", "x")
-    ev = sim.schedule(15, "n", "y")
-    sim.cancel(ev)
     sim.run_until(100)
-    assert sim.n_scheduled == 5
+    assert sim.n_scheduled == 4
     assert sim.n_dispatched == 2
-    assert sim.n_cancelled == 1
     assert sim.n_beyond_horizon == 2
-    assert sim.n_scheduled == (sim.n_dispatched + sim.n_cancelled
-                               + sim.n_beyond_horizon)
+    assert sim.n_scheduled == sim.n_dispatched + sim.n_beyond_horizon
 
 
 def test_events_beyond_horizon_stay_queued():

@@ -47,16 +47,6 @@ def test_neighbors():
     assert g.neighbors("b") == {"a"}
 
 
-def test_optical_link_validation():
-    link = OpticalLink(1_000_000_000, 1_000_000_000, {"a": 50})
-    link.validate()
-    with pytest.raises(ValueError):
-        OpticalLink(0, 1, {}).validate()
-    with pytest.raises(ValueError):
-        OpticalLink(1, 1, {"a": -1}).validate()
-
-
 def test_optical_serialization():
     link = OpticalLink(1_000_000_000, 2_000_000_000, {})
     assert link.downstream_ser_ns(125) == 1000
-    assert link.upstream_ser_ns(125) == 500

@@ -8,8 +8,8 @@ from fttrsim import scheduling as sch
 from fttrsim.frames import OMCI_TCONT, DATA_TCONT_BASE
 
 
-def report(sfu, buffered, prio=4, users=1, ts=0):
-    return sch.SfuStatusReport(sfu, buffered, prio, users, ts)
+def report(sfu, buffered, prio=4, ts=0):
+    return sch.SfuStatusReport(sfu, buffered, prio, ts)
 
 
 # ---------------------------------------------------------------------------
