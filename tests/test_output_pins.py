@@ -30,70 +30,70 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # (scenario, mode) -> (sha256 of summary.json, sha256 of flows.csv)
 PINS = {
     ("conflict_pair", "centralized"): (
-        "26f1a22a53d1bdb49222046985625d26f2ffce9a4b9324f89724f2b49602fdbc",
+        "53aa6635e8427d809b2bb7a93e24bd38c06b3fa9f505ddd0c0a11e56f014451a",
         "0699922d1256e434c7c1815ccb7c17fdeb17128b88d05371616e5f12a2cf56d3"),
     ("conflict_pair", "distributed"): (
-        "8874ec706137a089aef5f8a3c149f1b9e2aa35b5aac1841f8e8cbad0f98da51c",
+        "6b46c304c3993b617f7e75c145f3c05008d17ffe277171c94f0e48e465bcd155",
         "b38216e277d3ef8fc6ace04855064fa14a064dfe9c90644999b52ebdc67e286a"),
     ("conflict_pair", "phy_relay"): (
-        "0731aad8a58bffda442e002dbd1b637bbb6940dda6a013342e531862f8ce8385",
+        "e8c2cf1d652ddd68ea75bbd3689d80e40403df5eece1b43e4696d5c960003d66",
         "eaa3a2f19b839d4ba70e498fe0ad577bb3742c7ace18d910fc48077279ead461"),
     ("four_room_household", "centralized"): (
-        "b6ebe4e9c9297c333ca6ba665c39390ffdceb99c18d2cb6caab4446214a79661",
+        "eeb9c97ac78f36207eb09316f6083956d354c7277578f8725a64053565fa9f89",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("four_room_household", "distributed"): (
-        "6e87af1cb81d301b8f46a0bb0699e4dcfca831333c34210be4a31b1a3562469c",
+        "03366040fbe9028831bf1512c2d5f982614eaaa22113c6c006b59360cb945707",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("four_room_household", "phy_relay"): (
-        "6f543fe321ebb42e8e31ef7d59f7aa6d855e82d84eae954fdbfbcb6e80ca25b8",
+        "3368a34fb54d11e9cf224574afca9fdd7a2b64ee005e1e7c4e615a1d776b7d54",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("golden", "centralized"): (
-        "6376637076cff9370c0efa16fabf6431ba3c3d911c0484a343cd78071e2aa82b",
+        "1f6666ae804d480986f454b1fbee059f0f0f3cdaca22c115ea53af0e0fea3319",
         "537d351de7b375ff49adc9cd35c8a47a43d92bf491e8ec29d32ffe893de87999"),
     ("golden", "distributed"): (
-        "8200a69fc206f7689fc95f3209ac2b9e9c333ff18295f7fdc9830744e747687d",
+        "2e47e566dcf61e793c0e13e7b947f75058b162c4c99a310b458b5feb6a0268a3",
         "4122b453971055f25395ac0f32ca9d81103e7fd9db57d9b295879055ee26c092"),
     ("idle_night", "centralized"): (
-        "fbda267a63f2ad9d712faf239522d5a63d078311a1a872428df72bf60356ff18",
+        "d45f6629cb82983a65d08f78748a35fb66ebedcd0655e00c644082bb38d40f94",
         "afe8f3408ee7411b4c7f06512f66ff4e5c6d63ffdb4f09cdd8262eecef454abc"),
     ("idle_night", "distributed"): (
-        "b238196fccd29d351eeab5cdcc2c8364444641fe10b267e0cc785bb1b177bebc",
+        "a96d5b1baba45bf5594e27db899b43a23618fa8a245372b0fc4b403cc03e773c",
         "a705d415ba98a671fbb54cfa1391ccd169be0abacfcde807cf2c11d19ec8a768"),
     ("idle_night", "phy_relay"): (
-        "f19f0d95f9a8c27814c25b47bd5615c587ade09fdbef197856909987275b987d",
+        "cc827db2777802c7415a375a01fc1be38d6286f8272eb30103c48c88cd9c85bb",
         "28545f526021417db646596bf472fb87e1691869aea735f41c1cc6df9fecc23d"),
     ("ofdma_uplink_burst", "centralized"): (
-        "19a3a3e59c6c7329701313c194b9b5dd7f2f7560b4cfba7d0bfe2255eaa76090",
+        "d161c840359e6fe167697ba35d4024c1eda254177e75529d3215e1ec88f2c78d",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("ofdma_uplink_burst", "distributed"): (
-        "9031dc0cecf746d547cc0af8e9a53b22b854c217e9c5bbbecd62f327497fa650",
+        "2af64d4796b1d24bb1940d543945c137c1b5c028fa7ec6df21296e41321babcb",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("phy_relay_burst", "centralized"): (
-        "05dfc7343a5b441c1f6386e070ac094634487e2f99b6f54cf83944d8eb101654",
+        "fe1b11e1bd2ca86fd9d4b1f4ee8a268e74a3186b0a1709757cc8e61ed736a1eb",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("phy_relay_burst", "distributed"): (
-        "4d807c3b26992c9ddac632909b81fbf9687f3afcaa5638119022bf108726767e",
+        "d1e037dc486fee597780b9cfb1f7a07868e2d8d5c1dfc12b71fc7e0698656b83",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("phy_relay_burst", "phy_relay"): (
-        "4773c9ecf72c3c55a7550c40f9ba3b9093e71bd24fb29c5c04c23d359be1ea07",
+        "d52f65bae087f6cd6dbd1f638eced168a4827a13d339999f7bf71cedc074a6cd",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "centralized"): (
-        "9802e84f774adb9e58ac9af14ab96bc4f00f7bf8c8b0eb2a279eb832970c499e",
+        "274a14d83012b9475a84e50349febaa728ac9857462c70e19a2793df93788909",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "distributed"): (
-        "f2f5ff1653fe9fe548f6b90dbff5102bae179023461ff5aed2f2bf11b9f68197",
+        "ed44a31dbc28c20b4c440d6aec439619b81193330bd8d6f6595ea08a2dc87dc7",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "phy_relay"): (
-        "939a505f94ccc3651c49187a11c8f7e5221b51030d25eacd6b160aa6d81eedf6",
+        "ef9d8c7f063508598829cd0ab95d287e28dfb4c2d6e28309d058074d519d3d5c",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("staged_kill", "centralized"): (
-        "159b74122f4086f06c6ecb2ebf75656b6ab0ed1aa0a66c8da73d78a6c2143128",
+        "b8eb57768b13b67fc8e01ac86ab0fecee973c189ea17ed6050925472cb213b94",
         "f338d9dbba59d249f3230511c18adf506eddd66319d5c543c92cfc79e3a59a6c"),
     ("staged_kill", "distributed"): (
-        "a36db93712e3aa3b2ccb3a6871255a0db06555276ad5d367d0a0e75e207830cd",
+        "e3c58f45d942e8d629d40596834c785f396eb179da8d504cbeceadc48d287f86",
         "400061c7dce4fd9c72b4ee7bae471447ea60399d805c2657b1ba6acdda6452ec"),
     ("staged_kill", "phy_relay"): (
-        "24f74fdc66b58cd0e635e9f6d9f278fe38ce9689b05f6d2475d96f691363dc52",
+        "0b24306eceb3b463579da4fea4910ede0fe14610a60948c1abe924f4eeda0e89",
         "95211e17a5817c20edce0d81e47b2cf493b4aa7b0bb68125cc30b710e435ca5d"),
 }
 
@@ -101,94 +101,94 @@ PINS = {
 # events_* counters, sha256 of flows.csv)
 MODEL_PINS = {
     ("conflict_pair", "centralized"): (
-        "02ce8aefb9d472d9fb0efce033238b579c1e1ac2001f283c501e4e3d734ca413",
+        "c220f57a950b93a1436a03d5591aa28d70ac37afe902b9005121432451e4aeab",
         "0699922d1256e434c7c1815ccb7c17fdeb17128b88d05371616e5f12a2cf56d3"),
     ("conflict_pair", "distributed"): (
-        "99b13bc43549492a792a855728347efb6e9f8560900aa8840940b27a32a7995e",
+        "1bfef9a5b1c50b1b8fa41704549f1dec5eb38489c73b6d86ba4806a75801b1f4",
         "b38216e277d3ef8fc6ace04855064fa14a064dfe9c90644999b52ebdc67e286a"),
     ("conflict_pair", "mac_integrated"): (
-        "57b92718e2b6f16015a14b480ab32a96423041080c056a79b33a6906afb61de8",
+        "f2e9a61bd99e498c25546001ad2845225351285d1ccd47d22418f7afd65ff4a8",
         "80c74b0063138ae2e6c1b7067b385844fc9432a8a01626775d2ef585d0bbab9c"),
     ("conflict_pair", "phy_relay"): (
-        "ab5717511332b69a9be8b6e883e23c36b07b90774fe9b8690f5263710e62788c",
+        "a3ddc7ec2b069cf57279c6e80c9d71888deaac89413886647b7a910664237f79",
         "eaa3a2f19b839d4ba70e498fe0ad577bb3742c7ace18d910fc48077279ead461"),
     ("four_room_household", "centralized"): (
-        "7e75f8be2b1551a5aa1223e99ed2d0d1977a22438aaeb2500716f82c6d3bce5a",
+        "2572a4e5b7438a810ce94bafdb4fa6c567bb39d04002edb19afed9a0f70e0a9c",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("four_room_household", "distributed"): (
-        "f2c04f55c5c60c6baa581deedcfc104a3e65e54805d7f8b11944c5292309d4b4",
+        "48a566e95672fedb98a27b9de7650ad0f995321cd02ae39fa3189fdf21167d32",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("four_room_household", "mac_integrated"): (
-        "b60b2f93faabff89094833fadbc33c1e52b04e0ccc841506f50f268815e51607",
+        "d1db02b02b240ab668e361dc854f0c7c06abe05423e20991693915f1b7ef62e6",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("four_room_household", "phy_relay"): (
-        "04a60e2384d8e589e8a1f964b924ecba2864d4a88abe5988feb953fa55281b15",
+        "c99eb7e883a8d8911fc27bb97aee4723ac0d6c697dc2d0dda8bed073ed2f8376",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("golden", "centralized"): (
-        "963c87563d57fa21fb68791c39ad58ec57d962bc5f70910b4fd8f70844699fdf",
+        "11c35d7c1e0d86397b550d7fd6c1b41dd7d6ab7eb6958b7302dad9ac210adadb",
         "537d351de7b375ff49adc9cd35c8a47a43d92bf491e8ec29d32ffe893de87999"),
     ("golden", "distributed"): (
-        "041c7cb333deb7dbecba1a76c9fb4b0d34d0502b324b55dd701671ff373fcacc",
+        "1d2d6c9dfcbb34fd701c048030fb8906bf39ec8afe7e1ab7c915d11c9ed51f4c",
         "4122b453971055f25395ac0f32ca9d81103e7fd9db57d9b295879055ee26c092"),
     ("golden", "mac_integrated"): (
-        "b50d8d1b5e4d5fad989427e715ff7f88b6e18bf57aad33144c056e382d9fdb32",
+        "241b94f785a9190476d9c723039c5c2acaa43d378fc15e80f340e7d8885608ad",
         "a28660b69337e4da6a4b2454578f2914ece50e78f51356c6025d4945e6e3310d"),
     ("idle_night", "centralized"): (
-        "9ab16f6baace198baae06a4a72377237f4d96d67b7b57c2c3ad31bdcf4815260",
+        "4c81d3122bcb5bd4e607829abedc857a7929a47de158a847b4711e23c4d8b571",
         "afe8f3408ee7411b4c7f06512f66ff4e5c6d63ffdb4f09cdd8262eecef454abc"),
     ("idle_night", "distributed"): (
-        "046cd520eddd14b02658a3b4dc603d72e56800a91821aa11bbce20558a697e67",
+        "a931f8d541ae71845dcced68cfaa7be4328134252ca6746c500ba67573408a96",
         "a705d415ba98a671fbb54cfa1391ccd169be0abacfcde807cf2c11d19ec8a768"),
     ("idle_night", "mac_integrated"): (
-        "62ac20c9739e7b8aa5a08b7058517ce1442952f5f69e1a381a06de56232a881b",
+        "092ec086564d897a72c9ecfde4f3ec31f9334535377428cef8178d6525af5933",
         "873c0f5f8ba7672b0281b01cdc87c0dd948119b0cd56b653c3a8f0be693dbede"),
     ("idle_night", "phy_relay"): (
-        "dc6df2765d4c62886e6f20001a0f2826bcd904838c337638d2ddc3dd5f6914d5",
+        "7d5387acc58f9c69c912c4386b00f202209bec2d4c998e5a47851d7fb56af78c",
         "28545f526021417db646596bf472fb87e1691869aea735f41c1cc6df9fecc23d"),
     ("ofdma_uplink_burst", "centralized"): (
-        "afc126041d57da67665e54179aa4bb19bbb9c3a492a678598ac8e5a0ac0f7aa9",
+        "2079edff26e49f6b4651136bb9d289ec289e38a379f0a1fe7cd6834dba36b073",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("ofdma_uplink_burst", "distributed"): (
-        "393da255f3841f70bf4f784b69782cbfd205e8863db22081e2a9eae4c0ee3788",
+        "cbbd1a784240edeeaca05fd8e7f0914cbf97545a5250f136239cb04b7879baec",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("ofdma_uplink_burst", "mac_integrated"): (
-        "c2a86c9fd5888e5562c5c6f090b25fe432f8a981a06c2dd1d7ef7b189da0b63d",
+        "bce13b3519993eaffda5e062bca24d7c517a7c71b1106c3814c142c0b6e37680",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("phy_relay_burst", "centralized"): (
-        "7f5ea92e32fe74700e3c6aeae4f86af423a5d2c4e4bf74d9c51be484f994f700",
+        "a4d4840585c4afd9f40a7c4719eb28e3e1f4427708efcb7a7c47159e66804501",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("phy_relay_burst", "distributed"): (
-        "45a843a09e6cae6ddb3f0448a3490bef2cc7e89df6d3334f65fea69118022d37",
+        "5b4a5a646c756bd0f77203a5c7f6e655e86e26dc5521a7d2baf6e25dbc88a8f2",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("phy_relay_burst", "mac_integrated"): (
-        "a15d3186fc33cd10b3c5f560b88586babb542bc02073ca3c836d19e4eddf6bdd",
+        "6c056bfd360d3ea7927923f5e30fc85fb8913f0dc74f7e79ec910902768b7ed2",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("phy_relay_burst", "phy_relay"): (
-        "d2fad6653a2c4f18044b5dfb574869548890be4aa29fa90ecfd21a0bc7991ea8",
+        "c95ec80cd3e2490002a23285c3cbb7013003f1e3680410b850cf197f9f59ca73",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "centralized"): (
-        "1eec46c52ccc55b833f2816c18a84231561c3509397d3496a3ad15924d5eb583",
+        "7e896fced4f73a6e73290036999d74ad57d87394c9014a2f3e961a25b3ce7912",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "distributed"): (
-        "a3b61187bb71e807627ddbe9edac6dbd441e2577074d866e991d803b3ca6ca27",
+        "c866addce4094f62a2a5ddb2e2e10599c040cf25d909a401b02bfe20b1ab564a",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "mac_integrated"): (
-        "633abb0bfb583ee43d92fc855c415efc8a3c62fa5e0dc420bd134d5b67db7c52",
+        "faa64f4cea9b68b1d67f87c7bf38a8763482131e2d9193d483b5f386f0d23719",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "phy_relay"): (
-        "89b3d75e997d2063993db6bec11deb7924f47b589d3eb3275d11a3359ef97bce",
+        "97cb6d66ae1e80d29c7429a10ac5b5a76da80e6dc16a88f5b4261dbe39ce958a",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("staged_kill", "centralized"): (
-        "abf2173a2f6f2c0a73e30c9ef1a2402e34b47cc1a9a6dbbe4784f50326bf06be",
+        "cdd35ece7de1a57cd8ed4dc2af535687cd78511698e311428c0209240659c9ce",
         "f338d9dbba59d249f3230511c18adf506eddd66319d5c543c92cfc79e3a59a6c"),
     ("staged_kill", "distributed"): (
-        "b0353b185e8dc4614348b1e79558784de4b07294ad4d1a1eacdfceac186eaf46",
+        "562e58e24f7904ee405d884a174cae4930b7e80d9526d0e0768d4149a544bd6b",
         "400061c7dce4fd9c72b4ee7bae471447ea60399d805c2657b1ba6acdda6452ec"),
     ("staged_kill", "mac_integrated"): (
-        "e29e48f50ef03a74ae9f0b6a62251b5d1d6da1c38f37dc1cf93098803cfb00a2",
+        "2489460bb5da9c0533a55ac627b1aedd926e2d2e2ded76e0aa2d5d84c91b5dd9",
         "3056e3f80b867112aeaf83e2c638bb2ac8f0ef760c1b48806a827c0f534e07f2"),
     ("staged_kill", "phy_relay"): (
-        "569547d6eba7de1783cfc2b975dbb3f047faa670d7183e3b0732d938e3700368",
+        "29834e8d2822588de51ae95ece3dc6c8eaf9063af4952432f84627516c5b3a2f",
         "95211e17a5817c20edce0d81e47b2cf493b4aa7b0bb68125cc30b710e435ca5d"),
 }
 
