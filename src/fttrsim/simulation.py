@@ -310,6 +310,8 @@ class Simulation:
         self.sfu_index = {s: i + 1 for i, s in enumerate(cfg.sfus)}
         self.olt_queue: deque[bytes] = deque()
         self.upstream_next_free = 0
+        # upstream time for data bursts between two OMCI windows
+        self.data_room_ns = cfg.alloc_cycle_ns - cfg.omci_slot_ns - cfg.guard_ns
         self.relay_buffer_level = 0
         self.mfu_sleep_view: dict[str, str] = {}
         self.deep_cmd_issued = False
@@ -369,6 +371,11 @@ class Simulation:
         if cfg.mode != SchedulerMode.DISTRIBUTED_BASELINE and cfg.flows:
             self.sim.schedule(0, MFU, "status_cycle")
         if cfg.uplink_bursts or cfg.storm:
+            if self.data_room_ns <= 0:
+                raise SimError(
+                    f"the {cfg.omci_slot_ns} ns OMCI slot and its "
+                    f"{cfg.guard_ns} ns guard do not fit the "
+                    f"{cfg.alloc_cycle_ns} ns alloc cycle")
             self.sim.schedule(0, MFU, "alloc_cycle")
         self.sim.schedule(0, MFU, "poll_cycle")
         for burst in cfg.uplink_bursts:
@@ -547,11 +554,10 @@ class Simulation:
         """Place a data burst on the upstream calendar, skipping the reserved
         OMCI window at the head of every allocation cycle."""
         cfg = self.cfg
-        room = cfg.alloc_cycle_ns - cfg.omci_slot_ns - cfg.guard_ns
-        if room <= 0 or duration > room:
+        if duration > self.data_room_ns:
             raise SimError(
                 f"upstream burst of {duration} ns from {sfu} does not fit the "
-                f"{max(room, 0)} ns between two OMCI windows "
+                f"{self.data_room_ns} ns between two OMCI windows "
                 f"(alloc cycle {cfg.alloc_cycle_ns} ns)")
         start = max(earliest, self.upstream_next_free)
         while True:

@@ -110,3 +110,15 @@ def test_run_exits_3_when_alloc_cycle_is_shorter_than_omci_slot(tmp_path):
                    "  - {sfu: a, period_us: 1000, air_duration_us: 10,"
                    " rus: [{sta: s, bytes: 100}]}\n")
     assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 3
+
+
+def test_run_exits_3_when_omci_slots_overlap(tmp_path, capsys):
+    # a 10 us OMCI slot every 5 us alloc cycle overlaps the next cycle's
+    # slot; with a storm and no bursts this used to run to exit 0
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("horizon_ms: 10\ntopology:\n  sfus: [a]\n"
+                   "control: {alloc_cycle_us: 5, omci_slot_us: 10}\n"
+                   "management:\n  storm: {count: 3}\n")
+    assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 3
+    assert "OMCI slot" in capsys.readouterr().err
+
