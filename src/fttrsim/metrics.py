@@ -15,13 +15,17 @@ from pathlib import Path
 from .simulation import SimResults
 
 
-def percentile(values: list[int], pct: float) -> int:
-    """Nearest-rank percentile over complete per-frame records."""
-    if not values:
-        return 0
+def percentiles(values: list[int], pcts: tuple[float, ...]) -> list[int]:
+    """Nearest-rank percentiles over complete per-frame records, from one
+    sort of `values`."""
     ordered = sorted(values)
-    rank = max(1, -(-len(ordered) * pct // 100))
-    return ordered[int(rank) - 1]
+    n = len(ordered)
+    return [ordered[int(max(1, -(-n * pct // 100))) - 1] if n else 0
+            for pct in pcts]
+
+
+def percentile(values: list[int], pct: float) -> int:
+    return percentiles(values, (pct,))[0]
 
 
 def build_summary(res: SimResults) -> dict:
@@ -30,14 +34,15 @@ def build_summary(res: SimResults) -> dict:
     for name in sorted(res.flow_stats):
         st = res.flow_stats[name]
         lost = st.offered - st.delivered
+        p50, p95, p99 = percentiles(st.latencies, (50, 95, 99))
         flows[name] = {
             "offered": st.offered,
             "delivered": st.delivered,
             "lost": lost,
             "dropped": st.dropped,
-            "latency_p50_ns": percentile(st.latencies, 50),
-            "latency_p95_ns": percentile(st.latencies, 95),
-            "latency_p99_ns": percentile(st.latencies, 99),
+            "latency_p50_ns": p50,
+            "latency_p95_ns": p95,
+            "latency_p99_ns": p99,
         }
     cells = {}
     for name in sorted(res.cell_stats):
