@@ -60,8 +60,8 @@ class PowerProfile:
                 raise ValueError(f"power ordering violated: {a} < {b}")
         if any(v <= 0 for v in w.values()):
             raise ValueError("state power must be > 0 W")
-        if self.wake_light_ns <= 0 or self.wake_deep_ns <= 0:
-            raise ValueError("wake latencies must be > 0")
+        if min(self.wake_light_ns, self.wake_deep_ns, self.t_listen_ns) <= 0:
+            raise ValueError("wake latencies and listen interval must be > 0")
 
 
 class EnergyPolicy(Enum):

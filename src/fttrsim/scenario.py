@@ -14,7 +14,7 @@ from pathlib import Path
 import yaml
 
 from .energy import PowerProfile, PowerState
-from .frames import SERVICE_CLASSES
+from .frames import APDU_OVERHEAD, FEM_MAX_PAYLOAD, SERVICE_CLASSES
 from .links import WifiOverhead
 from .scheduling import PROCESSING_NS, SchedulerMode
 
@@ -26,6 +26,8 @@ class ConfigError(ValueError):
 
 
 ARRIVAL_MODELS = ("constant_rate", "on_off", "batch")
+# largest frame one FEM frame carries after its APDU header
+MAX_FRAME_BYTES = FEM_MAX_PAYLOAD - APDU_OVERHEAD
 
 
 @dataclass
@@ -66,8 +68,8 @@ class KillSpec:
 class StormSpec:
     count: int
     targets: list[str]
-    entity_class: int = 100
-    content_bytes: int = 8
+    entity_class: int
+    content_bytes: int
 
 
 @dataclass
@@ -135,13 +137,27 @@ def _req(d: dict, key: str, path: str):
     return d[key]
 
 
-def _num(value, path: str, positive=False, nonneg=False):
+def _num(value, path: str, positive=False, nonneg=False, hi=None):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(path, f"expected number, got {value!r}")
     if positive and value <= 0:
         raise ConfigError(path, f"must be > 0, got {value}")
     if nonneg and value < 0:
         raise ConfigError(path, f"must be >= 0, got {value}")
+    if hi is not None and value > hi:
+        raise ConfigError(path, f"must be <= {hi}, got {value}")
+    return value
+
+
+def _bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(path, f"expected true or false, got {value!r}")
+    return value
+
+
+def _mapping(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(path, f"expected a mapping, got {value!r}")
     return value
 
 
@@ -176,7 +192,10 @@ _PROCESSING_FIELDS = {"mfu_us": ("mfu", _ns_from_us),
 
 def load_scenario(path: str | Path, overrides: dict | None = None) -> ScenarioConfig:
     with open(path) as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError("<root>", f"malformed YAML: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "scenario file must be a mapping")
     return parse_scenario(raw, overrides or {})
@@ -185,7 +204,7 @@ def load_scenario(path: str | Path, overrides: dict | None = None) -> ScenarioCo
 def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
     overrides = overrides or {}
     name = raw.get("name", "scenario")
-    seed = int(overrides.get("seed", raw.get("seed", 1)))
+    seed = int(_num(overrides.get("seed", raw.get("seed", 1)), "seed"))
     horizon_ms = _num(overrides.get("duration_ms",
                                     _req(raw, "horizon_ms", "<root>")),
                       "horizon_ms", positive=True)
@@ -195,7 +214,7 @@ def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
     except ValueError:
         raise ConfigError("mode", f"unknown scheduler mode {mode_str!r}")
 
-    topo = _req(raw, "topology", "<root>")
+    topo = _mapping(_req(raw, "topology", "<root>"), "topology")
     sfu_items = _req(topo, "sfus", "topology")
     if not sfu_items:
         raise ConfigError("topology.sfus", "at least one SFU required")
@@ -205,7 +224,8 @@ def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
             sfus.append(item)
         elif isinstance(item, dict):
             sfus.append(_req(item, "name", f"topology.sfus[{i}]"))
-            if item.get("iot_resident"):
+            if _bool(item.get("iot_resident", False),
+                     f"topology.sfus[{i}].iot_resident"):
                 iot_sfus.add(item["name"])
         else:
             raise ConfigError(f"topology.sfus[{i}]", "expected name or mapping")
@@ -213,7 +233,7 @@ def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
         raise ConfigError("topology.sfus", "duplicate SFU names")
     conflicts = []
     for i, pair in enumerate(topo.get("conflicts", [])):
-        if len(pair) != 2:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ConfigError(f"topology.conflicts[{i}]", "expected a pair")
         a, b = pair
         for n in (a, b):
@@ -224,7 +244,7 @@ def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
             raise ConfigError(f"topology.conflicts[{i}]", "self-conflict")
         conflicts.append((a, b))
 
-    optical = raw.get("optical", {})
+    optical = _mapping(raw.get("optical", {}), "optical")
     downstream_bps = int(_num(optical.get("downstream_gbps", 1.0),
                               "optical.downstream_gbps", positive=True) * 1e9)
     upstream_bps = int(_num(optical.get("upstream_gbps", 1.0),
@@ -232,7 +252,7 @@ def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
     prop_delay_ns = int(_num(optical.get("prop_delay_ns", 50),
                              "optical.prop_delay_ns", nonneg=True))
 
-    wifi = raw.get("wifi", {})
+    wifi = _mapping(raw.get("wifi", {}), "wifi")
     air_rate_bps = int(_num(wifi.get("air_rate_mbps", 1200.0),
                             "wifi.air_rate_mbps", positive=True) * 1e6)
     overhead = WifiOverhead(**_given(wifi, "wifi", _WIFI_FIELDS))
@@ -243,7 +263,7 @@ def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
     txop_max_ns = _ns_from_us(_num(wifi.get("txop_max_us", 2400),
                                    "wifi.txop_max_us", positive=True))
 
-    control = raw.get("control", {})
+    control = _mapping(raw.get("control", {}), "control")
     status_cycle_ns = _ns_from_us(_num(control.get("status_cycle_us", 5000),
                                        "control.status_cycle_us", positive=True))
     control_delay_ns = _ns_from_us(_num(control.get("control_delay_us", 5),
@@ -260,6 +280,7 @@ def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
     flows = []
     for i, f in enumerate(raw.get("flows", [])):
         p = f"flows[{i}]"
+        _mapping(f, p)
         dst = _req(f, "dst", p)
         if dst not in sfus:
             raise ConfigError(f"{p}.dst", f"unknown SFU {dst!r}")
@@ -276,7 +297,7 @@ def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
             name=f.get("name", f"flow{i}"),
             dst=dst, service_class=sc, priority=prio,
             size_bytes=int(_num(_req(f, "size_bytes", p), f"{p}.size_bytes",
-                                positive=True)),
+                                positive=True, hi=MAX_FRAME_BYTES)),
             model=model,
             rate_mbps=_num(f.get("rate_mbps", 0.0), f"{p}.rate_mbps", nonneg=True),
             on_ms=_num(f.get("on_ms", 0.0), f"{p}.on_ms", nonneg=True),
@@ -285,7 +306,8 @@ def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
             interval_us=_num(f.get("interval_us", 0.0), f"{p}.interval_us",
                              nonneg=True),
             start_ms=_num(f.get("start_ms", 0.0), f"{p}.start_ms", nonneg=True),
-            stop_ms=f.get("stop_ms"),
+            stop_ms=(None if f.get("stop_ms") is None else
+                     _num(f["stop_ms"], f"{p}.stop_ms", nonneg=True)),
         ))
         # the interarrival time divides by the rate in whole bit/s
         if model != "batch" and int(flows[-1].rate_mbps * 1e6) <= 0:
@@ -304,11 +326,13 @@ def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
     bursts = []
     for i, b in enumerate(raw.get("uplink_bursts", [])):
         p = f"uplink_bursts[{i}]"
+        _mapping(b, p)
         sfu = _req(b, "sfu", p)
         if sfu not in sfus:
             raise ConfigError(f"{p}.sfu", f"unknown SFU {sfu!r}")
-        rus = [(str(r.get("sta", f"sta{j}")), int(_num(_req(r, "bytes", f"{p}.rus[{j}]"),
-                                                       f"{p}.rus[{j}].bytes", nonneg=True)))
+        rus = [(str(_mapping(r, f"{p}.rus[{j}]").get("sta", f"sta{j}")),
+                int(_num(_req(r, "bytes", f"{p}.rus[{j}]"),
+                         f"{p}.rus[{j}].bytes", nonneg=True)))
                for j, r in enumerate(b.get("rus", []))]
         bursts.append(UplinkBurstSpec(
             sfu=sfu,
@@ -317,49 +341,60 @@ def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
                                  f"{p}.air_duration_us", positive=True),
             rus=rus,
             start_ms=_num(b.get("start_ms", 0.0), f"{p}.start_ms", nonneg=True),
-            coordinated=bool(b.get("coordinated", True)),
+            coordinated=_bool(b.get("coordinated", True), f"{p}.coordinated"),
         ))
 
-    mgmt = raw.get("management", {})
+    mgmt = _mapping(raw.get("management", {}), "management")
     poll_cycle_ns = _ns_from_ms(_num(mgmt.get("poll_cycle_ms", 1000),
                                      "management.poll_cycle_ms", positive=True))
     k_miss = int(_num(mgmt.get("k_miss", 2), "management.k_miss", positive=True))
     storm = None
     if "storm" in mgmt:
-        s = mgmt["storm"]
+        s = _mapping(mgmt["storm"], "management.storm")
         targets = s.get("targets", sfus)
         for t in targets:
             if t not in sfus:
                 raise ConfigError("management.storm.targets", f"unknown SFU {t!r}")
-        storm = StormSpec(count=int(_num(_req(s, "count", "management.storm"),
-                                         "management.storm.count", positive=True)),
-                          targets=list(targets),
-                          entity_class=int(s.get("entity_class", 100)),
-                          content_bytes=int(s.get("content_bytes", 8)))
+        p = "management.storm"
+        # 16-bit OMCI fields; the content length also counts the two
+        # routing bytes
+        storm = StormSpec(
+            count=int(_num(_req(s, "count", p), f"{p}.count", positive=True)),
+            targets=list(targets),
+            entity_class=int(_num(s.get("entity_class", 100),
+                                  f"{p}.entity_class", nonneg=True, hi=0xFFFF)),
+            content_bytes=int(_num(s.get("content_bytes", 8),
+                                   f"{p}.content_bytes", nonneg=True,
+                                   hi=0xFFFF - 2)))
     kill = None
     if "kill" in mgmt:
-        k = mgmt["kill"]
+        k = _mapping(mgmt["kill"], "management.kill")
         sfu = _req(k, "sfu", "management.kill")
         if sfu not in sfus:
             raise ConfigError("management.kill.sfu", f"unknown SFU {sfu!r}")
-        kill = KillSpec(sfu=sfu,
-                        at_ms=_num(_req(k, "at_ms", "management.kill"),
-                                   "management.kill.at_ms", nonneg=True),
-                        recover_ms=k.get("recover_ms"))
+        at_ms = _num(_req(k, "at_ms", "management.kill"),
+                     "management.kill.at_ms", nonneg=True)
+        recover_ms = k.get("recover_ms")
+        if (recover_ms is not None
+                and _num(recover_ms, "management.kill.recover_ms") < at_ms):
+            raise ConfigError("management.kill.recover_ms",
+                              f"{recover_ms} is earlier than at_ms {at_ms}")
+        kill = KillSpec(sfu, at_ms, recover_ms)
     olt_pipe_ns = _ns_from_us(_num(mgmt.get("olt_pipe_us", 20),
                                    "management.olt_pipe_us", nonneg=True))
 
-    en = raw.get("energy", {})
-    savings = bool(en.get("savings_enabled", True))
+    en = _mapping(raw.get("energy", {}), "energy")
+    savings = _bool(en.get("savings_enabled", True), "energy.savings_enabled")
     t_act_idle_ns = _ns_from_ms(_num(en.get("t_act_idle_ms", 100),
                                      "energy.t_act_idle_ms", positive=True))
     t_idle_sleep_ns = _ns_from_ms(_num(en.get("t_idle_sleep_ms", 10_000),
                                        "energy.t_idle_sleep_ms", positive=True))
 
     def profile(key: str, defaults: dict) -> PowerProfile:
-        section = en.get(key, {})
+        section = _mapping(en.get(key, {}), f"energy.{key}")
         watts = dict(defaults)
-        for state_name, w in section.get("watts", {}).items():
+        for state_name, w in _mapping(section.get("watts", {}),
+                                      f"energy.{key}.watts").items():
             try:
                 state = PowerState(state_name)
             except ValueError:
@@ -373,10 +408,10 @@ def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
             raise ConfigError(f"energy.{key}", str(exc))
         return prof
 
-    relay = raw.get("phy_relay", {})
+    relay = _mapping(raw.get("phy_relay", {}), "phy_relay")
+    processing = _mapping(raw.get("processing", {}), "processing")
     proc_ns = {**PROCESSING_NS[mode],
-               **_given(raw.get("processing", {}), "processing",
-                        _PROCESSING_FIELDS)}
+               **_given(processing, "processing", _PROCESSING_FIELDS)}
 
     cfg = ScenarioConfig(
         name=name, seed=seed, horizon_ns=_ns_from_ms(horizon_ms), mode=mode,
@@ -409,7 +444,8 @@ def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
                                     "phy_relay.buffer_bytes", positive=True)),
         per_sta_overhead=int(_num(raw.get("per_sta_overhead", 0),
                                   "per_sta_overhead", nonneg=True)),
-        dump_schedule=bool(overrides.get("dump_schedule",
-                                         raw.get("dump_schedule", False))),
+        dump_schedule=_bool(overrides.get("dump_schedule",
+                                          raw.get("dump_schedule", False)),
+                            "dump_schedule"),
     )
     return cfg

@@ -122,3 +122,10 @@ def test_run_exits_3_when_omci_slots_overlap(tmp_path, capsys):
     assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 3
     assert "OMCI slot" in capsys.readouterr().err
 
+
+def test_malformed_yaml_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("horizon_ms: 10\ntopology: {sfus: [a\n")
+    assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert main(["validate", str(bad)]) == 2
+    assert "malformed YAML" in capsys.readouterr().err

@@ -157,3 +157,54 @@ def test_overrides_take_precedence():
     assert cfg.seed == 42
     assert cfg.mode is SchedulerMode.DISTRIBUTED_BASELINE
     assert cfg.horizon_ns == 5_000_000
+
+
+FLOW = {"dst": "a", "size_bytes": 100, "rate_mbps": 1}
+BURST = {"sfu": "a", "period_us": 1000, "air_duration_us": 10,
+         "rus": [{"sta": "s", "bytes": 100}]}
+
+
+@pytest.mark.parametrize("extra,path", [
+    ({"flows": [{**FLOW, "stop_ms": "soon"}]}, "flows[0].stop_ms"),
+    ({"seed": "x"}, "seed"),
+    ({"management": {"kill": {"sfu": "a", "at_ms": 1, "recover_ms": "later"}}},
+     "management.kill.recover_ms"),
+    ({"management": {"kill": {"sfu": "a", "at_ms": 3, "recover_ms": 1}}},
+     "management.kill.recover_ms"),
+    ({"flows": [{**FLOW, "size_bytes": 65521}]}, "flows[0].size_bytes"),
+    ({"management": {"storm": {"count": 2, "entity_class": 65536}}},
+     "management.storm.entity_class"),
+    ({"management": {"storm": {"count": 2, "entity_class": -1}}},
+     "management.storm.entity_class"),
+    ({"management": {"storm": {"count": 2, "content_bytes": -1}}},
+     "management.storm.content_bytes"),
+    ({"uplink_bursts": [{**BURST, "coordinated": "no"}]},
+     "uplink_bursts[0].coordinated"),
+    ({"energy": {"savings_enabled": "no"}}, "energy.savings_enabled"),
+    ({"flows": ["x"]}, "flows[0]"),
+    ({"uplink_bursts": [5]}, "uplink_bursts[0]"),
+    ({"topology": {"sfus": ["a", "b"], "conflicts": ["ab"]}},
+     "topology.conflicts[0]"),
+    ({"wifi": {"difs_us": "x"}}, "wifi.difs_us"),
+    ({"wifi": {"cw_min": "x"}}, "wifi.cw_min"),
+    ({"energy": {"sfu": {"wake_light_ms": "x"}}}, "energy.sfu.wake_light_ms"),
+    ({"energy": {"sfu": {"t_listen_ms": 0}}}, "energy.sfu"),
+    ({"processing": {"mfu_us": "x"}}, "processing.mfu_us"),
+])
+def test_malformed_fields_rejected_with_path(extra, path):
+    # each used to raise a raw ValueError/TypeError/struct.error, or was
+    # accepted and misread
+    with pytest.raises(ConfigError) as exc:
+        parse_scenario(minimal(**extra))
+    assert exc.value.path == path
+
+
+def test_largest_frame_and_equal_kill_times_accepted():
+    cfg = parse_scenario(minimal(
+        flows=[{**FLOW, "size_bytes": 65520}],
+        management={"kill": {"sfu": "a", "at_ms": 3, "recover_ms": 3},
+                    "storm": {"count": 1, "entity_class": 65535,
+                              "content_bytes": 0}}))
+    assert cfg.flows[0].size_bytes == 65520
+    assert cfg.kill.recover_ms == cfg.kill.at_ms == 3
+    assert cfg.storm.entity_class == 65535
