@@ -35,10 +35,6 @@ LEGAL_TRANSITIONS: dict[PowerState, set[PowerState]] = {
 }
 
 
-class IllegalTransition(RuntimeError):
-    pass
-
-
 class LedgerError(RuntimeError):
     """Gap or overlap in the energy ledger - fatal accounting error."""
 

@@ -15,8 +15,6 @@ from typing import Any, Callable
 
 SimTime = int  # nanoseconds
 
-NS_PER_US = 1_000
-NS_PER_MS = 1_000_000
 NS_PER_S = 1_000_000_000
 
 
