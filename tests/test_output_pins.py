@@ -213,6 +213,11 @@ def test_outputs_match_pin(name, mode):
     summary = _summary(name, mode)
     got = (_sha(summary_bytes(summary)), _sha(flow_table_bytes(summary)))
     assert got == PINS[name, mode]
+    # nothing is cancelled: every scheduled event either fired or is still
+    # queued past the horizon
+    counters = summary["counters"]
+    assert counters["events_scheduled"] == (counters["events_dispatched"]
+                                            + counters["events_beyond_horizon"])
 
 
 @pytest.mark.parametrize("name,mode", sorted(MODEL_PINS))
