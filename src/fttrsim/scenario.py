@@ -352,6 +352,8 @@ def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
     if "storm" in mgmt:
         s = _mapping(mgmt["storm"], "management.storm")
         targets = s.get("targets", sfus)
+        if not targets:
+            raise ConfigError("management.storm.targets", "no target SFU")
         for t in targets:
             if t not in sfus:
                 raise ConfigError("management.storm.targets", f"unknown SFU {t!r}")

@@ -178,6 +178,8 @@ BURST = {"sfu": "a", "period_us": 1000, "air_duration_us": 10,
      "management.storm.entity_class"),
     ({"management": {"storm": {"count": 2, "content_bytes": -1}}},
      "management.storm.content_bytes"),
+    ({"management": {"storm": {"count": 2, "targets": []}}},
+     "management.storm.targets"),
     ({"uplink_bursts": [{**BURST, "coordinated": "no"}]},
      "uplink_bursts[0].coordinated"),
     ({"energy": {"savings_enabled": "no"}}, "energy.savings_enabled"),
@@ -192,7 +194,7 @@ BURST = {"sfu": "a", "period_us": 1000, "air_duration_us": 10,
     ({"processing": {"mfu_us": "x"}}, "processing.mfu_us"),
 ])
 def test_malformed_fields_rejected_with_path(extra, path):
-    # each used to raise a raw ValueError/TypeError/struct.error, or was
+    # each used to raise a raw exception while parsing or running, or was
     # accepted and misread
     with pytest.raises(ConfigError) as exc:
         parse_scenario(minimal(**extra))
