@@ -89,7 +89,7 @@ class Simulator:
         self._handlers[target] = handler
 
     def schedule(self, fire_time: SimTime, target: str, kind: str,
-                 payload: Any = None) -> Event:
+                 payload: Any = None) -> None:
         if fire_time < self.now:
             raise SimError(
                 f"attempt to schedule event '{kind}' for {target} at "
@@ -99,7 +99,6 @@ class Simulator:
         self._seq = seq + 1
         self.n_scheduled += 1
         heapq.heappush(self._queue, (fire_time, seq, ev))
-        return ev
 
     def run_until(self, horizon: SimTime) -> str:
         """Dispatch every event with fire_time <= horizon; return trace digest."""

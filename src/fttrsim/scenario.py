@@ -196,9 +196,7 @@ def load_scenario(path: str | Path, overrides: dict | None = None) -> ScenarioCo
             raw = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigError("<root>", f"malformed YAML: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("<root>", "scenario file must be a mapping")
-    return parse_scenario(raw, overrides or {})
+    return parse_scenario(_mapping(raw, "<root>"), overrides)
 
 
 def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:

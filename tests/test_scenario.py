@@ -183,6 +183,10 @@ BURST = {"sfu": "a", "period_us": 1000, "air_duration_us": 10,
     ({"uplink_bursts": [{**BURST, "coordinated": "no"}]},
      "uplink_bursts[0].coordinated"),
     ({"energy": {"savings_enabled": "no"}}, "energy.savings_enabled"),
+    ({"topology": {"sfus": ["a", {"name": "b", "iot_resident": "yes"}]}},
+     "topology.sfus[1].iot_resident"),
+    ({"dump_schedule": 1}, "dump_schedule"),
+    ({"wifi": 5}, "wifi"),
     ({"flows": ["x"]}, "flows[0]"),
     ({"uplink_bursts": [5]}, "uplink_bursts[0]"),
     ({"topology": {"sfus": ["a", "b"], "conflicts": ["ab"]}},
