@@ -3,12 +3,14 @@
 A scenario file is the unit of reproducibility: topology, link parameters,
 scheduler mode, traffic flows, power profiles and the seed. CLI flags may
 override scalar fields. Validation errors carry the config-path of the
-offending field.
+offending field. Each field's key, default, bounds and unit conversion are
+declared once, by `_key`; checks that span fields are in `parse_scenario`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -29,94 +31,6 @@ ARRIVAL_MODELS = ("constant_rate", "on_off", "batch")
 # largest frame one FEM frame carries after its APDU header
 MAX_FRAME_BYTES = FEM_MAX_PAYLOAD - APDU_OVERHEAD
 
-
-@dataclass
-class FlowSpec:
-    name: str
-    dst: str                      # target SFU
-    service_class: str
-    priority: int
-    size_bytes: int
-    model: str
-    rate_mbps: float = 0.0
-    on_ms: float = 0.0
-    off_ms: float = 0.0
-    count: int = 0
-    interval_us: float = 0.0
-    start_ms: float = 0.0
-    stop_ms: float | None = None
-
-
-@dataclass
-class UplinkBurstSpec:
-    sfu: str
-    period_us: float
-    air_duration_us: float
-    rus: list[tuple[str, int]]
-    start_ms: float = 0.0
-    coordinated: bool = True
-
-
-@dataclass
-class KillSpec:
-    sfu: str
-    at_ms: float
-    recover_ms: float | None = None
-
-
-@dataclass
-class StormSpec:
-    count: int
-    targets: list[str]
-    entity_class: int
-    content_bytes: int
-
-
-@dataclass
-class ScenarioConfig:
-    name: str
-    seed: int
-    horizon_ns: int
-    mode: SchedulerMode
-    sfus: list[str]
-    iot_sfus: set[str]
-    conflicts: list[tuple[str, str]]
-    downstream_bps: int
-    upstream_bps: int
-    prop_delay_ns: int
-    air_rate_bps: int
-    wifi_overhead: WifiOverhead
-    txop_max_ns: int
-    status_cycle_ns: int
-    control_delay_ns: int
-    alloc_cycle_ns: int
-    guard_ns: int
-    omci_slot_ns: int
-    min_slot_ns: int
-    flows: list[FlowSpec]
-    uplink_bursts: list[UplinkBurstSpec]
-    poll_cycle_ns: int
-    k_miss: int
-    storm: StormSpec | None
-    kill: KillSpec | None
-    olt_pipe_ns: int
-    savings_enabled: bool
-    t_act_idle_ns: int
-    t_idle_sleep_ns: int
-    sfu_profile: PowerProfile
-    mfu_profile: PowerProfile
-    ftth_active_w: float
-    ftth_idle_w: float
-    sleep_buffer_frames: int
-    proc_mfu_ns: int
-    proc_sfu_ns: int
-    sample_rate_sps: int
-    bit_width: int
-    relay_buffer_bytes: int
-    per_sta_overhead: int
-    dump_schedule: bool = False
-
-
 _DEFAULT_SFU_WATTS = {
     PowerState.ACTIVE: 4.5,
     PowerState.IDLE: 3.0,
@@ -125,327 +39,371 @@ _DEFAULT_SFU_WATTS = {
     PowerState.LIGHT_SLEEP: 1.0,
     PowerState.DEEP_SLEEP: 0.3,
 }
-_DEFAULT_MFU_WATTS = {
-    PowerState.ACTIVE: 8.0,
-    PowerState.IDLE: 6.0,
-}
+_DEFAULT_MFU_WATTS = {PowerState.ACTIVE: 8.0, PowerState.IDLE: 6.0}
 
 
-def _req(d: dict, key: str, path: str):
-    if key not in d:
-        raise ConfigError(f"{path}.{key}", "required field missing")
-    return d[key]
-
-
-def _num(value, path: str, positive=False, nonneg=False, hi=None):
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(path, f"expected number, got {value!r}")
-    if positive and value <= 0:
-        raise ConfigError(path, f"must be > 0, got {value}")
-    if nonneg and value < 0:
-        raise ConfigError(path, f"must be >= 0, got {value}")
-    if hi is not None and value > hi:
-        raise ConfigError(path, f"must be <= {hi}, got {value}")
+def _num(value, path: str, gt=None, ge=None, le=None):
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not math.isfinite(value)):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
+    if gt is not None and value <= gt:
+        raise ConfigError(path, f"must be > {gt}, got {value}")
+    if ge is not None and value < ge:
+        raise ConfigError(path, f"must be >= {ge}, got {value}")
+    if le is not None and value > le:
+        raise ConfigError(path, f"must be <= {le}, got {value}")
     return value
 
 
-def _bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(path, f"expected true or false, got {value!r}")
-    return value
+def _is(kind, what: str):
+    """Check that a value is an instance of `kind`, described as `what`."""
+    def check(value, path: str):
+        if not isinstance(value, kind):
+            raise ConfigError(path, f"expected {what}, got {value!r}")
+        return value
+    return check
 
 
-def _mapping(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(path, f"expected a mapping, got {value!r}")
-    return value
+_bool = _is(bool, "true or false")
+_str = _is(str, "a string")
+_list = _is((list, tuple), "a list")
+_mapping = _is(dict, "a mapping")
 
 
-def _ns_from_ms(v: float) -> int:
-    return int(round(v * 1_000_000))
+def _one_of(choices: tuple):
+    def check(value, path: str):
+        if value not in choices:
+            raise ConfigError(path, f"expected one of {', '.join(choices)}, "
+                                    f"got {value!r}")
+        return value
+    return check
 
 
-def _ns_from_us(v: float) -> int:
-    return int(round(v * 1_000))
+def _items(check, nonempty=False):
+    """Check for a list whose entries each pass `check`."""
+    def items(value, path: str) -> list:
+        if not _list(value, path) and nonempty:
+            raise ConfigError(path, "expected at least one entry")
+        return [check(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return items
 
 
-def _given(section: dict, path: str, fields: dict) -> dict:
-    """Keyword arguments for the `fields` set in `section`, where `fields`
-    maps a scenario key to (argument name, unit conversion). Each value is
-    checked by `_num`; a field not set keeps the constructor's default."""
-    return {name: convert(_num(section[key], f"{path}.{key}"))
-            for key, (name, convert) in fields.items() if key in section}
+def _pair(value, path: str) -> tuple:
+    if len(_list(value, path)) != 2:
+        raise ConfigError(path, "expected a pair")
+    return tuple(value)
 
 
-_WIFI_FIELDS = {
-    "difs_us": ("difs_ns", _ns_from_us), "sifs_us": ("sifs_ns", _ns_from_us),
-    "slot_us": ("slot_ns", _ns_from_us), "cw_min": ("cw_min", int),
-    "cw_max": ("cw_max", int), "preamble_us": ("preamble_ns", _ns_from_us),
-    "ack_us": ("ack_ns", _ns_from_us)}
-_PROFILE_FIELDS = {
-    "wake_light_ms": ("wake_light_ns", _ns_from_ms),
-    "wake_deep_ms": ("wake_deep_ns", _ns_from_ms),
-    "t_listen_ms": ("t_listen_ns", _ns_from_ms)}
-_PROCESSING_FIELDS = {"mfu_us": ("mfu", _ns_from_us),
-                      "sfu_us": ("sfu", _ns_from_us)}
+def _per(factor, rounded=False):
+    """Conversion to whole units, `factor` of them per unit given."""
+    if rounded:
+        return lambda v: int(round(v * factor))
+    return lambda v: int(v * factor)
 
 
-def load_scenario(path: str | Path, overrides: dict | None = None) -> ScenarioConfig:
-    with open(path) as fh:
+_ms, _us = _per(1_000_000, True), _per(1_000, True)   # to nanoseconds
+_giga, _mega = _per(1e9), _per(1e6)
+
+
+_KEY = "scenario key"
+_REQUIRED = object()   # the key must be given
+_OMIT = object()       # when the key is absent the constructor's default holds
+
+
+def _key(key: str, default=_REQUIRED, convert=None, check=_num, **bounds):
+    """A field read from scenario `key`, dotted below the section it is read
+    from. `default` is in the key's unit; `check(value, path, **bounds)`
+    accepts the value and `convert` turns it into the field's unit. A None
+    default is kept as is, and so is a None value where it is the default."""
+    return field(metadata={_KEY: (key, default, check, convert, bounds)})
+
+
+def _table(specs: dict) -> tuple:
+    """(rows, known) for `specs`, which maps argument names to `_key`
+    fields: a row per field and, for each mapping a key passes through (by
+    key prefix, parents first), the keys known in it."""
+    rows, known = [], {(): set()}
+    for name, spec in specs.items():
+        key, *rest = spec.metadata[_KEY]
+        parts = key.split(".")
+        for i, part in enumerate(parts):
+            known.setdefault(tuple(parts[:i]), set()).add(part)
+        rows.append((name, key, tuple(parts[:-1]), parts[-1], *rest))
+    return rows, known
+
+
+def _keyed(cls) -> dict:
+    return {f.name: f for f in fields(cls) if _KEY in f.metadata}
+
+
+def _read(section, path: str, table: tuple) -> dict:
+    """Arguments for `table` read from the mapping `section` found at
+    `path`: unknown and missing keys are rejected, each value is checked
+    and converted to its field's unit."""
+    rows, known = table
+    nodes = {}
+    for prefix, keys in known.items():
+        where = ".".join((path, *prefix) if path else prefix)
+        node = nodes[prefix[:-1]].get(prefix[-1], {}) if prefix else section
+        nodes[prefix] = node = _mapping(node, where or "<root>")
+        for k in node:
+            if k not in keys:
+                raise ConfigError(f"{where}.{k}" if where else str(k),
+                                  "unknown key")
+    args = {}
+    for name, key, prefix, leaf, default, check, convert, bounds in rows:
+        value = nodes[prefix].get(leaf, default)
+        if value is _OMIT:
+            continue
+        if value is _REQUIRED:
+            raise ConfigError(f"{path}.{key}" if path else key,
+                              "required field missing")
+        if value is not None or default is not None:
+            value = check(value, f"{path}.{key}" if path else key, **bounds)
+            if convert is not None:
+                value = convert(value)
+        args[name] = value
+    return args
+
+
+def _spec(cls):
+    """Check that reads a mapping into `cls` through its fields' keys."""
+    table = _table(_keyed(cls))
+    return lambda value, path: cls(**_read(value, path, table))
+
+
+def _entry(table: tuple):
+    """Check that reads a mapping into the tuple of `table`'s values; a
+    string stands for the mapping of the first key to that string."""
+    def entry(value, path: str) -> tuple:
+        if isinstance(value, str):
+            value = {table[0][0][1]: value}
+        return tuple(_read(value, path, table).values())
+    return entry
+
+
+def _watts(value, path: str) -> dict:
+    watts = {}
+    for name, w in _mapping(value, path).items():
         try:
-            raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError("<root>", f"malformed YAML: {exc}") from None
-    return parse_scenario(_mapping(raw, "<root>"), overrides)
+            state = PowerState(name)
+        except ValueError:
+            raise ConfigError(path, f"unknown state {name!r}") from None
+        watts[state] = _num(w, f"{path}.{name}", gt=0)
+    return watts
 
 
-def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
-    overrides = overrides or {}
-    name = raw.get("name", "scenario")
-    seed = int(_num(overrides.get("seed", raw.get("seed", 1)), "seed"))
-    horizon_ms = _num(overrides.get("duration_ms",
-                                    _req(raw, "horizon_ms", "<root>")),
-                      "horizon_ms", positive=True)
-    mode_str = str(overrides.get("mode", raw.get("mode", "centralized")))
-    try:
-        mode = SchedulerMode(mode_str)
-    except ValueError:
-        raise ConfigError("mode", f"unknown scheduler mode {mode_str!r}")
-
-    topo = _mapping(_req(raw, "topology", "<root>"), "topology")
-    sfu_items = _req(topo, "sfus", "topology")
-    if not sfu_items:
-        raise ConfigError("topology.sfus", "at least one SFU required")
-    sfus, iot_sfus = [], set()
-    for i, item in enumerate(sfu_items):
-        if isinstance(item, str):
-            sfus.append(item)
-        elif isinstance(item, dict):
-            sfus.append(_req(item, "name", f"topology.sfus[{i}]"))
-            if _bool(item.get("iot_resident", False),
-                     f"topology.sfus[{i}].iot_resident"):
-                iot_sfus.add(item["name"])
-        else:
-            raise ConfigError(f"topology.sfus[{i}]", "expected name or mapping")
-    if len(set(sfus)) != len(sfus):
-        raise ConfigError("topology.sfus", "duplicate SFU names")
-    conflicts = []
-    for i, pair in enumerate(topo.get("conflicts", [])):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ConfigError(f"topology.conflicts[{i}]", "expected a pair")
-        a, b = pair
-        for n in (a, b):
-            if n not in sfus:
-                raise ConfigError(f"topology.conflicts[{i}]",
-                                  f"unknown SFU {n!r}")
-        if a == b:
-            raise ConfigError(f"topology.conflicts[{i}]", "self-conflict")
-        conflicts.append((a, b))
-
-    optical = _mapping(raw.get("optical", {}), "optical")
-    downstream_bps = int(_num(optical.get("downstream_gbps", 1.0),
-                              "optical.downstream_gbps", positive=True) * 1e9)
-    upstream_bps = int(_num(optical.get("upstream_gbps", 1.0),
-                            "optical.upstream_gbps", positive=True) * 1e9)
-    prop_delay_ns = int(_num(optical.get("prop_delay_ns", 50),
-                             "optical.prop_delay_ns", nonneg=True))
-
-    wifi = _mapping(raw.get("wifi", {}), "wifi")
-    air_rate_bps = int(_num(wifi.get("air_rate_mbps", 1200.0),
-                            "wifi.air_rate_mbps", positive=True) * 1e6)
-    overhead = WifiOverhead(**_given(wifi, "wifi", _WIFI_FIELDS))
-    try:
-        overhead.validate()
-    except ValueError as exc:
-        raise ConfigError("wifi", str(exc))
-    txop_max_ns = _ns_from_us(_num(wifi.get("txop_max_us", 2400),
-                                   "wifi.txop_max_us", positive=True))
-
-    control = _mapping(raw.get("control", {}), "control")
-    status_cycle_ns = _ns_from_us(_num(control.get("status_cycle_us", 5000),
-                                       "control.status_cycle_us", positive=True))
-    control_delay_ns = _ns_from_us(_num(control.get("control_delay_us", 5),
-                                        "control.control_delay_us", nonneg=True))
-    alloc_cycle_ns = _ns_from_us(_num(control.get("alloc_cycle_us", 250),
-                                      "control.alloc_cycle_us", positive=True))
-    guard_ns = int(_num(control.get("guard_ns", 100), "control.guard_ns",
-                        nonneg=True))
-    omci_slot_ns = _ns_from_us(_num(control.get("omci_slot_us", 10),
-                                    "control.omci_slot_us", positive=True))
-    min_slot_ns = _ns_from_us(_num(control.get("min_slot_us", 5),
-                                   "control.min_slot_us", positive=True))
-
-    flows = []
-    for i, f in enumerate(raw.get("flows", [])):
-        p = f"flows[{i}]"
-        _mapping(f, p)
-        dst = _req(f, "dst", p)
-        if dst not in sfus:
-            raise ConfigError(f"{p}.dst", f"unknown SFU {dst!r}")
-        sc = f.get("service_class", "video")
-        if sc not in SERVICE_CLASSES:
-            raise ConfigError(f"{p}.service_class", f"unknown class {sc!r}")
-        prio = int(_num(f.get("priority", 4), f"{p}.priority", nonneg=True))
-        if prio > 7:
-            raise ConfigError(f"{p}.priority", "priority must be 0..7")
-        model = f.get("model", "constant_rate")
-        if model not in ARRIVAL_MODELS:
-            raise ConfigError(f"{p}.model", f"unknown model {model!r}")
-        flows.append(FlowSpec(
-            name=f.get("name", f"flow{i}"),
-            dst=dst, service_class=sc, priority=prio,
-            size_bytes=int(_num(_req(f, "size_bytes", p), f"{p}.size_bytes",
-                                positive=True, hi=MAX_FRAME_BYTES)),
-            model=model,
-            rate_mbps=_num(f.get("rate_mbps", 0.0), f"{p}.rate_mbps", nonneg=True),
-            on_ms=_num(f.get("on_ms", 0.0), f"{p}.on_ms", nonneg=True),
-            off_ms=_num(f.get("off_ms", 0.0), f"{p}.off_ms", nonneg=True),
-            count=int(_num(f.get("count", 0), f"{p}.count", nonneg=True)),
-            interval_us=_num(f.get("interval_us", 0.0), f"{p}.interval_us",
-                             nonneg=True),
-            start_ms=_num(f.get("start_ms", 0.0), f"{p}.start_ms", nonneg=True),
-            stop_ms=(None if f.get("stop_ms") is None else
-                     _num(f["stop_ms"], f"{p}.stop_ms", nonneg=True)),
-        ))
-        # the interarrival time divides by the rate in whole bit/s
-        if model != "batch" and int(flows[-1].rate_mbps * 1e6) <= 0:
-            raise ConfigError(f"{p}.rate_mbps",
-                              f"{model} flow needs rate_mbps > 0 "
-                              "(at least 1 bit/s)")
-        if model == "on_off" and flows[-1].on_ms <= 0:
-            raise ConfigError(f"{p}.on_ms", "on_off flow needs on_ms > 0")
-        if model == "batch" and flows[-1].count <= 0:
-            raise ConfigError(f"{p}.count", "batch flow needs count > 0")
-        # flows are keyed by name in the run and in flows.csv
-        if any(prev.name == flows[-1].name for prev in flows[:-1]):
-            raise ConfigError(f"{p}.name",
-                              f"duplicate flow name {flows[-1].name!r}")
-
-    bursts = []
-    for i, b in enumerate(raw.get("uplink_bursts", [])):
-        p = f"uplink_bursts[{i}]"
-        _mapping(b, p)
-        sfu = _req(b, "sfu", p)
-        if sfu not in sfus:
-            raise ConfigError(f"{p}.sfu", f"unknown SFU {sfu!r}")
-        rus = [(str(_mapping(r, f"{p}.rus[{j}]").get("sta", f"sta{j}")),
-                int(_num(_req(r, "bytes", f"{p}.rus[{j}]"),
-                         f"{p}.rus[{j}].bytes", nonneg=True)))
-               for j, r in enumerate(b.get("rus", []))]
-        bursts.append(UplinkBurstSpec(
-            sfu=sfu,
-            period_us=_num(_req(b, "period_us", p), f"{p}.period_us", positive=True),
-            air_duration_us=_num(_req(b, "air_duration_us", p),
-                                 f"{p}.air_duration_us", positive=True),
-            rus=rus,
-            start_ms=_num(b.get("start_ms", 0.0), f"{p}.start_ms", nonneg=True),
-            coordinated=_bool(b.get("coordinated", True), f"{p}.coordinated"),
-        ))
-
-    mgmt = _mapping(raw.get("management", {}), "management")
-    poll_cycle_ns = _ns_from_ms(_num(mgmt.get("poll_cycle_ms", 1000),
-                                     "management.poll_cycle_ms", positive=True))
-    k_miss = int(_num(mgmt.get("k_miss", 2), "management.k_miss", positive=True))
-    storm = None
-    if "storm" in mgmt:
-        s = _mapping(mgmt["storm"], "management.storm")
-        targets = s.get("targets", sfus)
-        if not targets:
-            raise ConfigError("management.storm.targets", "no target SFU")
-        for t in targets:
-            if t not in sfus:
-                raise ConfigError("management.storm.targets", f"unknown SFU {t!r}")
-        p = "management.storm"
-        # 16-bit OMCI fields; the content length also counts the two
-        # routing bytes
-        storm = StormSpec(
-            count=int(_num(_req(s, "count", p), f"{p}.count", positive=True)),
-            targets=list(targets),
-            entity_class=int(_num(s.get("entity_class", 100),
-                                  f"{p}.entity_class", nonneg=True, hi=0xFFFF)),
-            content_bytes=int(_num(s.get("content_bytes", 8),
-                                   f"{p}.content_bytes", nonneg=True,
-                                   hi=0xFFFF - 2)))
-    kill = None
-    if "kill" in mgmt:
-        k = _mapping(mgmt["kill"], "management.kill")
-        sfu = _req(k, "sfu", "management.kill")
-        if sfu not in sfus:
-            raise ConfigError("management.kill.sfu", f"unknown SFU {sfu!r}")
-        at_ms = _num(_req(k, "at_ms", "management.kill"),
-                     "management.kill.at_ms", nonneg=True)
-        recover_ms = k.get("recover_ms")
-        if (recover_ms is not None
-                and _num(recover_ms, "management.kill.recover_ms") < at_ms):
-            raise ConfigError("management.kill.recover_ms",
-                              f"{recover_ms} is earlier than at_ms {at_ms}")
-        kill = KillSpec(sfu, at_ms, recover_ms)
-    olt_pipe_ns = _ns_from_us(_num(mgmt.get("olt_pipe_us", 20),
-                                   "management.olt_pipe_us", nonneg=True))
-
-    en = _mapping(raw.get("energy", {}), "energy")
-    savings = _bool(en.get("savings_enabled", True), "energy.savings_enabled")
-    t_act_idle_ns = _ns_from_ms(_num(en.get("t_act_idle_ms", 100),
-                                     "energy.t_act_idle_ms", positive=True))
-    t_idle_sleep_ns = _ns_from_ms(_num(en.get("t_idle_sleep_ms", 10_000),
-                                       "energy.t_idle_sleep_ms", positive=True))
-
-    def profile(key: str, defaults: dict) -> PowerProfile:
-        section = _mapping(en.get(key, {}), f"energy.{key}")
-        watts = dict(defaults)
-        for state_name, w in _mapping(section.get("watts", {}),
-                                      f"energy.{key}.watts").items():
-            try:
-                state = PowerState(state_name)
-            except ValueError:
-                raise ConfigError(f"energy.{key}.watts", f"unknown state {state_name!r}")
-            watts[state] = _num(w, f"energy.{key}.watts.{state_name}", positive=True)
-        prof = PowerProfile(watts=watts, **_given(section, f"energy.{key}",
-                                                   _PROFILE_FIELDS))
+def _profile(default_watts: dict):
+    """Check that reads a node's power profile; given watts replace the
+    node's defaults state by state."""
+    def profile(value, path: str) -> PowerProfile:
+        args = _read(value, path, _PROFILE_TABLE)
+        prof = PowerProfile(watts={**default_watts, **args.pop("watts")},
+                            **args)
         try:
             prof.validate()
         except ValueError as exc:
-            raise ConfigError(f"energy.{key}", str(exc))
+            raise ConfigError(path, str(exc)) from None
         return prof
+    return profile
 
-    relay = _mapping(raw.get("phy_relay", {}), "phy_relay")
-    processing = _mapping(raw.get("processing", {}), "processing")
-    proc_ns = {**PROCESSING_NS[mode],
-               **_given(processing, "processing", _PROCESSING_FIELDS)}
 
-    cfg = ScenarioConfig(
-        name=name, seed=seed, horizon_ns=_ns_from_ms(horizon_ms), mode=mode,
-        sfus=sfus, iot_sfus=iot_sfus, conflicts=conflicts,
-        downstream_bps=downstream_bps, upstream_bps=upstream_bps,
-        prop_delay_ns=prop_delay_ns, air_rate_bps=air_rate_bps,
-        wifi_overhead=overhead, txop_max_ns=txop_max_ns,
-        status_cycle_ns=status_cycle_ns, control_delay_ns=control_delay_ns,
-        alloc_cycle_ns=alloc_cycle_ns, guard_ns=guard_ns,
-        omci_slot_ns=omci_slot_ns, min_slot_ns=min_slot_ns,
-        flows=flows, uplink_bursts=bursts,
-        poll_cycle_ns=poll_cycle_ns, k_miss=k_miss, storm=storm, kill=kill,
-        olt_pipe_ns=olt_pipe_ns,
-        savings_enabled=savings, t_act_idle_ns=t_act_idle_ns,
-        t_idle_sleep_ns=t_idle_sleep_ns,
-        sfu_profile=profile("sfu", _DEFAULT_SFU_WATTS),
-        mfu_profile=profile("mfu", _DEFAULT_MFU_WATTS),
-        ftth_active_w=_num(en.get("ftth_active_w", 13.0), "energy.ftth_active_w",
-                           positive=True),
-        ftth_idle_w=_num(en.get("ftth_idle_w", 12.0), "energy.ftth_idle_w",
-                         positive=True),
-        sleep_buffer_frames=int(_num(en.get("sleep_buffer_frames", 4096),
-                                     "energy.sleep_buffer_frames", positive=True)),
-        proc_mfu_ns=proc_ns["mfu"], proc_sfu_ns=proc_ns["sfu"],
-        sample_rate_sps=int(_num(relay.get("sample_rate_msps", 160),
-                                 "phy_relay.sample_rate_msps", positive=True) * 1e6),
-        bit_width=int(_num(relay.get("bit_width", 24), "phy_relay.bit_width",
-                           positive=True)),
-        relay_buffer_bytes=int(_num(relay.get("buffer_bytes", 10_000_000),
-                                    "phy_relay.buffer_bytes", positive=True)),
-        per_sta_overhead=int(_num(raw.get("per_sta_overhead", 0),
-                                  "per_sta_overhead", nonneg=True)),
-        dump_schedule=_bool(overrides.get("dump_schedule",
-                                          raw.get("dump_schedule", False)),
-                            "dump_schedule"),
-    )
-    return cfg
+_SFU_TABLE = _table({"name": _key("name", check=_str),
+                     "iot_resident": _key("iot_resident", False, check=_bool)})
+_RU_TABLE = _table({"sta": _key("sta", None, check=_str),
+                    "bytes": _key("bytes", convert=int, ge=0)})
+# unset timings keep the WifiOverhead and PowerProfile defaults
+_WIFI_FIELDS = {
+    "difs_ns": _key("wifi.difs_us", _OMIT, _us, ge=0),
+    "sifs_ns": _key("wifi.sifs_us", _OMIT, _us, ge=0),
+    "slot_ns": _key("wifi.slot_us", _OMIT, _us, ge=0),
+    "cw_min": _key("wifi.cw_min", _OMIT, int),
+    "cw_max": _key("wifi.cw_max", _OMIT, int),
+    "preamble_ns": _key("wifi.preamble_us", _OMIT, _us, ge=0),
+    "ack_ns": _key("wifi.ack_us", _OMIT, _us, ge=0)}
+_PROFILE_TABLE = _table({
+    "watts": _key("watts", {}, check=_watts),
+    "wake_light_ns": _key("wake_light_ms", _OMIT, _ms),
+    "wake_deep_ns": _key("wake_deep_ms", _OMIT, _ms),
+    "t_listen_ns": _key("t_listen_ms", _OMIT, _ms)})
+
+
+@dataclass
+class FlowSpec:
+    name: str = _key("name", None, check=_str)   # None until parsed: flow<i>
+    dst: str = _key("dst", check=_str)           # target SFU
+    service_class: str = _key("service_class", "video",
+                              check=_one_of(SERVICE_CLASSES))
+    priority: int = _key("priority", 4, int, ge=0, le=7)
+    size_bytes: int = _key("size_bytes", convert=int, gt=0, le=MAX_FRAME_BYTES)
+    model: str = _key("model", "constant_rate", check=_one_of(ARRIVAL_MODELS))
+    rate_mbps: float = _key("rate_mbps", 0.0, ge=0)
+    on_ms: float = _key("on_ms", 0.0, ge=0)
+    off_ms: float = _key("off_ms", 0.0, ge=0)
+    count: int = _key("count", 0, int, ge=0)
+    interval_us: float = _key("interval_us", 0.0, ge=0)
+    start_ms: float = _key("start_ms", 0.0, ge=0)
+    stop_ms: float | None = _key("stop_ms", None, ge=0)
+
+
+@dataclass
+class UplinkBurstSpec:
+    sfu: str = _key("sfu", check=_str)
+    period_us: float = _key("period_us", gt=0)
+    air_duration_us: float = _key("air_duration_us", gt=0)
+    # (station, bytes); a station is None until parsed: sta<j>
+    rus: list[tuple[str, int]] = _key("rus", [],
+                                      check=_items(_entry(_RU_TABLE)))
+    start_ms: float = _key("start_ms", 0.0, ge=0)
+    coordinated: bool = _key("coordinated", True, check=_bool)
+
+
+@dataclass
+class KillSpec:
+    sfu: str = _key("sfu", check=_str)
+    at_ms: float = _key("at_ms", ge=0)
+    recover_ms: float | None = _key("recover_ms", None)
+
+
+@dataclass
+class StormSpec:
+    count: int = _key("count", convert=int, gt=0)
+    # None until parsed: every SFU
+    targets: list[str] = _key("targets", None,
+                              check=_items(_str, nonempty=True))
+    # 16-bit OMCI fields; the content length also counts the two routing
+    # bytes
+    entity_class: int = _key("entity_class", 100, int, ge=0, le=0xFFFF)
+    content_bytes: int = _key("content_bytes", 8, int, ge=0, le=0xFFFF - 2)
+
+
+@dataclass
+class ScenarioConfig:
+    name: str = _key("name", "scenario", check=_str)
+    seed: int = _key("seed", 1, int)
+    horizon_ns: int = _key("horizon_ms", convert=_ms, gt=0)
+    mode: SchedulerMode = _key("mode", "centralized", SchedulerMode, _one_of(
+        tuple(m.value for m in SchedulerMode)))
+    # (name, IoT-resident) entries until parsed
+    sfus: list[str] = _key("topology.sfus",
+                           check=_items(_entry(_SFU_TABLE), nonempty=True))
+    iot_sfus: set[str]
+    conflicts: list[tuple[str, str]] = _key("topology.conflicts", [],
+                                            check=_items(_pair))
+    downstream_bps: int = _key("optical.downstream_gbps", 1.0, _giga, gt=0)
+    upstream_bps: int = _key("optical.upstream_gbps", 1.0, _giga, gt=0)
+    prop_delay_ns: int = _key("optical.prop_delay_ns", 50, int, ge=0)
+    air_rate_bps: int = _key("wifi.air_rate_mbps", 1200.0, _mega, gt=0)
+    wifi_overhead: WifiOverhead
+    txop_max_ns: int = _key("wifi.txop_max_us", 2400, _us, gt=0)
+    status_cycle_ns: int = _key("control.status_cycle_us", 5000, _us, gt=0)
+    control_delay_ns: int = _key("control.control_delay_us", 5, _us, ge=0)
+    alloc_cycle_ns: int = _key("control.alloc_cycle_us", 250, _us, gt=0)
+    guard_ns: int = _key("control.guard_ns", 100, int, ge=0)
+    omci_slot_ns: int = _key("control.omci_slot_us", 10, _us, gt=0)
+    min_slot_ns: int = _key("control.min_slot_us", 5, _us, gt=0)
+    flows: list[FlowSpec] = _key("flows", [], check=_items(_spec(FlowSpec)))
+    uplink_bursts: list[UplinkBurstSpec] = _key(
+        "uplink_bursts", [], check=_items(_spec(UplinkBurstSpec)))
+    poll_cycle_ns: int = _key("management.poll_cycle_ms", 1000, _ms, gt=0)
+    k_miss: int = _key("management.k_miss", 2, int, gt=0)
+    storm: StormSpec | None = _key("management.storm", None,
+                                   check=_spec(StormSpec))
+    kill: KillSpec | None = _key("management.kill", None,
+                                 check=_spec(KillSpec))
+    olt_pipe_ns: int = _key("management.olt_pipe_us", 20, _us, ge=0)
+    savings_enabled: bool = _key("energy.savings_enabled", True, check=_bool)
+    t_act_idle_ns: int = _key("energy.t_act_idle_ms", 100, _ms, gt=0)
+    t_idle_sleep_ns: int = _key("energy.t_idle_sleep_ms", 10_000, _ms, gt=0)
+    sfu_profile: PowerProfile = _key("energy.sfu", {},
+                                     check=_profile(_DEFAULT_SFU_WATTS))
+    mfu_profile: PowerProfile = _key("energy.mfu", {},
+                                     check=_profile(_DEFAULT_MFU_WATTS))
+    ftth_active_w: float = _key("energy.ftth_active_w", 13.0, gt=0)
+    ftth_idle_w: float = _key("energy.ftth_idle_w", 12.0, gt=0)
+    sleep_buffer_frames: int = _key("energy.sleep_buffer_frames", 4096, int,
+                                    gt=0)
+    # absent: the mode's PROCESSING_NS
+    proc_mfu_ns: int = _key("processing.mfu_us", _OMIT, _us, ge=0)
+    proc_sfu_ns: int = _key("processing.sfu_us", _OMIT, _us, ge=0)
+    sample_rate_sps: int = _key("phy_relay.sample_rate_msps", 160, _mega,
+                                gt=0)
+    bit_width: int = _key("phy_relay.bit_width", 24, int, gt=0)
+    relay_buffer_bytes: int = _key("phy_relay.buffer_bytes", 10_000_000, int,
+                                   gt=0)
+    per_sta_overhead: int = _key("per_sta_overhead", 0, int, ge=0)
+    dump_schedule: bool = _key("dump_schedule", False, check=_bool)
+
+
+_SCENARIO_TABLE = _table({**_keyed(ScenarioConfig), **_WIFI_FIELDS})
+
+
+def load_scenario(path: str | Path, overrides: dict | None = None) -> ScenarioConfig:
+    try:
+        raw = yaml.safe_load(Path(path).read_text())
+    except yaml.YAMLError as exc:
+        raise ConfigError("<root>", f"malformed YAML: {exc}") from None
+    return parse_scenario(raw, overrides)
+
+
+def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
+    """The checked config of the scenario mapping `raw`. `overrides` may
+    replace `seed`, `mode`, `dump_schedule` and, as `duration_ms`,
+    `horizon_ms`."""
+    raw = {**_mapping(raw, "<root>"),
+           **{"horizon_ms" if k == "duration_ms" else k: v
+              for k, v in (overrides or {}).items()}}
+    args = _read(raw, "", _SCENARIO_TABLE)
+    overhead = WifiOverhead(**{k: args.pop(k) for k in _WIFI_FIELDS
+                               if k in args})
+    try:
+        overhead.validate()
+    except ValueError as exc:
+        raise ConfigError("wifi", str(exc)) from None
+    proc_ns = PROCESSING_NS[args["mode"]]
+    args.setdefault("proc_mfu_ns", proc_ns["mfu"])
+    args.setdefault("proc_sfu_ns", proc_ns["sfu"])
+
+    entries = args.pop("sfus")
+    sfus = [name for name, _ in entries]
+    if len(set(sfus)) != len(sfus):
+        raise ConfigError("topology.sfus", "duplicate SFU names")
+    sfu = _one_of(tuple(sfus))
+    for i, (a, b) in enumerate(args["conflicts"]):
+        if sfu(a, p := f"topology.conflicts[{i}]") == sfu(b, p):
+            raise ConfigError(p, "self-conflict")
+    names = set()
+    for i, f in enumerate(args["flows"]):
+        p = f"flows[{i}]"
+        sfu(f.dst, f"{p}.dst")
+        # the interarrival time divides by the rate in whole bit/s
+        if f.model != "batch" and int(f.rate_mbps * 1e6) <= 0:
+            raise ConfigError(f"{p}.rate_mbps",
+                              f"{f.model} flow needs at least 1 bit/s")
+        if f.model == "on_off" and f.on_ms <= 0:
+            raise ConfigError(f"{p}.on_ms", "on_off flow needs on_ms > 0")
+        if f.model == "batch" and f.count <= 0:
+            raise ConfigError(f"{p}.count", "batch flow needs count > 0")
+        if f.name is None:
+            f.name = f"flow{i}"
+        # flows are keyed by name in the run and in flows.csv
+        if f.name in names:
+            raise ConfigError(f"{p}.name", f"duplicate name {f.name!r}")
+        names.add(f.name)
+    for i, b in enumerate(args["uplink_bursts"]):
+        sfu(b.sfu, f"uplink_bursts[{i}].sfu")
+        b.rus = [(f"sta{j}" if sta is None else sta, nbytes)
+                 for j, (sta, nbytes) in enumerate(b.rus)]
+    storm, kill = args["storm"], args["kill"]
+    if storm is not None:
+        if storm.targets is None:
+            storm.targets = list(sfus)
+        for t in storm.targets:
+            sfu(t, "management.storm.targets")
+    if kill is not None:
+        sfu(kill.sfu, "management.kill.sfu")
+        if kill.recover_ms is not None and kill.recover_ms < kill.at_ms:
+            raise ConfigError("management.kill.recover_ms",
+                              f"earlier than at_ms {kill.at_ms}")
+    return ScenarioConfig(**args, sfus=sfus, wifi_overhead=overhead,
+                          iot_sfus={name for name, iot in entries if iot})

@@ -129,3 +129,11 @@ def test_malformed_yaml_exits_2(tmp_path, capsys):
     assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
     assert main(["validate", str(bad)]) == 2
     assert "malformed YAML" in capsys.readouterr().err
+
+
+def test_validate_rejects_nan_horizon(tmp_path, capsys):
+    # YAML reads .nan as a float; it used to raise a raw ValueError
+    bad = tmp_path / "nan.yaml"
+    bad.write_text("horizon_ms: .nan\ntopology: {sfus: [a]}\n")
+    assert main(["validate", str(bad)]) == 2
+    assert "horizon_ms" in capsys.readouterr().err

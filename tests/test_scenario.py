@@ -159,6 +159,7 @@ def test_overrides_take_precedence():
     assert cfg.horizon_ns == 5_000_000
 
 
+NAN = float("nan")
 FLOW = {"dst": "a", "size_bytes": 100, "rate_mbps": 1}
 BURST = {"sfu": "a", "period_us": 1000, "air_duration_us": 10,
          "rus": [{"sta": "s", "bytes": 100}]}
@@ -196,10 +197,45 @@ BURST = {"sfu": "a", "period_us": 1000, "air_duration_us": 10,
     ({"energy": {"sfu": {"wake_light_ms": "x"}}}, "energy.sfu.wake_light_ms"),
     ({"energy": {"sfu": {"t_listen_ms": 0}}}, "energy.sfu"),
     ({"processing": {"mfu_us": "x"}}, "processing.mfu_us"),
+    # not lists
+    ({"flows": 5}, "flows"),
+    ({"flows": "ab"}, "flows"),
+    ({"uplink_bursts": 5}, "uplink_bursts"),
+    ({"topology": {"sfus": 5}}, "topology.sfus"),
+    ({"topology": {"sfus": "ab"}}, "topology.sfus"),
+    ({"topology": {"sfus": {"a": 1}}}, "topology.sfus"),
+    ({"topology": {"sfus": ["a", "b"], "conflicts": 5}}, "topology.conflicts"),
+    ({"uplink_bursts": [{**BURST, "rus": 5}]}, "uplink_bursts[0].rus"),
+    ({"management": {"storm": {"count": 2, "targets": "ab"}}},
+     "management.storm.targets"),
+    # not finite
+    ({"horizon_ms": NAN}, "horizon_ms"),
+    ({"flows": [{**FLOW, "rate_mbps": float("inf")}]}, "flows[0].rate_mbps"),
+    ({"flows": [{**FLOW, "stop_ms": NAN}]}, "flows[0].stop_ms"),
+    ({"management": {"kill": {"sfu": "a", "at_ms": NAN}}},
+     "management.kill.at_ms"),
+    ({"control": {"alloc_cycle_us": NAN}}, "control.alloc_cycle_us"),
+    ({"energy": {"sfu": {"watts": {"active": NAN}}}},
+     "energy.sfu.watts.active"),
+    # names that are not strings
+    ({"topology": {"sfus": [{"name": ["x"]}]}}, "topology.sfus[0].name"),
+    ({"flows": [{**FLOW, "name": ["x"]}]}, "flows[0].name"),
+    # keys the schema does not know
+    ({"energy": {"savings_enabeld": False}}, "energy.savings_enabeld"),
+    ({"horizon": 5}, "horizon"),
+    ({"wifi": {"difs": 30}}, "wifi.difs"),
+    ({"flows": [{**FLOW, "rate": 1}]}, "flows[0].rate"),
+    ({"topology": {"sfus": ["a", {"name": "b", "iot": True}]}},
+     "topology.sfus[1].iot"),
+    ({"uplink_bursts": [{**BURST, "rus": [{"bytes": 1, "mcs": 7}]}]},
+     "uplink_bursts[0].rus[0].mcs"),
+    ({"management": {"storm": {"count": 2, "target": ["a"]}}},
+     "management.storm.target"),
+    ({"energy": {"mfu": {"wake_light": 5}}}, "energy.mfu.wake_light"),
 ])
 def test_malformed_fields_rejected_with_path(extra, path):
     # each used to raise a raw exception while parsing or running, or was
-    # accepted and misread
+    # accepted and misread or ignored
     with pytest.raises(ConfigError) as exc:
         parse_scenario(minimal(**extra))
     assert exc.value.path == path
@@ -214,3 +250,16 @@ def test_largest_frame_and_equal_kill_times_accepted():
     assert cfg.flows[0].size_bytes == 65520
     assert cfg.kill.recover_ms == cfg.kill.at_ms == 3
     assert cfg.storm.entity_class == 65535
+
+
+def test_every_scenario_key_is_documented():
+    from fttrsim import scenario as sc
+    doc = (SCENARIO_DIR.parent / "docs" / "FORMATS.md").read_text()
+    doc = doc[doc.index("## Scenario file"):doc.index("## summary.json")]
+    tables = [sc._SCENARIO_TABLE, sc._SFU_TABLE, sc._RU_TABLE,
+              sc._PROFILE_TABLE] + [
+        sc._table(sc._keyed(cls)) for cls in (sc.FlowSpec, sc.UplinkBurstSpec,
+                                              sc.StormSpec, sc.KillSpec)]
+    for rows, _ in tables:
+        for row in rows:
+            assert f"| `{row[1]}` |" in doc, row[1]
