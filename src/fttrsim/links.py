@@ -95,7 +95,6 @@ class InterferenceGraph:
 @dataclass
 class OpticalLink:
     downstream_bps: int
-    upstream_bps: int
     prop_delay_ns: dict[str, int] = field(default_factory=dict)
 
     def downstream_ser_ns(self, nbytes: int) -> int:

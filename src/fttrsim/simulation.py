@@ -282,7 +282,7 @@ class Simulation:
             self.graph.add_node(s)
         for a, b in cfg.conflicts:
             self.graph.add_edge(a, b)
-        self.optical = OpticalLink(cfg.downstream_bps, cfg.upstream_bps,
+        self.optical = OpticalLink(cfg.downstream_bps,
                                    {s: cfg.prop_delay_ns for s in cfg.sfus})
         self.sfus: dict[str, SfuSim] = {}
         for s in cfg.sfus:

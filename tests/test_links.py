@@ -48,5 +48,5 @@ def test_neighbors():
 
 
 def test_optical_serialization():
-    link = OpticalLink(1_000_000_000, 2_000_000_000, {})
+    link = OpticalLink(1_000_000_000, {})
     assert link.downstream_ser_ns(125) == 1000
