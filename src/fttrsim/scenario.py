@@ -32,20 +32,20 @@ ARRIVAL_MODELS = ("constant_rate", "on_off", "batch")
 MAX_FRAME_BYTES = FEM_MAX_PAYLOAD - APDU_OVERHEAD
 
 _DEFAULT_SFU_WATTS = {
-    PowerState.ACTIVE: 4.5,
-    PowerState.IDLE: 3.0,
-    PowerState.REDUCED_TX: 2.5,
-    PowerState.RF_OFF: 2.0,
-    PowerState.LIGHT_SLEEP: 1.0,
-    PowerState.DEEP_SLEEP: 0.3,
-}
+    PowerState.ACTIVE: 4.5, PowerState.IDLE: 3.0, PowerState.REDUCED_TX: 2.5,
+    PowerState.RF_OFF: 2.0, PowerState.LIGHT_SLEEP: 1.0,
+    PowerState.DEEP_SLEEP: 0.3}
 _DEFAULT_MFU_WATTS = {PowerState.ACTIVE: 8.0, PowerState.IDLE: 6.0}
 
 
-def _num(value, path: str, gt=None, ge=None, le=None):
+def _num(value, path: str):
     if (not isinstance(value, (int, float)) or isinstance(value, bool)
             or not math.isfinite(value)):
         raise ConfigError(path, f"expected a finite number, got {value!r}")
+    return value
+
+
+def _bound(value, path: str, gt=None, ge=None, le=None):
     if gt is not None and value <= gt:
         raise ConfigError(path, f"must be > {gt}, got {value}")
     if ge is not None and value < ge:
@@ -94,14 +94,12 @@ def _pair(value, path: str) -> tuple:
     return tuple(value)
 
 
-def _per(factor, rounded=False):
+def _per(factor, rounding=int):
     """Conversion to whole units, `factor` of them per unit given."""
-    if rounded:
-        return lambda v: int(round(v * factor))
-    return lambda v: int(v * factor)
+    return lambda v: int(rounding(v * factor))
 
 
-_ms, _us = _per(1_000_000, True), _per(1_000, True)   # to nanoseconds
+_ms, _us = _per(1_000_000, round), _per(1_000, round)   # to nanoseconds
 _giga, _mega = _per(1e9), _per(1e6)
 
 
@@ -112,9 +110,10 @@ _OMIT = object()       # when the key is absent the constructor's default holds
 
 def _key(key: str, default=_REQUIRED, convert=None, check=_num, **bounds):
     """A field read from scenario `key`, dotted below the section it is read
-    from. `default` is in the key's unit; `check(value, path, **bounds)`
-    accepts the value and `convert` turns it into the field's unit. A None
-    default is kept as is, and so is a None value where it is the default."""
+    from. `default` is in the key's unit; `check(value, path)` accepts the
+    value, `convert` turns it into the field's value, and that value must
+    lie within `bounds` (see `_bound`). A None default is kept as is, and
+    so is a None value where it is the default."""
     return field(metadata={_KEY: (key, default, check, convert, bounds)})
 
 
@@ -138,8 +137,8 @@ def _keyed(cls) -> dict:
 
 def _read(section, path: str, table: tuple) -> dict:
     """Arguments for `table` read from the mapping `section` found at
-    `path`: unknown and missing keys are rejected, each value is checked
-    and converted to its field's unit."""
+    `path`: unknown and missing keys are rejected, each value is checked,
+    converted to its field's unit and held to its bounds."""
     rows, known = table
     nodes = {}
     for prefix, keys in known.items():
@@ -155,13 +154,15 @@ def _read(section, path: str, table: tuple) -> dict:
         value = nodes[prefix].get(leaf, default)
         if value is _OMIT:
             continue
-        if value is _REQUIRED:
-            raise ConfigError(f"{path}.{key}" if path else key,
-                              "required field missing")
         if value is not None or default is not None:
-            value = check(value, f"{path}.{key}" if path else key, **bounds)
+            where = f"{path}.{key}" if path else key
+            if value is _REQUIRED:
+                raise ConfigError(where, "required field missing")
+            value = check(value, where)
             if convert is not None:
                 value = convert(value)
+            if bounds:
+                _bound(value, where, **bounds)
         args[name] = value
     return args
 
@@ -173,8 +174,8 @@ def _spec(cls):
 
 
 def _entry(table: tuple):
-    """Check that reads a mapping into the tuple of `table`'s values; a
-    string stands for the mapping of the first key to that string."""
+    """Check that reads a mapping, or a string as its first key's value,
+    into the tuple of `table`'s values."""
     def entry(value, path: str) -> tuple:
         if isinstance(value, str):
             value = {table[0][0][1]: value}
@@ -189,7 +190,7 @@ def _watts(value, path: str) -> dict:
             state = PowerState(name)
         except ValueError:
             raise ConfigError(path, f"unknown state {name!r}") from None
-        watts[state] = _num(w, f"{path}.{name}", gt=0)
+        watts[state] = _bound(_num(w, p := f"{path}.{name}"), p, gt=0)
     return watts
 
 
@@ -394,13 +395,12 @@ def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
         sfu(b.sfu, f"uplink_bursts[{i}].sfu")
         b.rus = [(f"sta{j}" if sta is None else sta, nbytes)
                  for j, (sta, nbytes) in enumerate(b.rus)]
-    storm, kill = args["storm"], args["kill"]
-    if storm is not None:
+    if (storm := args["storm"]) is not None:
         if storm.targets is None:
             storm.targets = list(sfus)
         for t in storm.targets:
             sfu(t, "management.storm.targets")
-    if kill is not None:
+    if (kill := args["kill"]) is not None:
         sfu(kill.sfu, "management.kill.sfu")
         if kill.recover_ms is not None and kill.recover_ms < kill.at_ms:
             raise ConfigError("management.kill.recover_ms",

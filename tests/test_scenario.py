@@ -220,6 +220,10 @@ BURST = {"sfu": "a", "period_us": 1000, "air_duration_us": 10,
     # names that are not strings
     ({"topology": {"sfus": [{"name": ["x"]}]}}, "topology.sfus[0].name"),
     ({"flows": [{**FLOW, "name": ["x"]}]}, "flows[0].name"),
+    # within bounds only before truncation to whole units
+    ({"management": {"k_miss": 0.5}}, "management.k_miss"),
+    ({"flows": [{**FLOW, "size_bytes": 0.5}]}, "flows[0].size_bytes"),
+    ({"horizon_ms": 1e-7}, "horizon_ms"),
     # keys the schema does not know
     ({"energy": {"savings_enabeld": False}}, "energy.savings_enabeld"),
     ({"horizon": 5}, "horizon"),
