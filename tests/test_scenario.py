@@ -32,6 +32,13 @@ def test_defaults_fill_in():
     assert cfg.proc_sfu_ns == 20_000 and cfg.proc_mfu_ns == 0
 
 
+def test_times_round_to_whole_ns_and_rates_truncate_to_whole_bits():
+    cfg = parse_scenario(minimal(horizon_ms=2.0000006,
+                                 wifi={"air_rate_mbps": 1.0000009}))
+    assert cfg.horizon_ns == 2_000_001
+    assert cfg.air_rate_bps == 1_000_000
+
+
 def test_processing_defaults_follow_mode():
     cfg = parse_scenario(minimal(mode="mac_integrated"))
     assert cfg.proc_mfu_ns == 25_000 and cfg.proc_sfu_ns == 0
