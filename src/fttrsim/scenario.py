@@ -385,6 +385,9 @@ def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
             raise ConfigError(f"{p}.on_ms", "on_off flow needs on_ms > 0")
         if f.model == "batch" and f.count <= 0:
             raise ConfigError(f"{p}.count", "batch flow needs count > 0")
+        if f.stop_ms is not None and f.stop_ms < f.start_ms:
+            raise ConfigError(f"{p}.stop_ms",
+                              f"earlier than start_ms {f.start_ms}")
         if f.name is None:
             f.name = f"flow{i}"
         # flows are keyed by name in the run and in flows.csv

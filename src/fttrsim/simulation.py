@@ -360,9 +360,10 @@ class Simulation:
             start = int(flow.start_ms * 1_000_000)
             if flow.model == "batch":
                 interval = int(flow.interval_us * 1000)
+                stop = self.flows[flow.name].stop_ns
                 for k in range(flow.count):
                     t = start + k * interval
-                    if t <= cfg.horizon_ns:
+                    if t <= stop:
                         self.sim.schedule(t, MFU, "flow_arrival", flow.name)
             else:
                 self.sim.schedule(start, MFU, "flow_arrival", flow.name)
@@ -849,6 +850,11 @@ class Simulation:
         cfg = self.cfg
         self._prime()
         digest = self.sim.run_until(cfg.horizon_ns)
+        for name, stats in self.flow_stats.items():
+            if stats.delivered + stats.dropped > stats.offered:
+                raise SimError(
+                    f"flow {name} delivered {stats.delivered} and dropped "
+                    f"{stats.dropped} of {stats.offered} offered frames")
         res = self.results
         res.digest = digest
         for name in cfg.sfus:

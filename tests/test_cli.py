@@ -137,3 +137,16 @@ def test_validate_rejects_nan_horizon(tmp_path, capsys):
     bad.write_text("horizon_ms: .nan\ntopology: {sfus: [a]}\n")
     assert main(["validate", str(bad)]) == 2
     assert "horizon_ms" in capsys.readouterr().err
+
+
+def test_run_exits_3_when_a_flow_delivers_more_than_it_was_offered(
+        tmp_path, monkeypatch, capsys):
+    from fttrsim.simulation import Simulation
+    deliver = Simulation._deliver
+
+    def deliver_twice(self, frame, t):
+        deliver(self, frame, t)
+        deliver(self, frame, t)
+    monkeypatch.setattr(Simulation, "_deliver", deliver_twice)
+    assert main(["run", GOLDEN, "--out", str(tmp_path / "out")]) == 3
+    assert "offered" in capsys.readouterr().err

@@ -179,6 +179,7 @@ BURST = {"sfu": "a", "period_us": 1000, "air_duration_us": 10,
      "management.kill.recover_ms"),
     ({"management": {"kill": {"sfu": "a", "at_ms": 3, "recover_ms": 1}}},
      "management.kill.recover_ms"),
+    ({"flows": [{**FLOW, "start_ms": 5, "stop_ms": 2}]}, "flows[0].stop_ms"),
     ({"flows": [{**FLOW, "size_bytes": 65521}]}, "flows[0].size_bytes"),
     ({"management": {"storm": {"count": 2, "entity_class": 65536}}},
      "management.storm.entity_class"),

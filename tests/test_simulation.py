@@ -34,3 +34,22 @@ def test_frame_on_the_air_at_the_horizon_is_lost(mode, cut_ms):
     res, row = one_frame_run(mode, 8)
     assert (row["offered"], row["delivered"], row["lost"]) == (1, 1, 0)
     assert len(res.activity_spans) == 1
+
+
+def offered_in(flow: dict, horizon_ms: float = 20) -> int:
+    res = run_scenario_config(parse_scenario({
+        "horizon_ms": horizon_ms, "topology": {"sfus": ["a"]},
+        "flows": [{"name": "f", "dst": "a", "size_bytes": 100, **flow}],
+    }))
+    return res.flow_stats["f"].offered
+
+
+def test_batch_flow_stops_at_stop_ms():
+    # arrivals at 0, 1, 2 and 3 ms; the six after stop_ms used to be offered
+    batch = {"model": "batch", "count": 10, "interval_us": 1000}
+    assert offered_in({**batch, "stop_ms": 3}) == 4
+    assert offered_in(batch) == 10
+
+
+def test_flow_starting_at_its_stop_offers_one_frame():
+    assert offered_in({"rate_mbps": 1, "start_ms": 4, "stop_ms": 4}) == 1
