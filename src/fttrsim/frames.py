@@ -24,6 +24,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from enum import IntEnum
+from typing import NamedTuple
 
 SERVICE_CLASSES = ("control", "video", "gaming", "iot", "background")
 # Tie-break order among equal-priority SDUs: control first, background last.
@@ -454,7 +455,9 @@ def pma_wire_len(nbytes: int) -> int:
 OMCI_STANDARD = 0x0A
 OMCI_EXTENDED = 0x0B
 
-OMCI_HEADER = struct.Struct(">HBBHH")
+# header and content length in one struct; the MIC trails the content
+OMCI_HEADER = struct.Struct(">HBBHHH")
+OMCI_MIC = struct.Struct(">I")
 
 
 class OmciType(IntEnum):
@@ -465,8 +468,9 @@ class OmciType(IntEnum):
     ERROR_RESPONSE = 5
 
 
-@dataclass(frozen=True)
-class OmciMessage:
+class OmciMessage(NamedTuple):
+    """Immutable; a tuple rather than a frozen dataclass because the
+    management plane builds several per message."""
     transaction_id: int
     msg_type: int
     entity_class: int
@@ -486,39 +490,38 @@ class OmciMessage:
 
 
 def encode_omci(msg: OmciMessage) -> bytes:
-    if (msg.mfu_port_id is None) != (msg.sfu_id is None):
+    tid, mtype, eclass, einst, content, port, sfu_id = msg
+    if (port is None) != (sfu_id is None):
         raise FrameError("extended form requires both routing bytes")
-    flags = OMCI_EXTENDED if msg.is_extended else OMCI_STANDARD
-    content = msg.content
-    if msg.is_extended:
-        content = content + bytes([msg.mfu_port_id & 0xFF, msg.sfu_id & 0xFF])
+    if port is None:
+        flags = OMCI_STANDARD
+    else:
+        flags = OMCI_EXTENDED
+        content = content + bytes((port & 0xFF, sfu_id & 0xFF))
     if len(content) > 0xFFFF:
         raise OversizeError("OMCI content too long")
-    body = OMCI_HEADER.pack(msg.transaction_id, msg.msg_type, flags,
-                            msg.entity_class, msg.entity_instance)
-    body += struct.pack(">H", len(content)) + content
-    mic = zlib.crc32(body) & 0xFFFFFFFF
-    return body + struct.pack(">I", mic)
+    body = OMCI_HEADER.pack(tid, mtype, flags, eclass, einst,
+                            len(content)) + content
+    return body + OMCI_MIC.pack(zlib.crc32(body))
 
 
 def decode_omci(data: bytes) -> OmciMessage:
+    # sizes written out: 10-byte header, 4-byte MIC
     if len(data) < 14:
         raise FrameError("OMCI message shorter than minimum 14 bytes")
-    tid, mtype, flags, eclass, einst = OMCI_HEADER.unpack(data[:8])
-    content_len, = struct.unpack(">H", data[8:10])
-    if len(data) != 10 + content_len + 4:
+    tid, mtype, flags, eclass, einst, content_len = OMCI_HEADER.unpack_from(
+        data)
+    end = 10 + content_len
+    if len(data) != end + 4:
         raise FrameError(
             f"OMCI framing error: content_len {content_len} vs total {len(data)}")
-    body = data[:10 + content_len]
-    mic, = struct.unpack(">I", data[10 + content_len:])
-    if zlib.crc32(body) & 0xFFFFFFFF != mic:
+    if zlib.crc32(data[:end]) != OMCI_MIC.unpack_from(data, end)[0]:
         raise IntegrityError("OMCI MIC mismatch")
-    content = bytes(data[10:10 + content_len])
     if flags == OMCI_EXTENDED:
         if content_len < 2:
             raise FrameError("extended OMCI content missing routing bytes")
-        return OmciMessage(tid, mtype, eclass, einst, content[:-2],
-                           content[-2], content[-1])
+        return OmciMessage(tid, mtype, eclass, einst, bytes(data[10:end - 2]),
+                           data[end - 2], data[end - 1])
     if flags != OMCI_STANDARD:
         raise FrameError(f"unknown OMCI device flags 0x{flags:02x}")
-    return OmciMessage(tid, mtype, eclass, einst, content)
+    return OmciMessage(tid, mtype, eclass, einst, bytes(data[10:end]))

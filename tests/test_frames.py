@@ -1,5 +1,6 @@
 import random
 import struct
+import zlib
 
 import pytest
 from hypothesis import given, strategies as st
@@ -274,10 +275,26 @@ def test_omci_routing_bytes_come_in_pairs():
         fr.encode_omci(fr.OmciMessage(1, 1, 2, 3, mfu_port_id=1, sfu_id=None))
 
 
+def test_omci_encodings_pinned():
+    msg = fr.OmciMessage(0x1234, fr.OmciType.SET, 257, 5, b"\x00\x01\xfe\xff",
+                         1, 3)
+    assert fr.encode_omci(msg).hex() == (
+        "1234010b0101000500060001feff0103a71e3527")
+    msg = fr.OmciMessage(0xFFFF, fr.OmciType.GET_RESPONSE, 300, 63, b"blob")
+    assert fr.encode_omci(msg).hex() == "ffff040a012c003f0004626c6f6283e36de9"
+
+
+def test_omci_message_is_immutable():
+    msg = fr.OmciMessage(1, fr.OmciType.SET, 2, 3, b"x", 1, 2)
+    with pytest.raises(AttributeError):
+        msg.content = b"y"
+    with pytest.raises(AttributeError):
+        msg.sfu_id = None
+
+
 def test_omci_rejects_unknown_device_flags():
     wire = bytearray(fr.encode_omci(fr.OmciMessage(1, 1, 2, 3)))
     wire[3] = 0x0C
-    import zlib
     body = bytes(wire[:-4])
     wire[-4:] = struct.pack(">I", zlib.crc32(body) & 0xFFFFFFFF)
     with pytest.raises(fr.FrameError):
@@ -307,6 +324,94 @@ def test_omci_roundtrip_property(tid, mtype, eclass, einst, content, route):
     port, sfu = route if route else (None, None)
     msg = fr.OmciMessage(tid, mtype, eclass, einst, content, port, sfu)
     assert fr.decode_omci(fr.encode_omci(msg)) == msg
+
+
+# The OMCI codec as first written, kept as the reference for the
+# single-struct one: a header struct and a length struct, slicing before
+# each unpack.
+_REF_HEADER = struct.Struct(">HBBHH")
+
+
+def reference_encode_omci(msg):
+    if (msg.mfu_port_id is None) != (msg.sfu_id is None):
+        raise fr.FrameError("extended form requires both routing bytes")
+    flags = fr.OMCI_EXTENDED if msg.is_extended else fr.OMCI_STANDARD
+    content = msg.content
+    if msg.is_extended:
+        content = content + bytes([msg.mfu_port_id & 0xFF, msg.sfu_id & 0xFF])
+    if len(content) > 0xFFFF:
+        raise fr.OversizeError("OMCI content too long")
+    body = _REF_HEADER.pack(msg.transaction_id, msg.msg_type, flags,
+                            msg.entity_class, msg.entity_instance)
+    body += struct.pack(">H", len(content)) + content
+    mic = zlib.crc32(body) & 0xFFFFFFFF
+    return body + struct.pack(">I", mic)
+
+
+def reference_decode_omci(data):
+    if len(data) < 14:
+        raise fr.FrameError("OMCI message shorter than minimum 14 bytes")
+    tid, mtype, flags, eclass, einst = _REF_HEADER.unpack(data[:8])
+    content_len, = struct.unpack(">H", data[8:10])
+    if len(data) != 10 + content_len + 4:
+        raise fr.FrameError("OMCI framing error")
+    body = data[:10 + content_len]
+    mic, = struct.unpack(">I", data[10 + content_len:])
+    if zlib.crc32(body) & 0xFFFFFFFF != mic:
+        raise fr.IntegrityError("OMCI MIC mismatch")
+    content = bytes(data[10:10 + content_len])
+    if flags == fr.OMCI_EXTENDED:
+        if content_len < 2:
+            raise fr.FrameError("extended OMCI content missing routing bytes")
+        return fr.OmciMessage(tid, mtype, eclass, einst, content[:-2],
+                              content[-2], content[-1])
+    if flags != fr.OMCI_STANDARD:
+        raise fr.FrameError(f"unknown OMCI device flags 0x{flags:02x}")
+    return fr.OmciMessage(tid, mtype, eclass, einst, content)
+
+
+def outcome(fn, *args):
+    """What `fn(*args)` gives: its result, or the class of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+_omci_messages = st.builds(
+    fr.OmciMessage,
+    st.integers(0, 0xFFFF), st.sampled_from(list(fr.OmciType)),
+    st.integers(0, 0xFFFF), st.integers(0, 0xFFFF), st.binary(max_size=40),
+    st.one_of(st.none(), st.integers(0, 0xFFFF)),
+    st.one_of(st.none(), st.integers(0, 0xFFFF)))
+
+
+@given(msg=_omci_messages, pos=st.integers(0), xor=st.integers(1, 255),
+       junk=st.binary(max_size=60))
+def test_omci_codec_matches_reference(msg, pos, xor, junk):
+    wire = outcome(fr.encode_omci, msg)
+    assert wire == outcome(reference_encode_omci, msg)
+    if isinstance(wire, bytes):
+        assert fr.decode_omci(wire) == reference_decode_omci(wire)
+        bad = bytearray(wire)
+        bad[pos % len(bad)] ^= xor  # a single corrupted byte
+        bad = bytes(bad)
+        assert outcome(fr.decode_omci, bad) == outcome(reference_decode_omci,
+                                                       bad)
+        # the same corruption under a valid MIC reaches the later checks
+        sealed = bad[:-4] + struct.pack(">I", zlib.crc32(bad[:-4]))
+        assert outcome(fr.decode_omci, sealed) == outcome(
+            reference_decode_omci, sealed)
+    assert outcome(fr.decode_omci, junk) == outcome(reference_decode_omci,
+                                                    junk)
+
+
+@pytest.mark.parametrize("content_len,route", [
+    (0xFFFF, (None, None)), (0xFFFD, (1, 2)), (0xFFFE, (1, 2)),
+    (0x10000, (None, None))])
+def test_omci_content_length_limit_matches_reference(content_len, route):
+    msg = fr.OmciMessage(1, fr.OmciType.SET, 2, 3, bytes(content_len), *route)
+    assert outcome(fr.encode_omci, msg) == outcome(reference_encode_omci, msg)
 
 
 @given(data=st.binary(min_size=1, max_size=1000))
