@@ -44,12 +44,11 @@ def offered_in(flow: dict, horizon_ms: float = 20) -> int:
     return res.flow_stats["f"].offered
 
 
-def test_batch_flow_stops_at_stop_ms():
-    # arrivals at 0, 1, 2 and 3 ms; the six after stop_ms used to be offered
+def test_stop_ms_bounds_arrivals():
+    # batch arrivals at 0, 1, 2 and 3 ms; the six after stop_ms used to be
+    # offered
     batch = {"model": "batch", "count": 10, "interval_us": 1000}
     assert offered_in({**batch, "stop_ms": 3}) == 4
     assert offered_in(batch) == 10
-
-
-def test_flow_starting_at_its_stop_offers_one_frame():
+    # a flow may stop when it starts: it offers its first frame only
     assert offered_in({"rate_mbps": 1, "start_ms": 4, "stop_ms": 4}) == 1
