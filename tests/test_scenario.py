@@ -179,7 +179,6 @@ BURST = {"sfu": "a", "period_us": 1000, "air_duration_us": 10,
      "management.kill.recover_ms"),
     ({"management": {"kill": {"sfu": "a", "at_ms": 3, "recover_ms": 1}}},
      "management.kill.recover_ms"),
-    ({"flows": [{**FLOW, "start_ms": 5, "stop_ms": 2}]}, "flows[0].stop_ms"),
     ({"flows": [{**FLOW, "size_bytes": 65521}]}, "flows[0].size_bytes"),
     ({"management": {"storm": {"count": 2, "entity_class": 65536}}},
      "management.storm.entity_class"),
@@ -244,6 +243,8 @@ BURST = {"sfu": "a", "period_us": 1000, "air_duration_us": 10,
     ({"management": {"storm": {"count": 2, "target": ["a"]}}},
      "management.storm.target"),
     ({"energy": {"mfu": {"wake_light": 5}}}, "energy.mfu.wake_light"),
+    # a flow that would stop before it starts
+    ({"flows": [{**FLOW, "start_ms": 5, "stop_ms": 2}]}, "flows[0].stop_ms"),
 ])
 def test_malformed_fields_rejected_with_path(extra, path):
     # each used to raise a raw exception while parsing or running, or was
