@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 from fttrsim.cli import main
+from fttrsim.simulation import Simulation
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = str(ROOT / "scenarios" / "golden.yaml")
@@ -141,7 +142,6 @@ def test_validate_rejects_nan_horizon(tmp_path, capsys):
 
 def test_run_exits_3_when_a_flow_delivers_more_than_it_was_offered(
         tmp_path, monkeypatch, capsys):
-    from fttrsim.simulation import Simulation
     deliver = Simulation._deliver
 
     def deliver_twice(self, frame, t):

@@ -36,9 +36,10 @@ def test_frame_on_the_air_at_the_horizon_is_lost(mode, cut_ms):
     assert len(res.activity_spans) == 1
 
 
-def offered_in(flow: dict, horizon_ms: float = 20) -> int:
+def offered_in(flow: dict) -> int:
+    """Frames offered by one flow `flow` to room `a` in a 20 ms run."""
     res = run_scenario_config(parse_scenario({
-        "horizon_ms": horizon_ms, "topology": {"sfus": ["a"]},
+        "horizon_ms": 20, "topology": {"sfus": ["a"]},
         "flows": [{"name": "f", "dst": "a", "size_bytes": 100, **flow}],
     }))
     return res.flow_stats["f"].offered
