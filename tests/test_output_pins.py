@@ -11,6 +11,13 @@ commit, and says in CHANGES.md which numbers moved.
 events are scheduled, which moves the digest and the event counts but not
 what the model computes, leaves these unchanged.
 
+`RUN_PINS` holds, for small scenario dicts that reach what no shipped
+scenario does (a rejected transition, a wake from deep sleep, an
+Unresponsive alarm, a storm over several rooms, bursts with and without
+forwarding delay), the sha256 of `summary.json`, `flows.csv`,
+`schedule.log` and `repr(res.events)`, the sleep/wake/alarm log that no
+file holds.
+
 `golden` and `ofdma_uplink_burst` have no `phy_relay` pin: in that mode
 their relayed bursts are longer than the room between two OMCI windows,
 and the run ends with `SimError` (see `tests/test_cli.py`).
@@ -21,8 +28,10 @@ from pathlib import Path
 
 import pytest
 
-from fttrsim.metrics import build_summary, flow_table_bytes, summary_bytes
-from fttrsim.scenario import load_scenario
+from fttrsim.energy import PowerState
+from fttrsim.metrics import (build_summary, flow_table_bytes,
+                             schedule_dump_bytes, summary_bytes)
+from fttrsim.scenario import load_scenario, parse_scenario
 from fttrsim.simulation import run_scenario_config
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -228,3 +237,108 @@ def test_model_outputs_match_pin(name, mode):
     summary["counters"] = {k: v for k, v in summary["counters"].items()
                            if not k.startswith("events_")}
     assert (_sha(summary_bytes(summary)), _sha(flows_csv)) == MODEL_PINS[name, mode]
+
+
+# Four rooms, one IoT-resident, with sleep timers of a few ms: all three
+# others go to light sleep and get the deep-sleep command at 4.0 ms; `poke`
+# wakes `a` before the command reaches it (a rejected transition), `late`
+# and `tick` wake `b` and `c` from deep sleep. `c` is killed while it
+# sleeps, so it raises Unresponsive only once it is woken.
+SLEEP_RUN = {
+    "name": "sleep_deep_wake", "seed": 3, "horizon_ms": 60,
+    "topology": {"sfus": ["a", "b", "c", {"name": "s", "iot_resident": True}]},
+    "control": {"control_delay_us": 400, "status_cycle_us": 500},
+    "flows": [
+        {"name": "early", "dst": "a", "size_bytes": 1500, "model": "batch",
+         "count": 5, "interval_us": 200},
+        {"name": "late", "dst": "b", "size_bytes": 1000, "model": "batch",
+         "count": 4, "interval_us": 300, "start_ms": 30},
+        {"name": "poke", "dst": "a", "size_bytes": 800, "model": "batch",
+         "count": 1, "start_ms": 4.2},
+        {"name": "tick", "dst": "c", "size_bytes": 300, "rate_mbps": 0.05,
+         "start_ms": 1},
+    ],
+    "management": {"poll_cycle_ms": 2, "kill": {"sfu": "c", "at_ms": 10}},
+    "energy": {"savings_enabled": True, "t_act_idle_ms": 1,
+               "t_idle_sleep_ms": 2,
+               "sfu": {"wake_light_ms": 1, "wake_deep_ms": 3,
+                       "t_listen_ms": 4}},
+}
+
+# A 200-message storm over three rooms, one of them killed from 5 to 25 ms,
+# under downlink traffic and coordinated (zero delay) and uncoordinated
+# (positive delay) uplink bursts.
+STORM_RUN = {
+    "name": "storm_kill_bursts", "seed": 4, "horizon_ms": 40,
+    "topology": {"sfus": ["a", "b", "c"], "conflicts": [["a", "b"]]},
+    "flows": [{"name": "f", "dst": "a", "size_bytes": 1200, "rate_mbps": 20}],
+    "uplink_bursts": [
+        {"sfu": "a", "period_us": 700, "air_duration_us": 30,
+         "rus": [{"bytes": 3000}, {"bytes": 1000}]},
+        {"sfu": "b", "period_us": 900, "air_duration_us": 45, "start_ms": 0.3,
+         "coordinated": False, "rus": [{"bytes": 2000}]},
+    ],
+    "management": {"poll_cycle_ms": 2,
+                   "storm": {"count": 200, "targets": ["a", "b", "c"],
+                             "content_bytes": 12},
+                   "kill": {"sfu": "c", "at_ms": 5, "recover_ms": 25}},
+    "energy": {"savings_enabled": False},
+}
+
+RUNS = {"sleep_deep_wake": SLEEP_RUN, "storm_kill_bursts": STORM_RUN}
+
+# (run, mode) -> sha256 of (summary.json, flows.csv, schedule.log,
+# repr(res.events))
+RUN_PINS = {
+    ("sleep_deep_wake", "centralized"): (
+        "38ee21ec1ac15c6ebb986961a19445561fdff6ac2222469ed09983c3c96c3d38",
+        "27aecd51dd70386d137bfec2c892ec1dd632f87f6158fb4c2ce9fe6674369350",
+        "892c821164400eb8e3d2658fe6aa441a47114021391f6a0adfbcd64b9896ae15",
+        "cedc33483c33c242472cae377c9cde6c2813bf9bae93c29876e87a929af587f3"),
+    ("sleep_deep_wake", "distributed"): (
+        "eee4c6f17bf3f5347e0b91d17587cd729e23085686dd3efc3f1c6add9459dc8e",
+        "b167da573fddcff0ad3b23c7c580314be325799ca8cb4ca5ad3165e7d56dc025",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "cedc33483c33c242472cae377c9cde6c2813bf9bae93c29876e87a929af587f3"),
+    ("storm_kill_bursts", "centralized"): (
+        "221df843b905afd97f0ad4b8ebbc9d30130a115fda434baa51da57043da09aae",
+        "bafe1e01724777eeb67776754f779c4a1344c72e29e6721eb274fac85bc9518e",
+        "735bba9af8be25dcb6c973b12f656cbe71b2b767fb2382a2def8930418390845",
+        "807d1a52a71632bc5e71f35debe371ee29c4206362cc27ee95fb7f6e4c1ba615"),
+    ("storm_kill_bursts", "phy_relay"): (
+        "7f543c6ae86d2572d8015e1cde58536cbaaa36a365c19aa0b6665a49c739ae38",
+        "c9a49b2224e9ff53cbbbbace35a10d593285152029794a1e968cc12f87e90b5f",
+        "a5950ef314d3bf66537237158b2727f89885a9b229021a216a4cddffdeebccde",
+        "807d1a52a71632bc5e71f35debe371ee29c4206362cc27ee95fb7f6e4c1ba615"),
+}
+
+
+def _run(name: str, mode: str):
+    return run_scenario_config(parse_scenario(RUNS[name], {"mode": mode}))
+
+
+@pytest.mark.parametrize("name,mode", sorted(RUN_PINS))
+def test_run_outputs_match_pin(name, mode):
+    res = _run(name, mode)
+    summary = build_summary(res)
+    got = (_sha(summary_bytes(summary)), _sha(flow_table_bytes(summary)),
+           _sha(schedule_dump_bytes(res)), _sha(repr(res.events).encode()))
+    assert got == RUN_PINS[name, mode]
+
+
+def test_run_pins_reach_what_the_shipped_pins_miss():
+    for name, mode in RUN_PINS:
+        assert RUNS[name]["name"] == name
+    sleep = _run("sleep_deep_wake", "centralized")
+    kinds = [kind for _, kind, _ in sleep.events]
+    assert "deep_sleep_command" in kinds
+    assert sleep.rejected_transitions > 0
+    # a deep-sleep interval that ends before the horizon ends in a wake
+    assert any(state == PowerState.DEEP_SLEEP and end < 60_000_000
+               for ledger in sleep.ledgers.values()
+               for state, _, end in ledger.records)
+    storm = _run("storm_kill_bursts", "centralized")
+    assert any(a.kind.value == "Unresponsive" for a in storm.alarms)
+    assert len(set(STORM_RUN["management"]["storm"]["targets"])) >= 2
+    delays = [b.forwarding_delay_ns for b in storm.bursts]
+    assert 0 in delays and max(delays) > 0
