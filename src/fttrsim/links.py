@@ -1,5 +1,5 @@
-"""Physical-medium models: the P2MP optical distribution network and the
-Wi-Fi air interface (cells, overhead parameters, conflict graph).
+"""Physical-medium models of the Wi-Fi air interface (cells, overhead
+parameters, conflict graph).
 
 The Wi-Fi model works at transaction granularity: one transmission occupies
 the medium for preamble + payload serialization + SIFS + ACK. Interference
@@ -10,7 +10,7 @@ and the arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .engine import transmit_time_ns
 
@@ -91,11 +91,3 @@ class InterferenceGraph:
             comps.append(sorted(comp))
         return comps
 
-
-@dataclass
-class OpticalLink:
-    downstream_bps: int
-    prop_delay_ns: dict[str, int] = field(default_factory=dict)
-
-    def downstream_ser_ns(self, nbytes: int) -> int:
-        return transmit_time_ns(nbytes, self.downstream_bps)

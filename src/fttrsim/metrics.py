@@ -83,10 +83,8 @@ def build_summary(res: SimResults) -> dict:
         },
         "uplink": {
             "bursts": len(res.bursts),
-            "max_forwarding_delay_ns": max(
-                (b.forwarding_delay_ns for b in res.bursts), default=0),
-            "total_forwarding_delay_ns": sum(
-                b.forwarding_delay_ns for b in res.bursts),
+            "max_forwarding_delay_ns": max(res.bursts, default=0),
+            "total_forwarding_delay_ns": sum(res.bursts),
             "relay_overflow_drops": res.relay_overflow_drops,
         },
         "energy": {

@@ -21,7 +21,7 @@ from .engine import (Event, Simulator, SimError, SimTime, draw_int,
 from .frames import (APDU_OVERHEAD, FEM_HEADER_LEN, classification_tag,
                      pma_wire_len, OmciMessage, OmciType, encode_omci,
                      decode_omci)
-from .links import WifiCell, InterferenceGraph, OpticalLink
+from .links import WifiCell, InterferenceGraph
 from .scheduling import (SchedulerMode, SfuStatusReport, AirGrant,
                          grant_downlink_airtime, check_grant_overlap,
                          phy_relay_buffer_bytes, phy_relay_slot_ns,
@@ -63,14 +63,6 @@ class CellStats:
 
 
 @dataclass
-class BurstRecord:
-    sfu: str
-    ready_at: int
-    slot_start: int
-    forwarding_delay_ns: int
-
-
-@dataclass
 class SimResults:
     config: ScenarioConfig
     digest: str = ""
@@ -87,7 +79,7 @@ class SimResults:
     olt_received: list[OmciMessage] = field(default_factory=list)
     mibs: dict[str, MibStore] = field(default_factory=dict)
     alarms: list = field(default_factory=list)
-    bursts: list[BurstRecord] = field(default_factory=list)
+    bursts: list[int] = field(default_factory=list)   # forwarding delays, ns
     relay_overflow_drops: int = 0
     sleep_drops: int = 0
     events: list[tuple[int, str, str]] = field(default_factory=list)
@@ -118,13 +110,11 @@ class SfuSim:
         self.cw = cell.overhead.cw_min
         self.power = PowerMachine(name, PowerState.ACTIVE)
         self.alive = True
-        self.announced_sleep = False
         self.wake_pending = False
         self.deep_enter: int | None = None
         self.last_activity = 0
         self.window_start = 0
         self.window_bytes = 0
-        self.omci_pending: deque[tuple[int, OmciMessage]] = deque()
         self.active_tx: tuple[int, int] | None = None
         self.iot = name in cfg.iot_sfus
 
@@ -282,8 +272,6 @@ class Simulation:
             self.graph.add_node(s)
         for a, b in cfg.conflicts:
             self.graph.add_edge(a, b)
-        self.optical = OpticalLink(cfg.downstream_bps,
-                                   {s: cfg.prop_delay_ns for s in cfg.sfus})
         self.sfus: dict[str, SfuSim] = {}
         for s in cfg.sfus:
             cell = WifiCell(s, cfg.air_rate_bps, cfg.wifi_overhead)
@@ -307,22 +295,19 @@ class Simulation:
         self.adapter = OmciAdapter(port_id=1)
         for i, s in enumerate(cfg.sfus):
             self.adapter.register_sfu(i + 1, s)
-        self.sfu_index = {s: i + 1 for i, s in enumerate(cfg.sfus)}
         self.olt_queue: deque[bytes] = deque()
+        # (created, sfu, response) of the OMCI responses awaiting the
+        # upstream management slot, oldest first
+        self.omci_upstream: deque[tuple[int, str, OmciMessage]] = deque()
         self.upstream_next_free = 0
         # upstream time for data bursts between two OMCI windows
         self.data_room_ns = cfg.alloc_cycle_ns - cfg.omci_slot_ns - cfg.guard_ns
         self.relay_buffer_level = 0
-        self.mfu_sleep_view: dict[str, str] = {}
         self.deep_cmd_issued = False
-        contended = cfg.mode == SchedulerMode.DISTRIBUTED_BASELINE
-        self.domains: list[ContentionDomain] = []
         self.domain_of: dict[str, ContentionDomain] = {}
-        if contended:
-            comps = self.graph.components()
-            for i, comp in enumerate(comps):
+        if cfg.mode == SchedulerMode.DISTRIBUTED_BASELINE:
+            for i, comp in enumerate(self.graph.components()):
                 dom = ContentionDomain(i, comp, self)
-                self.domains.append(dom)
                 self.domain_of.update({m: dom for m in comp})
                 self.sim.register(dom.target, dom.on_round)
         self.sim.register(MFU, _dispatcher("MFU", {
@@ -452,11 +437,11 @@ class Simulation:
         ser = self._downstream_ser.get(frame.size)
         if ser is None:
             dll = APDU_OVERHEAD + frame.size + FEM_HEADER_LEN
-            ser = self.optical.downstream_ser_ns(pma_wire_len(dll))
+            ser = transmit_time_ns(pma_wire_len(dll), self.cfg.downstream_bps)
             self._downstream_ser[frame.size] = ser
         depart = max(now, self.mfu_tx_free)
         self.mfu_tx_free = depart + ser
-        arrive = depart + ser + self.optical.prop_delay_ns[frame.dst]
+        arrive = depart + ser + self.cfg.prop_delay_ns
         self.sim.schedule(arrive, self.sfus[frame.dst].target, "optical_rx",
                           frame)
 
@@ -544,12 +529,6 @@ class Simulation:
     # ------------------------------------------------------------------
     # upstream allocation calendar (alloc cycles, OMCI slot, data slots)
 
-    def _cycle_start(self, k: int) -> int:
-        return k * self.cfg.alloc_cycle_ns
-
-    def _omci_window_end(self, cycle_start: int) -> int:
-        return cycle_start + self.cfg.omci_slot_ns + self.cfg.guard_ns
-
     def _reserve_data_slot(self, earliest: int, duration: int, sfu: str,
                            tcont: int) -> int:
         """Place a data burst on the upstream calendar, skipping the reserved
@@ -561,18 +540,12 @@ class Simulation:
                 f"{self.data_room_ns} ns between two OMCI windows "
                 f"(alloc cycle {cfg.alloc_cycle_ns} ns)")
         start = max(earliest, self.upstream_next_free)
-        while True:
-            k = start // cfg.alloc_cycle_ns
-            win_start = self._cycle_start(k)
-            win_end = self._omci_window_end(win_start)
-            nxt_win_start = self._cycle_start(k + 1)
-            if start < win_end:
-                start = win_end
-                continue
-            if start + duration > nxt_win_start:
-                start = self._omci_window_end(nxt_win_start)
-                continue
-            break
+        cycle = start - start % cfg.alloc_cycle_ns
+        window = cfg.omci_slot_ns + cfg.guard_ns
+        start = max(start, cycle + window)
+        # a burst that fits the data room always fits the next cycle's
+        if start + duration > cycle + cfg.alloc_cycle_ns:
+            start = cycle + cfg.alloc_cycle_ns + window
         self.upstream_next_free = start + duration + cfg.guard_ns
         self.results.upstream_slots.append((sfu, start, duration, tcont))
         return start
@@ -580,26 +553,21 @@ class Simulation:
     def _alloc_cycle(self, ev: Event) -> None:
         cfg = self.cfg
         now = self.sim.now
-        k = now // cfg.alloc_cycle_ns
-        self.results.upstream_slots.append(
-            ("omci", self._cycle_start(k), cfg.omci_slot_ns, 1))
+        # cycles fire at the multiples of alloc_cycle_ns from 0
+        self.results.upstream_slots.append(("omci", now, cfg.omci_slot_ns, 1))
         # downstream OMCI pacing: one message per allocation cycle
         if self.olt_queue:
             data = self.olt_queue.popleft()
             self._omci_downstream(data)
-        # upstream OMCI: the SFU holding the oldest pending response owns
-        # this cycle's dedicated slot
-        oldest_sfu, oldest_t = None, None
-        for name in cfg.sfus:
-            pend = self.sfus[name].omci_pending
-            if pend and (oldest_t is None or pend[0][0] < oldest_t):
-                oldest_sfu, oldest_t = name, pend[0][0]
-        if oldest_sfu is not None:
-            created, msg = self.sfus[oldest_sfu].omci_pending.popleft()
-            arrive_mfu = self._cycle_start(k) + cfg.omci_slot_ns
-            ext = self.adapter.to_extended(msg, oldest_sfu)
-            self.sim.schedule(arrive_mfu + cfg.olt_pipe_ns, OLT, "omci_rx",
-                              (created, encode_omci(ext)))
+        # upstream OMCI: the oldest pending response owns this cycle's
+        # dedicated slot. Responses are queued in arrival order, which is
+        # the order of their times; no two arrive at once, because at most
+        # one request leaves the MFU per cycle.
+        if self.omci_upstream:
+            created, name, msg = self.omci_upstream.popleft()
+            ext = self.adapter.to_extended(msg, name)
+            self.sim.schedule(now + cfg.omci_slot_ns + cfg.olt_pipe_ns, OLT,
+                              "omci_rx", (created, encode_omci(ext)))
         nxt = now + cfg.alloc_cycle_ns
         if nxt <= cfg.horizon_ns:
             self.sim.schedule(nxt, MFU, "alloc_cycle")
@@ -622,7 +590,7 @@ class Simulation:
         now = self.sim.now
         msg = decode_omci(ev.payload)
         response = apply_omci(msg, self.results.mibs[sfu.name])
-        sfu.omci_pending.append((now, response))
+        self.omci_upstream.append((now, sfu.name, response))
 
     def _olt_rx(self, ev: Event) -> None:
         created, data = ev.payload
@@ -659,10 +627,10 @@ class Simulation:
                 earliest = max(ready, now + cfg.control_delay_ns)
             else:
                 request_at = ready + cfg.control_delay_ns
-                earliest = self._cycle_start(request_at // cfg.alloc_cycle_ns + 1)
+                # the first cycle after the request
+                earliest = (request_at // cfg.alloc_cycle_ns + 1) * cfg.alloc_cycle_ns
             start = self._reserve_data_slot(earliest, duration, sfu.name, 2)
-            delay = start - ready
-            self.results.bursts.append(BurstRecord(sfu.name, ready, start, delay))
+            self.results.bursts.append(start - ready)
             self.sim.schedule(start + duration, MFU, "upstream_burst_done",
                               (sfu.name, nbytes))
         nxt = now + int(spec.period_us * 1000)
@@ -755,9 +723,7 @@ class Simulation:
         policy = select_policy(self._features(sfu, now))
         if policy in (EnergyPolicy.LIGHT_SLEEP, EnergyPolicy.DEEP_SLEEP):
             if sfu.power.request(PowerState.LIGHT_SLEEP, now):
-                sfu.announced_sleep = True
                 self.results.events.append((now, "light_sleep_report", node))
-                self.mfu_sleep_view[node] = "light"
                 self._maybe_deep_sleep(now)
         elif policy == EnergyPolicy.RF_OFF:
             sfu.power.request(PowerState.RF_OFF, now)
@@ -767,18 +733,17 @@ class Simulation:
     def _maybe_deep_sleep(self, now: int) -> None:
         if self.deep_cmd_issued or not self.cfg.savings_enabled:
             return
-        eligible = [s for s in self.cfg.sfus
-                    if self.sfus[s].alive and not self.sfus[s].iot]
-        if not eligible:
-            return
-        if all(self.mfu_sleep_view.get(s) in ("light", "deep")
-               for s in eligible):
+        # an SFU sleeps from its light-sleep report to its wake, and only
+        # then, so its power state is what it has announced to the MFU
+        eligible = [sfu for sfu in self.sfus.values()
+                    if sfu.alive and not sfu.iot]
+        if eligible and all(sfu.asleep for sfu in eligible):
             self.deep_cmd_issued = True
             self.results.events.append((now, "deep_sleep_command", MFU))
-            for s in eligible:
-                if self.mfu_sleep_view.get(s) == "light":
+            for sfu in eligible:
+                if sfu.power.state == PowerState.LIGHT_SLEEP:
                     self.sim.schedule(now + self.cfg.control_delay_ns,
-                                      self.sfus[s].target, "deep_cmd")
+                                      sfu.target, "deep_cmd")
 
     def _deep_cmd(self, sfu: SfuSim, ev: Event) -> None:
         now = self.sim.now
@@ -787,7 +752,6 @@ class Simulation:
             return
         if sfu.power.request(PowerState.DEEP_SLEEP, now):
             sfu.deep_enter = now
-            self.mfu_sleep_view[sfu.name] = "deep"
         else:
             self.results.rejected_transitions += 1
 
@@ -814,9 +778,7 @@ class Simulation:
         now = self.sim.now
         sfu.power.request(PowerState.IDLE, now)
         sfu.wake_pending = False
-        sfu.announced_sleep = False
         sfu.deep_enter = None
-        self.mfu_sleep_view.pop(sfu.name, None)
         self.deep_cmd_issued = False
         self.results.events.append((now, "wake_done", sfu.name))
         for frame in self.sleep_buffers[sfu.name].flush():
@@ -829,8 +791,7 @@ class Simulation:
         now = self.sim.now
         for name in self.cfg.sfus:
             sfu = self.sfus[name]
-            alarm = self.monitor.record_poll(name, sfu.alive,
-                                             sfu.announced_sleep, now)
+            alarm = self.monitor.record_poll(name, sfu.alive, sfu.asleep, now)
             if alarm is not None:
                 self.results.events.append(
                     (now, f"alarm_{alarm.kind.value}", name))

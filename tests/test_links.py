@@ -1,6 +1,6 @@
 import pytest
 
-from fttrsim.links import WifiOverhead, WifiCell, InterferenceGraph, OpticalLink
+from fttrsim.links import WifiOverhead, WifiCell, InterferenceGraph
 
 
 def test_airtime_includes_full_exchange():
@@ -45,8 +45,3 @@ def test_neighbors():
     g = InterferenceGraph([("a", "b"), ("a", "c")])
     assert g.neighbors("a") == {"b", "c"}
     assert g.neighbors("b") == {"a"}
-
-
-def test_optical_serialization():
-    link = OpticalLink(1_000_000_000, {})
-    assert link.downstream_ser_ns(125) == 1000

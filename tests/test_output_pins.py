@@ -340,5 +340,4 @@ def test_run_pins_reach_what_the_shipped_pins_miss():
     storm = _run("storm_kill_bursts", "centralized")
     assert any(a.kind.value == "Unresponsive" for a in storm.alarms)
     assert len(set(STORM_RUN["management"]["storm"]["targets"])) >= 2
-    delays = [b.forwarding_delay_ns for b in storm.bursts]
-    assert 0 in delays and max(delays) > 0
+    assert 0 in storm.bursts and max(storm.bursts) > 0
