@@ -1,7 +1,7 @@
 """Command-line interface: run, compare and validate subcommands.
 
-Exit status: 0 success, 2 scenario schema violation, 3 runtime invariant
-breach.
+Exit status: 0 success, 2 scenario schema violation, unreadable scenario
+file or summaries that cannot be compared, 3 runtime invariant breach.
 """
 
 from __future__ import annotations
@@ -46,12 +46,16 @@ def _run(args) -> int:
 
 
 def _compare(args) -> int:
-    a = json.loads(Path(args.summary_a).read_text())
-    b = json.loads(Path(args.summary_b).read_text())
     try:
+        a, b = (json.loads(Path(p).read_text(encoding="utf-8"))
+                for p in (args.summary_a, args.summary_b))
         report = compare_summaries(a, b)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:   # unreadable, not JSON, other shape
         print(f"refusing to compare: {exc}", file=sys.stderr)
+        return 2
+    except (KeyError, TypeError) as exc:   # JSON that is not a run summary
+        print(f"refusing to compare: not a run summary: {exc!r}",
+              file=sys.stderr)
         return 2
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:

@@ -341,7 +341,10 @@ _SCENARIO_TABLE = _table({**_keyed(ScenarioConfig), **_WIFI_FIELDS})
 
 def load_scenario(path: str | Path, overrides: dict | None = None) -> ScenarioConfig:
     try:
-        raw = yaml.safe_load(Path(path).read_text())
+        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("<root>",
+                          f"unreadable scenario file: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError("<root>", f"malformed YAML: {exc}") from None
     return parse_scenario(raw, overrides)

@@ -79,7 +79,7 @@ class SimResults:
     olt_received: list[OmciMessage] = field(default_factory=list)
     mibs: dict[str, MibStore] = field(default_factory=dict)
     alarms: list = field(default_factory=list)
-    bursts: list[int] = field(default_factory=list)   # forwarding delays, ns
+    bursts: list[int] = field(default_factory=list)  # forwarding delays, ns
     relay_overflow_drops: int = 0
     sleep_drops: int = 0
     events: list[tuple[int, str, str]] = field(default_factory=list)
@@ -543,7 +543,7 @@ class Simulation:
         cycle = start - start % cfg.alloc_cycle_ns
         window = cfg.omci_slot_ns + cfg.guard_ns
         start = max(start, cycle + window)
-        # a burst that fits the data room always fits the next cycle's
+        # duration <= data_room_ns, so the burst fits the next cycle
         if start + duration > cycle + cfg.alloc_cycle_ns:
             start = cycle + cfg.alloc_cycle_ns + window
         self.upstream_next_free = start + duration + cfg.guard_ns
@@ -627,8 +627,9 @@ class Simulation:
                 earliest = max(ready, now + cfg.control_delay_ns)
             else:
                 request_at = ready + cfg.control_delay_ns
-                # the first cycle after the request
-                earliest = (request_at // cfg.alloc_cycle_ns + 1) * cfg.alloc_cycle_ns
+                # the start of the first cycle after the request
+                earliest = ((request_at // cfg.alloc_cycle_ns + 1)
+                            * cfg.alloc_cycle_ns)
             start = self._reserve_data_slot(earliest, duration, sfu.name, 2)
             self.results.bursts.append(start - ready)
             self.sim.schedule(start + duration, MFU, "upstream_burst_done",

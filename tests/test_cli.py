@@ -140,6 +140,36 @@ def test_validate_rejects_nan_horizon(tmp_path, capsys):
     assert "horizon_ms" in capsys.readouterr().err
 
 
+def test_unreadable_scenario_exits_2(tmp_path, capsys):
+    # a missing path, a directory and non-UTF-8 bytes used to end in a
+    # traceback (FileNotFoundError, IsADirectoryError, UnicodeDecodeError)
+    latin1 = tmp_path / "latin1.yaml"
+    latin1.write_bytes("name: caf\u00e9\n".encode("latin-1"))
+    for path in (tmp_path / "missing.yaml", tmp_path, latin1):
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("scenario error: <root>: unreadable scenario file") == 2
+
+
+def test_compare_refuses_unreadable_summaries(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({
+        "scenario": "s", "mode": "centralized", "seed": 1, "flows": {},
+        "cells": {}, "energy": {"total_joules": 1.0}}))
+    assert main(["compare", str(good), str(good)]) == 0
+    capsys.readouterr()
+    bad = {"missing.json": None, "invalid.json": "{", "list.json": "[]",
+           "no_flows.json": json.dumps({"cells": {}, "energy": {}})}
+    for name, text in bad.items():
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        for pair in ([str(path), str(good)], [str(good), str(path)]):
+            assert main(["compare", *pair]) == 2, name
+            assert "refusing to compare" in capsys.readouterr().err
+
+
 def test_run_exits_3_when_a_flow_delivers_more_than_it_was_offered(
         tmp_path, monkeypatch, capsys):
     deliver = Simulation._deliver

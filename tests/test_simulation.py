@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from fttrsim.metrics import build_summary
 from fttrsim.scenario import parse_scenario
-from fttrsim.simulation import run_scenario_config
+from fttrsim.simulation import Simulation, run_scenario_config
 
 
 def one_frame_run(mode: str, horizon_ms: float):
@@ -53,3 +54,69 @@ def test_stop_ms_bounds_arrivals():
     assert offered_in(batch) == 10
     # a flow may stop when it starts: it offers its first frame only
     assert offered_in({"rate_mbps": 1, "start_ms": 4, "stop_ms": 4}) == 1
+
+
+def reference_reserve_data_slot(alloc_cycle_ns: int, omci_slot_ns: int,
+                                guard_ns: int, next_free: int, earliest: int,
+                                duration: int) -> tuple[int, int]:
+    """(start, next free time) of a data burst placed on the upstream
+    calendar by stepping from cycle to cycle until it clears the OMCI window
+    at the head of a cycle and ends by the next cycle's start."""
+    start = max(earliest, next_free)
+    while True:
+        k = start // alloc_cycle_ns
+        win_end = k * alloc_cycle_ns + omci_slot_ns + guard_ns
+        nxt_win_start = (k + 1) * alloc_cycle_ns
+        if start < win_end:
+            start = win_end
+            continue
+        if start + duration > nxt_win_start:
+            start = nxt_win_start + omci_slot_ns + guard_ns
+            continue
+        break
+    return start, start + duration + guard_ns
+
+
+@st.composite
+def calendar_requests(draw):
+    cycle_us = draw(st.integers(2, 500))
+    omci_us = draw(st.integers(1, cycle_us - 1))
+    guard_ns = draw(st.integers(0, (cycle_us - omci_us) * 1000 - 1))
+    cycle_ns, window_ns = cycle_us * 1000, omci_us * 1000 + guard_ns
+    duration = draw(st.integers(1, cycle_ns - window_ns))
+
+    def instant():
+        # in one of ten cycles, often at an edge of its OMCI window or of
+        # the last start that still ends within the cycle
+        edges = [0, window_ns - 1, window_ns, cycle_ns - duration - 1,
+                 cycle_ns - duration, cycle_ns - duration + 1, cycle_ns - 1]
+        offset = draw(st.one_of(
+            st.sampled_from([e for e in edges if 0 <= e < cycle_ns]),
+            st.integers(0, cycle_ns - 1)))
+        return draw(st.integers(0, 9)) * cycle_ns + offset
+    return cycle_us, omci_us, guard_ns, instant(), instant(), duration
+
+
+@given(calendar_requests())
+def test_data_slot_matches_the_cycle_by_cycle_calendar(request):
+    cycle_us, omci_us, guard_ns, next_free, earliest, duration = request
+    sim = Simulation(parse_scenario({
+        "horizon_ms": 1, "topology": {"sfus": ["a"]},
+        "control": {"alloc_cycle_us": cycle_us, "omci_slot_us": omci_us,
+                    "guard_ns": guard_ns}}))
+    sim.upstream_next_free = next_free
+    start = sim._reserve_data_slot(earliest, duration, "a", 2)
+    assert (start, sim.upstream_next_free) == reference_reserve_data_slot(
+        cycle_us * 1000, omci_us * 1000, guard_ns, next_free, earliest,
+        duration)
+    assert sim.results.upstream_slots == [("a", start, duration, 2)]
+
+
+def test_storm_responses_reach_the_olt_in_request_order():
+    # one request leaves the MFU per 250 us cycle, round robin over three
+    # rooms; the responses share one upstream slot per cycle
+    res = run_scenario_config(parse_scenario({
+        "horizon_ms": 20, "topology": {"sfus": ["a", "b", "c"]},
+        "management": {"storm": {"count": 60, "targets": ["c", "a", "b"]}},
+    }))
+    assert [m.transaction_id for m in res.olt_received] == list(range(60))
