@@ -98,8 +98,8 @@ def calendar_requests(draw):
 
 
 @given(calendar_requests())
-def test_data_slot_matches_the_cycle_by_cycle_calendar(request):
-    cycle_us, omci_us, guard_ns, next_free, earliest, duration = request
+def test_data_slot_matches_the_cycle_by_cycle_calendar(case):
+    cycle_us, omci_us, guard_ns, next_free, earliest, duration = case
     sim = Simulation(parse_scenario({
         "horizon_ms": 1, "topology": {"sfus": ["a"]},
         "control": {"alloc_cycle_us": cycle_us, "omci_slot_us": omci_us,
