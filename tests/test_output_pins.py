@@ -16,7 +16,8 @@ scenario does (a rejected transition, a wake from deep sleep, an
 Unresponsive alarm, a storm over several rooms, bursts with and without
 forwarding delay), the sha256 of `summary.json`, `flows.csv`,
 `schedule.log` and `repr(res.events)`, the sleep/wake/alarm log that no
-file holds.
+file holds. A third dict takes an IoT-resident room to RF_OFF and back to
+ACTIVE by traffic, and overflows a sleep buffer.
 
 `golden` and `ofdma_uplink_burst` have no `phy_relay` pin: in that mode
 their relayed bursts are longer than the room between two OMCI windows,
@@ -285,7 +286,28 @@ STORM_RUN = {
     "energy": {"savings_enabled": False},
 }
 
-RUNS = {"sleep_deep_wake": SLEEP_RUN, "storm_kill_bursts": STORM_RUN}
+# An IoT-resident room and a plain one, one flow each. `i` goes RF_OFF at
+# 3 ms and its sparse flow returns it to ACTIVE; `a` sleeps from 3 ms, and
+# six frames reach it while it wakes, so its two-frame sleep buffer drops
+# the four oldest.
+IOT_RUN = {
+    "name": "iot_rf_off_overflow", "seed": 5, "horizon_ms": 40,
+    "topology": {"sfus": ["a", {"name": "i", "iot_resident": True}]},
+    "control": {"control_delay_us": 300, "status_cycle_us": 500},
+    "flows": [
+        {"name": "burst", "dst": "a", "size_bytes": 1200, "model": "batch",
+         "count": 6, "interval_us": 100, "start_ms": 10},
+        {"name": "sensor", "dst": "i", "size_bytes": 200, "rate_mbps": 0.1,
+         "start_ms": 8},
+    ],
+    "energy": {"savings_enabled": True, "t_act_idle_ms": 1,
+               "t_idle_sleep_ms": 2, "sleep_buffer_frames": 2,
+               "sfu": {"wake_light_ms": 1, "wake_deep_ms": 2,
+                       "t_listen_ms": 3}},
+}
+
+RUNS = {"sleep_deep_wake": SLEEP_RUN, "storm_kill_bursts": STORM_RUN,
+        "iot_rf_off_overflow": IOT_RUN}
 
 # (run, mode) -> sha256 of (summary.json, flows.csv, schedule.log,
 # repr(res.events))
@@ -310,6 +332,16 @@ RUN_PINS = {
         "c9a49b2224e9ff53cbbbbace35a10d593285152029794a1e968cc12f87e90b5f",
         "a5950ef314d3bf66537237158b2727f89885a9b229021a216a4cddffdeebccde",
         "807d1a52a71632bc5e71f35debe371ee29c4206362cc27ee95fb7f6e4c1ba615"),
+    ("iot_rf_off_overflow", "centralized"): (
+        "d79a973fe6e5d9959636849c668b4c0eed2f3450f712e6b2aa02b7a5049b0157",
+        "d4eae6b6d98aff5f1e3d3053620229f5e6ff1bccbf5fa4500bb9bd415021938f",
+        "5394af2530423c04f22588f6be62e7aa22c126586ce1d269d7cfebfa1d9d76a4",
+        "eda1d957f9eea5d3ed3e8854aeb1d6e4340980dc64c0043a806c8bbed54b3127"),
+    ("iot_rf_off_overflow", "distributed"): (
+        "b1d186da7d45bbdf0fab5da879bfba0fc42295670d57f1eea6de75cff2652f10",
+        "4869d77470a26af6aaeee703d57eeced96322dfe7e3993de74e2c4b20beb41ce",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "eda1d957f9eea5d3ed3e8854aeb1d6e4340980dc64c0043a806c8bbed54b3127"),
 }
 
 
@@ -341,3 +373,12 @@ def test_run_pins_reach_what_the_shipped_pins_miss():
     assert any(a.kind.value == "Unresponsive" for a in storm.alarms)
     assert len(set(STORM_RUN["management"]["storm"]["targets"])) >= 2
     assert 0 in storm.bursts and max(storm.bursts) > 0
+    iot = _run("iot_rf_off_overflow", "centralized")
+    # traffic returns the IoT room from RF_OFF straight to ACTIVE
+    states = [state for state, _, _ in iot.ledgers["i"].records]
+    assert any(a == PowerState.RF_OFF and b == PowerState.ACTIVE
+               for a, b in zip(states, states[1:]))
+    assert iot.sleep_drops > 0
+    # one flow per room, so an overflow drop is charged to the flow whose
+    # frame it was whichever frame is dropped
+    assert len({f["dst"] for f in IOT_RUN["flows"]}) == len(IOT_RUN["flows"])
