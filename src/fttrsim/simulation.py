@@ -17,7 +17,7 @@ from functools import partial
 from typing import Callable
 
 from .engine import (Event, Simulator, SimError, SimTime, draw_int,
-                     transmit_time_ns, NS_PER_S)
+                     transmit_time_ns)
 from .frames import (APDU_OVERHEAD, FEM_HEADER_LEN, classification_tag,
                      pma_wire_len, OmciMessage, OmciType, encode_omci,
                      decode_omci)
@@ -92,15 +92,26 @@ class SimResults:
 
 
 SLEEP_STATES = (PowerState.LIGHT_SLEEP, PowerState.DEEP_SLEEP)
+# states that traffic returns to ACTIVE
+WAKE_ON_TRAFFIC = (PowerState.IDLE, PowerState.RF_OFF, PowerState.REDUCED_TX)
 
 # activity spans held before the first merge
 SPANS_MERGE_MIN = 1024
 
 
-class SfuSim:
-    def __init__(self, name: str, cell: WifiCell, cfg: ScenarioConfig):
+class Node:
+    """A unit with its own power state: the MFU or one SFU."""
+
+    def __init__(self, name: str, target: str):
         self.name = name
-        self.target = f"sfu:{name}"
+        self.target = target
+        self.power = PowerMachine(name, PowerState.ACTIVE)
+        self.last_activity = 0
+
+
+class SfuSim(Node):
+    def __init__(self, name: str, cell: WifiCell, cfg: ScenarioConfig):
+        super().__init__(name, f"sfu:{name}")
         self.cell = cell
         # one FIFO per queue tag, made on the tag's first frame (a deque
         # takes 760 bytes); tag 0 (priority 7) is served first
@@ -108,13 +119,10 @@ class SfuSim:
         self.queued_bytes = 0
         self.queued_airtime_ns = 0
         self.cw = cell.overhead.cw_min
-        self.power = PowerMachine(name, PowerState.ACTIVE)
         self.alive = True
         self.wake_pending = False
         self.deep_enter: int | None = None
-        self.last_activity = 0
-        self.window_start = 0
-        self.window_bytes = 0
+        self.sleep_buffer = SleepBuffer(cfg.sleep_buffer_frames)
         self.active_tx: tuple[int, int] | None = None
         self.iot = name in cfg.iot_sfus
 
@@ -278,11 +286,8 @@ class Simulation:
             self.sfus[s] = SfuSim(s, cell, cfg)
             self.results.cell_stats[s] = CellStats()
             self.results.mibs[s] = MibStore(s)
-        self.mfu_power = PowerMachine(MFU, PowerState.ACTIVE)
-        self.mfu_last_activity = 0
+        self.mfu = Node(MFU, MFU)
         self.mfu_tx_free = 0
-        self.sleep_buffers = {s: SleepBuffer(cfg.sleep_buffer_frames)
-                              for s in cfg.sfus}
         self.flow_stats = {f.name: FlowStats() for f in cfg.flows}
         self.results.flow_stats = self.flow_stats
         self.flows = {f.name: FlowRun(f, self.sfus[f.dst],
@@ -316,7 +321,7 @@ class Simulation:
             "alloc_cycle": self._alloc_cycle,
             "poll_cycle": self._poll_cycle,
             "upstream_burst_done": self._upstream_burst_done,
-            "power_check": self._power_check,
+            "power_check": partial(self._power_check, self.mfu),
         }))
         self.sim.register(OLT, _dispatcher("OLT", {"omci_rx": self._olt_rx}))
         per_sfu = {
@@ -328,12 +333,12 @@ class Simulation:
             "wake_done": self._wake_done,
             "kill": self._kill,
             "recover": self._recover,
+            "power_check": self._power_check,
+            "sleep_check": self._sleep_check,
         }
         for sfu in self.sfus.values():
             table = {kind: partial(handler, sfu)
                      for kind, handler in per_sfu.items()}
-            table.update(power_check=self._power_check,
-                         sleep_check=self._sleep_check)
             self.sim.register(sfu.target, _dispatcher("SFU", table))
 
     # ------------------------------------------------------------------
@@ -376,9 +381,8 @@ class Simulation:
             if cfg.kill.recover_ms is not None:
                 self.sim.schedule(int(cfg.kill.recover_ms * 1_000_000),
                                   target, "recover")
-        for s in cfg.sfus:
-            self._schedule_power_check(s)
-        self._schedule_power_check(MFU)
+        for node in (*self.sfus.values(), self.mfu):
+            self.sim.schedule(cfg.t_act_idle_ns, node.target, "power_check")
 
     def _prime_storm(self) -> None:
         cfg = self.cfg
@@ -407,15 +411,15 @@ class Simulation:
         stats.offered += 1
         sfu = flow.sfu
         frame = Frame(name, sfu.name, flow.spec.size_bytes, now, flow.tag)
-        self._mark_mfu_activity(now)
+        self._mark_activity(self.mfu, now)
         if sfu.asleep or sfu.wake_pending:
-            buf = self.sleep_buffers[sfu.name]
+            buf = sfu.sleep_buffer
             before = buf.dropped
             buf.push(frame)
             if buf.dropped > before:
                 stats.dropped += buf.dropped - before
                 self.results.sleep_drops += buf.dropped - before
-            self._trigger_wake(sfu.name)
+            self._trigger_wake(sfu)
         else:
             self._optical_downstream(frame)
         self._schedule_next_arrival(flow)
@@ -447,7 +451,7 @@ class Simulation:
 
     def _on_optical_rx(self, sfu: SfuSim, ev: Event) -> None:
         frame = ev.payload
-        self._mark_sfu_activity(sfu, self.sim.now, frame.size)
+        self._mark_activity(sfu, self.sim.now)
         sfu.enqueue(frame)
         domain = self.domain_of.get(sfu.name)
         if domain is not None:
@@ -642,94 +646,53 @@ class Simulation:
         _, nbytes = ev.payload
         if self.cfg.mode == SchedulerMode.PHY_RELAY:
             self.relay_buffer_level = max(0, self.relay_buffer_level - nbytes)
-        self._mark_mfu_activity(self.sim.now)
+        self._mark_activity(self.mfu, self.sim.now)
 
     # ------------------------------------------------------------------
     # power / sleep
 
-    def _mark_mfu_activity(self, now: int) -> None:
-        self.mfu_last_activity = now
-        if self.mfu_power.state == PowerState.IDLE:
-            self.mfu_power.request(PowerState.ACTIVE, now)
+    def _mark_activity(self, node: Node, now: int) -> None:
+        node.last_activity = now
+        if node.power.state in WAKE_ON_TRAFFIC:
+            node.power.request(PowerState.ACTIVE, now)
 
-    def _mark_sfu_activity(self, sfu: SfuSim, now: int, nbytes: int) -> None:
-        sfu.last_activity = now
-        sfu.window_bytes += nbytes
-        if sfu.power.state in (PowerState.IDLE, PowerState.RF_OFF,
-                               PowerState.REDUCED_TX):
-            sfu.power.request(PowerState.ACTIVE, now)
-
-    def _schedule_power_check(self, node: str) -> None:
-        target = MFU if node == MFU else self.sfus[node].target
-        self.sim.schedule(self.sim.now + self.cfg.t_act_idle_ns, target,
-                          "power_check", node)
-
-    def _power_check(self, ev: Event) -> None:
-        node = ev.payload
+    def _power_check(self, node: Node, ev: Event) -> None:
         now = self.sim.now
         cfg = self.cfg
-        if node == MFU:
-            machine, last = self.mfu_power, self.mfu_last_activity
-        else:
-            sfu = self.sfus[node]
-            machine, last = sfu.power, sfu.last_activity
-        target = ev.target
+        machine, last, target = node.power, node.last_activity, node.target
         if machine.state == PowerState.ACTIVE:
             if now - last >= cfg.t_act_idle_ns:
                 machine.request(PowerState.IDLE, now)
-                if node != MFU and cfg.savings_enabled:
-                    self.sim.schedule(now + cfg.t_idle_sleep_ns,
-                                      target, "sleep_check", node)
+                if node is not self.mfu and cfg.savings_enabled:
+                    self.sim.schedule(now + cfg.t_idle_sleep_ns, target,
+                                      "sleep_check")
                 self.sim.schedule(now + cfg.t_act_idle_ns, target,
-                                  "power_check", node)
+                                  "power_check")
             else:
                 self.sim.schedule(last + cfg.t_act_idle_ns, target,
-                                  "power_check", node)
+                                  "power_check")
         else:
-            self.sim.schedule(now + cfg.t_act_idle_ns, target,
-                              "power_check", node)
+            self.sim.schedule(now + cfg.t_act_idle_ns, target, "power_check")
 
-    def _features(self, sfu: SfuSim, now: int) -> ScenarioFeatures:
-        window = max(now - sfu.window_start, 1)
-        bps = sfu.window_bytes * 8 * NS_PER_S // window
-        idle_ns = now - sfu.last_activity
-        if idle_ns >= self.cfg.t_act_idle_ns:
-            load = "idle"
-        elif bps < 1_000_000:
-            load = "background"
-        elif bps < 50_000_000:
-            load = "moderate"
-        else:
-            load = "bursty"
-        sfu.window_start = now
-        sfu.window_bytes = 0
-        return ScenarioFeatures(
-            load_class=load,
-            services=frozenset({"iot"}) if sfu.iot else frozenset(),
-            user_activity=idle_ns < self.cfg.t_act_idle_ns,
-            idle_ns=idle_ns)
-
-    def _sleep_check(self, ev: Event) -> None:
-        node = ev.payload
-        sfu = self.sfus[node]
+    def _sleep_check(self, sfu: SfuSim, ev: Event) -> None:
         now = self.sim.now
         cfg = self.cfg
         if not sfu.alive or sfu.power.state != PowerState.IDLE:
             return
-        if now - sfu.last_activity < cfg.t_act_idle_ns + cfg.t_idle_sleep_ns:
-            self.sim.schedule(sfu.last_activity + cfg.t_act_idle_ns
-                              + cfg.t_idle_sleep_ns, sfu.target,
-                              "sleep_check", node)
+        due = sfu.last_activity + cfg.t_act_idle_ns + cfg.t_idle_sleep_ns
+        if now < due:
+            self.sim.schedule(due, sfu.target, "sleep_check")
             return
-        policy = select_policy(self._features(sfu, now))
-        if policy in (EnergyPolicy.LIGHT_SLEEP, EnergyPolicy.DEEP_SLEEP):
-            if sfu.power.request(PowerState.LIGHT_SLEEP, now):
-                self.results.events.append((now, "light_sleep_report", node))
-                self._maybe_deep_sleep(now)
-        elif policy == EnergyPolicy.RF_OFF:
+        # a check passing the timers above has seen no traffic for
+        # t_act_idle + t_idle_sleep, so the load it reports is "idle"
+        policy = select_policy(ScenarioFeatures(
+            "idle", frozenset({"iot"}) if sfu.iot else frozenset(),
+            idle_ns=now - sfu.last_activity))
+        if policy == EnergyPolicy.RF_OFF:
             sfu.power.request(PowerState.RF_OFF, now)
-        elif policy == EnergyPolicy.TX_POWER_ADJUST:
-            sfu.power.request(PowerState.REDUCED_TX, now)
+        elif sfu.power.request(PowerState.LIGHT_SLEEP, now):
+            self.results.events.append((now, "light_sleep_report", sfu.name))
+            self._maybe_deep_sleep(now)
 
     def _maybe_deep_sleep(self, now: int) -> None:
         if self.deep_cmd_issued or not self.cfg.savings_enabled:
@@ -756,8 +719,7 @@ class Simulation:
         else:
             self.results.rejected_transitions += 1
 
-    def _trigger_wake(self, name: str) -> None:
-        sfu = self.sfus[name]
+    def _trigger_wake(self, sfu: SfuSim) -> None:
         now = self.sim.now
         if sfu.wake_pending or not sfu.asleep:
             return
@@ -772,7 +734,7 @@ class Simulation:
             wake_done = cmd_at + prof.wake_deep_ns
         else:
             wake_done = cmd_at + prof.wake_light_ns
-        self.results.events.append((now, "wake_command", name))
+        self.results.events.append((now, "wake_command", sfu.name))
         self.sim.schedule(wake_done, sfu.target, "wake_done")
 
     def _wake_done(self, sfu: SfuSim, ev: Event) -> None:
@@ -782,7 +744,7 @@ class Simulation:
         sfu.deep_enter = None
         self.deep_cmd_issued = False
         self.results.events.append((now, "wake_done", sfu.name))
-        for frame in self.sleep_buffers[sfu.name].flush():
+        for frame in sfu.sleep_buffer.flush():
             self._optical_downstream(frame)
 
     # ------------------------------------------------------------------
@@ -819,17 +781,14 @@ class Simulation:
                     f"{stats.dropped} of {stats.offered} offered frames")
         res = self.results
         res.digest = digest
-        for name in cfg.sfus:
-            machine = self.sfus[name].power
-            machine.ledger.close(cfg.horizon_ns)
-            machine.ledger.check_tiling(cfg.horizon_ns)
-            res.ledgers[name] = machine.ledger
-            res.profiles[name] = cfg.sfu_profile
-            res.rejected_transitions += machine.rejected
-        self.mfu_power.ledger.close(cfg.horizon_ns)
-        self.mfu_power.ledger.check_tiling(cfg.horizon_ns)
-        res.ledgers[MFU] = self.mfu_power.ledger
-        res.profiles[MFU] = cfg.mfu_profile
+        for node in (*self.sfus.values(), self.mfu):
+            ledger = node.power.ledger
+            ledger.close(cfg.horizon_ns)
+            ledger.check_tiling(cfg.horizon_ns)
+            res.ledgers[node.name] = ledger
+            res.profiles[node.name] = (cfg.mfu_profile if node is self.mfu
+                                       else cfg.sfu_profile)
+            res.rejected_transitions += node.power.rejected
         res.alarms = self.monitor.alarms
         res.counters = {
             "events_scheduled": self.sim.n_scheduled,
