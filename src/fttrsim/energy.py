@@ -175,11 +175,14 @@ class SleepBuffer:
         self.frames: list = []
         self.dropped = 0
 
-    def push(self, frame) -> None:
+    def push(self, frame):
+        """Hold `frame`; return the oldest frame if it no longer fits, else
+        None."""
         self.frames.append(frame)
         if len(self.frames) > self.capacity:
-            self.frames.pop(0)
             self.dropped += 1
+            return self.frames.pop(0)
+        return None
 
     def flush(self) -> list:
         out, self.frames = self.frames, []

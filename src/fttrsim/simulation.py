@@ -413,12 +413,10 @@ class Simulation:
         frame = Frame(name, sfu.name, flow.spec.size_bytes, now, flow.tag)
         self._mark_activity(self.mfu, now)
         if sfu.asleep or sfu.wake_pending:
-            buf = sfu.sleep_buffer
-            before = buf.dropped
-            buf.push(frame)
-            if buf.dropped > before:
-                stats.dropped += buf.dropped - before
-                self.results.sleep_drops += buf.dropped - before
+            dropped = sfu.sleep_buffer.push(frame)
+            if dropped is not None:
+                self.flow_stats[dropped.flow].dropped += 1
+                self.results.sleep_drops += 1
             self._trigger_wake(sfu)
         else:
             self._optical_downstream(frame)
@@ -682,6 +680,12 @@ class Simulation:
         due = sfu.last_activity + cfg.t_act_idle_ns + cfg.t_idle_sleep_ns
         if now < due:
             self.sim.schedule(due, sfu.target, "sleep_check")
+            return
+        if sfu.queued_bytes > 0:
+            # grants and contention skip a sleeping SFU, so its queue would
+            # wait until traffic wakes it
+            self.sim.schedule(now + cfg.t_idle_sleep_ns, sfu.target,
+                              "sleep_check")
             return
         # a check passing the timers above has seen no traffic for
         # t_act_idle + t_idle_sleep, so the load it reports is "idle"

@@ -1,0 +1,50 @@
+"""The benchmark's handler list names every event kind a run schedules.
+
+`perfbench/run.py` reports calls and self time per `(target class, kind)`
+from its `HANDLER_KINDS`; a kind missing there reads 0 without an error.
+The benchmark is imported read-only.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from fttrsim.engine import Simulator
+from fttrsim.scenario import load_scenario, parse_scenario
+from fttrsim.simulation import run_scenario_config
+from test_output_pins import RUN_PINS, RUNS, SCENARIOS
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def bench_run_module():
+    # run.py imports its sibling modules by their plain names
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  BENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_lists_every_scheduled_handler(monkeypatch):
+    seen = set()
+    schedule = Simulator.schedule
+
+    def spy(sim, fire_time, target, kind, *args, **kwargs):
+        seen.add((target.split(":", 1)[0], kind))
+        return schedule(sim, fire_time, target, kind, *args, **kwargs)
+
+    monkeypatch.setattr(Simulator, "schedule", spy)
+    for name, mode in RUN_PINS:
+        run_scenario_config(parse_scenario(RUNS[name], {"mode": mode}))
+    for name in ("golden", "staged_kill"):
+        run_scenario_config(load_scenario(SCENARIOS / f"{name}.yaml"))
+    listed = {(target, kind) for target, kinds
+              in bench_run_module().HANDLER_KINDS.items() for kind in kinds}
+    assert seen <= listed, sorted(seen - listed)
+    # the runs reach the power path of both unit kinds and every target class
+    assert {("mfu", "power_check"), ("sfu", "power_check"),
+            ("sfu", "sleep_check")} <= seen
+    assert {target for target, _ in seen} == {"mfu", "sfu", "domain", "olt"}

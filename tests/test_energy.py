@@ -149,8 +149,8 @@ def test_overflow_drops_match_excess_arithmetic():
 
 def test_oldest_frames_are_dropped_first():
     buf = SleepBuffer(2)
-    for i in range(4):
-        buf.push(i)
+    # push hands back the frame it drops, so its own flow can be charged
+    assert [buf.push(i) for i in range(4)] == [None, None, 0, 1]
     assert buf.flush() == [2, 3]
 
 

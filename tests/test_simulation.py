@@ -120,3 +120,38 @@ def test_storm_responses_reach_the_olt_in_request_order():
         "management": {"storm": {"count": 60, "targets": ["c", "a", "b"]}},
     }))
     assert [m.transaction_id for m in res.olt_received] == list(range(60))
+
+
+def sleep_run(mode: str, flows: list[dict], **energy) -> dict:
+    """Flow rows of a 60 ms one-room run with 1 ms and 2 ms sleep timers."""
+    res = run_scenario_config(parse_scenario({
+        "horizon_ms": 60, "mode": mode, "topology": {"sfus": ["a"]},
+        "flows": [{"dst": "a", "model": "batch", **f} for f in flows],
+        "energy": {"savings_enabled": True, "t_act_idle_ms": 1,
+                   "t_idle_sleep_ms": 2, **energy},
+    }))
+    return build_summary(res)["flows"]
+
+
+@pytest.mark.parametrize("mode", ["centralized", "distributed"])
+def test_sfu_with_queued_frames_does_not_sleep(mode):
+    # five frames wait for the 5 ms status cycle's grant; the room used to
+    # sleep at 3.8 ms with all five queued, and nothing woke it
+    row = sleep_run(mode, [{"name": "f", "size_bytes": 1500, "count": 5,
+                            "interval_us": 200}])["f"]
+    assert (row["offered"], row["delivered"]) == (5, 5)
+
+
+def test_sleep_buffer_overflow_is_charged_to_the_dropped_frames_flow():
+    # the room sleeps from 3 ms; three frames of `early` then one of `late`
+    # reach its two-frame sleep buffer before it wakes, and it drops the two
+    # oldest. Both are `early`'s; the arriving frames' flows used to be
+    # charged, so `late` delivered 1 and dropped 1 of 1 and the run exited 3.
+    rows = sleep_run("centralized", [
+        {"name": "early", "size_bytes": 500, "count": 3, "interval_us": 100,
+         "start_ms": 10},
+        {"name": "late", "size_bytes": 500, "count": 1, "start_ms": 10.5},
+    ], sleep_buffer_frames=2, sfu={"wake_deep_ms": 2, "t_listen_ms": 4})
+    got = {name: (row["offered"], row["delivered"], row["dropped"])
+           for name, row in rows.items()}
+    assert got == {"early": (3, 1, 2), "late": (1, 1, 0)}
