@@ -53,24 +53,27 @@ class InterferenceGraph:
     """Undirected, irreflexive conflict relation over cells (keyed by owner)."""
 
     def __init__(self, edges: list[tuple[str, str]] = ()):
-        self._adj: dict[str, set[str]] = {}
+        # immutable neighbour sets, so `neighbors` can hand out the stored
+        # set without a copy
+        self._adj: dict[str, frozenset[str]] = {}
         for a, b in edges:
             self.add_edge(a, b)
 
     def add_edge(self, a: str, b: str) -> None:
         if a == b:
             raise ValueError("conflict graph is irreflexive")
-        self._adj.setdefault(a, set()).add(b)
-        self._adj.setdefault(b, set()).add(a)
+        adj = self._adj
+        adj[a] = adj.get(a, frozenset()) | {b}
+        adj[b] = adj.get(b, frozenset()) | {a}
 
     def add_node(self, a: str) -> None:
-        self._adj.setdefault(a, set())
+        self._adj.setdefault(a, frozenset())
 
     def conflicts(self, a: str, b: str) -> bool:
         return b in self._adj.get(a, ())
 
-    def neighbors(self, a: str) -> set[str]:
-        return set(self._adj.get(a, ()))
+    def neighbors(self, a: str) -> frozenset[str]:
+        return self._adj.get(a, frozenset())
 
     def components(self) -> list[list[str]]:
         """Connected components, each sorted, in sorted order of first node."""

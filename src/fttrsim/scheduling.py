@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .engine import transmit_time_ns
 from .links import InterferenceGraph
@@ -25,16 +26,14 @@ class SchedulerMode(Enum):
     PHY_RELAY = "phy_relay"
 
 
-@dataclass(frozen=True, slots=True)
-class SfuStatusReport:
+class SfuStatusReport(NamedTuple):
     sfu: str
     buffered_bytes: int          # total across queues
     top_priority: int            # highest priority present, -1 if empty
     timestamp: int
 
 
-@dataclass(frozen=True, slots=True)
-class AirGrant:
+class AirGrant(NamedTuple):
     sfu: str
     start: int
     max_duration: int
@@ -92,15 +91,17 @@ def check_grant_overlap(grants: list[AirGrant],
     positions: dict[str, list[int]] = {}
     for j, g in enumerate(grants):
         positions.setdefault(g.sfu, []).append(j)
-    bad = []
+    bad = []                             # (i, j) of each overlapping pair
     for i, a in enumerate(grants):
-        later = sorted(j for other in graph.neighbors(a.sfu)
-                       for j in positions.get(other, ()) if j > i)
-        for j in later:
-            b = grants[j]
-            if a.start < b.start + b.max_duration and b.start < a.start + a.max_duration:
-                bad.append((a, b))
-    return bad
+        a_end = a.start + a.max_duration
+        for other in graph.neighbors(a.sfu):
+            for j in positions.get(other, ()):
+                if j > i:
+                    b = grants[j]
+                    if a.start < b.start + b.max_duration and b.start < a_end:
+                        bad.append((i, j))
+    bad.sort()
+    return [(grants[i], grants[j]) for i, j in bad]
 
 
 def ofdma_uplink_request(sfu: str, ru_allocation: list[tuple[str, int]],

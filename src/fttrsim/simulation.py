@@ -39,12 +39,8 @@ OLT = "olt"
 
 @dataclass(slots=True)
 class Frame:
-    flow: str
-    dst: str
-    size: int
+    flow: FlowRun                # size, tag, air and optical times
     created_at: SimTime
-    tag: int
-    airtime_ns: int = 0          # air occupancy, set when the SFU queues it
 
 
 @dataclass
@@ -118,7 +114,9 @@ class SfuSim(Node):
         self.queues: list[deque[Frame] | None] = [None] * 8
         self.queued_bytes = 0
         self.queued_airtime_ns = 0
-        self.cw = cell.overhead.cw_min
+        self.set_cw(cell.overhead.cw_min)
+        # the CSMA/CA domain the SFU contends in; None unless distributed
+        self.domain: ContentionDomain | None = None
         self.alive = True
         self.wake_pending = False
         self.deep_enter: int | None = None
@@ -130,21 +128,28 @@ class SfuSim(Node):
     def asleep(self) -> bool:
         return self.power.ledger.state in SLEEP_STATES
 
+    def set_cw(self, cw: int) -> None:
+        """Set the contention window and the bit count of a backoff draw
+        from [0, cw], which `random.randint(0, cw)` would also draw."""
+        self.cw = cw
+        self.cw_bits = (cw + 1).bit_length()
+
     def enqueue(self, frame: Frame) -> None:
-        frame.airtime_ns = self.cell.airtime_ns(frame.size)
-        q = self.queues[frame.tag]
+        flow = frame.flow
+        q = self.queues[flow.tag]
         if q is None:
-            q = self.queues[frame.tag] = deque()
+            q = self.queues[flow.tag] = deque()
         q.append(frame)
-        self.queued_bytes += frame.size
-        self.queued_airtime_ns += frame.airtime_ns
+        self.queued_bytes += flow.size
+        self.queued_airtime_ns += flow.airtime_ns
 
     def pop_frame(self) -> Frame | None:
         for q in self.queues:
             if q:
                 frame = q.popleft()
-                self.queued_bytes -= frame.size
-                self.queued_airtime_ns -= frame.airtime_ns
+                flow = frame.flow
+                self.queued_bytes -= flow.size
+                self.queued_airtime_ns -= flow.airtime_ns
                 return frame
         return None
 
@@ -180,6 +185,8 @@ class ContentionDomain:
         # stream and its cell counters
         self.stations = [(sim.sfus[m], sim.sim.rng.for_node(m).getrandbits,
                           sim.results.cell_stats[m]) for m in sorted(members)]
+        for sfu, _, _ in self.stations:
+            sfu.domain = self
 
     def notify(self) -> None:
         if self.round_pending:
@@ -195,60 +202,74 @@ class ContentionDomain:
 
     def on_round(self, ev: Event) -> None:
         self.round_pending = False
-        # contender test, backoff draw and minimum in one pass over members
+        # contender test, backoff draw and minimum in one pass over members;
+        # the list of tied stations is made only when a tie occurs
         best = -1
-        winners = []
+        winner = tied = None
         for entry in self.stations:
             sfu = entry[0]
             # `not sfu.asleep`, spelled out: the property calls cost more
             # than the rest of the test
             if (sfu.queued_bytes > 0 and sfu.alive
                     and sfu.power.ledger.state not in SLEEP_STATES):
-                slots = draw_int(entry[1], sfu.cw)
+                # engine.draw_int(getrandbits, sfu.cw), inlined
+                bits, k, cw = entry[1], sfu.cw_bits, sfu.cw
+                slots = bits(k)
+                while slots > cw:
+                    slots = bits(k)
                 if slots < best or best < 0:
-                    best = slots
-                    winners = [entry]
+                    best, winner, tied = slots, entry, None
                 elif slots == best:
-                    winners.append(entry)
-        if not winners:
+                    if tied is None:
+                        tied = [winner]
+                    tied.append(entry)
+        if winner is None:
             return
         oh = self.overhead
-        engine = self.sim.sim
-        start = engine.now + oh.difs_ns + best * oh.slot_ns
-        if len(winners) == 1:
-            sfu, _, stats = winners[0]
+        start = self.sim.sim.now + oh.difs_ns + best * oh.slot_ns
+        if tied is None:
+            sfu, _, stats = winner
             frame = sfu.pop_frame()
-            dur = frame.airtime_ns
+            dur = frame.flow.airtime_ns
             stats.airtime_ns += dur
-            sfu.cw = oh.cw_min
+            sfu.set_cw(oh.cw_min)
             self.busy_until = start + dur
             self.sim._deliver(frame, start + dur)
         else:
             dur = 0
-            for sfu, _, stats in winners:
-                dur = max(dur, sfu.head_frame().airtime_ns)
+            for sfu, _, stats in tied:
+                dur = max(dur, sfu.head_frame().flow.airtime_ns)
                 stats.collisions += 1
-                sfu.cw = min((sfu.cw + 1) * 2 - 1, oh.cw_max)
+                sfu.set_cw(min((sfu.cw + 1) * 2 - 1, oh.cw_max))
             self.busy_until = start + dur
         self.notify()
 
 
 class FlowRun:
-    """Arrival timing of one flow, fixed at construction, and the end of its
-    current on period (on_off flows)."""
+    """One flow's constants, fixed at construction: its arrival timing and
+    what every frame of it shares (size, queue tag, air time at its room's
+    cell, optical serialization time); and the end of its current on period
+    (on_off flows)."""
 
-    __slots__ = ("spec", "sfu", "stats", "tag", "interarrival_ns", "stop_ns",
-                 "on_ns", "off_ns", "next_end")
+    __slots__ = ("spec", "sfu", "stats", "size", "tag", "airtime_ns",
+                 "optical_ns", "interarrival_ns", "stop_ns", "on_ns",
+                 "off_ns", "next_end")
 
     def __init__(self, spec: FlowSpec, sfu: SfuSim, stats: FlowStats,
-                 horizon_ns: int):
+                 cfg: ScenarioConfig):
         self.spec = spec
         self.sfu = sfu
         self.stats = stats
+        self.size = spec.size_bytes
         self.tag = classification_tag(spec.priority)
+        self.airtime_ns = sfu.cell.airtime_ns(spec.size_bytes)
+        dll = APDU_OVERHEAD + spec.size_bytes + FEM_HEADER_LEN
+        self.optical_ns = transmit_time_ns(pma_wire_len(dll),
+                                           cfg.downstream_bps)
         self.interarrival_ns = (
             None if spec.model == "batch" else
             transmit_time_ns(spec.size_bytes, int(spec.rate_mbps * 1_000_000)))
+        horizon_ns = cfg.horizon_ns
         stop = (int(spec.stop_ms * 1_000_000) if spec.stop_ms is not None
                 else horizon_ns)
         self.stop_ns = min(stop, horizon_ns)
@@ -290,10 +311,8 @@ class Simulation:
         self.mfu_tx_free = 0
         self.flow_stats = {f.name: FlowStats() for f in cfg.flows}
         self.results.flow_stats = self.flow_stats
-        self.flows = {f.name: FlowRun(f, self.sfus[f.dst],
-                                      self.flow_stats[f.name], cfg.horizon_ns)
-                      for f in cfg.flows}
-        self._downstream_ser: dict[int, int] = {}   # frame size -> ns
+        self.flows = [FlowRun(f, self.sfus[f.dst], self.flow_stats[f.name],
+                              cfg) for f in cfg.flows]
         self._proc_ns = cfg.proc_mfu_ns + cfg.proc_sfu_ns
         self._spans_merge_at = SPANS_MERGE_MIN
         self.monitor = LivenessMonitor(cfg.k_miss)
@@ -309,11 +328,9 @@ class Simulation:
         self.data_room_ns = cfg.alloc_cycle_ns - cfg.omci_slot_ns - cfg.guard_ns
         self.relay_buffer_level = 0
         self.deep_cmd_issued = False
-        self.domain_of: dict[str, ContentionDomain] = {}
         if cfg.mode == SchedulerMode.DISTRIBUTED_BASELINE:
             for i, comp in enumerate(self.graph.components()):
                 dom = ContentionDomain(i, comp, self)
-                self.domain_of.update({m: dom for m in comp})
                 self.sim.register(dom.target, dom.on_round)
         self.sim.register(MFU, _dispatcher("MFU", {
             "flow_arrival": self._flow_arrival,
@@ -346,19 +363,19 @@ class Simulation:
 
     def _prime(self) -> None:
         cfg = self.cfg
-        for flow in cfg.flows:
+        for run in self.flows:
+            flow = run.spec
             start = int(flow.start_ms * 1_000_000)
             if flow.model == "batch":
                 interval = int(flow.interval_us * 1000)
-                stop = self.flows[flow.name].stop_ns
                 for k in range(flow.count):
                     t = start + k * interval
-                    if t <= stop:
-                        self.sim.schedule(t, MFU, "flow_arrival", flow.name)
+                    if t <= run.stop_ns:
+                        self.sim.schedule(t, MFU, "flow_arrival", run)
             else:
-                self.sim.schedule(start, MFU, "flow_arrival", flow.name)
+                self.sim.schedule(start, MFU, "flow_arrival", run)
                 if flow.model == "on_off":
-                    self.flows[flow.name].next_end = start + int(flow.on_ms * 1_000_000)
+                    run.next_end = start + run.on_ns
         if cfg.mode != SchedulerMode.DISTRIBUTED_BASELINE and cfg.flows:
             self.sim.schedule(0, MFU, "status_cycle")
         if cfg.uplink_bursts or cfg.storm:
@@ -404,18 +421,16 @@ class Simulation:
     # traffic
 
     def _flow_arrival(self, ev: Event) -> None:
-        name = ev.payload
-        flow = self.flows[name]
+        flow = ev.payload
         now = self.sim.now
-        stats = flow.stats
-        stats.offered += 1
+        flow.stats.offered += 1
         sfu = flow.sfu
-        frame = Frame(name, sfu.name, flow.spec.size_bytes, now, flow.tag)
+        frame = Frame(flow, now)
         self._mark_activity(self.mfu, now)
         if sfu.asleep or sfu.wake_pending:
             dropped = sfu.sleep_buffer.push(frame)
             if dropped is not None:
-                self.flow_stats[dropped.flow].dropped += 1
+                dropped.flow.stats.dropped += 1
                 self.results.sleep_drops += 1
             self._trigger_wake(sfu)
         else:
@@ -432,28 +447,20 @@ class Simulation:
                 nxt = end + flow.off_ns
                 flow.next_end = nxt + flow.on_ns
         if nxt <= flow.stop_ns:
-            self.sim.schedule(nxt, MFU, "flow_arrival", flow.spec.name)
+            self.sim.schedule(nxt, MFU, "flow_arrival", flow)
 
     def _optical_downstream(self, frame: Frame) -> None:
-        now = self.sim.now
-        ser = self._downstream_ser.get(frame.size)
-        if ser is None:
-            dll = APDU_OVERHEAD + frame.size + FEM_HEADER_LEN
-            ser = transmit_time_ns(pma_wire_len(dll), self.cfg.downstream_bps)
-            self._downstream_ser[frame.size] = ser
-        depart = max(now, self.mfu_tx_free)
-        self.mfu_tx_free = depart + ser
-        arrive = depart + ser + self.cfg.prop_delay_ns
-        self.sim.schedule(arrive, self.sfus[frame.dst].target, "optical_rx",
-                          frame)
+        flow = frame.flow
+        depart = max(self.sim.now, self.mfu_tx_free)
+        self.mfu_tx_free = depart + flow.optical_ns
+        self.sim.schedule(self.mfu_tx_free + self.cfg.prop_delay_ns,
+                          flow.sfu.target, "optical_rx", frame)
 
     def _on_optical_rx(self, sfu: SfuSim, ev: Event) -> None:
-        frame = ev.payload
         self._mark_activity(sfu, self.sim.now)
-        sfu.enqueue(frame)
-        domain = self.domain_of.get(sfu.name)
-        if domain is not None:
-            domain.notify()
+        sfu.enqueue(ev.payload)
+        if sfu.domain is not None:
+            sfu.domain.notify()
 
     def _deliver(self, frame: Frame, t: int) -> None:
         """Frame handed to its STA over the air at `t`; record end-to-end
@@ -461,7 +468,7 @@ class Simulation:
         after the horizon is not delivered in this run and stays in `lost`."""
         if t > self.cfg.horizon_ns:
             return
-        stats = self.flow_stats[frame.flow]
+        stats = frame.flow.stats
         stats.delivered += 1
         stats.latencies.append(t - frame.created_at + self._proc_ns)
         spans = self.results.activity_spans
@@ -520,12 +527,13 @@ class Simulation:
         deliver = self._deliver
         while True:
             head = sfu.head_frame()
-            if head is None or cursor + head.airtime_ns > end:
+            if head is None or cursor + head.flow.airtime_ns > end:
                 break
             frame = sfu.pop_frame()
-            cursor += frame.airtime_ns
+            airtime = frame.flow.airtime_ns
+            cursor += airtime
             deliver(frame, cursor)
-            stats.airtime_ns += frame.airtime_ns
+            stats.airtime_ns += airtime
         sfu.active_tx = (now, cursor)
 
     # ------------------------------------------------------------------
