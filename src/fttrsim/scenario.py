@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-import yaml
-
 from .energy import PowerProfile, PowerState
 from .frames import APDU_OVERHEAD, FEM_MAX_PAYLOAD, SERVICE_CLASSES
 from .links import WifiOverhead
@@ -340,6 +338,10 @@ _SCENARIO_TABLE = _table({**_keyed(ScenarioConfig), **_WIFI_FIELDS})
 
 
 def load_scenario(path: str | Path, overrides: dict | None = None) -> ScenarioConfig:
+    # imported here: a run built with parse_scenario never parses YAML, and
+    # the import is most of the package's import time
+    import yaml
+
     try:
         raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -276,3 +279,17 @@ def test_every_scenario_key_is_documented():
     for rows, _ in tables:
         for row in rows:
             assert f"| `{row[1]}` |" in doc, row[1]
+
+
+def test_run_path_imports_no_yaml():
+    # only load_scenario parses YAML; a run built from a dict does not pay
+    # for importing it
+    code = ("import sys, fttrsim.scenario, fttrsim.simulation, "
+            "fttrsim.metrics; print('yaml' in sys.modules)")
+    src = str(SCENARIO_DIR.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"
