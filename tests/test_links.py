@@ -45,3 +45,19 @@ def test_neighbors():
     g = InterferenceGraph([("a", "b"), ("a", "c")])
     assert g.neighbors("a") == {"b", "c"}
     assert g.neighbors("b") == {"a"}
+
+
+def test_neighbors_view_cannot_change_the_graph():
+    # `neighbors` hands out the stored set, not a copy, so it must be
+    # immutable
+    g = InterferenceGraph([("a", "b"), ("a", "c")])
+    view = g.neighbors("a")
+    with pytest.raises(AttributeError):
+        view.add("d")
+    view |= {"d"}
+    assert g.neighbors("a") == {"b", "c"}
+    assert not g.conflicts("a", "d")
+    lone = g.neighbors("x")
+    lone |= {"a"}
+    assert g.neighbors("x") == set()
+    assert g.neighbors("a") == {"b", "c"}

@@ -1,9 +1,16 @@
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+from fttrsim.engine import draw_int
 from fttrsim.metrics import build_summary
-from fttrsim.scenario import parse_scenario
-from fttrsim.simulation import Simulation, run_scenario_config
+from fttrsim.scenario import load_scenario, parse_scenario
+from fttrsim.simulation import (ContentionDomain, Frame, Simulation,
+                                run_scenario_config)
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def one_frame_run(mode: str, horizon_ms: float):
@@ -155,3 +162,56 @@ def test_sleep_buffer_overflow_is_charged_to_the_dropped_frames_flow():
     got = {name: (row["offered"], row["delivered"], row["dropped"])
            for name, row in rows.items()}
     assert got == {"early": (3, 1, 2), "late": (1, 1, 0)}
+
+
+@given(seed=st.integers(0, 2**64 - 1),
+       moves=st.lists(st.sampled_from(["collide", "succeed"]), max_size=60))
+def test_inlined_backoff_draw_matches_draw_int_and_randint(seed, moves):
+    # One room contends alone, so each round's backoff draw shows in the
+    # time the air is busy until. Between draws its window doubles up to
+    # cw_max (a collision) or returns to cw_min (a success).
+    sim = Simulation(parse_scenario({
+        "horizon_ms": 1, "mode": "distributed", "topology": {"sfus": ["a"]},
+        "flows": [{"name": "f", "dst": "a", "size_bytes": 1500,
+                   "model": "batch", "count": 1}],
+    }))
+    sfu, flow = sim.sfus["a"], sim.flows[0]
+    domain = sfu.domain
+    oh = domain.overhead
+    _, _, stats = domain.stations[0]
+    domain.stations[0] = (sfu, random.Random(seed).getrandbits, stats)
+    by_draw_int, by_randint = random.Random(seed), random.Random(seed)
+    cw = oh.cw_min
+    for move in ["succeed", *moves]:
+        cw = min((cw + 1) * 2 - 1, oh.cw_max) if move == "collide" else oh.cw_min
+        sfu.set_cw(cw)
+        sfu.enqueue(Frame(flow, 0))
+        domain.on_round(None)
+        slots, rest = divmod(domain.busy_until - oh.difs_ns - flow.airtime_ns,
+                             oh.slot_ns)
+        assert rest == 0
+        assert slots == draw_int(by_draw_int.getrandbits, cw)
+        assert slots == by_randint.randint(0, cw)
+
+
+def test_backoff_bit_count_follows_the_window(monkeypatch):
+    # after every CSMA/CA round, each station's cached bit count is the one
+    # a draw from its current window needs
+    seen = {"collisions": 0, "doubled": 0}
+    on_round = ContentionDomain.on_round
+
+    def checked(domain, ev):
+        on_round(domain, ev)
+        for sfu, _, _ in domain.stations:
+            assert sfu.cw_bits == (sfu.cw + 1).bit_length()
+            seen["doubled"] += sfu.cw > domain.overhead.cw_min
+
+    monkeypatch.setattr(ContentionDomain, "on_round", checked)
+    res = run_scenario_config(load_scenario(SCENARIOS / "conflict_pair.yaml",
+                                            {"mode": "distributed",
+                                             "duration_ms": 200}))
+    cells = res.cell_stats.values()
+    # both successes and collisions happened, and windows grew past cw_min
+    assert sum(c.collisions for c in cells) > 0
+    assert sum(s.delivered for s in res.flow_stats.values()) > 0
+    assert seen["doubled"] > 0
