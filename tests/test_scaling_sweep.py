@@ -1,0 +1,25 @@
+"""Smoke test of tools/scaling_sweep.py: one small point in a fresh
+interpreter."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from pytest import approx
+
+SWEEP = Path(__file__).resolve().parent.parent / "tools" / "scaling_sweep.py"
+
+
+def test_one_ring_point_reports_rate_and_memory():
+    point = {"kind": "ring", "sfus": 4, "mode": "centralized",
+             "horizon_ms": 20}
+    out = subprocess.run([sys.executable, str(SWEEP), "--point",
+                          json.dumps(point)], check=True, capture_output=True,
+                         text=True, timeout=120)
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert {k: result[k] for k in point} == point
+    assert result["events"] > 0
+    assert result["events_per_s"] > 0
+    assert result["us_per_event"] * result["events_per_s"] == approx(1e6)
+    assert result["peak_rss_mb"] > 0
