@@ -457,7 +457,10 @@ class Simulation:
                           flow.sfu.target, "optical_rx", frame)
 
     def _on_optical_rx(self, sfu: SfuSim, ev: Event) -> None:
-        self._mark_activity(sfu, self.sim.now)
+        # a dead room's queue still takes the frame, but its power state
+        # does not move
+        if sfu.alive:
+            self._mark_activity(sfu, self.sim.now)
         sfu.enqueue(ev.payload)
         if sfu.domain is not None:
             sfu.domain.notify()
@@ -733,7 +736,8 @@ class Simulation:
 
     def _trigger_wake(self, sfu: SfuSim) -> None:
         now = self.sim.now
-        if sfu.wake_pending or not sfu.asleep:
+        # a dead room hears no wake command; _recover sends it
+        if sfu.wake_pending or not sfu.asleep or not sfu.alive:
             return
         sfu.wake_pending = True
         prof = self.cfg.sfu_profile
@@ -779,6 +783,9 @@ class Simulation:
 
     def _recover(self, sfu: SfuSim, ev: Event) -> None:
         sfu.alive = True
+        if sfu.sleep_buffer.frames:
+            # the wake deferred while the room was dead
+            self._trigger_wake(sfu)
 
     # ------------------------------------------------------------------
 

@@ -4,10 +4,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from fttrsim.energy import PowerState
 from fttrsim.engine import draw_int
 from fttrsim.metrics import build_summary
 from fttrsim.scenario import load_scenario, parse_scenario
-from fttrsim.simulation import (ContentionDomain, Frame, Simulation,
+from fttrsim.simulation import (MFU, ContentionDomain, Frame, Simulation,
                                 run_scenario_config)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -215,3 +216,46 @@ def test_backoff_bit_count_follows_the_window(monkeypatch):
     assert sum(c.collisions for c in cells) > 0
     assert sum(s.delivered for s in res.flow_stats.values()) > 0
     assert seen["doubled"] > 0
+
+
+def dead_room_run(kill: dict):
+    """A 60 ms centralized run of one room `a` with 1 ms and 2 ms sleep
+    timers, killed as `kill` says, that gets three frames at 10 ms."""
+    return run_scenario_config(parse_scenario({
+        "horizon_ms": 60, "topology": {"sfus": ["a"]},
+        "flows": [{"name": "f", "dst": "a", "size_bytes": 1500,
+                   "model": "batch", "count": 3, "start_ms": 10}],
+        "management": {"kill": {"sfu": "a", **kill}},
+        "energy": {"savings_enabled": True, "t_act_idle_ms": 1,
+                   "t_idle_sleep_ms": 2,
+                   "sfu": {"wake_deep_ms": 2, "t_listen_ms": 4}},
+    }))
+
+
+def test_traffic_does_not_wake_a_dead_room():
+    # killed at 1 ms while awake: it goes idle and stays idle; its frames
+    # used to take it back to ACTIVE at 10.013 ms
+    res = dead_room_run({"at_ms": 1})
+    assert res.ledgers["a"].records == [
+        (PowerState.ACTIVE, 0, 1_000_000),
+        (PowerState.IDLE, 1_000_000, 60_000_000)]
+    assert res.events == []
+    assert res.flow_stats["f"].delivered == 0
+
+
+def test_a_room_killed_while_asleep_is_woken_on_recovery():
+    # asleep from 3 ms and killed at 5 ms: the frames at 10 ms wait in the
+    # sleep buffer and send no wake command (one used to go out at 10 ms)
+    asleep = [(3_000_000, "light_sleep_report", "a"),
+              (3_000_000, "deep_sleep_command", MFU)]
+    res = dead_room_run({"at_ms": 5})
+    assert res.events == asleep
+    assert res.ledgers["a"].records[-1] == (PowerState.DEEP_SLEEP, 3_005_000,
+                                            60_000_000)
+    assert res.flow_stats["f"].delivered == 0
+    # recovered at 20 ms, it is sent the deferred wake command then, and
+    # its buffered frames are delivered
+    res = dead_room_run({"at_ms": 5, "recover_ms": 20})
+    assert res.events[:3] == [*asleep, (20_000_000, "wake_command", "a")]
+    assert res.events[3][1:] == ("wake_done", "a")
+    assert res.flow_stats["f"].delivered == 3
