@@ -338,8 +338,8 @@ _SCENARIO_TABLE = _table({**_keyed(ScenarioConfig), **_WIFI_FIELDS})
 
 
 def load_scenario(path: str | Path, overrides: dict | None = None) -> ScenarioConfig:
-    # imported here: a run built with parse_scenario never parses YAML, and
-    # the import is most of the package's import time
+    # imported here, so that a run built from a dict by parse_scenario does
+    # not pay for importing yaml
     import yaml
 
     try:
