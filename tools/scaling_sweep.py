@@ -7,19 +7,23 @@ Points:
   - scenarios/conflict_pair.yaml over 1, 10 and 40 s
 each in centralized and distributed mode.
 
-Every point runs in a fresh interpreter (this script with --point), through
-the benchmark's ``perfbench/worker.simulate``: the timed span runs from
-``Simulation.run()`` to the bytes of summary.json and flows.csv. The
-calibration kernel of ``perfbench/calibrate.py`` is timed right before and
-right after the span, and ``ref_s`` is the span scaled to the kernel's
-reference host, as the benchmark does. Peak RSS is the child's maximum
-resident set, interpreter and imports included.
+Every run of a point is made in a fresh interpreter (this script with
+--point), through the benchmark's ``perfbench/worker.simulate``: the timed
+span runs from ``Simulation.run()`` to the bytes of summary.json and
+flows.csv. The calibration kernel of ``perfbench/calibrate.py`` is timed
+right before and right after the span, and ``ref_s`` is the span scaled to
+the kernel's reference host, as the benchmark does. Peak RSS is the
+child's maximum resident set, interpreter and imports included. A single
+run of a second or less still varies by up to a third with the host's
+speed, so each point is run --repeats times and reported by its median,
+with the lowest and highest events/s.
 
 Usage, from the root of a source checkout:
     python3 tools/scaling_sweep.py [--ring-ms 1000] [--horizons-s 1,10,40]
+                                   [--repeats 5]
     python3 tools/scaling_sweep.py --point \
         '{"kind": "ring", "sfus": 4, "mode": "centralized", "horizon_ms": 20}'
-One line per point goes to stderr; stdout gets one JSON object per point
+One line per point goes to stderr; stdout gets one JSON object per run
 (with --point) or one JSON list of all points.
 """
 
@@ -29,6 +33,7 @@ import argparse
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
 
@@ -103,6 +108,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--ring-ms", type=float, default=1000)
     ap.add_argument("--horizons-s", default="1,10,40",
                     help="conflict_pair horizons in seconds, comma-separated")
+    ap.add_argument("--repeats", type=int, default=5,
+                    help="fresh-interpreter runs per point")
     args = ap.parse_args(argv)
     if args.point:
         print(json.dumps(run_point(json.loads(args.point))))
@@ -114,19 +121,33 @@ def main(argv: list[str] | None = None) -> int:
     results = []
     for point in points(args.ring_ms,
                         [float(s) for s in args.horizons_s.split(",")]):
-        proc = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--point",
-             json.dumps(point)], capture_output=True, text=True, check=False)
-        if proc.returncode != 0:
-            print(proc.stderr, file=sys.stderr)
-            return 1
-        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        runs = []
+        for _ in range(args.repeats):
+            proc = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--point",
+                 json.dumps(point)], capture_output=True, text=True,
+                check=False)
+            if proc.returncode != 0:
+                print(proc.stderr, file=sys.stderr)
+                return 1
+            runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+        rates = [r["events_per_s"] for r in runs]
+        result = {**point, "events": runs[0]["events"],
+                  "digest": runs[0]["digest"], "runs": len(runs),
+                  "events_per_s": statistics.median(rates),
+                  "events_per_s_min": min(rates),
+                  "events_per_s_max": max(rates),
+                  "us_per_event": statistics.median(
+                      r["us_per_event"] for r in runs),
+                  "peak_rss_mb": statistics.median(
+                      r["peak_rss_mb"] for r in runs)}
         results.append(result)
         label = (f"ring{point['sfus']}" if point["kind"] == "ring"
                  else "conflict_pair")
         print(f"{label:>14} {point['mode']:<12} "
               f"{point['horizon_ms'] / 1000:6.2f} s  "
-              f"{result['events_per_s']:9.0f} events/s  "
+              f"{result['events_per_s']:9.0f} events/s "
+              f"({min(rates):.0f}-{max(rates):.0f})  "
               f"{result['us_per_event']:6.2f} us/event  "
               f"{result['peak_rss_mb']:6.1f} MiB", file=sys.stderr)
     print(json.dumps(results))
