@@ -119,6 +119,9 @@ class SfuSim(Node):
         self.domain: ContentionDomain | None = None
         self.alive = True
         self.wake_pending = False
+        # a wake command that went out while the room was dead: it stays
+        # pending until the room answers a poll again
+        self.wake_lost = False
         self.deep_enter: int | None = None
         self.sleep_buffer = SleepBuffer(cfg.sleep_buffer_frames)
         self.active_tx: tuple[int, int] | None = None
@@ -736,8 +739,7 @@ class Simulation:
 
     def _trigger_wake(self, sfu: SfuSim) -> None:
         now = self.sim.now
-        # a dead room hears no wake command; _recover sends it
-        if sfu.wake_pending or not sfu.asleep or not sfu.alive:
+        if sfu.wake_pending or not sfu.asleep:
             return
         sfu.wake_pending = True
         prof = self.cfg.sfu_profile
@@ -754,6 +756,10 @@ class Simulation:
         self.sim.schedule(wake_done, sfu.target, "wake_done")
 
     def _wake_done(self, sfu: SfuSim, ev: Event) -> None:
+        if not sfu.alive:
+            # a dead room does not wake and reports nothing
+            sfu.wake_lost = True
+            return
         now = self.sim.now
         sfu.power.request(PowerState.IDLE, now)
         sfu.wake_pending = False
@@ -770,10 +776,16 @@ class Simulation:
         now = self.sim.now
         for name in self.cfg.sfus:
             sfu = self.sfus[name]
-            alarm = self.monitor.record_poll(name, sfu.alive, sfu.asleep, now)
+            # a room the MFU has told to wake no longer counts as asleep
+            alarm = self.monitor.record_poll(
+                name, sfu.alive, sfu.asleep and not sfu.wake_pending, now)
             if alarm is not None:
                 self.results.events.append(
                     (now, f"alarm_{alarm.kind.value}", name))
+            if sfu.wake_lost and sfu.alive:
+                # it answers again but never woke: send the wake again
+                sfu.wake_lost = sfu.wake_pending = False
+                self._trigger_wake(sfu)
         nxt = now + self.cfg.poll_cycle_ns
         if nxt <= self.cfg.horizon_ns:
             self.sim.schedule(nxt, MFU, "poll_cycle")
@@ -783,9 +795,6 @@ class Simulation:
 
     def _recover(self, sfu: SfuSim, ev: Event) -> None:
         sfu.alive = True
-        if sfu.sleep_buffer.frames:
-            # the wake deferred while the room was dead
-            self._trigger_wake(sfu)
 
     # ------------------------------------------------------------------
 

@@ -220,12 +220,13 @@ def test_backoff_bit_count_follows_the_window(monkeypatch):
 
 def dead_room_run(kill: dict):
     """A 60 ms centralized run of one room `a` with 1 ms and 2 ms sleep
-    timers, killed as `kill` says, that gets three frames at 10 ms."""
+    timers and a 2 ms poll cycle, killed as `kill` says, that gets three
+    frames at 10 ms."""
     return run_scenario_config(parse_scenario({
         "horizon_ms": 60, "topology": {"sfus": ["a"]},
         "flows": [{"name": "f", "dst": "a", "size_bytes": 1500,
                    "model": "batch", "count": 3, "start_ms": 10}],
-        "management": {"kill": {"sfu": "a", **kill}},
+        "management": {"poll_cycle_ms": 2, "kill": {"sfu": "a", **kill}},
         "energy": {"savings_enabled": True, "t_act_idle_ms": 1,
                    "t_idle_sleep_ms": 2,
                    "sfu": {"wake_deep_ms": 2, "t_listen_ms": 4}},
@@ -239,23 +240,38 @@ def test_traffic_does_not_wake_a_dead_room():
     assert res.ledgers["a"].records == [
         (PowerState.ACTIVE, 0, 1_000_000),
         (PowerState.IDLE, 1_000_000, 60_000_000)]
-    assert res.events == []
+    assert res.events == [(4_000_000, "alarm_Unresponsive", "a")]
     assert res.flow_stats["f"].delivered == 0
 
 
-def test_a_room_killed_while_asleep_is_woken_on_recovery():
-    # asleep from 3 ms and killed at 5 ms: the frames at 10 ms wait in the
-    # sleep buffer and send no wake command (one used to go out at 10 ms)
-    asleep = [(3_000_000, "light_sleep_report", "a"),
-              (3_000_000, "deep_sleep_command", MFU)]
-    res = dead_room_run({"at_ms": 5})
-    assert res.events == asleep
+ASLEEP = [(3_000_000, "light_sleep_report", "a"),
+          (3_000_000, "deep_sleep_command", MFU),
+          (10_000_000, "wake_command", "a")]
+
+
+@pytest.mark.parametrize("kill_ms, alarm_ms", [(5, 12), (10.2, 14)])
+def test_a_dead_room_does_not_wake_and_raises_unresponsive(kill_ms, alarm_ms):
+    # asleep from 3 ms, killed before (5 ms) or after (10.2 ms) the wake
+    # command its frames send at 10 ms: it stays in deep sleep, where it
+    # used to go IDLE at 13.005 ms, and once told to wake it no longer
+    # counts as asleep, so missed polls raise Unresponsive
+    res = dead_room_run({"at_ms": kill_ms})
+    assert res.events == [*ASLEEP,
+                          (alarm_ms * 1_000_000, "alarm_Unresponsive", "a")]
     assert res.ledgers["a"].records[-1] == (PowerState.DEEP_SLEEP, 3_005_000,
                                             60_000_000)
     assert res.flow_stats["f"].delivered == 0
-    # recovered at 20 ms, it is sent the deferred wake command then, and
-    # its buffered frames are delivered
+
+
+def test_a_dead_room_is_woken_again_when_it_answers_a_poll():
+    # recovered at 20 ms, it answers the poll then, which clears its alarm
+    # and sends the wake again; its buffered frames are delivered
     res = dead_room_run({"at_ms": 5, "recover_ms": 20})
-    assert res.events[:3] == [*asleep, (20_000_000, "wake_command", "a")]
-    assert res.events[3][1:] == ("wake_done", "a")
+    assert res.events[:6] == [
+        *ASLEEP, (12_000_000, "alarm_Unresponsive", "a"),
+        (20_000_000, "alarm_Unresponsive", "a"),
+        (20_000_000, "wake_command", "a")]
+    assert res.events[6][1:] == ("wake_done", "a")
+    assert [(a.raised_at, a.cleared_at) for a in res.alarms] == [
+        (12_000_000, 20_000_000)]
     assert res.flow_stats["f"].delivered == 3
