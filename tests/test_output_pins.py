@@ -243,9 +243,9 @@ def test_model_outputs_match_pin(name, mode):
 # Four rooms, one IoT-resident, with sleep timers of a few ms: all three
 # others go to light sleep and get the deep-sleep command at 4.0 ms; `poke`
 # wakes `a` before the command reaches it (a rejected transition), `late`
-# wakes `b` from deep sleep. `c` is killed while it sleeps: `tick`'s frames
-# wait in its sleep buffer without waking it, so it sleeps to the horizon
-# and, having announced sleep, raises no alarm.
+# wakes `b` from deep sleep. `c` is killed while it sleeps: `tick`'s frame
+# at 49 ms sends it a wake command it cannot complete, so it sleeps to the
+# horizon and, no longer counted as asleep, raises Unresponsive at 52 ms.
 SLEEP_RUN = {
     "name": "sleep_deep_wake", "seed": 3, "horizon_ms": 60,
     "topology": {"sfus": ["a", "b", "c", {"name": "s", "iot_resident": True}]},
@@ -314,15 +314,15 @@ RUNS = {"sleep_deep_wake": SLEEP_RUN, "storm_kill_bursts": STORM_RUN,
 # repr(res.events))
 RUN_PINS = {
     ("sleep_deep_wake", "centralized"): (
-        "ce411f2231d00cf8053d25eb31e484623ea24a2585ed010999383ca36a980b96",
+        "beee432a392963efcc1e50b8e0cd935df4b4fc6ce68227fdafd7f467cd850fa0",
         "27aecd51dd70386d137bfec2c892ec1dd632f87f6158fb4c2ce9fe6674369350",
         "892c821164400eb8e3d2658fe6aa441a47114021391f6a0adfbcd64b9896ae15",
-        "e8a80dcc88edba49d220174e2bafbde630dc9bebaa5005f3e6b201f62ea8d137"),
+        "09dc764fe476ebd02f919c8e126bb7894d101ba0a43020d59ef5cd1a604b2447"),
     ("sleep_deep_wake", "distributed"): (
-        "22ababcbb4e9d4a45380512c54a3bf1bec35ed1737d4e2693722e9d9aeb01551",
+        "954d9687b9bb68bef29e8f5e8990e5c279eccf4a00286375913933eda881ccd7",
         "b167da573fddcff0ad3b23c7c580314be325799ca8cb4ca5ad3165e7d56dc025",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "e8a80dcc88edba49d220174e2bafbde630dc9bebaa5005f3e6b201f62ea8d137"),
+        "09dc764fe476ebd02f919c8e126bb7894d101ba0a43020d59ef5cd1a604b2447"),
     ("storm_kill_bursts", "centralized"): (
         "221df843b905afd97f0ad4b8ebbc9d30130a115fda434baa51da57043da09aae",
         "bafe1e01724777eeb67776754f779c4a1344c72e29e6721eb274fac85bc9518e",
