@@ -3,7 +3,7 @@ simulator as the number of rooms and the horizon grow.
 
 Points:
   - a conflict ring of 4, 8, 16, 32 and 64 rooms, one constant-rate
-    downlink flow per room (1500 B frames at 20 Mb/s), for --ring-ms
+    downlink flow per room (1500 B frames at 20 Mb/s), for 1 s
   - scenarios/conflict_pair.yaml over 1, 10 and 40 s
 each in centralized and distributed mode.
 
@@ -15,12 +15,11 @@ right before and right after the span, and ``ref_s`` is the span scaled to
 the kernel's reference host, as the benchmark does. Peak RSS is the
 child's maximum resident set, interpreter and imports included. A single
 run of a second or less still varies by up to a third with the host's
-speed, so each point is run --repeats times and reported by its median,
-with the lowest and highest events/s.
+speed, so each point is run 5 times and reported by its median, with the
+lowest and highest events/s.
 
 Usage, from the root of a source checkout:
-    python3 tools/scaling_sweep.py [--ring-ms 1000] [--horizons-s 1,10,40]
-                                   [--repeats 5]
+    python3 tools/scaling_sweep.py
     python3 tools/scaling_sweep.py --point \
         '{"kind": "ring", "sfus": 4, "mode": "centralized", "horizon_ms": 20}'
 One line per point goes to stderr; stdout gets one JSON object per run
@@ -42,6 +41,9 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 
 RING_SIZES = (4, 8, 16, 32, 64)
 MODES = ("centralized", "distributed")
+RING_MS = 1000
+HORIZONS_S = (1, 10, 40)  # conflict_pair
+REPEATS = 5  # fresh-interpreter runs per point
 
 
 def ring(sfus: int, mode: str, horizon_ms: float) -> dict:
@@ -94,22 +96,17 @@ def run_point(point: dict) -> dict:
             "digest": run["res"].digest}
 
 
-def points(ring_ms: float, horizons_s: list[float]) -> list[dict]:
-    out = [{"kind": "ring", "sfus": n, "mode": mode, "horizon_ms": ring_ms}
+def points() -> list[dict]:
+    out = [{"kind": "ring", "sfus": n, "mode": mode, "horizon_ms": RING_MS}
            for n in RING_SIZES for mode in MODES]
     out += [{"kind": "conflict_pair", "mode": mode, "horizon_ms": s * 1000}
-            for s in horizons_s for mode in MODES]
+            for s in HORIZONS_S for mode in MODES]
     return out
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--point", help="run one point, given as JSON, here")
-    ap.add_argument("--ring-ms", type=float, default=1000)
-    ap.add_argument("--horizons-s", default="1,10,40",
-                    help="conflict_pair horizons in seconds, comma-separated")
-    ap.add_argument("--repeats", type=int, default=5,
-                    help="fresh-interpreter runs per point")
     args = ap.parse_args(argv)
     if args.point:
         print(json.dumps(run_point(json.loads(args.point))))
@@ -119,10 +116,9 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     results = []
-    for point in points(args.ring_ms,
-                        [float(s) for s in args.horizons_s.split(",")]):
+    for point in points():
         runs = []
-        for _ in range(args.repeats):
+        for _ in range(REPEATS):
             proc = subprocess.run(
                 [sys.executable, os.path.abspath(__file__), "--point",
                  json.dumps(point)], capture_output=True, text=True,
