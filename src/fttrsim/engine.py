@@ -40,10 +40,17 @@ def draw_int(getrandbits: Callable[[int], int], hi: int) -> int:
 
 
 class Event:
+    """The event a handler is called with.
+
+    `Simulator.run_until` keeps one record and rewrites its five fields
+    before each dispatch, so a handler must not keep `ev` after it returns:
+    it copies the fields it needs.
+    """
+
     __slots__ = ("fire_time", "seq", "target", "kind", "payload")
 
-    def __init__(self, fire_time: SimTime, seq: int, target: str, kind: str,
-                 payload: Any = None):
+    def __init__(self, fire_time: SimTime = 0, seq: int = 0, target: str = "",
+                 kind: str = "", payload: Any = None):
         self.fire_time = fire_time
         self.seq = seq
         self.target = target
@@ -71,19 +78,32 @@ class RngStreams:
         return rng
 
 
+# digest lines hashed per update; a larger batch saves little and holds
+# more lines in memory
+DIGEST_BATCH = 512
+
+
 class Simulator:
-    """Single-threaded event loop with a horizon and a dispatch digest."""
+    """Single-threaded event loop with a horizon and a dispatch digest.
+
+    The queue is a heap of `(fire_time, seq, target, kind, payload)` tuples.
+    The digest is the SHA-256 of one `time|target|kind` line per dispatched
+    event, fed in batches of at most `DIGEST_BATCH` lines.
+    """
 
     def __init__(self, seed: int = 0):
         self.now: SimTime = 0
         self.rng = RngStreams(seed)
-        self._queue: list[tuple[int, int, Event]] = []
+        self._queue: list[tuple[int, int, str, str, Any]] = []
         self._seq = 0
         self._handlers: dict[str, Callable[[Event], None]] = {}
         self._digest = hashlib.sha256()
-        self.n_scheduled = 0
         self.n_dispatched = 0
         self.n_beyond_horizon = 0
+
+    @property
+    def n_scheduled(self) -> int:
+        return self._seq
 
     def register(self, target: str, handler: Callable[[Event], None]) -> None:
         self._handlers[target] = handler
@@ -95,28 +115,42 @@ class Simulator:
                 f"attempt to schedule event '{kind}' for {target} at "
                 f"t={fire_time} ns while clock is at t={self.now} ns")
         seq = self._seq
-        ev = Event(fire_time, seq, target, kind, payload)
         self._seq = seq + 1
-        self.n_scheduled += 1
-        heapq.heappush(self._queue, (fire_time, seq, ev))
+        heapq.heappush(self._queue, (fire_time, seq, target, kind, payload))
 
     def run_until(self, horizon: SimTime) -> str:
         """Dispatch every event with fire_time <= horizon; return trace digest."""
         queue, handlers = self._queue, self._handlers
         pop, feed = heapq.heappop, self._digest.update
-        while queue and queue[0][0] <= horizon:
-            ev = pop(queue)[2]
-            t = ev.fire_time
-            if t < self.now:
-                raise SimError("clock regression detected")
-            self.now = t
-            target = ev.target
-            feed(f"{t}|{target}|{ev.kind}\n".encode())
-            handler = handlers.get(target)
-            if handler is None:
-                raise SimError(f"no handler registered for target '{target}'")
-            self.n_dispatched += 1
-            handler(ev)
+        ev = Event()
+        lines: list[str] = []
+        add = lines.append
+        n = self.n_dispatched
+        try:
+            while queue and queue[0][0] <= horizon:
+                t, seq, target, kind, payload = pop(queue)
+                if t < self.now:
+                    raise SimError("clock regression detected")
+                self.now = t
+                add(f"{t}|{target}|{kind}\n")
+                if len(lines) == DIGEST_BATCH:
+                    feed("".join(lines).encode())
+                    lines.clear()
+                handler = handlers.get(target)
+                if handler is None:
+                    raise SimError(
+                        f"no handler registered for target '{target}'")
+                ev.fire_time = t
+                ev.seq = seq
+                ev.target = target
+                ev.kind = kind
+                ev.payload = payload
+                n += 1
+                handler(ev)
+        finally:
+            self.n_dispatched = n
+            if lines:
+                feed("".join(lines).encode())
         self.now = horizon
         self.n_beyond_horizon = len(queue)
         return self.trace_digest()

@@ -67,20 +67,27 @@ def grant_downlink_airtime(reports: list[SfuStatusReport],
     """
     grants: list[AirGrant] = []
     granted_end: dict[str, int] = {}     # sfu -> latest end of its grants
+    latest = granted_end.get
     for report in sorted(reports, key=report_order_key):
         if report.buffered_bytes <= 0:
             continue
+        sfu = report.sfu
         start = now
-        for other in graph.neighbors(report.sfu):
-            start = max(start, granted_end.get(other, start))
-        duration = min(airtime_ns_for(report), txop_max_ns)
-        if window_end is not None:
-            duration = min(duration, window_end - start)
+        for other in graph.neighbors(sfu):
+            end = latest(other, start)
+            if end > start:
+                start = end
+        duration = airtime_ns_for(report)
+        if duration > txop_max_ns:
+            duration = txop_max_ns
+        if window_end is not None and window_end - start < duration:
+            duration = window_end - start
         if duration <= 0:
             continue
-        grants.append(AirGrant(report.sfu, start, duration))
-        granted_end[report.sfu] = max(granted_end.get(report.sfu, 0),
-                                      start + duration)
+        grants.append(AirGrant(sfu, start, duration))
+        end = start + duration
+        if end > latest(sfu, 0):
+            granted_end[sfu] = end
     return grants
 
 

@@ -489,18 +489,18 @@ class Simulation:
     def _status_cycle(self, ev: Event) -> None:
         cfg = self.cfg
         now = self.sim.now
-        reports = []
-        for name in cfg.sfus:
-            sfu = self.sfus[name]
-            if not sfu.alive or sfu.asleep:
-                continue
-            reports.append(SfuStatusReport(
-                sfu=name, buffered_bytes=sfu.queued_bytes,
-                top_priority=sfu.top_priority(), timestamp=now))
+        sfus = self.sfus
+        # a room with nothing queued would get no grant, so it sends no
+        # report; `not sfu.asleep` is spelled out, as in on_round
+        reports = [SfuStatusReport(sfu.name, sfu.queued_bytes,
+                                   sfu.top_priority(), now)
+                   for sfu in sfus.values()
+                   if sfu.queued_bytes > 0 and sfu.alive
+                   and sfu.power.ledger.state not in SLEEP_STATES]
         t0 = now + cfg.control_delay_ns
 
         def airtime_for(report: SfuStatusReport) -> int:
-            return self.sfus[report.sfu].queued_airtime_ns
+            return sfus[report.sfu].queued_airtime_ns
 
         grants = grant_downlink_airtime(reports, self.graph, cfg.txop_max_ns,
                                         t0, airtime_for,
@@ -509,13 +509,13 @@ class Simulation:
         if overlaps:
             raise RuntimeError(
                 f"scheduler emitted overlapping grants: {overlaps}")
+        self.results.grants.extend(grants)
+        schedule = self.sim.schedule
         for g in grants:
-            self.results.grants.append(g)
-            self.sim.schedule(g.start, self.sfus[g.sfu].target, "grant_start",
-                              g)
+            schedule(g.start, sfus[g.sfu].target, "grant_start", g)
         nxt = now + cfg.status_cycle_ns
         if nxt <= cfg.horizon_ns:
-            self.sim.schedule(nxt, MFU, "status_cycle")
+            schedule(nxt, MFU, "status_cycle")
 
     def _grant_start(self, sfu: SfuSim, ev: Event) -> None:
         grant = ev.payload
