@@ -795,6 +795,9 @@ class Simulation:
 
     def _recover(self, sfu: SfuSim, ev: Event) -> None:
         sfu.alive = True
+        # frames queued while the room was dead contend again
+        if sfu.domain is not None:
+            sfu.domain.notify()
 
     # ------------------------------------------------------------------
 

@@ -218,12 +218,12 @@ def test_backoff_bit_count_follows_the_window(monkeypatch):
     assert seen["doubled"] > 0
 
 
-def dead_room_run(kill: dict):
-    """A 60 ms centralized run of one room `a` with 1 ms and 2 ms sleep
-    timers and a 2 ms poll cycle, killed as `kill` says, that gets three
-    frames at 10 ms."""
+def dead_room_run(kill: dict, mode: str = "centralized"):
+    """A 60 ms run of one room `a` with 1 ms and 2 ms sleep timers and a
+    2 ms poll cycle, killed as `kill` says, that gets three frames at
+    10 ms."""
     return run_scenario_config(parse_scenario({
-        "horizon_ms": 60, "topology": {"sfus": ["a"]},
+        "horizon_ms": 60, "mode": mode, "topology": {"sfus": ["a"]},
         "flows": [{"name": "f", "dst": "a", "size_bytes": 1500,
                    "model": "batch", "count": 3, "start_ms": 10}],
         "management": {"poll_cycle_ms": 2, "kill": {"sfu": "a", **kill}},
@@ -242,6 +242,15 @@ def test_traffic_does_not_wake_a_dead_room():
         (PowerState.IDLE, 1_000_000, 60_000_000)]
     assert res.events == [(4_000_000, "alarm_Unresponsive", "a")]
     assert res.flow_stats["f"].delivered == 0
+
+
+@pytest.mark.parametrize("mode", ["centralized", "distributed"])
+def test_a_recovered_room_sends_the_frames_queued_while_it_was_dead(mode):
+    # killed at 1 ms and recovered at 20 ms, it holds the frames of 10 ms;
+    # in distributed mode they used to wait for new traffic to start a
+    # contention round, so none was sent
+    res = dead_room_run({"at_ms": 1, "recover_ms": 20}, mode)
+    assert res.flow_stats["f"].delivered == 3
 
 
 ASLEEP = [(3_000_000, "light_sleep_report", "a"),
