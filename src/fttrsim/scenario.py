@@ -26,6 +26,10 @@ class ConfigError(ValueError):
 
 
 ARRIVAL_MODELS = ("constant_rate", "on_off", "batch")
+# node names of the MFU and the OLT in a run: event targets and RNG
+# substreams are keyed by them, so no room may take one
+MFU = "mfu"
+OLT = "olt"
 # largest frame one FEM frame carries after its APDU header
 MAX_FRAME_BYTES = FEM_MAX_PAYLOAD - APDU_OVERHEAD
 
@@ -374,6 +378,10 @@ def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
     sfus = [name for name, _ in entries]
     if len(set(sfus)) != len(sfus):
         raise ConfigError("topology.sfus", "duplicate SFU names")
+    for i, name in enumerate(sfus):
+        if name in (MFU, OLT):
+            raise ConfigError(f"topology.sfus[{i}]",
+                              f"{name!r} is reserved for the {name.upper()}")
     sfu = _one_of(tuple(sfus))
     for i, (a, b) in enumerate(args["conflicts"]):
         if sfu(a, p := f"topology.conflicts[{i}]") == sfu(b, p):

@@ -31,10 +31,7 @@ from .management import (MibStore, OmciAdapter, LivenessMonitor,
 from .energy import (PowerMachine, PowerState, SleepBuffer, ScenarioFeatures,
                      select_policy, EnergyPolicy, ftth_baseline_joules,
                      merge_spans)
-from .scenario import ScenarioConfig, FlowSpec
-
-MFU = "mfu"
-OLT = "olt"
+from .scenario import MFU, OLT, ScenarioConfig, FlowSpec
 
 
 @dataclass(slots=True)

@@ -229,6 +229,10 @@ BURST = {"sfu": "a", "period_us": 1000, "air_duration_us": 10,
      "energy.sfu.watts.active"),
     # names that are not strings
     ({"topology": {"sfus": [{"name": ["x"]}]}}, "topology.sfus[0].name"),
+    # the names of the MFU and the OLT, whose RNG substreams and event
+    # targets a room would share
+    ({"topology": {"sfus": ["a", "olt"]}}, "topology.sfus[1]"),
+    ({"topology": {"sfus": [{"name": "mfu"}, "a"]}}, "topology.sfus[0]"),
     ({"flows": [{**FLOW, "name": ["x"]}]}, "flows[0].name"),
     # within bounds only before truncation to whole units
     ({"management": {"k_miss": 0.5}}, "management.k_miss"),
