@@ -1,9 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
-from fttrsim.engine import (Simulator, SimError, RngStreams, draw_int,
-                            transmit_time_ns, NS_PER_S)
+from fttrsim.engine import (DIGEST_BATCH, Simulator, SimError, RngStreams,
+                            draw_int, transmit_time_ns, NS_PER_S)
 
 
 def collect(sim, horizon):
@@ -103,6 +104,59 @@ def test_trace_digest_sensitive_to_any_event():
         return sim.run_until(10)
 
     assert run(False) != run(True)
+
+
+def test_trace_digest_hashes_every_dispatched_line_across_batches():
+    # more than two flush batches, over two calls of run_until, with events
+    # at shared times and on two targets
+    sim = Simulator()
+    sim.register("a", lambda ev: None)
+    sim.register("b", lambda ev: None)
+    n = 2 * DIGEST_BATCH + 77
+    for i in range(n):
+        sim.schedule(i // 3, "ab"[i % 2], f"k{i % 5}")
+    lines = [f"{i // 3}|{'ab'[i % 2]}|k{i % 5}\n" for i in range(n)]
+    sim.run_until(n // 6)
+    digest = sim.run_until(n)
+    assert sim.n_dispatched == n
+    assert digest == hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+def test_handlers_see_each_event_as_scheduled():
+    sim = Simulator()
+    seen = []
+
+    def handler(ev):
+        seen.append((ev.fire_time, ev.seq, ev.target, ev.kind, ev.payload))
+        if ev.kind == "first":
+            sim.schedule(sim.now, "y", "follow", ev.payload + 1)
+
+    sim.register("x", handler)
+    sim.register("y", handler)
+    sim.schedule(20, "y", "late", None)
+    sim.schedule(10, "x", "first", 7)
+    sim.schedule(10, "x", "second", ("p", 1))
+    sim.run_until(100)
+    assert seen == [(10, 1, "x", "first", 7), (10, 2, "x", "second", ("p", 1)),
+                    (10, 3, "y", "follow", 8), (20, 0, "y", "late", None)]
+
+
+def test_dispatch_count_survives_a_raising_handler():
+    sim = Simulator()
+
+    def handler(ev):
+        if ev.kind == "boom":
+            raise ValueError("handler failed")
+
+    sim.register("n", handler)
+    for t, kind in [(1, "a"), (2, "b"), (3, "boom"), (4, "c")]:
+        sim.schedule(t, "n", kind)
+    with pytest.raises(ValueError):
+        sim.run_until(10)
+    # the raising event counts as dispatched; the one after it does not
+    assert sim.n_dispatched == 3
+    assert sim.n_scheduled == 4
+    assert sim.now == 3
 
 
 def test_missing_handler_is_fatal():

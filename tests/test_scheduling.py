@@ -108,6 +108,30 @@ def all_pairs_grants(reports, graph, txop_max_ns, now, airtime_ns_for,
     return grants
 
 
+# The neighbour-indexed allocator before its max() calls were inlined,
+# kept as the reference for the one in scheduling.py.
+
+def reference_grants(reports, graph, txop_max_ns, now, airtime_ns_for,
+                     window_end=None):
+    grants = []
+    granted_end = {}
+    for report in sorted(reports, key=sch.report_order_key):
+        if report.buffered_bytes <= 0:
+            continue
+        start = now
+        for other in graph.neighbors(report.sfu):
+            start = max(start, granted_end.get(other, start))
+        duration = min(airtime_ns_for(report), txop_max_ns)
+        if window_end is not None:
+            duration = min(duration, window_end - start)
+        if duration <= 0:
+            continue
+        grants.append(sch.AirGrant(report.sfu, start, duration))
+        granted_end[report.sfu] = max(granted_end.get(report.sfu, 0),
+                                      start + duration)
+    return grants
+
+
 def all_pairs_overlaps(grants, graph):
     return [(a, b) for i, a in enumerate(grants) for b in grants[i + 1:]
             if graph.conflicts(a.sfu, b.sfu)
@@ -130,14 +154,18 @@ def graph_of(edges):
 @given(edges_st,
        st.lists(st.tuples(st.sampled_from(CELLS), st.integers(0, 5000),
                           st.integers(-1, 7)), max_size=10),
-       st.integers(500, 4000), st.none() | st.integers(1000, 12_000))
-def test_grants_match_all_pairs_reference(edges, raw, txop, window_end):
+       st.integers(500, 4000), st.none() | st.integers(1000, 12_000),
+       st.integers(0, 3000))
+def test_grants_match_all_pairs_reference(edges, raw, txop, window_end, now):
     graph = graph_of(edges)
-    # duplicate SFUs are kept: a report list need not name each cell once
+    # duplicate SFUs and empty buffers are kept: a report list need not
+    # name each cell once, nor only cells with queued bytes
     reports = [report(c, buffered, prio, ts=i)
                for i, (c, buffered, prio) in enumerate(raw)]
-    args = (reports, graph, txop, 100, airtime_identity, window_end)
-    assert sch.grant_downlink_airtime(*args) == all_pairs_grants(*args)
+    args = (reports, graph, txop, now, airtime_identity, window_end)
+    grants = sch.grant_downlink_airtime(*args)
+    assert grants == all_pairs_grants(*args)
+    assert grants == reference_grants(*args)
 
 
 @given(edges_st,
