@@ -229,10 +229,6 @@ BURST = {"sfu": "a", "period_us": 1000, "air_duration_us": 10,
      "energy.sfu.watts.active"),
     # names that are not strings
     ({"topology": {"sfus": [{"name": ["x"]}]}}, "topology.sfus[0].name"),
-    # the names of the MFU and the OLT, whose RNG substreams and event
-    # targets a room would share
-    ({"topology": {"sfus": ["a", "olt"]}}, "topology.sfus[1]"),
-    ({"topology": {"sfus": [{"name": "mfu"}, "a"]}}, "topology.sfus[0]"),
     ({"flows": [{**FLOW, "name": ["x"]}]}, "flows[0].name"),
     # within bounds only before truncation to whole units
     ({"management": {"k_miss": 0.5}}, "management.k_miss"),
@@ -252,6 +248,10 @@ BURST = {"sfu": "a", "period_us": 1000, "air_duration_us": 10,
     ({"energy": {"mfu": {"wake_light": 5}}}, "energy.mfu.wake_light"),
     # a flow that would stop before it starts
     ({"flows": [{**FLOW, "start_ms": 5, "stop_ms": 2}]}, "flows[0].stop_ms"),
+    # the names of the MFU and the OLT, whose RNG substreams and event
+    # targets a room would share
+    ({"topology": {"sfus": ["a", "olt"]}}, "topology.sfus[1]"),
+    ({"topology": {"sfus": [{"name": "mfu"}, "a"]}}, "topology.sfus[0]"),
 ])
 def test_malformed_fields_rejected_with_path(extra, path):
     # each used to raise a raw exception while parsing or running, or was
