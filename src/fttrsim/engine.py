@@ -49,8 +49,8 @@ class Event:
 
     __slots__ = ("fire_time", "seq", "target", "kind", "payload")
 
-    def __init__(self, fire_time: SimTime = 0, seq: int = 0, target: str = "",
-                 kind: str = "", payload: Any = None):
+    def __init__(self, fire_time: SimTime, seq: int, target: str, kind: str,
+                 payload: Any = None):
         self.fire_time = fire_time
         self.seq = seq
         self.target = target
@@ -123,7 +123,7 @@ class Simulator:
         """Dispatch every event with fire_time <= horizon; return trace digest."""
         queue, handlers = self._queue, self._handlers
         pop, feed = heapq.heappop, self._digest.update
-        ev = Event()
+        ev = Event(0, 0, "", "")
         lines: list[str] = []
         add, batch = lines.append, DIGEST_BATCH
         n = self.n_dispatched
