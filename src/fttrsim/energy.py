@@ -1,5 +1,4 @@
-"""Power state machines, energy-saving policy selection and exact energy
-accounting.
+"""Power state machines, the sleep rule and exact energy accounting.
 
 Per-node power states follow a fixed transition table; every transition is
 recorded in a ledger whose intervals must tile the run exactly, which makes
@@ -20,18 +19,16 @@ class PowerState(Enum):
     LIGHT_SLEEP = "light_sleep"
     DEEP_SLEEP = "deep_sleep"
     RF_OFF = "rf_off"
-    REDUCED_TX = "reduced_tx"
 
 
 # state -> states reachable from it
 LEGAL_TRANSITIONS: dict[PowerState, set[PowerState]] = {
-    PowerState.ACTIVE: {PowerState.IDLE, PowerState.REDUCED_TX},
+    PowerState.ACTIVE: {PowerState.IDLE},
     PowerState.IDLE: {PowerState.ACTIVE, PowerState.LIGHT_SLEEP,
-                      PowerState.RF_OFF, PowerState.REDUCED_TX},
+                      PowerState.RF_OFF},
     PowerState.LIGHT_SLEEP: {PowerState.DEEP_SLEEP, PowerState.IDLE},
     PowerState.DEEP_SLEEP: {PowerState.IDLE},
     PowerState.RF_OFF: {PowerState.IDLE, PowerState.ACTIVE},
-    PowerState.REDUCED_TX: {PowerState.ACTIVE, PowerState.IDLE},
 }
 
 
@@ -48,8 +45,8 @@ class PowerProfile:
 
     def validate(self):
         w = self.watts
-        order = [PowerState.ACTIVE, PowerState.IDLE, PowerState.REDUCED_TX,
-                 PowerState.LIGHT_SLEEP, PowerState.DEEP_SLEEP]
+        order = [PowerState.ACTIVE, PowerState.IDLE, PowerState.LIGHT_SLEEP,
+                 PowerState.DEEP_SLEEP]
         present = [s for s in order if s in w]
         for a, b in zip(present, present[1:]):
             if w[a] < w[b]:
@@ -60,44 +57,14 @@ class PowerProfile:
             raise ValueError("wake latencies and listen interval must be > 0")
 
 
-class EnergyPolicy(Enum):
-    RF_OFF = "rf_off"
-    TX_POWER_ADJUST = "tx_power_adjust"
-    LIGHT_SLEEP = "light_sleep"
-    DEEP_SLEEP = "deep_sleep"
+def select_policy(iot: bool) -> PowerState:
+    """The power state an idle room enters when its sleep timer passes.
 
-
-@dataclass
-class ScenarioFeatures:
-    load_class: str                      # idle | background | moderate | bursty
-    services: frozenset = frozenset()
-    user_activity: bool = False
-    idle_ns: int = 0
-
-
-# Idle-duration thresholds splitting short-term from long-term idle; the
-# strategy table names the conditions, the numbers are this build's defaults.
-SHORT_IDLE_NS = 10 * NS_PER_S
-LONG_IDLE_NS = 60 * NS_PER_S
-
-
-def select_policy(features: ScenarioFeatures) -> EnergyPolicy:
-    """Deterministic strategy-table mapping from scenario features.
-
-    Resident-IoT SFUs never select a full sleep state; they fall back to
-    RF channel deactivation to keep connectivity.
+    A room with a resident IoT device keeps its connectivity by turning its
+    RF off instead of sleeping; any other room reports light sleep. Deep
+    sleep comes only from the MFU's coordinated command.
     """
-    iot = "iot" in features.services
-    low_activity = features.load_class in ("idle", "background") and not features.user_activity
-    if iot and low_activity:
-        return EnergyPolicy.RF_OFF
-    if features.load_class == "moderate":
-        return EnergyPolicy.TX_POWER_ADJUST
-    if features.idle_ns >= LONG_IDLE_NS and not iot:
-        return EnergyPolicy.DEEP_SLEEP
-    if features.idle_ns >= SHORT_IDLE_NS and not iot:
-        return EnergyPolicy.LIGHT_SLEEP
-    return EnergyPolicy.LIGHT_SLEEP if not iot else EnergyPolicy.RF_OFF
+    return PowerState.RF_OFF if iot else PowerState.LIGHT_SLEEP
 
 
 class EnergyLedger:
@@ -173,14 +140,12 @@ class SleepBuffer:
     def __init__(self, capacity_frames: int):
         self.capacity = capacity_frames
         self.frames: list = []
-        self.dropped = 0
 
     def push(self, frame):
         """Hold `frame`; return the oldest frame if it no longer fits, else
         None."""
         self.frames.append(frame)
         if len(self.frames) > self.capacity:
-            self.dropped += 1
             return self.frames.pop(0)
         return None
 

@@ -34,9 +34,8 @@ OLT = "olt"
 MAX_FRAME_BYTES = FEM_MAX_PAYLOAD - APDU_OVERHEAD
 
 _DEFAULT_SFU_WATTS = {
-    PowerState.ACTIVE: 4.5, PowerState.IDLE: 3.0, PowerState.REDUCED_TX: 2.5,
-    PowerState.RF_OFF: 2.0, PowerState.LIGHT_SLEEP: 1.0,
-    PowerState.DEEP_SLEEP: 0.3}
+    PowerState.ACTIVE: 4.5, PowerState.IDLE: 3.0, PowerState.RF_OFF: 2.0,
+    PowerState.LIGHT_SLEEP: 1.0, PowerState.DEEP_SLEEP: 0.3}
 _DEFAULT_MFU_WATTS = {PowerState.ACTIVE: 8.0, PowerState.IDLE: 6.0}
 
 

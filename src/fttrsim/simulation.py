@@ -28,9 +28,8 @@ from .scheduling import (SchedulerMode, SfuStatusReport, AirGrant,
                          ofdma_uplink_request)
 from .management import (MibStore, OmciAdapter, LivenessMonitor,
                          AdapterError, apply_omci)
-from .energy import (PowerMachine, PowerState, SleepBuffer, ScenarioFeatures,
-                     select_policy, EnergyPolicy, ftth_baseline_joules,
-                     merge_spans)
+from .energy import (PowerMachine, PowerState, SleepBuffer, select_policy,
+                     ftth_baseline_joules, merge_spans)
 from .scenario import MFU, OLT, ScenarioConfig, FlowSpec
 
 
@@ -86,7 +85,7 @@ class SimResults:
 
 SLEEP_STATES = (PowerState.LIGHT_SLEEP, PowerState.DEEP_SLEEP)
 # states that traffic returns to ACTIVE
-WAKE_ON_TRAFFIC = (PowerState.IDLE, PowerState.RF_OFF, PowerState.REDUCED_TX)
+WAKE_ON_TRAFFIC = (PowerState.IDLE, PowerState.RF_OFF)
 
 # activity spans held before the first merge
 SPANS_MERGE_MIN = 1024
@@ -698,14 +697,8 @@ class Simulation:
             self.sim.schedule(now + cfg.t_idle_sleep_ns, sfu.target,
                               "sleep_check")
             return
-        # a check passing the timers above has seen no traffic for
-        # t_act_idle + t_idle_sleep, so the load it reports is "idle"
-        policy = select_policy(ScenarioFeatures(
-            "idle", frozenset({"iot"}) if sfu.iot else frozenset(),
-            idle_ns=now - sfu.last_activity))
-        if policy == EnergyPolicy.RF_OFF:
-            sfu.power.request(PowerState.RF_OFF, now)
-        elif sfu.power.request(PowerState.LIGHT_SLEEP, now):
+        state = select_policy(sfu.iot)
+        if sfu.power.request(state, now) and state == PowerState.LIGHT_SLEEP:
             self.results.events.append((now, "light_sleep_report", sfu.name))
             self._maybe_deep_sleep(now)
 

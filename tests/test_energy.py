@@ -4,14 +4,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from fttrsim.energy import (PowerState, PowerProfile, PowerMachine,
-                            EnergyLedger, LedgerError, EnergyPolicy,
-                            ScenarioFeatures, select_policy, SleepBuffer,
-                            ftth_baseline_joules, merge_spans, SHORT_IDLE_NS,
-                            LONG_IDLE_NS, LEGAL_TRANSITIONS)
+                            EnergyLedger, LedgerError, select_policy,
+                            SleepBuffer, ftth_baseline_joules, merge_spans,
+                            LEGAL_TRANSITIONS)
+from fttrsim.engine import NS_PER_S
 
 WATTS = {PowerState.ACTIVE: 4.5, PowerState.IDLE: 3.0,
-         PowerState.REDUCED_TX: 2.5, PowerState.RF_OFF: 2.0,
-         PowerState.LIGHT_SLEEP: 1.0, PowerState.DEEP_SLEEP: 0.3}
+         PowerState.RF_OFF: 2.0, PowerState.LIGHT_SLEEP: 1.0,
+         PowerState.DEEP_SLEEP: 0.3}
 
 
 # ---------------------------------------------------------------------------
@@ -108,29 +108,49 @@ def test_profile_power_ordering_enforced():
 
 
 # ---------------------------------------------------------------------------
-# policy table
+# sleep rule
 
-def idle(ns, **kw):
-    return ScenarioFeatures(load_class="idle", idle_ns=ns, **kw)
+SHORT_IDLE_NS = 10 * NS_PER_S
+LONG_IDLE_NS = 60 * NS_PER_S
+
+
+def reference_policy(load_class, services, user_activity, idle_ns):
+    """The strategy table the sleep rule replaced, kept as its reference:
+    it maps scenario features to one of rf_off, tx_power_adjust,
+    light_sleep or deep_sleep."""
+    iot = "iot" in services
+    low_activity = load_class in ("idle", "background") and not user_activity
+    if iot and low_activity:
+        return "rf_off"
+    if load_class == "moderate":
+        return "tx_power_adjust"
+    if idle_ns >= LONG_IDLE_NS and not iot:
+        return "deep_sleep"
+    if idle_ns >= SHORT_IDLE_NS and not iot:
+        return "light_sleep"
+    return "light_sleep" if not iot else "rf_off"
 
 
 def test_iot_host_deactivates_radio_instead_of_sleeping():
-    feats = idle(LONG_IDLE_NS, services=frozenset({"iot"}))
-    assert select_policy(feats) is EnergyPolicy.RF_OFF
+    assert select_policy(True) is PowerState.RF_OFF
+    assert select_policy(False) is PowerState.LIGHT_SLEEP
 
 
-def test_long_idle_selects_deep_sleep():
-    assert select_policy(idle(LONG_IDLE_NS)) is EnergyPolicy.DEEP_SLEEP
-
-
-def test_short_idle_selects_light_sleep():
-    assert select_policy(idle(SHORT_IDLE_NS)) is EnergyPolicy.LIGHT_SLEEP
-    assert select_policy(idle(SHORT_IDLE_NS // 2)) is EnergyPolicy.LIGHT_SLEEP
-
-
-def test_moderate_load_adjusts_tx_power():
-    feats = ScenarioFeatures(load_class="moderate", user_activity=True)
-    assert select_policy(feats) is EnergyPolicy.TX_POWER_ADJUST
+# a sleep check runs only after t_act_idle + t_idle_sleep without traffic,
+# so a run asks about an idle room with no user activity, with or without
+# a resident IoT device, after any idle time
+@given(iot=st.booleans(),
+       idle_ns=st.integers(min_value=0) | st.sampled_from(
+           [SHORT_IDLE_NS - 1, SHORT_IDLE_NS, LONG_IDLE_NS - 1, LONG_IDLE_NS]))
+def test_sleep_rule_matches_the_table_on_every_input_a_run_gives(iot, idle_ns):
+    table = reference_policy("idle", frozenset({"iot"}) if iot else frozenset(),
+                             False, idle_ns)
+    rule = select_policy(iot)
+    assert (table == "rf_off") == (rule is PowerState.RF_OFF)
+    if rule is not PowerState.RF_OFF:
+        # a run turns every other answer into a light-sleep report; deep
+        # sleep comes only from the MFU's command
+        assert rule is PowerState.LIGHT_SLEEP
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +159,8 @@ def test_moderate_load_adjusts_tx_power():
 def test_overflow_drops_match_excess_arithmetic():
     for capacity, pushed in [(4, 7), (10, 10), (1, 5), (100, 3)]:
         buf = SleepBuffer(capacity)
-        for i in range(pushed):
-            buf.push(i)
-        assert buf.dropped == max(0, pushed - capacity)
+        dropped = [f for f in map(buf.push, range(pushed)) if f is not None]
+        assert len(dropped) == max(0, pushed - capacity)
         kept = buf.flush()
         assert kept == list(range(max(0, pushed - capacity), pushed))
         assert buf.frames == []

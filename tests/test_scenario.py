@@ -148,8 +148,11 @@ def test_energy_profile_override_and_validation():
     cfg = parse_scenario(minimal(energy={"sfu": {"watts": {"active": 6.0}}}))
     from fttrsim.energy import PowerState
     assert cfg.sfu_profile.watts[PowerState.ACTIVE] == 6.0
-    with pytest.raises(ConfigError):
-        parse_scenario(minimal(energy={"sfu": {"watts": {"warp": 1.0}}}))
+    for node in ("sfu", "mfu"):
+        for state in ("warp", "reduced_tx"):  # unknown power states
+            with pytest.raises(ConfigError,
+                               match=f"energy.{node}.watts: unknown state"):
+                parse_scenario(minimal(energy={node: {"watts": {state: 1}}}))
     with pytest.raises(ConfigError):  # ordering violated
         parse_scenario(minimal(energy={"sfu": {"watts": {"active": 0.1}}}))
 
