@@ -718,6 +718,9 @@ class Simulation:
                                       sfu.target, "deep_cmd")
 
     def _deep_cmd(self, sfu: SfuSim, ev: Event) -> None:
+        if not sfu.alive:
+            # a dead room does not hear the command and counts nothing
+            return
         now = self.sim.now
         if sfu.wake_pending:
             self.results.rejected_transitions += 1

@@ -244,6 +244,17 @@ def test_traffic_does_not_wake_a_dead_room():
     assert res.flow_stats["f"].delivered == 0
 
 
+def test_a_dead_room_does_not_obey_the_deep_sleep_command():
+    # it reports light sleep at 3 ms and is killed at 3.002 ms, before the
+    # MFU's deep-sleep command reaches it at 3.005 ms: it stays in light
+    # sleep, where it used to go DEEP_SLEEP while dead
+    res = dead_room_run({"at_ms": 3.002})
+    assert res.ledgers["a"].records[-1] == (PowerState.LIGHT_SLEEP,
+                                            3_000_000, 60_000_000)
+    assert res.events == [*ASLEEP, (12_000_000, "alarm_Unresponsive", "a")]
+    assert res.rejected_transitions == 0
+
+
 @pytest.mark.parametrize("mode", ["centralized", "distributed"])
 def test_a_recovered_room_sends_the_frames_queued_while_it_was_dead(mode):
     # killed at 1 ms and recovered at 20 ms, it holds the frames of 10 ms;
