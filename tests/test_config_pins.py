@@ -45,69 +45,69 @@ def config_hash(cfg) -> str:
 # (scenario, mode) -> sha256 of the canonical ScenarioConfig dump
 CONFIG_PINS = {
     ("conflict_pair", "centralized"):
-        "bee3b211e15a81ea19853fb769f4a37718a79f62d77866921d6ddc9af03a0cb7",
+        "fc56911454ea101234a1132e9d6b23d052c35b3ad18281af4135b32a39f9fbc7",
     ("conflict_pair", "distributed"):
-        "c73cf44f4b3ea4e3bbfb4c8089e31d3111929cfbc7f520df024c335fa1893f3e",
+        "80ebbd395b17dad746551312a9f554750d6353223ea2d0be62b0886b644deef7",
     ("conflict_pair", "mac_integrated"):
-        "700f01e9078f5c0ee2a4667da54f18ee8b0002837a800fe821862b35d2f4e9be",
+        "d9fa85b381fdb8a59c7b57a94bc86168bf3efe3f3bc2c8f855a4d93d177f878e",
     ("conflict_pair", "phy_relay"):
-        "5a5d2fdf7591f8654daba8dc5341ca29a644d32de3f7df6b2fa76a4e42d4f75a",
+        "fb94ffe0f2c1b0065b460c9275487c60c698287b8195369f5648dab9470fa529",
     ("four_room_household", "centralized"):
-        "dc394294c7b98b9dec7b2aa38f4a7e4d76bb40a6b16baa412dbb7fa534bc96ca",
+        "ae8584629ece0d5148ebdf39fcc1b3845befe28592ca7490cc43ab6d17ba4e13",
     ("four_room_household", "distributed"):
-        "0e8d1c0ec532bc145439091b3e32865b679c3b7458c5e098cd51ccfb02b74049",
+        "798b6534cd1a88773cca5a2b02c7fb0d98113203b771e63d86fd130fa74ae4bb",
     ("four_room_household", "mac_integrated"):
-        "b0bfe79195c775fecd5af2b1371ccdb827ee56d577e6272a1e13a1e5c7146589",
+        "04aa22471540e6c7775e8eab7c93b84ded0b23318e3c0c51e233b207f6e48a4d",
     ("four_room_household", "phy_relay"):
-        "6ba642d2f7c495932a96bd237c666768abcc340c41ceb50609a0991d77f0a000",
+        "96ce5e1948a8d421b3277bebef793973f92cd6a684bda53b2dca5f30af355bbe",
     ("golden", "centralized"):
-        "ef50f743e2d9f2230e53472c991c2885fee1cfe35dcc2543ce97c022467ba8aa",
+        "c8a594a926bef6b727e9f431850f2b0e43bde25d29df7adcd5f38aa7c054655b",
     ("golden", "distributed"):
-        "eb7696e11651098a2fdf3952cf2eb95611a5f70631886216a53d62dfa40869cd",
+        "6e5dd8d4a8c5a1c770d5aeef0c56e44ba1b1070a09107d6d999c3a1ec96417fd",
     ("golden", "mac_integrated"):
-        "363efe8074f39c5508e21ebc0d82ad255af20db1f694bd14d91fa7a30cf4bf49",
+        "47a9669458c1932fe5ae9b05450d1723ba20017cc042e36bf42e17c6e5025ee8",
     ("golden", "phy_relay"):
-        "30d9c80b7d2f10705608a091fdc09df172c5b2dfa797d54f79fe1b3108e541e1",
+        "6a96c306f562d275c0cc2440388a405c213b05eded9628392921db59494273e8",
     ("idle_night", "centralized"):
-        "f15e775d077b2cbcaaa1245c1939e418cb861c832399565546837f81ff26296e",
+        "b2f51751fd1d791780ceb8d87f406f8769783fd14c464951162b2b102faa427f",
     ("idle_night", "distributed"):
-        "319bb6dabe2e150a29d0fc6b3ee064153d09523b3b2bf3283cc7bb7a3ee3ae06",
+        "ba6c873f4763b4edf3ddddfc1480d2c99e0166b1b727dd9f08e4e2d9ae088ab5",
     ("idle_night", "mac_integrated"):
-        "177958f217c1819f725f4f1100f7ecebb64b60de741d619e6e7d4c8343f2a719",
+        "5587ff1f2b7f38157f8812884878a8889eb92e01417f86cc35fcc716d71e843b",
     ("idle_night", "phy_relay"):
-        "9307ad5295e51e1003394df40dfa97e82063c3ddf4f61cf76306c6280b841ece",
+        "da10874bcf57c398713900c22190fa3a24304781e88c34073f48b8ea04a727ca",
     ("ofdma_uplink_burst", "centralized"):
-        "13fcdc49bbed063ac2ff709ff34571a14122a91d20e3a7cb9fc2920d465ef89f",
+        "25692c9f6133917c8070800a7c023c23965a373f9280078fa140d2323ba28a17",
     ("ofdma_uplink_burst", "distributed"):
-        "bf5dabb79908bb518c664a730d75b32b63d2ed2a05d70a7b80f3ca8ce15f0099",
+        "fa2cdefcc371c267e91fb26b8df3da6d9f87db25c22fc73b2e5826135772c866",
     ("ofdma_uplink_burst", "mac_integrated"):
-        "abd983b91571709c04852e445d7a0f18e3e9ba1ac816f60a6eb8cb2922a6af7d",
+        "f55e63216c0b7caf4a9e86792ec4b499a5b320bd967655ee4d795dd33704eaa5",
     ("ofdma_uplink_burst", "phy_relay"):
-        "026931c86757679f9430ad7c72ec42b87eeafd0a1535ff3a4b1c3c5f36554d8d",
+        "54e717e9afc14b0861c2309f38d365fea3ebfde6747595a3d2c27c7392fb4ba1",
     ("phy_relay_burst", "centralized"):
-        "b4e0de410d4cb03523ab2dc9ca2c326889059a1f2f53538fbd8d02bb6d57ca43",
+        "cebc9cafbbe9335cccb86b6ea3c62eac61370e95daf55c803c3041335d171779",
     ("phy_relay_burst", "distributed"):
-        "8ef432ff9e1d4cf3d6b81ae22af696772f567eddebfef85166fdcb4103c0c69b",
+        "7cf9083459e0e52cd5acca63256d36c1660ad1af7d5d32fedc9714f610278407",
     ("phy_relay_burst", "mac_integrated"):
-        "3c847b261aaa58da04bedd66a35e578565df116ce7fd3471f3ee81abed94d519",
+        "465b41fe041a4970774df3cba4fa100ffdbe96c49f2ccadf862d52aea26c0b71",
     ("phy_relay_burst", "phy_relay"):
-        "ad186a9aaad230522e45f5a7bd4c2a9be0d282553d6adc39fdc221ccfa3d58e8",
+        "914a648d2f3dbb086935731ed0d191509981431bef8eb099b91d34eb036714c9",
     ("provisioning_storm", "centralized"):
-        "37fd3054d55c4fd35d8a1d105c5f109d7d57d12b01eaece6aa6b84fcc3467232",
+        "6a9a93ad86126967be20afb47bee868098560a7c19b2ee7feb006cc7c04b537d",
     ("provisioning_storm", "distributed"):
-        "a8b6e462cc6d7e497a14649ff445d8091b10c766230436f4de311ffff5581518",
+        "2a9de608ad56ca2ee8aa9b0ebcbf4b329ca0a11564cda14f3b2745b61c603e3a",
     ("provisioning_storm", "mac_integrated"):
-        "1b8d62d1e91a98f347cf8294a7a076cd2223eb8ea0e199ddcfd5993303ae72e8",
+        "673a04cd234da733d8af294ffc2afdc45b76180a70fc61a5832a2b17242d88e2",
     ("provisioning_storm", "phy_relay"):
-        "d4399e8d1d43268a0dc731bbe993f2aa7913e5fe89abbad1f3ca9bc0113c8ba3",
+        "2ca1a7422f47d771a81786e4084c7472a3daa8fb89449a417c2b2c0ccf51afc2",
     ("staged_kill", "centralized"):
-        "57d7a2cfd0c2e97b5e643a2143696351aff638be7419d52cc5b86bddf50a9e9f",
+        "fbb8fb96cf477668295f7f203ed7856bece9d1d8574fc7dce88a763ac4df3636",
     ("staged_kill", "distributed"):
-        "17200c4618bbdb66b100bc7c27837aa7335d71db006e6010d86c6ff3845a52a1",
+        "1f1c501a4ea014f69ad5c34233ac714fe0f99a315668f5c8389b5404381070ad",
     ("staged_kill", "mac_integrated"):
-        "54fc410435fb6487d8d2e26067511e8d5cbec98066cea25afb9185368023f58d",
+        "8272aab6e039a7c013486e666fd2333a1f3682260603e6b5c71f5a9866268be0",
     ("staged_kill", "phy_relay"):
-        "17935b83209f292f1a2ede3d1c7873b02d97f839a7f09379e859917ae632c5e6",
+        "32aad88a0c6e6eaae8307aa9f754ec24e9925d0a555e4cb3059e864524e8f79c",
 }
 
 
