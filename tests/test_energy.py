@@ -145,12 +145,10 @@ def test_iot_host_deactivates_radio_instead_of_sleeping():
 def test_sleep_rule_matches_the_table_on_every_input_a_run_gives(iot, idle_ns):
     table = reference_policy("idle", frozenset({"iot"}) if iot else frozenset(),
                              False, idle_ns)
-    rule = select_policy(iot)
-    assert (table == "rf_off") == (rule is PowerState.RF_OFF)
-    if rule is not PowerState.RF_OFF:
-        # a run turns every other answer into a light-sleep report; deep
-        # sleep comes only from the MFU's command
-        assert rule is PowerState.LIGHT_SLEEP
+    # a run turned every answer but rf_off into a light-sleep report; deep
+    # sleep comes only from the MFU's command
+    assert select_policy(iot) is (PowerState.RF_OFF if table == "rf_off"
+                                  else PowerState.LIGHT_SLEEP)
 
 
 # ---------------------------------------------------------------------------
