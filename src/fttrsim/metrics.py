@@ -51,7 +51,6 @@ def build_summary(res: SimResults) -> dict:
             "airtime_ns": st.airtime_ns,
             "utilization": round(st.airtime_ns / cfg.horizon_ns, 9),
             "collisions": st.collisions,
-            "coordination_failures": st.coordination_failures,
         }
     nodes = {}
     total_j = 0.0

@@ -23,9 +23,8 @@ from .frames import (APDU_OVERHEAD, FEM_HEADER_LEN, classification_tag,
                      decode_omci)
 from .links import WifiCell, InterferenceGraph
 from .scheduling import (SchedulerMode, SfuStatusReport, AirGrant,
-                         grant_downlink_airtime, check_grant_overlap,
-                         phy_relay_buffer_bytes, phy_relay_slot_ns,
-                         ofdma_uplink_request)
+                         grant_downlink_airtime, phy_relay_buffer_bytes,
+                         phy_relay_slot_ns, ofdma_uplink_request)
 from .management import (MibStore, OmciAdapter, LivenessMonitor,
                          AdapterError, apply_omci)
 from .energy import (PowerMachine, PowerState, SleepBuffer, select_policy,
@@ -40,26 +39,12 @@ class Frame:
 
 
 @dataclass
-class FlowStats:
-    offered: int = 0
-    delivered: int = 0
-    dropped: int = 0
-    latencies: array = field(default_factory=lambda: array("q"))  # ns
-
-
-@dataclass
-class CellStats:
-    airtime_ns: int = 0
-    collisions: int = 0
-    coordination_failures: int = 0
-
-
-@dataclass
 class SimResults:
     config: ScenarioConfig
     digest: str = ""
-    flow_stats: dict[str, FlowStats] = field(default_factory=dict)
-    cell_stats: dict[str, CellStats] = field(default_factory=dict)
+    # each flow's and each room's record, which holds its counters
+    flow_stats: dict[str, FlowRun] = field(default_factory=dict)
+    cell_stats: dict[str, SfuSim] = field(default_factory=dict)
     ledgers: dict = field(default_factory=dict)          # node -> EnergyLedger
     profiles: dict = field(default_factory=dict)         # node -> PowerProfile
     grants: list[AirGrant] = field(default_factory=list)
@@ -120,8 +105,12 @@ class SfuSim(Node):
         self.wake_lost = False
         self.deep_enter: int | None = None
         self.sleep_buffer = SleepBuffer(cfg.sleep_buffer_frames)
-        self.active_tx: tuple[int, int] | None = None
         self.iot = name in cfg.iot_sfus
+        # the end of the latest grant the MFU gave the room
+        self.grant_end = 0
+        # air time the room's frames used, and its collisions
+        self.airtime_ns = 0
+        self.collisions = 0
 
     @property
     def asleep(self) -> bool:
@@ -180,17 +169,17 @@ class ContentionDomain:
         self.round_pending = False
         # every cell of a run shares the scenario's overhead parameters
         self.overhead = sim.cfg.wifi_overhead
-        # per member, in name order: its SFU, the getrandbits of its backoff
-        # stream and its cell counters
-        self.stations = [(sim.sfus[m], sim.sim.rng.for_node(m).getrandbits,
-                          sim.results.cell_stats[m]) for m in sorted(members)]
-        for sfu, _, _ in self.stations:
+        # per member, in name order: its SFU and the getrandbits of its
+        # backoff stream
+        self.stations = [(sim.sfus[m], sim.sim.rng.for_node(m).getrandbits)
+                         for m in sorted(members)]
+        for sfu, _ in self.stations:
             sfu.domain = self
 
     def notify(self) -> None:
         if self.round_pending:
             return
-        for sfu, _, _ in self.stations:
+        for sfu, _ in self.stations:
             if sfu.queued_bytes > 0 and sfu.alive and not sfu.asleep:
                 break
         else:
@@ -227,18 +216,18 @@ class ContentionDomain:
         oh = self.overhead
         start = self.sim.sim.now + oh.difs_ns + best * oh.slot_ns
         if tied is None:
-            sfu, _, stats = winner
+            sfu = winner[0]
             frame = sfu.pop_frame()
             dur = frame.flow.airtime_ns
-            stats.airtime_ns += dur
+            sfu.airtime_ns += dur
             sfu.set_cw(oh.cw_min)
             self.busy_until = start + dur
             self.sim._deliver(frame, start + dur)
         else:
             dur = 0
-            for sfu, _, stats in tied:
+            for sfu, _ in tied:
                 dur = max(dur, sfu.head_frame().flow.airtime_ns)
-                stats.collisions += 1
+                sfu.collisions += 1
                 sfu.set_cw(min((sfu.cw + 1) * 2 - 1, oh.cw_max))
             self.busy_until = start + dur
         self.notify()
@@ -247,18 +236,16 @@ class ContentionDomain:
 class FlowRun:
     """One flow's constants, fixed at construction: its arrival timing and
     what every frame of it shares (size, queue tag, air time at its room's
-    cell, optical serialization time); and the end of its current on period
-    (on_off flows)."""
+    cell, optical serialization time); the end of its current on period
+    (on_off flows); and its frame counts and latencies."""
 
-    __slots__ = ("spec", "sfu", "stats", "size", "tag", "airtime_ns",
-                 "optical_ns", "interarrival_ns", "stop_ns", "on_ns",
-                 "off_ns", "next_end")
+    __slots__ = ("spec", "sfu", "size", "tag", "airtime_ns", "optical_ns",
+                 "interarrival_ns", "stop_ns", "on_ns", "off_ns", "next_end",
+                 "offered", "delivered", "dropped", "latencies")
 
-    def __init__(self, spec: FlowSpec, sfu: SfuSim, stats: FlowStats,
-                 cfg: ScenarioConfig):
+    def __init__(self, spec: FlowSpec, sfu: SfuSim, cfg: ScenarioConfig):
         self.spec = spec
         self.sfu = sfu
-        self.stats = stats
         self.size = spec.size_bytes
         self.tag = classification_tag(spec.priority)
         self.airtime_ns = sfu.cell.airtime_ns(spec.size_bytes)
@@ -275,6 +262,8 @@ class FlowRun:
         self.on_ns = int(spec.on_ms * 1_000_000)
         self.off_ns = int(spec.off_ms * 1_000_000)
         self.next_end = 0
+        self.offered = self.delivered = self.dropped = 0
+        self.latencies = array("q")  # ns
 
 
 def _dispatcher(node: str, table: dict[str, Callable[[Event], None]]
@@ -304,14 +293,12 @@ class Simulation:
         for s in cfg.sfus:
             cell = WifiCell(s, cfg.air_rate_bps, cfg.wifi_overhead)
             self.sfus[s] = SfuSim(s, cell, cfg)
-            self.results.cell_stats[s] = CellStats()
             self.results.mibs[s] = MibStore(s)
+        self.results.cell_stats = self.sfus
         self.mfu = Node(MFU, MFU)
         self.mfu_tx_free = 0
-        self.flow_stats = {f.name: FlowStats() for f in cfg.flows}
-        self.results.flow_stats = self.flow_stats
-        self.flows = [FlowRun(f, self.sfus[f.dst], self.flow_stats[f.name],
-                              cfg) for f in cfg.flows]
+        self.flows = [FlowRun(f, self.sfus[f.dst], cfg) for f in cfg.flows]
+        self.results.flow_stats = {run.spec.name: run for run in self.flows}
         self._proc_ns = cfg.proc_mfu_ns + cfg.proc_sfu_ns
         self._spans_merge_at = SPANS_MERGE_MIN
         self.monitor = LivenessMonitor(cfg.k_miss)
@@ -422,14 +409,14 @@ class Simulation:
     def _flow_arrival(self, ev: Event) -> None:
         flow = ev.payload
         now = self.sim.now
-        flow.stats.offered += 1
+        flow.offered += 1
         sfu = flow.sfu
         frame = Frame(flow, now)
         self._mark_activity(self.mfu, now)
         if sfu.asleep or sfu.wake_pending:
             dropped = sfu.sleep_buffer.push(frame)
             if dropped is not None:
-                dropped.flow.stats.dropped += 1
+                dropped.flow.dropped += 1
                 self.results.sleep_drops += 1
             self._trigger_wake(sfu)
         else:
@@ -470,9 +457,9 @@ class Simulation:
         after the horizon is not delivered in this run and stays in `lost`."""
         if t > self.cfg.horizon_ns:
             return
-        stats = frame.flow.stats
-        stats.delivered += 1
-        stats.latencies.append(t - frame.created_at + self._proc_ns)
+        flow = frame.flow
+        flow.delivered += 1
+        flow.latencies.append(t - frame.created_at + self._proc_ns)
         spans = self.results.activity_spans
         spans.append((frame.created_at, t))
         if len(spans) >= self._spans_merge_at:
@@ -501,31 +488,32 @@ class Simulation:
         grants = grant_downlink_airtime(reports, self.graph, cfg.txop_max_ns,
                                         t0, airtime_for,
                                         window_end=t0 + cfg.status_cycle_ns)
-        overlaps = check_grant_overlap(grants, self.graph)
-        if overlaps:
-            raise RuntimeError(
-                f"scheduler emitted overlapping grants: {overlaps}")
         self.results.grants.extend(grants)
         schedule = self.sim.schedule
+        neighbors = self.graph.neighbors
         for g in grants:
-            schedule(g.start, sfus[g.sfu].target, "grant_start", g)
+            # no grant may start before a conflicting room's latest grant,
+            # of this cycle or an earlier one, ends
+            for other in neighbors(g.sfu):
+                if sfus[other].grant_end > g.start:
+                    raise SimError(
+                        f"grant to {g.sfu} at {g.start} ns starts before the "
+                        f"grant to {other} ends at {sfus[other].grant_end} ns")
+            sfu = sfus[g.sfu]
+            end = g.start + g.max_duration
+            if end > sfu.grant_end:
+                sfu.grant_end = end
+            schedule(g.start, sfu.target, "grant_start", g)
         nxt = now + cfg.status_cycle_ns
         if nxt <= cfg.horizon_ns:
             schedule(nxt, MFU, "status_cycle")
 
     def _grant_start(self, sfu: SfuSim, ev: Event) -> None:
         grant = ev.payload
-        now = self.sim.now
         if not sfu.alive or sfu.asleep:
             return
         end = grant.start + grant.max_duration
-        stats = self.results.cell_stats[sfu.name]
-        # coordination-failure check against conflicting in-flight transmissions
-        for other in self.graph.neighbors(sfu.name):
-            tx = self.sfus[other].active_tx
-            if tx and tx[0] < end and now < tx[1]:
-                stats.coordination_failures += 1
-        cursor = now
+        cursor = self.sim.now
         deliver = self._deliver
         while True:
             head = sfu.head_frame()
@@ -535,8 +523,7 @@ class Simulation:
             airtime = frame.flow.airtime_ns
             cursor += airtime
             deliver(frame, cursor)
-            stats.airtime_ns += airtime
-        sfu.active_tx = (now, cursor)
+            sfu.airtime_ns += airtime
 
     # ------------------------------------------------------------------
     # upstream allocation calendar (alloc cycles, OMCI slot, data slots)
@@ -798,11 +785,11 @@ class Simulation:
         cfg = self.cfg
         self._prime()
         digest = self.sim.run_until(cfg.horizon_ns)
-        for name, stats in self.flow_stats.items():
-            if stats.delivered + stats.dropped > stats.offered:
+        for flow in self.flows:
+            if flow.delivered + flow.dropped > flow.offered:
                 raise SimError(
-                    f"flow {name} delivered {stats.delivered} and dropped "
-                    f"{stats.dropped} of {stats.offered} offered frames")
+                    f"flow {flow.spec.name} delivered {flow.delivered} and "
+                    f"dropped {flow.dropped} of {flow.offered} offered frames")
         res = self.results
         res.digest = digest
         for node in (*self.sfus.values(), self.mfu):

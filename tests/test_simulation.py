@@ -179,8 +179,7 @@ def test_inlined_backoff_draw_matches_draw_int_and_randint(seed, moves):
     sfu, flow = sim.sfus["a"], sim.flows[0]
     domain = sfu.domain
     oh = domain.overhead
-    _, _, stats = domain.stations[0]
-    domain.stations[0] = (sfu, random.Random(seed).getrandbits, stats)
+    domain.stations[0] = (sfu, random.Random(seed).getrandbits)
     by_draw_int, by_randint = random.Random(seed), random.Random(seed)
     cw = oh.cw_min
     for move in ["succeed", *moves]:
@@ -203,7 +202,7 @@ def test_backoff_bit_count_follows_the_window(monkeypatch):
 
     def checked(domain, ev):
         on_round(domain, ev)
-        for sfu, _, _ in domain.stations:
+        for sfu, _ in domain.stations:
             assert sfu.cw_bits == (sfu.cw + 1).bit_length()
             seen["doubled"] += sfu.cw > domain.overhead.cw_min
 
