@@ -1,11 +1,13 @@
 import random
+from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from fttrsim import simulation
 from fttrsim.energy import PowerState
-from fttrsim.engine import draw_int
+from fttrsim.engine import SimError, draw_int
 from fttrsim.metrics import build_summary
 from fttrsim.scenario import load_scenario, parse_scenario
 from fttrsim.simulation import (MFU, ContentionDomain, Frame, Simulation,
@@ -62,6 +64,48 @@ def test_stop_ms_bounds_arrivals():
     assert offered_in(batch) == 10
     # a flow may stop when it starts: it offers its first frame only
     assert offered_in({"rate_mbps": 1, "start_ms": 4, "stop_ms": 4}) == 1
+
+
+def two_conflicting_rooms_run():
+    """A 20 ms centralized run of conflicting rooms `a` and `b`, each sent
+    1500 B frames at 200 Mb/s, with a 3 ms status cycle."""
+    return run_scenario_config(parse_scenario({
+        "horizon_ms": 20, "mode": "centralized",
+        "topology": {"sfus": ["a", "b"], "conflicts": [["a", "b"]]},
+        "control": {"status_cycle_us": 3000},
+        "flows": [{"name": room, "dst": room, "size_bytes": 1500,
+                   "rate_mbps": 200} for room in ("a", "b")],
+    }))
+
+
+def at_cycle_start(grant, reports, graph, txop_max_ns, now, airtime_for,
+                   window_end):
+    # every grant starts when the cycle's grants may start
+    return [g._replace(start=now) for g in grant(
+        reports, graph, txop_max_ns, now, airtime_for, window_end=window_end)]
+
+
+def past_the_cycle(grant, reports, graph, txop_max_ns, now, airtime_for,
+                   window_end):
+    # no window_end clamp: a grant may run into the next cycle
+    return grant(reports, graph, txop_max_ns, now, airtime_for)
+
+
+def test_conflicting_rooms_share_the_air_without_overlap():
+    res = two_conflicting_rooms_run()
+    assert {g.sfu for g in res.grants} == {"a", "b"}
+    assert all(f.delivered > 0 for f in res.flow_stats.values())
+
+
+@pytest.mark.parametrize("fault", [at_cycle_start, past_the_cycle])
+def test_overlapping_grants_end_the_run(monkeypatch, fault):
+    # (a) conflicting grants of one cycle overlap; (b) a grant overlaps a
+    # conflicting grant of the previous cycle, which a check of each
+    # cycle's grants alone did not see
+    monkeypatch.setattr(simulation, "grant_downlink_airtime",
+                        partial(fault, simulation.grant_downlink_airtime))
+    with pytest.raises(SimError, match="starts before the grant to"):
+        two_conflicting_rooms_run()
 
 
 def reference_reserve_data_slot(alloc_cycle_ns: int, omci_slot_ns: int,
