@@ -74,19 +74,19 @@ class EnergyLedger:
     def __init__(self, node: str, initial: PowerState, start: int = 0):
         self.node = node
         self.records: list[tuple[PowerState, int, int]] = []
-        self.state = initial          # current state, entered at _since
-        self._since = start
+        self.state = initial          # current state, entered at since
+        self.since = start
 
     def transition(self, new: PowerState, now: int) -> None:
-        if now < self._since:
+        if now < self.since:
             raise LedgerError(f"{self.node}: ledger time regression")
-        self.records.append((self.state, self._since, now))
+        self.records.append((self.state, self.since, now))
         self.state = new
-        self._since = now
+        self.since = now
 
     def close(self, horizon: int) -> None:
-        self.records.append((self.state, self._since, horizon))
-        self._since = horizon
+        self.records.append((self.state, self.since, horizon))
+        self.since = horizon
 
     def check_tiling(self, horizon: int) -> None:
         if not self.records:

@@ -103,7 +103,6 @@ class SfuSim(Node):
         # a wake command that went out while the room was dead: it stays
         # pending until the room answers a poll again
         self.wake_lost = False
-        self.deep_enter: int | None = None
         self.sleep_buffer = SleepBuffer(cfg.sleep_buffer_frames)
         self.iot = name in cfg.iot_sfus
         # the end of the latest grant the MFU gave the room
@@ -712,9 +711,7 @@ class Simulation:
         if sfu.wake_pending:
             self.results.rejected_transitions += 1
             return
-        if sfu.power.request(PowerState.DEEP_SLEEP, now):
-            sfu.deep_enter = now
-        else:
+        if not sfu.power.request(PowerState.DEEP_SLEEP, now):
             self.results.rejected_transitions += 1
 
     def _trigger_wake(self, sfu: SfuSim) -> None:
@@ -725,8 +722,9 @@ class Simulation:
         prof = self.cfg.sfu_profile
         cmd_at = now + self.cfg.control_delay_ns
         if sfu.power.state == PowerState.DEEP_SLEEP:
-            # command is only heard at the next deep-sleep listen window
-            enter = sfu.deep_enter
+            # command is only heard at the next deep-sleep listen window,
+            # counted from the room's entry to deep sleep
+            enter = sfu.power.ledger.since
             k = max(1, -(-(cmd_at - enter) // prof.t_listen_ns))
             cmd_at = enter + k * prof.t_listen_ns
             wake_done = cmd_at + prof.wake_deep_ns
@@ -743,7 +741,6 @@ class Simulation:
         now = self.sim.now
         sfu.power.request(PowerState.IDLE, now)
         sfu.wake_pending = False
-        sfu.deep_enter = None
         self.deep_cmd_issued = False
         self.results.events.append((now, "wake_done", sfu.name))
         for frame in sfu.sleep_buffer.flush():
