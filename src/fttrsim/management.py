@@ -106,7 +106,6 @@ def apply_omci(msg: OmciMessage, mib: MibStore) -> OmciMessage:
 
 
 class AlarmKind(Enum):
-    LINK_DOWN = "LinkDown"
     UNRESPONSIVE = "Unresponsive"
 
 
@@ -146,18 +145,6 @@ class LivenessMonitor:
                 and (sfu, AlarmKind.UNRESPONSIVE) not in self._active):
             return self._raise(sfu, AlarmKind.UNRESPONSIVE, now)
         return None
-
-    def link_event(self, sfus: list[str], down: bool, now: int) -> list[Alarm]:
-        out = []
-        for sfu in sfus:
-            if down:
-                if (sfu, AlarmKind.LINK_DOWN) not in self._active:
-                    out.append(self._raise(sfu, AlarmKind.LINK_DOWN, now))
-            else:
-                a = self._clear(sfu, AlarmKind.LINK_DOWN, now)
-                if a:
-                    out.append(a)
-        return out
 
     def _raise(self, sfu: str, kind: AlarmKind, now: int) -> Alarm:
         alarm = Alarm(sfu, kind, now)

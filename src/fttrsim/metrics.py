@@ -119,8 +119,8 @@ def flow_table_bytes(summary: dict) -> bytes:
 def schedule_dump_bytes(res: SimResults) -> bytes:
     lines = []
     for g in res.grants:
-        lines.append(f"GRANT {g.sfu} start={g.start} duration={g.max_duration} "
-                     f"reason={g.reason}")
+        lines.append(
+            f"GRANT {g.sfu} start={g.start} duration={g.max_duration}")
     for sfu, start, dur, tcont in res.upstream_slots:
         lines.append(f"SLOT {sfu} start={start} duration={dur} tcont={tcont}")
     return ("\n".join(lines) + "\n").encode() if lines else b""

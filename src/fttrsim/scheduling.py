@@ -37,7 +37,6 @@ class AirGrant(NamedTuple):
     sfu: str
     start: int
     max_duration: int
-    reason: str = "downlink"     # downlink | uplink_trigger
 
 
 @dataclass(frozen=True)

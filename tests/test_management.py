@@ -147,15 +147,6 @@ def test_recovery_clears_alarm():
                                    "2000 r Unresponsive cleared"]
 
 
-def test_link_events_raise_and_clear_per_sfu():
-    mon = LivenessMonitor()
-    raised = mon.link_event(["a", "b"], down=True, now=5)
-    assert [a.kind for a in raised] == [AlarmKind.LINK_DOWN] * 2
-    assert mon.link_event(["a"], down=True, now=6) == []  # already active
-    cleared = mon.link_event(["a", "b"], down=False, now=7)
-    assert all(a.cleared_at == 7 for a in cleared)
-
-
 def test_k_miss_must_be_positive():
     with pytest.raises(ValueError):
         LivenessMonitor(k_miss=0)
