@@ -40,70 +40,70 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # (scenario, mode) -> (sha256 of summary.json, sha256 of flows.csv)
 PINS = {
     ("conflict_pair", "centralized"): (
-        "53aa6635e8427d809b2bb7a93e24bd38c06b3fa9f505ddd0c0a11e56f014451a",
+        "808d12faa30204edfd852e29e2904983ed4f4b3cf3c2ecb2149b297a93934f92",
         "0699922d1256e434c7c1815ccb7c17fdeb17128b88d05371616e5f12a2cf56d3"),
     ("conflict_pair", "distributed"): (
-        "6b46c304c3993b617f7e75c145f3c05008d17ffe277171c94f0e48e465bcd155",
+        "2d79187ba9c8b233915458bf98cdf4f90506fa9e5949aa0c160fb024ec5fc072",
         "b38216e277d3ef8fc6ace04855064fa14a064dfe9c90644999b52ebdc67e286a"),
     ("conflict_pair", "phy_relay"): (
-        "e8c2cf1d652ddd68ea75bbd3689d80e40403df5eece1b43e4696d5c960003d66",
+        "a22c29b5609a9b21f42023d036e7a20670ea47a3bb1f7b34b8a1adba463ad74a",
         "eaa3a2f19b839d4ba70e498fe0ad577bb3742c7ace18d910fc48077279ead461"),
     ("four_room_household", "centralized"): (
-        "eeb9c97ac78f36207eb09316f6083956d354c7277578f8725a64053565fa9f89",
+        "97a8fbfd923f4404035705f8f9a6f1b68fc85f5c7d1fd39bd2591883a83cebf0",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("four_room_household", "distributed"): (
-        "03366040fbe9028831bf1512c2d5f982614eaaa22113c6c006b59360cb945707",
+        "50c74054e864ace65ac3c5e8fac2553c58863ca6e43c1b5d21018541252cd875",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("four_room_household", "phy_relay"): (
-        "3368a34fb54d11e9cf224574afca9fdd7a2b64ee005e1e7c4e615a1d776b7d54",
+        "2ad1c85074cfc2627ad47e3e3a62439f48d3ffee379b4f65751b1207730b30c7",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("golden", "centralized"): (
-        "1f6666ae804d480986f454b1fbee059f0f0f3cdaca22c115ea53af0e0fea3319",
+        "cbf16aeaabcef327332246a42ca931dabb17ade9d689116a72d54193c5d60c5b",
         "537d351de7b375ff49adc9cd35c8a47a43d92bf491e8ec29d32ffe893de87999"),
     ("golden", "distributed"): (
-        "2e47e566dcf61e793c0e13e7b947f75058b162c4c99a310b458b5feb6a0268a3",
+        "f4ceb71ceea850593ac360b582334fbf81130fec319bdf4a5b3c86ac565d48ce",
         "4122b453971055f25395ac0f32ca9d81103e7fd9db57d9b295879055ee26c092"),
     ("idle_night", "centralized"): (
-        "d45f6629cb82983a65d08f78748a35fb66ebedcd0655e00c644082bb38d40f94",
+        "0590150f8fbafc44fede5f6491167b4493e6ff6d77739b7a2e59892715897a7b",
         "afe8f3408ee7411b4c7f06512f66ff4e5c6d63ffdb4f09cdd8262eecef454abc"),
     ("idle_night", "distributed"): (
-        "a96d5b1baba45bf5594e27db899b43a23618fa8a245372b0fc4b403cc03e773c",
+        "6a1f6343664dc8b66f47404ebb465ee2bfee6b4de43fdba95704ab75e1e78720",
         "a705d415ba98a671fbb54cfa1391ccd169be0abacfcde807cf2c11d19ec8a768"),
     ("idle_night", "phy_relay"): (
-        "cc827db2777802c7415a375a01fc1be38d6286f8272eb30103c48c88cd9c85bb",
+        "28aea4d9e481e8dcb24cd1f17ab0d97f128575eeb88e8eb837fa807b77504013",
         "28545f526021417db646596bf472fb87e1691869aea735f41c1cc6df9fecc23d"),
     ("ofdma_uplink_burst", "centralized"): (
-        "d161c840359e6fe167697ba35d4024c1eda254177e75529d3215e1ec88f2c78d",
+        "20f48a91090b7c0750a2854d5229ca0e0913c9dc43dd5b4f89beef832491eb0d",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("ofdma_uplink_burst", "distributed"): (
-        "2af64d4796b1d24bb1940d543945c137c1b5c028fa7ec6df21296e41321babcb",
+        "4eb4ee67aae077eb04733fae1884f91ec07245e41de5058d53521d388b146a8b",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("phy_relay_burst", "centralized"): (
-        "fe1b11e1bd2ca86fd9d4b1f4ee8a268e74a3186b0a1709757cc8e61ed736a1eb",
+        "73f79d5b6b577a3dc9f55aa1a207ffcad5bcd64ea3c96d5a2ae8ba03a2505983",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("phy_relay_burst", "distributed"): (
-        "d1e037dc486fee597780b9cfb1f7a07868e2d8d5c1dfc12b71fc7e0698656b83",
+        "814227082878e888c4dcf45946a4cf2c05e4a45ec1a62c2b2555a98cc3662dd1",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("phy_relay_burst", "phy_relay"): (
-        "d52f65bae087f6cd6dbd1f638eced168a4827a13d339999f7bf71cedc074a6cd",
+        "7af43ad4f5e4e24b8cd86eaa99d19ff1c85f5e313b8b3d7c325a89aa10d869b1",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "centralized"): (
-        "274a14d83012b9475a84e50349febaa728ac9857462c70e19a2793df93788909",
+        "f31a6defc0b11008914527eee1503a322d0c8461cae86fa3dafd4d03e0c5cbdb",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "distributed"): (
-        "ed44a31dbc28c20b4c440d6aec439619b81193330bd8d6f6595ea08a2dc87dc7",
+        "058787a7c0eefc332abe19556a7d221a26c594c7cb0d6e2bc6f7b958a8a454e6",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "phy_relay"): (
-        "ef9d8c7f063508598829cd0ab95d287e28dfb4c2d6e28309d058074d519d3d5c",
+        "ecd7d97cc9db3c96899ae2558978756d3de74fede644c6735832834c3fef02a3",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("staged_kill", "centralized"): (
-        "b8eb57768b13b67fc8e01ac86ab0fecee973c189ea17ed6050925472cb213b94",
+        "794b0f421b458e6cf143393077ecda7dd875b982aae1a54d5e5215025809f62b",
         "f338d9dbba59d249f3230511c18adf506eddd66319d5c543c92cfc79e3a59a6c"),
     ("staged_kill", "distributed"): (
-        "e3c58f45d942e8d629d40596834c785f396eb179da8d504cbeceadc48d287f86",
+        "577b74a4828423e39307669fbb1dbcd9e8f38ec3ac27a97d0eabdac438937b19",
         "400061c7dce4fd9c72b4ee7bae471447ea60399d805c2657b1ba6acdda6452ec"),
     ("staged_kill", "phy_relay"): (
-        "0b24306eceb3b463579da4fea4910ede0fe14610a60948c1abe924f4eeda0e89",
+        "e98a6b1f265fda96e25961a009bdaf0b58bdef5fa814446ffc7ea4ac4d6d12ea",
         "95211e17a5817c20edce0d81e47b2cf493b4aa7b0bb68125cc30b710e435ca5d"),
 }
 
@@ -111,94 +111,94 @@ PINS = {
 # events_* counters, sha256 of flows.csv)
 MODEL_PINS = {
     ("conflict_pair", "centralized"): (
-        "c220f57a950b93a1436a03d5591aa28d70ac37afe902b9005121432451e4aeab",
+        "9d40d9d190039ce07165caab5a609ad4e9b0fad8afcc5534e780c169ed3b7933",
         "0699922d1256e434c7c1815ccb7c17fdeb17128b88d05371616e5f12a2cf56d3"),
     ("conflict_pair", "distributed"): (
-        "1bfef9a5b1c50b1b8fa41704549f1dec5eb38489c73b6d86ba4806a75801b1f4",
+        "7cf0a2272920f6fd6cdd6b3c9e14eacc9facebed4e0825c7d2debada46f57ab4",
         "b38216e277d3ef8fc6ace04855064fa14a064dfe9c90644999b52ebdc67e286a"),
     ("conflict_pair", "mac_integrated"): (
-        "f2e9a61bd99e498c25546001ad2845225351285d1ccd47d22418f7afd65ff4a8",
+        "0e1b5f53378a410fcec57d5848b84881c231b6dbde30f6cb6e1268ced16bd514",
         "80c74b0063138ae2e6c1b7067b385844fc9432a8a01626775d2ef585d0bbab9c"),
     ("conflict_pair", "phy_relay"): (
-        "a3ddc7ec2b069cf57279c6e80c9d71888deaac89413886647b7a910664237f79",
+        "15e25bfdbd0c710a254ab90782e383ec9fa268b62155de8185969071e7930719",
         "eaa3a2f19b839d4ba70e498fe0ad577bb3742c7ace18d910fc48077279ead461"),
     ("four_room_household", "centralized"): (
-        "2572a4e5b7438a810ce94bafdb4fa6c567bb39d04002edb19afed9a0f70e0a9c",
+        "95e52e021698798b021f5d78fe4aa6a6c9936452e0e953a4482d72c20c210859",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("four_room_household", "distributed"): (
-        "48a566e95672fedb98a27b9de7650ad0f995321cd02ae39fa3189fdf21167d32",
+        "80399ba7bb3268c9cded05a1289742573716ec87141ba680d94b9a5a66ccdb66",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("four_room_household", "mac_integrated"): (
-        "d1db02b02b240ab668e361dc854f0c7c06abe05423e20991693915f1b7ef62e6",
+        "83f17ad85b939cb1d11101d64bb9eeaee87718b1768aa883459ab9da675e14c2",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("four_room_household", "phy_relay"): (
-        "c99eb7e883a8d8911fc27bb97aee4723ac0d6c697dc2d0dda8bed073ed2f8376",
+        "c1f242015a846c9fdba535189aacbdf944808f2dccd2fe1a21a4ea928dd2539d",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("golden", "centralized"): (
-        "11c35d7c1e0d86397b550d7fd6c1b41dd7d6ab7eb6958b7302dad9ac210adadb",
+        "f3be3eaf861f51ab1629e617b7a3386444ea2f03ac2ea9d2f72d428d9e1c73c3",
         "537d351de7b375ff49adc9cd35c8a47a43d92bf491e8ec29d32ffe893de87999"),
     ("golden", "distributed"): (
-        "1d2d6c9dfcbb34fd701c048030fb8906bf39ec8afe7e1ab7c915d11c9ed51f4c",
+        "95e074fdfa0125e52cbf47d885200ed1401edce12fca0cf4cf9ed8a1fcf1a14a",
         "4122b453971055f25395ac0f32ca9d81103e7fd9db57d9b295879055ee26c092"),
     ("golden", "mac_integrated"): (
-        "241b94f785a9190476d9c723039c5c2acaa43d378fc15e80f340e7d8885608ad",
+        "f331c568b8fb277442e19ce9864fcccdd74cba728158f7b836211f2c8ce8c0d1",
         "a28660b69337e4da6a4b2454578f2914ece50e78f51356c6025d4945e6e3310d"),
     ("idle_night", "centralized"): (
-        "4c81d3122bcb5bd4e607829abedc857a7929a47de158a847b4711e23c4d8b571",
+        "f41f18f0c9a4c3ceaab9646750a4928ea0f8b1da72dd7c5d74230ad8f5056468",
         "afe8f3408ee7411b4c7f06512f66ff4e5c6d63ffdb4f09cdd8262eecef454abc"),
     ("idle_night", "distributed"): (
-        "a931f8d541ae71845dcced68cfaa7be4328134252ca6746c500ba67573408a96",
+        "1e030c1ef35f581f41232f2e1d23dc7c5a4b758f74359c850154218ac2cd2ebe",
         "a705d415ba98a671fbb54cfa1391ccd169be0abacfcde807cf2c11d19ec8a768"),
     ("idle_night", "mac_integrated"): (
-        "092ec086564d897a72c9ecfde4f3ec31f9334535377428cef8178d6525af5933",
+        "5228767d4f1764ece212ead2ff1023a8523203cb1a0a2f3d82aad3c5ea199e77",
         "873c0f5f8ba7672b0281b01cdc87c0dd948119b0cd56b653c3a8f0be693dbede"),
     ("idle_night", "phy_relay"): (
-        "7d5387acc58f9c69c912c4386b00f202209bec2d4c998e5a47851d7fb56af78c",
+        "f930b6cc4c88e886eb1e6058e1aabb53f365f66cae9f11a9bc0b5ae5c1a96d84",
         "28545f526021417db646596bf472fb87e1691869aea735f41c1cc6df9fecc23d"),
     ("ofdma_uplink_burst", "centralized"): (
-        "2079edff26e49f6b4651136bb9d289ec289e38a379f0a1fe7cd6834dba36b073",
+        "5127c75b0d77c7344cc579cf8f5168ea90dbad387deb9bb535861801b18fe7c6",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("ofdma_uplink_burst", "distributed"): (
-        "cbbd1a784240edeeaca05fd8e7f0914cbf97545a5250f136239cb04b7879baec",
+        "7b215de276a0154041737347af8418b4051e0ccf5022dd0d63f31f81aacb9175",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("ofdma_uplink_burst", "mac_integrated"): (
-        "bce13b3519993eaffda5e062bca24d7c517a7c71b1106c3814c142c0b6e37680",
+        "e08f734f28eb5100dfb6b2dad9fe8ae122d1ee736f22e3d9f9a94d3d3fa86102",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("phy_relay_burst", "centralized"): (
-        "a4d4840585c4afd9f40a7c4719eb28e3e1f4427708efcb7a7c47159e66804501",
+        "80c7e1b659b1f601ad0e1b3a79a273d77429dd30280c63dc98b5444cc55c21dc",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("phy_relay_burst", "distributed"): (
-        "5b4a5a646c756bd0f77203a5c7f6e655e86e26dc5521a7d2baf6e25dbc88a8f2",
+        "5a8f83bdda363a47d6e15efe0250508c33070279b039513dfbe7f0724e59637d",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("phy_relay_burst", "mac_integrated"): (
-        "6c056bfd360d3ea7927923f5e30fc85fb8913f0dc74f7e79ec910902768b7ed2",
+        "95070401b9e8cb9a0111812918eb30c46f57ef4c6adebdcd70689fe440eb17bc",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("phy_relay_burst", "phy_relay"): (
-        "c95ec80cd3e2490002a23285c3cbb7013003f1e3680410b850cf197f9f59ca73",
+        "40e1ae11aac8fe87052b142708c55a79502c3c1086cc192299b35c4462f1ba3f",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "centralized"): (
-        "7e896fced4f73a6e73290036999d74ad57d87394c9014a2f3e961a25b3ce7912",
+        "378f84dc154a2d7d4799f853c26617f00777c42da751a8ed79c54c3b29570d18",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "distributed"): (
-        "c866addce4094f62a2a5ddb2e2e10599c040cf25d909a401b02bfe20b1ab564a",
+        "45af01257194e2eb5987624cc85d3b8399ca972a5aa5c2538f1eadc2263eb601",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "mac_integrated"): (
-        "faa64f4cea9b68b1d67f87c7bf38a8763482131e2d9193d483b5f386f0d23719",
+        "00ba6b7f16294abf4291dca4e3b30441c554b273dd9b6ef83c288cb2cf7bf34d",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "phy_relay"): (
-        "97cb6d66ae1e80d29c7429a10ac5b5a76da80e6dc16a88f5b4261dbe39ce958a",
+        "94d704f3f275c0f29ba4f40d5ac1f7c760ece19d5345964157be23d5b6b10d17",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("staged_kill", "centralized"): (
-        "cdd35ece7de1a57cd8ed4dc2af535687cd78511698e311428c0209240659c9ce",
+        "bf7d90e42e65a79678553d3745123d77b2d35da97e30d9872b30ae433cd6dcc7",
         "f338d9dbba59d249f3230511c18adf506eddd66319d5c543c92cfc79e3a59a6c"),
     ("staged_kill", "distributed"): (
-        "562e58e24f7904ee405d884a174cae4930b7e80d9526d0e0768d4149a544bd6b",
+        "b63971eb682a0136bdfe2af8688c367982c69fdaf64151d3fd1fcef040ccf0bd",
         "400061c7dce4fd9c72b4ee7bae471447ea60399d805c2657b1ba6acdda6452ec"),
     ("staged_kill", "mac_integrated"): (
-        "2489460bb5da9c0533a55ac627b1aedd926e2d2e2ded76e0aa2d5d84c91b5dd9",
+        "09080c50d4d88370e4f33dc2ce354c3e79139c75f31f92d36fb886ea7cbe9770",
         "3056e3f80b867112aeaf83e2c638bb2ac8f0ef760c1b48806a827c0f534e07f2"),
     ("staged_kill", "phy_relay"): (
-        "29834e8d2822588de51ae95ece3dc6c8eaf9063af4952432f84627516c5b3a2f",
+        "3d7a7d9f78c674ee79a2f7c7593e7ee19ab4245b99dac1bc490032233790212e",
         "95211e17a5817c20edce0d81e47b2cf493b4aa7b0bb68125cc30b710e435ca5d"),
 }
 
@@ -314,32 +314,32 @@ RUNS = {"sleep_deep_wake": SLEEP_RUN, "storm_kill_bursts": STORM_RUN,
 # repr(res.events))
 RUN_PINS = {
     ("sleep_deep_wake", "centralized"): (
-        "beee432a392963efcc1e50b8e0cd935df4b4fc6ce68227fdafd7f467cd850fa0",
+        "e3bf1d1de2d970c1a5eef7e3f54c61202c9b2621cc93b509685f4fac300c7905",
         "27aecd51dd70386d137bfec2c892ec1dd632f87f6158fb4c2ce9fe6674369350",
-        "892c821164400eb8e3d2658fe6aa441a47114021391f6a0adfbcd64b9896ae15",
+        "e1486fa41656d4e09fba885285609606874e4cce8d09895c6c0470a3c21ad2a1",
         "09dc764fe476ebd02f919c8e126bb7894d101ba0a43020d59ef5cd1a604b2447"),
     ("sleep_deep_wake", "distributed"): (
-        "954d9687b9bb68bef29e8f5e8990e5c279eccf4a00286375913933eda881ccd7",
+        "f68be5d000f5e1b12957a7774c5efd248d87195124b6e033de8ce8483e580f20",
         "b167da573fddcff0ad3b23c7c580314be325799ca8cb4ca5ad3165e7d56dc025",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "09dc764fe476ebd02f919c8e126bb7894d101ba0a43020d59ef5cd1a604b2447"),
     ("storm_kill_bursts", "centralized"): (
-        "221df843b905afd97f0ad4b8ebbc9d30130a115fda434baa51da57043da09aae",
+        "fce0d4504037dd7d588906c50d758be759b8e2f33465a95c21e1deee749dd7a3",
         "bafe1e01724777eeb67776754f779c4a1344c72e29e6721eb274fac85bc9518e",
-        "735bba9af8be25dcb6c973b12f656cbe71b2b767fb2382a2def8930418390845",
+        "2163064dcfae0401f425b24e567d90f305ae7d9b1a2107c9de86870006048652",
         "807d1a52a71632bc5e71f35debe371ee29c4206362cc27ee95fb7f6e4c1ba615"),
     ("storm_kill_bursts", "phy_relay"): (
-        "7f543c6ae86d2572d8015e1cde58536cbaaa36a365c19aa0b6665a49c739ae38",
+        "8c1e673b9d58f964b05a56efeb61234c51ae23f7b48cfce453fb841bdc67933c",
         "c9a49b2224e9ff53cbbbbace35a10d593285152029794a1e968cc12f87e90b5f",
-        "a5950ef314d3bf66537237158b2727f89885a9b229021a216a4cddffdeebccde",
+        "77f2e957ccbd9e0d5cf1eb3462dc867384ca07222785db9564bdb16392af420e",
         "807d1a52a71632bc5e71f35debe371ee29c4206362cc27ee95fb7f6e4c1ba615"),
     ("iot_rf_off_overflow", "centralized"): (
-        "d79a973fe6e5d9959636849c668b4c0eed2f3450f712e6b2aa02b7a5049b0157",
+        "bb6fd335596d81a8ec5f9d0ff5aa23bdbb8120ab458da057d9136c0a506bf80c",
         "d4eae6b6d98aff5f1e3d3053620229f5e6ff1bccbf5fa4500bb9bd415021938f",
-        "5394af2530423c04f22588f6be62e7aa22c126586ce1d269d7cfebfa1d9d76a4",
+        "477baee3dc1b56b0a72ae54057e7e72b3faa76d9524c58ddd8a114940eda43ae",
         "eda1d957f9eea5d3ed3e8854aeb1d6e4340980dc64c0043a806c8bbed54b3127"),
     ("iot_rf_off_overflow", "distributed"): (
-        "b1d186da7d45bbdf0fab5da879bfba0fc42295670d57f1eea6de75cff2652f10",
+        "824333e9ea21454f2849fc7c978fee0ad39cf34ad65aca41e29636004d6afcc2",
         "4869d77470a26af6aaeee703d57eeced96322dfe7e3993de74e2c4b20beb41ce",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "eda1d957f9eea5d3ed3e8854aeb1d6e4340980dc64c0043a806c8bbed54b3127"),
