@@ -1,5 +1,4 @@
 import random
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -10,6 +9,7 @@ from fttrsim.energy import PowerState
 from fttrsim.engine import SimError, draw_int
 from fttrsim.metrics import build_summary
 from fttrsim.scenario import load_scenario, parse_scenario
+from fttrsim.scheduling import grant_downlink_airtime
 from fttrsim.simulation import (MFU, ContentionDomain, Frame, Simulation,
                                 run_scenario_config)
 
@@ -78,17 +78,18 @@ def two_conflicting_rooms_run():
     }))
 
 
-def at_cycle_start(grant, reports, graph, txop_max_ns, now, airtime_for,
+def at_cycle_start(reports, graph, txop_max_ns, now, airtime_for,
                    window_end):
     # every grant starts when the cycle's grants may start
-    return [g._replace(start=now) for g in grant(
+    return [g._replace(start=now) for g in grant_downlink_airtime(
         reports, graph, txop_max_ns, now, airtime_for, window_end=window_end)]
 
 
-def past_the_cycle(grant, reports, graph, txop_max_ns, now, airtime_for,
+def past_the_cycle(reports, graph, txop_max_ns, now, airtime_for,
                    window_end):
     # no window_end clamp: a grant may run into the next cycle
-    return grant(reports, graph, txop_max_ns, now, airtime_for)
+    return grant_downlink_airtime(reports, graph, txop_max_ns, now,
+                                  airtime_for)
 
 
 def test_conflicting_rooms_share_the_air_without_overlap():
@@ -102,8 +103,7 @@ def test_overlapping_grants_end_the_run(monkeypatch, fault):
     # (a) conflicting grants of one cycle overlap; (b) a grant overlaps a
     # conflicting grant of the previous cycle, which a check of each
     # cycle's grants alone did not see
-    monkeypatch.setattr(simulation, "grant_downlink_airtime",
-                        partial(fault, simulation.grant_downlink_airtime))
+    monkeypatch.setattr(simulation, "grant_downlink_airtime", fault)
     with pytest.raises(SimError, match="starts before the grant to"):
         two_conflicting_rooms_run()
 
