@@ -88,6 +88,9 @@ class Simulator:
     """Single-threaded event loop with a horizon and a dispatch digest.
 
     The queue is a heap of `(fire_time, seq, target, kind, payload)` tuples.
+    `reserve` hands out a sequence number without pushing an event, so that
+    an action the model applies later, without an event, keeps its place
+    in that total order; `schedule_at` pushes an event at such a number.
     The digest is the SHA-256 of one `time|target|kind` line per dispatched
     event, fed in batches of at most `DIGEST_BATCH` lines.
     """
@@ -97,6 +100,8 @@ class Simulator:
         self.rng = RngStreams(seed)
         self._queue: list[tuple[int, int, str, str, Any]] = []
         self._seq = 0
+        # sequence numbers handed out by `reserve` and never pushed
+        self._reserved = 0
         self._handlers: dict[str, Callable[[Event], None]] = {}
         self._digest = hashlib.sha256()
         self.n_dispatched = 0
@@ -104,7 +109,9 @@ class Simulator:
 
     @property
     def n_scheduled(self) -> int:
-        return self._seq
+        """Events pushed onto the queue; a reserved number counts once an
+        event is pushed at it."""
+        return self._seq - self._reserved
 
     def register(self, target: str, handler: Callable[[Event], None]) -> None:
         self._handlers[target] = handler
@@ -117,6 +124,23 @@ class Simulator:
                 f"t={fire_time} ns while clock is at t={self.now} ns")
         seq = self._seq
         self._seq = seq + 1
+        heapq.heappush(self._queue, (fire_time, seq, target, kind, payload))
+
+    def reserve(self) -> int:
+        """The next sequence number, handed out without pushing an event."""
+        seq = self._seq
+        self._seq = seq + 1
+        self._reserved += 1
+        return seq
+
+    def schedule_at(self, fire_time: SimTime, seq: int, target: str,
+                    kind: str, payload: Any = None) -> None:
+        """Push an event at a sequence number that `reserve` handed out."""
+        if fire_time < self.now:
+            raise SimError(
+                f"attempt to schedule event '{kind}' for {target} at "
+                f"t={fire_time} ns while clock is at t={self.now} ns")
+        self._reserved -= 1
         heapq.heappush(self._queue, (fire_time, seq, target, kind, payload))
 
     def run_until(self, horizon: SimTime) -> str:

@@ -11,7 +11,7 @@ the trace digest and every metric.
 from __future__ import annotations
 
 from array import array
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -166,6 +166,8 @@ class ContentionDomain:
         self.sim = sim
         self.busy_until = 0
         self.round_pending = False
+        # an `optical_rx` event waits at a member's first inbound frame
+        self.wake_pending = False
         # every cell of a run shares the scenario's overhead parameters
         self.overhead = sim.cfg.wifi_overhead
         # per member, in name order: its SFU and the getrandbits of its
@@ -182,12 +184,27 @@ class ContentionDomain:
             if sfu.queued_bytes > 0 and sfu.alive and not sfu.asleep:
                 break
         else:
+            # no contender: a frame still on the MFU link wakes the domain
+            # when it reaches its room
+            if not self.wake_pending:
+                for rx, seq, frame in self.sim.inbound:
+                    if frame.flow.sfu.domain is self:
+                        self.wake(rx, seq, frame.flow.sfu)
+                        break
             return
         self.round_pending = True
         engine = self.sim.sim
         engine.schedule(max(engine.now, self.busy_until), self.target, "round")
 
+    def wake(self, rx: int, seq: int, sfu: SfuSim) -> None:
+        """Push the `optical_rx` event of the inbound frame at (rx, seq)."""
+        self.wake_pending = True
+        self.sim.sim.schedule_at(rx, seq, sfu.target, "optical_rx")
+
     def on_round(self, ev: Event) -> None:
+        sim = self.sim
+        if sim.inbound:
+            sim._apply_inbound(ev.fire_time, ev.seq)
         self.round_pending = False
         # contender test, backoff draw and minimum in one pass over members;
         # the list of tied stations is made only when a tie occurs
@@ -213,7 +230,7 @@ class ContentionDomain:
         if winner is None:
             return
         oh = self.overhead
-        start = self.sim.sim.now + oh.difs_ns + best * oh.slot_ns
+        start = ev.fire_time + oh.difs_ns + best * oh.slot_ns
         if tied is None:
             sfu = winner[0]
             frame = sfu.pop_frame()
@@ -221,7 +238,7 @@ class ContentionDomain:
             sfu.airtime_ns += dur
             sfu.set_cw(oh.cw_min)
             self.busy_until = start + dur
-            self.sim._deliver(frame, start + dur)
+            sim._deliver(frame, start + dur)
         else:
             dur = 0
             for sfu, _ in tied:
@@ -240,7 +257,7 @@ class FlowRun:
 
     __slots__ = ("spec", "sfu", "size", "tag", "airtime_ns", "optical_ns",
                  "interarrival_ns", "stop_ns", "on_ns", "off_ns", "next_end",
-                 "offered", "delivered", "dropped", "latencies")
+                 "offered", "delivered", "dropped", "late", "latencies")
 
     def __init__(self, spec: FlowSpec, sfu: SfuSim, cfg: ScenarioConfig):
         self.spec = spec
@@ -261,7 +278,8 @@ class FlowRun:
         self.on_ns = int(spec.on_ms * 1_000_000)
         self.off_ns = int(spec.off_ms * 1_000_000)
         self.next_end = 0
-        self.offered = self.delivered = self.dropped = 0
+        # `late`: frames whose air time ends after the horizon
+        self.offered = self.delivered = self.dropped = self.late = 0
         self.latencies = array("q")  # ns
 
 
@@ -296,6 +314,9 @@ class Simulation:
         self.results.cell_stats = self.sfus
         self.mfu = Node(MFU, MFU)
         self.mfu_tx_free = 0
+        # (rx time, reserved seq, frame) of the frames on the MFU link, in
+        # the order they reach their rooms
+        self.inbound: deque[tuple[int, int, Frame]] = deque()
         self.flows = [FlowRun(f, self.sfus[f.dst], cfg) for f in cfg.flows]
         self.results.flow_stats = {run.spec.name: run for run in self.flows}
         self._proc_ns = cfg.proc_mfu_ns + cfg.proc_sfu_ns
@@ -327,7 +348,7 @@ class Simulation:
         }))
         self.sim.register(OLT, _dispatcher("OLT", {"omci_rx": self._olt_rx}))
         per_sfu = {
-            "optical_rx": self._on_optical_rx,
+            "optical_rx": self._optical_rx,
             "grant_start": self._grant_start,
             "burst_start": self._burst_start,
             "omci_rx": self._sfu_omci_rx,
@@ -435,26 +456,54 @@ class Simulation:
             self.sim.schedule(nxt, MFU, "flow_arrival", flow)
 
     def _optical_downstream(self, frame: Frame) -> None:
+        """Send `frame` down the MFU link. The link is FIFO and its
+        propagation delay is one constant, so receive times never fall:
+        the frame joins `inbound` at its receive time and a sequence number
+        reserved now, and reaches its room when a later handler applies it.
+        An idle contention domain is woken by an event at that place."""
         flow = frame.flow
         depart = max(self.sim.now, self.mfu_tx_free)
         self.mfu_tx_free = depart + flow.optical_ns
-        self.sim.schedule(self.mfu_tx_free + self.cfg.prop_delay_ns,
-                          flow.sfu.target, "optical_rx", frame)
+        rx = self.mfu_tx_free + self.cfg.prop_delay_ns
+        seq = self.sim.reserve()
+        self.inbound.append((rx, seq, frame))
+        domain = flow.sfu.domain
+        if (domain is not None and not domain.round_pending
+                and not domain.wake_pending):
+            domain.wake(rx, seq, flow.sfu)
 
-    def _on_optical_rx(self, sfu: SfuSim, ev: Event) -> None:
-        # a dead room's queue still takes the frame, but its power state
-        # does not move
-        if sfu.alive:
-            self._mark_activity(sfu, self.sim.now)
-        sfu.enqueue(ev.payload)
-        if sfu.domain is not None:
-            sfu.domain.notify()
+    def _apply_inbound(self, t: int, seq: int) -> None:
+        """Receive every inbound frame ordered before the event at (t, seq),
+        each at its own receive time. A handler that reads or moves a room
+        calls this first, so it sees the room as an event per frame would
+        have left it. A dead room's queue still takes the frame, but its
+        power state does not move."""
+        inbound = self.inbound
+        key = (t, seq)
+        mark = self._mark_activity
+        while inbound and inbound[0] < key:
+            rx, _, frame = inbound.popleft()
+            sfu = frame.flow.sfu
+            if sfu.alive:
+                mark(sfu, rx)
+            sfu.enqueue(frame)
+
+    def _optical_rx(self, sfu: SfuSim, ev: Event) -> None:
+        # wake of an idle domain: receive through this frame, then contend
+        self._apply_inbound(ev.fire_time, ev.seq + 1)
+        domain = sfu.domain
+        domain.wake_pending = False
+        domain.notify()
 
     def _deliver(self, frame: Frame, t: int) -> None:
-        """Frame handed to its STA over the air at `t`; record end-to-end
-        latency. Called when the frame's airtime is scheduled. A frame due
-        after the horizon is not delivered in this run and stays in `lost`."""
+        """Hand `frame`, already taken from its room's queue, to its STA
+        over the air at `t`, and record its end-to-end latency. Called
+        when the frame's air time is scheduled, by a grant or by the
+        CSMA/CA round it wins, not by a later event. A frame whose air time
+        ends after the horizon is not delivered in this run: it counts in
+        its flow's `late`, and in `lost`."""
         if t > self.cfg.horizon_ns:
+            frame.flow.late += 1
             return
         flow = frame.flow
         flow.delivered += 1
@@ -471,6 +520,8 @@ class Simulation:
     def _status_cycle(self, ev: Event) -> None:
         cfg = self.cfg
         now = self.sim.now
+        if self.inbound:
+            self._apply_inbound(now, ev.seq)
         sfus = self.sfus
         # a room with nothing queued would get no grant, so it sends no
         # report; `not sfu.asleep` is spelled out, as in on_round
@@ -509,10 +560,12 @@ class Simulation:
 
     def _grant_start(self, sfu: SfuSim, ev: Event) -> None:
         grant = ev.payload
+        cursor = self.sim.now
+        if self.inbound:
+            self._apply_inbound(cursor, ev.seq)
         if not sfu.alive or sfu.asleep:
             return
         end = grant.start + grant.max_duration
-        cursor = self.sim.now
         deliver = self._deliver
         while True:
             head = sfu.head_frame()
@@ -652,6 +705,8 @@ class Simulation:
 
     def _power_check(self, node: Node, ev: Event) -> None:
         now = self.sim.now
+        if self.inbound:
+            self._apply_inbound(now, ev.seq)
         cfg = self.cfg
         machine, last, target = node.power, node.last_activity, node.target
         if machine.state == PowerState.ACTIVE:
@@ -670,6 +725,8 @@ class Simulation:
 
     def _sleep_check(self, sfu: SfuSim, ev: Event) -> None:
         now = self.sim.now
+        if self.inbound:
+            self._apply_inbound(now, ev.seq)
         cfg = self.cfg
         if not sfu.alive or sfu.power.state != PowerState.IDLE:
             return
@@ -704,10 +761,12 @@ class Simulation:
                                       sfu.target, "deep_cmd")
 
     def _deep_cmd(self, sfu: SfuSim, ev: Event) -> None:
+        now = self.sim.now
+        if self.inbound:
+            self._apply_inbound(now, ev.seq)
         if not sfu.alive:
             # a dead room does not hear the command and counts nothing
             return
-        now = self.sim.now
         if sfu.wake_pending:
             self.results.rejected_transitions += 1
             return
@@ -734,11 +793,13 @@ class Simulation:
         self.sim.schedule(wake_done, sfu.target, "wake_done")
 
     def _wake_done(self, sfu: SfuSim, ev: Event) -> None:
+        now = self.sim.now
+        if self.inbound:
+            self._apply_inbound(now, ev.seq)
         if not sfu.alive:
             # a dead room does not wake and reports nothing
             sfu.wake_lost = True
             return
-        now = self.sim.now
         sfu.power.request(PowerState.IDLE, now)
         sfu.wake_pending = False
         self.deep_cmd_issued = False
@@ -768,9 +829,13 @@ class Simulation:
             self.sim.schedule(nxt, MFU, "poll_cycle")
 
     def _kill(self, sfu: SfuSim, ev: Event) -> None:
+        if self.inbound:
+            self._apply_inbound(ev.fire_time, ev.seq)
         sfu.alive = False
 
     def _recover(self, sfu: SfuSim, ev: Event) -> None:
+        if self.inbound:
+            self._apply_inbound(ev.fire_time, ev.seq)
         sfu.alive = True
         # frames queued while the room was dead contend again
         if sfu.domain is not None:
@@ -778,15 +843,30 @@ class Simulation:
 
     # ------------------------------------------------------------------
 
+    def _check_conservation(self) -> None:
+        """Every offered frame is delivered, dropped, delivered after the
+        horizon, or still held: in a room's queue, in a sleep buffer or on
+        the MFU link. Otherwise the run raises `SimError`."""
+        held = Counter(frame.flow for _, _, frame in self.inbound)
+        for sfu in self.sfus.values():
+            held.update(frame.flow for q in sfu.queues if q for frame in q)
+            held.update(frame.flow for frame in sfu.sleep_buffer.frames)
+        for flow in self.flows:
+            if (flow.delivered + flow.dropped + flow.late + held[flow]
+                    != flow.offered):
+                raise SimError(
+                    f"flow {flow.spec.name} delivered {flow.delivered}, "
+                    f"dropped {flow.dropped}, delivered {flow.late} after "
+                    f"the horizon and holds {held[flow]} of {flow.offered} "
+                    f"offered frames")
+
     def run(self) -> SimResults:
         cfg = self.cfg
         self._prime()
         digest = self.sim.run_until(cfg.horizon_ns)
-        for flow in self.flows:
-            if flow.delivered + flow.dropped > flow.offered:
-                raise SimError(
-                    f"flow {flow.spec.name} delivered {flow.delivered} and "
-                    f"dropped {flow.dropped} of {flow.offered} offered frames")
+        # the frames that reach their rooms by the horizon
+        self._apply_inbound(cfg.horizon_ns + 1, 0)
+        self._check_conservation()
         res = self.results
         res.digest = digest
         for node in (*self.sfus.values(), self.mfu):

@@ -180,3 +180,19 @@ def test_run_exits_3_when_a_flow_delivers_more_than_it_was_offered(
     monkeypatch.setattr(Simulation, "_deliver", deliver_twice)
     assert main(["run", GOLDEN, "--out", str(tmp_path / "out")]) == 3
     assert "offered" in capsys.readouterr().err
+
+
+def test_run_exits_3_when_a_frame_vanishes_from_the_mfu_link(
+        tmp_path, monkeypatch, capsys):
+    send = Simulation._optical_downstream
+    lost = []
+
+    def send_and_lose_the_first(self, frame):
+        send(self, frame)
+        if not lost:
+            lost.append(self.inbound.pop())
+    monkeypatch.setattr(Simulation, "_optical_downstream",
+                        send_and_lose_the_first)
+    assert main(["run", GOLDEN, "--out", str(tmp_path / "out")]) == 3
+    assert lost
+    assert "holds" in capsys.readouterr().err

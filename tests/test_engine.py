@@ -73,6 +73,33 @@ def test_event_counters_are_conserved():
     assert sim.n_scheduled == sim.n_dispatched + sim.n_beyond_horizon
 
 
+def test_an_event_pushed_at_a_reserved_seq_keeps_its_place():
+    sim = Simulator()
+    handler, seen = collect(sim, 100)
+    sim.register("n", handler)
+    sim.schedule(10, "n", "a")
+    seq = sim.reserve()
+    sim.schedule(10, "n", "c")
+    sim.schedule(5, "n", "first")
+    sim.schedule_at(10, seq, "n", "b")
+    sim.run_until(100)
+    assert [k for _, _, k in seen] == ["first", "a", "b", "c"]
+
+
+def test_reserved_seqs_count_as_scheduled_only_once_pushed():
+    sim = Simulator()
+    sim.register("n", lambda ev: None)
+    pushed, unused = sim.reserve(), sim.reserve()
+    for t in (5, 200):
+        sim.schedule(t, "n", "x")
+    sim.schedule_at(10, pushed, "n", "x")
+    sim.run_until(100)
+    assert sim.n_scheduled == 3
+    assert sim.n_dispatched == 2
+    assert sim.n_beyond_horizon == 1
+    assert sim.n_scheduled == sim.n_dispatched + sim.n_beyond_horizon
+
+
 def test_events_beyond_horizon_stay_queued():
     sim = Simulator()
     handler, seen = collect(sim, 100)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from fttrsim import simulation
 from fttrsim.energy import PowerState
-from fttrsim.engine import SimError, draw_int
+from fttrsim.engine import Event, SimError, draw_int
 from fttrsim.metrics import build_summary
 from fttrsim.scenario import load_scenario, parse_scenario
 from fttrsim.scheduling import grant_downlink_airtime
@@ -230,7 +230,7 @@ def test_inlined_backoff_draw_matches_draw_int_and_randint(seed, moves):
         cw = min((cw + 1) * 2 - 1, oh.cw_max) if move == "collide" else oh.cw_min
         sfu.set_cw(cw)
         sfu.enqueue(Frame(flow, 0))
-        domain.on_round(None)
+        domain.on_round(Event(0, 0, domain.target, "round"))
         slots, rest = divmod(domain.busy_until - oh.difs_ns - flow.airtime_ns,
                              oh.slot_ns)
         assert rest == 0
@@ -338,3 +338,63 @@ def test_a_dead_room_is_woken_again_when_it_answers_a_poll():
     assert [(a.raised_at, a.cleared_at) for a in res.alarms] == [
         (12_000_000, 20_000_000)]
     assert res.flow_stats["f"].delivered == 3
+
+
+def cycle_and_receive_run(start_us: int, rx_us: int):
+    """Centralized, 100 us status cycles, one 1500-byte frame that reaches
+    the MFU at `start_us` and its room at `rx_us`, through the propagation
+    delay."""
+    def scenario(prop_delay_ns: int) -> dict:
+        return {"horizon_ms": 1, "topology": {"sfus": ["a"]},
+                "optical": {"prop_delay_ns": prop_delay_ns},
+                "control": {"status_cycle_us": 100},
+                "flows": [{"name": "f", "dst": "a", "size_bytes": 1500,
+                           "model": "batch", "count": 1,
+                           "start_ms": start_us / 1000}]}
+    optical_ns = Simulation(parse_scenario(scenario(0))).flows[0].optical_ns
+    return run_scenario_config(parse_scenario(
+        scenario((rx_us - start_us) * 1000 - optical_ns)))
+
+
+@pytest.mark.parametrize("start_us,grant_us", [(50, 205), (150, 305)])
+def test_a_frame_received_with_a_status_cycle_is_in_its_report_if_sent_first(
+        start_us, grant_us):
+    # The frame reaches its room at 200 us, with the status cycle that the
+    # 100 us cycle scheduled. Sent at 50 us, before that cycle was
+    # scheduled, it is in the 200 us report, and its grant starts 5 us
+    # (control_delay) later. Sent at 150 us, after, it waits for the 300 us
+    # cycle.
+    res = cycle_and_receive_run(start_us, 200)
+    assert [g.start for g in res.grants] == [grant_us * 1000]
+    assert res.flow_stats["f"].delivered == 1
+
+
+def test_a_frame_reaching_an_idle_contention_domain_wakes_it(monkeypatch):
+    # Distributed, one room, 600 us propagation delay: three frames sent
+    # 300 us apart, then three more from 3 ms, so the domain is idle
+    # between the groups. The second and third frame of a group leave the
+    # MFU before the one ahead of them is received, and are received after
+    # the round that sends it finds no other contender. Each frame wakes
+    # the domain at its receive time; nothing else would receive those
+    # frames before the horizon.
+    woken = []
+    wake = ContentionDomain.wake
+
+    def spy(domain, rx, seq, sfu):
+        woken.append(rx)
+        wake(domain, rx, seq, sfu)
+    monkeypatch.setattr(ContentionDomain, "wake", spy)
+    res = run_scenario_config(parse_scenario({
+        "horizon_ms": 5, "mode": "distributed", "topology": {"sfus": ["a"]},
+        "optical": {"prop_delay_ns": 600_000},
+        "flows": [{"name": f"f{k}", "dst": "a", "size_bytes": 1500,
+                   "model": "batch", "count": 3, "interval_us": 300,
+                   "start_ms": 3 * k} for k in (0, 1)],
+    }))
+    optical_ns = res.flow_stats["f0"].optical_ns
+    assert woken == [start + k * 300_000 + optical_ns + 600_000
+                     for start in (0, 3_000_000) for k in range(3)]
+    for flow in res.flow_stats.values():
+        assert flow.offered == flow.delivered == 3
+        # sent within one backoff window and air time of its receive time
+        assert max(flow.latencies) < 1_000_000
