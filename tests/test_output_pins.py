@@ -40,13 +40,13 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # (scenario, mode) -> (sha256 of summary.json, sha256 of flows.csv)
 PINS = {
     ("conflict_pair", "centralized"): (
-        "808d12faa30204edfd852e29e2904983ed4f4b3cf3c2ecb2149b297a93934f92",
+        "9bd6319a97a5bb7ea7c3d7e803c23a44755065b9e5966b8191ff763d85f3dbf2",
         "0699922d1256e434c7c1815ccb7c17fdeb17128b88d05371616e5f12a2cf56d3"),
     ("conflict_pair", "distributed"): (
-        "2d79187ba9c8b233915458bf98cdf4f90506fa9e5949aa0c160fb024ec5fc072",
+        "803fca130b1eab8df6c50c3eb72cef74253674343ac64552796d9f78d8c056aa",
         "b38216e277d3ef8fc6ace04855064fa14a064dfe9c90644999b52ebdc67e286a"),
     ("conflict_pair", "phy_relay"): (
-        "a22c29b5609a9b21f42023d036e7a20670ea47a3bb1f7b34b8a1adba463ad74a",
+        "377c1cbc3ad964171b6a06dbb8dfd4321a42f0405faa1b26c6edd6cde85ce9ec",
         "eaa3a2f19b839d4ba70e498fe0ad577bb3742c7ace18d910fc48077279ead461"),
     ("four_room_household", "centralized"): (
         "97a8fbfd923f4404035705f8f9a6f1b68fc85f5c7d1fd39bd2591883a83cebf0",
@@ -58,19 +58,19 @@ PINS = {
         "2ad1c85074cfc2627ad47e3e3a62439f48d3ffee379b4f65751b1207730b30c7",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("golden", "centralized"): (
-        "cbf16aeaabcef327332246a42ca931dabb17ade9d689116a72d54193c5d60c5b",
+        "430a3e8891c056b4a286975421cf29c54e2c0ffdbd93602fa386ee639ad037b1",
         "537d351de7b375ff49adc9cd35c8a47a43d92bf491e8ec29d32ffe893de87999"),
     ("golden", "distributed"): (
         "f4ceb71ceea850593ac360b582334fbf81130fec319bdf4a5b3c86ac565d48ce",
         "4122b453971055f25395ac0f32ca9d81103e7fd9db57d9b295879055ee26c092"),
     ("idle_night", "centralized"): (
-        "0590150f8fbafc44fede5f6491167b4493e6ff6d77739b7a2e59892715897a7b",
+        "12d75655cb2452b9c20a7240d1b3fcac957760418d07bb29bdac4a3b04582c19",
         "afe8f3408ee7411b4c7f06512f66ff4e5c6d63ffdb4f09cdd8262eecef454abc"),
     ("idle_night", "distributed"): (
-        "6a1f6343664dc8b66f47404ebb465ee2bfee6b4de43fdba95704ab75e1e78720",
+        "d07cab969cf711e3345cde6a221cc8dadf0134a8d7b8364b6cfe6c64d57cb7ae",
         "a705d415ba98a671fbb54cfa1391ccd169be0abacfcde807cf2c11d19ec8a768"),
     ("idle_night", "phy_relay"): (
-        "28aea4d9e481e8dcb24cd1f17ab0d97f128575eeb88e8eb837fa807b77504013",
+        "b827bc31b351f3fdc06ac5a9ea079b82c0a7e6d1766a80601e2b3b09cd521c55",
         "28545f526021417db646596bf472fb87e1691869aea735f41c1cc6df9fecc23d"),
     ("ofdma_uplink_burst", "centralized"): (
         "20f48a91090b7c0750a2854d5229ca0e0913c9dc43dd5b4f89beef832491eb0d",
@@ -97,13 +97,13 @@ PINS = {
         "ecd7d97cc9db3c96899ae2558978756d3de74fede644c6735832834c3fef02a3",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("staged_kill", "centralized"): (
-        "794b0f421b458e6cf143393077ecda7dd875b982aae1a54d5e5215025809f62b",
+        "bf8ce4b276febab4faa3ce0631bd2b62460854d15706be96f2b570d2e4b55e6d",
         "f338d9dbba59d249f3230511c18adf506eddd66319d5c543c92cfc79e3a59a6c"),
     ("staged_kill", "distributed"): (
         "577b74a4828423e39307669fbb1dbcd9e8f38ec3ac27a97d0eabdac438937b19",
         "400061c7dce4fd9c72b4ee7bae471447ea60399d805c2657b1ba6acdda6452ec"),
     ("staged_kill", "phy_relay"): (
-        "e98a6b1f265fda96e25961a009bdaf0b58bdef5fa814446ffc7ea4ac4d6d12ea",
+        "a62bb6693f602d9d9b2033865b208f0df9bf1d7ed4b51ad32f4b5c2ed7167747",
         "95211e17a5817c20edce0d81e47b2cf493b4aa7b0bb68125cc30b710e435ca5d"),
 }
 
@@ -314,27 +314,27 @@ RUNS = {"sleep_deep_wake": SLEEP_RUN, "storm_kill_bursts": STORM_RUN,
 # repr(res.events))
 RUN_PINS = {
     ("sleep_deep_wake", "centralized"): (
-        "e3bf1d1de2d970c1a5eef7e3f54c61202c9b2621cc93b509685f4fac300c7905",
+        "57ecc0105ad885d0a572d7f91aa76259fdeb57c1fb1bb7c5d007077355fe72c5",
         "27aecd51dd70386d137bfec2c892ec1dd632f87f6158fb4c2ce9fe6674369350",
         "e1486fa41656d4e09fba885285609606874e4cce8d09895c6c0470a3c21ad2a1",
         "09dc764fe476ebd02f919c8e126bb7894d101ba0a43020d59ef5cd1a604b2447"),
     ("sleep_deep_wake", "distributed"): (
-        "f68be5d000f5e1b12957a7774c5efd248d87195124b6e033de8ce8483e580f20",
+        "1038760be9cde5027c96a45480be517b6869791df93ff7046f233842dcfd04fe",
         "b167da573fddcff0ad3b23c7c580314be325799ca8cb4ca5ad3165e7d56dc025",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "09dc764fe476ebd02f919c8e126bb7894d101ba0a43020d59ef5cd1a604b2447"),
     ("storm_kill_bursts", "centralized"): (
-        "fce0d4504037dd7d588906c50d758be759b8e2f33465a95c21e1deee749dd7a3",
+        "7aa9d2f4c78d5689a860fadd9251079a6bd109298291616ce60e45cd30eadf9b",
         "bafe1e01724777eeb67776754f779c4a1344c72e29e6721eb274fac85bc9518e",
         "2163064dcfae0401f425b24e567d90f305ae7d9b1a2107c9de86870006048652",
         "807d1a52a71632bc5e71f35debe371ee29c4206362cc27ee95fb7f6e4c1ba615"),
     ("storm_kill_bursts", "phy_relay"): (
-        "8c1e673b9d58f964b05a56efeb61234c51ae23f7b48cfce453fb841bdc67933c",
+        "7a24a2c264ee524f95b415cc314f67182ac4c4d7903f4a6d385e6ab8dc68739d",
         "c9a49b2224e9ff53cbbbbace35a10d593285152029794a1e968cc12f87e90b5f",
         "77f2e957ccbd9e0d5cf1eb3462dc867384ca07222785db9564bdb16392af420e",
         "807d1a52a71632bc5e71f35debe371ee29c4206362cc27ee95fb7f6e4c1ba615"),
     ("iot_rf_off_overflow", "centralized"): (
-        "bb6fd335596d81a8ec5f9d0ff5aa23bdbb8120ab458da057d9136c0a506bf80c",
+        "2118923210da6ad5a25aae036b66c8f220bf93e36ac7ed6d16b840835b24f9dc",
         "d4eae6b6d98aff5f1e3d3053620229f5e6ff1bccbf5fa4500bb9bd415021938f",
         "477baee3dc1b56b0a72ae54057e7e72b3faa76d9524c58ddd8a114940eda43ae",
         "eda1d957f9eea5d3ed3e8854aeb1d6e4340980dc64c0043a806c8bbed54b3127"),
