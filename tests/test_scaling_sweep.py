@@ -22,4 +22,6 @@ def test_one_ring_point_reports_rate_and_memory():
     assert result["events"] > 0
     assert result["events_per_s"] > 0
     assert result["us_per_event"] * result["events_per_s"] == approx(1e6)
+    assert (result["s_per_sim_s"] * point["horizon_ms"] / 1000
+            == approx(result["ref_s"]))
     assert result["peak_rss_mb"] > 0

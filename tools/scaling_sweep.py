@@ -1,5 +1,6 @@
-"""Scaling sweep: events/s, microseconds per event and peak memory of the
-simulator as the number of rooms and the horizon grow.
+"""Scaling sweep: wall time per simulated second, events/s, microseconds
+per event and peak memory of the simulator as the number of rooms and the
+horizon grow.
 
 Points:
   - a conflict ring of 4, 8, 16, 32 and 64 rooms, one constant-rate
@@ -13,10 +14,13 @@ span runs from ``Simulation.run()`` to the bytes of summary.json and
 flows.csv. The calibration kernel of ``perfbench/calibrate.py`` is timed
 right before and right after the span, and ``ref_s`` is the span scaled to
 the kernel's reference host, as the benchmark does. Peak RSS is the
-child's maximum resident set, interpreter and imports included. A single
-run of a second or less still varies by up to a third with the host's
-speed, so each point is run 5 times and reported by its median, with the
-lowest and highest events/s.
+child's maximum resident set, interpreter and imports included.
+``s_per_sim_s`` is ``ref_s`` per simulated second: unlike events/s, it
+compares two versions of the simulator that reach the same outputs with
+different numbers of events. A single run of a second or less still
+varies by up to a third with the host's speed, so each point is run 5
+times and reported by its median, with the lowest and highest s_per_sim_s
+and events/s.
 
 Usage, from the root of a source checkout:
     python3 tools/scaling_sweep.py
@@ -89,7 +93,9 @@ def run_point(point: dict) -> dict:
     events = run["res"].counters["events_dispatched"]
     ref_s = run["host_s"] * calibrate.scale(before, after)
     return {**point, "events": events, "host_s": run["host_s"],
-            "ref_s": ref_s, "events_per_s": events / ref_s,
+            "ref_s": ref_s,
+            "s_per_sim_s": ref_s / (point["horizon_ms"] / 1000),
+            "events_per_s": events / ref_s,
             "us_per_event": ref_s / events * 1e6,
             "peak_rss_mb": resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss / 1024,
@@ -128,8 +134,12 @@ def main(argv: list[str] | None = None) -> int:
                 return 1
             runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
         rates = [r["events_per_s"] for r in runs]
+        costs = [r["s_per_sim_s"] for r in runs]
         result = {**point, "events": runs[0]["events"],
                   "digest": runs[0]["digest"], "runs": len(runs),
+                  "s_per_sim_s": statistics.median(costs),
+                  "s_per_sim_s_min": min(costs),
+                  "s_per_sim_s_max": max(costs),
                   "events_per_s": statistics.median(rates),
                   "events_per_s_min": min(rates),
                   "events_per_s_max": max(rates),
@@ -142,6 +152,8 @@ def main(argv: list[str] | None = None) -> int:
                  else "conflict_pair")
         print(f"{label:>14} {point['mode']:<12} "
               f"{point['horizon_ms'] / 1000:6.2f} s  "
+              f"{result['s_per_sim_s']:6.3f} s/sim_s "
+              f"({min(costs):.3f}-{max(costs):.3f})  "
               f"{result['events_per_s']:9.0f} events/s "
               f"({min(rates):.0f}-{max(rates):.0f})  "
               f"{result['us_per_event']:6.2f} us/event  "
