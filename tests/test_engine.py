@@ -89,7 +89,8 @@ def test_an_event_pushed_at_a_reserved_seq_keeps_its_place():
 def test_reserved_seqs_count_as_scheduled_only_once_pushed():
     sim = Simulator()
     sim.register("n", lambda ev: None)
-    pushed, unused = sim.reserve(), sim.reserve()
+    pushed = sim.reserve()
+    sim.reserve()  # never pushed
     for t in (5, 200):
         sim.schedule(t, "n", "x")
     sim.schedule_at(10, pushed, "n", "x")
