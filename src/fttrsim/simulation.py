@@ -228,6 +228,8 @@ class ContentionDomain:
                         tied = [winner]
                     tied.append(entry)
         if winner is None:
+            # no contender: wake the domain at its next inbound frame
+            self.notify()
             return
         oh = self.overhead
         start = ev.fire_time + oh.difs_ns + best * oh.slot_ns

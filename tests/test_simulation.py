@@ -398,3 +398,29 @@ def test_a_frame_reaching_an_idle_contention_domain_wakes_it(monkeypatch):
         assert flow.offered == flow.delivered == 3
         # sent within one backoff window and air time of its receive time
         assert max(flow.latencies) < 1_000_000
+
+
+def test_a_round_with_no_contender_wakes_the_domain_at_its_next_frame():
+    # Distributed, conflicting rooms a and b, 100 Mb/s air, 600 us
+    # propagation delay. a's two 12000-byte frames reach it at 0.703 and
+    # 0.805 ms; it sends the first from 0.845 to 1.889 ms, and the second
+    # makes it contend in the round at 1.889 ms. a is killed at 1 ms. b's
+    # frame leaves the MFU at 1.4 ms, while that round is pending, and
+    # reaches b at 2.013 ms. The round finds a dead and b empty; it must
+    # wake the domain at b's frame, which then wins a round at its receive
+    # time: DIFS, 7 backoff slots and 204 us of air time, plus 20 us of
+    # processing, as when every receive was an event. Without the wake the
+    # frame would stay queued to the horizon.
+    res = run_scenario_config(parse_scenario({
+        "horizon_ms": 5, "mode": "distributed",
+        "topology": {"sfus": ["a", "b"], "conflicts": [["a", "b"]]},
+        "wifi": {"air_rate_mbps": 100},
+        "optical": {"prop_delay_ns": 600_000},
+        "management": {"kill": {"sfu": "a", "at_ms": 1}},
+        "flows": [{"name": "fa", "dst": "a", "size_bytes": 12000,
+                   "model": "batch", "count": 2},
+                  {"name": "fb", "dst": "b", "size_bytes": 1500,
+                   "model": "batch", "count": 1, "start_ms": 1.4}],
+    }))
+    assert list(res.flow_stats["fa"].latencies) == [1_908_688]
+    assert list(res.flow_stats["fb"].latencies) == [934_056]
