@@ -203,7 +203,8 @@ class ContentionDomain:
 
     def on_round(self, ev: Event) -> None:
         sim = self.sim
-        if sim.inbound:
+        inbound = sim.inbound
+        if inbound and inbound[0][0] <= ev.fire_time:
             sim._apply_inbound(ev.fire_time, ev.seq)
         self.round_pending = False
         # contender test, backoff draw and minimum in one pass over members;
@@ -285,15 +286,25 @@ class FlowRun:
         self.latencies = array("q")  # ns
 
 
-def _dispatcher(node: str, table: dict[str, Callable[[Event], None]]
-                ) -> Callable[[Event], None]:
-    """Event handler of one target: calls the handler `table` holds for the
-    event's kind."""
+def _dispatcher(node: str, table: dict[str, Callable[[Event], None]],
+                sim: Simulation) -> Callable[[Event], None]:
+    """Event handler of one target: receives the inbound frames ordered
+    before the event, then calls the handler `table` holds for the event's
+    kind."""
+    inbound, apply = sim.inbound, sim._apply_inbound
+
     def dispatch(ev: Event) -> None:
+        kind = ev.kind
         try:
-            handler = table[ev.kind]
+            handler = table[kind]
         except KeyError:
-            raise RuntimeError(f"unknown {node} event {ev.kind}") from None
+            raise RuntimeError(f"unknown {node} event {kind}") from None
+        # a frame's arrival at the MFU, the most frequent event, reads no
+        # room state that a receive moves, so it leaves the inbound frames
+        # to the next event
+        if (inbound and kind != "flow_arrival"
+                and inbound[0][0] <= ev.fire_time):
+            apply(ev.fire_time, ev.seq)
         handler(ev)
     return dispatch
 
@@ -347,8 +358,9 @@ class Simulation:
             "poll_cycle": self._poll_cycle,
             "upstream_burst_done": self._upstream_burst_done,
             "power_check": partial(self._power_check, self.mfu),
-        }))
-        self.sim.register(OLT, _dispatcher("OLT", {"omci_rx": self._olt_rx}))
+        }, self))
+        self.sim.register(OLT, _dispatcher("OLT", {"omci_rx": self._olt_rx},
+                                          self))
         per_sfu = {
             "optical_rx": self._optical_rx,
             "grant_start": self._grant_start,
@@ -364,7 +376,7 @@ class Simulation:
         for sfu in self.sfus.values():
             table = {kind: partial(handler, sfu)
                      for kind, handler in per_sfu.items()}
-            self.sim.register(sfu.target, _dispatcher("SFU", table))
+            self.sim.register(sfu.target, _dispatcher("SFU", table, self))
 
     # ------------------------------------------------------------------
     # setup
@@ -461,8 +473,9 @@ class Simulation:
         """Send `frame` down the MFU link. The link is FIFO and its
         propagation delay is one constant, so receive times never fall:
         the frame joins `inbound` at its receive time and a sequence number
-        reserved now, and reaches its room when a later handler applies it.
-        An idle contention domain is woken by an event at that place."""
+        reserved now, and reaches its room before any later event but a
+        frame's arrival at the MFU is handled. An idle contention domain is
+        woken by an event at that place."""
         flow = frame.flow
         depart = max(self.sim.now, self.mfu_tx_free)
         self.mfu_tx_free = depart + flow.optical_ns
@@ -476,10 +489,11 @@ class Simulation:
 
     def _apply_inbound(self, t: int, seq: int) -> None:
         """Receive every inbound frame ordered before the event at (t, seq),
-        each at its own receive time. A handler that reads or moves a room
-        calls this first, so it sees the room as an event per frame would
-        have left it. A dead room's queue still takes the frame, but its
-        power state does not move."""
+        each at its own receive time. Every dispatcher (for every kind but
+        `flow_arrival`) and the contention round call this before they
+        handle an event, so each handler sees the rooms as an event per
+        frame would have left them. A dead room's queue still takes the
+        frame, but its power state does not move."""
         inbound = self.inbound
         key = (t, seq)
         mark = self._mark_activity
@@ -522,8 +536,6 @@ class Simulation:
     def _status_cycle(self, ev: Event) -> None:
         cfg = self.cfg
         now = self.sim.now
-        if self.inbound:
-            self._apply_inbound(now, ev.seq)
         sfus = self.sfus
         # a room with nothing queued would get no grant, so it sends no
         # report; `not sfu.asleep` is spelled out, as in on_round
@@ -563,8 +575,6 @@ class Simulation:
     def _grant_start(self, sfu: SfuSim, ev: Event) -> None:
         grant = ev.payload
         cursor = self.sim.now
-        if self.inbound:
-            self._apply_inbound(cursor, ev.seq)
         if not sfu.alive or sfu.asleep:
             return
         end = grant.start + grant.max_duration
@@ -707,8 +717,6 @@ class Simulation:
 
     def _power_check(self, node: Node, ev: Event) -> None:
         now = self.sim.now
-        if self.inbound:
-            self._apply_inbound(now, ev.seq)
         cfg = self.cfg
         machine, last, target = node.power, node.last_activity, node.target
         if machine.state == PowerState.ACTIVE:
@@ -727,8 +735,6 @@ class Simulation:
 
     def _sleep_check(self, sfu: SfuSim, ev: Event) -> None:
         now = self.sim.now
-        if self.inbound:
-            self._apply_inbound(now, ev.seq)
         cfg = self.cfg
         if not sfu.alive or sfu.power.state != PowerState.IDLE:
             return
@@ -764,8 +770,6 @@ class Simulation:
 
     def _deep_cmd(self, sfu: SfuSim, ev: Event) -> None:
         now = self.sim.now
-        if self.inbound:
-            self._apply_inbound(now, ev.seq)
         if not sfu.alive:
             # a dead room does not hear the command and counts nothing
             return
@@ -796,8 +800,6 @@ class Simulation:
 
     def _wake_done(self, sfu: SfuSim, ev: Event) -> None:
         now = self.sim.now
-        if self.inbound:
-            self._apply_inbound(now, ev.seq)
         if not sfu.alive:
             # a dead room does not wake and reports nothing
             sfu.wake_lost = True
@@ -831,13 +833,9 @@ class Simulation:
             self.sim.schedule(nxt, MFU, "poll_cycle")
 
     def _kill(self, sfu: SfuSim, ev: Event) -> None:
-        if self.inbound:
-            self._apply_inbound(ev.fire_time, ev.seq)
         sfu.alive = False
 
     def _recover(self, sfu: SfuSim, ev: Event) -> None:
-        if self.inbound:
-            self._apply_inbound(ev.fire_time, ev.seq)
         sfu.alive = True
         # frames queued while the room was dead contend again
         if sfu.domain is not None:
