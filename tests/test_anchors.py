@@ -1,0 +1,55 @@
+"""Closed-form anchors: model outputs that a formula derived by hand fixes
+exactly, on cases small enough to derive.
+
+OMCI storm. Notation: A = `alloc_cycle`, C = `control_delay`,
+S = `omci_slot`, P = `olt_pipe`, H = horizon, d = max(1, ceil(C / A)).
+Request k leaves the MFU in cycle k, at k·A, and reaches its room at
+k·A + C, where the room answers at once. A response that reaches the MFU
+exactly at a cycle start is sent in that cycle, since it was sent down
+before that cycle was scheduled; one sent down at C = 0 is not, since it
+leaves during its own cycle. So response k owns the upstream OMCI slot of
+cycle k + d: at most one request leaves per cycle, so no two responses
+contend for a slot. It reaches the OLT S + P after that cycle starts:
+
+    delay = d·A + S + P − C                                  (every response)
+    omci_delivered = #{k < count : (k + d)·A + S + P ≤ H}
+"""
+
+import pytest
+
+from fttrsim.scenario import parse_scenario
+from fttrsim.simulation import run_scenario_config
+
+STORM_COUNT = 250
+
+
+def storm_run(alloc_us: int, delay_us: int, slot_us: int, pipe_us: int,
+              horizon_ms: float):
+    return run_scenario_config(parse_scenario({
+        "horizon_ms": horizon_ms, "topology": {"sfus": ["a", "b", "c"]},
+        "control": {"alloc_cycle_us": alloc_us, "control_delay_us": delay_us,
+                    "omci_slot_us": slot_us},
+        "management": {"olt_pipe_us": pipe_us,
+                       "storm": {"count": STORM_COUNT,
+                                 "targets": ["c", "a", "b"]}},
+    }))
+
+
+# S + P of 30 µs ends mid-cycle; 100 µs and 250 µs end on a cycle start, so
+# a response reaches the OLT exactly at a 20 ms horizon
+@pytest.mark.parametrize("slot_us,pipe_us", [(10, 20), (10, 90), (40, 210)])
+@pytest.mark.parametrize("delay_us", [0, 5, 100, 250, 400, 500])
+@pytest.mark.parametrize("alloc_us", [100, 250])
+def test_storm_response_delay_and_count(alloc_us, delay_us, slot_us, pipe_us):
+    a, c, s, p = (alloc_us * 1000, delay_us * 1000, slot_us * 1000,
+                  pipe_us * 1000)
+    d = max(1, -(-c // a))
+    for horizon_ms in (19.999, 20, 20.3):
+        res = storm_run(alloc_us, delay_us, slot_us, pipe_us, horizon_ms)
+        h = res.config.horizon_ns
+        delivered = sum((k + d) * a + s + p <= h for k in range(STORM_COUNT))
+        assert (res.omci_sent, res.omci_failed) == (STORM_COUNT, 0)
+        assert res.omci_delivered == delivered
+        assert res.omci_delays == [d * a + s + p - c] * delivered
+        assert ([m.transaction_id for m in res.olt_received]
+                == list(range(delivered)))
