@@ -454,6 +454,8 @@ def pma_wire_len(nbytes: int) -> int:
 
 OMCI_STANDARD = 0x0A
 OMCI_EXTENDED = 0x0B
+# the extended form routes to an SFU by one `sfu_id` byte, 1 to 255
+OMCI_SFU_ID_MAX = 0xFF
 
 # header and content length in one struct; the MIC trails the content
 OMCI_HEADER = struct.Struct(">HBBHHH")

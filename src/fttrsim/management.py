@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .frames import OmciMessage, OmciType, FrameError
+from .frames import OMCI_SFU_ID_MAX, OmciMessage, OmciType, FrameError
 
 
 class UnknownEntityError(KeyError):
@@ -54,6 +54,9 @@ class OmciAdapter:
         self._by_node: dict[str, tuple[int, int]] = {}
 
     def register_sfu(self, sfu_id: int, node: str) -> None:
+        if not 1 <= sfu_id <= OMCI_SFU_ID_MAX:
+            raise ValueError(f"sfu_id {sfu_id} of {node} is outside "
+                             f"1..{OMCI_SFU_ID_MAX}")
         key = (self.port_id, sfu_id)
         if key in self._by_route or node in self._by_node:
             raise ValueError(f"duplicate adapter mapping for {node}")

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .energy import PowerProfile, PowerState
-from .frames import APDU_OVERHEAD, FEM_MAX_PAYLOAD, SERVICE_CLASSES
+from .frames import (APDU_OVERHEAD, FEM_MAX_PAYLOAD, OMCI_SFU_ID_MAX,
+                     SERVICE_CLASSES)
 from .links import WifiOverhead
 from .scheduling import PROCESSING_NS, SchedulerMode
 
@@ -377,6 +378,10 @@ def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
     sfus = [name for name, _ in entries]
     if len(set(sfus)) != len(sfus):
         raise ConfigError("topology.sfus", "duplicate SFU names")
+    if len(sfus) > OMCI_SFU_ID_MAX:
+        raise ConfigError("topology.sfus",
+                          f"{len(sfus)} SFUs; extended OMCI addresses at "
+                          f"most {OMCI_SFU_ID_MAX} by its one-byte sfu_id")
     for i, name in enumerate(sfus):
         if name in (MFU, OLT):
             raise ConfigError(f"topology.sfus[{i}]",

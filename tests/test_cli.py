@@ -85,6 +85,15 @@ def test_compare_refuses_different_shapes(tmp_path, capsys):
                  str(tmp_path / "p" / "summary.json")]) == 2
 
 
+def test_run_rejects_more_rooms_than_omci_can_address(tmp_path, capsys):
+    # extended OMCI routes by one sfu_id byte: room 256 would alias room 0
+    rooms = ", ".join(f"r{i:03d}" for i in range(256))
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(f"horizon_ms: 1\ntopology:\n  sfus: [{rooms}]\n")
+    assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert "topology.sfus" in capsys.readouterr().err
+
+
 def test_run_rejects_on_off_flow_without_on_period(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("horizon_ms: 10\ntopology:\n  sfus: [a]\nflows:\n"

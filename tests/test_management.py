@@ -82,6 +82,15 @@ def test_duplicate_registration_rejected():
         a.register_sfu(9, "room1")
 
 
+def test_sfu_id_must_fit_its_routing_byte():
+    a = OmciAdapter(port_id=1)
+    for bad in (0, 256, 257):
+        with pytest.raises(ValueError):
+            a.register_sfu(bad, f"room{bad}")
+    a.register_sfu(255, "room255")
+    assert a.route_of("room255") == (1, 255)
+
+
 def test_route_lookup():
     a = adapter()
     assert a.route_of("room2") == (1, 2)

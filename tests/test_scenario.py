@@ -65,6 +65,15 @@ def test_duplicate_sfu_names_rejected():
         parse_scenario({"horizon_ms": 1, "topology": {"sfus": ["a", "a"]}})
 
 
+def test_at_most_255_rooms():
+    rooms = [f"r{i:03d}" for i in range(256)]
+    with pytest.raises(ConfigError) as exc:
+        parse_scenario({"horizon_ms": 1, "topology": {"sfus": rooms}})
+    assert exc.value.path == "topology.sfus"
+    cfg = parse_scenario({"horizon_ms": 1, "topology": {"sfus": rooms[:255]}})
+    assert len(cfg.sfus) == 255
+
+
 def test_duplicate_flow_names_rejected():
     flows = [{"name": "f", "dst": "a", "size_bytes": 1500, "rate_mbps": 10},
              {"name": "f", "dst": "b", "size_bytes": 500, "rate_mbps": 1}]

@@ -174,6 +174,18 @@ def test_storm_responses_reach_the_olt_in_request_order():
     assert [m.transaction_id for m in res.olt_received] == list(range(60))
 
 
+def test_storm_reaches_the_255th_room():
+    # the last room's sfu_id is 255, the largest its routing byte holds
+    rooms = [f"r{i:03d}" for i in range(255)]
+    res = run_scenario_config(parse_scenario({
+        "horizon_ms": 1, "topology": {"sfus": rooms},
+        "management": {"storm": {"count": 2, "targets": ["r254", "r000"]}},
+    }))
+    assert (res.omci_failed, res.omci_delivered) == (0, 2)
+    assert [len(res.mibs[r].snapshot()) for r in ("r254", "r000", "r001")] \
+        == [1, 1, 0]
+
+
 def sleep_run(mode: str, flows: list[dict], **energy) -> dict:
     """Flow rows of a 60 ms one-room run with 1 ms and 2 ms sleep timers."""
     res = run_scenario_config(parse_scenario({
