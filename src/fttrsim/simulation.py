@@ -339,6 +339,9 @@ class Simulation:
         for i, s in enumerate(cfg.sfus):
             self.adapter.register_sfu(i + 1, s)
         self.olt_queue: deque[bytes] = deque()
+        # (rx time, reserved seq, room, request) of the OMCI requests on
+        # their way from the MFU to their rooms, in the order they arrive
+        self.omci_downstream: deque[tuple[int, int, str, bytes]] = deque()
         # (created, sfu, response) of the OMCI responses awaiting the
         # upstream management slot, oldest first
         self.omci_upstream: deque[tuple[int, str, OmciMessage]] = deque()
@@ -359,13 +362,10 @@ class Simulation:
             "upstream_burst_done": self._upstream_burst_done,
             "power_check": partial(self._power_check, self.mfu),
         }, self))
-        self.sim.register(OLT, _dispatcher("OLT", {"omci_rx": self._olt_rx},
-                                          self))
         per_sfu = {
             "optical_rx": self._optical_rx,
             "grant_start": self._grant_start,
             "burst_start": self._burst_start,
-            "omci_rx": self._sfu_omci_rx,
             "deep_cmd": self._deep_cmd,
             "wake_done": self._wake_done,
             "kill": self._kill,
@@ -616,6 +616,8 @@ class Simulation:
     def _alloc_cycle(self, ev: Event) -> None:
         cfg = self.cfg
         now = self.sim.now
+        if self.omci_downstream:
+            self._apply_omci_downstream(now, ev.seq)
         # cycles fire at the multiples of alloc_cycle_ns from 0
         self.results.upstream_slots.append(("omci", now, cfg.omci_slot_ns, 1))
         # downstream OMCI pacing: one message per allocation cycle
@@ -629,13 +631,18 @@ class Simulation:
         if self.omci_upstream:
             created, name, msg = self.omci_upstream.popleft()
             ext = self.adapter.to_extended(msg, name)
-            self.sim.schedule(now + cfg.omci_slot_ns + cfg.olt_pipe_ns, OLT,
-                              "omci_rx", (created, encode_omci(ext)))
+            self._olt_receive(created, now + cfg.omci_slot_ns + cfg.olt_pipe_ns,
+                              encode_omci(ext))
         nxt = now + cfg.alloc_cycle_ns
         if nxt <= cfg.horizon_ns:
             self.sim.schedule(nxt, MFU, "alloc_cycle")
 
     def _omci_downstream(self, data: bytes) -> None:
+        """Send a request from the OLT's queue on to its room. One request
+        leaves per cycle and `control_delay` is fixed, so receive times
+        never fall: the request joins `omci_downstream` at its receive time
+        and a sequence number reserved now, and its room receives it there
+        without an event."""
         now = self.sim.now
         try:
             msg = decode_omci(data)
@@ -643,24 +650,38 @@ class Simulation:
         except AdapterError:
             self.results.omci_failed += 1
             err = OmciMessage(0, OmciType.ERROR_RESPONSE, 0, 0)
-            self.sim.schedule(now + self.cfg.olt_pipe_ns, OLT, "omci_rx",
-                              (now, encode_omci(err)))
+            self._olt_receive(now, now + self.cfg.olt_pipe_ns,
+                              encode_omci(err))
             return
-        self.sim.schedule(now + self.cfg.control_delay_ns,
-                          self.sfus[target].target, "omci_rx", encode_omci(std))
+        self.omci_downstream.append((now + self.cfg.control_delay_ns,
+                                     self.sim.reserve(), target,
+                                     encode_omci(std)))
 
-    def _sfu_omci_rx(self, sfu: SfuSim, ev: Event) -> None:
-        now = self.sim.now
-        msg = decode_omci(ev.payload)
-        response = apply_omci(msg, self.results.mibs[sfu.name])
-        self.omci_upstream.append((now, sfu.name, response))
+    def _apply_omci_downstream(self, t: int, seq: int) -> None:
+        """Receive every OMCI request ordered before the event at (t, seq)
+        at its room: the room applies it to its MIB and queues the response,
+        stamped with the receive time, for the upstream management slot.
+        `_alloc_cycle`, the only reader of that queue and of the MIBs in a
+        run, calls this before it acts. A dead room still answers."""
+        pending, upstream = self.omci_downstream, self.omci_upstream
+        mibs = self.results.mibs
+        key = (t, seq)
+        while pending and pending[0] < key:
+            rx, _, room, data = pending.popleft()
+            upstream.append((rx, room, apply_omci(decode_omci(data),
+                                                  mibs[room])))
 
-    def _olt_rx(self, ev: Event) -> None:
-        created, data = ev.payload
-        msg = decode_omci(data)
-        self.results.olt_received.append(msg)
-        self.results.omci_delivered += 1
-        self.results.omci_delays.append(self.sim.now - created)
+    def _olt_receive(self, created: int, arrival: int, data: bytes) -> None:
+        """Record a response that reaches the OLT at `arrival`, if that is
+        by the horizon. Nothing in a run reads the OLT's state, so this is
+        called when the response leaves the MFU, not by an event at its
+        arrival; responses leave in the order they arrive."""
+        if arrival > self.cfg.horizon_ns:
+            return
+        res = self.results
+        res.olt_received.append(decode_omci(data))
+        res.omci_delivered += 1
+        res.omci_delays.append(arrival - created)
 
     # ------------------------------------------------------------------
     # OFDMA uplink bursts
@@ -864,8 +885,9 @@ class Simulation:
         cfg = self.cfg
         self._prime()
         digest = self.sim.run_until(cfg.horizon_ns)
-        # the frames that reach their rooms by the horizon
+        # the frames and OMCI requests that reach their rooms by the horizon
         self._apply_inbound(cfg.horizon_ns + 1, 0)
+        self._apply_omci_downstream(cfg.horizon_ns + 1, 0)
         self._check_conservation()
         res = self.results
         res.digest = digest

@@ -174,6 +174,27 @@ def test_storm_responses_reach_the_olt_in_request_order():
     assert [m.transaction_id for m in res.olt_received] == list(range(60))
 
 
+@pytest.mark.parametrize("horizon_ms,received", [(5.005, True),
+                                                  (5.004999, False)])
+def test_a_request_received_at_the_horizon_is_applied(horizon_ms, received):
+    # request k leaves the MFU at k * 250 us and reaches room a 5 us later,
+    # so request 20 arrives exactly at a 5.005 ms horizon. The response of
+    # request 18 is the last to reach the OLT, at 4.78 ms; that of request
+    # 19 leaves the MFU at 5 ms and would reach it at 5.03 ms
+    sim = Simulation(parse_scenario({
+        "horizon_ms": horizon_ms, "topology": {"sfus": ["a"]},
+        "management": {"storm": {"count": 30, "entity_class": 7}},
+    }))
+    res = sim.run()
+    assert ((7, 20) in res.mibs["a"].snapshot()) is received
+    assert (7, 21) not in res.mibs["a"].snapshot()
+    # a request received by the horizon is answered, and its response
+    # waits for the next cycle; one received later is not answered
+    queued = [msg.transaction_id for _, _, msg in sim.omci_upstream]
+    assert queued == ([20] if received else [])
+    assert [m.transaction_id for m in res.olt_received] == list(range(19))
+
+
 def test_storm_reaches_the_255th_room():
     # the last room's sfu_id is 255, the largest its routing byte holds
     rooms = [f"r{i:03d}" for i in range(255)]
