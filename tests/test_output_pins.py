@@ -58,10 +58,10 @@ PINS = {
         "2ad1c85074cfc2627ad47e3e3a62439f48d3ffee379b4f65751b1207730b30c7",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("golden", "centralized"): (
-        "430a3e8891c056b4a286975421cf29c54e2c0ffdbd93602fa386ee639ad037b1",
+        "d2ce1c1649bf6ce688614869fd0e71f48a41a8dd7f093dcc793480127f11ce34",
         "537d351de7b375ff49adc9cd35c8a47a43d92bf491e8ec29d32ffe893de87999"),
     ("golden", "distributed"): (
-        "f4ceb71ceea850593ac360b582334fbf81130fec319bdf4a5b3c86ac565d48ce",
+        "a906231244baa50f10fe69e1c3d3557a2d8307a4f8dcc72c6e09ff37a6a283e5",
         "4122b453971055f25395ac0f32ca9d81103e7fd9db57d9b295879055ee26c092"),
     ("idle_night", "centralized"): (
         "12d75655cb2452b9c20a7240d1b3fcac957760418d07bb29bdac4a3b04582c19",
@@ -88,13 +88,13 @@ PINS = {
         "7af43ad4f5e4e24b8cd86eaa99d19ff1c85f5e313b8b3d7c325a89aa10d869b1",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "centralized"): (
-        "f31a6defc0b11008914527eee1503a322d0c8461cae86fa3dafd4d03e0c5cbdb",
+        "e6a76ce9cfc5556b80ac0c887b56093c4eac364235548830a31a2e51607346ed",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "distributed"): (
-        "058787a7c0eefc332abe19556a7d221a26c594c7cb0d6e2bc6f7b958a8a454e6",
+        "25e55ca9689ae0d0d2309df53e73be848245fd6d872d1c42d225dc3ffae8485c",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "phy_relay"): (
-        "ecd7d97cc9db3c96899ae2558978756d3de74fede644c6735832834c3fef02a3",
+        "803bf103c39655d19adb1a1caa73264f2986eabe8184308cf6e78d6b4043d5f0",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("staged_kill", "centralized"): (
         "bf8ce4b276febab4faa3ce0631bd2b62460854d15706be96f2b570d2e4b55e6d",
@@ -324,12 +324,12 @@ RUN_PINS = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "09dc764fe476ebd02f919c8e126bb7894d101ba0a43020d59ef5cd1a604b2447"),
     ("storm_kill_bursts", "centralized"): (
-        "7aa9d2f4c78d5689a860fadd9251079a6bd109298291616ce60e45cd30eadf9b",
+        "9cedf713c4f74521972912bf97f97e961166c1602e55fc759a7cba81dd98d493",
         "bafe1e01724777eeb67776754f779c4a1344c72e29e6721eb274fac85bc9518e",
         "2163064dcfae0401f425b24e567d90f305ae7d9b1a2107c9de86870006048652",
         "807d1a52a71632bc5e71f35debe371ee29c4206362cc27ee95fb7f6e4c1ba615"),
     ("storm_kill_bursts", "phy_relay"): (
-        "7a24a2c264ee524f95b415cc314f67182ac4c4d7903f4a6d385e6ab8dc68739d",
+        "0d9aae9e7fc506190350cf6a26709f9689a2bd31570e7e3bab2233d4b2fba769",
         "c9a49b2224e9ff53cbbbbace35a10d593285152029794a1e968cc12f87e90b5f",
         "77f2e957ccbd9e0d5cf1eb3462dc867384ca07222785db9564bdb16392af420e",
         "807d1a52a71632bc5e71f35debe371ee29c4206362cc27ee95fb7f6e4c1ba615"),
