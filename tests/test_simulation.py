@@ -203,8 +203,8 @@ def test_storm_reaches_the_255th_room():
         "management": {"storm": {"count": 2, "targets": ["r254", "r000"]}},
     }))
     assert (res.omci_failed, res.omci_delivered) == (0, 2)
-    assert [len(res.mibs[r].snapshot()) for r in ("r254", "r000", "r001")] \
-        == [1, 1, 0]
+    assert ([len(res.mibs[r].snapshot()) for r in ("r254", "r000", "r001")]
+            == [1, 1, 0])
 
 
 def sleep_run(mode: str, flows: list[dict], **energy) -> dict:
