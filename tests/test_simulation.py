@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from fttrsim import simulation
 from fttrsim.energy import PowerState
 from fttrsim.engine import Event, SimError, draw_int
+from fttrsim.frames import OmciType
+from fttrsim.management import AdapterError, OmciAdapter
 from fttrsim.metrics import build_summary
 from fttrsim.scenario import load_scenario, parse_scenario
 from fttrsim.scheduling import grant_downlink_airtime
@@ -205,6 +207,38 @@ def test_storm_reaches_the_255th_room():
     assert (res.omci_failed, res.omci_delivered) == (0, 2)
     assert ([len(res.mibs[r].snapshot()) for r in ("r254", "r000", "r001")]
             == [1, 1, 0])
+
+
+def test_a_request_the_adapter_cannot_route_gets_an_error_response(
+        monkeypatch):
+    # every request fails to route: the MFU answers each at once with an
+    # error response, which reaches the OLT olt_pipe later. Request k
+    # leaves at k * 250 us, so 21 of the 30 leave by a 5 ms horizon, and
+    # the error responses of the 20 that leave by 4.9 ms reach the OLT
+    def unroutable(adapter, msg):
+        raise AdapterError("no route")
+
+    monkeypatch.setattr(OmciAdapter, "to_standard", unroutable)
+    res = run_scenario_config(parse_scenario({
+        "horizon_ms": 5, "topology": {"sfus": ["a", "b"]},
+        "management": {"olt_pipe_us": 100, "storm": {"count": 30}},
+    }))
+    assert (res.omci_sent, res.omci_failed, res.omci_delivered) == (30, 21, 20)
+    assert all(not mib.snapshot() for mib in res.mibs.values())
+    assert res.omci_delays == [100_000] * 20
+    assert {m.msg_type for m in res.olt_received} == {OmciType.ERROR_RESPONSE}
+
+
+def test_a_burst_only_run_books_one_omci_slot_per_alloc_cycle():
+    # with no storm, the OMCI slot of every cycle that starts by the
+    # horizon is still kept free of data bursts
+    res = run_scenario_config(load_scenario(
+        SCENARIOS / "ofdma_uplink_burst.yaml"))
+    cfg = res.config
+    omci = sorted(s for s in res.upstream_slots if s[0] == "omci")
+    assert omci == [("omci", t, cfg.omci_slot_ns, 1) for t in
+                    range(0, cfg.horizon_ns + 1, cfg.alloc_cycle_ns)]
+    assert len(omci) == cfg.horizon_ns // cfg.alloc_cycle_ns + 1
 
 
 def sleep_run(mode: str, flows: list[dict], **energy) -> dict:
