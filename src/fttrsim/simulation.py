@@ -797,8 +797,9 @@ class Simulation:
         if sfu.wake_pending:
             self.results.rejected_transitions += 1
             return
-        if not sfu.power.request(PowerState.DEEP_SLEEP, now):
-            self.results.rejected_transitions += 1
+        # a room that is no longer in light sleep cannot obey: the power
+        # machine counts that in its `rejected`
+        sfu.power.request(PowerState.DEEP_SLEEP, now)
 
     def _trigger_wake(self, sfu: SfuSim) -> None:
         now = self.sim.now

@@ -328,6 +328,27 @@ def test_backoff_bit_count_follows_the_window(monkeypatch):
     assert seen["doubled"] > 0
 
 
+def test_a_deep_sleep_command_a_room_does_not_obey_counts_once():
+    # room a sleeps from 3 ms; a frame at 5 ms wakes it by 7.1 ms. Room b
+    # reports light sleep at 7.013 ms, when a is still asleep, so the MFU
+    # sends both the deep-sleep command, which reaches a at 9.013 ms, idle
+    # again. IDLE -> DEEP_SLEEP is illegal: the power machine counts it, and
+    # the run used to count it a second time
+    res = run_scenario_config(parse_scenario({
+        "horizon_ms": 60, "topology": {"sfus": ["a", "b"]},
+        "control": {"control_delay_us": 2000},
+        "flows": [{"name": room, "dst": room, "size_bytes": 1500,
+                   "model": "batch", "count": 1, "start_ms": start}
+                  for room, start in (("b", 0), ("a", 5))],
+        "energy": {"savings_enabled": True, "t_act_idle_ms": 1,
+                   "t_idle_sleep_ms": 2, "sfu": {"wake_light_ms": 0.1}},
+    }))
+    assert (7_013_106, "deep_sleep_command", MFU) in res.events
+    assert (7_100_000, "wake_done", "a") in res.events
+    assert (PowerState.IDLE, 8_113_106, 12_113_106) in res.ledgers["a"].records
+    assert res.rejected_transitions == 1
+
+
 def dead_room_run(kill: dict, mode: str = "centralized"):
     """A 60 ms run of one room `a` with 1 ms and 2 ms sleep timers and a
     2 ms poll cycle, killed as `kill` says, that gets three frames at
