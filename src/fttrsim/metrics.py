@@ -121,7 +121,10 @@ def schedule_dump_bytes(res: SimResults) -> bytes:
     for g in res.grants:
         lines.append(
             f"GRANT {g.sfu} start={g.start} duration={g.max_duration}")
-    for sfu, start, dur, tcont in res.upstream_slots:
+    # the OMCI slots are booked after the event loop, so the calendar is
+    # written in start order
+    for sfu, start, dur, tcont in sorted(res.upstream_slots,
+                                         key=lambda s: (s[1], s[2])):
         lines.append(f"SLOT {sfu} start={start} duration={dur} tcont={tcont}")
     return ("\n".join(lines) + "\n").encode() if lines else b""
 

@@ -3,9 +3,11 @@ config, drives traffic, contention or grants on the air interface, the
 upstream allocation calendar, the OMCI management plane and the power state
 machines, and collects metrics.
 
-Everything runs on one event loop; all randomness comes from per-node
-substreams of the scenario seed, so a (scenario, seed) pair fully determines
-the trace digest and every metric.
+Traffic, air access, the upstream calendar and the power machines run on
+one event loop. No event reads the OMCI plane, so it is played after that
+loop, in one pass over the allocation cycles. All randomness comes from
+per-node substreams of the scenario seed, so a (scenario, seed) pair fully
+determines the trace digest and every metric.
 """
 
 from __future__ import annotations
@@ -338,10 +340,6 @@ class Simulation:
         self.adapter = OmciAdapter(port_id=1)
         for i, s in enumerate(cfg.sfus):
             self.adapter.register_sfu(i + 1, s)
-        self.olt_queue: deque[bytes] = deque()
-        # (rx time, reserved seq, room, request) of the OMCI requests on
-        # their way from the MFU to their rooms, in the order they arrive
-        self.omci_downstream: deque[tuple[int, int, str, bytes]] = deque()
         # (created, sfu, response) of the OMCI responses awaiting the
         # upstream management slot, oldest first
         self.omci_upstream: deque[tuple[int, str, OmciMessage]] = deque()
@@ -357,7 +355,6 @@ class Simulation:
         self.sim.register(MFU, _dispatcher("MFU", {
             "flow_arrival": self._flow_arrival,
             "status_cycle": self._status_cycle,
-            "alloc_cycle": self._alloc_cycle,
             "poll_cycle": self._poll_cycle,
             "upstream_burst_done": self._upstream_burst_done,
             "power_check": partial(self._power_check, self.mfu),
@@ -404,14 +401,11 @@ class Simulation:
                     f"the {cfg.omci_slot_ns} ns OMCI slot and its "
                     f"{cfg.guard_ns} ns guard do not fit the "
                     f"{cfg.alloc_cycle_ns} ns alloc cycle")
-            self.sim.schedule(0, MFU, "alloc_cycle")
         self.sim.schedule(0, MFU, "poll_cycle")
         for burst in cfg.uplink_bursts:
             t = int(burst.start_ms * 1_000_000)
             self.sim.schedule(t, self.sfus[burst.sfu].target, "burst_start",
                               burst)
-        if cfg.storm:
-            self._prime_storm()
         if cfg.kill:
             target = self.sfus[cfg.kill.sfu].target
             self.sim.schedule(int(cfg.kill.at_ms * 1_000_000), target, "kill")
@@ -420,22 +414,6 @@ class Simulation:
                                   target, "recover")
         for node in (*self.sfus.values(), self.mfu):
             self.sim.schedule(cfg.t_act_idle_ns, node.target, "power_check")
-
-    def _prime_storm(self) -> None:
-        cfg = self.cfg
-        bits = self.sim.rng.for_node(OLT).getrandbits
-        for i in range(cfg.storm.count):
-            target = cfg.storm.targets[i % len(cfg.storm.targets)]
-            port, sfu_id = self.adapter.route_of(target)
-            # the bytes rng.randrange(256) would draw
-            content = bytes([draw_int(bits, 255)
-                             for _ in range(cfg.storm.content_bytes)])
-            msg = OmciMessage(transaction_id=i & 0xFFFF, msg_type=OmciType.SET,
-                              entity_class=cfg.storm.entity_class,
-                              entity_instance=i % 64, content=content,
-                              mfu_port_id=port, sfu_id=sfu_id)
-            self.olt_queue.append(encode_omci(msg))
-            self.results.omci_sent += 1
 
     # ------------------------------------------------------------------
     # traffic
@@ -590,7 +568,7 @@ class Simulation:
             sfu.airtime_ns += airtime
 
     # ------------------------------------------------------------------
-    # upstream allocation calendar (alloc cycles, OMCI slot, data slots)
+    # upstream allocation calendar (OMCI window, data slots)
 
     def _reserve_data_slot(self, earliest: int, duration: int, sfu: str,
                            tcont: int) -> int:
@@ -613,69 +591,71 @@ class Simulation:
         self.results.upstream_slots.append((sfu, start, duration, tcont))
         return start
 
-    def _alloc_cycle(self, ev: Event) -> None:
+    # ------------------------------------------------------------------
+    # OMCI management plane
+
+    def _omci_plane(self) -> None:
+        """Play the OMCI plane over the allocation cycles j·A <= horizon,
+        after the event loop: no event reads a MIB or an OMCI queue. At
+        the start of each cycle, the rooms first receive, in order, the
+        requests that reached them by then: each is applied to its room's
+        MIB and answered. Then the cycle books its OMCI slot, the OLT sends
+        request j (one per cycle), which reaches its room `control_delay`
+        later, and the oldest response takes the cycle's upstream slot to
+        the OLT. So a request received exactly at a cycle start, which was
+        sent in an earlier cycle, is answered in that cycle. Requests that
+        reach their rooms by the horizon are received after the last
+        cycle. A dead room still answers."""
         cfg = self.cfg
-        now = self.sim.now
-        if self.omci_downstream:
-            self._apply_omci_downstream(now, ev.seq)
-        # cycles fire at the multiples of alloc_cycle_ns from 0
-        self.results.upstream_slots.append(("omci", now, cfg.omci_slot_ns, 1))
-        # downstream OMCI pacing: one message per allocation cycle
-        if self.olt_queue:
-            data = self.olt_queue.popleft()
-            self._omci_downstream(data)
-        # upstream OMCI: the oldest pending response owns this cycle's
-        # dedicated slot. Responses are queued in arrival order, which is
-        # the order of their times; no two arrive at once, because at most
-        # one request leaves the MFU per cycle.
-        if self.omci_upstream:
-            created, name, msg = self.omci_upstream.popleft()
-            ext = self.adapter.to_extended(msg, name)
-            self._olt_receive(created, now + cfg.omci_slot_ns + cfg.olt_pipe_ns,
-                              encode_omci(ext))
-        nxt = now + cfg.alloc_cycle_ns
-        if nxt <= cfg.horizon_ns:
-            self.sim.schedule(nxt, MFU, "alloc_cycle")
+        res, adapter, upstream = self.results, self.adapter, self.omci_upstream
+        storm = cfg.storm
+        res.omci_sent = count = storm.count if storm else 0
+        if count:
+            bits = self.sim.rng.for_node(OLT).getrandbits
+        # (rx time, room, request) of the requests sent down, in rx order
+        pending: deque[tuple[int, str, bytes]] = deque()
 
-    def _omci_downstream(self, data: bytes) -> None:
-        """Send a request from the OLT's queue on to its room. One request
-        leaves per cycle and `control_delay` is fixed, so receive times
-        never fall: the request joins `omci_downstream` at its receive time
-        and a sequence number reserved now, and its room receives it there
-        without an event."""
-        now = self.sim.now
-        try:
-            msg = decode_omci(data)
-            target, std = self.adapter.to_standard(msg)
-        except AdapterError:
-            self.results.omci_failed += 1
-            err = OmciMessage(0, OmciType.ERROR_RESPONSE, 0, 0)
-            self._olt_receive(now, now + self.cfg.olt_pipe_ns,
-                              encode_omci(err))
-            return
-        self.omci_downstream.append((now + self.cfg.control_delay_ns,
-                                     self.sim.reserve(), target,
-                                     encode_omci(std)))
+        def receive(t: int) -> None:
+            while pending and pending[0][0] <= t:
+                rx, room, data = pending.popleft()
+                upstream.append((rx, room, apply_omci(decode_omci(data),
+                                                      res.mibs[room])))
 
-    def _apply_omci_downstream(self, t: int, seq: int) -> None:
-        """Receive every OMCI request ordered before the event at (t, seq)
-        at its room: the room applies it to its MIB and queues the response,
-        stamped with the receive time, for the upstream management slot.
-        `_alloc_cycle`, the only reader of that queue and of the MIBs in a
-        run, calls this before it acts. A dead room still answers."""
-        pending, upstream = self.omci_downstream, self.omci_upstream
-        mibs = self.results.mibs
-        key = (t, seq)
-        while pending and pending[0] < key:
-            rx, _, room, data = pending.popleft()
-            upstream.append((rx, room, apply_omci(decode_omci(data),
-                                                  mibs[room])))
+        for j in range(cfg.horizon_ns // cfg.alloc_cycle_ns + 1):
+            now = j * cfg.alloc_cycle_ns
+            receive(now)
+            res.upstream_slots.append(("omci", now, cfg.omci_slot_ns, 1))
+            if j < count:
+                port, sfu_id = adapter.route_of(
+                    storm.targets[j % len(storm.targets)])
+                # the bytes rng.randrange(256) would draw
+                content = bytes([draw_int(bits, 255)
+                                 for _ in range(storm.content_bytes)])
+                data = encode_omci(OmciMessage(
+                    transaction_id=j & 0xFFFF, msg_type=OmciType.SET,
+                    entity_class=storm.entity_class, entity_instance=j % 64,
+                    content=content, mfu_port_id=port, sfu_id=sfu_id))
+                try:
+                    room, std = adapter.to_standard(decode_omci(data))
+                except AdapterError:
+                    res.omci_failed += 1
+                    err = OmciMessage(0, OmciType.ERROR_RESPONSE, 0, 0)
+                    self._olt_receive(now, now + cfg.olt_pipe_ns,
+                                      encode_omci(err))
+                else:
+                    pending.append((now + cfg.control_delay_ns, room,
+                                    encode_omci(std)))
+            if upstream:
+                created, name, msg = upstream.popleft()
+                ext = adapter.to_extended(msg, name)
+                self._olt_receive(created, now + cfg.omci_slot_ns
+                                  + cfg.olt_pipe_ns, encode_omci(ext))
+        receive(cfg.horizon_ns)
 
     def _olt_receive(self, created: int, arrival: int, data: bytes) -> None:
         """Record a response that reaches the OLT at `arrival`, if that is
-        by the horizon. Nothing in a run reads the OLT's state, so this is
-        called when the response leaves the MFU, not by an event at its
-        arrival; responses leave in the order they arrive."""
+        by the horizon. Responses leave the MFU in the order they
+        arrive."""
         if arrival > self.cfg.horizon_ns:
             return
         res = self.results
@@ -886,9 +866,10 @@ class Simulation:
         cfg = self.cfg
         self._prime()
         digest = self.sim.run_until(cfg.horizon_ns)
-        # the frames and OMCI requests that reach their rooms by the horizon
+        # the frames that reach their rooms by the horizon
         self._apply_inbound(cfg.horizon_ns + 1, 0)
-        self._apply_omci_downstream(cfg.horizon_ns + 1, 0)
+        if cfg.uplink_bursts or cfg.storm:
+            self._omci_plane()
         self._check_conservation()
         res = self.results
         res.digest = digest

@@ -4,12 +4,14 @@ exactly, on cases small enough to derive.
 OMCI storm. Notation: A = `alloc_cycle`, C = `control_delay`,
 S = `omci_slot`, P = `olt_pipe`, H = horizon, d = max(1, ceil(C / A)).
 Request k leaves the MFU in cycle k, at k·A, and reaches its room at
-k·A + C, where the room answers at once. A response that reaches the MFU
-exactly at a cycle start is sent in that cycle, since it was sent down
-before that cycle was scheduled; one sent down at C = 0 is not, since it
-leaves during its own cycle. So response k owns the upstream OMCI slot of
-cycle k + d: at most one request leaves per cycle, so no two responses
-contend for a slot. It reaches the OLT S + P after that cycle starts:
+k·A + C, where the room answers at once. Each cycle first receives the
+requests that reached their rooms by its start, and only then sends its
+own: a request received exactly at a cycle start was sent in an earlier
+cycle and is answered in that cycle; one sent with C = 0 reaches its room
+after its own cycle's receive and is answered in the next. So response k
+owns the upstream OMCI slot of cycle k + d: at most one request leaves per
+cycle, so no two responses contend for a slot. It reaches the OLT S + P
+after that cycle starts:
 
     delay = d·A + S + P − C                                  (every response)
     omci_delivered = #{k < count : (k + d)·A + S + P ≤ H}

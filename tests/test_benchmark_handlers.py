@@ -47,7 +47,8 @@ def test_benchmark_lists_every_scheduled_handler(monkeypatch):
     # the runs reach the power path of both unit kinds and every target class
     assert {("mfu", "power_check"), ("sfu", "power_check"),
             ("sfu", "sleep_check")} <= seen
-    # an OMCI request's receive at its room and a response's at the OLT
-    # are not events
+    # the OMCI plane is played after the event loop: neither its alloc
+    # cycles nor a receive at a room or at the OLT is an event
     assert {target for target, _ in seen} == {"mfu", "sfu", "domain"}
     assert ("sfu", "omci_rx") not in seen
+    assert ("mfu", "alloc_cycle") not in seen
