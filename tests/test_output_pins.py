@@ -58,10 +58,10 @@ PINS = {
         "2ad1c85074cfc2627ad47e3e3a62439f48d3ffee379b4f65751b1207730b30c7",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("golden", "centralized"): (
-        "d2ce1c1649bf6ce688614869fd0e71f48a41a8dd7f093dcc793480127f11ce34",
+        "1a5485da3e29e2b1fb4112a1ff059fc9486b8e0092e29f009d38d58926e51652",
         "537d351de7b375ff49adc9cd35c8a47a43d92bf491e8ec29d32ffe893de87999"),
     ("golden", "distributed"): (
-        "a906231244baa50f10fe69e1c3d3557a2d8307a4f8dcc72c6e09ff37a6a283e5",
+        "d656febb1d017a871771a75973b773e0eb1e9d85d1319f991aef49a0e38a7699",
         "4122b453971055f25395ac0f32ca9d81103e7fd9db57d9b295879055ee26c092"),
     ("idle_night", "centralized"): (
         "12d75655cb2452b9c20a7240d1b3fcac957760418d07bb29bdac4a3b04582c19",
@@ -73,28 +73,28 @@ PINS = {
         "b827bc31b351f3fdc06ac5a9ea079b82c0a7e6d1766a80601e2b3b09cd521c55",
         "28545f526021417db646596bf472fb87e1691869aea735f41c1cc6df9fecc23d"),
     ("ofdma_uplink_burst", "centralized"): (
-        "20f48a91090b7c0750a2854d5229ca0e0913c9dc43dd5b4f89beef832491eb0d",
+        "942ecc8cdbfdb51d6a63da566e902dc9e3f083daf2c82bddc250a471f681092d",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("ofdma_uplink_burst", "distributed"): (
-        "4eb4ee67aae077eb04733fae1884f91ec07245e41de5058d53521d388b146a8b",
+        "2b85bc545748961246dae65245f424f985dc437dca8dd59887fb68ededb7d593",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("phy_relay_burst", "centralized"): (
-        "73f79d5b6b577a3dc9f55aa1a207ffcad5bcd64ea3c96d5a2ae8ba03a2505983",
+        "bac9bd442eaa2fb59a13336ed419e5f1e5f90a6039085f9aac4e6cd7dd88f999",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("phy_relay_burst", "distributed"): (
-        "814227082878e888c4dcf45946a4cf2c05e4a45ec1a62c2b2555a98cc3662dd1",
+        "5dc15fac772b695758bc8d4cd2afcb8734d89bfb15787373b8d5972e8a748045",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("phy_relay_burst", "phy_relay"): (
-        "7af43ad4f5e4e24b8cd86eaa99d19ff1c85f5e313b8b3d7c325a89aa10d869b1",
+        "4c24e330cecdd5d8195f947d4f18ebc19007ba31ec4937213e4cc0b58cbfe6d1",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "centralized"): (
-        "e6a76ce9cfc5556b80ac0c887b56093c4eac364235548830a31a2e51607346ed",
+        "68f7f93a6b02414f091e73c46193d62e853f003797708892a265e16f44a39132",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "distributed"): (
-        "25e55ca9689ae0d0d2309df53e73be848245fd6d872d1c42d225dc3ffae8485c",
+        "3030ae4ea5a97afc7366cf6a74cbb8ddcfe8438d8fb00c5e3d8b59f35af5660c",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "phy_relay"): (
-        "803bf103c39655d19adb1a1caa73264f2986eabe8184308cf6e78d6b4043d5f0",
+        "eba75e5dc5312b042e1df4f4de4e787709c192ecd4c817750861916540383ede",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("staged_kill", "centralized"): (
         "bf8ce4b276febab4faa3ce0631bd2b62460854d15706be96f2b570d2e4b55e6d",
@@ -324,14 +324,14 @@ RUN_PINS = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "09dc764fe476ebd02f919c8e126bb7894d101ba0a43020d59ef5cd1a604b2447"),
     ("storm_kill_bursts", "centralized"): (
-        "9cedf713c4f74521972912bf97f97e961166c1602e55fc759a7cba81dd98d493",
+        "e063c9ecfeea58a1089fd235f779ffebab753622e9b664502415618b2db9e25b",
         "bafe1e01724777eeb67776754f779c4a1344c72e29e6721eb274fac85bc9518e",
-        "2163064dcfae0401f425b24e567d90f305ae7d9b1a2107c9de86870006048652",
+        "5761fcedb63998499758c0638bf064596e1a6507b9959195560775f9473b466e",
         "807d1a52a71632bc5e71f35debe371ee29c4206362cc27ee95fb7f6e4c1ba615"),
     ("storm_kill_bursts", "phy_relay"): (
-        "0d9aae9e7fc506190350cf6a26709f9689a2bd31570e7e3bab2233d4b2fba769",
+        "09c508ce14419f2d103794bfb3e902484c1651cd9308a6ba1a535d28896ee7cd",
         "c9a49b2224e9ff53cbbbbace35a10d593285152029794a1e968cc12f87e90b5f",
-        "77f2e957ccbd9e0d5cf1eb3462dc867384ca07222785db9564bdb16392af420e",
+        "1937ddc9fa8ff4d030b36c166e1dbeef4b8207ad74425f54277cfe852103e399",
         "807d1a52a71632bc5e71f35debe371ee29c4206362cc27ee95fb7f6e4c1ba615"),
     ("iot_rf_off_overflow", "centralized"): (
         "2118923210da6ad5a25aae036b66c8f220bf93e36ac7ed6d16b840835b24f9dc",
