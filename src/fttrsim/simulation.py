@@ -610,8 +610,7 @@ class Simulation:
         res, adapter, upstream = self.results, self.adapter, self.omci_upstream
         storm = cfg.storm
         res.omci_sent = count = storm.count if storm else 0
-        if count:
-            bits = self.sim.rng.for_node(OLT).getrandbits
+        bits = self.sim.rng.for_node(OLT).getrandbits
         # (rx time, room, request) of the requests sent down, in rx order
         pending: deque[tuple[int, str, bytes]] = deque()
 
@@ -654,8 +653,7 @@ class Simulation:
 
     def _olt_receive(self, created: int, arrival: int, data: bytes) -> None:
         """Record a response that reaches the OLT at `arrival`, if that is
-        by the horizon. Responses leave the MFU in the order they
-        arrive."""
+        by the horizon."""
         if arrival > self.cfg.horizon_ns:
             return
         res = self.results
