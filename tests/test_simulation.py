@@ -238,7 +238,6 @@ def test_a_burst_only_run_books_one_omci_slot_per_alloc_cycle():
     omci = sorted(s for s in res.upstream_slots if s[0] == "omci")
     assert omci == [("omci", t, cfg.omci_slot_ns, 1) for t in
                     range(0, cfg.horizon_ns + 1, cfg.alloc_cycle_ns)]
-    assert len(omci) == cfg.horizon_ns // cfg.alloc_cycle_ns + 1
 
 
 def sleep_run(mode: str, flows: list[dict], **energy) -> dict:
