@@ -1,0 +1,311 @@
+"""Differential check: run one case list on two revisions of the simulator
+and report the first model output that differs.
+
+Each revision is taken with ``git archive <rev> | tar -x`` into a temporary
+directory; HEAD defaults to the working tree. The case list runs in one
+child process per tree (``PYTHONPATH=<tree>/src``), the two trees at the
+same time. Per case the child records, each as a sha256:
+
+  - ``summary.json`` without ``digest`` and the ``events_*`` counters
+  - ``flows.csv``, the sorted ``schedule.log`` lines and ``repr(res.events)``
+  - ``omci_delays``, ``olt_received``, ``bursts``, the sorted
+    ``upstream_slots``, the MIB snapshots and ``relay_overflow_drops``
+  - every node's raw ledger records, zero-length ones included
+  - for a run that ends with exit 2 (scenario error) or 3 (invariant
+    breach), the exit code and the message instead
+
+The digest and the ``events_*`` counters are compared on their own: a change
+to how events are scheduled moves them by design.
+
+Cases: the shipped scenarios in all four modes at seeds 1 and 7, the
+``*_RUN`` dicts of ``tests/test_output_pins.py`` in all four modes, the three
+benchmark sweeps at seeds 41 and 42, the seed-41 ``control_plane`` sweep in
+the other three modes, and ``--random N`` scenarios from ``random_scenario``.
+
+Usage, from a git checkout:
+    python3 tools/diffcheck.py BASE [HEAD] [--random N]
+Exit status 0 when every model field matches, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import hashlib
+import importlib.util
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MODES = ("centralized", "distributed", "mac_integrated", "phy_relay")
+# fields compared on their own line
+EVENT_FIELDS = ("digest", "events")
+
+
+def _yaml_cases() -> list[dict]:
+    import yaml
+    cases = []
+    for path in sorted((ROOT / "scenarios").glob("*.yaml")):
+        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        for mode in MODES:
+            for seed in (1, 7):
+                cases.append({"id": f"{path.stem}/{mode}/seed{seed}",
+                              "raw": raw,
+                              "overrides": {"mode": mode, "seed": seed}})
+    return cases
+
+
+def _run_dicts() -> dict[str, dict]:
+    """The `*_RUN` scenario dicts of tests/test_output_pins.py, read as
+    literals."""
+    tree = ast.parse((ROOT / "tests" / "test_output_pins.py").read_text())
+    runs = {}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id.endswith("_RUN")):
+            raw = ast.literal_eval(node.value)
+            runs[raw["name"]] = raw
+    return runs
+
+
+def _sweep_cases() -> list[dict]:
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cases = []
+    for name in workloads.WORKLOADS:
+        for seed in (41, 42):
+            for i, raw in enumerate(workloads.sweep(name, seed)):
+                cases.append({"id": f"{name}/seed{seed}/{i}", "raw": raw,
+                              "overrides": {}})
+    for mode in MODES[1:]:
+        for i, raw in enumerate(workloads.sweep("control_plane", 41)):
+            cases.append({"id": f"control_plane/{mode}/seed41/{i}",
+                          "raw": raw, "overrides": {"mode": mode}})
+    return cases
+
+
+def random_scenario(rng: random.Random) -> dict:
+    """A small scenario: 1-4 rooms, a few flows and bursts, maybe a storm
+    and a kill, short timers and a horizon of 5-40 ms. Times are drawn on
+    coarse grids, so that events of different kinds often fall on the same
+    nanosecond."""
+    rooms = [f"r{i}" for i in range(rng.randint(1, 4))]
+    conflicts = [[a, b] for i, a in enumerate(rooms) for b in rooms[i + 1:]
+                 if rng.random() < 0.5]
+    horizon_ms = rng.choice((5, 10, 20, 40))
+    flows = []
+    for i in range(rng.randint(0, 3)):
+        model = rng.choice(("constant_rate", "on_off", "batch"))
+        flow = {"name": f"f{i}", "dst": rng.choice(rooms),
+                "priority": rng.randint(0, 7),
+                "size_bytes": rng.choice((200, 1000, 1500, 4000)),
+                "model": model,
+                "start_ms": rng.choice((0, 0.5, 1, 2, 3))}
+        if model == "batch":
+            flow.update(count=rng.randint(1, 8),
+                        interval_us=rng.choice((0, 100, 250, 1000)))
+        else:
+            flow["rate_mbps"] = rng.choice((0.1, 1, 4, 8, 20))
+        if model == "on_off":
+            flow.update(on_ms=rng.choice((0.5, 1, 2)),
+                        off_ms=rng.choice((1, 3, 5)))
+        if rng.random() < 0.2:
+            flow["stop_ms"] = flow["start_ms"] + rng.choice((1, 5))
+        flows.append(flow)
+    bursts = [{"sfu": rng.choice(rooms),
+               "period_us": rng.choice((242, 250, 500, 1000, 2000)),
+               "air_duration_us": rng.choice((20, 50, 100)),
+               "start_ms": rng.choice((0, 0.25, 1)),
+               "coordinated": rng.random() < 0.5,
+               "rus": [{"bytes": rng.choice((0, 500, 2000, 4000))}
+                       for _ in range(rng.randint(1, 3))]}
+              for _ in range(rng.randint(0, 3))]
+    management: dict = {"poll_cycle_ms": rng.choice((1, 2, 5))}
+    if rng.random() < 0.5:
+        management["storm"] = {"count": rng.randint(1, 200),
+                               "content_bytes": rng.randint(0, 16)}
+    if rng.random() < 0.5:
+        at = rng.choice((1, 2, 5))
+        management["kill"] = {"sfu": rng.choice(rooms), "at_ms": at}
+        if rng.random() < 0.6:
+            management["kill"]["recover_ms"] = at + rng.choice((1, 3, 10))
+    return {
+        "name": "random", "seed": rng.randrange(1, 1000),
+        "horizon_ms": horizon_ms, "mode": rng.choice(MODES),
+        "topology": {"sfus": rooms, "conflicts": conflicts},
+        "control": {"status_cycle_us": rng.choice((250, 500, 1000)),
+                    "control_delay_us": rng.choice((0, 5, 50, 250))},
+        "flows": flows, "uplink_bursts": bursts, "management": management,
+        "phy_relay": {"buffer_bytes": rng.choice((24000, 100000))},
+        "energy": {"savings_enabled": rng.random() < 0.6,
+                   "t_act_idle_ms": rng.choice((0.5, 1, 2)),
+                   "t_idle_sleep_ms": rng.choice((1, 2)),
+                   "sfu": {"wake_light_ms": 1, "wake_deep_ms": 2,
+                           "t_listen_ms": 3}},
+    }
+
+
+def case_list(n_random: int = 0) -> list[dict]:
+    runs = _run_dicts()
+    cases = _yaml_cases()
+    cases += [{"id": f"{name}/{mode}", "raw": raw, "overrides": {"mode": mode}}
+              for name, raw in runs.items() for mode in MODES]
+    cases += _sweep_cases()
+    rng = random.Random(0)
+    cases += [{"id": f"random{i}", "raw": random_scenario(rng),
+               "overrides": {}} for i in range(n_random)]
+    return cases
+
+
+# ----------------------------------------------------------------------
+# child side: runs with the tree's fttrsim on its path
+
+
+def _sha(value) -> str:
+    data = value if isinstance(value, bytes) else repr(value).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def record(case: dict) -> dict[str, str]:
+    """The compared fields of one case, each as a sha256."""
+    from fttrsim.engine import SimError
+    from fttrsim.energy import LedgerError
+    from fttrsim.metrics import (build_summary, flow_table_bytes,
+                                 schedule_dump_bytes, summary_bytes)
+    from fttrsim.scenario import ConfigError, parse_scenario
+    from fttrsim.simulation import run_scenario_config
+    try:
+        res = run_scenario_config(parse_scenario(case["raw"],
+                                                 case["overrides"]))
+    except ConfigError as exc:
+        return {"exit": _sha((2, str(exc)))}
+    except (LedgerError, SimError, RuntimeError) as exc:
+        return {"exit": _sha((3, str(exc)))}
+    summary = build_summary(res)
+    flows_csv = flow_table_bytes(summary)
+    counters = summary["counters"]
+    events = {k: counters.pop(k) for k in list(counters)
+              if k.startswith("events_")}
+    digest = summary.pop("digest")
+    return {
+        "summary": _sha(summary_bytes(summary)),
+        "flows": _sha(flows_csv),
+        "schedule": _sha(sorted(schedule_dump_bytes(res).splitlines())),
+        "events_log": _sha(res.events),
+        "omci_delays": _sha(res.omci_delays),
+        "olt_received": _sha(res.olt_received),
+        "bursts": _sha(res.bursts),
+        "upstream_slots": _sha(sorted(res.upstream_slots)),
+        "mibs": _sha({name: sorted(mib.snapshot().items())
+                      for name, mib in res.mibs.items()}),
+        "relay_overflow_drops": _sha(res.relay_overflow_drops),
+        "ledgers": _sha({name: ledger.records
+                         for name, ledger in res.ledgers.items()}),
+        "digest": digest,
+        "events": json.dumps(events, sort_keys=True),
+    }
+
+
+def _child() -> None:
+    import fttrsim
+    out = {"fttrsim": fttrsim.__file__, "results": {}}
+    for case in json.load(sys.stdin):
+        out["results"][case["id"]] = record(case)
+    json.dump(out, sys.stdout)
+
+
+# ----------------------------------------------------------------------
+# parent side
+
+
+def export(rev: str, dest: Path) -> Path:
+    """Extract revision `rev` of the repository into `dest`."""
+    dest.mkdir(parents=True)
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return dest
+
+
+def start(tree: Path, cases: list[dict]) -> subprocess.Popen:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, str(Path(__file__).resolve()), "--child"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True)
+    proc.stdin.write(json.dumps(cases))
+    proc.stdin.close()
+    return proc
+
+
+def finish(proc: subprocess.Popen, tree: Path) -> dict:
+    out = json.loads(proc.stdout.read())
+    if proc.wait() != 0:
+        raise RuntimeError(f"case runner failed in {tree}")
+    if not Path(out["fttrsim"]).resolve().is_relative_to(tree.resolve()):
+        raise RuntimeError(f"{tree} ran fttrsim from {out['fttrsim']}")
+    return out["results"]
+
+
+def run_trees(trees: list[Path], cases: list[dict]) -> list[dict]:
+    """Run `cases` in each tree, all trees at the same time."""
+    procs = [start(tree, cases) for tree in trees]
+    return [finish(proc, tree) for proc, tree in zip(procs, trees)]
+
+
+def compare(base: dict, head: dict) -> dict:
+    """{"model": [(case, field)], "events": [case]} of the differences,
+    in case order."""
+    model, moved = [], []
+    for case, a in base.items():
+        b = head.get(case, {})
+        for name in sorted(set(a) | set(b)):
+            if name not in EVENT_FIELDS and a.get(name) != b.get(name):
+                model.append((case, name))
+        if any(a.get(name) != b.get(name) for name in EVENT_FIELDS):
+            moved.append(case)
+    return {"model": model, "events": moved}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", help="base revision")
+    parser.add_argument("head", nargs="?",
+                        help="head revision (default: the working tree)")
+    parser.add_argument("--random", type=int, default=0, metavar="N",
+                        help="add N random scenarios")
+    args = parser.parse_args(argv)
+    cases = case_list(args.random)
+    with tempfile.TemporaryDirectory(prefix="diffcheck-") as tmp:
+        base_tree = export(args.base, Path(tmp) / "base")
+        head_tree = (export(args.head, Path(tmp) / "head") if args.head
+                     else ROOT)
+        base, head = run_trees([base_tree, head_tree], cases)
+    diff = compare(base, head)
+    head_name = args.head or "working tree"
+    exits = sum("exit" in r for r in head.values())
+    if diff["model"]:
+        case, name = diff["model"][0]
+        print(f"first difference: case {case}, field {name}")
+    if diff["events"]:
+        print(f"digest/events_* moved in {len(diff['events'])} cases, "
+              f"first {diff['events'][0]}")
+    print(f"diffcheck {args.base} -> {head_name}: {len(cases)} cases "
+          f"({exits} end with exit 2/3), "
+          f"{len({c for c, _ in diff['model']})} differ in model fields, "
+          f"digest/events_* moved in {len(diff['events'])}")
+    return 1 if diff["model"] else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--child"]:
+        _child()
+    else:
+        sys.exit(main())
