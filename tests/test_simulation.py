@@ -511,3 +511,113 @@ def test_a_round_with_no_contender_wakes_the_domain_at_its_next_frame():
     }))
     assert list(res.flow_stats["fa"].latencies) == [1_908_688]
     assert list(res.flow_stats["fb"].latencies) == [934_056]
+
+
+def burst(sfu: str, period_us: float) -> dict:
+    return {"sfu": sfu, "period_us": period_us, "air_duration_us": 50,
+            "rus": [{"bytes": 4000}]}
+
+
+def test_bursts_at_one_time_keep_the_order_they_were_scheduled_in():
+    # each burst takes a 32 us slot from 50 us after its start; `b`'s first
+    # waits for `a`'s slot and its guard
+    res = run_scenario_config(parse_scenario({
+        "horizon_ms": 2.5, "topology": {"sfus": ["a", "b"]},
+        "uplink_bursts": [burst("a", 1000), burst("b", 2000)]}))
+    assert res.bursts == [0, 32_100, 0, 0, 32_100]
+    # at 2 ms, `b`'s start (scheduled at 0 ms) comes before `a`'s
+    # (scheduled at 1 ms), though `a` is listed first
+    slots = [s for s in res.upstream_slots if s[0] != "omci"]
+    assert slots[3:] == [("b", 2_050_000, 32_000, 2),
+                         ("a", 2_082_100, 32_000, 2)]
+
+
+@pytest.mark.parametrize("horizon_ms,drops", [(1.4, 0), (1.5, 1)])
+def test_a_relay_slot_ending_at_the_next_start_drains_first(horizon_ms,
+                                                            drops):
+    # every burst relays 24000 B, the whole buffer, in a 192 us slot that
+    # ends exactly at the next start 242 us later, until the OMCI window
+    # at 1.25 ms moves one slot to end at 1,452,100 ns, after the start at
+    # 1,452,000 ns
+    res = run_scenario_config(parse_scenario({
+        "horizon_ms": horizon_ms, "mode": "phy_relay",
+        "topology": {"sfus": ["a"]}, "phy_relay": {"buffer_bytes": 24000},
+        "uplink_bursts": [{"sfu": "a", "period_us": 242,
+                           "air_duration_us": 50}]}))
+    assert res.relay_overflow_drops == drops
+
+
+@pytest.mark.parametrize("start_ms,count,interval_ms,records", [
+    # a second arrival exactly when the first's timer ends keeps it ACTIVE
+    (0, 2, 1, [("active", 0, 2), ("idle", 2, 5)]),
+    (0, 2, 2.5, [("active", 0, 1), ("idle", 1, 2.5), ("active", 2.5, 3.5),
+                 ("idle", 3.5, 5)]),
+    # an arrival at the horizon, and a timer that ends there, each leave a
+    # zero-length record at the horizon
+    (5, 1, 0, [("active", 0, 1), ("idle", 1, 5), ("active", 5, 5)]),
+    (4, 1, 0, [("active", 0, 1), ("idle", 1, 4), ("active", 4, 5),
+               ("idle", 5, 5)]),
+])
+def test_mfu_goes_idle_one_timer_after_its_last_arrival(start_ms, count,
+                                                        interval_ms,
+                                                        records):
+    res = run_scenario_config(parse_scenario({
+        "horizon_ms": 5, "topology": {"sfus": ["a"]},
+        "flows": [{"name": "f", "dst": "a", "size_bytes": 100,
+                   "model": "batch", "count": count, "start_ms": start_ms,
+                   "interval_us": interval_ms * 1000}],
+        "energy": {"savings_enabled": False, "t_act_idle_ms": 1}}))
+    assert res.ledgers[MFU].records == [
+        (PowerState(state), int(start * 1e6), int(end * 1e6))
+        for state, start, end in records]
+
+
+def zero_idle_records(instants_ms, horizon_ms=5):
+    """ACTIVE from 0 to the horizon, with a zero-length IDLE record at each
+    of `instants_ms`."""
+    records, start = [], 0
+    for t in (round(t * 1e6) for t in instants_ms):
+        records += [(PowerState.ACTIVE, start, t), (PowerState.IDLE, t, t)]
+        start = t
+    return records + [(PowerState.ACTIVE, start, round(horizon_ms * 1e6))]
+
+
+@pytest.mark.parametrize("extra,records", [
+    # every slot ends 82 us past the ms, one 1 ms timer after the one
+    # before; the timer's check was scheduled at that slot end, before the
+    # burst start at the ms that set the next slot up, so it runs first
+    ({"uplink_bursts": [burst("a", 1000)]},
+     zero_idle_records([1.082, 2.082, 3.082, 4.082])),
+    # a frame every 1 ms from 0: the first check was primed before the
+    # arrival at 1 ms was scheduled, and each later check's scheduler ran
+    # before the arrival's
+    ({"flows": [{"name": "f", "dst": "a", "size_bytes": 1000,
+                 "model": "constant_rate", "rate_mbps": 8, "start_ms": 0}]},
+     zero_idle_records([1, 2, 3, 4, 5])),
+    # the same from 0.5 ms: each arrival's scheduler runs first
+    ({"flows": [{"name": "f", "dst": "a", "size_bytes": 1000,
+                 "model": "constant_rate", "rate_mbps": 8,
+                 "start_ms": 0.5}]},
+     zero_idle_records([])),
+    # the frame primed at 1 ms comes before the check primed there, and the
+    # check before the frame of `g` that its frame at 0 scheduled; each
+    # later check's scheduler ran before that of `g`'s next frame
+    ({"flows": [{"name": "f", "dst": "a", "size_bytes": 100,
+                 "model": "batch", "count": 1, "start_ms": 1},
+                {"name": "g", "dst": "a", "size_bytes": 1000,
+                 "model": "constant_rate", "rate_mbps": 8, "start_ms": 0}]},
+     zero_idle_records([2, 3, 4, 5])),
+    # a 50 us timer: the check at the slot end (82 us) was scheduled at
+    # 50 us, after the burst start at 0 that scheduled the slot end
+    ({"horizon_ms": 0.5, "uplink_bursts": [burst("a", 1000)],
+      "energy": {"savings_enabled": False, "t_act_idle_ms": 0.05},
+      "flows": [{"name": "f", "dst": "a", "size_bytes": 100,
+                 "model": "batch", "count": 1, "start_ms": 0.032}]},
+     [(PowerState.ACTIVE, 0, 132_000), (PowerState.IDLE, 132_000, 500_000)]),
+])
+def test_mfu_timer_and_an_activity_at_one_instant_keep_their_event_order(
+        extra, records):
+    res = run_scenario_config(parse_scenario({
+        "horizon_ms": 5, "topology": {"sfus": ["a"]},
+        "energy": {"savings_enabled": False, "t_act_idle_ms": 1}, **extra}))
+    assert res.ledgers[MFU].records == records
