@@ -3,11 +3,12 @@ config, drives traffic, contention or grants on the air interface, the
 upstream allocation calendar, the OMCI management plane and the power state
 machines, and collects metrics.
 
-Traffic, air access, the upstream calendar and the power machines run on
-one event loop. No event reads the OMCI plane, so it is played after that
-loop, in one pass over the allocation cycles. All randomness comes from
-per-node substreams of the scenario seed, so a (scenario, seed) pair fully
-determines the trace digest and every metric.
+Traffic, air access and the rooms' power machines run on one event loop.
+Uplink bursts are played in one pass before it and the OMCI plane in one
+pass over the allocation cycles after it, since no event reads what they
+move; the MFU's power is folded from its activity times. All randomness
+comes from per-node substreams of the scenario seed, so a (scenario, seed)
+pair fully determines the trace digest and every metric.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import partial
+from heapq import heapify, heappop, heappush
 from typing import Callable
 
 from .engine import (Event, Simulator, SimError, SimTime, draw_int,
@@ -77,20 +79,16 @@ WAKE_ON_TRAFFIC = (PowerState.IDLE, PowerState.RF_OFF)
 # activity spans held before the first merge
 SPANS_MERGE_MIN = 1024
 
+# (time, time of the check that scheduled it, that check's ties, own ties)
+MfuCheck = tuple[int, int | None, dict[object, bool], dict[object, bool]]
 
-class Node:
-    """A unit with its own power state: the MFU or one SFU."""
 
-    def __init__(self, name: str, target: str):
+class SfuSim:
+    def __init__(self, name: str, cell: WifiCell, cfg: ScenarioConfig):
         self.name = name
-        self.target = target
+        self.target = f"sfu:{name}"
         self.power = PowerMachine(name, PowerState.ACTIVE)
         self.last_activity = 0
-
-
-class SfuSim(Node):
-    def __init__(self, name: str, cell: WifiCell, cfg: ScenarioConfig):
-        super().__init__(name, f"sfu:{name}")
         self.cell = cell
         # one FIFO per queue tag, made on the tag's first frame (a deque
         # takes 760 bytes); tag 0 (priority 7) is served first
@@ -262,6 +260,7 @@ class FlowRun:
 
     __slots__ = ("spec", "sfu", "size", "tag", "airtime_ns", "optical_ns",
                  "interarrival_ns", "stop_ns", "on_ns", "off_ns", "next_end",
+                 "last_arrival",
                  "offered", "delivered", "dropped", "late", "latencies")
 
     def __init__(self, spec: FlowSpec, sfu: SfuSim, cfg: ScenarioConfig):
@@ -283,6 +282,9 @@ class FlowRun:
         self.on_ns = int(spec.on_ms * 1_000_000)
         self.off_ns = int(spec.off_ms * 1_000_000)
         self.next_end = 0
+        # the last arrival, which scheduled the next unless the flow is a
+        # batch (None: not yet)
+        self.last_arrival: int | None = None
         # `late`: frames whose air time ends after the horizon
         self.offered = self.delivered = self.dropped = self.late = 0
         self.latencies = array("q")  # ns
@@ -327,7 +329,24 @@ class Simulation:
             self.sfus[s] = SfuSim(s, cell, cfg)
             self.results.mibs[s] = MibStore(s)
         self.results.cell_stats = self.sfus
-        self.mfu = Node(MFU, MFU)
+        self.mfu = PowerMachine(MFU, PowerState.ACTIVE)
+        self.mfu_last = 0
+        # the MFU's next power check and the last one played, each as (time,
+        # time of the check that scheduled it or None for the primed one,
+        # that check's ties, its own ties); a check's ties say whether it
+        # came before the burst start of spec i (key i) or the arrival of a
+        # flow (key the flow) at its instant
+        self.mfu_check: MfuCheck = (cfg.t_act_idle_ns, None, {}, {})
+        self.mfu_checked: MfuCheck = (-1, None, {}, {})
+        # an arrival before this instant only marks the MFU's last activity
+        self.mfu_next = 0
+        # (start, period) of each burst spec
+        self.burst_chains = [(int(spec.start_ms * 1_000_000),
+                              int(spec.period_us * 1000))
+                             for spec in cfg.uplink_bursts]
+        # (end, spec index, start) of the burst slots that end by the
+        # horizon, in time order
+        self.burst_ends: deque[tuple[int, int, int]] = deque()
         self.mfu_tx_free = 0
         # (rx time, reserved seq, frame) of the frames on the MFU link, in
         # the order they reach their rooms
@@ -346,7 +365,6 @@ class Simulation:
         self.upstream_next_free = 0
         # upstream time for data bursts between two OMCI windows
         self.data_room_ns = cfg.alloc_cycle_ns - cfg.omci_slot_ns - cfg.guard_ns
-        self.relay_buffer_level = 0
         self.deep_cmd_issued = False
         if cfg.mode == SchedulerMode.DISTRIBUTED_BASELINE:
             for i, comp in enumerate(self.graph.components()):
@@ -356,13 +374,10 @@ class Simulation:
             "flow_arrival": self._flow_arrival,
             "status_cycle": self._status_cycle,
             "poll_cycle": self._poll_cycle,
-            "upstream_burst_done": self._upstream_burst_done,
-            "power_check": partial(self._power_check, self.mfu),
         }, self))
         per_sfu = {
             "optical_rx": self._optical_rx,
             "grant_start": self._grant_start,
-            "burst_start": self._burst_start,
             "deep_cmd": self._deep_cmd,
             "wake_done": self._wake_done,
             "kill": self._kill,
@@ -402,18 +417,14 @@ class Simulation:
                     f"{cfg.guard_ns} ns guard do not fit the "
                     f"{cfg.alloc_cycle_ns} ns alloc cycle")
         self.sim.schedule(0, MFU, "poll_cycle")
-        for burst in cfg.uplink_bursts:
-            t = int(burst.start_ms * 1_000_000)
-            self.sim.schedule(t, self.sfus[burst.sfu].target, "burst_start",
-                              burst)
         if cfg.kill:
             target = self.sfus[cfg.kill.sfu].target
             self.sim.schedule(int(cfg.kill.at_ms * 1_000_000), target, "kill")
             if cfg.kill.recover_ms is not None:
                 self.sim.schedule(int(cfg.kill.recover_ms * 1_000_000),
                                   target, "recover")
-        for node in (*self.sfus.values(), self.mfu):
-            self.sim.schedule(cfg.t_act_idle_ns, node.target, "power_check")
+        for sfu in self.sfus.values():
+            self.sim.schedule(cfg.t_act_idle_ns, sfu.target, "power_check")
 
     # ------------------------------------------------------------------
     # traffic
@@ -424,7 +435,12 @@ class Simulation:
         flow.offered += 1
         sfu = flow.sfu
         frame = Frame(flow, now)
-        self._mark_activity(self.mfu, now)
+        if now < self.mfu_next:
+            self.mfu_last = now
+        else:  # batch arrivals are all primed
+            self._mfu_fold(now, (flow, None if flow.interarrival_ns is None
+                                 else flow.last_arrival))
+        flow.last_arrival = now
         if sfu.asleep or sfu.wake_pending:
             dropped = sfu.sleep_buffer.push(frame)
             if dropped is not None:
@@ -664,64 +680,149 @@ class Simulation:
     # ------------------------------------------------------------------
     # OFDMA uplink bursts
 
-    def _burst_start(self, sfu: SfuSim, ev: Event) -> None:
-        spec = ev.payload
+    def _uplink_bursts(self) -> None:
+        """Play every burst start by the horizon before the event loop, in
+        the order their events had: by time, then by the order they were
+        scheduled in, which a counter gives, as it does the relay drains."""
         cfg = self.cfg
-        now = self.sim.now
-        air_ns = int(spec.air_duration_us * 1000)
-        ready = now + air_ns
-        if cfg.mode == SchedulerMode.PHY_RELAY:
-            nbytes = phy_relay_buffer_bytes(air_ns, cfg.sample_rate_sps,
-                                            cfg.bit_width)
-        else:
-            req = ofdma_uplink_request(sfu.name, spec.rus, cfg.per_sta_overhead)
-            nbytes = req.bytes_expected if req else 0
-        if nbytes > 0:
-            if cfg.mode == SchedulerMode.PHY_RELAY:
-                self.relay_buffer_level += nbytes
-                if self.relay_buffer_level > cfg.relay_buffer_bytes:
-                    self.results.relay_overflow_drops += 1
-                    self.relay_buffer_level = cfg.relay_buffer_bytes
-            duration = phy_relay_slot_ns(nbytes, cfg.upstream_bps)
-            if spec.coordinated:
-                # bandwidth pre-request sent at trigger time, before the air
-                # reception completes; slot can start the moment data is ready
-                earliest = max(ready, now + cfg.control_delay_ns)
+        relay = cfg.mode == SchedulerMode.PHY_RELAY
+        specs = cfg.uplink_bursts
+        heap = [(start, i, i) for i, (start, _) in enumerate(self.burst_chains)]
+        heapify(heap)
+        order = len(heap)
+        # (end, order, bytes) of the relayed slots not yet drained
+        relayed: deque[tuple[int, int, int]] = deque()
+        level = 0
+        while heap and heap[0][0] <= cfg.horizon_ns:
+            now, key, i = heappop(heap)
+            spec = specs[i]
+            air_ns = int(spec.air_duration_us * 1000)
+            ready = now + air_ns
+            if relay:
+                nbytes = phy_relay_buffer_bytes(air_ns, cfg.sample_rate_sps,
+                                                cfg.bit_width)
             else:
-                request_at = ready + cfg.control_delay_ns
-                # the start of the first cycle after the request
-                earliest = ((request_at // cfg.alloc_cycle_ns + 1)
-                            * cfg.alloc_cycle_ns)
-            start = self._reserve_data_slot(earliest, duration, sfu.name, 2)
-            self.results.bursts.append(start - ready)
-            self.sim.schedule(start + duration, MFU, "upstream_burst_done",
-                              (sfu.name, nbytes))
-        nxt = now + int(spec.period_us * 1000)
-        if nxt <= cfg.horizon_ns:
-            self.sim.schedule(nxt, sfu.target, "burst_start", spec)
-
-    def _upstream_burst_done(self, ev: Event) -> None:
-        _, nbytes = ev.payload
-        if self.cfg.mode == SchedulerMode.PHY_RELAY:
-            self.relay_buffer_level = max(0, self.relay_buffer_level - nbytes)
-        self._mark_activity(self.mfu, self.sim.now)
+                req = ofdma_uplink_request(spec.sfu, spec.rus,
+                                           cfg.per_sta_overhead)
+                nbytes = req.bytes_expected if req else 0
+            if nbytes > 0:
+                if relay:
+                    while relayed and relayed[0][:2] < (now, key):
+                        level = max(0, level - relayed.popleft()[2])
+                    level += nbytes
+                    if level > cfg.relay_buffer_bytes:
+                        self.results.relay_overflow_drops += 1
+                        level = cfg.relay_buffer_bytes
+                duration = phy_relay_slot_ns(nbytes, cfg.upstream_bps)
+                if spec.coordinated:
+                    # bandwidth pre-request sent at trigger time: the slot
+                    # can start the moment the data is ready
+                    earliest = max(ready, now + cfg.control_delay_ns)
+                else:
+                    request_at = ready + cfg.control_delay_ns
+                    # the start of the first cycle after the request
+                    earliest = ((request_at // cfg.alloc_cycle_ns + 1)
+                                * cfg.alloc_cycle_ns)
+                at = self._reserve_data_slot(earliest, duration, spec.sfu, 2)
+                self.results.bursts.append(at - ready)
+                end = at + duration
+                if relay:
+                    relayed.append((end, order, nbytes))
+                order += 1
+                if end <= cfg.horizon_ns:
+                    self.burst_ends.append((end, i, now))
+            heappush(heap, (now + self.burst_chains[i][1], order, i))
+            order += 1
 
     # ------------------------------------------------------------------
     # power / sleep
 
-    def _mark_activity(self, node: Node, now: int) -> None:
-        node.last_activity = now
-        if node.power.state in WAKE_ON_TRAFFIC:
-            node.power.request(PowerState.ACTIVE, now)
+    def _mark_activity(self, sfu: SfuSim, now: int) -> None:
+        sfu.last_activity = now
+        if sfu.power.state in WAKE_ON_TRAFFIC:
+            sfu.power.request(PowerState.ACTIVE, now)
 
-    def _power_check(self, node: Node, ev: Event) -> None:
+    def _mfu_fold(self, until: int,
+                  arrival: tuple[FlowRun, int | None] | None = None) -> None:
+        """Play the MFU's power checks and the burst slot ends up to `until`
+        and then `arrival`, (flow, time of the arrival that scheduled it), at
+        `until`, in the order their events had. A check is a room's: IDLE
+        `t_act_idle` after the last activity. At one instant a check comes
+        first only if it precedes every activity there."""
+        ends = self.burst_ends
+        while True:
+            check, by, ties, _ = self.mfu_check
+            t = min(check, ends[0][0]) if ends else check
+            last = arrival is not None and t >= until  # the arrival's instant
+            if last:
+                t = until
+            elif t > until:
+                break
+            acts = [ends.popleft()[1:]] if ends and ends[0][0] == t else []
+            if last:
+                flow, parent = arrival
+                at, at_by, at_ties, own = (self.mfu_check if check == t
+                                           else self.mfu_checked)
+                if at == t:
+                    own[flow] = self._check_first(at_by, at_ties, flow, parent)
+                acts.append(arrival)
+            first = check == t and all(self._check_first(by, ties, *a)
+                                       for a in acts)
+            if first:
+                self._mfu_power_check()
+            if acts:
+                self.mfu_last = t
+                if self.mfu.state == PowerState.IDLE:
+                    self.mfu.request(PowerState.ACTIVE, t)
+            if check == t and not first:
+                self._mfu_power_check()
+            if last:
+                break
+        # until a check or a slot end is due, unless a check at `until` needs
+        # the order of the other arrivals there
+        check = self.mfu_check[0]
+        self.mfu_next = (0 if self.mfu_checked[0] == until
+                         else min(check, ends[0][0]) if ends else check)
+
+    def _mfu_power_check(self) -> None:
+        """The MFU's check, as `_power_check`, and its order against a
+        burst start at the same instant."""
+        t, by, ties, own = self.mfu_check
+        idle_at = self.mfu_last + self.cfg.t_act_idle_ns
+        active = self.mfu.state == PowerState.ACTIVE
+        if active and t >= idle_at:
+            self.mfu.request(PowerState.IDLE, t)
+        nxt = idle_at if active and t < idle_at else t + self.cfg.t_act_idle_ns
+        for i, (start, period) in enumerate(self.burst_chains):
+            if start <= t and (t - start) % period == 0:
+                own[i] = self._check_first(by, ties, i,
+                                           t - period if t > start else None)
+        self.mfu_checked = self.mfu_check
+        self.mfu_check = (nxt, t, own, {})
+
+    @staticmethod
+    def _check_first(by: int | None, ties: dict[object, bool], chain: object,
+                     parent: int | None) -> bool:
+        """Whether an MFU check scheduled at `by` by a check with `ties`
+        comes before the event of `chain` (a burst spec's index or a flow)
+        scheduled at `parent`, at one instant. Events at one instant go in
+        the order they were scheduled in: by the time their schedulers ran,
+        then by those schedulers' own order. None is the priming, which
+        scheduled the MFU's check last."""
+        if parent is None or by is None:
+            return parent is not None
+        if by != parent:
+            return by < parent
+        return ties[chain]
+
+    def _power_check(self, sfu: SfuSim, ev: Event) -> None:
         now = self.sim.now
         cfg = self.cfg
-        machine, last, target = node.power, node.last_activity, node.target
+        machine, last, target = sfu.power, sfu.last_activity, sfu.target
         if machine.state == PowerState.ACTIVE:
             if now - last >= cfg.t_act_idle_ns:
                 machine.request(PowerState.IDLE, now)
-                if node is not self.mfu and cfg.savings_enabled:
+                if cfg.savings_enabled:
                     self.sim.schedule(now + cfg.t_idle_sleep_ns, target,
                                       "sleep_check")
                 self.sim.schedule(now + cfg.t_act_idle_ns, target,
@@ -863,6 +964,7 @@ class Simulation:
     def run(self) -> SimResults:
         cfg = self.cfg
         self._prime()
+        self._uplink_bursts()
         digest = self.sim.run_until(cfg.horizon_ns)
         # the frames that reach their rooms by the horizon
         self._apply_inbound(cfg.horizon_ns + 1, 0)
@@ -871,14 +973,15 @@ class Simulation:
         self._check_conservation()
         res = self.results
         res.digest = digest
-        for node in (*self.sfus.values(), self.mfu):
-            ledger = node.power.ledger
+        self._mfu_fold(cfg.horizon_ns)
+        for machine in (*(sfu.power for sfu in self.sfus.values()), self.mfu):
+            ledger = machine.ledger
             ledger.close(cfg.horizon_ns)
             ledger.check_tiling(cfg.horizon_ns)
-            res.ledgers[node.name] = ledger
-            res.profiles[node.name] = (cfg.mfu_profile if node is self.mfu
-                                       else cfg.sfu_profile)
-            res.rejected_transitions += node.power.rejected
+            res.ledgers[machine.node] = ledger
+            res.profiles[machine.node] = (cfg.mfu_profile if machine is self.mfu
+                                          else cfg.sfu_profile)
+            res.rejected_transitions += machine.rejected
         res.alarms = self.monitor.alarms
         res.counters = {
             "events_scheduled": self.sim.n_scheduled,
