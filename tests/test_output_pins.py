@@ -40,70 +40,70 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # (scenario, mode) -> (sha256 of summary.json, sha256 of flows.csv)
 PINS = {
     ("conflict_pair", "centralized"): (
-        "9bd6319a97a5bb7ea7c3d7e803c23a44755065b9e5966b8191ff763d85f3dbf2",
+        "16e807e8c2d8776885f94b4b4a25884a1ad39c56c9870b4f6c4c6901b8856e28",
         "0699922d1256e434c7c1815ccb7c17fdeb17128b88d05371616e5f12a2cf56d3"),
     ("conflict_pair", "distributed"): (
-        "803fca130b1eab8df6c50c3eb72cef74253674343ac64552796d9f78d8c056aa",
+        "d1873a343e99b81423789bc95820956f9bf68267536df9848758a85ff9518181",
         "b38216e277d3ef8fc6ace04855064fa14a064dfe9c90644999b52ebdc67e286a"),
     ("conflict_pair", "phy_relay"): (
-        "377c1cbc3ad964171b6a06dbb8dfd4321a42f0405faa1b26c6edd6cde85ce9ec",
+        "0da8614e46a857b66832f7d5590c13d86dbb57d6c42cd045efd6e040d97be4f1",
         "eaa3a2f19b839d4ba70e498fe0ad577bb3742c7ace18d910fc48077279ead461"),
     ("four_room_household", "centralized"): (
-        "97a8fbfd923f4404035705f8f9a6f1b68fc85f5c7d1fd39bd2591883a83cebf0",
+        "0355a2ba89c268fd31802c73a76b42e26f9fea0397bc61ec30eb10e484c5a6bf",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("four_room_household", "distributed"): (
-        "50c74054e864ace65ac3c5e8fac2553c58863ca6e43c1b5d21018541252cd875",
+        "377725bffad1f2597bd591fea6ecb9c79033e9b05ba8e32b6443eda1359b0aff",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("four_room_household", "phy_relay"): (
-        "2ad1c85074cfc2627ad47e3e3a62439f48d3ffee379b4f65751b1207730b30c7",
+        "ad0af31b94245f788050c738280f29964a4a7848973c74465dd28d669e21b5f8",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("golden", "centralized"): (
-        "1a5485da3e29e2b1fb4112a1ff059fc9486b8e0092e29f009d38d58926e51652",
+        "0179d6ce6bb265e90601ce821c219038cba4852b3532a10cd567996c3c5cb878",
         "537d351de7b375ff49adc9cd35c8a47a43d92bf491e8ec29d32ffe893de87999"),
     ("golden", "distributed"): (
-        "d656febb1d017a871771a75973b773e0eb1e9d85d1319f991aef49a0e38a7699",
+        "e20125654ba611a1e23a851220cd03e115d073f71ba0b937bdf635fa3795d588",
         "4122b453971055f25395ac0f32ca9d81103e7fd9db57d9b295879055ee26c092"),
     ("idle_night", "centralized"): (
-        "12d75655cb2452b9c20a7240d1b3fcac957760418d07bb29bdac4a3b04582c19",
+        "d24ff9cbb460f3405717b4ceb975c35bfbfa8c942f72b9de87869be70165adfc",
         "afe8f3408ee7411b4c7f06512f66ff4e5c6d63ffdb4f09cdd8262eecef454abc"),
     ("idle_night", "distributed"): (
-        "d07cab969cf711e3345cde6a221cc8dadf0134a8d7b8364b6cfe6c64d57cb7ae",
+        "c6230277135e59cfab5d4f8118cdd09191342facc5fee6c2e1777f3d324007ac",
         "a705d415ba98a671fbb54cfa1391ccd169be0abacfcde807cf2c11d19ec8a768"),
     ("idle_night", "phy_relay"): (
-        "b827bc31b351f3fdc06ac5a9ea079b82c0a7e6d1766a80601e2b3b09cd521c55",
+        "893749b7b94de20878f77baf0b5cb94decc8056a54624d0e091116797d8be625",
         "28545f526021417db646596bf472fb87e1691869aea735f41c1cc6df9fecc23d"),
     ("ofdma_uplink_burst", "centralized"): (
-        "942ecc8cdbfdb51d6a63da566e902dc9e3f083daf2c82bddc250a471f681092d",
+        "c9916b55f8309a62c43c6cb21efcdb8a032d7d0cec2bf773ad309f512c6dec6d",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("ofdma_uplink_burst", "distributed"): (
-        "2b85bc545748961246dae65245f424f985dc437dca8dd59887fb68ededb7d593",
+        "1f43c93870639347f626c6d829cbf45426ae260181f7451c6ba5d25b122f9f38",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("phy_relay_burst", "centralized"): (
-        "bac9bd442eaa2fb59a13336ed419e5f1e5f90a6039085f9aac4e6cd7dd88f999",
+        "37784216b74c53e0849c546db379f17a6487849cfcbe82e98abeb9fa56edc178",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("phy_relay_burst", "distributed"): (
-        "5dc15fac772b695758bc8d4cd2afcb8734d89bfb15787373b8d5972e8a748045",
+        "eb93244172539e52410d28b6365521246e7b86b7ff1ab46908fcaee7fcdd308f",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("phy_relay_burst", "phy_relay"): (
-        "4c24e330cecdd5d8195f947d4f18ebc19007ba31ec4937213e4cc0b58cbfe6d1",
+        "a2198672522a91bbefed44ce55539c4e85432e55aa1a634c804673eed487e4fb",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "centralized"): (
-        "68f7f93a6b02414f091e73c46193d62e853f003797708892a265e16f44a39132",
+        "dcd7d75b86904bb0c30049e7a409ff076e7c34c3fd7534837533a6c0e8473751",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "distributed"): (
-        "3030ae4ea5a97afc7366cf6a74cbb8ddcfe8438d8fb00c5e3d8b59f35af5660c",
+        "0ae0d57edf524187a3d40fb01309ea3f3bbefa125ae78f4825c7588506a038a4",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "phy_relay"): (
-        "eba75e5dc5312b042e1df4f4de4e787709c192ecd4c817750861916540383ede",
+        "632cdabb7c68f0776240d9b216928fd4119eec2f6b739ee4e4e50d8e80f074c1",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("staged_kill", "centralized"): (
-        "bf8ce4b276febab4faa3ce0631bd2b62460854d15706be96f2b570d2e4b55e6d",
+        "abb828d14c0fe20cfea021c5a08e51eb8006c35e85eb227fee2ef92fa5c211bc",
         "f338d9dbba59d249f3230511c18adf506eddd66319d5c543c92cfc79e3a59a6c"),
     ("staged_kill", "distributed"): (
-        "577b74a4828423e39307669fbb1dbcd9e8f38ec3ac27a97d0eabdac438937b19",
+        "d40d25fb9239c7756c4d3d531e2e3274b35d0b617e2eb782c56924bbee56909e",
         "400061c7dce4fd9c72b4ee7bae471447ea60399d805c2657b1ba6acdda6452ec"),
     ("staged_kill", "phy_relay"): (
-        "a62bb6693f602d9d9b2033865b208f0df9bf1d7ed4b51ad32f4b5c2ed7167747",
+        "97f3a64499a0d256baab235c802f4dc37ef4969a6038c369072a9f30cfa262bc",
         "95211e17a5817c20edce0d81e47b2cf493b4aa7b0bb68125cc30b710e435ca5d"),
 }
 
@@ -314,32 +314,32 @@ RUNS = {"sleep_deep_wake": SLEEP_RUN, "storm_kill_bursts": STORM_RUN,
 # repr(res.events))
 RUN_PINS = {
     ("sleep_deep_wake", "centralized"): (
-        "57ecc0105ad885d0a572d7f91aa76259fdeb57c1fb1bb7c5d007077355fe72c5",
+        "461973a9e10a530211554d0554ac2d6d06329f433d8de39ec2beb74b65f715f0",
         "27aecd51dd70386d137bfec2c892ec1dd632f87f6158fb4c2ce9fe6674369350",
         "e1486fa41656d4e09fba885285609606874e4cce8d09895c6c0470a3c21ad2a1",
         "09dc764fe476ebd02f919c8e126bb7894d101ba0a43020d59ef5cd1a604b2447"),
     ("sleep_deep_wake", "distributed"): (
-        "1038760be9cde5027c96a45480be517b6869791df93ff7046f233842dcfd04fe",
+        "1b64a3b81d110d05ddb8f8d7ff5d8c800bee2b2741b63bb6499845827c223700",
         "b167da573fddcff0ad3b23c7c580314be325799ca8cb4ca5ad3165e7d56dc025",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "09dc764fe476ebd02f919c8e126bb7894d101ba0a43020d59ef5cd1a604b2447"),
     ("storm_kill_bursts", "centralized"): (
-        "e063c9ecfeea58a1089fd235f779ffebab753622e9b664502415618b2db9e25b",
+        "27f7736aaeb2b0c9d29d9ebddc99f173d0a860c24c7698b353366ef35a66906a",
         "bafe1e01724777eeb67776754f779c4a1344c72e29e6721eb274fac85bc9518e",
         "5761fcedb63998499758c0638bf064596e1a6507b9959195560775f9473b466e",
         "807d1a52a71632bc5e71f35debe371ee29c4206362cc27ee95fb7f6e4c1ba615"),
     ("storm_kill_bursts", "phy_relay"): (
-        "09c508ce14419f2d103794bfb3e902484c1651cd9308a6ba1a535d28896ee7cd",
+        "cfa66fff5fec47efdec88a22a45c800376cd52bda8c88dbc60affb15ef9067d3",
         "c9a49b2224e9ff53cbbbbace35a10d593285152029794a1e968cc12f87e90b5f",
         "1937ddc9fa8ff4d030b36c166e1dbeef4b8207ad74425f54277cfe852103e399",
         "807d1a52a71632bc5e71f35debe371ee29c4206362cc27ee95fb7f6e4c1ba615"),
     ("iot_rf_off_overflow", "centralized"): (
-        "2118923210da6ad5a25aae036b66c8f220bf93e36ac7ed6d16b840835b24f9dc",
+        "c0d747c80029ee6fa2da3a6511fc5cac0d6c24f10c8c1581d351743a2d944951",
         "d4eae6b6d98aff5f1e3d3053620229f5e6ff1bccbf5fa4500bb9bd415021938f",
         "477baee3dc1b56b0a72ae54057e7e72b3faa76d9524c58ddd8a114940eda43ae",
         "eda1d957f9eea5d3ed3e8854aeb1d6e4340980dc64c0043a806c8bbed54b3127"),
     ("iot_rf_off_overflow", "distributed"): (
-        "824333e9ea21454f2849fc7c978fee0ad39cf34ad65aca41e29636004d6afcc2",
+        "bfb70f5c8c8c3c53f052e1f01a7addef888ef8c1c59048bd3cedf20ba2c75003",
         "4869d77470a26af6aaeee703d57eeced96322dfe7e3993de74e2c4b20beb41ce",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "eda1d957f9eea5d3ed3e8854aeb1d6e4340980dc64c0043a806c8bbed54b3127"),
