@@ -33,7 +33,7 @@ from .management import (MibStore, OmciAdapter, LivenessMonitor,
                          AdapterError, apply_omci)
 from .energy import (PowerMachine, PowerState, SleepBuffer, select_policy,
                      ftth_baseline_joules, merge_spans)
-from .scenario import MFU, OLT, ScenarioConfig, FlowSpec
+from .scenario import MFU, OLT, ScenarioConfig, FlowSpec, UplinkBurstSpec
 
 
 @dataclass(slots=True)
@@ -340,10 +340,12 @@ class Simulation:
         self.mfu_checked: MfuCheck = (-1, None, {}, {})
         # an arrival before this instant only marks the MFU's last activity
         self.mfu_next = 0
-        # (start, period) of each burst spec
+        # (start, period) of each burst spec, and (bytes, slot) of its bursts
         self.burst_chains = [(int(spec.start_ms * 1_000_000),
                               int(spec.period_us * 1000))
                              for spec in cfg.uplink_bursts]
+        self.burst_slots = [self._burst_slot(spec)
+                            for spec in cfg.uplink_bursts]
         # (end, spec index, start) of the burst slots that end by the
         # horizon, in time order
         self.burst_ends: deque[tuple[int, int, int]] = deque()
@@ -416,6 +418,17 @@ class Simulation:
                     f"the {cfg.omci_slot_ns} ns OMCI slot and its "
                     f"{cfg.guard_ns} ns guard do not fit the "
                     f"{cfg.alloc_cycle_ns} ns alloc cycle")
+        # every burst by the horizon must fit between two OMCI windows,
+        # whether or not its room is alive to send it
+        for start, i in sorted((start, i) for i, (start, _)
+                               in enumerate(self.burst_chains)):
+            duration = self.burst_slots[i][1]
+            if start <= cfg.horizon_ns and duration > self.data_room_ns:
+                raise SimError(
+                    f"upstream burst of {duration} ns from "
+                    f"{cfg.uplink_bursts[i].sfu} does not fit the "
+                    f"{self.data_room_ns} ns between two OMCI windows "
+                    f"(alloc cycle {cfg.alloc_cycle_ns} ns)")
         self.sim.schedule(0, MFU, "poll_cycle")
         if cfg.kill:
             target = self.sfus[cfg.kill.sfu].target
@@ -589,13 +602,9 @@ class Simulation:
     def _reserve_data_slot(self, earliest: int, duration: int, sfu: str,
                            tcont: int) -> int:
         """Place a data burst on the upstream calendar, skipping the reserved
-        OMCI window at the head of every allocation cycle."""
+        OMCI window at the head of every allocation cycle. `_prime` checks
+        that `duration` fits between two OMCI windows."""
         cfg = self.cfg
-        if duration > self.data_room_ns:
-            raise SimError(
-                f"upstream burst of {duration} ns from {sfu} does not fit the "
-                f"{self.data_room_ns} ns between two OMCI windows "
-                f"(alloc cycle {cfg.alloc_cycle_ns} ns)")
         start = max(earliest, self.upstream_next_free)
         cycle = start - start % cfg.alloc_cycle_ns
         window = cfg.omci_slot_ns + cfg.guard_ns
@@ -621,11 +630,12 @@ class Simulation:
         the OLT. So a request received exactly at a cycle start, which was
         sent in an earlier cycle, is answered in that cycle. Requests that
         reach their rooms by the horizon are received after the last
-        cycle. A dead room still answers."""
+        cycle. A room drops the requests it receives while it is dead."""
         cfg = self.cfg
         res, adapter, upstream = self.results, self.adapter, self.omci_upstream
         storm = cfg.storm
-        res.omci_sent = count = storm.count if storm else 0
+        count = storm.count if storm else 0
+        res.omci_sent = min(count, cfg.horizon_ns // cfg.alloc_cycle_ns + 1)
         bits = self.sim.rng.for_node(OLT).getrandbits
         # (rx time, room, request) of the requests sent down, in rx order
         pending: deque[tuple[int, str, bytes]] = deque()
@@ -633,8 +643,9 @@ class Simulation:
         def receive(t: int) -> None:
             while pending and pending[0][0] <= t:
                 rx, room, data = pending.popleft()
-                upstream.append((rx, room, apply_omci(decode_omci(data),
-                                                      res.mibs[room])))
+                if not self._dead_at(room, rx):
+                    upstream.append((rx, room, apply_omci(decode_omci(data),
+                                                          res.mibs[room])))
 
         for j in range(cfg.horizon_ns // cfg.alloc_cycle_ns + 1):
             now = j * cfg.alloc_cycle_ns
@@ -683,7 +694,8 @@ class Simulation:
     def _uplink_bursts(self) -> None:
         """Play every burst start by the horizon before the event loop, in
         the order their events had: by time, then by the order they were
-        scheduled in, which a counter gives, as it does the relay drains."""
+        scheduled in, which a counter gives, as it does the relay drains.
+        A dead room sends no burst."""
         cfg = self.cfg
         relay = cfg.mode == SchedulerMode.PHY_RELAY
         specs = cfg.uplink_bursts
@@ -696,16 +708,9 @@ class Simulation:
         while heap and heap[0][0] <= cfg.horizon_ns:
             now, key, i = heappop(heap)
             spec = specs[i]
-            air_ns = int(spec.air_duration_us * 1000)
-            ready = now + air_ns
-            if relay:
-                nbytes = phy_relay_buffer_bytes(air_ns, cfg.sample_rate_sps,
-                                                cfg.bit_width)
-            else:
-                req = ofdma_uplink_request(spec.sfu, spec.rus,
-                                           cfg.per_sta_overhead)
-                nbytes = req.bytes_expected if req else 0
-            if nbytes > 0:
+            ready = now + int(spec.air_duration_us * 1000)
+            nbytes, duration = self.burst_slots[i]
+            if nbytes > 0 and not self._dead_at(spec.sfu, now):
                 if relay:
                     while relayed and relayed[0][:2] < (now, key):
                         level = max(0, level - relayed.popleft()[2])
@@ -713,7 +718,6 @@ class Simulation:
                     if level > cfg.relay_buffer_bytes:
                         self.results.relay_overflow_drops += 1
                         level = cfg.relay_buffer_bytes
-                duration = phy_relay_slot_ns(nbytes, cfg.upstream_bps)
                 if spec.coordinated:
                     # bandwidth pre-request sent at trigger time: the slot
                     # can start the moment the data is ready
@@ -733,6 +737,18 @@ class Simulation:
                     self.burst_ends.append((end, i, now))
             heappush(heap, (now + self.burst_chains[i][1], order, i))
             order += 1
+
+    def _burst_slot(self, spec: UplinkBurstSpec) -> tuple[int, int]:
+        """The bytes one burst of `spec` sends up, its relayed samples in
+        phy_relay mode and else its OFDMA request, and their upstream slot."""
+        cfg = self.cfg
+        if cfg.mode == SchedulerMode.PHY_RELAY:
+            nbytes = phy_relay_buffer_bytes(int(spec.air_duration_us * 1000),
+                                            cfg.sample_rate_sps, cfg.bit_width)
+        else:
+            req = ofdma_uplink_request(spec.sfu, spec.rus, cfg.per_sta_overhead)
+            nbytes = req.bytes_expected if req else 0
+        return nbytes, phy_relay_slot_ns(nbytes, cfg.upstream_bps)
 
     # ------------------------------------------------------------------
     # power / sleep
@@ -932,6 +948,15 @@ class Simulation:
         nxt = now + self.cfg.poll_cycle_ns
         if nxt <= self.cfg.horizon_ns:
             self.sim.schedule(nxt, MFU, "poll_cycle")
+
+    def _dead_at(self, room: str, t: int) -> bool:
+        """Whether `room` is dead at `t`: killed at or before `t` and not
+        recovered by then."""
+        kill = self.cfg.kill
+        return (kill is not None and kill.sfu == room
+                and int(kill.at_ms * 1_000_000) <= t
+                and (kill.recover_ms is None
+                     or t < int(kill.recover_ms * 1_000_000)))
 
     def _kill(self, sfu: SfuSim, ev: Event) -> None:
         sfu.alive = False

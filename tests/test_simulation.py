@@ -223,7 +223,7 @@ def test_a_request_the_adapter_cannot_route_gets_an_error_response(
         "horizon_ms": 5, "topology": {"sfus": ["a", "b"]},
         "management": {"olt_pipe_us": 100, "storm": {"count": 30}},
     }))
-    assert (res.omci_sent, res.omci_failed, res.omci_delivered) == (30, 21, 20)
+    assert (res.omci_sent, res.omci_failed, res.omci_delivered) == (21, 21, 20)
     assert all(not mib.snapshot() for mib in res.mibs.values())
     assert res.omci_delays == [100_000] * 20
     assert {m.msg_type for m in res.olt_received} == {OmciType.ERROR_RESPONSE}
@@ -621,3 +621,56 @@ def test_mfu_timer_and_an_activity_at_one_instant_keep_their_event_order(
         "horizon_ms": 5, "topology": {"sfus": ["a"]},
         "energy": {"savings_enabled": False, "t_act_idle_ms": 1}, **extra}))
     assert res.ledgers[MFU].records == records
+
+
+
+@pytest.mark.parametrize("kill,starts_ms", [
+    ({"at_ms": 2, "recover_ms": 4}, [0, 1, 4, 5]),
+    ({"at_ms": 2}, [0, 1]),
+])
+def test_a_dead_room_sends_no_uplink_burst(kill, starts_ms):
+    # both rooms start a burst every ms; `a` is dead from 2 ms, up to its
+    # recovery if it has one
+    res = run_scenario_config(parse_scenario({
+        "horizon_ms": 5.5, "topology": {"sfus": ["a", "b"]},
+        "uplink_bursts": [burst("a", 1000), burst("b", 1000)],
+        "management": {"kill": {"sfu": "a", **kill}}}))
+    slots = [(sfu, start) for sfu, start, _, _ in res.upstream_slots
+             if sfu != "omci"]
+    assert [start for sfu, start in slots if sfu == "a"] == [
+        t * 1_000_000 + 50_000 for t in starts_ms]
+    assert len([sfu for sfu, _ in slots if sfu == "b"]) == 6
+    assert len(res.bursts) == len(starts_ms) + 6
+
+
+def test_an_oversized_burst_fails_though_its_room_is_dead_all_run():
+    # a relayed 100 us burst takes a 384 us slot, longer than the 239.9 us
+    # between two OMCI windows; room `a` is dead before its first start
+    with pytest.raises(SimError, match="384000 ns from a does not fit"):
+        run_scenario_config(parse_scenario({
+            "horizon_ms": 2, "mode": "phy_relay", "topology": {"sfus": ["a"]},
+            "uplink_bursts": [{"sfu": "a", "period_us": 1000,
+                               "air_duration_us": 100}],
+            "management": {"kill": {"sfu": "a", "at_ms": 0}}}))
+
+def test_a_dead_room_drops_the_omci_requests_it_receives():
+    # request j reaches room `a` at j * 250 us + 5 us, so requests 4 to 11
+    # arrive while it is dead, from 1 ms to 3 ms: it neither applies nor
+    # answers them
+    res = run_scenario_config(parse_scenario({
+        "horizon_ms": 20, "topology": {"sfus": ["a"]},
+        "management": {"storm": {"count": 40, "entity_class": 7},
+                       "kill": {"sfu": "a", "at_ms": 1, "recover_ms": 3}}}))
+    answered = [j for j in range(40) if not 4 <= j <= 11]
+    assert [m.transaction_id for m in res.olt_received] == answered
+    assert res.omci_delivered == len(answered)
+    assert sorted(res.mibs["a"].snapshot()) == [(7, j) for j in answered]
+
+
+@pytest.mark.parametrize("count,sent", [(10, 10), (100, 21)])
+def test_omci_sent_counts_the_requests_sent_by_the_horizon(count, sent):
+    # one request leaves per 250 us cycle, and 21 cycles start by 5 ms
+    res = run_scenario_config(parse_scenario({
+        "horizon_ms": 5, "topology": {"sfus": ["a"]},
+        "management": {"storm": {"count": count}}}))
+    assert res.omci_sent == sent
