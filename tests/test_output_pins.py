@@ -324,12 +324,12 @@ RUN_PINS = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "09dc764fe476ebd02f919c8e126bb7894d101ba0a43020d59ef5cd1a604b2447"),
     ("storm_kill_bursts", "centralized"): (
-        "27f7736aaeb2b0c9d29d9ebddc99f173d0a860c24c7698b353366ef35a66906a",
+        "82a71b894dab985301cd69d53124658b8529f4765d496afad9dd3a2542c37837",
         "bafe1e01724777eeb67776754f779c4a1344c72e29e6721eb274fac85bc9518e",
         "5761fcedb63998499758c0638bf064596e1a6507b9959195560775f9473b466e",
         "807d1a52a71632bc5e71f35debe371ee29c4206362cc27ee95fb7f6e4c1ba615"),
     ("storm_kill_bursts", "phy_relay"): (
-        "cfa66fff5fec47efdec88a22a45c800376cd52bda8c88dbc60affb15ef9067d3",
+        "f40259c711a0169f10abb38f80b0895c4ce1854fee4840bd48d4e8c604fc5940",
         "c9a49b2224e9ff53cbbbbace35a10d593285152029794a1e968cc12f87e90b5f",
         "1937ddc9fa8ff4d030b36c166e1dbeef4b8207ad74425f54277cfe852103e399",
         "807d1a52a71632bc5e71f35debe371ee29c4206362cc27ee95fb7f6e4c1ba615"),
