@@ -368,6 +368,13 @@ class Simulation:
         # upstream time for data bursts between two OMCI windows
         self.data_room_ns = cfg.alloc_cycle_ns - cfg.omci_slot_ns - cfg.guard_ns
         self.deep_cmd_issued = False
+        # the killed room, and the span [from, to) it is dead for: to the
+        # end of the run if it never recovers
+        kill = cfg.kill
+        self.dead = (None, 0, 0) if kill is None else (
+            kill.sfu, int(kill.at_ms * 1_000_000),
+            cfg.horizon_ns + 1 if kill.recover_ms is None
+            else int(kill.recover_ms * 1_000_000))
         if cfg.mode == SchedulerMode.DISTRIBUTED_BASELINE:
             for i, comp in enumerate(self.graph.components()):
                 dom = ContentionDomain(i, comp, self)
@@ -430,12 +437,12 @@ class Simulation:
                     f"{self.data_room_ns} ns between two OMCI windows "
                     f"(alloc cycle {cfg.alloc_cycle_ns} ns)")
         self.sim.schedule(0, MFU, "poll_cycle")
-        if cfg.kill:
-            target = self.sfus[cfg.kill.sfu].target
-            self.sim.schedule(int(cfg.kill.at_ms * 1_000_000), target, "kill")
+        room, dead_from, dead_to = self.dead
+        if room is not None:
+            target = self.sfus[room].target
+            self.sim.schedule(dead_from, target, "kill")
             if cfg.kill.recover_ms is not None:
-                self.sim.schedule(int(cfg.kill.recover_ms * 1_000_000),
-                                  target, "recover")
+                self.sim.schedule(dead_to, target, "recover")
         for sfu in self.sfus.values():
             self.sim.schedule(cfg.t_act_idle_ns, sfu.target, "power_check")
 
@@ -950,13 +957,8 @@ class Simulation:
             self.sim.schedule(nxt, MFU, "poll_cycle")
 
     def _dead_at(self, room: str, t: int) -> bool:
-        """Whether `room` is dead at `t`: killed at or before `t` and not
-        recovered by then."""
-        kill = self.cfg.kill
-        return (kill is not None and kill.sfu == room
-                and int(kill.at_ms * 1_000_000) <= t
-                and (kill.recover_ms is None
-                     or t < int(kill.recover_ms * 1_000_000)))
+        dead, dead_from, dead_to = self.dead
+        return room == dead and dead_from <= t < dead_to
 
     def _kill(self, sfu: SfuSim, ev: Event) -> None:
         sfu.alive = False
