@@ -79,9 +79,6 @@ WAKE_ON_TRAFFIC = (PowerState.IDLE, PowerState.RF_OFF)
 # activity spans held before the first merge
 SPANS_MERGE_MIN = 1024
 
-# (time, time of the check that scheduled it, that check's ties, own ties)
-MfuCheck = tuple[int, int | None, dict[object, bool], dict[object, bool]]
-
 
 class SfuSim:
     def __init__(self, name: str, cell: WifiCell, cfg: ScenarioConfig):
@@ -260,7 +257,6 @@ class FlowRun:
 
     __slots__ = ("spec", "sfu", "size", "tag", "airtime_ns", "optical_ns",
                  "interarrival_ns", "stop_ns", "on_ns", "off_ns", "next_end",
-                 "last_arrival",
                  "offered", "delivered", "dropped", "late", "latencies")
 
     def __init__(self, spec: FlowSpec, sfu: SfuSim, cfg: ScenarioConfig):
@@ -282,9 +278,6 @@ class FlowRun:
         self.on_ns = int(spec.on_ms * 1_000_000)
         self.off_ns = int(spec.off_ms * 1_000_000)
         self.next_end = 0
-        # the last arrival, which scheduled the next unless the flow is a
-        # batch (None: not yet)
-        self.last_arrival: int | None = None
         # `late`: frames whose air time ends after the horizon
         self.offered = self.delivered = self.dropped = self.late = 0
         self.latencies = array("q")  # ns
@@ -330,25 +323,16 @@ class Simulation:
             self.results.mibs[s] = MibStore(s)
         self.results.cell_stats = self.sfus
         self.mfu = PowerMachine(MFU, PowerState.ACTIVE)
-        self.mfu_last = 0
-        # the MFU's next power check and the last one played, each as (time,
-        # time of the check that scheduled it or None for the primed one,
-        # that check's ties, its own ties); a check's ties say whether it
-        # came before the burst start of spec i (key i) or the arrival of a
-        # flow (key the flow) at its instant
-        self.mfu_check: MfuCheck = (cfg.t_act_idle_ns, None, {}, {})
-        self.mfu_checked: MfuCheck = (-1, None, {}, {})
-        # an arrival before this instant only marks the MFU's last activity
-        self.mfu_next = 0
+        # the MFU goes IDLE here unless an activity comes by this instant
+        self.mfu_idle_at = cfg.t_act_idle_ns
         # (start, period) of each burst spec, and (bytes, slot) of its bursts
         self.burst_chains = [(int(spec.start_ms * 1_000_000),
                               int(spec.period_us * 1000))
                              for spec in cfg.uplink_bursts]
         self.burst_slots = [self._burst_slot(spec)
                             for spec in cfg.uplink_bursts]
-        # (end, spec index, start) of the burst slots that end by the
-        # horizon, in time order
-        self.burst_ends: deque[tuple[int, int, int]] = deque()
+        # the ends of the burst slots that end by the horizon, in time order
+        self.burst_ends: deque[int] = deque()
         self.mfu_tx_free = 0
         # (rx time, reserved seq, frame) of the frames on the MFU link, in
         # the order they reach their rooms
@@ -455,12 +439,10 @@ class Simulation:
         flow.offered += 1
         sfu = flow.sfu
         frame = Frame(flow, now)
-        if now < self.mfu_next:
-            self.mfu_last = now
-        else:  # batch arrivals are all primed
-            self._mfu_fold(now, (flow, None if flow.interarrival_ns is None
-                                 else flow.last_arrival))
-        flow.last_arrival = now
+        ends = self.burst_ends
+        while ends and ends[0] <= now:
+            self._mfu_active(ends.popleft())
+        self._mfu_active(now)
         if sfu.asleep or sfu.wake_pending:
             dropped = sfu.sleep_buffer.push(frame)
             if dropped is not None:
@@ -741,7 +723,7 @@ class Simulation:
                     relayed.append((end, order, nbytes))
                 order += 1
                 if end <= cfg.horizon_ns:
-                    self.burst_ends.append((end, i, now))
+                    self.burst_ends.append(end)
             heappush(heap, (now + self.burst_chains[i][1], order, i))
             order += 1
 
@@ -765,84 +747,29 @@ class Simulation:
         if sfu.power.state in WAKE_ON_TRAFFIC:
             sfu.power.request(PowerState.ACTIVE, now)
 
-    def _mfu_fold(self, until: int,
-                  arrival: tuple[FlowRun, int | None] | None = None) -> None:
-        """Play the MFU's power checks and the burst slot ends up to `until`
-        and then `arrival`, (flow, time of the arrival that scheduled it), at
-        `until`, in the order their events had. A check is a room's: IDLE
-        `t_act_idle` after the last activity. At one instant a check comes
-        first only if it precedes every activity there."""
-        ends = self.burst_ends
-        while True:
-            check, by, ties, _ = self.mfu_check
-            t = min(check, ends[0][0]) if ends else check
-            last = arrival is not None and t >= until  # the arrival's instant
-            if last:
-                t = until
-            elif t > until:
-                break
-            acts = [ends.popleft()[1:]] if ends and ends[0][0] == t else []
-            if last:
-                flow, parent = arrival
-                at, at_by, at_ties, own = (self.mfu_check if check == t
-                                           else self.mfu_checked)
-                if at == t:
-                    own[flow] = self._check_first(at_by, at_ties, flow, parent)
-                acts.append(arrival)
-            first = check == t and all(self._check_first(by, ties, *a)
-                                       for a in acts)
-            if first:
-                self._mfu_power_check()
-            if acts:
-                self.mfu_last = t
-                if self.mfu.state == PowerState.IDLE:
-                    self.mfu.request(PowerState.ACTIVE, t)
-            if check == t and not first:
-                self._mfu_power_check()
-            if last:
-                break
-        # until a check or a slot end is due, unless a check at `until` needs
-        # the order of the other arrivals there
-        check = self.mfu_check[0]
-        self.mfu_next = (0 if self.mfu_checked[0] == until
-                         else min(check, ends[0][0]) if ends else check)
-
-    def _mfu_power_check(self) -> None:
-        """The MFU's check, as `_power_check`, and its order against a
-        burst start at the same instant."""
-        t, by, ties, own = self.mfu_check
-        idle_at = self.mfu_last + self.cfg.t_act_idle_ns
-        active = self.mfu.state == PowerState.ACTIVE
-        if active and t >= idle_at:
-            self.mfu.request(PowerState.IDLE, t)
-        nxt = idle_at if active and t < idle_at else t + self.cfg.t_act_idle_ns
-        for i, (start, period) in enumerate(self.burst_chains):
-            if start <= t and (t - start) % period == 0:
-                own[i] = self._check_first(by, ties, i,
-                                           t - period if t > start else None)
-        self.mfu_checked = self.mfu_check
-        self.mfu_check = (nxt, t, own, {})
-
-    @staticmethod
-    def _check_first(by: int | None, ties: dict[object, bool], chain: object,
-                     parent: int | None) -> bool:
-        """Whether an MFU check scheduled at `by` by a check with `ties`
-        comes before the event of `chain` (a burst spec's index or a flow)
-        scheduled at `parent`, at one instant. Events at one instant go in
-        the order they were scheduled in: by the time their schedulers ran,
-        then by those schedulers' own order. None is the priming, which
-        scheduled the MFU's check last."""
-        if parent is None or by is None:
-            return parent is not None
-        if by != parent:
-            return by < parent
-        return ties[chain]
+    def _mfu_active(self, t: int) -> None:
+        """Fold an MFU activity at `t`, no earlier than the last: it went
+        IDLE one `t_act_idle` after the last activity, unless `t` falls by
+        then, and is ACTIVE again at `t`."""
+        if t > self.mfu_idle_at:
+            self.mfu.request(PowerState.IDLE, self.mfu_idle_at)
+            self.mfu.request(PowerState.ACTIVE, t)
+        self.mfu_idle_at = t + self.cfg.t_act_idle_ns
 
     def _power_check(self, sfu: SfuSim, ev: Event) -> None:
         now = self.sim.now
         cfg = self.cfg
         machine, last, target = sfu.power, sfu.last_activity, sfu.target
         if machine.state == PowerState.ACTIVE:
+            if now - last >= cfg.t_act_idle_ns and sfu.alive:
+                # at one instant an activity beats the idle timer: a frame
+                # the room receives now, still on the link, keeps it ACTIVE
+                for rx, _, frame in self.inbound:
+                    if rx != now:
+                        break
+                    if frame.flow.sfu is sfu:
+                        last = now
+                        break
             if now - last >= cfg.t_act_idle_ns:
                 machine.request(PowerState.IDLE, now)
                 if cfg.savings_enabled:
@@ -1000,7 +927,10 @@ class Simulation:
         self._check_conservation()
         res = self.results
         res.digest = digest
-        self._mfu_fold(cfg.horizon_ns)
+        for end in self.burst_ends:
+            self._mfu_active(end)
+        if self.mfu_idle_at <= cfg.horizon_ns:
+            self.mfu.request(PowerState.IDLE, self.mfu_idle_at)
         for machine in (*(sfu.power for sfu in self.sfus.values()), self.mfu):
             ledger = machine.ledger
             ledger.close(cfg.horizon_ns)

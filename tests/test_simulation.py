@@ -572,56 +572,57 @@ def test_mfu_goes_idle_one_timer_after_its_last_arrival(start_ms, count,
         for state, start, end in records]
 
 
-def zero_idle_records(instants_ms, horizon_ms=5):
-    """ACTIVE from 0 to the horizon, with a zero-length IDLE record at each
-    of `instants_ms`."""
-    records, start = [], 0
-    for t in (round(t * 1e6) for t in instants_ms):
-        records += [(PowerState.ACTIVE, start, t), (PowerState.IDLE, t, t)]
-        start = t
-    return records + [(PowerState.ACTIVE, start, round(horizon_ms * 1e6))]
+# ACTIVE from 0 to a 5 ms horizon
+ACTIVE_ALL_RUN = [(PowerState.ACTIVE, 0, 5_000_000)]
 
 
 @pytest.mark.parametrize("extra,records", [
-    # every slot ends 82 us past the ms, one 1 ms timer after the one
-    # before; the timer's check was scheduled at that slot end, before the
-    # burst start at the ms that set the next slot up, so it runs first
-    ({"uplink_bursts": [burst("a", 1000)]},
-     zero_idle_records([1.082, 2.082, 3.082, 4.082])),
-    # a frame every 1 ms from 0: the first check was primed before the
-    # arrival at 1 ms was scheduled, and each later check's scheduler ran
-    # before the arrival's
+    # every slot ends 82 us past the ms, exactly one 1 ms timer after the
+    # one before
+    ({"uplink_bursts": [burst("a", 1000)]}, ACTIVE_ALL_RUN),
+    # a frame every 1 ms from 0, each when the last one's timer runs out,
+    # up to the horizon
     ({"flows": [{"name": "f", "dst": "a", "size_bytes": 1000,
                  "model": "constant_rate", "rate_mbps": 8, "start_ms": 0}]},
-     zero_idle_records([1, 2, 3, 4, 5])),
-    # the same from 0.5 ms: each arrival's scheduler runs first
+     ACTIVE_ALL_RUN),
+    # the same from 0.5 ms
     ({"flows": [{"name": "f", "dst": "a", "size_bytes": 1000,
                  "model": "constant_rate", "rate_mbps": 8,
                  "start_ms": 0.5}]},
-     zero_idle_records([])),
-    # the frame primed at 1 ms comes before the check primed there, and the
-    # check before the frame of `g` that its frame at 0 scheduled; each
-    # later check's scheduler ran before that of `g`'s next frame
+     ACTIVE_ALL_RUN),
+    # a frame at 1 ms, when the first timer runs out, and one every 1 ms
+    # from 0 of `g`
     ({"flows": [{"name": "f", "dst": "a", "size_bytes": 100,
                  "model": "batch", "count": 1, "start_ms": 1},
                 {"name": "g", "dst": "a", "size_bytes": 1000,
                  "model": "constant_rate", "rate_mbps": 8, "start_ms": 0}]},
-     zero_idle_records([2, 3, 4, 5])),
-    # a 50 us timer: the check at the slot end (82 us) was scheduled at
-    # 50 us, after the burst start at 0 that scheduled the slot end
+     ACTIVE_ALL_RUN),
+    # a 50 us timer: the slot end at 82 us falls 50 us after the frame at
+    # 32 us, and keeps the MFU ACTIVE to 132 us
     ({"horizon_ms": 0.5, "uplink_bursts": [burst("a", 1000)],
       "energy": {"savings_enabled": False, "t_act_idle_ms": 0.05},
       "flows": [{"name": "f", "dst": "a", "size_bytes": 100,
                  "model": "batch", "count": 1, "start_ms": 0.032}]},
      [(PowerState.ACTIVE, 0, 132_000), (PowerState.IDLE, 132_000, 500_000)]),
 ])
-def test_mfu_timer_and_an_activity_at_one_instant_keep_their_event_order(
-        extra, records):
+def test_at_one_instant_an_activity_beats_the_mfu_idle_timer(extra, records):
     res = run_scenario_config(parse_scenario({
         "horizon_ms": 5, "topology": {"sfus": ["a"]},
         "energy": {"savings_enabled": False, "t_act_idle_ms": 1}, **extra}))
     assert res.ledgers[MFU].records == records
 
+
+@pytest.mark.parametrize("start_ms", [0, 0.5])
+def test_at_one_instant_a_frame_beats_a_rooms_idle_timer(start_ms):
+    # a frame reaches room `a` every 1 ms, each when the last one's timer
+    # runs out
+    res = run_scenario_config(parse_scenario({
+        "horizon_ms": 5, "topology": {"sfus": ["a"]},
+        "flows": [{"name": "f", "dst": "a", "size_bytes": 1000,
+                   "model": "constant_rate", "rate_mbps": 8,
+                   "start_ms": start_ms}],
+        "energy": {"savings_enabled": False, "t_act_idle_ms": 1}}))
+    assert res.ledgers["a"].records == ACTIVE_ALL_RUN
 
 
 @pytest.mark.parametrize("kill,starts_ms", [
