@@ -1,5 +1,6 @@
 """Differential check: run one case list on two revisions of the simulator
-and report the first model output that differs.
+and report the first model output that differs and in how many cases each
+model field differs.
 
 Each revision is taken with ``git archive <rev> | tar -x`` into a temporary
 directory; HEAD defaults to the working tree. The case list runs in one
@@ -39,6 +40,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -274,6 +276,13 @@ def compare(base: dict, head: dict) -> dict:
     return {"model": model, "events": moved}
 
 
+def fields_line(model: list[tuple[str, str]]) -> str:
+    """`fields: <field> <cases>, ...`: in how many cases each model field
+    differs, the most frequent first."""
+    counts = Counter(name for _, name in model).most_common()
+    return "fields: " + ", ".join(f"{name} {n}" for name, n in counts)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="base revision")
@@ -294,6 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     if diff["model"]:
         case, name = diff["model"][0]
         print(f"first difference: case {case}, field {name}")
+        print(fields_line(diff["model"]))
     if diff["events"]:
         print(f"digest/events_* moved in {len(diff['events'])} cases, "
               f"first {diff['events'][0]}")
