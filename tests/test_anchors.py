@@ -16,10 +16,26 @@ after that cycle starts:
     delay = d·A + S + P − C                                  (every response)
     omci_delivered = #{k < count : (k + d)·A + S + P ≤ H}
     omci_sent = min(count, ⌊H / A⌋ + 1)     (one request per cycle start ≤ H)
+
+Idle rooms, savings on. Notation: T = `t_act_idle`, Ts = `t_idle_sleep`,
+C = `control_delay`, H = horizon. With no traffic every unit's last activity
+is at 0, so its idle timer runs out at T. A room's sleep timer runs out Ts
+later: a room with an IoT device turns its RF off, any other reports light
+sleep. The last report completes the set of sleeping rooms, so the MFU sends
+the deep-sleep command, which reaches the rooms C later:
+
+    room:        ACTIVE [0, T), IDLE [T, T+Ts), LIGHT_SLEEP [T+Ts, T+Ts+C),
+                 DEEP_SLEEP [T+Ts+C, H)       (LIGHT_SLEEP has length 0 at C = 0)
+    IoT room:    ACTIVE [0, T), IDLE [T, T+Ts), RF_OFF [T+Ts, H)
+    MFU:         ACTIVE [0, T), IDLE [T, H)
+    joules       = Σ over a node's intervals of (end − start) · watts[state]
+    ftth_joules  = T · ftth_active_w + (H − T) · ftth_idle_w
 """
 
 import pytest
 
+from fttrsim.energy import PowerState
+from fttrsim.metrics import build_summary
 from fttrsim.scenario import parse_scenario
 from fttrsim.simulation import run_scenario_config
 
@@ -57,3 +73,32 @@ def test_storm_response_delay_and_count(alloc_us, delay_us, slot_us, pipe_us):
         assert res.omci_delays == [d * a + s + p - c] * delivered
         assert ([m.transaction_id for m in res.olt_received]
                 == list(range(delivered)))
+
+
+@pytest.mark.parametrize("t_us,ts_us,c_us", [
+    (1000, 2000, 50), (1000, 2000, 0), (250, 1000, 5), (2000, 500, 250)])
+def test_idle_rooms_step_down_on_their_timers(t_us, ts_us, c_us):
+    t, ts, c, h = t_us * 1000, ts_us * 1000, c_us * 1000, 10_000_000
+    res = run_scenario_config(parse_scenario({
+        "horizon_ms": h / 1e6,
+        "topology": {"sfus": ["a", "b", {"name": "c", "iot_resident": True}]},
+        "control": {"control_delay_us": c_us},
+        "energy": {"savings_enabled": True, "t_act_idle_ms": t_us / 1000,
+                   "t_idle_sleep_ms": ts_us / 1000}}))
+    awake = [(PowerState.ACTIVE, 0, t), (PowerState.IDLE, t, t + ts)]
+    sleeper = awake + [(PowerState.LIGHT_SLEEP, t + ts, t + ts + c),
+                       (PowerState.DEEP_SLEEP, t + ts + c, h)]
+    expected = {"a": sleeper, "b": sleeper,
+                "c": awake + [(PowerState.RF_OFF, t + ts, h)],
+                "mfu": [(PowerState.ACTIVE, 0, t), (PowerState.IDLE, t, h)]}
+    assert {node: ledger.records for node, ledger in res.ledgers.items()
+            } == expected
+    nodes = build_summary(res)["nodes"]
+    for node, records in expected.items():
+        watts = res.profiles[node].watts
+        joules = sum((end - start) * watts[state]
+                     for state, start, end in records) / 1e9
+        assert nodes[node]["joules"] == round(joules, 9)
+    cfg = res.config
+    assert res.ftth_joules == (t * cfg.ftth_active_w
+                               + (h - t) * cfg.ftth_idle_w) / 1e9
