@@ -748,9 +748,10 @@ class Simulation:
             sfu.power.request(PowerState.ACTIVE, now)
 
     def _mfu_active(self, t: int) -> None:
-        """Fold an MFU activity at `t`, no earlier than the last: it went
-        IDLE one `t_act_idle` after the last activity, unless `t` falls by
-        then, and is ACTIVE again at `t`."""
+        """Fold an MFU activity at `t`, no earlier than the last one. The
+        MFU went IDLE one `t_act_idle` after the last activity unless `t`
+        falls by then (at one instant an activity beats the idle timer),
+        and is ACTIVE at `t`."""
         if t > self.mfu_idle_at:
             self.mfu.request(PowerState.IDLE, self.mfu_idle_at)
             self.mfu.request(PowerState.ACTIVE, t)
