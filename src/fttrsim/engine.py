@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
+from itertools import compress
 from typing import Any, Callable
 
 SimTime = int  # nanoseconds
@@ -37,6 +38,30 @@ def draw_int(getrandbits: Callable[[int], int], hi: int) -> int:
     while r > hi:
         r = getrandbits(k)
     return r
+
+
+# byte i of a word stream shifted right by 23 bits, for i = 1 mod 4: its
+# low bit is the top bit of a word; 1 where that bit is 0
+_ACCEPTED = bytes(1 - (b & 1) for b in range(256))
+
+
+def draw_bytes(getrandbits: Callable[[int], int], n: int) -> bytes:
+    """The bytes that `n` calls of `draw_int(getrandbits, 255)` return,
+    drawn from the same stream words, for a CPython `getrandbits`.
+
+    Each of those calls is `getrandbits(9)`, the top 9 bits of one 32-bit
+    word, kept when the word's top bit is 0: the byte is then bits 23..30
+    of the word. `getrandbits(32 * m)` returns the next m words, the first
+    in the lowest bits. Each round draws one word per byte still missing,
+    so it never draws past the word of the last byte.
+    """
+    out = bytearray()
+    need = n
+    while need:
+        words = (getrandbits(32 * need) >> 23).to_bytes(4 * need, "little")
+        out.extend(compress(words[::4], words[1::4].translate(_ACCEPTED)))
+        need = n - len(out)
+    return bytes(out)
 
 
 class Event:

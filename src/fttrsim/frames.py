@@ -485,10 +485,13 @@ class OmciMessage(NamedTuple):
     def is_extended(self) -> bool:
         return self.mfu_port_id is not None
 
-    @property
-    def wire_len(self) -> int:
-        extra = 2 if self.is_extended else 0
-        return 8 + 2 + len(self.content) + extra + 4
+
+# the codec's per-message calls, bound once: an `OmciMessage` from its
+# seven fields without the keyword-aware constructor, and the packers
+_new = tuple.__new__
+_pack_header, _unpack_header = OMCI_HEADER.pack, OMCI_HEADER.unpack_from
+_pack_mic, _unpack_mic = OMCI_MIC.pack, OMCI_MIC.unpack_from
+_crc32 = zlib.crc32
 
 
 def encode_omci(msg: OmciMessage) -> bytes:
@@ -502,28 +505,30 @@ def encode_omci(msg: OmciMessage) -> bytes:
         content = content + bytes((port & 0xFF, sfu_id & 0xFF))
     if len(content) > 0xFFFF:
         raise OversizeError("OMCI content too long")
-    body = OMCI_HEADER.pack(tid, mtype, flags, eclass, einst,
-                            len(content)) + content
-    return body + OMCI_MIC.pack(zlib.crc32(body))
+    body = _pack_header(tid, mtype, flags, eclass, einst,
+                        len(content)) + content
+    return body + _pack_mic(_crc32(body))
 
 
 def decode_omci(data: bytes) -> OmciMessage:
     # sizes as literals on this hot path: 10-byte header, 4-byte MIC
-    if len(data) < 14:
+    n = len(data)
+    if n < 14:
         raise FrameError("OMCI message shorter than minimum 14 bytes")
-    tid, mtype, flags, eclass, einst, content_len = OMCI_HEADER.unpack_from(
-        data)
+    tid, mtype, flags, eclass, einst, content_len = _unpack_header(data)
     end = 10 + content_len
-    if len(data) != end + 4:
+    if n != end + 4:
         raise FrameError(
-            f"OMCI framing error: content_len {content_len} vs total {len(data)}")
-    if zlib.crc32(data[:end]) != OMCI_MIC.unpack_from(data, end)[0]:
+            f"OMCI framing error: content_len {content_len} vs total {n}")
+    if _crc32(data[:end]) != _unpack_mic(data, end)[0]:
         raise IntegrityError("OMCI MIC mismatch")
     if flags == OMCI_EXTENDED:
         if content_len < 2:
             raise FrameError("extended OMCI content missing routing bytes")
-        return OmciMessage(tid, mtype, eclass, einst, bytes(data[10:end - 2]),
-                           data[end - 2], data[end - 1])
+        return _new(OmciMessage, (tid, mtype, eclass, einst,
+                                  bytes(data[10:end - 2]), data[end - 2],
+                                  data[end - 1]))
     if flags != OMCI_STANDARD:
         raise FrameError(f"unknown OMCI device flags 0x{flags:02x}")
-    return OmciMessage(tid, mtype, eclass, einst, bytes(data[10:end]))
+    return _new(OmciMessage, (tid, mtype, eclass, einst, bytes(data[10:end]),
+                              None, None))

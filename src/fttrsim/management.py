@@ -11,6 +11,13 @@ from enum import Enum
 from .frames import OMCI_SFU_ID_MAX, OmciMessage, OmciType, FrameError
 
 
+# `OmciMessage` from its seven fields, without the keyword-aware constructor
+_new = tuple.__new__
+SET, GET = OmciType.SET, OmciType.GET
+SET_RESPONSE, GET_RESPONSE = OmciType.SET_RESPONSE, OmciType.GET_RESPONSE
+ERROR_RESPONSE = OmciType.ERROR_RESPONSE
+
+
 class UnknownEntityError(KeyError):
     pass
 
@@ -65,26 +72,25 @@ class OmciAdapter:
 
     def to_standard(self, msg: OmciMessage) -> tuple[str, OmciMessage]:
         """Downstream: strip routing bytes, return (target sfu, standard msg)."""
-        if not msg.is_extended:
+        tid, mtype, eclass, einst, content, port, sfu_id = msg
+        if port is None:
             raise FrameError("downstream cross-domain message must be extended")
-        key = (msg.mfu_port_id, msg.sfu_id)
-        node = self._by_route.get(key)
+        node = self._by_route.get((port, sfu_id))
         if node is None:
-            raise AdapterError(f"no SFU mapped at port/id {key}")
-        std = OmciMessage(msg.transaction_id, msg.msg_type, msg.entity_class,
-                          msg.entity_instance, msg.content)
-        return node, std
+            raise AdapterError(f"no SFU mapped at port/id {(port, sfu_id)}")
+        return node, _new(OmciMessage, (tid, mtype, eclass, einst, content,
+                                        None, None))
 
     def to_extended(self, msg: OmciMessage, source: str) -> OmciMessage:
         """Upstream: append routing bytes identifying the true source."""
         route = self._by_node.get(source)
         if route is None:
             raise AdapterError(f"unregistered source {source}")
-        if msg.is_extended:
+        tid, mtype, eclass, einst, content, port, _ = msg
+        if port is not None:
             raise FrameError("upstream SFU message must be standard form")
-        return OmciMessage(msg.transaction_id, msg.msg_type, msg.entity_class,
-                           msg.entity_instance, msg.content,
-                           mfu_port_id=route[0], sfu_id=route[1])
+        return _new(OmciMessage, (tid, mtype, eclass, einst, content,
+                                  route[0], route[1]))
 
     def route_of(self, node: str) -> tuple[int, int] | None:
         return self._by_node.get(node)
@@ -92,20 +98,21 @@ class OmciAdapter:
 
 def apply_omci(msg: OmciMessage, mib: MibStore) -> OmciMessage:
     """Apply a standard-form request to a MIB store; return the response."""
-    if msg.msg_type == OmciType.SET:
-        mib.set_attr(msg.entity_class, msg.entity_instance, msg.content)
-        return OmciMessage(msg.transaction_id, OmciType.SET_RESPONSE,
-                           msg.entity_class, msg.entity_instance)
-    if msg.msg_type == OmciType.GET:
+    tid, mtype, eclass, einst, content, _, _ = msg
+    if mtype == SET:
+        mib.set_attr(eclass, einst, content)
+        return _new(OmciMessage, (tid, SET_RESPONSE, eclass, einst, b"",
+                                  None, None))
+    if mtype == GET:
         try:
-            blob = mib.get_attr(msg.entity_class, msg.entity_instance)
+            blob = mib.get_attr(eclass, einst)
         except UnknownEntityError:
-            return OmciMessage(msg.transaction_id, OmciType.ERROR_RESPONSE,
-                               msg.entity_class, msg.entity_instance)
-        return OmciMessage(msg.transaction_id, OmciType.GET_RESPONSE,
-                           msg.entity_class, msg.entity_instance, blob)
-    return OmciMessage(msg.transaction_id, OmciType.ERROR_RESPONSE,
-                       msg.entity_class, msg.entity_instance)
+            pass
+        else:
+            return _new(OmciMessage, (tid, GET_RESPONSE, eclass, einst, blob,
+                                      None, None))
+    return _new(OmciMessage, (tid, ERROR_RESPONSE, eclass, einst, b"",
+                              None, None))
 
 
 class AlarmKind(Enum):

