@@ -6,7 +6,11 @@ Points:
   - a conflict ring of 4, 8, 16, 32 and 64 rooms, one constant-rate
     downlink flow per room (1500 B frames at 20 Mb/s), for 1 s
   - scenarios/conflict_pair.yaml over 1, 10 and 40 s
-each in centralized and distributed mode.
+each in centralized and distributed mode, and
+  - an OMCI storm over 8 rooms, one request per 250 us allocation cycle
+    and nothing else, over 1, 10 and 40 s, in centralized mode: the
+    management plane's own scaling, and the memory its retained records
+    (responses at the OLT, upstream slots) take as the horizon grows.
 
 Every run of a point is made in a fresh interpreter (this script with
 --point), through the benchmark's ``perfbench/worker.simulate``: the timed
@@ -46,7 +50,9 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 RING_SIZES = (4, 8, 16, 32, 64)
 MODES = ("centralized", "distributed")
 RING_MS = 1000
-HORIZONS_S = (1, 10, 40)  # conflict_pair
+HORIZONS_S = (1, 10, 40)  # conflict_pair and the OMCI storm
+STORM_ROOMS = 8
+STORM_CYCLE_US = 250
 REPEATS = 5  # fresh-interpreter runs per point
 
 
@@ -74,9 +80,28 @@ def conflict_pair(mode: str, horizon_ms: float) -> dict:
     return {**raw, "mode": mode, "horizon_ms": horizon_ms}
 
 
+def storm(mode: str, horizon_ms: float) -> dict:
+    """Rooms that only answer OMCI: one SET request in every allocation
+    cycle that starts by the horizon, round robin over the rooms."""
+    rooms = [f"room{i}" for i in range(STORM_ROOMS)]
+    cycles = int(horizon_ms * 1000) // STORM_CYCLE_US + 1
+    return {
+        "name": f"storm{STORM_ROOMS}",
+        "horizon_ms": horizon_ms,
+        "mode": mode,
+        "topology": {"sfus": rooms},
+        "control": {"alloc_cycle_us": STORM_CYCLE_US},
+        "management": {"storm": {"count": cycles, "entity_class": 257,
+                                 "content_bytes": 16}},
+        "energy": {"savings_enabled": False},
+    }
+
+
 def scenario(point: dict) -> dict:
     if point["kind"] == "ring":
         return ring(point["sfus"], point["mode"], point["horizon_ms"])
+    if point["kind"] == "storm":
+        return storm(point["mode"], point["horizon_ms"])
     return conflict_pair(point["mode"], point["horizon_ms"])
 
 
@@ -107,6 +132,8 @@ def points() -> list[dict]:
            for n in RING_SIZES for mode in MODES]
     out += [{"kind": "conflict_pair", "mode": mode, "horizon_ms": s * 1000}
             for s in HORIZONS_S for mode in MODES]
+    out += [{"kind": "storm", "mode": "centralized", "horizon_ms": s * 1000}
+            for s in HORIZONS_S]
     return out
 
 
@@ -149,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
                       r["peak_rss_mb"] for r in runs)}
         results.append(result)
         label = (f"ring{point['sfus']}" if point["kind"] == "ring"
-                 else "conflict_pair")
+                 else point["kind"])
         print(f"{label:>14} {point['mode']:<12} "
               f"{point['horizon_ms'] / 1000:6.2f} s  "
               f"{result['s_per_sim_s']:6.3f} s/sim_s "
