@@ -78,8 +78,8 @@ WAKE_ON_TRAFFIC = (PowerState.IDLE, PowerState.RF_OFF)
 
 # activity spans held before the first merge
 SPANS_MERGE_MIN = 1024
-# bytes of OMCI request content drawn at once: a bounded draw, where the
-# whole storm's content would hold about 1.5 MiB on a 2 s storm
+# bytes of OMCI request content drawn at once: drawing the content of a
+# 2 s storm of 16-byte requests in one go holds about 1 MiB at its peak
 CONTENT_CHUNK = 4096
 # the response to a request the adapter cannot route
 _ERROR = OmciMessage(0, OmciType.ERROR_RESPONSE, 0, 0)
@@ -646,7 +646,7 @@ class Simulation:
         if sent:
             routes = [adapter.route_of(t) for t in storm.targets]
             size, eclass = storm.content_bytes, storm.entity_class
-            per_chunk = max(1, CONTENT_CHUNK // size) if size else sent
+            per_chunk = max(1, CONTENT_CHUNK // (size or 1))
         # (rx time, room, request) of the requests sent down, in rx order
         pending: deque[tuple[int, str, bytes]] = deque()
         for j in range(n_cycles + 1):
