@@ -30,6 +30,23 @@ the deep-sleep command, which reaches the rooms C later:
     MFU:         ACTIVE [0, T), IDLE [T, H)
     joules       = Σ over a node's intervals of (end − start) · watts[state]
     ftth_joules  = T · ftth_active_w + (H − T) · ftth_idle_w
+
+Uplink burst forwarding delay, on a free upstream calendar. Notation:
+A = `alloc_cycle`, S = `omci_slot`, G = `guard`, C = `control_delay`,
+D = the burst's air duration, L = its upstream slot, t = its start and
+r = t + D the time its data is ready. Each cycle j·A opens with the OMCI
+window S + G; a slot must fit between two windows. A coordinated burst
+pre-requests its slot at t, so the slot may start at e = max(r, t + C);
+an uncoordinated one requests when its data is ready, and gets the first
+cycle after r + C:
+
+    coordinated:    m = e mod A
+                    delay = e − r                 if S + G ≤ m and m + L ≤ A
+                          = e − m + S + G − r     if m < S + G
+                          = e − m + A + S + G − r if m + L > A
+                    (so delay = 0 whenever D ≥ C and r mod A lies in the
+                    first case's range)
+    uncoordinated:  delay = (⌊(r + C)/A⌋ + 1)·A + S + G − r
 """
 
 import pytest
@@ -102,3 +119,48 @@ def test_idle_rooms_step_down_on_their_timers(t_us, ts_us, c_us):
     cfg = res.config
     assert res.ftth_joules == (t * cfg.ftth_active_w
                                + (h - t) * cfg.ftth_idle_w) / 1e9
+
+
+# one burst every 1,037 µs sweeps its start over every phase of the cycle;
+# each slot ends long before the next start, so every burst finds the
+# calendar free
+BURST_PERIOD_US = 1037
+
+
+@pytest.mark.parametrize("coordinated", [True, False])
+@pytest.mark.parametrize("delay_us", [0, 5, 30, 120])
+@pytest.mark.parametrize("guard_ns", [0, 100, 2000])
+@pytest.mark.parametrize("alloc_us,slot_us", [(100, 10), (250, 40)])
+def test_burst_forwarding_delay(coordinated, delay_us, guard_ns, alloc_us,
+                                slot_us):
+    a, c, s, g = alloc_us * 1000, delay_us * 1000, slot_us * 1000, guard_ns
+    for air_us in (20, 50):
+        res = run_scenario_config(parse_scenario({
+            "horizon_ms": 30, "topology": {"sfus": ["a"]},
+            "control": {"alloc_cycle_us": alloc_us, "omci_slot_us": slot_us,
+                        "guard_ns": guard_ns, "control_delay_us": delay_us},
+            "uplink_bursts": [{"sfu": "a", "period_us": BURST_PERIOD_US,
+                               "air_duration_us": air_us, "start_ms": 0.013,
+                               "coordinated": coordinated,
+                               "rus": [{"bytes": 2000}]}]}))
+        slot = 16_000  # 2000 bytes at 1 Gb/s
+        expected = []
+        for k in range(len(res.bursts)):
+            t = 13_000 + k * BURST_PERIOD_US * 1000
+            r = t + air_us * 1000
+            if not coordinated:
+                expected.append((r + c) // a * a + a + s + g - r)
+                continue
+            e = max(r, t + c)
+            m = e % a
+            if m < s + g:
+                e += s + g - m
+            elif m + slot > a:
+                e += a - m + s + g
+            expected.append(e - r)
+            if air_us * 1000 >= c and s + g <= r % a <= a - slot:
+                assert expected[-1] == 0
+        assert len(res.bursts) == 29
+        assert res.bursts == expected
+        assert [d for _, _, d, tcont in res.upstream_slots
+                if tcont == 2] == [slot] * 29

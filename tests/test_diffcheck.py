@@ -4,6 +4,7 @@ scenarios."""
 
 import copy
 import importlib.util
+import json
 import random
 import subprocess
 from pathlib import Path
@@ -50,6 +51,17 @@ def test_head_against_itself_reports_no_difference(head_twice):
     # the phy_relay golden run ends with exit 3: its message is compared
     assert set(a["golden/phy_relay/seed1"]) == {"exit"}
     assert "ledgers" in a["storm_kill_bursts/phy_relay"]
+
+
+def test_the_summary_line_sums_the_dispatched_events(head_twice):
+    tool, (a, b) = head_twice
+    total = sum(json.loads(r["events"])["events_dispatched"]
+                for r in a.values() if "events" in r)
+    assert total > 0
+    assert tool.summary_line("HEAD", "working tree", a, b) == (
+        "diffcheck HEAD -> working tree: 5 cases (1 end with exit 2/3), "
+        "0 differ in model fields, digest/events_* moved in 0, "
+        f"events_dispatched {total} -> {total}")
 
 
 def test_a_planted_difference_is_reported(head_twice):

@@ -427,6 +427,38 @@ def test_a_dead_room_is_woken_again_when_it_answers_a_poll():
     assert res.flow_stats["f"].delivered == 3
 
 
+@pytest.mark.parametrize("starts_ms,kill,records", [
+    # the frame of 0.5 ms starts a sleep check due at 3.513 ms, when the
+    # room is dead; recovered at 5 ms, it sleeps 3 ms after the frame of
+    # 8 ms reaches it
+    ((0.5, 8), {"at_ms": 2, "recover_ms": 5},
+     [("active", 0, 1_513_106), ("idle", 1_513_106, 8_013_106),
+      ("active", 8_013_106, 9_013_106), ("idle", 9_013_106, 11_013_106),
+      ("light_sleep", 11_013_106, 11_018_106),
+      ("deep_sleep", 11_018_106, 20_000_000)]),
+    # dead from 3 to 4 ms, while the timer of the frame of 2.4 ms runs out:
+    # the room still sleeps 2 ms after it went idle
+    ((0.5, 2.4), {"at_ms": 3, "recover_ms": 4},
+     [("active", 0, 1_513_106), ("idle", 1_513_106, 2_413_106),
+      ("active", 2_413_106, 3_413_106), ("idle", 3_413_106, 5_413_106),
+      ("light_sleep", 5_413_106, 5_418_106),
+      ("deep_sleep", 5_418_106, 20_000_000)]),
+])
+def test_a_room_dead_while_its_sleep_check_is_due_sleeps_again(starts_ms,
+                                                              kill, records):
+    res = run_scenario_config(parse_scenario({
+        "horizon_ms": 20, "topology": {"sfus": ["a"]},
+        "flows": [{"name": f"f{i}", "dst": "a", "size_bytes": 1500,
+                   "model": "batch", "count": 1, "start_ms": start}
+                  for i, start in enumerate(starts_ms)],
+        "management": {"kill": {"sfu": "a", **kill}},
+        "energy": {"savings_enabled": True, "t_act_idle_ms": 1,
+                   "t_idle_sleep_ms": 2}}))
+    assert res.ledgers["a"].records == [
+        (PowerState(state), start, end) for state, start, end in records]
+    assert res.events[0] == (records[3][2], "light_sleep_report", "a")
+
+
 def cycle_and_receive_run(start_us: int, rx_us: int):
     """Centralized, 100 us status cycles, one 1500-byte frame that reaches
     the MFU at `start_us` and its room at `rx_us`, through the propagation

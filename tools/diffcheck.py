@@ -16,7 +16,8 @@ same time. Per case the child records, each as a sha256:
     breach), the exit code and the message instead
 
 The digest and the ``events_*`` counters are compared on their own: a change
-to how events are scheduled moves them by design.
+to how events are scheduled moves them by design. The summary line also
+gives the summed ``events_dispatched`` of each side, base -> head.
 
 Cases: the shipped scenarios in all four modes at seeds 1 and 7, the
 ``*_RUN`` dicts of ``tests/test_output_pins.py`` in all four modes, the three
@@ -283,6 +284,23 @@ def fields_line(model: list[tuple[str, str]]) -> str:
     return "fields: " + ", ".join(f"{name} {n}" for name, n in counts)
 
 
+def dispatched(results: dict) -> int:
+    """The summed `events_dispatched` of the cases that ran to the end."""
+    return sum(json.loads(r["events"])["events_dispatched"]
+               for r in results.values() if "events" in r)
+
+
+def summary_line(base_name: str, head_name: str, base: dict,
+                 head: dict) -> str:
+    diff = compare(base, head)
+    exits = sum("exit" in r for r in head.values())
+    return (f"diffcheck {base_name} -> {head_name}: {len(head)} cases "
+            f"({exits} end with exit 2/3), "
+            f"{len({c for c, _ in diff['model']})} differ in model fields, "
+            f"digest/events_* moved in {len(diff['events'])}, "
+            f"events_dispatched {dispatched(base)} -> {dispatched(head)}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="base revision")
@@ -298,8 +316,6 @@ def main(argv: list[str] | None = None) -> int:
                      else ROOT)
         base, head = run_trees([base_tree, head_tree], cases)
     diff = compare(base, head)
-    head_name = args.head or "working tree"
-    exits = sum("exit" in r for r in head.values())
     if diff["model"]:
         case, name = diff["model"][0]
         print(f"first difference: case {case}, field {name}")
@@ -307,10 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     if diff["events"]:
         print(f"digest/events_* moved in {len(diff['events'])} cases, "
               f"first {diff['events'][0]}")
-    print(f"diffcheck {args.base} -> {head_name}: {len(cases)} cases "
-          f"({exits} end with exit 2/3), "
-          f"{len({c for c, _ in diff['model']})} differ in model fields, "
-          f"digest/events_* moved in {len(diff['events'])}")
+    print(summary_line(args.base, args.head or "working tree", base, head))
     return 1 if diff["model"] else 0
 
 
