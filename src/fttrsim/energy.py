@@ -2,7 +2,8 @@
 
 Per-node power states follow a fixed transition table; every transition is
 recorded in a ledger whose intervals must tile the run exactly, which makes
-the joule total a closed-form interval sum.
+the joule total a closed-form interval sum. `PowerMachine` folds the
+step from ACTIVE to IDLE from a unit's activity times, for every unit.
 """
 
 from __future__ import annotations
@@ -20,6 +21,12 @@ class PowerState(Enum):
     DEEP_SLEEP = "deep_sleep"
     RF_OFF = "rf_off"
 
+
+# read on every activity: an enum member looked up on its class costs
+# more than the rest of `PowerMachine.active`
+_ACTIVE, _IDLE = PowerState.ACTIVE, PowerState.IDLE
+# states that traffic returns to ACTIVE
+_WAKE_ON_TRAFFIC = (PowerState.IDLE, PowerState.RF_OFF)
 
 # state -> states reachable from it
 LEGAL_TRANSITIONS: dict[PowerState, set[PowerState]] = {
@@ -112,12 +119,16 @@ class EnergyLedger:
 
 
 class PowerMachine:
-    """State machine wrapper enforcing the legal-transition table."""
+    """State machine wrapper enforcing the legal-transition table, with the
+    unit's idle timer: an awake unit goes IDLE at `idle_at`, `t_act_idle_ns`
+    after its last activity. At one instant an activity beats the timer."""
 
-    def __init__(self, node: str, initial: PowerState = PowerState.ACTIVE):
+    def __init__(self, node: str, initial: PowerState = PowerState.ACTIVE,
+                 t_act_idle_ns: int = 0):
         self.node = node
         self.ledger = EnergyLedger(node, initial)
         self.rejected = 0
+        self.t_act_idle_ns = self.idle_at = t_act_idle_ns
 
     @property
     def state(self) -> PowerState:
@@ -132,6 +143,26 @@ class PowerMachine:
             return False
         self.ledger.transition(new, now)
         return True
+
+    def active(self, t: int) -> None:
+        """Fold an activity at `t`, no earlier than the last: an ACTIVE unit
+        whose timer ran out before `t` was IDLE from `idle_at`, an IDLE or
+        RF_OFF unit is ACTIVE from `t`, a sleeping one stays asleep; the
+        timer restarts at `t`."""
+        idle_at, self.idle_at = self.idle_at, t + self.t_act_idle_ns
+        state = self.ledger.state
+        if state is _ACTIVE:
+            if t <= idle_at:
+                return
+            self.request(_IDLE, idle_at)
+        elif state not in _WAKE_ON_TRAFFIC:
+            return
+        self.request(_ACTIVE, t)
+
+    def settle(self, t: int) -> None:
+        """Record the IDLE of an ACTIVE unit whose timer ran out by `t`."""
+        if self.ledger.state is _ACTIVE and self.idle_at <= t:
+            self.request(_IDLE, self.idle_at)
 
 
 class SleepBuffer:

@@ -3,12 +3,13 @@ config, drives traffic, contention or grants on the air interface, the
 upstream allocation calendar, the OMCI management plane and the power state
 machines, and collects metrics.
 
-Traffic, air access and the rooms' power machines run on one event loop.
+Traffic, air access and the rooms' sleep checks run on one event loop.
 Uplink bursts are played in one pass before it and the OMCI plane in one
 pass over the allocation cycles after it, since no event reads what they
-move; the MFU's power is folded from its activity times. All randomness
-comes from per-node substreams of the scenario seed, so a (scenario, seed)
-pair fully determines the trace digest and every metric.
+move. No unit's step from ACTIVE to IDLE is an event: the MFU's and every
+room's idle timer are folded from their activity times (`PowerMachine`).
+All randomness comes from per-node substreams of the scenario seed, so a
+(scenario, seed) pair fully determines the trace digest and every metric.
 """
 
 from __future__ import annotations
@@ -73,8 +74,6 @@ class SimResults:
 
 
 SLEEP_STATES = (PowerState.LIGHT_SLEEP, PowerState.DEEP_SLEEP)
-# states that traffic returns to ACTIVE
-WAKE_ON_TRAFFIC = (PowerState.IDLE, PowerState.RF_OFF)
 
 # activity spans held before the first merge
 SPANS_MERGE_MIN = 1024
@@ -90,8 +89,9 @@ class SfuSim:
     def __init__(self, name: str, cell: WifiCell, cfg: ScenarioConfig):
         self.name = name
         self.target = f"sfu:{name}"
-        self.power = PowerMachine(name, PowerState.ACTIVE)
-        self.last_activity = 0
+        self.power = PowerMachine(name, PowerState.ACTIVE, cfg.t_act_idle_ns)
+        # a `sleep_check` event is scheduled for the room
+        self.sleep_check_pending = False
         self.cell = cell
         # one FIFO per queue tag, made on the tag's first frame (a deque
         # takes 760 bytes); tag 0 (priority 7) is served first
@@ -328,9 +328,7 @@ class Simulation:
             self.sfus[s] = SfuSim(s, cell, cfg)
             self.results.mibs[s] = MibStore(s)
         self.results.cell_stats = self.sfus
-        self.mfu = PowerMachine(MFU, PowerState.ACTIVE)
-        # the MFU goes IDLE here unless an activity comes by this instant
-        self.mfu_idle_at = cfg.t_act_idle_ns
+        self.mfu = PowerMachine(MFU, PowerState.ACTIVE, cfg.t_act_idle_ns)
         # (start, period) of each burst spec, and (bytes, slot) of its bursts
         self.burst_chains = [(int(spec.start_ms * 1_000_000),
                               int(spec.period_us * 1000))
@@ -381,7 +379,6 @@ class Simulation:
             "wake_done": self._wake_done,
             "kill": self._kill,
             "recover": self._recover,
-            "power_check": self._power_check,
             "sleep_check": self._sleep_check,
         }
         for sfu in self.sfus.values():
@@ -433,8 +430,10 @@ class Simulation:
             self.sim.schedule(dead_from, target, "kill")
             if cfg.kill.recover_ms is not None:
                 self.sim.schedule(dead_to, target, "recover")
-        for sfu in self.sfus.values():
-            self.sim.schedule(cfg.t_act_idle_ns, sfu.target, "power_check")
+        if cfg.savings_enabled:
+            for sfu in self.sfus.values():
+                self._arm_sleep_check(sfu,
+                                      cfg.t_act_idle_ns + cfg.t_idle_sleep_ns)
 
     # ------------------------------------------------------------------
     # traffic
@@ -446,9 +445,10 @@ class Simulation:
         sfu = flow.sfu
         frame = Frame(flow, now)
         ends = self.burst_ends
+        mfu = self.mfu
         while ends and ends[0] <= now:
-            self._mfu_active(ends.popleft())
-        self._mfu_active(now)
+            mfu.active(ends.popleft())
+        mfu.active(now)
         if sfu.asleep or sfu.wake_pending:
             dropped = sfu.sleep_buffer.push(frame)
             if dropped is not None:
@@ -479,31 +479,39 @@ class Simulation:
         frame's arrival at the MFU is handled. An idle contention domain is
         woken by an event at that place."""
         flow = frame.flow
+        cfg = self.cfg
         depart = max(self.sim.now, self.mfu_tx_free)
         self.mfu_tx_free = depart + flow.optical_ns
-        rx = self.mfu_tx_free + self.cfg.prop_delay_ns
+        rx = self.mfu_tx_free + cfg.prop_delay_ns
         seq = self.sim.reserve()
         self.inbound.append((rx, seq, frame))
-        domain = flow.sfu.domain
+        sfu = flow.sfu
+        # a room with no sleep check pending leaves IDLE or RF_OFF when
+        # the frame reaches it alive
+        if (not sfu.sleep_check_pending and cfg.savings_enabled
+                and not self._dead_at(sfu.name, rx)):
+            self._arm_sleep_check(
+                sfu, rx + cfg.t_act_idle_ns + cfg.t_idle_sleep_ns)
+        domain = sfu.domain
         if (domain is not None and not domain.round_pending
                 and not domain.wake_pending):
-            domain.wake(rx, seq, flow.sfu)
+            domain.wake(rx, seq, sfu)
 
     def _apply_inbound(self, t: int, seq: int) -> None:
         """Receive every inbound frame ordered before the event at (t, seq),
         each at its own receive time. Every dispatcher (for every kind but
         `flow_arrival`) and the contention round call this before they
         handle an event, so each handler sees the rooms as an event per
-        frame would have left them. A dead room's queue still takes the
-        frame, but its power state does not move."""
+        frame would have left them. A living room's receive is an activity
+        that restarts its idle timer. A dead room's queue still takes the
+        frame, but its power state and idle timer do not move."""
         inbound = self.inbound
         key = (t, seq)
-        mark = self._mark_activity
         while inbound and inbound[0] < key:
             rx, _, frame = inbound.popleft()
             sfu = frame.flow.sfu
             if sfu.alive:
-                mark(sfu, rx)
+                sfu.power.active(rx)
             sfu.enqueue(frame)
 
     def _optical_rx(self, sfu: SfuSim, ev: Event) -> None:
@@ -753,70 +761,70 @@ class Simulation:
     # ------------------------------------------------------------------
     # power / sleep
 
-    def _mark_activity(self, sfu: SfuSim, now: int) -> None:
-        sfu.last_activity = now
-        if sfu.power.state in WAKE_ON_TRAFFIC:
-            sfu.power.request(PowerState.ACTIVE, now)
-
-    def _mfu_active(self, t: int) -> None:
-        """Fold an MFU activity at `t`, no earlier than the last one. The
-        MFU went IDLE one `t_act_idle` after the last activity unless `t`
-        falls by then (at one instant an activity beats the idle timer),
-        and is ACTIVE at `t`."""
-        if t > self.mfu_idle_at:
-            self.mfu.request(PowerState.IDLE, self.mfu_idle_at)
-            self.mfu.request(PowerState.ACTIVE, t)
-        self.mfu_idle_at = t + self.cfg.t_act_idle_ns
-
-    def _power_check(self, sfu: SfuSim, ev: Event) -> None:
-        now = self.sim.now
-        cfg = self.cfg
-        machine, last, target = sfu.power, sfu.last_activity, sfu.target
-        if machine.state == PowerState.ACTIVE:
-            if now - last >= cfg.t_act_idle_ns and sfu.alive:
-                # at one instant an activity beats the idle timer: a frame
-                # the room receives now, still on the link, keeps it ACTIVE
-                for rx, _, frame in self.inbound:
-                    if rx != now:
-                        break
-                    if frame.flow.sfu is sfu:
-                        last = now
-                        break
-            if now - last >= cfg.t_act_idle_ns:
-                machine.request(PowerState.IDLE, now)
-                if cfg.savings_enabled:
-                    self.sim.schedule(now + cfg.t_idle_sleep_ns, target,
-                                      "sleep_check")
-                self.sim.schedule(now + cfg.t_act_idle_ns, target,
-                                  "power_check")
-            else:
-                self.sim.schedule(last + cfg.t_act_idle_ns, target,
-                                  "power_check")
+    def _arm_sleep_check(self, sfu: SfuSim, at: int,
+                         seq: int | None = None) -> None:
+        sfu.sleep_check_pending = True
+        if seq is None:
+            self.sim.schedule(at, sfu.target, "sleep_check")
         else:
-            self.sim.schedule(now + cfg.t_act_idle_ns, target, "power_check")
+            self.sim.schedule_at(at, seq, sfu.target, "sleep_check")
+
+    def _arm_in_flight(self, sfu: SfuSim) -> None:
+        """Arm the sleep check for the first frame still on the link that
+        reaches the room alive, and so takes it out of IDLE or RF_OFF."""
+        for rx, _, frame in self.inbound:
+            if frame.flow.sfu is sfu and not self._dead_at(sfu.name, rx):
+                cfg = self.cfg
+                self._arm_sleep_check(
+                    sfu, rx + cfg.t_act_idle_ns + cfg.t_idle_sleep_ns)
+                return
 
     def _sleep_check(self, sfu: SfuSim, ev: Event) -> None:
-        now = self.sim.now
-        cfg = self.cfg
-        if not sfu.alive or sfu.power.state != PowerState.IDLE:
-            return
-        due = sfu.last_activity + cfg.t_act_idle_ns + cfg.t_idle_sleep_ns
-        if now < due:
-            self.sim.schedule(due, sfu.target, "sleep_check")
-            return
-        if sfu.queued_bytes > 0:
+        """The room's sleep timer, with savings on: a living room IDLE for
+        `t_idle_sleep` with an empty queue turns its RF off or reports light
+        sleep. At most one check is pending: primed at `t_act_idle +
+        t_idle_sleep`, armed when a frame leaves the MFU for a room without
+        one, moved to `idle_at + t_idle_sleep` while traffic moves the timer
+        (dead or alive) and `t_idle_sleep` on while frames are queued. When
+        the chain ends, and when the room wakes, it is armed for the first
+        frame still on the link that reaches the room alive.
+
+        When the idle step was an event, a check for instant S was scheduled
+        at that step; now it is scheduled no later, and one that runs after
+        the step keeps its own sequence number. No output moves by that: a
+        flow arrival for the room at S was scheduled before the room's last
+        receive, a frame it receives at S left the MFU after the idle step
+        unless frames spend `t_idle_sleep` or more on the link, an alive
+        room answers a poll asleep or not, and `kill` and `recover` are
+        primed first. Left are ties where a receive falls exactly
+        `t_act_idle + t_idle_sleep` before a flow arrival, a grant, a wake
+        or another room's check."""
+        now, cfg, power = self.sim.now, self.cfg, sfu.power
+        sfu.sleep_check_pending = False
+        awake = power.state in (PowerState.ACTIVE, PowerState.IDLE)
+        due = power.idle_at + cfg.t_idle_sleep_ns
+        if awake and now < due:
+            self._arm_sleep_check(sfu, due,
+                                  ev.seq if power.idle_at < now else None)
+        elif awake and sfu.alive and sfu.queued_bytes > 0:
             # grants and contention skip a sleeping SFU, so its queue would
             # wait until traffic wakes it
-            self.sim.schedule(now + cfg.t_idle_sleep_ns, sfu.target,
-                              "sleep_check")
-            return
-        state = select_policy(sfu.iot)
-        if sfu.power.request(state, now) and state == PowerState.LIGHT_SLEEP:
-            self.results.events.append((now, "light_sleep_report", sfu.name))
-            self._maybe_deep_sleep(now)
+            self._arm_sleep_check(sfu, now + cfg.t_idle_sleep_ns)
+        elif awake and sfu.alive:
+            power.settle(now)
+            state = select_policy(sfu.iot)
+            power.request(state, now)
+            if state == PowerState.LIGHT_SLEEP:
+                self.results.events.append(
+                    (now, "light_sleep_report", sfu.name))
+                self._maybe_deep_sleep(now)
+            else:
+                self._arm_in_flight(sfu)
+        else:
+            self._arm_in_flight(sfu)
 
     def _maybe_deep_sleep(self, now: int) -> None:
-        if self.deep_cmd_issued or not self.cfg.savings_enabled:
+        if self.deep_cmd_issued:
             return
         # an SFU sleeps from its light-sleep report to its wake, and only
         # then, so its power state is what it has announced to the MFU
@@ -871,6 +879,7 @@ class Simulation:
         sfu.wake_pending = False
         self.deep_cmd_issued = False
         self.results.events.append((now, "wake_done", sfu.name))
+        self._arm_in_flight(sfu)
         for frame in sfu.sleep_buffer.flush():
             self._optical_downstream(frame)
 
@@ -940,10 +949,9 @@ class Simulation:
         res = self.results
         res.digest = digest
         for end in self.burst_ends:
-            self._mfu_active(end)
-        if self.mfu_idle_at <= cfg.horizon_ns:
-            self.mfu.request(PowerState.IDLE, self.mfu_idle_at)
+            self.mfu.active(end)
         for machine in (*(sfu.power for sfu in self.sfus.values()), self.mfu):
+            machine.settle(cfg.horizon_ns)
             ledger = machine.ledger
             ledger.close(cfg.horizon_ns)
             ledger.check_tiling(cfg.horizon_ns)

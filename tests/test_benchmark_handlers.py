@@ -44,12 +44,12 @@ def test_benchmark_lists_every_scheduled_handler(monkeypatch):
     listed = {(target, kind) for target, kinds
               in bench_run_module().HANDLER_KINDS.items() for kind in kinds}
     assert seen <= listed, sorted(seen - listed)
-    # the runs reach the rooms' power path and every target class
-    assert {("sfu", "power_check"), ("sfu", "sleep_check")} <= seen
-    # uplink bursts are played before the event loop and the MFU's power is
-    # folded from its activity times: neither schedules an event
+    # the runs reach the rooms' sleep timer and every target class
+    assert ("sfu", "sleep_check") in seen
+    # uplink bursts are played before the event loop and every unit's idle
+    # timer is folded from its activity times: none schedules an event
     assert not {("sfu", "burst_start"), ("mfu", "upstream_burst_done"),
-                ("mfu", "power_check")} & seen
+                ("mfu", "power_check"), ("sfu", "power_check")} & seen
     # the OMCI plane is played after the event loop: neither its alloc
     # cycles nor a receive at a room or at the OLT is an event
     assert {target for target, _ in seen} == {"mfu", "sfu", "domain"}

@@ -52,6 +52,63 @@ def test_every_declared_transition_is_reachable():
 
 
 # ---------------------------------------------------------------------------
+# idle timer fold
+
+A, I = PowerState.ACTIVE, PowerState.IDLE
+
+
+def test_an_activity_at_the_idle_instant_keeps_the_unit_active():
+    # at one instant an activity beats the idle timer: no zero-length IDLE
+    m = PowerMachine("r", t_act_idle_ns=100)
+    for t in (100, 200, 300):
+        m.active(t)
+    m.active(450)
+    m.settle(1000)
+    assert m.ledger.records == [(A, 0, 400), (I, 400, 450), (A, 450, 550)]
+    assert m.state is I and m.rejected == 0
+
+
+@pytest.mark.parametrize("state", [PowerState.IDLE, PowerState.RF_OFF])
+def test_traffic_takes_an_idle_or_rf_off_unit_active(state):
+    m = PowerMachine("r", state, t_act_idle_ns=100)
+    m.active(40)
+    assert m.ledger.records == [(state, 0, 40)]
+    assert (m.state, m.idle_at, m.rejected) == (A, 140, 0)
+
+
+@pytest.mark.parametrize("state", [PowerState.LIGHT_SLEEP,
+                                   PowerState.DEEP_SLEEP])
+def test_traffic_moves_a_sleeping_units_timer_but_not_its_state(state):
+    m = PowerMachine("r", state, t_act_idle_ns=100)
+    m.active(40)
+    m.settle(1000)
+    assert m.ledger.records == []
+    assert (m.state, m.idle_at, m.rejected) == (state, 140, 0)
+
+
+@pytest.mark.parametrize("t,records", [
+    (99, []),                 # never later than the timer
+    (100, [(A, 0, 100)]),     # at the instant the timer runs out
+    (250, [(A, 0, 100)]),     # at the timer's end, not at t
+])
+def test_settle_records_the_idle_of_a_timer_run_out_by_t(t, records):
+    m = PowerMachine("r", t_act_idle_ns=100)
+    m.settle(t)
+    assert m.ledger.records == records
+    assert m.state is (I if records else A)
+
+
+def test_a_timer_ending_at_the_horizon_leaves_a_zero_length_idle():
+    m = PowerMachine("r", t_act_idle_ns=100)
+    for t in (100, 200, 300, 400):
+        m.active(t)
+    m.settle(500)
+    m.ledger.close(500)
+    m.ledger.check_tiling(500)
+    assert m.ledger.records == [(A, 0, 500), (I, 500, 500)]
+
+
+# ---------------------------------------------------------------------------
 # ledger
 
 def test_ledger_tiles_horizon_exactly():

@@ -459,6 +459,30 @@ def test_a_room_dead_while_its_sleep_check_is_due_sleeps_again(starts_ms,
     assert res.events[0] == (records[3][2], "light_sleep_report", "a")
 
 
+@pytest.mark.parametrize("name", ["four_room_household", "idle_night"])
+def test_with_savings_off_no_room_schedules_a_power_event(name,
+                                                          monkeypatch):
+    kinds = set()
+    schedule = simulation.Simulator.schedule
+
+    def spy(sim, fire_time, target, kind, *args):
+        if target.startswith("sfu:"):
+            kinds.add(kind)
+        return schedule(sim, fire_time, target, kind, *args)
+
+    monkeypatch.setattr(simulation.Simulator, "schedule", spy)
+    # idle_night runs with savings on
+    cfg = load_scenario(SCENARIOS / f"{name}.yaml")
+    cfg.savings_enabled = False
+    res = run_scenario_config(cfg)
+    assert not kinds & {"power_check", "sleep_check"}
+    assert kinds <= {"grant_start", "kill", "recover", "optical_rx"}
+    # the idle timers still run, and no unit sleeps
+    assert {state for ledger in res.ledgers.values()
+            for state, _, _ in ledger.records} == {PowerState.ACTIVE,
+                                                   PowerState.IDLE}
+
+
 def cycle_and_receive_run(start_us: int, rx_us: int):
     """Centralized, 100 us status cycles, one 1500-byte frame that reaches
     the MFU at `start_us` and its room at `rx_us`, through the propagation
