@@ -40,70 +40,70 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # (scenario, mode) -> (sha256 of summary.json, sha256 of flows.csv)
 PINS = {
     ("conflict_pair", "centralized"): (
-        "16e807e8c2d8776885f94b4b4a25884a1ad39c56c9870b4f6c4c6901b8856e28",
+        "9afe44fcaa908b71160826f604b635584a1c365c41fef0f6bc1cdf5ea2bd344d",
         "0699922d1256e434c7c1815ccb7c17fdeb17128b88d05371616e5f12a2cf56d3"),
     ("conflict_pair", "distributed"): (
-        "d1873a343e99b81423789bc95820956f9bf68267536df9848758a85ff9518181",
+        "6961451accf662405dd3d495a53dbfbec4285341ce2024cc01fc1d0b780088be",
         "b38216e277d3ef8fc6ace04855064fa14a064dfe9c90644999b52ebdc67e286a"),
     ("conflict_pair", "phy_relay"): (
-        "0da8614e46a857b66832f7d5590c13d86dbb57d6c42cd045efd6e040d97be4f1",
+        "f9af33d507517d1e90232c6406c8c303239861b1ce608341f6301b264bb38341",
         "eaa3a2f19b839d4ba70e498fe0ad577bb3742c7ace18d910fc48077279ead461"),
     ("four_room_household", "centralized"): (
-        "0355a2ba89c268fd31802c73a76b42e26f9fea0397bc61ec30eb10e484c5a6bf",
+        "474f76adfb6b4b7e4871e4d3c57a65cedf2aeb5a9acb3931692179d05ff8b5b6",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("four_room_household", "distributed"): (
-        "377725bffad1f2597bd591fea6ecb9c79033e9b05ba8e32b6443eda1359b0aff",
+        "a291e8208f1eac3235ab843a739ac52a0cf61a92570ed3d28a739c3acf1a8020",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("four_room_household", "phy_relay"): (
-        "ad0af31b94245f788050c738280f29964a4a7848973c74465dd28d669e21b5f8",
+        "acf1524912095bf2093d8378f1683e16292872dc3c2976bfc91d9f7b2a9d2bdc",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("golden", "centralized"): (
-        "0179d6ce6bb265e90601ce821c219038cba4852b3532a10cd567996c3c5cb878",
+        "588f297b047d3b4d98ab6dba22a9778e8f865e50a22411651390430dbc068b1f",
         "537d351de7b375ff49adc9cd35c8a47a43d92bf491e8ec29d32ffe893de87999"),
     ("golden", "distributed"): (
-        "e20125654ba611a1e23a851220cd03e115d073f71ba0b937bdf635fa3795d588",
+        "14ccd7fb542300c1e8d40f88bdd4e7ae74e23c4d01f2cfe935bc4b898a7cd2dc",
         "4122b453971055f25395ac0f32ca9d81103e7fd9db57d9b295879055ee26c092"),
     ("idle_night", "centralized"): (
-        "d24ff9cbb460f3405717b4ceb975c35bfbfa8c942f72b9de87869be70165adfc",
+        "4e392b5ec6ea101f0e21c163ba51155ff46af156ff7a9e2ff2dcf8be97a14907",
         "afe8f3408ee7411b4c7f06512f66ff4e5c6d63ffdb4f09cdd8262eecef454abc"),
     ("idle_night", "distributed"): (
-        "c6230277135e59cfab5d4f8118cdd09191342facc5fee6c2e1777f3d324007ac",
+        "4a110d3989017013fc79a8cc6e4a0342e20df92c5a9629cd01ab88418f4e22e8",
         "a705d415ba98a671fbb54cfa1391ccd169be0abacfcde807cf2c11d19ec8a768"),
     ("idle_night", "phy_relay"): (
-        "893749b7b94de20878f77baf0b5cb94decc8056a54624d0e091116797d8be625",
+        "4d6e11f843ac7f308c1e4b3e7f2374a5cabb406073bf5b15d3b225845396e49e",
         "28545f526021417db646596bf472fb87e1691869aea735f41c1cc6df9fecc23d"),
     ("ofdma_uplink_burst", "centralized"): (
-        "c9916b55f8309a62c43c6cb21efcdb8a032d7d0cec2bf773ad309f512c6dec6d",
+        "c02f1834691d3c4c10dafce1818d89c6f1903420bc2b374c91ff10c16e37cccc",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("ofdma_uplink_burst", "distributed"): (
-        "1f43c93870639347f626c6d829cbf45426ae260181f7451c6ba5d25b122f9f38",
+        "edee36512ffc59971ec8346cc8b4cd682cac57a9c3c1189f4372fc6438089dfa",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("phy_relay_burst", "centralized"): (
-        "37784216b74c53e0849c546db379f17a6487849cfcbe82e98abeb9fa56edc178",
+        "e6755abe54d53c6a191718241c3773170ac32514d0cc23b95f7bb9190618e8ae",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("phy_relay_burst", "distributed"): (
-        "eb93244172539e52410d28b6365521246e7b86b7ff1ab46908fcaee7fcdd308f",
+        "e82071132501949fa7b488eb59cd13f58607a59bfa486e7cbbfa2b05ebc3d844",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("phy_relay_burst", "phy_relay"): (
-        "a2198672522a91bbefed44ce55539c4e85432e55aa1a634c804673eed487e4fb",
+        "621e15f821407338d689bc82a544fa4029cf4dd7e801cf1d8fb97e1b43a54631",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "centralized"): (
-        "dcd7d75b86904bb0c30049e7a409ff076e7c34c3fd7534837533a6c0e8473751",
+        "76cc7f6e44c641f28436f4fba100090d7853a119a5c038d33b61e48b820f65fb",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "distributed"): (
-        "0ae0d57edf524187a3d40fb01309ea3f3bbefa125ae78f4825c7588506a038a4",
+        "b3966e5cc51929c0857993ee2872fe0cc5c0ad387f4748fa7ee507d6d4dc4ff6",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("provisioning_storm", "phy_relay"): (
-        "632cdabb7c68f0776240d9b216928fd4119eec2f6b739ee4e4e50d8e80f074c1",
+        "320fb928a4027a6227d3f141ab7a125fa998aee0569738cb6f5f93e867521e4c",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("staged_kill", "centralized"): (
-        "abb828d14c0fe20cfea021c5a08e51eb8006c35e85eb227fee2ef92fa5c211bc",
+        "27e7c118de98d9ab46b77bd19444b36246fe7ddec5f7ac50c7b7cb5dfdbfbfcf",
         "f338d9dbba59d249f3230511c18adf506eddd66319d5c543c92cfc79e3a59a6c"),
     ("staged_kill", "distributed"): (
-        "d40d25fb9239c7756c4d3d531e2e3274b35d0b617e2eb782c56924bbee56909e",
+        "c1966e2a52cd1ffc53fe6cf5dda9f20050d94c0ad0ecc48c00a5e468442f55c4",
         "400061c7dce4fd9c72b4ee7bae471447ea60399d805c2657b1ba6acdda6452ec"),
     ("staged_kill", "phy_relay"): (
-        "97f3a64499a0d256baab235c802f4dc37ef4969a6038c369072a9f30cfa262bc",
+        "dc3c218d85e9d3569dc3c39eb4c0df56e4eea0bd17b41fb702446ed333dd0ea1",
         "95211e17a5817c20edce0d81e47b2cf493b4aa7b0bb68125cc30b710e435ca5d"),
 }
 
@@ -314,32 +314,32 @@ RUNS = {"sleep_deep_wake": SLEEP_RUN, "storm_kill_bursts": STORM_RUN,
 # repr(res.events))
 RUN_PINS = {
     ("sleep_deep_wake", "centralized"): (
-        "461973a9e10a530211554d0554ac2d6d06329f433d8de39ec2beb74b65f715f0",
+        "279dc9ee05001c085ddf44a564a85dfee3fe5efecff2648774c80698f74fd025",
         "27aecd51dd70386d137bfec2c892ec1dd632f87f6158fb4c2ce9fe6674369350",
         "e1486fa41656d4e09fba885285609606874e4cce8d09895c6c0470a3c21ad2a1",
         "09dc764fe476ebd02f919c8e126bb7894d101ba0a43020d59ef5cd1a604b2447"),
     ("sleep_deep_wake", "distributed"): (
-        "1b64a3b81d110d05ddb8f8d7ff5d8c800bee2b2741b63bb6499845827c223700",
+        "5a41d57056273db8f5d0d23cce52c4fa8e5ed5e5edfff37dda1182207c86aaa4",
         "b167da573fddcff0ad3b23c7c580314be325799ca8cb4ca5ad3165e7d56dc025",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "09dc764fe476ebd02f919c8e126bb7894d101ba0a43020d59ef5cd1a604b2447"),
     ("storm_kill_bursts", "centralized"): (
-        "82a71b894dab985301cd69d53124658b8529f4765d496afad9dd3a2542c37837",
+        "b05cfeb43306e68586ec9110cd23966a20e7341ddd64580b48eb287b848f847a",
         "bafe1e01724777eeb67776754f779c4a1344c72e29e6721eb274fac85bc9518e",
         "5761fcedb63998499758c0638bf064596e1a6507b9959195560775f9473b466e",
         "807d1a52a71632bc5e71f35debe371ee29c4206362cc27ee95fb7f6e4c1ba615"),
     ("storm_kill_bursts", "phy_relay"): (
-        "f40259c711a0169f10abb38f80b0895c4ce1854fee4840bd48d4e8c604fc5940",
+        "a43b1cdf1ac4d8ee3eb88a6e371889ec884f783c5accee298134dbb05f736be8",
         "c9a49b2224e9ff53cbbbbace35a10d593285152029794a1e968cc12f87e90b5f",
         "1937ddc9fa8ff4d030b36c166e1dbeef4b8207ad74425f54277cfe852103e399",
         "807d1a52a71632bc5e71f35debe371ee29c4206362cc27ee95fb7f6e4c1ba615"),
     ("iot_rf_off_overflow", "centralized"): (
-        "c0d747c80029ee6fa2da3a6511fc5cac0d6c24f10c8c1581d351743a2d944951",
+        "e33868027ab4c2b7a42d13bbdb314a2b8a05600ce5a93d2098c6393b199aa27a",
         "d4eae6b6d98aff5f1e3d3053620229f5e6ff1bccbf5fa4500bb9bd415021938f",
         "477baee3dc1b56b0a72ae54057e7e72b3faa76d9524c58ddd8a114940eda43ae",
         "eda1d957f9eea5d3ed3e8854aeb1d6e4340980dc64c0043a806c8bbed54b3127"),
     ("iot_rf_off_overflow", "distributed"): (
-        "bfb70f5c8c8c3c53f052e1f01a7addef888ef8c1c59048bd3cedf20ba2c75003",
+        "d09492ee07edb1a123a53f6778bf617ba202c5f24063bb9fba51c4c474d10706",
         "4869d77470a26af6aaeee703d57eeced96322dfe7e3993de74e2c4b20beb41ce",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "eda1d957f9eea5d3ed3e8854aeb1d6e4340980dc64c0043a806c8bbed54b3127"),
