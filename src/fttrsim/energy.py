@@ -146,9 +146,9 @@ class PowerMachine:
 
     def active(self, t: int) -> None:
         """Fold an activity at `t`, no earlier than the last: an ACTIVE unit
-        whose timer ran out before `t` was IDLE from `idle_at`, an IDLE or
-        RF_OFF unit is ACTIVE from `t`, a sleeping one stays asleep; the
-        timer restarts at `t`."""
+        whose timer ran out before `t` is IDLE from `idle_at` to `t`, an
+        IDLE or RF_OFF unit is ACTIVE from `t`, a sleeping one stays
+        asleep; the timer restarts at `t`."""
         idle_at, self.idle_at = self.idle_at, t + self.t_act_idle_ns
         state = self.ledger.state
         if state is _ACTIVE:
