@@ -783,11 +783,12 @@ class Simulation:
         """The room's sleep timer, with savings on: a living room IDLE for
         `t_idle_sleep` with an empty queue turns its RF off or reports light
         sleep. At most one check is pending: primed at `t_act_idle +
-        t_idle_sleep`, armed when a frame leaves the MFU for a room without
-        one, moved to `idle_at + t_idle_sleep` while traffic moves the timer
-        (dead or alive) and `t_idle_sleep` on while frames are queued. When
-        the chain ends, and when the room wakes, it is armed for the first
-        frame still on the link that reaches the room alive.
+        t_idle_sleep`, armed when a frame that reaches the room alive
+        leaves the MFU while none is, moved to `idle_at + t_idle_sleep`
+        while traffic moves the timer (dead or alive) and `t_idle_sleep` on
+        while frames are queued. When the chain ends with the room RF_OFF
+        or dead, and when the room wakes, it is armed for the first frame
+        still on the link that reaches the room alive.
 
         When the idle step was an event, a check for instant S was scheduled
         at that step; now it is scheduled no later, and one that runs after
