@@ -459,6 +459,55 @@ def test_a_room_dead_while_its_sleep_check_is_due_sleeps_again(starts_ms,
     assert res.events[0] == (records[3][2], "light_sleep_report", "a")
 
 
+def iot_sleep_run(flows: list[dict], mode: str = "distributed",
+                  t_act_idle_ms: float = 1, t_idle_sleep_ms: float = 2):
+    """The ledger of IoT room `a` in a 15 ms run with batch `flows`."""
+    res = run_scenario_config(parse_scenario({
+        "horizon_ms": 15, "mode": mode,
+        "topology": {"sfus": [{"name": "a", "iot_resident": True}]},
+        "flows": [{"name": f"f{i}", "dst": "a", "model": "batch", **flow}
+                  for i, flow in enumerate(flows)],
+        "energy": {"savings_enabled": True, "t_act_idle_ms": t_act_idle_ms,
+                   "t_idle_sleep_ms": t_idle_sleep_ms}}))
+    return [(state.value, start, end)
+            for state, start, end in res.ledgers["a"].records]
+
+
+# A frame of 2,036 bytes takes exactly twice as long on the MFU link as
+# one of 1,000 bytes (2,200 and 1,100 wire bytes).
+@pytest.mark.parametrize("flows,kwargs,tail", [
+    # Two frames at 5 ms; the second reaches the room at 5.017650 ms, the
+    # timers run out at 8.017650 ms, when the frame sent at 8 ms arrives.
+    # The room's check, due at 8.008850 ms for the first frame, runs after
+    # that frame left the MFU, but keeps its place before it: the room
+    # turns its RF off, and the frame takes it back to ACTIVE.
+    ([{"size_bytes": 1000, "count": 2, "start_ms": 5},
+      {"size_bytes": 2036, "count": 1, "start_ms": 8}], {},
+     [("rf_off", 3_000_000, 5_008_850), ("active", 5_008_850, 6_017_650),
+      ("idle", 6_017_650, 8_017_650), ("rf_off", 8_017_650, 8_017_650),
+      ("active", 8_017_650, 9_017_650), ("idle", 9_017_650, 11_017_650),
+      ("rf_off", 11_017_650, 15_000_000)]),
+    # a frame still on the link when the room turns its RF off at 3 ms
+    # starts its timers again
+    ([{"size_bytes": 1500, "count": 1, "start_ms": 2.995}], {},
+     [("rf_off", 3_000_000, 3_008_106), ("active", 3_008_106, 4_008_106),
+      ("idle", 4_008_106, 6_008_106), ("rf_off", 6_008_106, 15_000_000)]),
+    # 50 us timers: the frame reaches the room at 1.013106 ms and waits for
+    # the grant of the 5 ms status cycle, the first event to apply the
+    # receive; the room turns its RF off once that grant has sent it, on
+    # the phase of its timers
+    ([{"size_bytes": 1500, "count": 1, "start_ms": 1}],
+     {"mode": "centralized", "t_act_idle_ms": 0.05,
+      "t_idle_sleep_ms": 0.05},
+     [("rf_off", 100_000, 1_013_106), ("active", 1_013_106, 1_063_106),
+      ("idle", 1_063_106, 5_013_106), ("rf_off", 5_013_106, 15_000_000)]),
+])
+def test_an_iot_rooms_sleep_timer_runs_from_its_last_receive(flows, kwargs,
+                                                             tail):
+    records = iot_sleep_run(flows, **kwargs)
+    assert records[-len(tail):] == tail
+
+
 @pytest.mark.parametrize("name", ["four_room_household", "idle_night"])
 def test_with_savings_off_no_room_schedules_a_power_event(name,
                                                           monkeypatch):
