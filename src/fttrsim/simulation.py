@@ -790,16 +790,17 @@ class Simulation:
         or dead, and when the room wakes, it is armed for the first frame
         still on the link that reaches the room alive.
 
-        When the idle step was an event, a check for instant S was scheduled
-        at that step; now it is scheduled no later, and one that runs after
-        the step keeps its own sequence number. No output moves by that: a
-        flow arrival for the room at S was scheduled before the room's last
-        receive, a frame it receives at S left the MFU after the idle step
-        unless frames spend `t_idle_sleep` or more on the link, an alive
-        room answers a poll asleep or not, and `kill` and `recover` are
-        primed first. Left are ties where a receive falls exactly
-        `t_act_idle + t_idle_sleep` before a flow arrival, a grant, a wake
-        or another room's check."""
+        Among the events at its instant S, the check should follow those
+        scheduled before the room's idle step and precede those scheduled
+        after, as if the step had scheduled it. It is scheduled no later
+        than the step, and one that runs after the step keeps its own
+        sequence number. No output moves by that: a flow arrival for the
+        room at S was scheduled before the room's last receive, a frame it
+        receives at S left the MFU after the idle step unless frames spend
+        `t_idle_sleep` or more on the link, an alive room answers a poll
+        asleep or not, and `kill` and `recover` are primed first. Left are
+        ties where a receive falls exactly `t_act_idle + t_idle_sleep`
+        before a flow arrival, a grant, a wake or another room's check."""
         now, cfg, power = self.sim.now, self.cfg, sfu.power
         sfu.sleep_check_pending = False
         awake = power.state in (PowerState.ACTIVE, PowerState.IDLE)
