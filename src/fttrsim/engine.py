@@ -115,9 +115,7 @@ class Simulator:
     The queue is a heap of `(fire_time, seq, target, kind, payload)` tuples.
     `reserve` hands out a sequence number without pushing an event, so that
     an action the model applies later, without an event, keeps its place
-    in that total order; `schedule_at` pushes an event at such a number, or
-    at the number of the event being dispatched, so that a handler that
-    moves itself to a later time keeps its place.
+    in that total order; `schedule_at` pushes an event at such a number.
     The digest is the SHA-256 of one `time|target|kind` line per dispatched
     event, fed in batches of at most `DIGEST_BATCH` lines.
     """
@@ -163,8 +161,7 @@ class Simulator:
 
     def schedule_at(self, fire_time: SimTime, seq: int, target: str,
                     kind: str, payload: Any = None) -> None:
-        """Push an event at a sequence number that `reserve` handed out, or
-        at the number of the event being dispatched."""
+        """Push an event at a sequence number that `reserve` handed out."""
         if fire_time < self.now:
             raise SimError(
                 f"attempt to schedule event '{kind}' for {target} at "

@@ -90,8 +90,6 @@ class SfuSim:
         self.name = name
         self.target = f"sfu:{name}"
         self.power = PowerMachine(name, PowerState.ACTIVE, cfg.t_act_idle_ns)
-        # a `sleep_check` event is scheduled for the room
-        self.sleep_check_pending = False
         self.cell = cell
         # one FIFO per queue tag, made on the tag's first frame (a deque
         # takes 760 bytes); tag 0 (priority 7) is served first
@@ -355,7 +353,6 @@ class Simulation:
         self.upstream_next_free = 0
         # upstream time for data bursts between two OMCI windows
         self.data_room_ns = cfg.alloc_cycle_ns - cfg.omci_slot_ns - cfg.guard_ns
-        self.deep_cmd_issued = False
         # the killed room, and the span [from, to) it is dead for: to the
         # end of the run if it never recovers
         kill = cfg.kill
@@ -432,8 +429,8 @@ class Simulation:
                 self.sim.schedule(dead_to, target, "recover")
         if cfg.savings_enabled:
             for sfu in self.sfus.values():
-                self._arm_sleep_check(sfu,
-                                      cfg.t_act_idle_ns + cfg.t_idle_sleep_ns)
+                self.sim.schedule(cfg.t_act_idle_ns + cfg.t_idle_sleep_ns,
+                                  sfu.target, "sleep_check")
 
     # ------------------------------------------------------------------
     # traffic
@@ -479,19 +476,12 @@ class Simulation:
         frame's arrival at the MFU is handled. An idle contention domain is
         woken by an event at that place."""
         flow = frame.flow
-        cfg = self.cfg
         depart = max(self.sim.now, self.mfu_tx_free)
         self.mfu_tx_free = depart + flow.optical_ns
-        rx = self.mfu_tx_free + cfg.prop_delay_ns
+        rx = self.mfu_tx_free + self.cfg.prop_delay_ns
         seq = self.sim.reserve()
         self.inbound.append((rx, seq, frame))
         sfu = flow.sfu
-        # a room with no sleep check pending leaves IDLE or RF_OFF when
-        # the frame reaches it alive
-        if (not sfu.sleep_check_pending and cfg.savings_enabled
-                and not self._dead_at(sfu.name, rx)):
-            self._arm_sleep_check(
-                sfu, rx + cfg.t_act_idle_ns + cfg.t_idle_sleep_ns)
         domain = sfu.domain
         if (domain is not None and not domain.round_pending
                 and not domain.wake_pending):
@@ -761,58 +751,32 @@ class Simulation:
     # ------------------------------------------------------------------
     # power / sleep
 
-    def _arm_sleep_check(self, sfu: SfuSim, at: int,
-                         seq: int | None = None) -> None:
-        sfu.sleep_check_pending = True
-        if seq is None:
-            self.sim.schedule(at, sfu.target, "sleep_check")
-        else:
-            self.sim.schedule_at(at, seq, sfu.target, "sleep_check")
-
-    def _arm_in_flight(self, sfu: SfuSim) -> None:
-        """Arm the sleep check for the first frame still on the link that
-        reaches the room alive, and so takes it out of IDLE or RF_OFF."""
-        for rx, _, frame in self.inbound:
-            if frame.flow.sfu is sfu and not self._dead_at(sfu.name, rx):
-                cfg = self.cfg
-                self._arm_sleep_check(
-                    sfu, rx + cfg.t_act_idle_ns + cfg.t_idle_sleep_ns)
-                return
-
     def _sleep_check(self, sfu: SfuSim, ev: Event) -> None:
         """The room's sleep timer, with savings on: a living room IDLE for
         `t_idle_sleep` with an empty queue turns its RF off or reports light
-        sleep. At most one check is pending: primed at `t_act_idle +
-        t_idle_sleep`, armed when a frame that reaches the room alive
-        leaves the MFU while none is, moved to `idle_at + t_idle_sleep`
-        while traffic moves the timer (dead or alive) and `t_idle_sleep` on
-        while frames are queued. When the chain ends with the room RF_OFF
-        or dead, and when the room wakes, it is armed for the first frame
-        still on the link that reaches the room alive.
-
-        Among the events at its instant S, the check should follow those
-        scheduled before the room's idle step and precede those scheduled
-        after, as if the step had scheduled it. It is scheduled no later
-        than the step, and one that runs after the step keeps its own
-        sequence number. No output moves by that: a flow arrival for the
-        room at S was scheduled before the room's last receive, a frame it
-        receives at S left the MFU after the idle step unless frames spend
-        `t_idle_sleep` or more on the link, an alive room answers a poll
-        asleep or not, and `kill` and `recover` are primed first. Left are
-        ties where a receive falls exactly `t_act_idle + t_idle_sleep`
-        before a flow arrival, a grant, a wake or another room's check."""
+        sleep. Each room has one check pending from its prime until it
+        reports light sleep, and its wake starts the chain again; the check
+        moves itself on while the room is dead (to its recovery, past the
+        horizon if it never recovers), RF_OFF
+        (`t_act_idle + t_idle_sleep` on, so a receive that ends RF_OFF is
+        found before its timers run out), within its timers (to `idle_at +
+        t_idle_sleep`) or holding queued frames (`t_idle_sleep` on). At one
+        instant a check runs in the order it was scheduled, like every
+        other event; `recover` is primed first, so it runs before the check
+        at the room's recovery."""
         now, cfg, power = self.sim.now, self.cfg, sfu.power
-        sfu.sleep_check_pending = False
-        awake = power.state in (PowerState.ACTIVE, PowerState.IDLE)
-        due = power.idle_at + cfg.t_idle_sleep_ns
-        if awake and now < due:
-            self._arm_sleep_check(sfu, due,
-                                  ev.seq if power.idle_at < now else None)
-        elif awake and sfu.alive and sfu.queued_bytes > 0:
+        hold = cfg.t_act_idle_ns + cfg.t_idle_sleep_ns
+        if not sfu.alive:
+            at = self.dead[2]
+        elif power.state == PowerState.RF_OFF:
+            at = now + hold
+        elif now < power.idle_at + cfg.t_idle_sleep_ns:
+            at = power.idle_at + cfg.t_idle_sleep_ns
+        elif sfu.queued_bytes > 0:
             # grants and contention skip a sleeping SFU, so its queue would
             # wait until traffic wakes it
-            self._arm_sleep_check(sfu, now + cfg.t_idle_sleep_ns)
-        elif awake and sfu.alive:
+            at = now + cfg.t_idle_sleep_ns
+        else:
             power.settle(now)
             state = select_policy(sfu.iot)
             power.request(state, now)
@@ -820,20 +784,16 @@ class Simulation:
                 self.results.events.append(
                     (now, "light_sleep_report", sfu.name))
                 self._maybe_deep_sleep(now)
-            else:
-                self._arm_in_flight(sfu)
-        else:
-            self._arm_in_flight(sfu)
+                return
+            at = now + hold
+        self.sim.schedule(at, sfu.target, "sleep_check")
 
     def _maybe_deep_sleep(self, now: int) -> None:
-        if self.deep_cmd_issued:
-            return
         # an SFU sleeps from its light-sleep report to its wake, and only
         # then, so its power state is what it has announced to the MFU
         eligible = [sfu for sfu in self.sfus.values()
                     if sfu.alive and not sfu.iot]
         if eligible and all(sfu.asleep for sfu in eligible):
-            self.deep_cmd_issued = True
             self.results.events.append((now, "deep_sleep_command", MFU))
             for sfu in eligible:
                 if sfu.power.state == PowerState.LIGHT_SLEEP:
@@ -879,11 +839,14 @@ class Simulation:
             return
         sfu.power.request(PowerState.IDLE, now)
         sfu.wake_pending = False
-        self.deep_cmd_issued = False
         self.results.events.append((now, "wake_done", sfu.name))
-        self._arm_in_flight(sfu)
         for frame in sfu.sleep_buffer.flush():
             self._optical_downstream(frame)
+        # the buffer held at least the frame that woke the room; the chain
+        # starts again at the timers of the last one it flushed
+        cfg = self.cfg
+        self.sim.schedule(self.inbound[-1][0] + cfg.t_act_idle_ns
+                          + cfg.t_idle_sleep_ns, sfu.target, "sleep_check")
 
     # ------------------------------------------------------------------
     # liveness

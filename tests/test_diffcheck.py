@@ -7,11 +7,13 @@ import importlib.util
 import json
 import random
 import subprocess
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from fttrsim.energy import PowerState
+from fttrsim.engine import Simulator
 from fttrsim.frames import OmciType
 from fttrsim.scenario import ConfigError, parse_scenario
 from fttrsim.simulation import Simulation, run_scenario_config
@@ -133,3 +135,52 @@ def test_no_random_run_has_a_response_from_a_room_dead_at_its_receive():
                 f"from {kill.sfu}, dead at {rx} ns")
     # 154 storm runs, 72 of them with a kill, and 7,035 responses
     assert storms >= 100 and killed >= 40 and responses > 5000
+
+
+def test_every_awake_room_has_one_sleep_check_chain(monkeypatch):
+    # with savings on, a room has one sleep check pending from its prime
+    # until it reports light sleep, and again from its wake: never two, and
+    # at the horizon one (beyond it) unless the room is asleep
+    pending = Counter()
+    schedule, schedule_at = Simulator.schedule, Simulator.schedule_at
+    check = Simulation._sleep_check
+
+    def count(target, kind):
+        if kind == "sleep_check":
+            pending[target] += 1
+            assert pending[target] == 1, f"two checks pending for {target}"
+
+    def spy_schedule(sim, fire_time, target, kind, *args):
+        count(target, kind)
+        return schedule(sim, fire_time, target, kind, *args)
+
+    def spy_schedule_at(sim, fire_time, seq, target, kind, *args):
+        count(target, kind)
+        return schedule_at(sim, fire_time, seq, target, kind, *args)
+
+    def spy_check(sim, sfu, ev):
+        pending[sfu.target] -= 1
+        return check(sim, sfu, ev)
+
+    monkeypatch.setattr(Simulator, "schedule", spy_schedule)
+    monkeypatch.setattr(Simulator, "schedule_at", spy_schedule_at)
+    monkeypatch.setattr(Simulation, "_sleep_check", spy_check)
+    draw = diffcheck().random_scenario
+    rng = random.Random(0)
+    checked = rf_off = 0
+    for i in range(300):
+        pending.clear()
+        try:
+            cfg = parse_scenario(draw(rng))
+            sim = Simulation(cfg)
+            sim.run()
+        except (ConfigError, RuntimeError):  # exit 2 or 3
+            continue
+        for sfu in sim.sfus.values():
+            want = int(cfg.savings_enabled and not sfu.asleep)
+            assert pending[sfu.target] == want, (
+                f"random scenario {i}, {sfu.name}")
+            checked += want
+            rf_off += sfu.power.state == PowerState.RF_OFF
+    # 180 rooms with a check pending at the horizon, 91 of them RF_OFF
+    assert checked > 150 and rf_off > 60

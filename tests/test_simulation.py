@@ -428,14 +428,14 @@ def test_a_dead_room_is_woken_again_when_it_answers_a_poll():
 
 
 @pytest.mark.parametrize("starts_ms,kill,records", [
-    # the frame of 0.5 ms starts a sleep check due at 3.513 ms, when the
-    # room is dead; recovered at 5 ms, it sleeps 3 ms after the frame of
-    # 8 ms reaches it
+    # the room's sleep check, due at 3.513 ms for the frame of 0.5 ms, finds
+    # it dead and moves to its recovery at 5 ms; the frame is still queued
+    # then, so the room sleeps one t_idle_sleep later, and the frame of
+    # 8 ms wakes it too late to be delivered by 20 ms
     ((0.5, 8), {"at_ms": 2, "recover_ms": 5},
-     [("active", 0, 1_513_106), ("idle", 1_513_106, 8_013_106),
-      ("active", 8_013_106, 9_013_106), ("idle", 9_013_106, 11_013_106),
-      ("light_sleep", 11_013_106, 11_018_106),
-      ("deep_sleep", 11_018_106, 20_000_000)]),
+     [("active", 0, 1_513_106), ("idle", 1_513_106, 7_000_000),
+      ("light_sleep", 7_000_000, 7_005_000),
+      ("deep_sleep", 7_005_000, 20_000_000)]),
     # dead from 3 to 4 ms, while the timer of the frame of 2.4 ms runs out:
     # the room still sleeps 2 ms after it went idle
     ((0.5, 2.4), {"at_ms": 3, "recover_ms": 4},
@@ -456,7 +456,55 @@ def test_a_room_dead_while_its_sleep_check_is_due_sleeps_again(starts_ms,
                    "t_idle_sleep_ms": 2}}))
     assert res.ledgers["a"].records == [
         (PowerState(state), start, end) for state, start, end in records]
-    assert res.events[0] == (records[3][2], "light_sleep_report", "a")
+    sleep_at = next(start for state, start, _ in records
+                    if state == "light_sleep")
+    assert res.events[0] == (sleep_at, "light_sleep_report", "a")
+
+
+@pytest.mark.parametrize("iot,tail,events", [
+    (False, [("light_sleep", 10_000_000, 10_005_000),
+             ("deep_sleep", 10_005_000, 60_000_000)],
+     [(10_000_000, "light_sleep_report", "a"),
+      (10_000_000, "deep_sleep_command", MFU)]),
+    (True, [("rf_off", 10_000_000, 60_000_000)], []),
+])
+def test_a_room_that_recovers_with_nothing_queued_sleeps_again(iot, tail,
+                                                               events):
+    # a is killed at 0.5 ms and recovered at 10 ms; no traffic. Its sleep
+    # check, due at 3 ms, moves to the recovery, where a sleeps at once: it
+    # used to stay IDLE to the horizon. b has been asleep since 3 ms, so a
+    # without an IoT device gets a deep-sleep command of its own
+    res = run_scenario_config(parse_scenario({
+        "horizon_ms": 60,
+        "topology": {"sfus": [{"name": "a", "iot_resident": iot}, "b"]},
+        "management": {"kill": {"sfu": "a", "at_ms": 0.5,
+                                "recover_ms": 10}},
+        "energy": {"savings_enabled": True, "t_act_idle_ms": 1,
+                   "t_idle_sleep_ms": 2}}))
+    assert [(state.value, start, end)
+            for state, start, end in res.ledgers["a"].records] == [
+        ("active", 0, 1_000_000), ("idle", 1_000_000, 10_000_000), *tail]
+    assert res.events == [(3_000_000, "light_sleep_report", "b"),
+                          (3_000_000, "deep_sleep_command", MFU), *events]
+
+
+def test_a_woken_room_sleeps_only_after_its_flushed_frames_arrive():
+    # three 4,000-byte frames at 5 ms wake the room from deep sleep at
+    # 9.505 ms; on a 10 Mb/s link each takes about 3.43 ms, so the last
+    # reaches the room at 19.805850 ms. The room used to sleep 1.5 ms
+    # after the first while the others were on the link, and they were
+    # never delivered
+    res = run_scenario_config(parse_scenario({
+        "horizon_ms": 40, "topology": {"sfus": ["a"]},
+        "optical": {"downstream_gbps": 0.01},
+        "flows": [{"name": "f", "dst": "a", "size_bytes": 4000,
+                   "model": "batch", "count": 3, "start_ms": 5}],
+        "energy": {"savings_enabled": True, "t_act_idle_ms": 0.5,
+                   "t_idle_sleep_ms": 1,
+                   "sfu": {"wake_light_ms": 1, "wake_deep_ms": 2,
+                           "t_listen_ms": 3}}}))
+    assert res.flow_stats["f"].delivered == 3
+    assert res.events[-2] == (21_305_850, "light_sleep_report", "a")
 
 
 def iot_sleep_run(flows: list[dict], mode: str = "distributed",
@@ -478,9 +526,9 @@ def iot_sleep_run(flows: list[dict], mode: str = "distributed",
 @pytest.mark.parametrize("flows,kwargs,tail", [
     # Two frames at 5 ms; the second reaches the room at 5.017650 ms, the
     # timers run out at 8.017650 ms, when the frame sent at 8 ms arrives.
-    # The room's check, due at 8.008850 ms for the first frame, runs after
-    # that frame left the MFU, but keeps its place before it: the room
-    # turns its RF off, and the frame takes it back to ACTIVE.
+    # The room's check moved to that instant at 6 ms, before the frame
+    # left the MFU, so it runs first: the room turns its RF off, and the
+    # frame takes it back to ACTIVE.
     ([{"size_bytes": 1000, "count": 2, "start_ms": 5},
       {"size_bytes": 2036, "count": 1, "start_ms": 8}], {},
      [("rf_off", 3_000_000, 5_008_850), ("active", 5_008_850, 6_017_650),

@@ -96,11 +96,14 @@ def _sweep_cases() -> list[dict]:
 
 
 def random_scenario(rng: random.Random) -> dict:
-    """A small scenario: 1-4 rooms, a few flows and bursts, maybe a storm
-    and a kill, short timers and a horizon of 5-40 ms. Times are drawn on
-    coarse grids, so that events of different kinds often fall on the same
-    nanosecond."""
+    """A small scenario: 1-4 rooms, some with a resident IoT device, a few
+    flows and bursts, maybe a storm, a kill and a slow MFU link (10 or
+    100 Mb/s, up to 2.5 ms of propagation), short timers and a horizon of
+    5-40 ms. Times are drawn on coarse grids, so that events of different
+    kinds often fall on the same nanosecond."""
     rooms = [f"r{i}" for i in range(rng.randint(1, 4))]
+    sfus = [{"name": r, "iot_resident": True} if rng.random() < 0.3 else r
+            for r in rooms]
     conflicts = [[a, b] for i, a in enumerate(rooms) for b in rooms[i + 1:]
                  if rng.random() < 0.5]
     horizon_ms = rng.choice((5, 10, 20, 40))
@@ -140,10 +143,16 @@ def random_scenario(rng: random.Random) -> dict:
         management["kill"] = {"sfu": rng.choice(rooms), "at_ms": at}
         if rng.random() < 0.6:
             management["kill"]["recover_ms"] = at + rng.choice((1, 3, 10))
+    optical = {}
+    if rng.random() < 0.3:
+        optical = {"downstream_gbps": rng.choice((0.01, 0.1)),
+                   "prop_delay_ns": rng.choice((0, 50, 100_000, 500_000,
+                                                1_000_000, 2_500_000))}
     return {
         "name": "random", "seed": rng.randrange(1, 1000),
         "horizon_ms": horizon_ms, "mode": rng.choice(MODES),
-        "topology": {"sfus": rooms, "conflicts": conflicts},
+        "topology": {"sfus": sfus, "conflicts": conflicts},
+        "optical": optical,
         "control": {"status_cycle_us": rng.choice((250, 500, 1000)),
                     "control_delay_us": rng.choice((0, 5, 50, 250))},
         "flows": flows, "uplink_bursts": bursts, "management": management,
