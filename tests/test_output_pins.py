@@ -64,13 +64,13 @@ PINS = {
         "14ccd7fb542300c1e8d40f88bdd4e7ae74e23c4d01f2cfe935bc4b898a7cd2dc",
         "4122b453971055f25395ac0f32ca9d81103e7fd9db57d9b295879055ee26c092"),
     ("idle_night", "centralized"): (
-        "4e392b5ec6ea101f0e21c163ba51155ff46af156ff7a9e2ff2dcf8be97a14907",
+        "e65d62eb13ea62042de357aa2557525a33c99d8df6618e484bd7fae13f3fd08f",
         "afe8f3408ee7411b4c7f06512f66ff4e5c6d63ffdb4f09cdd8262eecef454abc"),
     ("idle_night", "distributed"): (
-        "4a110d3989017013fc79a8cc6e4a0342e20df92c5a9629cd01ab88418f4e22e8",
+        "ec4ffb1730583582d979ea4f1fad753ce6b8f121e7173bc0419d28acfbd64932",
         "a705d415ba98a671fbb54cfa1391ccd169be0abacfcde807cf2c11d19ec8a768"),
     ("idle_night", "phy_relay"): (
-        "4d6e11f843ac7f308c1e4b3e7f2374a5cabb406073bf5b15d3b225845396e49e",
+        "6eb295d433187b1ed0ac569ce05e9ce18d8ac33f918e8a965189d279c7603501",
         "28545f526021417db646596bf472fb87e1691869aea735f41c1cc6df9fecc23d"),
     ("ofdma_uplink_burst", "centralized"): (
         "c02f1834691d3c4c10dafce1818d89c6f1903420bc2b374c91ff10c16e37cccc",
@@ -314,12 +314,12 @@ RUNS = {"sleep_deep_wake": SLEEP_RUN, "storm_kill_bursts": STORM_RUN,
 # repr(res.events))
 RUN_PINS = {
     ("sleep_deep_wake", "centralized"): (
-        "279dc9ee05001c085ddf44a564a85dfee3fe5efecff2648774c80698f74fd025",
+        "b7b25fdbfa0d703d53153b40e006090f3db0fee2a237dcefa690aec809f6abb5",
         "27aecd51dd70386d137bfec2c892ec1dd632f87f6158fb4c2ce9fe6674369350",
         "e1486fa41656d4e09fba885285609606874e4cce8d09895c6c0470a3c21ad2a1",
         "09dc764fe476ebd02f919c8e126bb7894d101ba0a43020d59ef5cd1a604b2447"),
     ("sleep_deep_wake", "distributed"): (
-        "5a41d57056273db8f5d0d23cce52c4fa8e5ed5e5edfff37dda1182207c86aaa4",
+        "32a29f3596f670a253f817c2a27fcc09f4462f5b58f44fc8ba2ff278ca18aa16",
         "b167da573fddcff0ad3b23c7c580314be325799ca8cb4ca5ad3165e7d56dc025",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "09dc764fe476ebd02f919c8e126bb7894d101ba0a43020d59ef5cd1a604b2447"),
@@ -334,12 +334,12 @@ RUN_PINS = {
         "1937ddc9fa8ff4d030b36c166e1dbeef4b8207ad74425f54277cfe852103e399",
         "807d1a52a71632bc5e71f35debe371ee29c4206362cc27ee95fb7f6e4c1ba615"),
     ("iot_rf_off_overflow", "centralized"): (
-        "e33868027ab4c2b7a42d13bbdb314a2b8a05600ce5a93d2098c6393b199aa27a",
+        "70119566fb95f0b90900ac988a5af4d946961c84ba948dc91c81ef673a75c20b",
         "d4eae6b6d98aff5f1e3d3053620229f5e6ff1bccbf5fa4500bb9bd415021938f",
         "477baee3dc1b56b0a72ae54057e7e72b3faa76d9524c58ddd8a114940eda43ae",
         "eda1d957f9eea5d3ed3e8854aeb1d6e4340980dc64c0043a806c8bbed54b3127"),
     ("iot_rf_off_overflow", "distributed"): (
-        "d09492ee07edb1a123a53f6778bf617ba202c5f24063bb9fba51c4c474d10706",
+        "6190e0ef08a18b38b0060d7498fb3b23daf0e2b275bfc0a3b5968121e605deb1",
         "4869d77470a26af6aaeee703d57eeced96322dfe7e3993de74e2c4b20beb41ce",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "eda1d957f9eea5d3ed3e8854aeb1d6e4340980dc64c0043a806c8bbed54b3127"),
