@@ -491,9 +491,9 @@ def test_a_room_that_recovers_with_nothing_queued_sleeps_again(iot, tail,
 def test_a_woken_room_sleeps_only_after_its_flushed_frames_arrive():
     # three 4,000-byte frames at 5 ms wake the room from deep sleep at
     # 9.505 ms; on a 10 Mb/s link each takes about 3.43 ms, so the last
-    # reaches the room at 19.805850 ms. The room used to sleep 1.5 ms
-    # after the first while the others were on the link, and they were
-    # never delivered
+    # reaches the room at 19.805850 ms. The room used to report light
+    # sleep at 15.438650 ms, with the last two still on the link, and they
+    # were never delivered
     res = run_scenario_config(parse_scenario({
         "horizon_ms": 40, "topology": {"sfus": ["a"]},
         "optical": {"downstream_gbps": 0.01},
