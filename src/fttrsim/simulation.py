@@ -757,13 +757,12 @@ class Simulation:
         sleep. Each room has one check pending from its prime until it
         reports light sleep, and its wake starts the chain again; the check
         moves itself on while the room is dead (to its recovery, past the
-        horizon if it never recovers), RF_OFF
-        (`t_act_idle + t_idle_sleep` on, so a receive that ends RF_OFF is
-        found before its timers run out), within its timers (to `idle_at +
-        t_idle_sleep`) or holding queued frames (`t_idle_sleep` on). At one
-        instant a check runs in the order it was scheduled, like every
-        other event; `recover` is primed first, so it runs before the check
-        at the room's recovery."""
+        horizon if it never recovers), RF_OFF (`t_act_idle + t_idle_sleep`
+        on, so a receive that ends RF_OFF is found before its timers run
+        out), within its timers (to `idle_at + t_idle_sleep`) or holding
+        queued frames (`t_idle_sleep` on). At one instant a check runs in
+        the order it was scheduled, like every other event; `recover` is
+        primed first, so it runs before the check at the room's recovery."""
         now, cfg, power = self.sim.now, self.cfg, sfu.power
         hold = cfg.t_act_idle_ns + cfg.t_idle_sleep_ns
         if not sfu.alive:
