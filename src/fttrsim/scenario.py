@@ -240,32 +240,32 @@ class FlowSpec:
     priority: int = _key("priority", 4, int, ge=0, le=7)
     size_bytes: int = _key("size_bytes", convert=int, gt=0, le=MAX_FRAME_BYTES)
     model: str = _key("model", "constant_rate", check=_one_of(ARRIVAL_MODELS))
-    rate_mbps: float = _key("rate_mbps", 0.0, ge=0)
-    on_ms: float = _key("on_ms", 0.0, ge=0)
-    off_ms: float = _key("off_ms", 0.0, ge=0)
+    rate_bps: int = _key("rate_mbps", 0.0, _mega, ge=0)
+    on_ns: int = _key("on_ms", 0.0, _ms, ge=0)
+    off_ns: int = _key("off_ms", 0.0, _ms, ge=0)
     count: int = _key("count", 0, int, ge=0)
-    interval_us: float = _key("interval_us", 0.0, ge=0)
-    start_ms: float = _key("start_ms", 0.0, ge=0)
-    stop_ms: float | None = _key("stop_ms", None, ge=0)
+    interval_ns: int = _key("interval_us", 0.0, _us, ge=0)
+    start_ns: int = _key("start_ms", 0.0, _ms, ge=0)
+    stop_ns: int | None = _key("stop_ms", None, _ms, ge=0)
 
 
 @dataclass
 class UplinkBurstSpec:
     sfu: str = _key("sfu", check=_str)
-    period_us: float = _key("period_us", gt=0)
-    air_duration_us: float = _key("air_duration_us", gt=0)
-    # (station, bytes); a station is None until parsed: sta<j>
-    rus: list[tuple[str, int]] = _key("rus", [],
-                                      check=_items(_entry(_RU_TABLE)))
-    start_ms: float = _key("start_ms", 0.0, ge=0)
+    period_ns: int = _key("period_us", convert=_us, gt=0)
+    air_duration_ns: int = _key("air_duration_us", convert=_us, gt=0)
+    # (station or None, bytes); no run reads the station
+    rus: list[tuple[str | None, int]] = _key("rus", [],
+                                             check=_items(_entry(_RU_TABLE)))
+    start_ns: int = _key("start_ms", 0.0, _ms, ge=0)
     coordinated: bool = _key("coordinated", True, check=_bool)
 
 
 @dataclass
 class KillSpec:
     sfu: str = _key("sfu", check=_str)
-    at_ms: float = _key("at_ms", ge=0)
-    recover_ms: float | None = _key("recover_ms", None)
+    at_ns: int = _key("at_ms", convert=_ms, ge=0)
+    recover_ns: int | None = _key("recover_ms", None, _ms)
 
 
 @dataclass
@@ -394,17 +394,18 @@ def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
     for i, f in enumerate(args["flows"]):
         p = f"flows[{i}]"
         sfu(f.dst, f"{p}.dst")
-        # the interarrival time divides by the rate in whole bit/s
-        if f.model != "batch" and int(f.rate_mbps * 1e6) <= 0:
+        # the interarrival time divides by the rate
+        if f.model != "batch" and f.rate_bps <= 0:
             raise ConfigError(f"{p}.rate_mbps",
                               f"{f.model} flow needs at least 1 bit/s")
-        if f.model == "on_off" and f.on_ms <= 0:
-            raise ConfigError(f"{p}.on_ms", "on_off flow needs on_ms > 0")
+        if f.model == "on_off" and f.on_ns <= 0:
+            raise ConfigError(f"{p}.on_ms",
+                              "on_off flow needs on_ms of at least 1 ns")
         if f.model == "batch" and f.count <= 0:
             raise ConfigError(f"{p}.count", "batch flow needs count > 0")
-        if f.stop_ms is not None and f.stop_ms < f.start_ms:
+        if f.stop_ns is not None and f.stop_ns < f.start_ns:
             raise ConfigError(f"{p}.stop_ms",
-                              f"earlier than start_ms {f.start_ms}")
+                              f"earlier than start_ms ({f.start_ns} ns)")
         if f.name is None:
             f.name = f"flow{i}"
         # flows are keyed by name in the run and in flows.csv
@@ -413,8 +414,6 @@ def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
         names.add(f.name)
     for i, b in enumerate(args["uplink_bursts"]):
         sfu(b.sfu, f"uplink_bursts[{i}].sfu")
-        b.rus = [(f"sta{j}" if sta is None else sta, nbytes)
-                 for j, (sta, nbytes) in enumerate(b.rus)]
     if (storm := args["storm"]) is not None:
         if storm.targets is None:
             storm.targets = list(sfus)
@@ -422,8 +421,8 @@ def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
             sfu(t, "management.storm.targets")
     if (kill := args["kill"]) is not None:
         sfu(kill.sfu, "management.kill.sfu")
-        if kill.recover_ms is not None and kill.recover_ms < kill.at_ms:
+        if kill.recover_ns is not None and kill.recover_ns < kill.at_ns:
             raise ConfigError("management.kill.recover_ms",
-                              f"earlier than at_ms {kill.at_ms}")
+                              f"earlier than at_ms ({kill.at_ns} ns)")
     return ScenarioConfig(**args, sfus=sfus, wifi_overhead=overhead,
                           iot_sfus={name for name, iot in entries if iot})

@@ -274,13 +274,11 @@ class FlowRun:
                                            cfg.downstream_bps)
         self.interarrival_ns = (
             None if spec.model == "batch" else
-            transmit_time_ns(spec.size_bytes, int(spec.rate_mbps * 1_000_000)))
-        horizon_ns = cfg.horizon_ns
-        stop = (int(spec.stop_ms * 1_000_000) if spec.stop_ms is not None
-                else horizon_ns)
-        self.stop_ns = min(stop, horizon_ns)
-        self.on_ns = int(spec.on_ms * 1_000_000)
-        self.off_ns = int(spec.off_ms * 1_000_000)
+            transmit_time_ns(spec.size_bytes, spec.rate_bps))
+        self.stop_ns = (cfg.horizon_ns if spec.stop_ns is None
+                        else min(spec.stop_ns, cfg.horizon_ns))
+        self.on_ns = spec.on_ns
+        self.off_ns = spec.off_ns
         self.next_end = 0
         # `late`: frames whose air time ends after the horizon
         self.offered = self.delivered = self.dropped = self.late = 0
@@ -327,10 +325,7 @@ class Simulation:
             self.results.mibs[s] = MibStore(s)
         self.results.cell_stats = self.sfus
         self.mfu = PowerMachine(MFU, PowerState.ACTIVE, cfg.t_act_idle_ns)
-        # (start, period) of each burst spec, and (bytes, slot) of its bursts
-        self.burst_chains = [(int(spec.start_ms * 1_000_000),
-                              int(spec.period_us * 1000))
-                             for spec in cfg.uplink_bursts]
+        # (bytes, slot) of the bursts of each burst spec
         self.burst_slots = [self._burst_slot(spec)
                             for spec in cfg.uplink_bursts]
         # the ends of the burst slots that end by the horizon, in time order
@@ -357,9 +352,8 @@ class Simulation:
         # end of the run if it never recovers
         kill = cfg.kill
         self.dead = (None, 0, 0) if kill is None else (
-            kill.sfu, int(kill.at_ms * 1_000_000),
-            cfg.horizon_ns + 1 if kill.recover_ms is None
-            else int(kill.recover_ms * 1_000_000))
+            kill.sfu, kill.at_ns,
+            cfg.horizon_ns + 1 if kill.recover_ns is None else kill.recover_ns)
         if cfg.mode == SchedulerMode.DISTRIBUTED_BASELINE:
             for i, comp in enumerate(self.graph.components()):
                 dom = ContentionDomain(i, comp, self)
@@ -390,11 +384,10 @@ class Simulation:
         cfg = self.cfg
         for run in self.flows:
             flow = run.spec
-            start = int(flow.start_ms * 1_000_000)
+            start = flow.start_ns
             if flow.model == "batch":
-                interval = int(flow.interval_us * 1000)
                 for k in range(flow.count):
-                    t = start + k * interval
+                    t = start + k * flow.interval_ns
                     if t <= run.stop_ns:
                         self.sim.schedule(t, MFU, "flow_arrival", run)
             else:
@@ -411,8 +404,8 @@ class Simulation:
                     f"{cfg.alloc_cycle_ns} ns alloc cycle")
         # every burst by the horizon must fit between two OMCI windows,
         # whether or not its room is alive to send it
-        for start, i in sorted((start, i) for i, (start, _)
-                               in enumerate(self.burst_chains)):
+        for start, i in sorted((spec.start_ns, i) for i, spec
+                               in enumerate(cfg.uplink_bursts)):
             duration = self.burst_slots[i][1]
             if start <= cfg.horizon_ns and duration > self.data_room_ns:
                 raise SimError(
@@ -425,7 +418,7 @@ class Simulation:
         if room is not None:
             target = self.sfus[room].target
             self.sim.schedule(dead_from, target, "kill")
-            if cfg.kill.recover_ms is not None:
+            if cfg.kill.recover_ns is not None:
                 self.sim.schedule(dead_to, target, "recover")
         if cfg.savings_enabled:
             for sfu in self.sfus.values():
@@ -697,7 +690,7 @@ class Simulation:
         cfg = self.cfg
         relay = cfg.mode == SchedulerMode.PHY_RELAY
         specs = cfg.uplink_bursts
-        heap = [(start, i, i) for i, (start, _) in enumerate(self.burst_chains)]
+        heap = [(spec.start_ns, i, i) for i, spec in enumerate(specs)]
         heapify(heap)
         order = len(heap)
         # (end, order, bytes) of the relayed slots not yet drained
@@ -706,7 +699,7 @@ class Simulation:
         while heap and heap[0][0] <= cfg.horizon_ns:
             now, key, i = heappop(heap)
             spec = specs[i]
-            ready = now + int(spec.air_duration_us * 1000)
+            ready = now + spec.air_duration_ns
             nbytes, duration = self.burst_slots[i]
             if nbytes > 0 and not self._dead_at(spec.sfu, now):
                 if relay:
@@ -733,7 +726,7 @@ class Simulation:
                 order += 1
                 if end <= cfg.horizon_ns:
                     self.burst_ends.append(end)
-            heappush(heap, (now + self.burst_chains[i][1], order, i))
+            heappush(heap, (now + spec.period_ns, order, i))
             order += 1
 
     def _burst_slot(self, spec: UplinkBurstSpec) -> tuple[int, int]:
@@ -741,7 +734,7 @@ class Simulation:
         phy_relay mode and else its OFDMA request, and their upstream slot."""
         cfg = self.cfg
         if cfg.mode == SchedulerMode.PHY_RELAY:
-            nbytes = phy_relay_buffer_bytes(int(spec.air_duration_us * 1000),
+            nbytes = phy_relay_buffer_bytes(spec.air_duration_ns,
                                             cfg.sample_rate_sps, cfg.bit_width)
         else:
             req = ofdma_uplink_request(spec.sfu, spec.rus, cfg.per_sta_overhead)

@@ -121,9 +121,9 @@ def test_no_random_run_has_a_response_from_a_room_dead_at_its_receive():
         kill = cfg.kill
         if kill is not None:
             killed += 1
-            dead_from = int(kill.at_ms * 1_000_000)
-            dead_to = (cfg.horizon_ns + 1 if kill.recover_ms is None
-                       else int(kill.recover_ms * 1_000_000))
+            dead_from = kill.at_ns
+            dead_to = (cfg.horizon_ns + 1 if kill.recover_ns is None
+                       else kill.recover_ns)
         for msg in res.olt_received:
             if msg.msg_type == OmciType.ERROR_RESPONSE:
                 continue

@@ -36,10 +36,21 @@ def test_defaults_fill_in():
 
 
 def test_times_round_to_whole_ns_and_rates_truncate_to_whole_bits():
-    cfg = parse_scenario(minimal(horizon_ms=2.0000006,
-                                 wifi={"air_rate_mbps": 1.0000009}))
+    # flow, burst and kill times as well: 1.001 ms is 1,000,999.99... ns
+    # as a float
+    cfg = parse_scenario(minimal(
+        horizon_ms=2.0000006, wifi={"air_rate_mbps": 1.0000009},
+        flows=[{**FLOW, "rate_mbps": 1.0000009, "start_ms": 1.001,
+                "interval_us": 1.001}],
+        uplink_bursts=[{**BURST, "period_us": 1.001, "start_ms": 1.001}],
+        management={"kill": {"sfu": "a", "at_ms": 1.001}}))
     assert cfg.horizon_ns == 2_000_001
     assert cfg.air_rate_bps == 1_000_000
+    flow, burst = cfg.flows[0], cfg.uplink_bursts[0]
+    assert flow.rate_bps == 1_000_000
+    assert flow.start_ns == 1_001_000 and flow.interval_ns == 1_001
+    assert burst.start_ns == 1_001_000 and burst.period_ns == 1_001
+    assert cfg.kill.at_ns == 1_001_000
 
 
 def test_processing_defaults_follow_mode():
@@ -242,10 +253,14 @@ BURST = {"sfu": "a", "period_us": 1000, "air_duration_us": 10,
     # names that are not strings
     ({"topology": {"sfus": [{"name": ["x"]}]}}, "topology.sfus[0].name"),
     ({"flows": [{**FLOW, "name": ["x"]}]}, "flows[0].name"),
-    # within bounds only before truncation to whole units
+    # within bounds only before conversion to whole units; the last two
+    # used to run forever on a 0 ns burst period or on_off on period
     ({"management": {"k_miss": 0.5}}, "management.k_miss"),
     ({"flows": [{**FLOW, "size_bytes": 0.5}]}, "flows[0].size_bytes"),
     ({"horizon_ms": 1e-7}, "horizon_ms"),
+    ({"uplink_bursts": [{**BURST, "period_us": 0.0001}]},
+     "uplink_bursts[0].period_us"),
+    ({"flows": [{**FLOW, "model": "on_off", "on_ms": 1e-7}]}, "flows[0].on_ms"),
     # keys the schema does not know
     ({"energy": {"savings_enabeld": False}}, "energy.savings_enabeld"),
     ({"horizon": 5}, "horizon"),
@@ -280,21 +295,41 @@ def test_largest_frame_and_equal_kill_times_accepted():
                     "storm": {"count": 1, "entity_class": 65535,
                               "content_bytes": 0}}))
     assert cfg.flows[0].size_bytes == 65520
-    assert cfg.kill.recover_ms == cfg.kill.at_ms == 3
+    assert cfg.kill.recover_ns == cfg.kill.at_ns == 3_000_000
     assert cfg.storm.entity_class == 65535
 
 
-def test_every_scenario_key_is_documented():
+def key_rows() -> list[tuple]:
+    """A row per scenario key: (field, key, prefix, leaf, default, check,
+    convert, bounds)."""
     from fttrsim import scenario as sc
-    doc = (SCENARIO_DIR.parent / "docs" / "FORMATS.md").read_text()
-    doc = doc[doc.index("## Scenario file"):doc.index("## summary.json")]
     tables = [sc._SCENARIO_TABLE, sc._SFU_TABLE, sc._RU_TABLE,
               sc._PROFILE_TABLE] + [
         sc._table(sc._keyed(cls)) for cls in (sc.FlowSpec, sc.UplinkBurstSpec,
                                               sc.StormSpec, sc.KillSpec)]
-    for rows, _ in tables:
-        for row in rows:
-            assert f"| `{row[1]}` |" in doc, row[1]
+    return [row for rows, _ in tables for row in rows]
+
+
+def test_every_scenario_key_is_documented():
+    doc = (SCENARIO_DIR.parent / "docs" / "FORMATS.md").read_text()
+    doc = doc[doc.index("## Scenario file"):doc.index("## summary.json")]
+    for row in key_rows():
+        assert f"| `{row[1]}` |" in doc, row[1]
+
+
+def test_every_time_and_rate_key_converts_as_it_is_read():
+    # a run gets whole ns and bit/s from the parser, so it converts no unit
+    # itself
+    from fttrsim import scenario as sc
+    by_unit = {"_ms": sc._ms, "_us": sc._us, "_mbps": sc._mega,
+               "_msps": sc._mega, "_gbps": sc._giga}
+    for row in key_rows():
+        key, convert = row[1], row[6]
+        units = [u for u in by_unit if key.endswith(u)]
+        if units:
+            assert convert is by_unit[units[0]], key
+        else:
+            assert convert not in by_unit.values(), key
 
 
 def test_run_path_imports_no_yaml():
