@@ -45,13 +45,13 @@ def config_hash(cfg) -> str:
 # (scenario, mode) -> sha256 of the canonical ScenarioConfig dump
 CONFIG_PINS = {
     ("conflict_pair", "centralized"):
-        "fc56911454ea101234a1132e9d6b23d052c35b3ad18281af4135b32a39f9fbc7",
+        "b6876fff9013a98c3f4d33e92bc120af04ae0573cee7443db85d8388e517f3ed",
     ("conflict_pair", "distributed"):
-        "80ebbd395b17dad746551312a9f554750d6353223ea2d0be62b0886b644deef7",
+        "57401561d8e66469c7e484d960ef1f1863c131b5fe01535e67a64f0e815fc724",
     ("conflict_pair", "mac_integrated"):
-        "d9fa85b381fdb8a59c7b57a94bc86168bf3efe3f3bc2c8f855a4d93d177f878e",
+        "4df33ae17db13d95478aa323a320176908e9ce678b0ae61025249c7162989275",
     ("conflict_pair", "phy_relay"):
-        "fb94ffe0f2c1b0065b460c9275487c60c698287b8195369f5648dab9470fa529",
+        "711490c126859667566634ab35bd3f4d8f74863cec60e6900da44b00bc728be8",
     ("four_room_household", "centralized"):
         "ae8584629ece0d5148ebdf39fcc1b3845befe28592ca7490cc43ab6d17ba4e13",
     ("four_room_household", "distributed"):
@@ -61,53 +61,53 @@ CONFIG_PINS = {
     ("four_room_household", "phy_relay"):
         "96ce5e1948a8d421b3277bebef793973f92cd6a684bda53b2dca5f30af355bbe",
     ("golden", "centralized"):
-        "c8a594a926bef6b727e9f431850f2b0e43bde25d29df7adcd5f38aa7c054655b",
+        "21cf0e0c51288b92a24c24640142da0f979cd9cb9bd2c354b843614245288fd6",
     ("golden", "distributed"):
-        "6e5dd8d4a8c5a1c770d5aeef0c56e44ba1b1070a09107d6d999c3a1ec96417fd",
+        "3d3684b30d8e78b8309bf817994099a717eb64ae3056e5ff58d72ad4fac1ef9d",
     ("golden", "mac_integrated"):
-        "47a9669458c1932fe5ae9b05450d1723ba20017cc042e36bf42e17c6e5025ee8",
+        "d8c976fcb4e73fd6d15bc6dbb8f9da8d3f383ee91de1aaf64c556bac41d7790a",
     ("golden", "phy_relay"):
-        "6a96c306f562d275c0cc2440388a405c213b05eded9628392921db59494273e8",
+        "66736459bb33c1f2034caca547f6ef1d0fe94969ca11e894c26f1d7d3acf613e",
     ("idle_night", "centralized"):
-        "b2f51751fd1d791780ceb8d87f406f8769783fd14c464951162b2b102faa427f",
+        "a9b350cbc1dc1760cd6e5894b045e2119238c949f0aaeba3c7fd8909000322b3",
     ("idle_night", "distributed"):
-        "ba6c873f4763b4edf3ddddfc1480d2c99e0166b1b727dd9f08e4e2d9ae088ab5",
+        "e6fc888cd4960f83f9a474101bf4e1a3855019e2cdff52fa9f09cb4060bd2641",
     ("idle_night", "mac_integrated"):
-        "5587ff1f2b7f38157f8812884878a8889eb92e01417f86cc35fcc716d71e843b",
+        "2d81e25374c2229b6fbad52277120e38dfbe79f03d9cbadcaa13616fbcd474b5",
     ("idle_night", "phy_relay"):
-        "da10874bcf57c398713900c22190fa3a24304781e88c34073f48b8ea04a727ca",
+        "1060f5c268cf3a938d717009e51b5214f33d646cbb17229870c72d1de18edbea",
     ("ofdma_uplink_burst", "centralized"):
-        "25692c9f6133917c8070800a7c023c23965a373f9280078fa140d2323ba28a17",
+        "bd5cdc15b5366cad84f803633165955cd492b9f81832212cb73fc943e89bbb9d",
     ("ofdma_uplink_burst", "distributed"):
-        "fa2cdefcc371c267e91fb26b8df3da6d9f87db25c22fc73b2e5826135772c866",
+        "2e5181be4b6245349dee40a9194b5e12d446a021a9f774c90909fa2ad92841f2",
     ("ofdma_uplink_burst", "mac_integrated"):
-        "f55e63216c0b7caf4a9e86792ec4b499a5b320bd967655ee4d795dd33704eaa5",
+        "cfd866bfcb78e5bf575c5fedbf86eb93589efe29765ee93578c09313c7c4317d",
     ("ofdma_uplink_burst", "phy_relay"):
-        "54e717e9afc14b0861c2309f38d365fea3ebfde6747595a3d2c27c7392fb4ba1",
+        "d14e92df67a7a38a3eef348607c39dd571589798e3a8101cdcb40ffc913f7abd",
     ("phy_relay_burst", "centralized"):
-        "cebc9cafbbe9335cccb86b6ea3c62eac61370e95daf55c803c3041335d171779",
+        "7e7b072a6153ba21dca38e5d5dc25886dc9b934f6826eaf3c56a0c7c0cf0311b",
     ("phy_relay_burst", "distributed"):
-        "7cf9083459e0e52cd5acca63256d36c1660ad1af7d5d32fedc9714f610278407",
+        "d223a5c3c2bd85cc96260f74daae56aae18cbe0e8cbe46090d8806a68331c16e",
     ("phy_relay_burst", "mac_integrated"):
-        "465b41fe041a4970774df3cba4fa100ffdbe96c49f2ccadf862d52aea26c0b71",
+        "57aa8c5fa13f50f131964a011480bc6fff462842cd0a41dfc0405789457c2044",
     ("phy_relay_burst", "phy_relay"):
-        "914a648d2f3dbb086935731ed0d191509981431bef8eb099b91d34eb036714c9",
+        "d4b6c91d51d918d5db2364352120be4b1b924c777fdb2bc9bad1e6242f117ad7",
     ("provisioning_storm", "centralized"):
-        "6a9a93ad86126967be20afb47bee868098560a7c19b2ee7feb006cc7c04b537d",
+        "bfe37b39cb0942240b45cafa4c329f58a5f6643d2f8184b7b189af40535a94e9",
     ("provisioning_storm", "distributed"):
-        "2a9de608ad56ca2ee8aa9b0ebcbf4b329ca0a11564cda14f3b2745b61c603e3a",
+        "4f5788538088845b74ea80e415f066cc8b3708d9f0e2a992253eef2c0feae943",
     ("provisioning_storm", "mac_integrated"):
-        "673a04cd234da733d8af294ffc2afdc45b76180a70fc61a5832a2b17242d88e2",
+        "629fa7a252114f6c78a1d491e2fd963de55d1b58c396a75a9b0c1aad7d8ba26e",
     ("provisioning_storm", "phy_relay"):
-        "2ca1a7422f47d771a81786e4084c7472a3daa8fb89449a417c2b2c0ccf51afc2",
+        "a5d60fb04b0c7c1500db4aad25f008c14fd5b001fcab26431481f5745a7670d0",
     ("staged_kill", "centralized"):
-        "fbb8fb96cf477668295f7f203ed7856bece9d1d8574fc7dce88a763ac4df3636",
+        "0d9702b7acc38cd5c71963d55116d7581c8830f50c3af1eba8f8f8d4d7e7d335",
     ("staged_kill", "distributed"):
-        "1f1c501a4ea014f69ad5c34233ac714fe0f99a315668f5c8389b5404381070ad",
+        "61e5a4ab6ac2d4f7add29706e0d6b957864b757fd47830876f964343445c1e8c",
     ("staged_kill", "mac_integrated"):
-        "8272aab6e039a7c013486e666fd2333a1f3682260603e6b5c71f5a9866268be0",
+        "2686f6f44e6d7eb5993fd24ca71e1544435099cc46fba58f29ed59a9774d3ac3",
     ("staged_kill", "phy_relay"):
-        "32aad88a0c6e6eaae8307aa9f754ec24e9925d0a555e4cb3059e864524e8f79c",
+        "a2c3885d77c2c8104eb2121707fd2f57547b4cb853a1b4d8449f6ac1ae915864",
 }
 
 
