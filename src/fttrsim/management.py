@@ -143,27 +143,21 @@ class LivenessMonitor:
         self.k_miss = k_miss
         self.misses: dict[str, int] = {}
         self.alarms: list[Alarm] = []
-        self._active: dict[tuple[str, AlarmKind], Alarm] = {}
+        # the open alarm of each room
+        self._open: dict[str, Alarm] = {}
 
     def record_poll(self, sfu: str, responded: bool, announced_sleep: bool,
                     now: int) -> Alarm | None:
+        """The alarm this poll raises or clears, if any."""
         if responded or announced_sleep:
             self.misses[sfu] = 0
-            return self._clear(sfu, AlarmKind.UNRESPONSIVE, now)
+            alarm = self._open.pop(sfu, None)
+            if alarm is not None:
+                alarm.cleared_at = now
+            return alarm
         self.misses[sfu] = self.misses.get(sfu, 0) + 1
-        if (self.misses[sfu] >= self.k_miss
-                and (sfu, AlarmKind.UNRESPONSIVE) not in self._active):
-            return self._raise(sfu, AlarmKind.UNRESPONSIVE, now)
-        return None
-
-    def _raise(self, sfu: str, kind: AlarmKind, now: int) -> Alarm:
-        alarm = Alarm(sfu, kind, now)
+        if self.misses[sfu] < self.k_miss or sfu in self._open:
+            return None
+        self._open[sfu] = alarm = Alarm(sfu, AlarmKind.UNRESPONSIVE, now)
         self.alarms.append(alarm)
-        self._active[(sfu, kind)] = alarm
-        return alarm
-
-    def _clear(self, sfu: str, kind: AlarmKind, now: int) -> Alarm | None:
-        alarm = self._active.pop((sfu, kind), None)
-        if alarm is not None:
-            alarm.cleared_at = now
         return alarm
