@@ -158,8 +158,9 @@ class ContentionDomain:
     """One CSMA/CA arbitration domain per conflict-graph component.
 
     Contenders draw a backoff slot count from their own RNG substream each
-    round; the minimum wins, ties among conflicting cells collide (all tied
-    transmissions overlap and fail, CW doubles up to cw_max).
+    round; the minimum wins. On a tie every tied contender of the domain
+    collides, whether or not its cell conflicts with the others: all tied
+    transmissions overlap and fail, and their CW doubles up to cw_max.
     """
 
     def __init__(self, idx: int, members: list[str], sim: "Simulation"):
