@@ -99,8 +99,10 @@ def random_scenario(rng: random.Random) -> dict:
     """A small scenario: 1-4 rooms, some with a resident IoT device, a few
     flows and bursts, maybe a storm, a kill and a slow MFU link (10 or
     100 Mb/s, up to 2.5 ms of propagation), short timers and a horizon of
-    5-40 ms. Times are drawn on coarse grids, so that events of different
-    kinds often fall on the same nanosecond."""
+    5-40 ms. Times are mostly drawn on coarse grids, so that events of
+    different kinds often fall on the same nanosecond; 0.3 of flow and burst
+    starts are drawn to the µs instead, so that some, such as 1.019 ms
+    (1,018,999.99... ns as a float), round and truncate to different ns."""
     rooms = [f"r{i}" for i in range(rng.randint(1, 4))]
     sfus = [{"name": r, "iot_resident": True} if rng.random() < 0.3 else r
             for r in rooms]
@@ -114,7 +116,9 @@ def random_scenario(rng: random.Random) -> dict:
                 "priority": rng.randint(0, 7),
                 "size_bytes": rng.choice((200, 1000, 1500, 4000)),
                 "model": model,
-                "start_ms": rng.choice((0, 0.5, 1, 2, 3))}
+                "start_ms": (round(rng.uniform(0, 3), 3)
+                             if rng.random() < 0.3
+                             else rng.choice((0, 0.5, 1, 2, 3)))}
         if model == "batch":
             flow.update(count=rng.randint(1, 8),
                         interval_us=rng.choice((0, 100, 250, 1000)))
@@ -129,7 +133,9 @@ def random_scenario(rng: random.Random) -> dict:
     bursts = [{"sfu": rng.choice(rooms),
                "period_us": rng.choice((242, 250, 500, 1000, 2000)),
                "air_duration_us": rng.choice((20, 50, 100)),
-               "start_ms": rng.choice((0, 0.25, 1)),
+               "start_ms": (round(rng.uniform(0, 1), 3)
+                            if rng.random() < 0.3
+                            else rng.choice((0, 0.25, 1))),
                "coordinated": rng.random() < 0.5,
                "rus": [{"bytes": rng.choice((0, 500, 2000, 4000))}
                        for _ in range(rng.randint(1, 3))]}
