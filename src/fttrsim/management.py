@@ -143,7 +143,6 @@ class LivenessMonitor:
         self.k_miss = k_miss
         self.misses: dict[str, int] = {}
         self.alarms: list[Alarm] = []
-        # the open alarm of each room
         self._open: dict[str, Alarm] = {}
 
     def record_poll(self, sfu: str, responded: bool, announced_sleep: bool,
