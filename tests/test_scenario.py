@@ -253,14 +253,10 @@ BURST = {"sfu": "a", "period_us": 1000, "air_duration_us": 10,
     # names that are not strings
     ({"topology": {"sfus": [{"name": ["x"]}]}}, "topology.sfus[0].name"),
     ({"flows": [{**FLOW, "name": ["x"]}]}, "flows[0].name"),
-    # within bounds only before conversion to whole units; the last two
-    # used to run forever on a 0 ns burst period or on_off on period
+    # within bounds only before truncation to whole units
     ({"management": {"k_miss": 0.5}}, "management.k_miss"),
     ({"flows": [{**FLOW, "size_bytes": 0.5}]}, "flows[0].size_bytes"),
     ({"horizon_ms": 1e-7}, "horizon_ms"),
-    ({"uplink_bursts": [{**BURST, "period_us": 0.0001}]},
-     "uplink_bursts[0].period_us"),
-    ({"flows": [{**FLOW, "model": "on_off", "on_ms": 1e-7}]}, "flows[0].on_ms"),
     # keys the schema does not know
     ({"energy": {"savings_enabeld": False}}, "energy.savings_enabeld"),
     ({"horizon": 5}, "horizon"),
@@ -279,6 +275,11 @@ BURST = {"sfu": "a", "period_us": 1000, "air_duration_us": 10,
     # targets a room would share
     ({"topology": {"sfus": ["a", "olt"]}}, "topology.sfus[1]"),
     ({"topology": {"sfus": [{"name": "mfu"}, "a"]}}, "topology.sfus[0]"),
+    # within bounds only before rounding to whole ns: each used to run
+    # forever on a 0 ns burst period or on_off on period
+    ({"uplink_bursts": [{**BURST, "period_us": 0.0001}]},
+     "uplink_bursts[0].period_us"),
+    ({"flows": [{**FLOW, "model": "on_off", "on_ms": 1e-7}]}, "flows[0].on_ms"),
 ])
 def test_malformed_fields_rejected_with_path(extra, path):
     # each used to raise a raw exception while parsing or running, or was
