@@ -133,7 +133,7 @@ def test_no_random_run_has_a_response_from_a_room_dead_at_its_receive():
                         and dead_from <= rx < dead_to), (
                 f"random scenario {i}: response {msg.transaction_id} "
                 f"from {kill.sfu}, dead at {rx} ns")
-    # 154 storm runs, 72 of them with a kill, and 7,035 responses
+    # 161 storm runs, 87 of them with a kill, and 7,807 responses
     assert storms >= 100 and killed >= 40 and responses > 5000
 
 
@@ -182,5 +182,5 @@ def test_every_awake_room_has_one_sleep_check_chain(monkeypatch):
                 f"random scenario {i}, {sfu.name}")
             checked += want
             rf_off += sfu.power.state == PowerState.RF_OFF
-    # 180 rooms with a check pending at the horizon, 91 of them RF_OFF
+    # 193 rooms with a check pending at the horizon, 83 of them RF_OFF
     assert checked > 150 and rf_off > 60
