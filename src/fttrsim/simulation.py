@@ -3,11 +3,15 @@ config, drives traffic, contention or grants on the air interface, the
 upstream allocation calendar, the OMCI management plane and the power state
 machines, and collects metrics.
 
-Traffic, air access and the rooms' sleep checks run on one event loop.
-Uplink bursts are played in one pass before it and the OMCI plane in one
-pass over the allocation cycles after it, since no event reads what they
-move. No unit's step from ACTIVE to IDLE is an event: the MFU's and every
-room's idle timer are folded from their activity times (`PowerMachine`).
+Traffic, contention and the rooms' sleep checks run on one event loop.
+A frame's receive at its room and a centralized air grant are no events:
+each keeps a place in the loop's (time, seq) order, reserved when the frame
+is sent or the grant issued, and is applied there by the next event that
+reads what it moves (`Simulation._apply_before`). Uplink bursts are played
+in one pass before the loop and the OMCI plane in one pass over the
+allocation cycles after it, since no event reads what they move. No unit's
+step from ACTIVE to IDLE is an event: the MFU's and every room's idle
+timer are folded from their activity times (`PowerMachine`).
 All randomness comes from per-node substreams of the scenario seed, so a
 (scenario, seed) pair fully determines the trace digest and every metric.
 """
@@ -206,8 +210,9 @@ class ContentionDomain:
     def on_round(self, ev: Event) -> None:
         sim = self.sim
         inbound = sim.inbound
+        # a distributed run issues no grant: only frames are due
         if inbound and inbound[0][0] <= ev.fire_time:
-            sim._apply_inbound(ev.fire_time, ev.seq)
+            sim._apply_before(ev.fire_time, ev.seq)
         self.round_pending = False
         # contender test, backoff draw and minimum in one pass over members;
         # the list of tied stations is made only when a tie occurs
@@ -288,10 +293,10 @@ class FlowRun:
 
 def _dispatcher(node: str, table: dict[str, Callable[[Event], None]],
                 sim: Simulation) -> Callable[[Event], None]:
-    """Event handler of one target: receives the inbound frames ordered
-    before the event, then calls the handler `table` holds for the event's
-    kind."""
-    inbound, apply = sim.inbound, sim._apply_inbound
+    """Event handler of one target: applies the frame receives and air
+    grants ordered before the event (`Simulation._apply_before`), then
+    calls the handler `table` holds for the event's kind."""
+    inbound, grants, apply = sim.inbound, sim.grants, sim._apply_before
 
     def dispatch(ev: Event) -> None:
         kind = ev.kind
@@ -300,11 +305,12 @@ def _dispatcher(node: str, table: dict[str, Callable[[Event], None]],
         except KeyError:
             raise RuntimeError(f"unknown {node} event {kind}") from None
         # a frame's arrival at the MFU, the most frequent event, reads no
-        # room state that a receive moves, so it leaves the inbound frames
-        # to the next event
-        if (inbound and kind != "flow_arrival"
-                and inbound[0][0] <= ev.fire_time):
-            apply(ev.fire_time, ev.seq)
+        # room state that a receive or a grant moves, so it leaves them to
+        # the next event
+        t = ev.fire_time
+        if kind != "flow_arrival" and ((inbound and inbound[0][0] <= t)
+                                       or (grants and grants[0][0] <= t)):
+            apply(t, ev.seq)
         handler(ev)
     return dispatch
 
@@ -335,6 +341,9 @@ class Simulation:
         # (rx time, reserved seq, frame) of the frames on the MFU link, in
         # the order they reach their rooms
         self.inbound: deque[tuple[int, int, Frame]] = deque()
+        # (start, reserved seq, room, end) of the air grants not yet
+        # applied, in (start, seq) order
+        self.grants: deque[tuple[int, int, SfuSim, int]] = deque()
         self.flows = [FlowRun(f, self.sfus[f.dst], cfg) for f in cfg.flows]
         self.results.flow_stats = {run.spec.name: run for run in self.flows}
         self._proc_ns = cfg.proc_mfu_ns + cfg.proc_sfu_ns
@@ -366,7 +375,6 @@ class Simulation:
         }, self))
         per_sfu = {
             "optical_rx": self._optical_rx,
-            "grant_start": self._grant_start,
             "deep_cmd": self._deep_cmd,
             "wake_done": self._wake_done,
             "kill": self._kill,
@@ -481,26 +489,36 @@ class Simulation:
                 and not domain.wake_pending):
             domain.wake(rx, seq, sfu)
 
-    def _apply_inbound(self, t: int, seq: int) -> None:
-        """Receive every inbound frame ordered before the event at (t, seq),
-        each at its own receive time. Every dispatcher (for every kind but
-        `flow_arrival`) and the contention round call this before they
-        handle an event, so each handler sees the rooms as an event per
-        frame would have left them. A living room's receive is an activity
-        that restarts its idle timer. A dead room's queue still takes the
-        frame, but its power state and idle timer do not move."""
-        inbound = self.inbound
+    def _apply_before(self, t: int, seq: int) -> None:
+        """Apply every frame receive and air grant ordered before (t, seq),
+        merging the two FIFOs in (time, seq) order. Every dispatcher (for
+        every kind but `flow_arrival`), the contention round, a domain's
+        wake and the end of the run call this before anything reads a
+        room's queue or state, so each handler sees the rooms as an event
+        per receive and per grant would have left them.
+
+        A living room's receive is an activity that restarts its idle
+        timer. A dead room's queue still takes the frame, but its power
+        state and idle timer do not move."""
+        inbound, grants = self.inbound, self.grants
         key = (t, seq)
-        while inbound and inbound[0] < key:
-            rx, _, frame = inbound.popleft()
-            sfu = frame.flow.sfu
-            if sfu.alive:
-                sfu.power.active(rx)
-            sfu.enqueue(frame)
+        while True:
+            head = grants[0] if grants and grants[0] < key else key
+            while inbound and inbound[0] < head:
+                rx, _, frame = inbound.popleft()
+                sfu = frame.flow.sfu
+                if sfu.alive:
+                    sfu.power.active(rx)
+                sfu.enqueue(frame)
+            if head is key:
+                return
+            grants.popleft()
+            start, _, sfu, end = head
+            self._grant_start(sfu, start, end)
 
     def _optical_rx(self, sfu: SfuSim, ev: Event) -> None:
         # wake of an idle domain: receive through this frame, then contend
-        self._apply_inbound(ev.fire_time, ev.seq + 1)
+        self._apply_before(ev.fire_time, ev.seq + 1)
         domain = sfu.domain
         domain.wake_pending = False
         domain.notify()
@@ -508,10 +526,10 @@ class Simulation:
     def _deliver(self, frame: Frame, t: int) -> None:
         """Hand `frame`, already taken from its room's queue, to its STA
         over the air at `t`, and record its end-to-end latency. Called
-        when the frame's air time is scheduled, by a grant or by the
-        CSMA/CA round it wins, not by a later event. A frame whose air time
-        ends after the horizon is not delivered in this run: it counts in
-        its flow's `late`, and in `lost`."""
+        when the frame's air time is scheduled, by a grant as it is
+        applied or by the CSMA/CA round it wins; no event marks its end. A
+        frame whose air time ends after the horizon is not delivered in
+        this run: it counts in its flow's `late`, and in `lost`."""
         if t > self.cfg.horizon_ns:
             frame.flow.late += 1
             return
@@ -547,8 +565,9 @@ class Simulation:
                                         t0, airtime_for,
                                         window_end=t0 + cfg.status_cycle_ns)
         self.results.grants.extend(grants)
-        schedule = self.sim.schedule
+        reserve = self.sim.reserve
         neighbors = self.graph.neighbors
+        due = []
         for g in grants:
             # no grant may start before a conflicting room's latest grant,
             # of this cycle or an earlier one, ends
@@ -561,17 +580,30 @@ class Simulation:
             end = g.start + g.max_duration
             if end > sfu.grant_end:
                 sfu.grant_end = end
-            schedule(g.start, sfu.target, "grant_start", g)
+            due.append((g.start, reserve(), sfu, end))
+        if due:
+            # each grant starts in this cycle's window, which begins where
+            # the last one ended, so the grants of the run form one FIFO
+            due.sort()
+            queued = self.grants
+            last = queued[-1][0] if queued else now
+            if due[0][0] < last:
+                raise SimError(
+                    f"grant to {due[0][2].name} at {due[0][0]} ns is ordered "
+                    f"before {last} ns, the start of the last grant queued "
+                    f"or of the status cycle")
+            queued.extend(due)
         nxt = now + cfg.status_cycle_ns
         if nxt <= cfg.horizon_ns:
-            schedule(nxt, MFU, "status_cycle")
+            self.sim.schedule(nxt, MFU, "status_cycle")
 
-    def _grant_start(self, sfu: SfuSim, ev: Event) -> None:
-        grant = ev.payload
-        cursor = self.sim.now
+    def _grant_start(self, sfu: SfuSim, start: int, end: int) -> None:
+        """Send the room's queued frames over the air, highest priority
+        first, from `start` while the next one ends by `end`. A dead or
+        sleeping room sends nothing."""
         if not sfu.alive or sfu.asleep:
             return
-        end = grant.start + grant.max_duration
+        cursor = start
         deliver = self._deliver
         while True:
             head = sfu.head_frame()
@@ -899,8 +931,9 @@ class Simulation:
         self._prime()
         self._uplink_bursts()
         digest = self.sim.run_until(cfg.horizon_ns)
-        # the frames that reach their rooms by the horizon
-        self._apply_inbound(cfg.horizon_ns + 1, 0)
+        # the frames that reach their rooms and the grants that start by
+        # the horizon
+        self._apply_before(cfg.horizon_ns + 1, 0)
         if cfg.uplink_bursts or cfg.storm:
             self._omci_plane()
         self._check_conservation()

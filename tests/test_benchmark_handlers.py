@@ -46,10 +46,12 @@ def test_benchmark_lists_every_scheduled_handler(monkeypatch):
     assert seen <= listed, sorted(seen - listed)
     # the runs reach the rooms' sleep timer and every target class
     assert ("sfu", "sleep_check") in seen
-    # uplink bursts are played before the event loop and every unit's idle
-    # timer is folded from its activity times: none schedules an event
+    # uplink bursts are played before the event loop, every unit's idle
+    # timer is folded from its activity times and an air grant is applied
+    # at its place in the event order: none schedules an event
     assert not {("sfu", "burst_start"), ("mfu", "upstream_burst_done"),
-                ("mfu", "power_check"), ("sfu", "power_check")} & seen
+                ("mfu", "power_check"), ("sfu", "power_check"),
+                ("sfu", "grant_start")} & seen
     # the OMCI plane is played after the event loop: neither its alloc
     # cycles nor a receive at a room or at the OLT is an event
     assert {target for target, _ in seen} == {"mfu", "sfu", "domain"}

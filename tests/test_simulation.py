@@ -11,7 +11,7 @@ from fttrsim.frames import OmciType
 from fttrsim.management import AdapterError, OmciAdapter
 from fttrsim.metrics import build_summary
 from fttrsim.scenario import load_scenario, parse_scenario
-from fttrsim.scheduling import grant_downlink_airtime
+from fttrsim.scheduling import AirGrant, grant_downlink_airtime
 from fttrsim.simulation import (MFU, ContentionDomain, Frame, Simulation,
                                 run_scenario_config)
 
@@ -108,6 +108,29 @@ def test_overlapping_grants_end_the_run(monkeypatch, fault):
     monkeypatch.setattr(simulation, "grant_downlink_airtime", fault)
     with pytest.raises(SimError, match="starts before the grant to"):
         two_conflicting_rooms_run()
+
+
+def test_a_grant_ordered_before_a_queued_one_ends_the_run(monkeypatch):
+    # a and b do not conflict, so no grant overlaps a conflicting one. The
+    # 0 ms cycle grants a from 1 us before its window ends (3.004 ms), a
+    # grant still queued at the 3 ms cycle; that cycle grants b from
+    # 3.003 ms, before it. Grants are applied from one FIFO, so the run
+    # must end rather than apply them out of order
+    def fault(reports, graph, txop_max_ns, now, airtime_for, window_end):
+        if now < 3_000_000:
+            return [AirGrant("a", window_end - 1000, 1000)]
+        return [AirGrant("b", now - 2000, 1000)]
+
+    monkeypatch.setattr(simulation, "grant_downlink_airtime", fault)
+    with pytest.raises(SimError, match="grant to b at 3003000 ns is "
+                       "ordered before 3004000 ns, the start of the last"):
+        run_scenario_config(parse_scenario({
+            "horizon_ms": 10, "mode": "centralized",
+            "topology": {"sfus": ["a", "b"]},
+            "control": {"status_cycle_us": 3000},
+            "flows": [{"name": "a", "dst": "a", "size_bytes": 1500,
+                       "rate_mbps": 1}],
+        }))
 
 
 def reference_reserve_data_slot(alloc_cycle_ns: int, omci_slot_ns: int,
@@ -573,7 +596,7 @@ def test_with_savings_off_no_room_schedules_a_power_event(name,
     cfg.savings_enabled = False
     res = run_scenario_config(cfg)
     assert not kinds & {"power_check", "sleep_check"}
-    assert kinds <= {"grant_start", "kill", "recover", "optical_rx"}
+    assert kinds <= {"kill", "recover", "optical_rx"}
     # the idle timers still run, and no unit sleeps
     assert {state for ledger in res.ledgers.values()
             for state, _, _ in ledger.records} == {PowerState.ACTIVE,
@@ -594,6 +617,47 @@ def cycle_and_receive_run(start_us: int, rx_us: int):
     optical_ns = Simulation(parse_scenario(scenario(0))).flows[0].optical_ns
     return run_scenario_config(parse_scenario(
         scenario((rx_us - start_us) * 1000 - optical_ns)))
+
+
+def grant_and_receive_run(hi_start_us: int):
+    """Centralized, 100 us status cycles, one room, a 10 Gb/s MFU link. A
+    priority-0 frame sent at 50 us reaches the room by 56 us, so the
+    100 us cycle grants the room its air time from 105 us. A priority-7
+    frame of the same size, sent at `hi_start_us`, reaches the room at
+    105 us, the grant's start."""
+    def scenario(prop_delay_ns: int) -> dict:
+        return {"horizon_ms": 1, "topology": {"sfus": ["a"]},
+                "optical": {"downstream_gbps": 10,
+                            "prop_delay_ns": prop_delay_ns},
+                "control": {"status_cycle_us": 100},
+                "flows": [{"name": name, "dst": "a", "size_bytes": 1500,
+                           "priority": priority, "model": "batch",
+                           "count": 1, "start_ms": start_us / 1000}
+                          for name, priority, start_us
+                          in (("lo", 0, 50), ("hi", 7, hi_start_us))]}
+    optical_ns = Simulation(parse_scenario(scenario(0))).flows[0].optical_ns
+    return run_scenario_config(parse_scenario(
+        scenario((105 - hi_start_us) * 1000 - optical_ns)))
+
+
+@pytest.mark.parametrize("hi_start_us,first", [(99, "hi"), (101, "lo")])
+def test_a_grant_and_a_receive_at_one_instant_apply_in_sequence_order(
+        hi_start_us, first):
+    # Sent at 99 us, before the 100 us cycle issued the grant, the
+    # priority-7 frame is received first and takes the grant, which holds
+    # one frame's air time; the priority-0 frame waits for the 205 us
+    # grant. Sent at 101 us, after, it is received after the grant has
+    # sent the priority-0 frame, and waits itself
+    res = grant_and_receive_run(hi_start_us)
+    sent = {}
+    proc_ns = res.config.proc_mfu_ns + res.config.proc_sfu_ns
+    for name, flow in res.flow_stats.items():
+        assert flow.delivered == 1
+        created = flow.spec.start_ns
+        sent[name] = created + flow.latencies[0] - proc_ns - flow.airtime_ns
+    assert [g.start for g in res.grants] == [105_000, 205_000]
+    second = "lo" if first == "hi" else "hi"
+    assert (sent[first], sent[second]) == (105_000, 205_000)
 
 
 @pytest.mark.parametrize("start_us,grant_us", [(50, 205), (150, 305)])
