@@ -4,14 +4,14 @@ upstream allocation calendar, the OMCI management plane and the power state
 machines, and collects metrics.
 
 Traffic, contention and the rooms' sleep checks run on one event loop.
-A frame's receive at its room and a centralized air grant are no events:
+A frame's receive at its room and a centralized air grant are not events:
 each keeps a place in the loop's (time, seq) order, reserved when the frame
-is sent or the grant issued, and is applied there by the next event that
-reads what it moves (`Simulation._apply_before`). Uplink bursts are played
-in one pass before the loop and the OMCI plane in one pass over the
-allocation cycles after it, since no event reads what they move. No unit's
-step from ACTIVE to IDLE is an event: the MFU's and every room's idle
-timer are folded from their activity times (`PowerMachine`).
+is sent or the grant issued, and is applied at that place before the next
+event that could read what it moves (`Simulation._apply_before`). Uplink
+bursts are played in one pass before the loop and the OMCI plane in one
+pass over the allocation cycles after it, since no event reads what they
+move. No unit's step from ACTIVE to IDLE is an event: the MFU's and every
+room's idle timer are folded from their activity times (`PowerMachine`).
 All randomness comes from per-node substreams of the scenario seed, so a
 (scenario, seed) pair fully determines the trace digest and every metric.
 """
@@ -598,9 +598,6 @@ class Simulation:
             self.sim.schedule(nxt, MFU, "status_cycle")
 
     def _grant_start(self, sfu: SfuSim, start: int, end: int) -> None:
-        """Send the room's queued frames over the air, highest priority
-        first, from `start` while the next one ends by `end`. A dead or
-        sleeping room sends nothing."""
         if not sfu.alive or sfu.asleep:
             return
         cursor = start
