@@ -582,8 +582,9 @@ class Simulation:
                 sfu.grant_end = end
             due.append((g.start, reserve(), sfu, end))
         if due:
-            # each grant starts in this cycle's window, which begins where
-            # the last one ended, so the grants of the run form one FIFO
+            # each grant starts inside its cycle's window, and the next
+            # cycle's window begins where this one ends, so the grants of
+            # the run form one FIFO
             due.sort()
             queued = self.grants
             last = queued[-1][0] if queued else now
