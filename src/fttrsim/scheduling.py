@@ -30,7 +30,7 @@ class SfuStatusReport(NamedTuple):
     sfu: str
     buffered_bytes: int          # total across queues
     top_priority: int            # highest priority present, -1 if empty
-    timestamp: int
+    airtime_ns: int              # air time of the queued frames
 
 
 class AirGrant(NamedTuple):
@@ -56,11 +56,11 @@ def grant_downlink_airtime(reports: list[SfuStatusReport],
                            graph: InterferenceGraph,
                            txop_max_ns: int,
                            now: int,
-                           airtime_ns_for: "callable",
-                           window_end: int | None = None) -> list[AirGrant]:
+                           window_end: int) -> list[AirGrant]:
     """Sequence downlink air grants so no two conflicting cells overlap.
 
-    Each SFU with a nonzero buffer gets one grant per cycle; within a
+    Each SFU with a nonzero buffer gets one grant per cycle, of its queued
+    air time, capped at `txop_max_ns` and clipped at `window_end`; within a
     conflict neighborhood grants start where the previous conflicting grant
     ends. Non-conflicting SFUs may hold simultaneous grants.
     """
@@ -76,10 +76,10 @@ def grant_downlink_airtime(reports: list[SfuStatusReport],
             end = latest(other, start)
             if end > start:
                 start = end
-        duration = airtime_ns_for(report)
+        duration = report.airtime_ns
         if duration > txop_max_ns:
             duration = txop_max_ns
-        if window_end is not None and window_end - start < duration:
+        if window_end - start < duration:
             duration = window_end - start
         if duration <= 0:
             continue

@@ -77,8 +77,6 @@ class SimResults:
     rejected_transitions: int = 0
 
 
-SLEEP_STATES = (PowerState.LIGHT_SLEEP, PowerState.DEEP_SLEEP)
-
 # activity spans held before the first merge
 SPANS_MERGE_MIN = 1024
 # bytes of OMCI request content drawn at once: drawing the content of a
@@ -104,6 +102,9 @@ class SfuSim:
         # the CSMA/CA domain the SFU contends in; None unless distributed
         self.domain: ContentionDomain | None = None
         self.alive = True
+        # what the room has announced to the MFU: asleep from its light-sleep
+        # report to its wake, in LIGHT_SLEEP or DEEP_SLEEP all that time
+        self.asleep = False
         self.wake_pending = False
         # a wake command that went out while the room was dead: it stays
         # pending until the room answers a poll again
@@ -115,10 +116,6 @@ class SfuSim:
         # air time the room's frames used, and its collisions
         self.airtime_ns = 0
         self.collisions = 0
-
-    @property
-    def asleep(self) -> bool:
-        return self.power.ledger.state in SLEEP_STATES
 
     def set_cw(self, cw: int) -> None:
         """Set the contention window and the bit count of a backoff draw
@@ -220,10 +217,7 @@ class ContentionDomain:
         winner = tied = None
         for entry in self.stations:
             sfu = entry[0]
-            # `not sfu.asleep`, spelled out: the property calls cost more
-            # than the rest of the test
-            if (sfu.queued_bytes > 0 and sfu.alive
-                    and sfu.power.ledger.state not in SLEEP_STATES):
+            if sfu.queued_bytes > 0 and sfu.alive and not sfu.asleep:
                 # engine.draw_int(getrandbits, sfu.cw), inlined
                 bits, k, cw = entry[1], sfu.cw_bits, sfu.cw
                 slots = bits(k)
@@ -550,20 +544,14 @@ class Simulation:
         now = self.sim.now
         sfus = self.sfus
         # a room with nothing queued would get no grant, so it sends no
-        # report; `not sfu.asleep` is spelled out, as in on_round
+        # report
         reports = [SfuStatusReport(sfu.name, sfu.queued_bytes,
-                                   sfu.top_priority(), now)
+                                   sfu.top_priority(), sfu.queued_airtime_ns)
                    for sfu in sfus.values()
-                   if sfu.queued_bytes > 0 and sfu.alive
-                   and sfu.power.ledger.state not in SLEEP_STATES]
+                   if sfu.queued_bytes > 0 and sfu.alive and not sfu.asleep]
         t0 = now + cfg.control_delay_ns
-
-        def airtime_for(report: SfuStatusReport) -> int:
-            return sfus[report.sfu].queued_airtime_ns
-
         grants = grant_downlink_airtime(reports, self.graph, cfg.txop_max_ns,
-                                        t0, airtime_for,
-                                        window_end=t0 + cfg.status_cycle_ns)
+                                        t0, t0 + cfg.status_cycle_ns)
         self.results.grants.extend(grants)
         reserve = self.sim.reserve
         neighbors = self.graph.neighbors
@@ -804,6 +792,7 @@ class Simulation:
             state = select_policy(sfu.iot)
             power.request(state, now)
             if state == PowerState.LIGHT_SLEEP:
+                sfu.asleep = True
                 self.results.events.append(
                     (now, "light_sleep_report", sfu.name))
                 self._maybe_deep_sleep(now)
@@ -812,8 +801,6 @@ class Simulation:
         self.sim.schedule(at, sfu.target, "sleep_check")
 
     def _maybe_deep_sleep(self, now: int) -> None:
-        # an SFU sleeps from its light-sleep report to its wake, and only
-        # then, so its power state is what it has announced to the MFU
         eligible = [sfu for sfu in self.sfus.values()
                     if sfu.alive and not sfu.iot]
         if eligible and all(sfu.asleep for sfu in eligible):
@@ -861,7 +848,7 @@ class Simulation:
             sfu.wake_lost = True
             return
         sfu.power.request(PowerState.IDLE, now)
-        sfu.wake_pending = False
+        sfu.asleep = sfu.wake_pending = False
         self.results.events.append((now, "wake_done", sfu.name))
         for frame in sfu.sleep_buffer.flush():
             self._optical_downstream(frame)

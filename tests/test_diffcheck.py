@@ -188,6 +188,41 @@ def test_every_awake_room_has_one_sleep_check_chain(monkeypatch):
     assert checked > 150 and rf_off > 60
 
 
+def test_asleep_is_the_ledgers_sleep_state_after_every_event(monkeypatch):
+    # `asleep` is set at the light-sleep report and cleared at the wake, the
+    # only places a room enters or leaves LIGHT_SLEEP or DEEP_SLEEP: after
+    # every dispatched event it says what every room's ledger says
+    sleeping = (PowerState.LIGHT_SLEEP, PowerState.DEEP_SLEEP)
+    register = Simulator.register
+    running = []
+    seen = Counter()
+
+    def checked_register(engine, target, handler):
+        def checked(ev):
+            handler(ev)
+            for sfu in running[0].sfus.values():
+                asleep = sfu.power.state in sleeping
+                assert sfu.asleep == asleep, (
+                    f"{sfu.name} after {ev.kind} at {ev.fire_time} ns")
+                seen[asleep] += 1
+        register(engine, target, checked)
+
+    monkeypatch.setattr(Simulator, "register", checked_register)
+    draw = diffcheck().random_scenario
+    rng = random.Random(0)
+    for i in range(300):
+        raw = draw(rng)
+        for mode in MODES:
+            try:
+                running[:] = [Simulation(parse_scenario({**raw,
+                                                         "mode": mode}))]
+                running[0].run()
+            except (ConfigError, RuntimeError):  # exit 2 or 3
+                continue
+    # 48,981 room checks find the room asleep and 143,738 awake
+    assert seen[True] > 20_000 and seen[False] > 50_000
+
+
 def run_outputs(raw: dict) -> dict:
     """The outputs of one run of `raw`: its summary, without the mode, the
     digest and the `events_*` counters, its ledgers, event log, schedule

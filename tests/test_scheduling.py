@@ -8,8 +8,9 @@ from fttrsim import scheduling as sch
 from fttrsim.frames import OMCI_TCONT, DATA_TCONT_BASE
 
 
-def report(sfu, buffered, prio=4, ts=0):
-    return sch.SfuStatusReport(sfu, buffered, prio, ts)
+def report(sfu, buffered, prio=4):
+    # one ns of air time per queued byte
+    return sch.SfuStatusReport(sfu, buffered, prio, buffered)
 
 
 # ---------------------------------------------------------------------------
@@ -38,17 +39,13 @@ def test_ordering_is_total_under_any_permutation():
 # ---------------------------------------------------------------------------
 # downlink grants
 
-def airtime_identity(rep):
-    return rep.buffered_bytes
-
-
 def test_conflicting_grants_are_serialized():
     g = InterferenceGraph([("a", "b")])
     g.add_node("c")
     reports = [report("a", 1000, prio=7), report("b", 2000, prio=5),
                report("c", 3000, prio=5)]
     grants = sch.grant_downlink_airtime(reports, g, txop_max_ns=10_000,
-                                        now=0, airtime_ns_for=airtime_identity)
+                                        now=0, window_end=100_000)
     by_sfu = {gr.sfu: gr for gr in grants}
     assert by_sfu["a"].start == 0 and by_sfu["a"].max_duration == 1000
     assert by_sfu["c"].start == 0          # no conflict, runs in parallel
@@ -60,7 +57,6 @@ def test_grant_duration_capped_by_txop_and_window():
     g = InterferenceGraph([("a", "b")])
     reports = [report("a", 5000, prio=7), report("b", 5000, prio=1)]
     grants = sch.grant_downlink_airtime(reports, g, txop_max_ns=3000, now=100,
-                                        airtime_ns_for=airtime_identity,
                                         window_end=4100)
     by_sfu = {gr.sfu: gr for gr in grants}
     assert by_sfu["a"].max_duration == 3000
@@ -71,8 +67,7 @@ def test_grant_duration_capped_by_txop_and_window():
 def test_empty_buffers_get_no_grant():
     g = InterferenceGraph()
     g.add_node("a")
-    grants = sch.grant_downlink_airtime([report("a", 0)], g, 1000, 0,
-                                        airtime_ns_for=airtime_identity)
+    grants = sch.grant_downlink_airtime([report("a", 0)], g, 1000, 0, 5000)
     assert grants == []
 
 
@@ -89,8 +84,7 @@ def test_overlap_checker_flags_conflicting_overlap_only():
 # The all-pairs forms of the allocator and the checker, kept as references
 # for the neighbour-indexed versions in scheduling.py.
 
-def all_pairs_grants(reports, graph, txop_max_ns, now, airtime_ns_for,
-                     window_end=None):
+def all_pairs_grants(reports, graph, txop_max_ns, now, window_end):
     grants = []
     for rep in sorted(reports, key=sch.report_order_key):
         if rep.buffered_bytes <= 0:
@@ -99,9 +93,7 @@ def all_pairs_grants(reports, graph, txop_max_ns, now, airtime_ns_for,
         for g in grants:
             if graph.conflicts(g.sfu, rep.sfu):
                 start = max(start, g.start + g.max_duration)
-        duration = min(airtime_ns_for(rep), txop_max_ns)
-        if window_end is not None:
-            duration = min(duration, window_end - start)
+        duration = min(rep.airtime_ns, txop_max_ns, window_end - start)
         if duration <= 0:
             continue
         grants.append(sch.AirGrant(rep.sfu, start, duration))
@@ -111,8 +103,7 @@ def all_pairs_grants(reports, graph, txop_max_ns, now, airtime_ns_for,
 # The neighbour-indexed allocator before its max() calls were inlined,
 # kept as the reference for the one in scheduling.py.
 
-def reference_grants(reports, graph, txop_max_ns, now, airtime_ns_for,
-                     window_end=None):
+def reference_grants(reports, graph, txop_max_ns, now, window_end):
     grants = []
     granted_end = {}
     for report in sorted(reports, key=sch.report_order_key):
@@ -121,9 +112,7 @@ def reference_grants(reports, graph, txop_max_ns, now, airtime_ns_for,
         start = now
         for other in graph.neighbors(report.sfu):
             start = max(start, granted_end.get(other, start))
-        duration = min(airtime_ns_for(report), txop_max_ns)
-        if window_end is not None:
-            duration = min(duration, window_end - start)
+        duration = min(report.airtime_ns, txop_max_ns, window_end - start)
         if duration <= 0:
             continue
         grants.append(sch.AirGrant(report.sfu, start, duration))
@@ -154,15 +143,14 @@ def graph_of(edges):
 @given(edges_st,
        st.lists(st.tuples(st.sampled_from(CELLS), st.integers(0, 5000),
                           st.integers(-1, 7)), max_size=10),
-       st.integers(500, 4000), st.none() | st.integers(1000, 12_000),
+       st.integers(500, 4000), st.integers(1000, 12_000),
        st.integers(0, 3000))
 def test_grants_match_all_pairs_reference(edges, raw, txop, window_end, now):
     graph = graph_of(edges)
     # duplicate SFUs and empty buffers are kept: a report list need not
     # name each cell once, nor only cells with queued bytes
-    reports = [report(c, buffered, prio, ts=i)
-               for i, (c, buffered, prio) in enumerate(raw)]
-    args = (reports, graph, txop, now, airtime_identity, window_end)
+    reports = [report(c, buffered, prio) for c, buffered, prio in raw]
+    args = (reports, graph, txop, now, window_end)
     grants = sch.grant_downlink_airtime(*args)
     assert grants == all_pairs_grants(*args)
     assert grants == reference_grants(*args)

@@ -80,18 +80,17 @@ def two_conflicting_rooms_run():
     }))
 
 
-def at_cycle_start(reports, graph, txop_max_ns, now, airtime_for,
-                   window_end):
+def at_cycle_start(reports, graph, txop_max_ns, now, window_end):
     # every grant starts when the cycle's grants may start
     return [g._replace(start=now) for g in grant_downlink_airtime(
-        reports, graph, txop_max_ns, now, airtime_for, window_end=window_end)]
+        reports, graph, txop_max_ns, now, window_end)]
 
 
-def past_the_cycle(reports, graph, txop_max_ns, now, airtime_for,
-                   window_end):
-    # no window_end clamp: a grant may run into the next cycle
+def past_the_cycle(reports, graph, txop_max_ns, now, window_end):
+    # a window no grant reaches the end of: a grant may run into the next
+    # cycle
     return grant_downlink_airtime(reports, graph, txop_max_ns, now,
-                                  airtime_for)
+                                  now + len(reports) * txop_max_ns)
 
 
 def test_conflicting_rooms_share_the_air_without_overlap():
@@ -116,7 +115,7 @@ def test_a_grant_ordered_before_a_queued_one_ends_the_run(monkeypatch):
     # grant still queued at the 3 ms cycle; that cycle grants b from
     # 3.003 ms, before it. Grants are applied from one FIFO, so the run
     # must end rather than apply them out of order
-    def fault(reports, graph, txop_max_ns, now, airtime_for, window_end):
+    def fault(reports, graph, txop_max_ns, now, window_end):
         if now < 3_000_000:
             return [AirGrant("a", window_end - 1000, 1000)]
         return [AirGrant("b", now - 2000, 1000)]
