@@ -53,12 +53,6 @@ def classification_tag(priority: int) -> int:
     return 7 - priority
 
 
-def sdu_order_key(priority: int, service_class: str) -> tuple[int, int]:
-    """Strict order among SDUs arriving at the same instant: higher priority
-    first, service class breaking ties only for equal priority."""
-    return (7 - priority, CLASS_RANK[service_class])
-
-
 # ---------------------------------------------------------------------------
 # SDU / APDU
 

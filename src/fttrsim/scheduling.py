@@ -43,7 +43,6 @@ class AirGrant(NamedTuple):
 class UplinkBwRequest:
     sfu: str
     bytes_expected: int
-    tcont: int
 
 
 def report_order_key(report: SfuStatusReport) -> tuple[int, int, str]:
@@ -111,14 +110,13 @@ def check_grant_overlap(grants: list[AirGrant],
 
 
 def ofdma_uplink_request(sfu: str, ru_allocation: list[tuple[str, int]],
-                         per_sta_overhead: int = 0,
-                         tcont: int = DATA_TCONT_BASE) -> UplinkBwRequest | None:
+                         per_sta_overhead: int = 0) -> UplinkBwRequest | None:
     """Estimate uplink volume from an RU allocation; None if nothing granted."""
     total = sum(ru_bytes for _, ru_bytes in ru_allocation)
     if total <= 0:
         return None
     total += per_sta_overhead * len(ru_allocation)
-    return UplinkBwRequest(sfu, total, tcont)
+    return UplinkBwRequest(sfu, total)
 
 
 def generate_tamap(requests: list[UplinkBwRequest],

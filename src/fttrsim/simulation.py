@@ -27,9 +27,9 @@ from typing import Callable
 
 from .engine import (Event, Simulator, SimError, SimTime, draw_bytes,
                      transmit_time_ns)
-from .frames import (APDU_OVERHEAD, FEM_HEADER_LEN, classification_tag,
-                     pma_wire_len, OmciMessage, OmciType, encode_omci,
-                     decode_omci)
+from .frames import (APDU_OVERHEAD, DATA_TCONT_BASE, FEM_HEADER_LEN,
+                     classification_tag, pma_wire_len, OmciMessage, OmciType,
+                     encode_omci, decode_omci)
 from .links import WifiCell, InterferenceGraph
 from .scheduling import (SchedulerMode, SfuStatusReport, AirGrant,
                          grant_downlink_airtime, phy_relay_buffer_bytes,
@@ -604,8 +604,8 @@ class Simulation:
     # ------------------------------------------------------------------
     # upstream allocation calendar (OMCI window, data slots)
 
-    def _reserve_data_slot(self, earliest: int, duration: int, sfu: str,
-                           tcont: int) -> int:
+    def _reserve_data_slot(self, earliest: int, duration: int,
+                           sfu: str) -> int:
         """Place a data burst on the upstream calendar, skipping the reserved
         OMCI window at the head of every allocation cycle. `_prime` checks
         that `duration` fits between two OMCI windows."""
@@ -618,7 +618,8 @@ class Simulation:
         if start + duration > cycle + cfg.alloc_cycle_ns:
             start = cycle + cfg.alloc_cycle_ns + window
         self.upstream_next_free = start + duration + cfg.guard_ns
-        self.results.upstream_slots.append((sfu, start, duration, tcont))
+        self.results.upstream_slots.append((sfu, start, duration,
+                                            DATA_TCONT_BASE))
         return start
 
     # ------------------------------------------------------------------
@@ -737,7 +738,7 @@ class Simulation:
                     # the start of the first cycle after the request
                     earliest = ((request_at // cfg.alloc_cycle_ns + 1)
                                 * cfg.alloc_cycle_ns)
-                at = self._reserve_data_slot(earliest, duration, spec.sfu, 2)
+                at = self._reserve_data_slot(earliest, duration, spec.sfu)
                 self.results.bursts.append(at - ready)
                 end = at + duration
                 if relay:

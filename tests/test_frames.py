@@ -21,20 +21,6 @@ def test_out_of_range_priority_rejected(bad):
         fr.classification_tag(bad)
 
 
-def test_order_keys_form_strict_total_order_over_all_combinations():
-    keys = [fr.sdu_order_key(p, c)
-            for p in range(8) for c in fr.SERVICE_CLASSES]
-    assert len(set(keys)) == 40
-    ordered = sorted((p, c) for p in range(8) for c in fr.SERVICE_CLASSES)
-    by_key = sorted(ordered, key=lambda pc: fr.sdu_order_key(*pc))
-    # priority dominates: every priority-7 entry precedes every priority-6 one
-    priorities = [p for p, _ in by_key]
-    assert priorities == sorted(priorities, reverse=True)
-    # within one priority, control outranks background
-    seven = [c for p, c in by_key if p == 7]
-    assert seven[0] == "control" and seven[-1] == "background"
-
-
 def test_apdu_roundtrip_preserves_classification():
     sdu = fr.Sdu(dest=3, payload_len=64, priority=5, service_class="gaming",
                  created_at=123456, flow_id=9)

@@ -183,8 +183,8 @@ TAMAP_ARGS = dict(cycle_ns=100_000, cycle_start=0, upstream_bps=1_000_000_000,
 
 
 def test_tamap_grants_full_demand_when_it_fits():
-    reqs = [sch.UplinkBwRequest("a", 1500, 2),
-            sch.UplinkBwRequest("b", 4500, 2)]
+    reqs = [sch.UplinkBwRequest("a", 1500),
+            sch.UplinkBwRequest("b", 4500)]
     tamap, carry = sch.generate_tamap(reqs, **TAMAP_ARGS)
     tamap.validate(100_000, require_omci=True)
     entries = {e.sfu: e for e in tamap.entries if e.tcont == DATA_TCONT_BASE}
@@ -197,8 +197,8 @@ def test_tamap_grants_full_demand_when_it_fits():
 
 def test_tamap_splits_shortfall_proportionally():
     args = dict(TAMAP_ARGS, cycle_ns=30_000)
-    reqs = [sch.UplinkBwRequest("a", 1500, 2),
-            sch.UplinkBwRequest("b", 4500, 2)]
+    reqs = [sch.UplinkBwRequest("a", 1500),
+            sch.UplinkBwRequest("b", 4500)]
     tamap, carry = sch.generate_tamap(reqs, **args)
     tamap.validate(30_000, require_omci=True)
     entries = {e.sfu: e for e in tamap.entries if e.tcont == DATA_TCONT_BASE}
@@ -210,14 +210,14 @@ def test_tamap_splits_shortfall_proportionally():
 
 def test_tamap_carryover_feeds_next_cycle():
     args = dict(TAMAP_ARGS, cycle_ns=30_000)
-    reqs = [sch.UplinkBwRequest("a", 1500, 2),
-            sch.UplinkBwRequest("b", 4500, 2)]
+    reqs = [sch.UplinkBwRequest("a", 1500),
+            sch.UplinkBwRequest("b", 4500)]
     _, carry = sch.generate_tamap(reqs, **args)
     total = dict(carry)
     for _ in range(10):  # backlog must drain monotonically
         if not total:
             break
-        reqs = [sch.UplinkBwRequest(s, n, 2) for s, n in sorted(total.items())]
+        reqs = [sch.UplinkBwRequest(s, n) for s, n in sorted(total.items())]
         tamap, nxt = sch.generate_tamap(reqs, **args)
         tamap.validate(30_000, require_omci=True)
         for s in nxt:
@@ -227,7 +227,7 @@ def test_tamap_carryover_feeds_next_cycle():
 
 
 def test_tamap_merges_repeat_requests():
-    reqs = [sch.UplinkBwRequest("a", 700, 2), sch.UplinkBwRequest("a", 800, 2)]
+    reqs = [sch.UplinkBwRequest("a", 700), sch.UplinkBwRequest("a", 800)]
     tamap, carry = sch.generate_tamap(reqs, **TAMAP_ARGS)
     data = [e for e in tamap.entries if e.tcont == DATA_TCONT_BASE]
     assert len(data) == 1 and data[0].duration_ns == 12_000
@@ -245,8 +245,8 @@ def test_tamap_without_requests_still_reserves_management_slot():
 def test_tamap_rejects_impossible_cycle():
     args = dict(TAMAP_ARGS, cycle_ns=12_000)
     with pytest.raises(ValueError):
-        sch.generate_tamap([sch.UplinkBwRequest("a", 10, 2),
-                            sch.UplinkBwRequest("b", 10, 2)], **args)
+        sch.generate_tamap([sch.UplinkBwRequest("a", 10),
+                            sch.UplinkBwRequest("b", 10)], **args)
 
 
 @given(demands=st.lists(st.integers(1, 100_000), min_size=0, max_size=6),
@@ -255,7 +255,7 @@ def test_tamap_structure_holds_for_random_demand(demands, cycle_us):
     names = [f"sfu{i}" for i in range(len(demands))]
     idx = {n: i + 1 for i, n in enumerate(names)}
     idx["mgmt"] = 99
-    reqs = [sch.UplinkBwRequest(n, d, 2) for n, d in zip(names, demands)]
+    reqs = [sch.UplinkBwRequest(n, d) for n, d in zip(names, demands)]
     tamap, carry = sch.generate_tamap(
         reqs, cycle_ns=cycle_us * 1000, cycle_start=0,
         upstream_bps=1_000_000_000, omci_slot_ns=10_000, min_slot_ns=2_000,

@@ -181,7 +181,7 @@ def test_data_slot_matches_the_cycle_by_cycle_calendar(case):
         "control": {"alloc_cycle_us": cycle_us, "omci_slot_us": omci_us,
                     "guard_ns": guard_ns}}))
     sim.upstream_next_free = next_free
-    start = sim._reserve_data_slot(earliest, duration, "a", 2)
+    start = sim._reserve_data_slot(earliest, duration, "a")
     assert (start, sim.upstream_next_free) == reference_reserve_data_slot(
         cycle_us * 1000, omci_us * 1000, guard_ns, next_free, earliest,
         duration)
