@@ -405,17 +405,6 @@ class Simulation:
                     f"the {cfg.omci_slot_ns} ns OMCI slot and its "
                     f"{cfg.guard_ns} ns guard do not fit the "
                     f"{cfg.alloc_cycle_ns} ns alloc cycle")
-        # every burst by the horizon must fit between two OMCI windows,
-        # whether or not its room is alive to send it
-        for start, i in sorted((spec.start_ns, i) for i, spec
-                               in enumerate(cfg.uplink_bursts)):
-            duration = self.burst_slots[i][1]
-            if start <= cfg.horizon_ns and duration > self.data_room_ns:
-                raise SimError(
-                    f"upstream burst of {duration} ns from "
-                    f"{cfg.uplink_bursts[i].sfu} does not fit the "
-                    f"{self.data_room_ns} ns between two OMCI windows "
-                    f"(alloc cycle {cfg.alloc_cycle_ns} ns)")
         self.sim.schedule(0, MFU, "poll_cycle")
         room, dead_from, dead_to = self.dead
         if room is not None:
@@ -607,8 +596,8 @@ class Simulation:
     def _reserve_data_slot(self, earliest: int, duration: int,
                            sfu: str) -> int:
         """Place a data burst on the upstream calendar, skipping the reserved
-        OMCI window at the head of every allocation cycle. `_prime` checks
-        that `duration` fits between two OMCI windows."""
+        OMCI window at the head of every allocation cycle. `_uplink_bursts`
+        checks that `duration` fits between two OMCI windows."""
         cfg = self.cfg
         start = max(earliest, self.upstream_next_free)
         cycle = start - start % cfg.alloc_cycle_ns
@@ -706,7 +695,8 @@ class Simulation:
         """Play every burst start by the horizon before the event loop, in
         the order their events had: by time, then by the order they were
         scheduled in, which a counter gives, as it does the relay drains.
-        A dead room sends no burst."""
+        Every burst must fit between two OMCI windows, whether or not its
+        room is alive to send it; a dead room sends no burst."""
         cfg = self.cfg
         relay = cfg.mode == SchedulerMode.PHY_RELAY
         specs = cfg.uplink_bursts
@@ -721,6 +711,11 @@ class Simulation:
             spec = specs[i]
             ready = now + spec.air_duration_ns
             nbytes, duration = self.burst_slots[i]
+            if duration > self.data_room_ns:
+                raise SimError(
+                    f"upstream burst of {duration} ns from {spec.sfu} does "
+                    f"not fit the {self.data_room_ns} ns between two OMCI "
+                    f"windows (alloc cycle {cfg.alloc_cycle_ns} ns)")
             if nbytes > 0 and not self._dead_at(spec.sfu, now):
                 if relay:
                     while relayed and relayed[0][:2] < (now, key):
