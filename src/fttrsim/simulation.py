@@ -865,8 +865,10 @@ class Simulation:
             alarm = self.monitor.record_poll(
                 name, sfu.alive, sfu.asleep and not sfu.wake_pending, now)
             if alarm is not None:
-                self.results.events.append(
-                    (now, f"alarm_{alarm.kind.value}", name))
+                kind = f"alarm_{alarm.kind.value}"
+                if alarm.cleared_at is not None:
+                    kind += "_cleared"
+                self.results.events.append((now, kind, name))
             if sfu.wake_lost and sfu.alive:
                 # it answers again but never woke: send the wake again
                 sfu.wake_lost = sfu.wake_pending = False

@@ -441,7 +441,7 @@ def test_a_dead_room_is_woken_again_when_it_answers_a_poll():
     res = dead_room_run({"at_ms": 5, "recover_ms": 20})
     assert res.events[:6] == [
         *ASLEEP, (12_000_000, "alarm_Unresponsive", "a"),
-        (20_000_000, "alarm_Unresponsive", "a"),
+        (20_000_000, "alarm_Unresponsive_cleared", "a"),
         (20_000_000, "wake_command", "a")]
     assert res.events[6][1:] == ("wake_done", "a")
     assert [(a.raised_at, a.cleared_at) for a in res.alarms] == [
