@@ -327,12 +327,12 @@ RUN_PINS = {
         "79527ba2fb78dd28171cc73cf006e41a60fc1a11bfea4dd6219f0089071bb8b6",
         "bafe1e01724777eeb67776754f779c4a1344c72e29e6721eb274fac85bc9518e",
         "5761fcedb63998499758c0638bf064596e1a6507b9959195560775f9473b466e",
-        "807d1a52a71632bc5e71f35debe371ee29c4206362cc27ee95fb7f6e4c1ba615"),
+        "3992aed451ddc5119fc48f4833d9214c4e6cdf43fd9017a96c487d3c276d1fa3"),
     ("storm_kill_bursts", "phy_relay"): (
         "ff13a46b96d79052a9719c424025e3eab84ff225b9aa2940240346438c0c3767",
         "c9a49b2224e9ff53cbbbbace35a10d593285152029794a1e968cc12f87e90b5f",
         "1937ddc9fa8ff4d030b36c166e1dbeef4b8207ad74425f54277cfe852103e399",
-        "807d1a52a71632bc5e71f35debe371ee29c4206362cc27ee95fb7f6e4c1ba615"),
+        "3992aed451ddc5119fc48f4833d9214c4e6cdf43fd9017a96c487d3c276d1fa3"),
     ("iot_rf_off_overflow", "centralized"): (
         "a337a0af6c353d47434a2e9aacef6fb535a07cf694b251329c3e04c4652b76e9",
         "d4eae6b6d98aff5f1e3d3053620229f5e6ff1bccbf5fa4500bb9bd415021938f",
