@@ -1,6 +1,6 @@
 """tools/diffcheck.py on a few cases: HEAD against itself, and a difference
 planted in one result; properties of the runs of its random scenarios; and
-two metamorphic relations over them, which say how two runs must relate."""
+four metamorphic relations over them, which say how two runs must relate."""
 
 import copy
 import importlib.util
@@ -307,3 +307,67 @@ def test_an_idle_isolated_room_changes_no_other_output():
     # 116 end with exit 3: a relayed burst outgrows the room between two
     # OMCI windows
     assert min(ran[mode] for mode in MODES) > 150
+
+
+def test_a_flow_that_starts_after_the_horizon_changes_no_other_output():
+    # A flow whose first frame would arrive after the horizon offers
+    # nothing: every output but its own row stays the same, the digest and
+    # the `events_*` counters aside (its first arrival is scheduled beyond
+    # the horizon, and it starts the status cycles of a run with no other
+    # flow)
+    draw = diffcheck().random_scenario
+    rng = random.Random(0)
+    ran = 0
+    for i in range(300):
+        raw = draw(rng)
+        pick = random.Random(i)
+        rooms = [s if isinstance(s, str) else s["name"]
+                 for s in raw["topology"]["sfus"]]
+        late = {"name": "late", "dst": pick.choice(rooms),
+                "size_bytes": 1500, "model": "batch", "count": 3,
+                "interval_us": 100,
+                "start_ms": raw["horizon_ms"] + pick.choice((0.001, 1))}
+        if pick.random() < 0.5:
+            late = {**late, "model": pick.choice(("constant_rate", "on_off")),
+                    "rate_mbps": 8, "on_ms": 1, "off_ms": 1}
+            del late["count"], late["interval_us"]
+        a = run_outputs(raw)
+        b = run_outputs({**raw, "flows": [*raw["flows"], late]})
+        if "exit" not in b:
+            row = b["summary"]["flows"].pop("late")
+            assert row["offered"] == 0, f"random scenario {i}"
+        assert a == b, f"random scenario {i}"
+        ran += "exit" not in a
+    # 268 of the 300 draws run to the horizon
+    assert ran > 250
+
+
+def test_a_larger_relay_buffer_never_drops_more_bursts():
+    # In phy_relay mode a relayed burst that does not fit the room's relay
+    # buffer is dropped. The buffer's level under a larger buffer is never
+    # more than that size difference above its level under a smaller one,
+    # so a burst that overflows the larger buffer overflows the smaller too
+    draw = diffcheck().random_scenario
+    rng = random.Random(0)
+    ran = dropping = 0
+    for i in range(300):
+        raw = {**draw(rng), "mode": "phy_relay"}
+        size = raw["phy_relay"]["buffer_bytes"]
+        drops = []
+        for buffer_bytes in (size // 8, size // 2, size, 2 * size):
+            out = run_outputs({**raw, "phy_relay": {"buffer_bytes":
+                                                    buffer_bytes}})
+            if "exit" in out:
+                # a run that ends with exit 2 or 3 ends so at every size
+                drops.append(out)
+                continue
+            drops.append(out["summary"]["uplink"]["relay_overflow_drops"])
+        if isinstance(drops[0], dict):
+            assert all(d == drops[0] for d in drops), f"random scenario {i}"
+            continue
+        assert drops == sorted(drops, reverse=True), f"random scenario {i}"
+        ran += 1
+        dropping += drops[0] > 0
+    # 184 draws run to the horizon, 96 of them dropping bursts at the
+    # smallest size
+    assert ran > 150 and dropping > 50
