@@ -323,14 +323,12 @@ def test_a_flow_that_starts_after_the_horizon_changes_no_other_output():
         pick = random.Random(i)
         rooms = [s if isinstance(s, str) else s["name"]
                  for s in raw["topology"]["sfus"]]
+        model = pick.choice(("batch", "constant_rate", "on_off"))
         late = {"name": "late", "dst": pick.choice(rooms),
-                "size_bytes": 1500, "model": "batch", "count": 3,
-                "interval_us": 100,
-                "start_ms": raw["horizon_ms"] + pick.choice((0.001, 1))}
-        if pick.random() < 0.5:
-            late = {**late, "model": pick.choice(("constant_rate", "on_off")),
-                    "rate_mbps": 8, "on_ms": 1, "off_ms": 1}
-            del late["count"], late["interval_us"]
+                "size_bytes": 1500, "model": model,
+                "start_ms": raw["horizon_ms"] + pick.choice((0.001, 1)),
+                **({"count": 3, "interval_us": 100} if model == "batch"
+                   else {"rate_mbps": 8, "on_ms": 1, "off_ms": 1})}
         a = run_outputs(raw)
         b = run_outputs({**raw, "flows": [*raw["flows"], late]})
         if "exit" not in b:
@@ -353,18 +351,13 @@ def test_a_larger_relay_buffer_never_drops_more_bursts():
     for i in range(300):
         raw = {**draw(rng), "mode": "phy_relay"}
         size = raw["phy_relay"]["buffer_bytes"]
-        drops = []
-        for buffer_bytes in (size // 8, size // 2, size, 2 * size):
-            out = run_outputs({**raw, "phy_relay": {"buffer_bytes":
-                                                    buffer_bytes}})
-            if "exit" in out:
-                # a run that ends with exit 2 or 3 ends so at every size
-                drops.append(out)
-                continue
-            drops.append(out["summary"]["uplink"]["relay_overflow_drops"])
-        if isinstance(drops[0], dict):
-            assert all(d == drops[0] for d in drops), f"random scenario {i}"
+        outs = [run_outputs({**raw, "phy_relay": {"buffer_bytes": b}})
+                for b in (size // 8, size // 2, size, 2 * size)]
+        if "exit" in outs[0]:
+            # a run that ends with exit 2 or 3 ends so at every size
+            assert all(o == outs[0] for o in outs), f"random scenario {i}"
             continue
+        drops = [o["summary"]["uplink"]["relay_overflow_drops"] for o in outs]
         assert drops == sorted(drops, reverse=True), f"random scenario {i}"
         ran += 1
         dropping += drops[0] > 0
