@@ -2,8 +2,9 @@
 per-node RNG substreams and a deterministic trace digest.
 
 All simulation time is an integer count of nanoseconds since run start.
-Events are totally ordered by (fire_time, insertion sequence number) so two
-runs of the same scenario dispatch in exactly the same order on any platform.
+Events and arrivals are totally ordered by (time, insertion sequence number)
+so two runs of the same scenario dispatch in exactly the same order on any
+platform.
 """
 
 from __future__ import annotations
@@ -116,6 +117,16 @@ class Simulator:
     `reserve` hands out a sequence number without pushing an event, so that
     an action the model applies later, without an event, keeps its place
     in that total order; `schedule_at` pushes an event at such a number.
+
+    Arrivals are not events. A second heap holds `(time, seq, item)` heads,
+    each the next arrival of one stream, pushed by `add_arrival`.
+    `run_until` merges it with the queue in (time, seq) order and calls
+    `on_arrival(time, item)` for each head it reaches; the callback returns
+    the stream's next arrival time, which takes the next sequence number
+    as the callback returns, or None when the stream ends. An arrival adds
+    no digest line and counts in none of `n_scheduled`, `n_dispatched` and
+    `n_beyond_horizon`.
+
     The digest is the SHA-256 of one `time|target|kind` line per dispatched
     event, fed in batches of at most `DIGEST_BATCH` lines.
     """
@@ -124,20 +135,15 @@ class Simulator:
         self.now: SimTime = 0
         self.rng = RngStreams(seed)
         self._queue: list[tuple[int, int, str, str, Any]] = []
+        self._heads: list[tuple[int, int, Any]] = []
+        self.on_arrival: Callable[[SimTime, Any], SimTime | None] | None = None
         self._seq = 0
-        # numbers handed out by `reserve`, less the events `schedule_at`
-        # pushed
-        self._reserved = 0
         self._handlers: dict[str, Callable[[Event], None]] = {}
         self._digest = hashlib.sha256()
+        # events pushed onto the queue
+        self.n_scheduled = 0
         self.n_dispatched = 0
         self.n_beyond_horizon = 0
-
-    @property
-    def n_scheduled(self) -> int:
-        """Events pushed onto the queue; a reserved number counts once an
-        event is pushed at it."""
-        return self._seq - self._reserved
 
     def register(self, target: str, handler: Callable[[Event], None]) -> None:
         self._handlers[target] = handler
@@ -150,13 +156,13 @@ class Simulator:
                 f"t={fire_time} ns while clock is at t={self.now} ns")
         seq = self._seq
         self._seq = seq + 1
+        self.n_scheduled += 1
         heapq.heappush(self._queue, (fire_time, seq, target, kind, payload))
 
     def reserve(self) -> int:
         """The next sequence number, handed out without pushing an event."""
         seq = self._seq
         self._seq = seq + 1
-        self._reserved += 1
         return seq
 
     def schedule_at(self, fire_time: SimTime, seq: int, target: str,
@@ -166,19 +172,55 @@ class Simulator:
             raise SimError(
                 f"attempt to schedule event '{kind}' for {target} at "
                 f"t={fire_time} ns while clock is at t={self.now} ns")
-        self._reserved -= 1
+        self.n_scheduled += 1
         heapq.heappush(self._queue, (fire_time, seq, target, kind, payload))
 
+    def add_arrival(self, time: SimTime, item: Any) -> None:
+        """Push the head of an arrival stream at the next sequence number."""
+        if time < self.now:
+            raise SimError(
+                f"attempt to add an arrival at t={time} ns while clock is "
+                f"at t={self.now} ns")
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heads, (time, seq, item))
+
     def run_until(self, horizon: SimTime) -> str:
-        """Dispatch every event with fire_time <= horizon; return trace digest."""
-        queue, handlers = self._queue, self._handlers
-        pop, feed = heapq.heappop, self._digest.update
+        """Dispatch every event, and run every arrival, with time <= horizon,
+        in (time, seq) order; return the trace digest."""
+        queue, heads, handlers = self._queue, self._heads, self._handlers
+        pop, replace, feed = heapq.heappop, heapq.heapreplace, self._digest.update
+        arrive = self.on_arrival
+        # ordered after every key due by the horizon
+        end = (horizon + 1,)
         ev = Event(0, 0, "", "")
         lines: list[str] = []
         add, batch = lines.append, DIGEST_BATCH
         n = self.n_dispatched
         try:
-            while queue and queue[0][0] <= horizon:
+            while True:
+                head = queue[0] if queue else end
+                if head[0] > horizon:
+                    head = end
+                if heads and heads[0] < head:
+                    t, _, item = heads[0]
+                    if t < self.now:
+                        raise SimError("clock regression detected")
+                    self.now = t
+                    nxt = arrive(t, item)
+                    if nxt is None:
+                        pop(heads)
+                        continue
+                    if nxt < t:
+                        raise SimError(
+                            f"attempt to add an arrival at t={nxt} ns while "
+                            f"clock is at t={t} ns")
+                    seq = self._seq
+                    self._seq = seq + 1
+                    replace(heads, (nxt, seq, item))
+                    continue
+                if head is end:
+                    break
                 t, seq, target, kind, payload = pop(queue)
                 if t < self.now:
                     raise SimError("clock regression detected")

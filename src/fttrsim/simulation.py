@@ -4,10 +4,13 @@ upstream allocation calendar, the OMCI management plane and the power state
 machines, and collects metrics.
 
 Traffic, contention and the rooms' sleep checks run on one event loop.
-A frame's receive at its room and a centralized air grant are not events:
-each keeps a place in the loop's (time, seq) order, reserved when the frame
-is sent or the grant issued, and is applied at that place before the next
-event that could read what it moves (`Simulation._apply_before`). Uplink
+A frame's arrival at the MFU is not an event: each flow's next arrival is
+a head the engine merges with its queue in (time, seq) order, and runs at
+its place (`Simulation._flow_arrival`). Nor are a frame's receive at its
+room and a centralized air grant: each keeps a place in the loop's (time,
+seq) order, reserved when the frame is sent or the grant issued, and is
+applied at that place before the next event that could read what it moves
+(`Simulation._apply_before`). Uplink
 bursts are played in one pass before the loop and the OMCI plane in one
 pass over the allocation cycles after it, since no event reads what they
 move. No unit's step from ACTIVE to IDLE is an event: the MFU's and every
@@ -298,12 +301,8 @@ def _dispatcher(node: str, table: dict[str, Callable[[Event], None]],
             handler = table[kind]
         except KeyError:
             raise RuntimeError(f"unknown {node} event {kind}") from None
-        # a frame's arrival at the MFU, the most frequent event, reads no
-        # room state that a receive or a grant moves, so it leaves them to
-        # the next event
         t = ev.fire_time
-        if kind != "flow_arrival" and ((inbound and inbound[0][0] <= t)
-                                       or (grants and grants[0][0] <= t)):
+        if (inbound and inbound[0][0] <= t) or (grants and grants[0][0] <= t):
             apply(t, ev.seq)
         handler(ev)
     return dispatch
@@ -362,8 +361,8 @@ class Simulation:
             for i, comp in enumerate(self.graph.components()):
                 dom = ContentionDomain(i, comp, self)
                 self.sim.register(dom.target, dom.on_round)
+        self.sim.on_arrival = self._flow_arrival
         self.sim.register(MFU, _dispatcher("MFU", {
-            "flow_arrival": self._flow_arrival,
             "status_cycle": self._status_cycle,
             "poll_cycle": self._poll_cycle,
         }, self))
@@ -392,9 +391,9 @@ class Simulation:
                 for k in range(flow.count):
                     t = start + k * flow.interval_ns
                     if t <= run.stop_ns:
-                        self.sim.schedule(t, MFU, "flow_arrival", run)
+                        self.sim.add_arrival(t, run)
             else:
-                self.sim.schedule(start, MFU, "flow_arrival", run)
+                self.sim.add_arrival(start, run)
                 if flow.model == "on_off":
                     run.next_end = start + run.on_ns
         if cfg.mode != SchedulerMode.DISTRIBUTED_BASELINE and cfg.flows:
@@ -420,9 +419,12 @@ class Simulation:
     # ------------------------------------------------------------------
     # traffic
 
-    def _flow_arrival(self, ev: Event) -> None:
-        flow = ev.payload
-        now = self.sim.now
+    def _flow_arrival(self, now: int, flow: FlowRun) -> int | None:
+        """A frame of `flow` reaches the MFU at `now`; return the flow's next
+        arrival time, or None when it has no more by its stop time. An
+        arrival is not an event: the engine runs it at its place in the
+        (time, seq) order. It reads no room state that a receive or a grant
+        moves, so it leaves them to the next event."""
         flow.offered += 1
         sfu = flow.sfu
         frame = Frame(flow, now)
@@ -439,27 +441,23 @@ class Simulation:
             self._trigger_wake(sfu)
         else:
             self._optical_downstream(frame)
-        self._schedule_next_arrival(flow)
-
-    def _schedule_next_arrival(self, flow: FlowRun) -> None:
         if flow.interarrival_ns is None:  # batch: every arrival is primed
-            return
-        nxt = self.sim.now + flow.interarrival_ns
+            return None
+        nxt = now + flow.interarrival_ns
         if flow.spec.model == "on_off":
             end = flow.next_end
             if nxt >= end:  # jump over the off period to the next on period
                 nxt = end + flow.off_ns
                 flow.next_end = nxt + flow.on_ns
-        if nxt <= flow.stop_ns:
-            self.sim.schedule(nxt, MFU, "flow_arrival", flow)
+        return nxt if nxt <= flow.stop_ns else None
 
     def _optical_downstream(self, frame: Frame) -> None:
         """Send `frame` down the MFU link. The link is FIFO and its
         propagation delay is one constant, so receive times never fall:
         the frame joins `inbound` at its receive time and a sequence number
-        reserved now, and reaches its room before any later event but a
-        frame's arrival at the MFU is handled. An idle contention domain is
-        woken by an event at that place."""
+        reserved now, and reaches its room before any later event is
+        handled. An idle contention domain is woken by an event at that
+        place."""
         flow = frame.flow
         depart = max(self.sim.now, self.mfu_tx_free)
         self.mfu_tx_free = depart + flow.optical_ns
@@ -474,11 +472,11 @@ class Simulation:
 
     def _apply_before(self, t: int, seq: int) -> None:
         """Apply every frame receive and air grant ordered before (t, seq),
-        merging the two FIFOs in (time, seq) order. Every dispatcher (for
-        every kind but `flow_arrival`), the contention round, a domain's
-        wake and the end of the run call this before anything reads a
-        room's queue or state, so each handler sees the rooms as an event
-        per receive and per grant would have left them.
+        merging the two FIFOs in (time, seq) order. Every dispatcher, the
+        contention round, a domain's wake and the end of the run call this
+        before anything reads a room's queue or state, so each handler sees
+        the rooms as an event per receive and per grant would have left
+        them.
 
         A living room's receive is an activity that restarts its idle
         timer. A dead room's queue still takes the frame, but its power

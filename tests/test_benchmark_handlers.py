@@ -47,11 +47,12 @@ def test_benchmark_lists_every_scheduled_handler(monkeypatch):
     # the runs reach the rooms' sleep timer and every target class
     assert ("sfu", "sleep_check") in seen
     # uplink bursts are played before the event loop, every unit's idle
-    # timer is folded from its activity times and an air grant is applied
-    # at its place in the event order: none schedules an event
+    # timer is folded from its activity times, an air grant is applied at
+    # its place in the event order and a flow's arrivals are merged with
+    # the queue by the engine: none schedules an event
     assert not {("sfu", "burst_start"), ("mfu", "upstream_burst_done"),
                 ("mfu", "power_check"), ("sfu", "power_check"),
-                ("sfu", "grant_start")} & seen
+                ("sfu", "grant_start"), ("mfu", "flow_arrival")} & seen
     # the OMCI plane is played after the event loop: neither its alloc
     # cycles nor a receive at a room or at the OLT is an event
     assert {target for target, _ in seen} == {"mfu", "sfu", "domain"}

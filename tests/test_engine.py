@@ -195,6 +195,113 @@ def test_missing_handler_is_fatal():
         sim.run_until(10)
 
 
+def arrivals(sim, seen, period=None):
+    """Run each arrival as `(now, item)` into `seen`; with `period`, the
+    stream's next arrival is `period` ns on."""
+    def arrive(now, item):
+        assert sim.now == now
+        seen.append((now, item))
+        return None if period is None else now + period
+    sim.on_arrival = arrive
+
+
+@pytest.mark.parametrize("head_first", [True, False])
+def test_an_arrival_and_an_event_at_one_ns_run_in_seq_order(head_first):
+    sim = Simulator()
+    seen = []
+    sim.register("n", lambda ev: seen.append((ev.fire_time, ev.kind)))
+    arrivals(sim, seen)
+    if head_first:
+        sim.add_arrival(10, "head")
+        sim.schedule(10, "n", "event")
+    else:
+        sim.schedule(10, "n", "event")
+        sim.add_arrival(10, "head")
+    sim.run_until(100)
+    order = [(10, "head"), (10, "event")]
+    assert seen == (order if head_first else order[::-1])
+
+
+def test_an_arrival_takes_its_next_number_as_its_callback_returns():
+    # the event the arrival schedules is numbered before the stream's next
+    # arrival, so at one ns it runs first
+    sim = Simulator()
+    seen = []
+    sim.register("n", lambda ev: seen.append((ev.fire_time, ev.kind)))
+
+    def arrive(now, item):
+        seen.append((now, item))
+        if now == 0:
+            sim.schedule(5, "n", "follow")
+            return 5
+        return None
+    sim.on_arrival = arrive
+    sim.add_arrival(0, "a")
+    sim.run_until(100)
+    assert seen == [(0, "a"), (5, "follow"), (5, "a")]
+
+
+def test_an_arrival_after_the_horizon_is_not_run_or_counted():
+    sim = Simulator()
+    seen = []
+    sim.register("n", lambda ev: None)
+    arrivals(sim, seen, period=40)
+    sim.add_arrival(30, "s")
+    sim.add_arrival(101, "late")
+    sim.schedule(50, "n", "x")
+    sim.run_until(100)
+    # the stream runs at 30 and 70; its head at 110 stays, as does 101's
+    assert seen == [(30, "s"), (70, "s")]
+    assert (sim.n_scheduled, sim.n_dispatched, sim.n_beyond_horizon) == (1, 1, 0)
+    assert sim.now == 100
+
+
+def test_an_arrival_at_the_horizon_runs():
+    sim = Simulator()
+    seen = []
+    arrivals(sim, seen)
+    sim.add_arrival(100, "edge")
+    sim.run_until(100)
+    assert seen == [(100, "edge")]
+
+
+def test_an_arrival_whose_next_time_is_in_the_past_raises():
+    sim = Simulator()
+    sim.on_arrival = lambda now, item: now - 1
+    sim.add_arrival(10, "s")
+    with pytest.raises(SimError):
+        sim.run_until(100)
+    sim = Simulator()
+    sim.register("n", lambda ev: None)
+    sim.schedule(20, "n", "x")
+    sim.run_until(30)
+    with pytest.raises(SimError):
+        sim.add_arrival(29, "s")
+
+
+def test_arrivals_count_in_no_event_counter_and_add_no_digest_line():
+    def run(with_arrivals):
+        sim = Simulator()
+        seen = []
+        sim.register("n", lambda ev: None)
+        arrivals(sim, seen, period=7)
+        if with_arrivals:
+            sim.add_arrival(0, "s")
+            sim.add_arrival(3, "t")
+        for t in (5, 10, 200, 300):
+            sim.schedule(t, "n", "x")
+        digest = sim.run_until(100)
+        return sim, seen, digest
+
+    sim, seen, digest = run(True)
+    assert len(seen) == 29  # 15 of s, 14 of t
+    assert sim.n_scheduled == 4
+    assert sim.n_dispatched == 2
+    assert sim.n_beyond_horizon == 2
+    assert sim.n_scheduled == sim.n_dispatched + sim.n_beyond_horizon
+    assert digest == run(False)[2]
+
+
 def test_rng_substream_depends_only_on_seed_and_name():
     a = RngStreams(1).for_node("room1")
     b = RngStreams(1).for_node("room1")

@@ -672,6 +672,64 @@ def test_a_frame_received_with_a_status_cycle_is_in_its_report_if_sent_first(
     assert res.flow_stats["f"].delivered == 1
 
 
+def test_arrivals_at_one_ns_with_a_status_cycle_and_a_sleep_check(
+        monkeypatch):
+    # Status cycles every 1 ms and 1 ms / 2 ms sleep timers. `f` sends a
+    # frame to room `a` at 0 and at 3 ms; `g` one to room `b` every 0.5 ms
+    # from 0.5 ms. Each arrival runs at its place in the (time, seq) order:
+    # `f`'s second one was primed before the rooms' first sleep checks and
+    # runs before them and the 3 ms cycle; `g`'s at an integer ms was
+    # numbered after the cycle that shares its ns, and runs after it.
+    # `a`'s check moves on to the end of its timers at 3.013106 ms, when
+    # `f`'s second frame reaches `a` too; the receive, sent before the check
+    # moved on, comes first and restarts the timer, and `a` sleeps 3 ms
+    # after it
+    order = []
+    frame, register = simulation.Frame, simulation.Simulator.register
+
+    def spy_frame(flow, created_at):
+        order.append((created_at, flow.spec.name))
+        return frame(flow, created_at)
+
+    def spy_register(engine, target, handler):
+        def spied(ev):
+            if ev.kind in ("status_cycle", "sleep_check"):
+                order.append((ev.fire_time, f"{target} {ev.kind}"))
+            handler(ev)
+        register(engine, target, spied)
+
+    monkeypatch.setattr(simulation, "Frame", spy_frame)
+    monkeypatch.setattr(simulation.Simulator, "register", spy_register)
+    res = run_scenario_config(parse_scenario({
+        "horizon_ms": 10, "topology": {"sfus": ["a", "b"]},
+        "control": {"status_cycle_us": 1000},
+        "flows": [{"name": "f", "dst": "a", "size_bytes": 1500,
+                   "model": "batch", "count": 2, "interval_us": 3000},
+                  {"name": "g", "dst": "b", "size_bytes": 1500,
+                   "model": "constant_rate", "rate_mbps": 24,
+                   "start_ms": 0.5}],
+        "energy": {"savings_enabled": True, "t_act_idle_ms": 1,
+                   "t_idle_sleep_ms": 2}}))
+    at = {t: [what for u, what in order if u == t]
+          for t in (1_000_000, 3_000_000)}
+    assert at == {
+        1_000_000: ["mfu status_cycle", "g"],
+        3_000_000: ["f", "sfu:a sleep_check", "sfu:b sleep_check",
+                    "mfu status_cycle", "g"]}
+    assert res.ledgers["a"].records == [
+        (PowerState.ACTIVE, 0, 1_013_106),
+        (PowerState.IDLE, 1_013_106, 3_013_106),
+        (PowerState.ACTIVE, 3_013_106, 4_013_106),
+        (PowerState.IDLE, 4_013_106, 6_013_106),
+        (PowerState.LIGHT_SLEEP, 6_013_106, 10_000_000)]
+    assert res.ledgers["b"].records == [(PowerState.ACTIVE, 0, 10_000_000)]
+    assert res.events == [(6_013_106, "light_sleep_report", "a")]
+    rows = build_summary(res)["flows"]
+    assert {name: (row["offered"], row["delivered"], row["lost"],
+                   row["latency_p50_ns"]) for name, row in rows.items()} == {
+        "f": (2, 2, 0, 1_119_000), "g": (20, 17, 3, 713_000)}
+
+
 def test_a_frame_reaching_an_idle_contention_domain_wakes_it(monkeypatch):
     # Distributed, one room, 600 us propagation delay: three frames sent
     # 300 us apart, then three more from 3 ms, so the domain is idle
