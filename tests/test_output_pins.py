@@ -40,13 +40,13 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # (scenario, mode) -> (sha256 of summary.json, sha256 of flows.csv)
 PINS = {
     ("conflict_pair", "centralized"): (
-        "4718a0653d97ef840a613ec3d30adfa33fe3f4f1128d011ed57ac7a45f2bf54c",
+        "f5b949881d55c1390bd21a7f8931b2af656cff9544cd62f07ec384aa89307546",
         "0699922d1256e434c7c1815ccb7c17fdeb17128b88d05371616e5f12a2cf56d3"),
     ("conflict_pair", "distributed"): (
-        "6961451accf662405dd3d495a53dbfbec4285341ce2024cc01fc1d0b780088be",
+        "bc3503aa1439fce883fe025613ad5cba21ad166252600ba2fa06eae6dc07d5b9",
         "b38216e277d3ef8fc6ace04855064fa14a064dfe9c90644999b52ebdc67e286a"),
     ("conflict_pair", "phy_relay"): (
-        "256ab6e129884d80c43f40135e3fd194ff4c0b193bcba48cec5e6e6fb93f51f7",
+        "aa09e9cc4e80b04be8d0826bb845dbf4223ac1cb4d2906f2921cc9b9a3f20ea3",
         "eaa3a2f19b839d4ba70e498fe0ad577bb3742c7ace18d910fc48077279ead461"),
     ("four_room_household", "centralized"): (
         "474f76adfb6b4b7e4871e4d3c57a65cedf2aeb5a9acb3931692179d05ff8b5b6",
@@ -58,19 +58,19 @@ PINS = {
         "acf1524912095bf2093d8378f1683e16292872dc3c2976bfc91d9f7b2a9d2bdc",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("golden", "centralized"): (
-        "4ed8d95e0d9d59132385c4acd4d9160459d408f308b93a5cb848194aeb2d1b7b",
+        "1b242e2a4839298b3430befc95d701f9eea4303b28e318ce8d0b4bf320ad6c54",
         "537d351de7b375ff49adc9cd35c8a47a43d92bf491e8ec29d32ffe893de87999"),
     ("golden", "distributed"): (
-        "14ccd7fb542300c1e8d40f88bdd4e7ae74e23c4d01f2cfe935bc4b898a7cd2dc",
+        "1ed24bb5fecf45892b7ff0bb679a06611edfabf3e9a9e16798d6c1c0fb93c064",
         "4122b453971055f25395ac0f32ca9d81103e7fd9db57d9b295879055ee26c092"),
     ("idle_night", "centralized"): (
-        "8997e3c93ee6a0d044a60473498a08587a6bbeb8f20d3018905dde2266305fff",
+        "a4abe157dbee83164afcc5710e00a166852efbb4fb2264ecacef24a21988f53d",
         "afe8f3408ee7411b4c7f06512f66ff4e5c6d63ffdb4f09cdd8262eecef454abc"),
     ("idle_night", "distributed"): (
-        "ec4ffb1730583582d979ea4f1fad753ce6b8f121e7173bc0419d28acfbd64932",
+        "4e962ac88b2c05f1913d42ba008ee4cd7383537f83fd47ea6600db6e87d206ec",
         "a705d415ba98a671fbb54cfa1391ccd169be0abacfcde807cf2c11d19ec8a768"),
     ("idle_night", "phy_relay"): (
-        "5ba6679e7cc7ffa95ab9edffe17de50bcb5270ad0ea570b6b24dba472d70dce9",
+        "944fd11daa3a95a64123c545b290c0a1fec48c300ff698b4919e82635f30d2d0",
         "28545f526021417db646596bf472fb87e1691869aea735f41c1cc6df9fecc23d"),
     ("ofdma_uplink_burst", "centralized"): (
         "c02f1834691d3c4c10dafce1818d89c6f1903420bc2b374c91ff10c16e37cccc",
@@ -97,13 +97,13 @@ PINS = {
         "320fb928a4027a6227d3f141ab7a125fa998aee0569738cb6f5f93e867521e4c",
         "a803843046f5313cb18c01edda13b2485b53abf860215ba0f79189522e611d9e"),
     ("staged_kill", "centralized"): (
-        "31c58c878778c34023f512caedf94ec76e6dacabb74c0b872564cff2597c938b",
+        "c28ec19abdda2ab3cb993a7cd5c2862717d2f4daede83cdd76c76c3579ea5b59",
         "f338d9dbba59d249f3230511c18adf506eddd66319d5c543c92cfc79e3a59a6c"),
     ("staged_kill", "distributed"): (
-        "c1966e2a52cd1ffc53fe6cf5dda9f20050d94c0ad0ecc48c00a5e468442f55c4",
+        "9b9c246df8d52137fd7d6056cac95d0744676083543dd58f0d42edbb2c96016f",
         "400061c7dce4fd9c72b4ee7bae471447ea60399d805c2657b1ba6acdda6452ec"),
     ("staged_kill", "phy_relay"): (
-        "810ebe1e9ca6e7106c1e698cffd3bb069bfd69723ea108fdd7cb97f9397a4f90",
+        "e5ebbd890a0cedd96669e733334440d34c2981f020af649f2580bc582d3136d3",
         "95211e17a5817c20edce0d81e47b2cf493b4aa7b0bb68125cc30b710e435ca5d"),
 }
 
@@ -314,32 +314,32 @@ RUNS = {"sleep_deep_wake": SLEEP_RUN, "storm_kill_bursts": STORM_RUN,
 # repr(res.events))
 RUN_PINS = {
     ("sleep_deep_wake", "centralized"): (
-        "e16b7d52a52d4e39280bc6fe6e400c8c846ca5d49e3ba64a13260694f96beff9",
+        "a48165ce01637efe8f0075f23a4cdcf7d789918d13523397a35a42be76d227e8",
         "27aecd51dd70386d137bfec2c892ec1dd632f87f6158fb4c2ce9fe6674369350",
         "e1486fa41656d4e09fba885285609606874e4cce8d09895c6c0470a3c21ad2a1",
         "09dc764fe476ebd02f919c8e126bb7894d101ba0a43020d59ef5cd1a604b2447"),
     ("sleep_deep_wake", "distributed"): (
-        "32a29f3596f670a253f817c2a27fcc09f4462f5b58f44fc8ba2ff278ca18aa16",
+        "509781dc9860fc1d39d107eb82d49eacdcc4a374153182ad1cea0e74c6f37578",
         "b167da573fddcff0ad3b23c7c580314be325799ca8cb4ca5ad3165e7d56dc025",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "09dc764fe476ebd02f919c8e126bb7894d101ba0a43020d59ef5cd1a604b2447"),
     ("storm_kill_bursts", "centralized"): (
-        "79527ba2fb78dd28171cc73cf006e41a60fc1a11bfea4dd6219f0089071bb8b6",
+        "25175bbc6fcab057886a5996736b19e38042b2450986017eb981f794c57085d9",
         "bafe1e01724777eeb67776754f779c4a1344c72e29e6721eb274fac85bc9518e",
         "5761fcedb63998499758c0638bf064596e1a6507b9959195560775f9473b466e",
         "3992aed451ddc5119fc48f4833d9214c4e6cdf43fd9017a96c487d3c276d1fa3"),
     ("storm_kill_bursts", "phy_relay"): (
-        "ff13a46b96d79052a9719c424025e3eab84ff225b9aa2940240346438c0c3767",
+        "a23738c5c2cda294c4013b1cbeec2e8fc834273428caec267f05124a2ce5b682",
         "c9a49b2224e9ff53cbbbbace35a10d593285152029794a1e968cc12f87e90b5f",
         "1937ddc9fa8ff4d030b36c166e1dbeef4b8207ad74425f54277cfe852103e399",
         "3992aed451ddc5119fc48f4833d9214c4e6cdf43fd9017a96c487d3c276d1fa3"),
     ("iot_rf_off_overflow", "centralized"): (
-        "a337a0af6c353d47434a2e9aacef6fb535a07cf694b251329c3e04c4652b76e9",
+        "8d1fb8556b4e98a47b6f573958fa9aa6285cb407e37dc24007daa1b72ae15911",
         "d4eae6b6d98aff5f1e3d3053620229f5e6ff1bccbf5fa4500bb9bd415021938f",
         "477baee3dc1b56b0a72ae54057e7e72b3faa76d9524c58ddd8a114940eda43ae",
         "eda1d957f9eea5d3ed3e8854aeb1d6e4340980dc64c0043a806c8bbed54b3127"),
     ("iot_rf_off_overflow", "distributed"): (
-        "6190e0ef08a18b38b0060d7498fb3b23daf0e2b275bfc0a3b5968121e605deb1",
+        "95ac3ec18c71d7a9c0ee4363921fe6e2211831bb308567760b7c924d79d840ea",
         "4869d77470a26af6aaeee703d57eeced96322dfe7e3993de74e2c4b20beb41ce",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "eda1d957f9eea5d3ed3e8854aeb1d6e4340980dc64c0043a806c8bbed54b3127"),
