@@ -189,8 +189,8 @@ class Simulator:
         """Dispatch every event, and run every arrival, with time <= horizon,
         in (time, seq) order; return the trace digest."""
         queue, heads, handlers = self._queue, self._heads, self._handlers
-        pop, replace, feed = heapq.heappop, heapq.heapreplace, self._digest.update
-        arrive = self.on_arrival
+        pop, replace = heapq.heappop, heapq.heapreplace
+        feed, arrive = self._digest.update, self.on_arrival
         # ordered after every key due by the horizon
         end = (horizon + 1,)
         ev = Event(0, 0, "", "")

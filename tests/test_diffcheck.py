@@ -1,6 +1,7 @@
 """tools/diffcheck.py on a few cases: HEAD against itself, and a difference
 planted in one result; properties of the runs of its random scenarios; and
-four metamorphic relations over them, which say how two runs must relate."""
+four metamorphic relations over them, which say how two runs must relate
+(the relay-buffer one also over draws of its own)."""
 
 import copy
 import importlib.util
@@ -12,12 +13,14 @@ from pathlib import Path
 
 import pytest
 
+from fttrsim import simulation
 from fttrsim.energy import PowerState
 from fttrsim.engine import Simulator
 from fttrsim.frames import OmciType
 from fttrsim.metrics import build_summary
 from fttrsim.scenario import ConfigError, parse_scenario
-from fttrsim.simulation import Simulation, run_scenario_config
+from fttrsim.simulation import (Simulation, SimResults,
+                                run_scenario_config)
 
 ROOT = Path(__file__).resolve().parent.parent
 CASES = ("conflict_pair/centralized/seed1", "golden/phy_relay/seed1",
@@ -340,27 +343,100 @@ def test_a_flow_that_starts_after_the_horizon_changes_no_other_output():
     assert ran > 250
 
 
-def test_a_larger_relay_buffer_never_drops_more_bursts():
+class RelayDropLog(SimResults):
+    """`SimResults` that also lists the bursts the relay buffer drops, each
+    numbered by the bursts sent before it: `_uplink_bursts` counts a
+    burst's drop before it records the burst's forwarding delay."""
+
+    @property
+    def relay_overflow_drops(self) -> int:
+        return len(self.dropped)
+
+    @relay_overflow_drops.setter
+    def relay_overflow_drops(self, n: int) -> None:
+        if n == 0:
+            self.dropped = []
+        else:
+            assert n == len(self.dropped) + 1
+            self.dropped.append(len(self.bursts))
+
+
+def relay_drops(raw: dict):
+    """The bursts a run of `raw` drops at its relay buffer, numbered as in
+    `RelayDropLog`, or the exit code and message of a run that ends with
+    exit 2 or 3."""
+    try:
+        return run_scenario_config(parse_scenario(raw)).dropped
+    except ConfigError as exc:
+        return 2, str(exc)
+    except RuntimeError as exc:
+        return 3, str(exc)
+
+
+def relay_draw(rng: random.Random) -> dict:
+    """A phy_relay run with a 24,000-byte relay buffer and 2-4 burst specs
+    of 14,400 to 28,800 relayed bytes each (30-60 us of samples), in one
+    or two rooms, whose slots often overlap the next bursts."""
+    rooms = ["a", "b"][:rng.randint(1, 2)]
+    bursts = [{"sfu": rng.choice(rooms),
+               "period_us": rng.choice((242, 250, 500, 1000)),
+               "air_duration_us": rng.choice((30, 40, 45, 50, 55, 60)),
+               "start_ms": rng.choice((0, 0.01, 0.05, 0.1, 0.25)),
+               "coordinated": rng.random() < 0.5,
+               "rus": [{"bytes": 500}]}
+              for _ in range(rng.randint(2, 4))]
+    return {"name": "relay", "seed": rng.randrange(1, 1000),
+            "horizon_ms": rng.choice((2, 5)), "mode": "phy_relay",
+            "topology": {"sfus": rooms}, "uplink_bursts": bursts,
+            "phy_relay": {"buffer_bytes": 24_000}}
+
+
+def test_a_larger_relay_buffer_never_drops_more_bursts(monkeypatch):
     # In phy_relay mode a relayed burst that does not fit the room's relay
     # buffer is dropped. The buffer's level under a larger buffer is never
     # more than that size difference above its level under a smaller one,
-    # so a burst that overflows the larger buffer overflows the smaller too
+    # so a burst that overflows the larger buffer overflows the smaller
+    # too. The relation compares which bursts are dropped: their counts
+    # alone stay in order under a buffer that empties on overflow, which
+    # drops fewer bursts only after it has dropped more
+    monkeypatch.setattr(simulation, "SimResults", RelayDropLog)
+
+    def nested(raw: dict, sizes: tuple[int, ...], case: str):
+        runs = [relay_drops({**raw, "phy_relay": {"buffer_bytes": b}})
+                for b in sizes]
+        if isinstance(runs[0], tuple):
+            # a run that ends with exit 2 or 3 ends so at every size
+            assert all(r == runs[0] for r in runs), case
+            return None
+        for smaller, larger in zip(runs, runs[1:]):
+            assert set(larger) <= set(smaller), case
+        return runs
+
     draw = diffcheck().random_scenario
     rng = random.Random(0)
     ran = dropping = 0
     for i in range(300):
         raw = {**draw(rng), "mode": "phy_relay"}
         size = raw["phy_relay"]["buffer_bytes"]
-        outs = [run_outputs({**raw, "phy_relay": {"buffer_bytes": b}})
-                for b in (size // 8, size // 2, size, 2 * size)]
-        if "exit" in outs[0]:
-            # a run that ends with exit 2 or 3 ends so at every size
-            assert all(o == outs[0] for o in outs), f"random scenario {i}"
-            continue
-        drops = [o["summary"]["uplink"]["relay_overflow_drops"] for o in outs]
-        assert drops == sorted(drops, reverse=True), f"random scenario {i}"
-        ran += 1
-        dropping += drops[0] > 0
+        runs = nested(raw, (size // 8, size // 2, size, 2 * size),
+                      f"random scenario {i}")
+        if runs is not None:
+            ran += 1
+            dropping += bool(runs[0])
     # 184 draws run to the horizon, 96 of them dropping bursts at the
     # smallest size
     assert ran > 150 and dropping > 50
+    # burst sizes near the buffer size, around it
+    rng = random.Random(1)
+    ran = kept = 0
+    for i in range(200):
+        runs = nested(relay_draw(rng), (12_000, 24_000, 36_000, 48_000),
+                      f"relay draw {i}")
+        if runs is not None:
+            ran += 1
+            # a larger buffer drops some, but not all, of the bursts the
+            # smallest one drops
+            kept += any(0 < len(r) < len(runs[0]) for r in runs[1:])
+    # all 200 draws run to the horizon, and in each a larger buffer drops
+    # a part of what the smallest one drops
+    assert ran > 150 and kept > 150

@@ -252,7 +252,8 @@ def test_an_arrival_after_the_horizon_is_not_run_or_counted():
     sim.run_until(100)
     # the stream runs at 30 and 70; its head at 110 stays, as does 101's
     assert seen == [(30, "s"), (70, "s")]
-    assert (sim.n_scheduled, sim.n_dispatched, sim.n_beyond_horizon) == (1, 1, 0)
+    assert sim.n_scheduled == sim.n_dispatched == 1
+    assert sim.n_beyond_horizon == 0
     assert sim.now == 100
 
 
