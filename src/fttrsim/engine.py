@@ -181,9 +181,7 @@ class Simulator:
             raise SimError(
                 f"attempt to add an arrival at t={time} ns while clock is "
                 f"at t={self.now} ns")
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(self._heads, (time, seq, item))
+        heapq.heappush(self._heads, (time, self.reserve(), item))
 
     def run_until(self, horizon: SimTime) -> str:
         """Dispatch every event, and run every arrival, with time <= horizon,
