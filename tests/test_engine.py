@@ -247,23 +247,16 @@ def test_an_arrival_after_the_horizon_is_not_run_or_counted():
     sim.register("n", lambda ev: None)
     arrivals(sim, seen, period=40)
     sim.add_arrival(30, "s")
+    sim.add_arrival(100, "edge")
     sim.add_arrival(101, "late")
     sim.schedule(50, "n", "x")
     sim.run_until(100)
-    # the stream runs at 30 and 70; its head at 110 stays, as does 101's
-    assert seen == [(30, "s"), (70, "s")]
+    # `s` runs at 30 and 70 and `edge` at the horizon; the heads at 101,
+    # 110 and 140 stay
+    assert seen == [(30, "s"), (70, "s"), (100, "edge")]
     assert sim.n_scheduled == sim.n_dispatched == 1
     assert sim.n_beyond_horizon == 0
     assert sim.now == 100
-
-
-def test_an_arrival_at_the_horizon_runs():
-    sim = Simulator()
-    seen = []
-    arrivals(sim, seen)
-    sim.add_arrival(100, "edge")
-    sim.run_until(100)
-    assert seen == [(100, "edge")]
 
 
 def test_an_arrival_whose_next_time_is_in_the_past_raises():
