@@ -64,25 +64,24 @@ def grant_downlink_airtime(reports: list[SfuStatusReport],
     ends. Non-conflicting SFUs may hold simultaneous grants.
     """
     grants: list[AirGrant] = []
+    append, neighbors, new = grants.append, graph.neighbors, tuple.__new__
     granted_end: dict[str, int] = {}     # sfu -> latest end of its grants
     latest = granted_end.get
-    for report in sorted(reports, key=report_order_key):
-        if report.buffered_bytes <= 0:
+    for sfu, buffered, _, airtime in sorted(reports, key=report_order_key):
+        if buffered <= 0:
             continue
-        sfu = report.sfu
         start = now
-        for other in graph.neighbors(sfu):
+        for other in neighbors(sfu):
             end = latest(other, start)
             if end > start:
                 start = end
-        duration = report.airtime_ns
-        if duration > txop_max_ns:
-            duration = txop_max_ns
+        duration = airtime if airtime < txop_max_ns else txop_max_ns
         if window_end - start < duration:
             duration = window_end - start
         if duration <= 0:
             continue
-        grants.append(AirGrant(sfu, start, duration))
+        # an `AirGrant` without the keyword-aware constructor
+        append(new(AirGrant, (sfu, start, duration)))
         end = start + duration
         if end > latest(sfu, 0):
             granted_end[sfu] = end

@@ -91,6 +91,14 @@ _SET = OmciType.SET
 
 
 class SfuSim:
+    """One room's state as the MFU and its own STA side see it. Its fields
+    are fixed slots, so a misspelt field raises."""
+
+    __slots__ = ("name", "target", "power", "cell", "queues", "queued_bytes",
+                 "queued_airtime_ns", "cw", "cw_bits", "domain", "alive",
+                 "asleep", "wake_pending", "wake_lost", "sleep_buffer", "iot",
+                 "grant_end", "airtime_ns", "collisions")
+
     def __init__(self, name: str, cell: WifiCell, cfg: ScenarioConfig):
         self.name = name
         self.target = f"sfu:{name}"
@@ -150,6 +158,32 @@ class SfuSim:
             if q:
                 return q[0]
         return None
+
+    def pop_frames(self, budget: int) -> list[Frame]:
+        """Take the head frames whose air times fit in `budget` ns together,
+        in serving order, in one scan over the tag queues. The scan stops
+        at the first head frame that does not fit: it never skips ahead to
+        a smaller frame further back or at a lower priority. The taken
+        frames' air time counts as used."""
+        frames: list[Frame] = []
+        take = frames.append
+        used = size = 0
+        for q in self.queues:
+            while q:
+                flow = q[0].flow
+                airtime = used + flow.airtime_ns
+                if airtime > budget:
+                    break
+                used = airtime
+                size += flow.size
+                take(q.popleft())
+            else:
+                continue
+            break
+        self.queued_bytes -= size
+        self.queued_airtime_ns -= used
+        self.airtime_ns += used
+        return frames
 
     def top_priority(self) -> int:
         for tag, q in enumerate(self.queues):
@@ -530,10 +564,13 @@ class Simulation:
         cfg = self.cfg
         now = self.sim.now
         sfus = self.sfus
+        new = tuple.__new__
         # a room with nothing queued would get no grant, so it sends no
-        # report
-        reports = [SfuStatusReport(sfu.name, sfu.queued_bytes,
-                                   sfu.top_priority(), sfu.queued_airtime_ns)
+        # report; reports and grants are built without the keyword-aware
+        # constructor of their named tuples
+        reports = [new(SfuStatusReport, (sfu.name, sfu.queued_bytes,
+                                         sfu.top_priority(),
+                                         sfu.queued_airtime_ns))
                    for sfu in sfus.values()
                    if sfu.queued_bytes > 0 and sfu.alive and not sfu.asleep]
         t0 = now + cfg.control_delay_ns
@@ -543,19 +580,19 @@ class Simulation:
         reserve = self.sim.reserve
         neighbors = self.graph.neighbors
         due = []
-        for g in grants:
+        for name, start, duration in grants:
             # no grant may start before a conflicting room's latest grant,
             # of this cycle or an earlier one, ends
-            for other in neighbors(g.sfu):
-                if sfus[other].grant_end > g.start:
+            for other in neighbors(name):
+                if sfus[other].grant_end > start:
                     raise SimError(
-                        f"grant to {g.sfu} at {g.start} ns starts before the "
+                        f"grant to {name} at {start} ns starts before the "
                         f"grant to {other} ends at {sfus[other].grant_end} ns")
-            sfu = sfus[g.sfu]
-            end = g.start + g.max_duration
+            sfu = sfus[name]
+            end = start + duration
             if end > sfu.grant_end:
                 sfu.grant_end = end
-            due.append((g.start, reserve(), sfu, end))
+            due.append((start, reserve(), sfu, end))
         if due:
             # each grant starts inside its cycle's window, and the next
             # cycle's window begins where this one ends, so the grants of
@@ -576,17 +613,10 @@ class Simulation:
     def _grant_start(self, sfu: SfuSim, start: int, end: int) -> None:
         if not sfu.alive or sfu.asleep:
             return
-        cursor = start
         deliver = self._deliver
-        while True:
-            head = sfu.head_frame()
-            if head is None or cursor + head.flow.airtime_ns > end:
-                break
-            frame = sfu.pop_frame()
-            airtime = frame.flow.airtime_ns
-            cursor += airtime
-            deliver(frame, cursor)
-            sfu.airtime_ns += airtime
+        for frame in sfu.pop_frames(end - start):
+            start += frame.flow.airtime_ns
+            deliver(frame, start)
 
     # ------------------------------------------------------------------
     # upstream allocation calendar (OMCI window, data slots)

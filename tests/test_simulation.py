@@ -11,7 +11,8 @@ from fttrsim.frames import OmciType
 from fttrsim.management import AdapterError, OmciAdapter
 from fttrsim.metrics import build_summary
 from fttrsim.scenario import load_scenario, parse_scenario
-from fttrsim.scheduling import AirGrant, grant_downlink_airtime
+from fttrsim.scheduling import (AirGrant, SfuStatusReport,
+                                grant_downlink_airtime)
 from fttrsim.simulation import (MFU, ContentionDomain, Frame, Simulation,
                                 run_scenario_config)
 
@@ -130,6 +131,106 @@ def test_a_grant_ordered_before_a_queued_one_ends_the_run(monkeypatch):
             "flows": [{"name": "a", "dst": "a", "size_bytes": 1500,
                        "rate_mbps": 1}],
         }))
+
+
+def test_grants_and_reports_are_the_named_tuples_the_benchmark_reads(
+        monkeypatch):
+    # the run builds reports and grants with `tuple.__new__`; the benchmark
+    # reads the grants' fields by name
+    reports = []
+
+    def spy(reps, graph, txop_max_ns, now, window_end):
+        reports.extend(reps)
+        return grant_downlink_airtime(reps, graph, txop_max_ns, now,
+                                      window_end)
+
+    monkeypatch.setattr(simulation, "grant_downlink_airtime", spy)
+    res = two_conflicting_rooms_run()
+    assert reports and res.grants
+    for r in reports:
+        assert type(r) is SfuStatusReport
+        assert (r.sfu, r.buffered_bytes, r.top_priority, r.airtime_ns) == r
+    for g in res.grants:
+        assert type(g) is AirGrant
+        assert AirGrant(sfu=g.sfu, start=g.start,
+                        max_duration=g.max_duration) == g
+
+
+# (flow, priority, size in bytes) of the frames queued at room `a`, in the
+# order they arrive; a lower priority's 200-byte frame fits where a higher
+# one's 5000-byte frame does not
+QUEUED = [("hi", 7, 3000), ("mid", 4, 5000), ("hi", 7, 3000),
+          ("low", 0, 200), ("mid_small", 4, 200), ("hi", 7, 3000)]
+
+
+def queued_room():
+    """A centralized simulation, not run, whose room `a` holds QUEUED."""
+    names = {}
+    for name, priority, size in QUEUED:
+        names[name] = {"name": name, "dst": "a", "size_bytes": size,
+                       "priority": priority, "model": "batch", "count": 1}
+    sim = Simulation(parse_scenario({
+        "horizon_ms": 10, "mode": "centralized", "topology": {"sfus": ["a"]},
+        "flows": list(names.values())}))
+    runs = {run.spec.name: run for run in sim.flows}
+    sfu = sim.sfus["a"]
+    for k, (name, _, _) in enumerate(QUEUED):
+        sfu.enqueue(Frame(runs[name], k))
+    sent = []
+    sim._deliver = lambda frame, t: sent.append((frame.flow.spec.name,
+                                                 frame.created_at, t))
+    return sim, sfu, runs, sent
+
+
+def reference_grant(sfu, start: int, end: int, sent: list) -> None:
+    """Apply a grant frame by frame: take the head frame while it fits."""
+    cursor = start
+    while True:
+        head = sfu.head_frame()
+        if head is None or cursor + head.flow.airtime_ns > end:
+            break
+        frame = sfu.pop_frame()
+        cursor += frame.flow.airtime_ns
+        sent.append((frame.flow.spec.name, frame.created_at, cursor))
+        sfu.airtime_ns += frame.flow.airtime_ns
+
+
+def room_state(sfu) -> tuple:
+    return (sfu.queued_bytes, sfu.queued_airtime_ns, sfu.airtime_ns,
+            [[(f.flow.spec.name, f.created_at) for f in q] for q in sfu.queues
+             if q])
+
+
+def test_a_grant_stops_at_the_first_head_frame_that_does_not_fit():
+    _, _, runs, _ = queued_room()
+    air = {name: run.airtime_ns for name, run in runs.items()}
+    # the three priority-7 frames, then the 5000-byte priority-4 one
+    three_hi = 3 * air["hi"]
+    budgets = sorted({0, 1, air["hi"] - 1, air["hi"], three_hi,
+                      three_hi + air["mid"] - 1, three_hi + air["mid"],
+                      three_hi + air["mid"] + air["mid_small"],
+                      sum(air[name] for name, _, _ in QUEUED),
+                      sum(air[name] for name, _, _ in QUEUED) + 1})
+    start = 1_000_000
+    for budget in budgets:
+        sim, sfu, _, sent = queued_room()
+        sim._grant_start(sfu, start, start + budget)
+        ref_sim, ref_sfu, _, ref_sent = queued_room()
+        reference_grant(ref_sfu, start, start + budget, ref_sent)
+        assert sent == ref_sent, budget
+        assert room_state(sfu) == room_state(ref_sfu), budget
+
+    # a grant that ends inside the 5000-byte frame sends the three
+    # priority-7 frames and stops: neither 200-byte frame behind it, of its
+    # own priority or a lower one, goes ahead of it
+    sim, sfu, _, sent = queued_room()
+    sim._grant_start(sfu, start, start + three_hi + air["mid"] - 1)
+    assert sent == [("hi", 0, start + air["hi"]),
+                    ("hi", 2, start + 2 * air["hi"]),
+                    ("hi", 5, start + three_hi)]
+    assert room_state(sfu) == (
+        5000 + 200 + 200, air["mid"] + air["mid_small"] + air["low"],
+        three_hi, [[("mid", 1), ("mid_small", 4)], [("low", 3)]])
 
 
 def reference_reserve_data_slot(alloc_cycle_ns: int, omci_slot_ns: int,
