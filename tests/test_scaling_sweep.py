@@ -30,6 +30,10 @@ def test_one_ring_point_reports_rate_and_memory():
     assert (result["s_per_sim_s"] * point["horizon_ms"] / 1000
             == approx(result["ref_s"]))
     assert result["peak_rss_mb"] > 0
+    # gen-0, gen-1 and gen-2 collections during the run, and their time
+    assert len(result["gc_collections"]) == 3
+    assert all(n >= 0 for n in result["gc_collections"])
+    assert result["gc_s"] >= 0
 
 
 def test_one_storm_point_reports_cost_and_memory():
@@ -39,3 +43,6 @@ def test_one_storm_point_reports_cost_and_memory():
             == approx(result["ref_s"]))
     assert result["s_per_sim_s"] > 0
     assert result["peak_rss_mb"] > 0
+    # the run allocates enough to start the collector
+    assert result["gc_collections"][0] > 0
+    assert 0 < result["gc_s"] < result["host_s"]

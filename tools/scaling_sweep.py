@@ -19,6 +19,10 @@ flows.csv. The calibration kernel of ``perfbench/calibrate.py`` is timed
 right before and right after the span, and ``ref_s`` is the span scaled to
 the kernel's reference host, as the benchmark does. Peak RSS is the
 child's maximum resident set, interpreter and imports included.
+``gc_collections`` counts the garbage collector's gen-0, gen-1 and gen-2
+collections during ``simulate``, and ``gc_s`` the time spent in them, both
+read with ``gc.callbacks``: records a run retains cost time too, as the
+collector scans them again and again.
 ``s_per_sim_s`` is ``ref_s`` per simulated second: unlike events/s, it
 compares two versions of the simulator that reach the same outputs with
 different numbers of events. A single run of a second or less still
@@ -37,12 +41,14 @@ One line per point goes to stderr; stdout gets one JSON object per run
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import resource
 import statistics
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -112,8 +118,23 @@ def run_point(point: dict) -> dict:
     import worker
 
     raw = scenario(point)
+    collections = [0, 0, 0]
+    gc_s = started = 0.0
+
+    def on_gc(phase: str, info: dict) -> None:
+        nonlocal gc_s, started
+        if phase == "start":
+            started = time.perf_counter()
+        else:
+            gc_s += time.perf_counter() - started
+            collections[info["generation"]] += 1
+
     before = calibrate.kernel_s()
-    run = worker.simulate(raw)
+    gc.callbacks.append(on_gc)
+    try:
+        run = worker.simulate(raw)
+    finally:
+        gc.callbacks.remove(on_gc)
     after = calibrate.kernel_s()
     events = run["res"].counters["events_dispatched"]
     ref_s = run["host_s"] * calibrate.scale(before, after)
@@ -124,6 +145,7 @@ def run_point(point: dict) -> dict:
             "us_per_event": ref_s / events * 1e6,
             "peak_rss_mb": resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "gc_collections": collections, "gc_s": gc_s,
             "digest": run["res"].digest}
 
 
@@ -173,7 +195,10 @@ def main(argv: list[str] | None = None) -> int:
                   "us_per_event": statistics.median(
                       r["us_per_event"] for r in runs),
                   "peak_rss_mb": statistics.median(
-                      r["peak_rss_mb"] for r in runs)}
+                      r["peak_rss_mb"] for r in runs),
+                  "gc_collections": [statistics.median(
+                      r["gc_collections"][g] for r in runs) for g in range(3)],
+                  "gc_s": statistics.median(r["gc_s"] for r in runs)}
         results.append(result)
         label = (f"ring{point['sfus']}" if point["kind"] == "ring"
                  else point["kind"])
