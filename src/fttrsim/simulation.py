@@ -91,8 +91,9 @@ _SET = OmciType.SET
 
 
 class SfuSim:
-    """One room's state as the MFU and its own STA side see it. Its fields
-    are fixed slots, so a misspelt field raises."""
+    """One room (SFU): its tag queues, power and sleep state, contention
+    window and counters. Its fields are fixed slots, so a misspelt field
+    raises."""
 
     __slots__ = ("name", "target", "power", "cell", "queues", "queued_bytes",
                  "queued_airtime_ns", "cw", "cw_bits", "domain", "alive",
@@ -164,7 +165,7 @@ class SfuSim:
         in serving order, in one scan over the tag queues. The scan stops
         at the first head frame that does not fit: it never skips ahead to
         a smaller frame further back or at a lower priority. The taken
-        frames' air time counts as used."""
+        frames' air time is added to the room's `airtime_ns`."""
         frames: list[Frame] = []
         take = frames.append
         used = size = 0
@@ -177,9 +178,8 @@ class SfuSim:
                 used = airtime
                 size += flow.size
                 take(q.popleft())
-            else:
-                continue
-            break
+            if q:  # its head frame does not fit
+                break
         self.queued_bytes -= size
         self.queued_airtime_ns -= used
         self.airtime_ns += used

@@ -21,8 +21,8 @@ the kernel's reference host, as the benchmark does. Peak RSS is the
 child's maximum resident set, interpreter and imports included.
 ``gc_collections`` counts the garbage collector's gen-0, gen-1 and gen-2
 collections during ``simulate``, and ``gc_s`` the time spent in them, both
-read with ``gc.callbacks``: records a run retains cost time too, as the
-collector scans them again and again.
+read with ``gc.callbacks``: records a run retains cost time too, as every
+gen-1 and gen-2 collection scans them again.
 ``s_per_sim_s`` is ``ref_s`` per simulated second: unlike events/s, it
 compares two versions of the simulator that reach the same outputs with
 different numbers of events. A single run of a second or less still
