@@ -160,14 +160,15 @@ class SfuSim:
                 return q[0]
         return None
 
-    def pop_frames(self, budget: int) -> list[Frame]:
-        """Take the head frames whose air times fit in `budget` ns together,
-        in serving order, in one scan over the tag queues. The scan stops
-        at the first head frame that does not fit: it never skips ahead to
-        a smaller frame further back or at a lower priority. The taken
-        frames' air time is added to the room's `airtime_ns`."""
-        frames: list[Frame] = []
-        take = frames.append
+    def send_frames(self, start: int, end: int,
+                    deliver: Callable[[Frame, int], None]) -> None:
+        """Send the head frames that fit the air time from `start` to `end`
+        back to back, in serving order, in one scan over the tag queues,
+        and hand each to `deliver` with the time its air time ends. The
+        scan stops at the first head frame that does not fit: it never
+        skips ahead to a smaller frame further back or at a lower
+        priority. The frames' air time is added to `airtime_ns`."""
+        budget = end - start
         used = size = 0
         for q in self.queues:
             while q:
@@ -177,13 +178,12 @@ class SfuSim:
                     break
                 used = airtime
                 size += flow.size
-                take(q.popleft())
+                deliver(q.popleft(), start + used)
             if q:  # its head frame does not fit
                 break
         self.queued_bytes -= size
         self.queued_airtime_ns -= used
         self.airtime_ns += used
-        return frames
 
     def top_priority(self) -> int:
         for tag, q in enumerate(self.queues):
@@ -613,10 +613,7 @@ class Simulation:
     def _grant_start(self, sfu: SfuSim, start: int, end: int) -> None:
         if not sfu.alive or sfu.asleep:
             return
-        deliver = self._deliver
-        for frame in sfu.pop_frames(end - start):
-            start += frame.flow.airtime_ns
-            deliver(frame, start)
+        sfu.send_frames(start, end, self._deliver)
 
     # ------------------------------------------------------------------
     # upstream allocation calendar (OMCI window, data slots)
