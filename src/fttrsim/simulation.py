@@ -566,8 +566,8 @@ class Simulation:
         sfus = self.sfus
         new = tuple.__new__
         # a room with nothing queued would get no grant, so it sends no
-        # report; reports and grants are built without the keyword-aware
-        # constructor of their named tuples
+        # report; each report is built without the named tuple's
+        # keyword-aware constructor
         reports = [new(SfuStatusReport, (sfu.name, sfu.queued_bytes,
                                          sfu.top_priority(),
                                          sfu.queued_airtime_ns))

@@ -32,7 +32,6 @@ def test_one_ring_point_reports_rate_and_memory():
     assert result["peak_rss_mb"] > 0
     # gen-0, gen-1 and gen-2 collections during the run, and their time
     assert len(result["gc_collections"]) == 3
-    assert all(n >= 0 for n in result["gc_collections"])
     assert result["gc_s"] >= 0
 
 

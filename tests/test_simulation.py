@@ -215,7 +215,7 @@ def test_a_grant_stops_at_the_first_head_frame_that_does_not_fit():
     for budget in budgets:
         sim, sfu, _, sent = queued_room()
         sim._grant_start(sfu, start, start + budget)
-        ref_sim, ref_sfu, _, ref_sent = queued_room()
+        _, ref_sfu, _, ref_sent = queued_room()
         reference_grant(ref_sfu, start, start + budget, ref_sent)
         assert sent == ref_sent, budget
         assert room_state(sfu) == room_state(ref_sfu), budget
