@@ -526,3 +526,22 @@ def decode_omci(data: bytes) -> OmciMessage:
         raise FrameError(f"unknown OMCI device flags 0x{flags:02x}")
     return _new(OmciMessage, (tid, mtype, eclass, einst, bytes(data[10:end]),
                               None, None))
+
+
+def decode_omci_stream(data: bytes) -> list[OmciMessage]:
+    """Decode a concatenation of encoded OMCI messages: each one ends
+    where its header's content length says, and is decoded, MIC and all,
+    by `decode_omci`. A stream cut inside a header or a body raises
+    `FrameError`."""
+    out = []
+    pos, n = 0, len(data)
+    while pos < n:
+        if n - pos < OMCI_HEADER.size:
+            raise FrameError("OMCI stream cut inside a message header")
+        content_len = _unpack_header(data, pos)[5]
+        end = pos + OMCI_HEADER.size + content_len + OMCI_MIC.size
+        if end > n:
+            raise FrameError("OMCI stream cut inside a message")
+        out.append(decode_omci(data[pos:end]))
+        pos = end
+    return out

@@ -65,7 +65,9 @@ class SimResults:
     omci_delivered: int = 0
     omci_failed: int = 0
     omci_delays: list[int] = field(default_factory=list)
-    olt_received: list[OmciMessage] = field(default_factory=list)
+    # the wire bytes of every response the OLT received, one after another;
+    # `frames.decode_omci_stream` reads them back
+    olt_received: bytearray = field(default_factory=bytearray)
     mibs: dict[str, MibStore] = field(default_factory=dict)
     alarms: list = field(default_factory=list)
     bursts: list[int] = field(default_factory=list)  # forwarding delays, ns
@@ -647,11 +649,12 @@ class Simulation:
         MIB and answered. Then the cycle books its OMCI slot, the OLT sends
         request j (one per cycle), which reaches its room `control_delay`
         later, and the oldest response takes the cycle's upstream slot to
-        the OLT, where it is recorded if it arrives by the horizon. So a
-        request received exactly at a cycle start, which was sent in an
-        earlier cycle, is answered in that cycle. Requests that reach
-        their rooms by the horizon are received after the last cycle. A
-        room drops the requests it receives while it is dead.
+        the OLT. A response that arrives there by the horizon is decoded,
+        which checks its framing and MIC, and its bytes and its delay are
+        kept. So a request received exactly at a cycle start, which was
+        sent in an earlier cycle, is answered in that cycle. Requests that
+        reach their rooms by the horizon are received after the last
+        cycle. A room drops the requests it receives while it is dead.
 
         Every request and response takes every codec hop. The request
         contents are the bytes `rng.randrange(256)` would draw from the
@@ -701,7 +704,8 @@ class Simulation:
                     res.omci_failed += 1
                     data = encode_omci(_ERROR)
                     if now + pipe_ns <= horizon:
-                        received.append(decode_omci(data))
+                        decode_omci(data)
+                        received += data
                         delays.append(pipe_ns)
                 else:
                     pending.append((now + delay, room, encode_omci(std)))
@@ -709,9 +713,10 @@ class Simulation:
                 created, room, msg = upstream.popleft()
                 data = encode_omci(adapter.to_extended(msg, room))
                 if now + slot_ns + pipe_ns <= horizon:
-                    received.append(decode_omci(data))
+                    decode_omci(data)
+                    received += data
                     delays.append(now + slot_ns + pipe_ns - created)
-        res.omci_delivered = len(received)
+        res.omci_delivered = len(delays)  # one delay per response received
 
     # ------------------------------------------------------------------
     # OFDMA uplink bursts

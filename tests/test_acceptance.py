@@ -251,7 +251,8 @@ def test_provisioning_storm_and_fault_alarm():
         assert res.mibs[s].snapshot() == expected[s], s
 
     assert res.omci_sent == res.omci_delivered == 1000
-    assert all(m.msg_type == fr.OmciType.SET_RESPONSE for m in res.olt_received)
+    assert all(m.msg_type == fr.OmciType.SET_RESPONSE
+               for m in fr.decode_omci_stream(res.olt_received))
     # the camera feed keeps the data containers busy the whole run
     assert len(res.bursts) >= 1000
     assert max(res.omci_delays) <= 2 * cfg.alloc_cycle_ns

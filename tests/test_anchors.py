@@ -52,6 +52,7 @@ cycle after r + C:
 import pytest
 
 from fttrsim.energy import PowerState
+from fttrsim.frames import decode_omci_stream
 from fttrsim.metrics import build_summary
 from fttrsim.scenario import parse_scenario
 from fttrsim.simulation import run_scenario_config
@@ -88,7 +89,8 @@ def test_storm_response_delay_and_count(alloc_us, delay_us, slot_us, pipe_us):
             min(STORM_COUNT, h // a + 1), 0)
         assert res.omci_delivered == delivered
         assert res.omci_delays == [d * a + s + p - c] * delivered
-        assert ([m.transaction_id for m in res.olt_received]
+        assert ([m.transaction_id
+                 for m in decode_omci_stream(res.olt_received)]
                 == list(range(delivered)))
 
 

@@ -407,6 +407,51 @@ def test_omci_codec_matches_reference(msg, pos, xor, junk):
                                                     junk)
 
 
+# standard and extended messages, each with a valid routing pair or none
+_omci_both_forms = st.tuples(
+    st.integers(0, 0xFFFF), st.sampled_from(list(fr.OmciType)),
+    st.integers(0, 0xFFFF), st.integers(0, 0xFFFF), st.binary(max_size=40),
+    st.one_of(st.just((None, None)),
+              st.tuples(st.integers(0, 255), st.integers(0, 255)))).map(
+    lambda t: fr.OmciMessage(*t[:5], *t[5]))
+
+
+@given(msgs=st.lists(_omci_both_forms, max_size=20))
+def test_omci_stream_roundtrip_property(msgs):
+    stream = bytearray()
+    for msg in msgs:
+        stream += fr.encode_omci(msg)
+    assert fr.decode_omci_stream(stream) == msgs
+    assert fr.decode_omci_stream(bytes(stream)) == msgs
+
+
+def _stream_of_two():
+    first = fr.encode_omci(fr.OmciMessage(1, fr.OmciType.SET_RESPONSE, 2, 3,
+                                          b"abcd", 1, 2))
+    second = fr.encode_omci(fr.OmciMessage(2, fr.OmciType.GET_RESPONSE, 4, 5,
+                                           b"xyz"))
+    return first, second
+
+
+@pytest.mark.parametrize("cut", [1, 9, 10, 13, 16])
+def test_omci_stream_cut_inside_a_message_is_rejected(cut):
+    # a cut inside the second message's 10-byte header (1, 9) or inside
+    # its content or MIC (10, 13, 16 of its 17 bytes)
+    first, second = _stream_of_two()
+    with pytest.raises(fr.FrameError, match="cut inside"):
+        fr.decode_omci_stream(first + second[:cut])
+
+
+def test_omci_stream_flipped_mic_byte_is_rejected():
+    first, second = _stream_of_two()
+    stream = bytearray(first + second)
+    stream[len(first) - 1] ^= 0x01  # the last byte of the first MIC
+    with pytest.raises(fr.IntegrityError):
+        fr.decode_omci_stream(stream)
+    assert fr.decode_omci_stream(first + second) == [
+        fr.decode_omci(first), fr.decode_omci(second)]
+
+
 @pytest.mark.parametrize("content_len,route", [
     (0xFFFF, (None, None)), (0xFFFD, (1, 2)), (0xFFFE, (1, 2)),
     (0x10000, (None, None))])

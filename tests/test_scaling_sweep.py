@@ -1,12 +1,18 @@
 """Smoke test of tools/scaling_sweep.py: small points in fresh
-interpreters."""
+interpreters; and the memory an OMCI storm run retains per cycle."""
 
+import gc
+import importlib.util
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 from pytest import approx
+
+from fttrsim.scenario import parse_scenario
+from fttrsim.simulation import Simulation
 
 SWEEP = Path(__file__).resolve().parent.parent / "tools" / "scaling_sweep.py"
 
@@ -45,3 +51,36 @@ def test_one_storm_point_reports_cost_and_memory():
     # the run allocates enough to start the collector
     assert result["gc_collections"][0] > 0
     assert 0 < result["gc_s"] < result["host_s"]
+    # the untraced timed run, then a second run under tracemalloc
+    assert 0 < result["retained_kib"] <= result["traced_peak_kib"]
+
+
+def load_sweep():
+    spec = importlib.util.spec_from_file_location("scaling_sweep", SWEEP)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_storm_run_retains_at_most_200_bytes_per_cycle():
+    # what a finished storm run still holds grows with its cycles: one OMCI
+    # slot, one response and one delay each. Measured as the difference
+    # between a 100 ms and a 300 ms storm, 800 cycles apart, with the
+    # results held; it repeats to the byte
+    storm = load_sweep().storm
+
+    def held(horizon_ms: float) -> tuple[int, int]:
+        cfg = parse_scenario(storm("centralized", horizon_ms))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            res = Simulation(cfg).run()
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0], res.omci_sent
+        finally:
+            tracemalloc.stop()
+
+    held(100)  # warm up: first-use caches are not what a cycle retains
+    (small, n_small), (large, n_large) = held(100), held(300)
+    assert n_large - n_small == 800
+    assert (large - small) / (n_large - n_small) <= 200

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from fttrsim import simulation
 from fttrsim.energy import PowerState
 from fttrsim.engine import Event, SimError, draw_int
-from fttrsim.frames import OmciType
+from fttrsim.frames import OmciType, decode_omci_stream
 from fttrsim.management import AdapterError, OmciAdapter
 from fttrsim.metrics import build_summary
 from fttrsim.scenario import load_scenario, parse_scenario
@@ -296,7 +296,8 @@ def test_storm_responses_reach_the_olt_in_request_order():
         "horizon_ms": 20, "topology": {"sfus": ["a", "b", "c"]},
         "management": {"storm": {"count": 60, "targets": ["c", "a", "b"]}},
     }))
-    assert [m.transaction_id for m in res.olt_received] == list(range(60))
+    responses = decode_omci_stream(res.olt_received)
+    assert [m.transaction_id for m in responses] == list(range(60))
 
 
 @pytest.mark.parametrize("horizon_ms,received", [(5.005, True),
@@ -317,7 +318,8 @@ def test_a_request_received_at_the_horizon_is_applied(horizon_ms, received):
     # waits for the next cycle; one received later is not answered
     queued = [msg.transaction_id for _, _, msg in sim.omci_upstream]
     assert queued == ([20] if received else [])
-    assert [m.transaction_id for m in res.olt_received] == list(range(19))
+    responses = decode_omci_stream(res.olt_received)
+    assert [m.transaction_id for m in responses] == list(range(19))
 
 
 def test_storm_reaches_the_255th_room():
@@ -349,7 +351,8 @@ def test_a_request_the_adapter_cannot_route_gets_an_error_response(
     assert (res.omci_sent, res.omci_failed, res.omci_delivered) == (21, 21, 20)
     assert all(not mib.snapshot() for mib in res.mibs.values())
     assert res.omci_delays == [100_000] * 20
-    assert {m.msg_type for m in res.olt_received} == {OmciType.ERROR_RESPONSE}
+    assert ({m.msg_type for m in decode_omci_stream(res.olt_received)}
+            == {OmciType.ERROR_RESPONSE})
 
 
 def test_a_burst_only_run_books_one_omci_slot_per_alloc_cycle():
@@ -1038,7 +1041,8 @@ def test_a_dead_room_drops_the_omci_requests_it_receives():
         "management": {"storm": {"count": 40, "entity_class": 7},
                        "kill": {"sfu": "a", "at_ms": 1, "recover_ms": 3}}}))
     answered = [j for j in range(40) if not 4 <= j <= 11]
-    assert [m.transaction_id for m in res.olt_received] == answered
+    responses = decode_omci_stream(res.olt_received)
+    assert [m.transaction_id for m in responses] == answered
     assert res.omci_delivered == len(answered)
     assert sorted(res.mibs["a"].snapshot()) == [(7, j) for j in answered]
 

@@ -9,8 +9,12 @@ same time. Per case the child records, each as a sha256:
 
   - ``summary.json`` without ``digest`` and the ``events_*`` counters
   - ``flows.csv``, the sorted ``schedule.log`` lines and ``repr(res.events)``
-  - ``omci_delays``, ``olt_received``, ``bursts``, the sorted
-    ``upstream_slots``, the MIB snapshots and ``relay_overflow_drops``
+  - ``omci_delays``, ``bursts``, the sorted ``upstream_slots``, the MIB
+    snapshots and ``relay_overflow_drops``
+  - the wire bytes of every response the OLT received, in order: the
+    ``olt_received`` stream itself, or each message of a tree that keeps
+    them decoded, encoded again (``encode_omci`` of a decoded response
+    gives its bytes back)
   - every node's raw ledger records, zero-length ones included
   - for a run that ends with exit 2 (scenario error) or 3 (invariant
     breach), the exit code and the message instead
@@ -196,6 +200,7 @@ def record(case: dict) -> dict[str, str]:
     """The compared fields of one case, each as a sha256."""
     from fttrsim.engine import SimError
     from fttrsim.energy import LedgerError
+    from fttrsim.frames import encode_omci
     from fttrsim.metrics import (build_summary, flow_table_bytes,
                                  schedule_dump_bytes, summary_bytes)
     from fttrsim.scenario import ConfigError, parse_scenario
@@ -213,13 +218,16 @@ def record(case: dict) -> dict[str, str]:
     events = {k: counters.pop(k) for k in list(counters)
               if k.startswith("events_")}
     digest = summary.pop("digest")
+    received = res.olt_received
+    if not isinstance(received, bytearray):
+        received = b"".join(map(encode_omci, received))
     return {
         "summary": _sha(summary_bytes(summary)),
         "flows": _sha(flows_csv),
         "schedule": _sha(sorted(schedule_dump_bytes(res).splitlines())),
         "events_log": _sha(res.events),
         "omci_delays": _sha(res.omci_delays),
-        "olt_received": _sha(res.olt_received),
+        "olt_received": _sha(bytes(received)),
         "bursts": _sha(res.bursts),
         "upstream_slots": _sha(sorted(res.upstream_slots)),
         "mibs": _sha({name: sorted(mib.snapshot().items())

@@ -22,7 +22,10 @@ child's maximum resident set, interpreter and imports included.
 ``gc_collections`` counts the garbage collector's gen-0, gen-1 and gen-2
 collections during ``simulate``, and ``gc_s`` the time spent in them, both
 read with ``gc.callbacks``: records a run retains cost time too, as every
-gen-1 and gen-2 collection scans them again.
+gen-1 and gen-2 collection scans them again. After the timed run and its
+peak RSS, the point is run once more, untimed, under ``tracemalloc``:
+``traced_peak_kib`` is that run's traced peak and ``retained_kib`` what it
+still holds with its results kept, both in KiB of Python allocations.
 ``s_per_sim_s`` is ``ref_s`` per simulated second: unlike events/s, it
 compares two versions of the simulator that reach the same outputs with
 different numbers of events. A single run of a second or less still
@@ -49,6 +52,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -138,15 +142,26 @@ def run_point(point: dict) -> dict:
     after = calibrate.kernel_s()
     events = run["res"].counters["events_dispatched"]
     ref_s = run["host_s"] * calibrate.scale(before, after)
-    return {**point, "events": events, "host_s": run["host_s"],
-            "ref_s": ref_s,
-            "s_per_sim_s": ref_s / (point["horizon_ms"] / 1000),
-            "events_per_s": events / ref_s,
-            "us_per_event": ref_s / events * 1e6,
-            "peak_rss_mb": resource.getrusage(
-                resource.RUSAGE_SELF).ru_maxrss / 1024,
-            "gc_collections": collections, "gc_s": gc_s,
-            "digest": run["res"].digest}
+    result = {**point, "events": events, "host_s": run["host_s"],
+              "ref_s": ref_s,
+              "s_per_sim_s": ref_s / (point["horizon_ms"] / 1000),
+              "events_per_s": events / ref_s,
+              "us_per_event": ref_s / events * 1e6,
+              "peak_rss_mb": resource.getrusage(
+                  resource.RUSAGE_SELF).ru_maxrss / 1024,
+              "gc_collections": collections, "gc_s": gc_s,
+              "digest": run["res"].digest}
+    # the untimed second run, under tracemalloc: its peak, and what it
+    # still holds while `run` keeps its results
+    del run
+    tracemalloc.start()
+    try:
+        run = worker.simulate(raw)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return {**result, "traced_peak_kib": peak / 1024,
+            "retained_kib": retained / 1024}
 
 
 def points() -> list[dict]:
@@ -198,7 +213,11 @@ def main(argv: list[str] | None = None) -> int:
                       r["peak_rss_mb"] for r in runs),
                   "gc_collections": [statistics.median(
                       r["gc_collections"][g] for r in runs) for g in range(3)],
-                  "gc_s": statistics.median(r["gc_s"] for r in runs)}
+                  "gc_s": statistics.median(r["gc_s"] for r in runs),
+                  "traced_peak_kib": statistics.median(
+                      r["traced_peak_kib"] for r in runs),
+                  "retained_kib": statistics.median(
+                      r["retained_kib"] for r in runs)}
         results.append(result)
         label = (f"ring{point['sfus']}" if point["kind"] == "ring"
                  else point["kind"])
