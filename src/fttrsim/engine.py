@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-from itertools import compress
 from typing import Any, Callable
 
 SimTime = int  # nanoseconds
@@ -42,8 +41,9 @@ def draw_int(getrandbits: Callable[[int], int], hi: int) -> int:
 
 
 # byte i of a word stream shifted right by 23 bits, for i = 1 mod 4: its
-# low bit is the top bit of a word; 1 where that bit is 0
-_ACCEPTED = bytes(1 - (b & 1) for b in range(256))
+# low bit is the top bit of a word; 1 where that bit is 1 and the word's
+# byte is rejected
+_REJECTED = bytes(b & 1 for b in range(256))
 
 
 def draw_bytes(getrandbits: Callable[[int], int], n: int) -> bytes:
@@ -54,13 +54,19 @@ def draw_bytes(getrandbits: Callable[[int], int], n: int) -> bytes:
     word, kept when the word's top bit is 0: the byte is then bits 23..30
     of the word. `getrandbits(32 * m)` returns the next m words, the first
     in the lowest bits. Each round draws one word per byte still missing,
-    so it never draws past the word of the last byte.
+    so it never draws past the word of the last byte. The accepted bytes
+    are kept in C: each word gives one UTF-16 code unit, its byte v plus
+    256 if it is rejected, and encoding the units as Latin-1 drops every
+    unit above 255.
     """
     out = bytearray()
     need = n
     while need:
         words = (getrandbits(32 * need) >> 23).to_bytes(4 * need, "little")
-        out.extend(compress(words[::4], words[1::4].translate(_ACCEPTED)))
+        units = bytearray(2 * need)
+        units[::2] = words[::4]
+        units[1::2] = words[1::4].translate(_REJECTED)
+        out += units.decode("utf-16-le").encode("latin-1", "ignore")
         need = n - len(out)
     return bytes(out)
 

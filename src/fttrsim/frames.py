@@ -485,6 +485,7 @@ class OmciMessage(NamedTuple):
 _new = tuple.__new__
 _pack_header, _unpack_header = OMCI_HEADER.pack, OMCI_HEADER.unpack_from
 _pack_mic, _unpack_mic = OMCI_MIC.pack, OMCI_MIC.unpack_from
+_pack_route = struct.Struct("BB").pack  # the extended form's routing bytes
 _crc32 = zlib.crc32
 
 
@@ -493,18 +494,25 @@ def encode_omci(msg: OmciMessage) -> bytes:
     if (port is None) != (sfu_id is None):
         raise FrameError("extended form requires both routing bytes")
     if port is None:
-        flags = OMCI_STANDARD
+        n = len(content)
+        if n > 0xFFFF:
+            raise OversizeError("OMCI content too long")
+        body = _pack_header(tid, mtype, OMCI_STANDARD, eclass, einst,
+                            n) + content
     else:
-        flags = OMCI_EXTENDED
-        content = content + bytes((port & 0xFF, sfu_id & 0xFF))
-    if len(content) > 0xFFFF:
-        raise OversizeError("OMCI content too long")
-    body = _pack_header(tid, mtype, flags, eclass, einst,
-                        len(content)) + content
+        n = len(content) + 2
+        if n > 0xFFFF:
+            raise OversizeError("OMCI content too long")
+        body = (_pack_header(tid, mtype, OMCI_EXTENDED, eclass, einst, n)
+                + content + _pack_route(port & 0xFF, sfu_id & 0xFF))
     return body + _pack_mic(_crc32(body))
 
 
 def decode_omci(data: bytes) -> OmciMessage:
+    # a buffer other than bytes is copied once, so that every slice below
+    # is bytes; `bytes()` of a bytes object would cost a call per message
+    if type(data) is not bytes:
+        data = bytes(data)
     # sizes as literals on this hot path: 10-byte header, 4-byte MIC
     n = len(data)
     if n < 14:
@@ -514,18 +522,18 @@ def decode_omci(data: bytes) -> OmciMessage:
     if n != end + 4:
         raise FrameError(
             f"OMCI framing error: content_len {content_len} vs total {n}")
-    if _crc32(data[:end]) != _unpack_mic(data, end)[0]:
+    body = data[:end]
+    if _crc32(body) != _unpack_mic(data, end)[0]:
         raise IntegrityError("OMCI MIC mismatch")
     if flags == OMCI_EXTENDED:
         if content_len < 2:
             raise FrameError("extended OMCI content missing routing bytes")
-        return _new(OmciMessage, (tid, mtype, eclass, einst,
-                                  bytes(data[10:end - 2]), data[end - 2],
-                                  data[end - 1]))
+        return _new(OmciMessage, (tid, mtype, eclass, einst, body[10:-2],
+                                  body[-2], body[-1]))
     if flags != OMCI_STANDARD:
         raise FrameError(f"unknown OMCI device flags 0x{flags:02x}")
-    return _new(OmciMessage, (tid, mtype, eclass, einst, bytes(data[10:end]),
-                              None, None))
+    return _new(OmciMessage, (tid, mtype, eclass, einst, body[10:], None,
+                              None))
 
 
 def decode_omci_stream(data: bytes) -> list[OmciMessage]:

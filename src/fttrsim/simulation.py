@@ -26,6 +26,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heapify, heappop, heappush
+from itertools import repeat
 from typing import Callable
 
 from .engine import (Event, Simulator, SimError, SimTime, draw_bytes,
@@ -642,53 +643,54 @@ class Simulation:
     # OMCI management plane
 
     def _omci_plane(self) -> None:
-        """Play the OMCI plane over the allocation cycles j·A <= horizon,
-        after the event loop: no event reads a MIB or an OMCI queue. At
-        the start of each cycle, the rooms first receive, in order, the
-        requests that reached them by then: each is applied to its room's
-        MIB and answered. Then the cycle books its OMCI slot, the OLT sends
-        request j (one per cycle), which reaches its room `control_delay`
-        later, and the oldest response takes the cycle's upstream slot to
-        the OLT. A response that arrives there by the horizon is decoded,
-        which checks its framing and MIC, and its bytes and its delay are
-        kept. So a request received exactly at a cycle start, which was
-        sent in an earlier cycle, is answered in that cycle. Requests that
-        reach their rooms by the horizon are received after the last
-        cycle. A room drops the requests it receives while it is dead.
+        """Play the OMCI plane after the event loop, one request at a time:
+        no event reads a MIB or an OMCI queue. The OLT sends request j in
+        cycle j, at j·A, and books every cycle's OMCI slot, one per cycle
+        start j·A <= horizon. Request j reaches its room `control_delay` C
+        later, at rx = j·A + C, where it is applied to the room's MIB and
+        answered, unless rx is past the horizon or the room is dead then.
+        A cycle start first receives the requests that reached their rooms
+        by then and only then sends its own, so a request received exactly
+        at a cycle start, sent in an earlier cycle, is answered in that
+        cycle: response j takes the upstream slot of cycle j + d, with
+        d = max(1, ⌈C/A⌉). C is the same for every request, so the
+        requests are received in the order they are sent and no two
+        responses contend for a slot; each waits d·A + S + P − C for the
+        OLT. A response whose cycle starts past the horizon stays in
+        `omci_upstream`. In cycle j the error response to an unroutable
+        request j reaches the OLT before the response sent in that cycle.
+        A response that arrives at the OLT by the horizon is decoded, which
+        checks its framing and MIC, and its bytes and its delay are kept.
 
         Every request and response takes every codec hop. The request
         contents are the bytes `rng.randrange(256)` would draw from the
         OLT's stream, drawn in chunks of about `CONTENT_CHUNK` bytes."""
         cfg = self.cfg
         res, adapter, upstream = self.results, self.adapter, self.omci_upstream
-        mibs, slots = res.mibs, res.upstream_slots
-        received, delays = res.olt_received, res.omci_delays
+        mibs, received, delays = res.mibs, res.olt_received, res.omci_delays
         horizon, cycle, slot_ns = (cfg.horizon_ns, cfg.alloc_cycle_ns,
                                    cfg.omci_slot_ns)
         delay, pipe_ns = cfg.control_delay_ns, cfg.olt_pipe_ns
         dead, dead_from, dead_to = self.dead
         n_cycles = horizon // cycle + 1
+        res.upstream_slots.extend(zip(repeat("omci"),
+                                      range(0, n_cycles * cycle, cycle),
+                                      repeat(slot_ns), repeat(1)))
         storm = cfg.storm
         sent = res.omci_sent = min(storm.count, n_cycles) if storm else 0
+        if not sent:
+            return
         bits = self.sim.rng.for_node(OLT).getrandbits
-        if sent:
-            routes = [adapter.route_of(t) for t in storm.targets]
-            size, eclass = storm.content_bytes, storm.entity_class
-            per_chunk = max(1, CONTENT_CHUNK // (size or 1))
-        # (rx time, room, request) of the requests sent down, in rx order
-        pending: deque[tuple[int, str, bytes]] = deque()
-        for j in range(n_cycles + 1):
-            # cycle j starts at j·A; after the last cycle the rooms receive
-            # what reaches them by the horizon
-            now = j * cycle if j < n_cycles else horizon
-            while pending and pending[0][0] <= now:
-                rx, room, data = pending.popleft()
-                if room != dead or not dead_from <= rx < dead_to:
-                    upstream.append((rx, room, apply_omci(decode_omci(data),
-                                                          mibs[room])))
-            if j == n_cycles:
-                break
-            slots.append(("omci", now, slot_ns, 1))
+        routes = [adapter.route_of(t) for t in storm.targets]
+        size, eclass = storm.content_bytes, storm.entity_class
+        per_chunk = max(1, CONTENT_CHUNK // (size or 1))
+        d = max(1, -(-delay // cycle))
+        wait = d * cycle + slot_ns + pipe_ns - delay  # every response's delay
+        # (cycle, room, response) of the answered requests whose responses
+        # leave in a cycle not yet reached
+        answered: deque[tuple[int, str, OmciMessage]] = deque()
+        for j in range(sent + d):
+            now = j * cycle
             if j < sent:
                 k = j % per_chunk * size
                 if not k:
@@ -708,14 +710,22 @@ class Simulation:
                         received += data
                         delays.append(pipe_ns)
                 else:
-                    pending.append((now + delay, room, encode_omci(std)))
-            if upstream:
-                created, room, msg = upstream.popleft()
+                    data = encode_omci(std)
+                    rx = now + delay
+                    if rx <= horizon and (room != dead
+                                          or not dead_from <= rx < dead_to):
+                        msg = apply_omci(decode_omci(data), mibs[room])
+                        if j + d < n_cycles:
+                            answered.append((j + d, room, msg))
+                        else:
+                            upstream.append((rx, room, msg))
+            if answered and answered[0][0] == j:
+                _, room, msg = answered.popleft()
                 data = encode_omci(adapter.to_extended(msg, room))
                 if now + slot_ns + pipe_ns <= horizon:
                     decode_omci(data)
                     received += data
-                    delays.append(now + slot_ns + pipe_ns - created)
+                    delays.append(wait)
         res.omci_delivered = len(delays)  # one delay per response received
 
     # ------------------------------------------------------------------

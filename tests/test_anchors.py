@@ -17,6 +17,13 @@ after that cycle starts:
     omci_delivered = #{k < count : (k + d)·A + S + P ≤ H}
     omci_sent = min(count, ⌊H / A⌋ + 1)     (one request per cycle start ≤ H)
 
+A request the adapter cannot route is answered at once with an error
+response, which leaves the MFU in the request's own cycle k and reaches the
+OLT at k·A + P. A room drops a request that reaches it while it is dead.
+The OLT's stream is ordered by the cycle each message leaves the MFU in,
+an error response first within a cycle: the error to request k and the
+response to request k − d share cycle k.
+
 Idle rooms, savings on. Notation: T = `t_act_idle`, Ts = `t_idle_sleep`,
 C = `control_delay`, H = horizon. With no traffic every unit's last activity
 is at 0, so its idle timer runs out at T. A room's sleep timer runs out Ts
@@ -52,10 +59,11 @@ cycle after r + C:
 import pytest
 
 from fttrsim.energy import PowerState
-from fttrsim.frames import decode_omci_stream
+from fttrsim.frames import OmciType, decode_omci_stream
+from fttrsim.management import AdapterError, OmciAdapter
 from fttrsim.metrics import build_summary
 from fttrsim.scenario import parse_scenario
-from fttrsim.simulation import run_scenario_config
+from fttrsim.simulation import Simulation, run_scenario_config
 
 STORM_COUNT = 250
 
@@ -92,6 +100,70 @@ def test_storm_response_delay_and_count(alloc_us, delay_us, slot_us, pipe_us):
         assert ([m.transaction_id
                  for m in decode_omci_stream(res.olt_received)]
                 == list(range(delivered)))
+
+
+def unroutable(tid: int) -> bool:
+    return tid % 7 in (2, 3) or tid % 11 == 0
+
+
+# A = 100 µs, S = 10 µs, P = 20 µs, H = 20.015 ms: 201 cycle starts, and
+# room a, one in three requests' target, is dead from 5 to 9 ms
+@pytest.mark.parametrize("count", [250, 150])
+@pytest.mark.parametrize("delay_us", [0, 5, 250, 400])
+def test_storm_stream_with_unroutable_requests_and_a_dead_room(
+        monkeypatch, delay_us, count):
+    route = OmciAdapter.to_standard
+
+    def some_unroutable(adapter, msg):
+        if unroutable(msg.transaction_id):
+            raise AdapterError("no route")
+        return route(adapter, msg)
+
+    monkeypatch.setattr(OmciAdapter, "to_standard", some_unroutable)
+    targets = ["c", "a", "b"]
+    sim = Simulation(parse_scenario({
+        "horizon_ms": 20.015, "topology": {"sfus": ["a", "b", "c"]},
+        "control": {"alloc_cycle_us": 100, "control_delay_us": delay_us,
+                    "omci_slot_us": 10},
+        "management": {"olt_pipe_us": 20,
+                       "kill": {"sfu": "a", "at_ms": 5, "recover_ms": 9},
+                       "storm": {"count": count, "targets": targets,
+                                 "entity_class": 9}},
+    }))
+    res = sim.run()
+    a, c, s, p, h = 100_000, delay_us * 1000, 10_000, 20_000, 20_015_000
+    d = max(1, -(-c // a))
+    n_cycles = h // a + 1
+    sent = min(count, n_cycles)
+
+    def answered(k: int) -> bool:
+        rx = k * a + c
+        return (not unroutable(k) and rx <= h and
+                not (targets[k % 3] == "a" and 5_000_000 <= rx < 9_000_000))
+
+    # (transaction id, type, delay) of each message the OLT receives, by
+    # the cycle it leaves the MFU in, an error response first
+    stream = []
+    for j in range(n_cycles):
+        if j < sent and unroutable(j) and j * a + p <= h:
+            stream.append((0, OmciType.ERROR_RESPONSE, p))
+        k = j - d
+        if 0 <= k < sent and answered(k) and j * a + s + p <= h:
+            stream.append((k, OmciType.SET_RESPONSE, d * a + s + p - c))
+    received = decode_omci_stream(res.olt_received)
+    assert ([(m.transaction_id, m.msg_type) for m in received]
+            == [(tid, mtype) for tid, mtype, _ in stream])
+    assert res.omci_delays == [delay for _, _, delay in stream]
+    assert (res.omci_sent, res.omci_failed, res.omci_delivered) == (
+        sent, sum(map(unroutable, range(sent))), len(stream))
+    assert {room: set(mib.snapshot()) for room, mib in res.mibs.items()} == {
+        room: {(9, k % 64) for k in range(sent)
+               if targets[k % 3] == room and answered(k)}
+        for room in targets}
+    # the responses whose cycle starts past the horizon stay queued
+    assert [(rx, room, m.transaction_id) for rx, room, m in sim.omci_upstream
+            ] == [(k * a + c, targets[k % 3], k) for k in range(sent)
+                  if answered(k) and k + d >= n_cycles]
 
 
 @pytest.mark.parametrize("t_us,ts_us,c_us", [

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -332,6 +333,43 @@ def test_storm_reaches_the_255th_room():
     assert (res.omci_failed, res.omci_delivered) == (0, 2)
     assert ([len(res.mibs[r].snapshot()) for r in ("r254", "r000", "r001")]
             == [1, 1, 0])
+
+
+def test_every_omci_message_takes_three_encodes_and_three_decodes(
+        monkeypatch):
+    # request k, to room k mod 3, is encoded by the OLT, decoded and
+    # converted by the adapter, encoded in standard form, then decoded and
+    # applied by its room; its response is converted back, encoded and,
+    # if it reaches the OLT by the horizon, decoded there. Room b is dead
+    # from 5 to 9 ms and drops the 6 requests that reach it then; the 2
+    # requests that reach their rooms after 20 ms are not applied
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    for name in ("encode_omci", "decode_omci", "apply_omci"):
+        monkeypatch.setattr(simulation, name,
+                            counted(name, getattr(simulation, name)))
+    for name in ("to_standard", "to_extended"):
+        monkeypatch.setattr(OmciAdapter, name,
+                            counted(name, getattr(OmciAdapter, name)))
+    res = run_scenario_config(parse_scenario({
+        "horizon_ms": 20, "topology": {"sfus": ["a", "b", "c"]},
+        "control": {"control_delay_us": 300},
+        "management": {"kill": {"sfu": "b", "at_ms": 5, "recover_ms": 9},
+                       "storm": {"count": 100}},
+    }))
+    sent, delivered = res.omci_sent, res.omci_delivered
+    assert (sent, delivered, res.omci_failed) == (81, 72, 0)
+    assert calls["to_standard"] == sent
+    assert calls["apply_omci"] == calls["to_extended"] == 73
+    assert calls["encode_omci"] == 2 * sent + calls["to_extended"] == 235
+    assert (calls["decode_omci"]
+            == sent + calls["apply_omci"] + delivered == 226)
 
 
 def test_a_request_the_adapter_cannot_route_gets_an_error_response(

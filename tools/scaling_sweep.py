@@ -10,7 +10,11 @@ each in centralized and distributed mode, and
   - an OMCI storm over 8 rooms, one request per 250 us allocation cycle
     and nothing else, over 1, 10 and 40 s, in centralized mode: the
     management plane's own scaling, and the memory its retained records
-    (responses at the OLT, upstream slots) take as the horizon grows.
+    (responses at the OLT, upstream slots) take as the horizon grows
+  - the OMCI codec alone (kind "omci_codec"): `encode_omci` and
+    `decode_omci` calls per second, for each of the three message shapes
+    a storm sends: an extended SET request with 16 B of content, its
+    standard form, and an extended SET_RESPONSE.
 
 Every run of a point is made in a fresh interpreter (this script with
 --point), through the benchmark's ``perfbench/worker.simulate``: the timed
@@ -31,12 +35,16 @@ compares two versions of the simulator that reach the same outputs with
 different numbers of events. A single run of a second or less still
 varies by up to a third with the host's speed, so each point is run 5
 times and reported by its median, with the lowest and highest s_per_sim_s
-and events/s.
+and events/s. The codec point times `CODEC_CALLS` calls per shape and
+direction, with the kernel right before and right after, `REPEATS` times
+in one interpreter, and reports the median rate per shape, scaled to the
+reference host.
 
 Usage, from the root of a source checkout:
     python3 tools/scaling_sweep.py
     python3 tools/scaling_sweep.py --point \
         '{"kind": "ring", "sfus": 4, "mode": "centralized", "horizon_ms": 20}'
+    python3 tools/scaling_sweep.py --point '{"kind": "omci_codec"}'
 One line per point goes to stderr; stdout gets one JSON object per run
 (with --point) or one JSON list of all points.
 """
@@ -64,6 +72,7 @@ HORIZONS_S = (1, 10, 40)  # conflict_pair and the OMCI storm
 STORM_ROOMS = 8
 STORM_CYCLE_US = 250
 REPEATS = 5  # fresh-interpreter runs per point
+CODEC_CALLS = 20_000  # codec calls per shape and direction in one timed run
 
 
 def ring(sfus: int, mode: str, horizon_ms: float) -> dict:
@@ -115,8 +124,46 @@ def scenario(point: dict) -> dict:
     return conflict_pair(point["mode"], point["horizon_ms"])
 
 
+def omci_codec(point: dict) -> dict:
+    """Encodes/s and decodes/s of each OMCI message shape a storm sends,
+    on the reference host: the median of `REPEATS` timed runs."""
+    sys.path[:0] = [PERFBENCH, os.path.join(ROOT, "src")]
+    import calibrate
+    from fttrsim.frames import OmciMessage, OmciType, decode_omci, encode_omci
+
+    shapes = {
+        "extended_set": OmciMessage(1, OmciType.SET, 257, 1, bytes(16), 1, 1),
+        "standard_set": OmciMessage(1, OmciType.SET, 257, 1, bytes(16)),
+        "extended_set_response": OmciMessage(1, OmciType.SET_RESPONSE, 257, 1,
+                                             b"", 1, 1),
+    }
+    rates = {(name, op): [] for name in shapes for op in ("encode", "decode")}
+    for _ in range(REPEATS):
+        host = {}
+        before = calibrate.kernel_s()
+        for name, msg in shapes.items():
+            data = encode_omci(msg)
+            if decode_omci(data) != msg:
+                raise RuntimeError(f"{name} does not decode to itself")
+            for op, call, arg in (("encode", encode_omci, msg),
+                                  ("decode", decode_omci, data)):
+                t0 = time.perf_counter()
+                for _ in range(CODEC_CALLS):
+                    call(arg)
+                host[name, op] = time.perf_counter() - t0
+        scale = calibrate.scale(before, calibrate.kernel_s())
+        for key, host_s in host.items():
+            rates[key].append(CODEC_CALLS / (host_s * scale))
+    return {**point, **{
+        f"{op}s_per_s": {name: statistics.median(rates[name, op])
+                         for name in shapes}
+        for op in ("encode", "decode")}}
+
+
 def run_point(point: dict) -> dict:
     """Time one point in this interpreter."""
+    if point["kind"] == "omci_codec":
+        return omci_codec(point)
     sys.path.insert(0, PERFBENCH)
     import calibrate
     import worker
@@ -174,6 +221,17 @@ def points() -> list[dict]:
     return out
 
 
+def child(point: dict) -> dict | None:
+    """One run of `point` in a fresh interpreter; None if it fails."""
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--point",
+         json.dumps(point)], capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        print(proc.stderr, file=sys.stderr)
+        return None
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--point", help="run one point, given as JSON, here")
@@ -185,18 +243,22 @@ def main(argv: list[str] | None = None) -> int:
     # CPU, so a span and the kernel around it share a CPU
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    results = []
+    # the codec point takes its median of REPEATS runs in one interpreter
+    codec = child({"kind": "omci_codec"})
+    if codec is None:
+        return 1
+    print(" ".join(f"{name} {codec['encodes_per_s'][name]:.0f}/"
+                   f"{codec['decodes_per_s'][name]:.0f}"
+                   for name in codec["encodes_per_s"])
+          + " encodes/decodes per s", file=sys.stderr)
+    results = [codec]
     for point in points():
         runs = []
         for _ in range(REPEATS):
-            proc = subprocess.run(
-                [sys.executable, os.path.abspath(__file__), "--point",
-                 json.dumps(point)], capture_output=True, text=True,
-                check=False)
-            if proc.returncode != 0:
-                print(proc.stderr, file=sys.stderr)
+            run = child(point)
+            if run is None:
                 return 1
-            runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+            runs.append(run)
         rates = [r["events_per_s"] for r in runs]
         costs = [r["s_per_sim_s"] for r in runs]
         result = {**point, "events": runs[0]["events"],
