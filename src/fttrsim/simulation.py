@@ -11,10 +11,10 @@ room and a centralized air grant: each keeps a place in the loop's (time,
 seq) order, reserved when the frame is sent or the grant issued, and is
 applied at that place before the next event that could read what it moves
 (`Simulation._apply_before`). Uplink bursts are played in one pass before
-the loop and the OMCI plane in one pass over the allocation cycles after
-it, since no event reads what they move. No unit's step from ACTIVE to
-IDLE is an event: the MFU's and every room's idle timer are folded from
-their activity times (`PowerMachine`).
+the loop and the OMCI plane in one pass over its requests after it, since
+no event reads what they move. No unit's step from ACTIVE to IDLE is an
+event: the MFU's and every room's idle timer are folded from their
+activity times (`PowerMachine`).
 All randomness comes from per-node substreams of the scenario seed, so a
 (scenario, seed) pair fully determines the trace digest and every metric.
 """
