@@ -74,20 +74,18 @@ def draw_bytes(getrandbits: Callable[[int], int], n: int) -> bytes:
 class Event:
     """The event a handler is called with.
 
-    `Simulator.run_until` keeps one record and rewrites its five fields
+    `Simulator.run_until` keeps one record and rewrites its four fields
     before each dispatch, so a handler must not keep `ev` after it returns:
     it copies the fields it needs.
     """
 
-    __slots__ = ("fire_time", "seq", "target", "kind", "payload")
+    __slots__ = ("fire_time", "seq", "target", "kind")
 
-    def __init__(self, fire_time: SimTime, seq: int, target: str, kind: str,
-                 payload: Any = None):
+    def __init__(self, fire_time: SimTime, seq: int, target: str, kind: str):
         self.fire_time = fire_time
         self.seq = seq
         self.target = target
         self.kind = kind
-        self.payload = payload
 
 
 class RngStreams:
@@ -119,7 +117,7 @@ DIGEST_BATCH = 64
 class Simulator:
     """Single-threaded event loop with a horizon and a dispatch digest.
 
-    The queue is a heap of `(fire_time, seq, target, kind, payload)` tuples.
+    The queue is a heap of `(fire_time, seq, target, kind)` tuples.
     `reserve` hands out a sequence number without pushing an event, so that
     an action the model applies later, without an event, keeps its place
     in that total order; `schedule_at` pushes an event at such a number.
@@ -140,7 +138,7 @@ class Simulator:
     def __init__(self, seed: int = 0):
         self.now: SimTime = 0
         self.rng = RngStreams(seed)
-        self._queue: list[tuple[int, int, str, str, Any]] = []
+        self._queue: list[tuple[int, int, str, str]] = []
         self._heads: list[tuple[int, int, Any]] = []
         self.on_arrival: Callable[[SimTime, Any], SimTime | None] | None = None
         self._seq = 0
@@ -154,16 +152,11 @@ class Simulator:
     def register(self, target: str, handler: Callable[[Event], None]) -> None:
         self._handlers[target] = handler
 
-    def schedule(self, fire_time: SimTime, target: str, kind: str,
-                 payload: Any = None) -> None:
-        if fire_time < self.now:
-            raise SimError(
-                f"attempt to schedule event '{kind}' for {target} at "
-                f"t={fire_time} ns while clock is at t={self.now} ns")
+    def schedule(self, fire_time: SimTime, target: str, kind: str) -> None:
+        """Push an event at the next sequence number."""
         seq = self._seq
         self._seq = seq + 1
-        self.n_scheduled += 1
-        heapq.heappush(self._queue, (fire_time, seq, target, kind, payload))
+        self.schedule_at(fire_time, seq, target, kind)
 
     def reserve(self) -> int:
         """The next sequence number, handed out without pushing an event."""
@@ -172,14 +165,14 @@ class Simulator:
         return seq
 
     def schedule_at(self, fire_time: SimTime, seq: int, target: str,
-                    kind: str, payload: Any = None) -> None:
+                    kind: str) -> None:
         """Push an event at a sequence number that `reserve` handed out."""
         if fire_time < self.now:
             raise SimError(
                 f"attempt to schedule event '{kind}' for {target} at "
                 f"t={fire_time} ns while clock is at t={self.now} ns")
         self.n_scheduled += 1
-        heapq.heappush(self._queue, (fire_time, seq, target, kind, payload))
+        heapq.heappush(self._queue, (fire_time, seq, target, kind))
 
     def add_arrival(self, time: SimTime, item: Any) -> None:
         """Push the head of an arrival stream at the next sequence number."""
@@ -225,7 +218,7 @@ class Simulator:
                     continue
                 if head is end:
                     break
-                t, seq, target, kind, payload = pop(queue)
+                t, seq, target, kind = pop(queue)
                 if t < self.now:
                     raise SimError("clock regression detected")
                 self.now = t
@@ -241,7 +234,6 @@ class Simulator:
                 ev.seq = seq
                 ev.target = target
                 ev.kind = kind
-                ev.payload = payload
                 n += 1
                 handler(ev)
         finally:
@@ -250,7 +242,4 @@ class Simulator:
                 feed("".join(lines).encode())
         self.now = horizon
         self.n_beyond_horizon = len(queue)
-        return self.trace_digest()
-
-    def trace_digest(self) -> str:
         return self._digest.hexdigest()

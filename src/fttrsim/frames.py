@@ -27,7 +27,7 @@ from enum import IntEnum
 from typing import NamedTuple
 
 SERVICE_CLASSES = ("control", "video", "gaming", "iot", "background")
-# Tie-break order among equal-priority SDUs: control first, background last.
+# The APDU header's class byte: the index of the service class.
 CLASS_RANK = {name: i for i, name in enumerate(SERVICE_CLASSES)}
 
 OMCI_TCONT = 1  # dedicated management T-CONT; data T-CONTs are >= 2
@@ -190,39 +190,6 @@ class Mpdu:
             frames.append(frame)
             pos += span
         return cls(tuple(frames))
-
-
-def aggregate_mpdu(queues: dict[int, list[FemFrame]], budget: int,
-                   weights: dict[int, int], quantum: int = 1500) -> Mpdu:
-    """Weighted deficit round-robin across tag queues into one MPDU.
-
-    Each round a queue's deficit grows by weight*quantum bytes; whole frames
-    are drawn FIFO while they fit both the deficit and the remaining budget.
-    Frames are never split. Queues are visited in ascending tag order.
-    """
-    if budget < FEM_HEADER_LEN:
-        raise FrameError("budget smaller than one FEM header")
-    taken: list[FemFrame] = []
-    remaining = budget
-    deficits = {tag: 0 for tag in queues}
-    tags = sorted(queues)
-    while True:
-        progress = False
-        for tag in tags:
-            q = queues[tag]
-            if not q:
-                deficits[tag] = 0
-                continue
-            deficits[tag] += weights.get(tag, 1) * quantum
-            while q and q[0].wire_len <= deficits[tag] and q[0].wire_len <= remaining:
-                frame = q.pop(0)
-                deficits[tag] -= frame.wire_len
-                remaining -= frame.wire_len
-                taken.append(frame)
-                progress = True
-        if not progress:
-            break
-    return Mpdu(tuple(taken))
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +507,9 @@ def decode_omci_stream(data: bytes) -> list[OmciMessage]:
     """Decode a concatenation of encoded OMCI messages: each one ends
     where its header's content length says, and is decoded, MIC and all,
     by `decode_omci`. A stream cut inside a header or a body raises
-    `FrameError`."""
+    `FrameError`. Any other buffer is copied to bytes once, not per message."""
+    if type(data) is not bytes:
+        data = bytes(data)
     out = []
     pos, n = 0, len(data)
     while pos < n:

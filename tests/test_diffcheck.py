@@ -85,6 +85,14 @@ def test_a_planted_difference_is_reported(head_twice):
         "fields: ledgers 2, bursts 1")
 
 
+def test_source_lines_are_the_lines_of_the_package_modules():
+    modules = list((ROOT / "src" / "fttrsim").glob("*.py"))
+    assert {"engine.py", "frames.py", "simulation.py"} <= {
+        m.name for m in modules}
+    assert diffcheck().source_lines(ROOT) == sum(
+        len(m.read_text(encoding="utf-8").splitlines()) for m in modules)
+
+
 def test_no_random_run_has_a_zero_length_active_or_idle_record():
     # at one instant an activity beats the idle timer, so no unit goes IDLE
     # and ACTIVE again at one instant before the horizon
@@ -148,27 +156,20 @@ def test_every_awake_room_has_one_sleep_check_chain(monkeypatch):
     # until it reports light sleep, and again from its wake: never two, and
     # at the horizon one (beyond it) unless the room is asleep
     pending = Counter()
-    schedule, schedule_at = Simulator.schedule, Simulator.schedule_at
+    # `schedule` pushes through `schedule_at`, so this spy sees every push
+    schedule_at = Simulator.schedule_at
     check = Simulation._sleep_check
 
-    def count(target, kind):
+    def spy_schedule_at(sim, fire_time, seq, target, kind):
         if kind == "sleep_check":
             pending[target] += 1
             assert pending[target] == 1, f"two checks pending for {target}"
-
-    def spy_schedule(sim, fire_time, target, kind, *args):
-        count(target, kind)
-        return schedule(sim, fire_time, target, kind, *args)
-
-    def spy_schedule_at(sim, fire_time, seq, target, kind, *args):
-        count(target, kind)
-        return schedule_at(sim, fire_time, seq, target, kind, *args)
+        return schedule_at(sim, fire_time, seq, target, kind)
 
     def spy_check(sim, sfu, ev):
         pending[sfu.target] -= 1
         return check(sim, sfu, ev)
 
-    monkeypatch.setattr(Simulator, "schedule", spy_schedule)
     monkeypatch.setattr(Simulator, "schedule_at", spy_schedule_at)
     monkeypatch.setattr(Simulation, "_sleep_check", spy_check)
     draw = diffcheck().random_scenario

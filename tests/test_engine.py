@@ -43,8 +43,19 @@ def test_scheduling_in_the_past_raises():
     sim = Simulator()
     sim.register("n", lambda ev: sim.schedule(ev.fire_time - 1, "n", "late"))
     sim.schedule(10, "n", "x")
-    with pytest.raises(SimError):
+    with pytest.raises(SimError, match="'late' for n at t=9 ns"):
         sim.run_until(100)
+    assert sim.n_scheduled == 1
+
+
+def test_scheduling_at_a_reserved_seq_in_the_past_raises():
+    sim = Simulator()
+    sim.register("n", lambda ev: sim.schedule_at(ev.fire_time - 1,
+                                                 sim.reserve(), "n", "late"))
+    sim.schedule(10, "n", "x")
+    with pytest.raises(SimError, match="'late' for n at t=9 ns"):
+        sim.run_until(100)
+    assert sim.n_scheduled == 1
 
 
 def test_handler_can_schedule_followups():
@@ -156,18 +167,18 @@ def test_handlers_see_each_event_as_scheduled():
     seen = []
 
     def handler(ev):
-        seen.append((ev.fire_time, ev.seq, ev.target, ev.kind, ev.payload))
+        seen.append((ev.fire_time, ev.seq, ev.target, ev.kind))
         if ev.kind == "first":
-            sim.schedule(sim.now, "y", "follow", ev.payload + 1)
+            sim.schedule(sim.now, "y", "follow")
 
     sim.register("x", handler)
     sim.register("y", handler)
-    sim.schedule(20, "y", "late", None)
-    sim.schedule(10, "x", "first", 7)
-    sim.schedule(10, "x", "second", ("p", 1))
+    sim.schedule(20, "y", "late")
+    sim.schedule(10, "x", "first")
+    sim.schedule(10, "x", "second")
     sim.run_until(100)
-    assert seen == [(10, 1, "x", "first", 7), (10, 2, "x", "second", ("p", 1)),
-                    (10, 3, "y", "follow", 8), (20, 0, "y", "late", None)]
+    assert seen == [(10, 1, "x", "first"), (10, 2, "x", "second"),
+                    (10, 3, "y", "follow"), (20, 0, "y", "late")]
 
 
 def test_dispatch_count_survives_a_raising_handler():

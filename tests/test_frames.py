@@ -75,44 +75,6 @@ def test_mpdu_concatenation_roundtrip():
     assert back.total_len == sum(5 + i + 1 for i in range(5))
 
 
-def _quantum_frame(tag, seq, wire_len=1500):
-    return fr.build_fem_frame(fr.FemKind.APDU, seq,
-                              bytes(wire_len - fr.FEM_HEADER_LEN))
-
-
-def test_weighted_aggregation_interleaves_two_to_one():
-    queues = {0: [_quantum_frame(0, i) for i in range(6)],
-              1: [_quantum_frame(1, 10 + i) for i in range(3)]}
-    mpdu = fr.aggregate_mpdu(queues, budget=13500, weights={0: 2, 1: 1},
-                             quantum=1500)
-    seqs = [f.seq for f in mpdu.frames]
-    assert seqs == [0, 1, 10, 2, 3, 11, 4, 5, 12]
-
-
-def test_aggregation_respects_budget():
-    queues = {0: [_quantum_frame(0, i) for i in range(10)]}
-    mpdu = fr.aggregate_mpdu(queues, budget=4600, weights={0: 1}, quantum=1500)
-    assert [f.seq for f in mpdu.frames] == [0, 1, 2]
-    assert len(queues[0]) == 7
-
-
-def test_aggregation_never_splits_frames():
-    queues = {0: [_quantum_frame(0, 0, wire_len=2000)]}
-    mpdu = fr.aggregate_mpdu(queues, budget=1999, weights={0: 1}, quantum=2000)
-    assert mpdu.frames == ()
-    assert len(queues[0]) == 1
-
-
-def test_empty_queue_deficit_does_not_accumulate():
-    # tag 0 drains early; its idle rounds must not bank credit to later
-    # starve tag 1 of budget
-    queues = {0: [_quantum_frame(0, 0)],
-              1: [_quantum_frame(1, 10 + i) for i in range(4)]}
-    mpdu = fr.aggregate_mpdu(queues, budget=6000, weights={0: 5, 1: 1},
-                             quantum=1500)
-    assert [f.seq for f in mpdu.frames] == [0, 10, 11, 12]
-
-
 # ---------------------------------------------------------------------------
 # PLOAM / TAMap / PCS
 
@@ -423,6 +385,7 @@ def test_omci_stream_roundtrip_property(msgs):
         stream += fr.encode_omci(msg)
     assert fr.decode_omci_stream(stream) == msgs
     assert fr.decode_omci_stream(bytes(stream)) == msgs
+    assert fr.decode_omci_stream(memoryview(stream)) == msgs
 
 
 def _stream_of_two():

@@ -21,7 +21,8 @@ same time. Per case the child records, each as a sha256:
 
 The digest and the ``events_*`` counters are compared on their own: a change
 to how events are scheduled moves them by design. The summary line also
-gives the summed ``events_dispatched`` of each side, base -> head.
+gives the summed ``events_dispatched`` of each side, base -> head, and a
+last line the lines of ``src/fttrsim/*.py`` in each tree.
 
 Cases: the shipped scenarios in all four modes at seeds 1 and 7, the
 ``*_RUN`` dicts of ``tests/test_output_pins.py`` in all four modes, the three
@@ -313,6 +314,12 @@ def dispatched(results: dict) -> int:
                for r in results.values() if "events" in r)
 
 
+def source_lines(tree: Path) -> int:
+    """Lines of `src/fttrsim/*.py` in `tree`, as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src" / "fttrsim").glob("*.py"))
+
+
 def summary_line(base_name: str, head_name: str, base: dict,
                  head: dict) -> str:
     diff = compare(base, head)
@@ -338,6 +345,8 @@ def main(argv: list[str] | None = None) -> int:
         head_tree = (export(args.head, Path(tmp) / "head") if args.head
                      else ROOT)
         base, head = run_trees([base_tree, head_tree], cases)
+        lines = (f"src/fttrsim lines: {source_lines(base_tree)} -> "
+                 f"{source_lines(head_tree)}")
     diff = compare(base, head)
     if diff["model"]:
         case, name = diff["model"][0]
@@ -347,6 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"digest/events_* moved in {len(diff['events'])} cases, "
               f"first {diff['events'][0]}")
     print(summary_line(args.base, args.head or "working tree", base, head))
+    print(lines)
     return 1 if diff["model"] else 0
 
 
