@@ -38,7 +38,8 @@ class WifiOverhead:
 
 @dataclass
 class WifiCell:
-    owner: str
+    """The air model every cell of a scenario shares: one rate, one set of
+    overheads."""
     air_rate_bps: int
     overhead: WifiOverhead
 
@@ -50,12 +51,15 @@ class WifiCell:
 
 
 class InterferenceGraph:
-    """Undirected, irreflexive conflict relation over cells (keyed by owner)."""
+    """Undirected, irreflexive conflict relation over cells (keyed by room).
+    `nodes` adds cells that may have no conflict."""
 
-    def __init__(self, edges: list[tuple[str, str]] = ()):
+    def __init__(self, edges: list[tuple[str, str]] = (),
+                 nodes: list[str] = ()):
         # immutable neighbour sets, so `neighbors` can hand out the stored
         # set without a copy
-        self._adj: dict[str, frozenset[str]] = {}
+        self._adj: dict[str, frozenset[str]] = dict.fromkeys(nodes,
+                                                             frozenset())
         for a, b in edges:
             self.add_edge(a, b)
 
@@ -65,9 +69,6 @@ class InterferenceGraph:
         adj = self._adj
         adj[a] = adj.get(a, frozenset()) | {b}
         adj[b] = adj.get(b, frozenset()) | {a}
-
-    def add_node(self, a: str) -> None:
-        self._adj.setdefault(a, frozenset())
 
     def conflicts(self, a: str, b: str) -> bool:
         return b in self._adj.get(a, ())

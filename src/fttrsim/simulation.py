@@ -74,6 +74,9 @@ class SimResults:
     bursts: list[int] = field(default_factory=list)  # forwarding delays, ns
     relay_overflow_drops: int = 0
     sleep_drops: int = 0
+    # the MFU's commands, (time, kind, target): `deep_sleep_command` to
+    # every room and `wake_command` to one; a room's power states are in
+    # its ledger and the alarms in `alarms`
     events: list[tuple[int, str, str]] = field(default_factory=list)
     # (created, delivered) of delivered frames, folded by merge_spans
     # whenever the list doubles
@@ -98,22 +101,21 @@ class SfuSim:
     window and counters. Its fields are fixed slots, so a misspelt field
     raises."""
 
-    __slots__ = ("name", "target", "power", "cell", "queues", "queued_bytes",
+    __slots__ = ("name", "target", "power", "queues", "queued_bytes",
                  "queued_airtime_ns", "cw", "cw_bits", "domain", "alive",
                  "asleep", "wake_pending", "wake_lost", "sleep_buffer", "iot",
                  "grant_end", "airtime_ns", "collisions")
 
-    def __init__(self, name: str, cell: WifiCell, cfg: ScenarioConfig):
+    def __init__(self, name: str, cfg: ScenarioConfig):
         self.name = name
         self.target = f"sfu:{name}"
         self.power = PowerMachine(name, PowerState.ACTIVE, cfg.t_act_idle_ns)
-        self.cell = cell
         # one FIFO per queue tag, made on the tag's first frame (a deque
         # takes 760 bytes); tag 0 (priority 7) is served first
         self.queues: list[deque[Frame] | None] = [None] * 8
         self.queued_bytes = 0
         self.queued_airtime_ns = 0
-        self.set_cw(cell.overhead.cw_min)
+        self.set_cw(cfg.wifi_overhead.cw_min)
         # the CSMA/CA domain the SFU contends in; None unless distributed
         self.domain: ContentionDomain | None = None
         self.alive = True
@@ -303,12 +305,13 @@ class FlowRun:
                  "interarrival_ns", "stop_ns", "on_ns", "off_ns", "next_end",
                  "offered", "delivered", "dropped", "late", "latencies")
 
-    def __init__(self, spec: FlowSpec, sfu: SfuSim, cfg: ScenarioConfig):
+    def __init__(self, spec: FlowSpec, sfu: SfuSim, cell: WifiCell,
+                 cfg: ScenarioConfig):
         self.spec = spec
         self.sfu = sfu
         self.size = spec.size_bytes
         self.tag = classification_tag(spec.priority)
-        self.airtime_ns = sfu.cell.airtime_ns(spec.size_bytes)
+        self.airtime_ns = cell.airtime_ns(spec.size_bytes)
         dll = APDU_OVERHEAD + spec.size_bytes + FEM_HEADER_LEN
         self.optical_ns = transmit_time_ns(pma_wire_len(dll),
                                            cfg.downstream_bps)
@@ -350,16 +353,9 @@ class Simulation:
         self.cfg = cfg
         self.sim = Simulator(cfg.seed)
         self.results = SimResults(cfg)
-        self.graph = InterferenceGraph()
-        for s in cfg.sfus:
-            self.graph.add_node(s)
-        for a, b in cfg.conflicts:
-            self.graph.add_edge(a, b)
-        self.sfus: dict[str, SfuSim] = {}
-        for s in cfg.sfus:
-            cell = WifiCell(s, cfg.air_rate_bps, cfg.wifi_overhead)
-            self.sfus[s] = SfuSim(s, cell, cfg)
-            self.results.mibs[s] = MibStore(s)
+        self.graph = InterferenceGraph(cfg.conflicts, cfg.sfus)
+        self.sfus = {s: SfuSim(s, cfg) for s in cfg.sfus}
+        self.results.mibs = {s: MibStore(s) for s in cfg.sfus}
         self.results.cell_stats = self.sfus
         self.mfu = PowerMachine(MFU, PowerState.ACTIVE, cfg.t_act_idle_ns)
         # (bytes, slot) of the bursts of each burst spec
@@ -374,7 +370,10 @@ class Simulation:
         # (start, reserved seq, room, end) of the air grants not yet
         # applied, in (start, seq) order
         self.grants: deque[tuple[int, int, SfuSim, int]] = deque()
-        self.flows = [FlowRun(f, self.sfus[f.dst], cfg) for f in cfg.flows]
+        # every room's cell has the scenario's air rate and overheads
+        cell = WifiCell(cfg.air_rate_bps, cfg.wifi_overhead)
+        self.flows = [FlowRun(f, self.sfus[f.dst], cell, cfg)
+                      for f in cfg.flows]
         self.results.flow_stats = {run.spec.name: run for run in self.flows}
         self._proc_ns = cfg.proc_mfu_ns + cfg.proc_sfu_ns
         self._spans_merge_at = SPANS_MERGE_MIN
@@ -470,7 +469,7 @@ class Simulation:
         while ends and ends[0] <= now:
             mfu.active(ends.popleft())
         mfu.active(now)
-        if sfu.asleep or sfu.wake_pending:
+        if sfu.asleep:
             dropped = sfu.sleep_buffer.push(frame)
             if dropped is not None:
                 dropped.flow.dropped += 1
@@ -532,7 +531,8 @@ class Simulation:
                 return
             grants.popleft()
             start, _, sfu, end = head
-            self._grant_start(sfu, start, end)
+            if sfu.alive and not sfu.asleep:
+                sfu.send_frames(start, end, self._deliver)
 
     def _optical_rx(self, sfu: SfuSim, ev: Event) -> None:
         # wake of an idle domain: receive through this frame, then contend
@@ -612,11 +612,6 @@ class Simulation:
         nxt = now + cfg.status_cycle_ns
         if nxt <= cfg.horizon_ns:
             self.sim.schedule(nxt, MFU, "status_cycle")
-
-    def _grant_start(self, sfu: SfuSim, start: int, end: int) -> None:
-        if not sfu.alive or sfu.asleep:
-            return
-        sfu.send_frames(start, end, self._deliver)
 
     # ------------------------------------------------------------------
     # upstream allocation calendar (OMCI window, data slots)
@@ -829,8 +824,6 @@ class Simulation:
             power.request(state, now)
             if state == PowerState.LIGHT_SLEEP:
                 sfu.asleep = True
-                self.results.events.append(
-                    (now, "light_sleep_report", sfu.name))
                 self._maybe_deep_sleep(now)
                 return
             at = now + hold
@@ -885,7 +878,6 @@ class Simulation:
             return
         sfu.power.request(PowerState.IDLE, now)
         sfu.asleep = sfu.wake_pending = False
-        self.results.events.append((now, "wake_done", sfu.name))
         for frame in sfu.sleep_buffer.flush():
             self._optical_downstream(frame)
         # the buffer held at least the frame that woke the room; the chain
@@ -902,13 +894,8 @@ class Simulation:
         for name in self.cfg.sfus:
             sfu = self.sfus[name]
             # a room the MFU has told to wake no longer counts as asleep
-            alarm = self.monitor.record_poll(
-                name, sfu.alive, sfu.asleep and not sfu.wake_pending, now)
-            if alarm is not None:
-                kind = f"alarm_{alarm.kind.value}"
-                if alarm.cleared_at is not None:
-                    kind += "_cleared"
-                self.results.events.append((now, kind, name))
+            self.monitor.record_poll(name, sfu.alive,
+                                     sfu.asleep and not sfu.wake_pending, now)
             if sfu.wake_lost and sfu.alive:
                 # it answers again but never woke: send the wake again
                 sfu.wake_lost = sfu.wake_pending = False

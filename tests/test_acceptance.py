@@ -13,6 +13,7 @@ import pytest
 import yaml
 
 from fttrsim import frames as fr
+from fttrsim.energy import PowerState
 from fttrsim.engine import RngStreams
 from fttrsim.links import InterferenceGraph
 from fttrsim.management import AlarmKind
@@ -191,9 +192,7 @@ def test_sweep_emits_no_overlapping_allocations():
     for raw in configs:
         cfg = parse_scenario(raw)
         res = run_scenario_config(cfg)
-        graph = InterferenceGraph(cfg.conflicts)
-        for s in cfg.sfus:
-            graph.add_node(s)
+        graph = InterferenceGraph(cfg.conflicts, cfg.sfus)
         assert res.grants, raw["name"]
         assert check_grant_overlap(res.grants, graph) == [], raw["name"]
         slots = sorted(res.upstream_slots, key=lambda s: s[1])
@@ -299,9 +298,11 @@ def test_energy_accounting_and_sleep():
     # a coordinated deep-sleep command only follows full light-sleep coverage
     kinds = [kind for _, kind, _ in res.events]
     assert "deep_sleep_command" in kinds
-    first_cmd = kinds.index("deep_sleep_command")
-    reports = {node for _, kind, node in res.events[:first_cmd]
-               if kind == "light_sleep_report"}
+    first_cmd = res.events[kinds.index("deep_sleep_command")][0]
+    # a room's light-sleep report is its ledger's entry to LIGHT_SLEEP
+    reports = {node for node, led in res.ledgers.items()
+               for state, start, _ in led.records
+               if state == PowerState.LIGHT_SLEEP and start <= first_cmd}
     assert reports == {"room1", "room2", "room3"}
     deep_states = {n for n, led in res.ledgers.items()
                    if "deep_sleep" in led.residency_ns()}
@@ -327,7 +328,6 @@ def test_four_room_reference_ratio():
 
     # closed form for the shipped profile: every node is Active for the
     # 100 ms hold-down and Idle for the rest of the minute
-    from fttrsim.energy import PowerState
     hold = cfg.t_act_idle_ns / 1e9
     rest = cfg.horizon_ns / 1e9 - hold
     mfu = cfg.mfu_profile.watts

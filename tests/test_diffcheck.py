@@ -196,7 +196,9 @@ def test_every_awake_room_has_one_sleep_check_chain(monkeypatch):
 def test_asleep_is_the_ledgers_sleep_state_after_every_event(monkeypatch):
     # `asleep` is set at the light-sleep report and cleared at the wake, the
     # only places a room enters or leaves LIGHT_SLEEP or DEEP_SLEEP: after
-    # every dispatched event it says what every room's ledger says
+    # every dispatched event it says what every room's ledger says. A wake
+    # is sent only to an asleep room, and its end clears both flags, so a
+    # pending wake implies `asleep`
     sleeping = (PowerState.LIGHT_SLEEP, PowerState.DEEP_SLEEP)
     register = Simulator.register
     running = []
@@ -208,6 +210,8 @@ def test_asleep_is_the_ledgers_sleep_state_after_every_event(monkeypatch):
             for sfu in running[0].sfus.values():
                 asleep = sfu.power.state in sleeping
                 assert sfu.asleep == asleep, (
+                    f"{sfu.name} after {ev.kind} at {ev.fire_time} ns")
+                assert not sfu.wake_pending or sfu.asleep, (
                     f"{sfu.name} after {ev.kind} at {ev.fire_time} ns")
                 seen[asleep] += 1
         register(engine, target, checked)
@@ -230,8 +234,8 @@ def test_asleep_is_the_ledgers_sleep_state_after_every_event(monkeypatch):
 
 def run_outputs(raw: dict) -> dict:
     """The outputs of one run of `raw`: its summary, without the mode, the
-    digest and the `events_*` counters, its ledgers, event log, schedule
-    and MIBs; or the exit code and message of a run that ends with exit 2
+    digest and the `events_*` counters, its ledgers, command log, alarms,
+    grants, upstream slots and MIBs; or the exit code and message of a run that ends with exit 2
     or 3."""
     try:
         res = run_scenario_config(parse_scenario(raw))
@@ -248,6 +252,7 @@ def run_outputs(raw: dict) -> dict:
             "ledgers": {node: ledger.records
                         for node, ledger in res.ledgers.items()},
             "events": res.events,
+            "alarms": res.alarms,
             "grants": res.grants,
             "upstream_slots": sorted(res.upstream_slots),
             "mibs": {room: mib.snapshot() for room, mib in res.mibs.items()}}

@@ -4,13 +4,13 @@ from fttrsim.links import WifiOverhead, WifiCell, InterferenceGraph
 
 
 def test_airtime_includes_full_exchange():
-    cell = WifiCell("room", 120_000_000, WifiOverhead())
+    cell = WifiCell(120_000_000, WifiOverhead())
     # 1500 B at 120 Mb/s serializes in 100 us; preamble 40 + SIFS 16 + ACK 28
     assert cell.airtime_ns(1500) == (40 + 100 + 16 + 28) * 1000
 
 
 def test_airtime_rounds_serialization_up():
-    cell = WifiCell("room", 999_999_999, WifiOverhead())
+    cell = WifiCell(999_999_999, WifiOverhead())
     base = WifiOverhead()
     overhead = base.preamble_ns + base.sifs_ns + base.ack_ns
     assert cell.airtime_ns(1) == overhead + 9  # 8 bits needs 8.000000008 ns
@@ -36,8 +36,7 @@ def test_conflicts_are_symmetric_and_irreflexive():
 
 
 def test_components_are_deterministic():
-    g = InterferenceGraph([("d", "c"), ("a", "b")])
-    g.add_node("x")
+    g = InterferenceGraph([("d", "c"), ("a", "b")], ["x", "c"])
     assert g.components() == [["a", "b"], ["c", "d"], ["x"]]
 
 

@@ -15,8 +15,9 @@ what the model computes, leaves these unchanged.
 scenario does (a rejected transition, a wake from deep sleep, an
 Unresponsive alarm, a storm over several rooms, bursts with and without
 forwarding delay), the sha256 of `summary.json`, `flows.csv`,
-`schedule.log` and `repr(res.events)`, the sleep/wake/alarm log that no
-file holds. A third dict takes an IoT-resident room to RF_OFF and back to
+`schedule.log`, and of what no file holds: the MFU's sleep and wake
+commands (`res.events`) with every node's ledger records, which fix the
+time of each power transition. A third dict takes an IoT-resident room to RF_OFF and back to
 ACTIVE by traffic, and overflows a sleep buffer.
 
 `golden` and `ofdma_uplink_burst` have no `phy_relay` pin: in that mode
@@ -311,7 +312,7 @@ RUNS = {"sleep_deep_wake": SLEEP_RUN, "storm_kill_bursts": STORM_RUN,
         "iot_rf_off_overflow": IOT_RUN}
 
 # (run, mode) -> sha256 of (summary.json, flows.csv, schedule.log,
-# repr(res.events))
+# repr of the command log and the ledgers' records)
 RUN_PINS = {
     ("sleep_deep_wake", "centralized"): (
         "a48165ce01637efe8f0075f23a4cdcf7d789918d13523397a35a42be76d227e8",
@@ -355,7 +356,9 @@ def test_run_outputs_match_pin(name, mode):
     res = _run(name, mode)
     summary = build_summary(res)
     got = (_sha(summary_bytes(summary)), _sha(flow_table_bytes(summary)),
-           _sha(schedule_dump_bytes(res)), _sha(repr(res.events).encode()))
+           _sha(schedule_dump_bytes(res)), _sha(repr((res.events, {
+               node: ledger.records for node, ledger in res.ledgers.items()
+           })).encode()))
     assert got == RUN_PINS[name, mode]
 
 

@@ -40,8 +40,7 @@ def test_ordering_is_total_under_any_permutation():
 # downlink grants
 
 def test_conflicting_grants_are_serialized():
-    g = InterferenceGraph([("a", "b")])
-    g.add_node("c")
+    g = InterferenceGraph([("a", "b")], ["c"])
     reports = [report("a", 1000, prio=7), report("b", 2000, prio=5),
                report("c", 3000, prio=5)]
     grants = sch.grant_downlink_airtime(reports, g, txop_max_ns=10_000,
@@ -65,15 +64,13 @@ def test_grant_duration_capped_by_txop_and_window():
 
 
 def test_empty_buffers_get_no_grant():
-    g = InterferenceGraph()
-    g.add_node("a")
+    g = InterferenceGraph((), ["a"])
     grants = sch.grant_downlink_airtime([report("a", 0)], g, 1000, 0, 5000)
     assert grants == []
 
 
 def test_overlap_checker_flags_conflicting_overlap_only():
-    g = InterferenceGraph([("a", "b")])
-    g.add_node("c")
+    g = InterferenceGraph([("a", "b")], ["c"])
     overlapping = [sch.AirGrant("a", 0, 100), sch.AirGrant("b", 50, 100),
                    sch.AirGrant("c", 0, 1000)]
     bad = sch.check_grant_overlap(overlapping, g)
@@ -134,10 +131,8 @@ edges_st = st.lists(st.tuples(st.sampled_from(CELLS), st.sampled_from(CELLS))
 
 
 def graph_of(edges):
-    g = InterferenceGraph(edges)
-    for c in CELLS[:-1]:     # one cell may be missing from the graph
-        g.add_node(c)
-    return g
+    # one cell may be missing from the graph
+    return InterferenceGraph(edges, CELLS[:-1])
 
 
 @given(edges_st,

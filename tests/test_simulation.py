@@ -196,6 +196,13 @@ def reference_grant(sfu, start: int, end: int, sent: list) -> None:
         sfu.airtime_ns += frame.flow.airtime_ns
 
 
+def apply_grant(sim, sfu, start: int, end: int) -> None:
+    """Queue a grant of the air from `start` to `end` to `sfu` and apply it,
+    as a run does."""
+    sim.grants.append((start, sim.sim.reserve(), sfu, end))
+    sim._apply_before(start + 1, 0)
+
+
 def room_state(sfu) -> tuple:
     return (sfu.queued_bytes, sfu.queued_airtime_ns, sfu.airtime_ns,
             [[(f.flow.spec.name, f.created_at) for f in q] for q in sfu.queues
@@ -215,7 +222,7 @@ def test_a_grant_stops_at_the_first_head_frame_that_does_not_fit():
     start = 1_000_000
     for budget in budgets:
         sim, sfu, _, sent = queued_room()
-        sim._grant_start(sfu, start, start + budget)
+        apply_grant(sim, sfu, start, start + budget)
         _, ref_sfu, _, ref_sent = queued_room()
         reference_grant(ref_sfu, start, start + budget, ref_sent)
         assert sent == ref_sent, budget
@@ -225,7 +232,7 @@ def test_a_grant_stops_at_the_first_head_frame_that_does_not_fit():
     # priority-7 frames and stops: neither 200-byte frame behind it, of its
     # own priority or a lower one, goes ahead of it
     sim, sfu, _, sent = queued_room()
-    sim._grant_start(sfu, start, start + three_hi + air["mid"] - 1)
+    apply_grant(sim, sfu, start, start + three_hi + air["mid"] - 1)
     assert sent == [("hi", 0, start + air["hi"]),
                     ("hi", 2, start + 2 * air["hi"]),
                     ("hi", 5, start + three_hi)]
@@ -507,7 +514,7 @@ def test_a_deep_sleep_command_a_room_does_not_obey_counts_once():
                    "t_idle_sleep_ms": 2, "sfu": {"wake_light_ms": 0.1}},
     }))
     assert (7_013_106, "deep_sleep_command", MFU) in res.events
-    assert (7_100_000, "wake_done", "a") in res.events
+    assert 7_100_000 in wakes(res, "a")
     assert (PowerState.IDLE, 8_113_106, 12_113_106) in res.ledgers["a"].records
     assert res.rejected_transitions == 1
 
@@ -534,7 +541,8 @@ def test_traffic_does_not_wake_a_dead_room():
     assert res.ledgers["a"].records == [
         (PowerState.ACTIVE, 0, 1_000_000),
         (PowerState.IDLE, 1_000_000, 60_000_000)]
-    assert res.events == [(4_000_000, "alarm_Unresponsive", "a")]
+    assert res.events == []
+    assert alarms(res) == [("a", "Unresponsive", 4_000_000, None)]
     assert res.flow_stats["f"].delivered == 0
 
 
@@ -545,7 +553,9 @@ def test_a_dead_room_does_not_obey_the_deep_sleep_command():
     res = dead_room_run({"at_ms": 3.002})
     assert res.ledgers["a"].records[-1] == (PowerState.LIGHT_SLEEP,
                                             3_000_000, 60_000_000)
-    assert res.events == [*ASLEEP, (12_000_000, "alarm_Unresponsive", "a")]
+    assert res.events == COMMANDS
+    assert sleep_reports(res, "a") == [3_000_000]
+    assert alarms(res) == [("a", "Unresponsive", 12_000_000, None)]
     assert res.rejected_transitions == 0
 
 
@@ -558,9 +568,31 @@ def test_a_recovered_room_sends_the_frames_queued_while_it_was_dead(mode):
     assert res.flow_stats["f"].delivered == 3
 
 
-ASLEEP = [(3_000_000, "light_sleep_report", "a"),
-          (3_000_000, "deep_sleep_command", MFU),
-          (10_000_000, "wake_command", "a")]
+# room a reports light sleep at 3 ms, so the MFU sends the deep-sleep
+# command; the frames of 10 ms send it a wake command
+COMMANDS = [(3_000_000, "deep_sleep_command", MFU),
+            (10_000_000, "wake_command", "a")]
+SLEEPING = (PowerState.LIGHT_SLEEP, PowerState.DEEP_SLEEP)
+
+
+def sleep_reports(res, room: str) -> list[int]:
+    """The times `room` reported light sleep: its ledger enters
+    LIGHT_SLEEP."""
+    return [start for state, start, _ in res.ledgers[room].records
+            if state == PowerState.LIGHT_SLEEP]
+
+
+def wakes(res, room: str) -> list[int]:
+    """The times `room` finished a wake: its ledger goes from LIGHT_SLEEP or
+    DEEP_SLEEP to IDLE."""
+    records = res.ledgers[room].records
+    return [b[1] for a, b in zip(records, records[1:])
+            if a[0] in SLEEPING and b[0] == PowerState.IDLE]
+
+
+def alarms(res) -> list[tuple]:
+    return [(a.source, a.kind.value, a.raised_at, a.cleared_at)
+            for a in res.alarms]
 
 
 @pytest.mark.parametrize("kill_ms, alarm_ms", [(5, 12), (10.2, 14)])
@@ -570,8 +602,9 @@ def test_a_dead_room_does_not_wake_and_raises_unresponsive(kill_ms, alarm_ms):
     # used to go IDLE at 13.005 ms, and once told to wake it no longer
     # counts as asleep, so missed polls raise Unresponsive
     res = dead_room_run({"at_ms": kill_ms})
-    assert res.events == [*ASLEEP,
-                          (alarm_ms * 1_000_000, "alarm_Unresponsive", "a")]
+    assert res.events == COMMANDS
+    assert sleep_reports(res, "a") == [3_000_000]
+    assert alarms(res) == [("a", "Unresponsive", alarm_ms * 1_000_000, None)]
     assert res.ledgers["a"].records[-1] == (PowerState.DEEP_SLEEP, 3_005_000,
                                             60_000_000)
     assert res.flow_stats["f"].delivered == 0
@@ -581,13 +614,10 @@ def test_a_dead_room_is_woken_again_when_it_answers_a_poll():
     # recovered at 20 ms, it answers the poll then, which clears its alarm
     # and sends the wake again; its buffered frames are delivered
     res = dead_room_run({"at_ms": 5, "recover_ms": 20})
-    assert res.events[:6] == [
-        *ASLEEP, (12_000_000, "alarm_Unresponsive", "a"),
-        (20_000_000, "alarm_Unresponsive_cleared", "a"),
-        (20_000_000, "wake_command", "a")]
-    assert res.events[6][1:] == ("wake_done", "a")
-    assert [(a.raised_at, a.cleared_at) for a in res.alarms] == [
-        (12_000_000, 20_000_000)]
+    assert res.events[:3] == [*COMMANDS, (20_000_000, "wake_command", "a")]
+    assert sleep_reports(res, "a")[0] == 3_000_000
+    assert wakes(res, "a") == [25_005_000]
+    assert alarms(res) == [("a", "Unresponsive", 12_000_000, 20_000_000)]
     assert res.flow_stats["f"].delivered == 3
 
 
@@ -622,18 +652,18 @@ def test_a_room_dead_while_its_sleep_check_is_due_sleeps_again(starts_ms,
         (PowerState(state), start, end) for state, start, end in records]
     sleep_at = next(start for state, start, _ in records
                     if state == "light_sleep")
-    assert res.events[0] == (sleep_at, "light_sleep_report", "a")
+    assert sleep_reports(res, "a") == [sleep_at]
+    assert res.events[0] == (sleep_at, "deep_sleep_command", MFU)
 
 
-@pytest.mark.parametrize("iot,tail,events", [
+@pytest.mark.parametrize("iot,tail,commands", [
     (False, [("light_sleep", 10_000_000, 10_005_000),
              ("deep_sleep", 10_005_000, 60_000_000)],
-     [(10_000_000, "light_sleep_report", "a"),
-      (10_000_000, "deep_sleep_command", MFU)]),
+     [(10_000_000, "deep_sleep_command", MFU)]),
     (True, [("rf_off", 10_000_000, 60_000_000)], []),
 ])
 def test_a_room_that_recovers_with_nothing_queued_sleeps_again(iot, tail,
-                                                               events):
+                                                               commands):
     # a is killed at 0.5 ms and recovered at 10 ms; no traffic. Its sleep
     # check, due at 3 ms, moves to the recovery, where a sleeps at once: it
     # used to stay IDLE to the horizon. b has been asleep since 3 ms, so a
@@ -648,8 +678,8 @@ def test_a_room_that_recovers_with_nothing_queued_sleeps_again(iot, tail,
     assert [(state.value, start, end)
             for state, start, end in res.ledgers["a"].records] == [
         ("active", 0, 1_000_000), ("idle", 1_000_000, 10_000_000), *tail]
-    assert res.events == [(3_000_000, "light_sleep_report", "b"),
-                          (3_000_000, "deep_sleep_command", MFU), *events]
+    assert sleep_reports(res, "b") == [3_000_000]
+    assert res.events == [(3_000_000, "deep_sleep_command", MFU), *commands]
 
 
 def test_a_woken_room_sleeps_only_after_its_flushed_frames_arrive():
@@ -668,7 +698,8 @@ def test_a_woken_room_sleeps_only_after_its_flushed_frames_arrive():
                    "sfu": {"wake_light_ms": 1, "wake_deep_ms": 2,
                            "t_listen_ms": 3}}}))
     assert res.flow_stats["f"].delivered == 3
-    assert res.events[-2] == (21_305_850, "light_sleep_report", "a")
+    assert sleep_reports(res, "a")[-1] == 21_305_850
+    assert res.events[-1] == (21_305_850, "deep_sleep_command", MFU)
 
 
 def iot_sleep_run(flows: list[dict], mode: str = "distributed",
@@ -865,7 +896,8 @@ def test_arrivals_at_one_ns_with_a_status_cycle_and_a_sleep_check(
         (PowerState.IDLE, 4_013_106, 6_013_106),
         (PowerState.LIGHT_SLEEP, 6_013_106, 10_000_000)]
     assert res.ledgers["b"].records == [(PowerState.ACTIVE, 0, 10_000_000)]
-    assert res.events == [(6_013_106, "light_sleep_report", "a")]
+    assert sleep_reports(res, "a") == [6_013_106]
+    assert res.events == []
     rows = build_summary(res)["flows"]
     assert {name: (row["offered"], row["delivered"], row["lost"],
                    row["latency_p50_ns"]) for name, row in rows.items()} == {

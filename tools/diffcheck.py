@@ -8,7 +8,9 @@ child process per tree (``PYTHONPATH=<tree>/src``), the two trees at the
 same time. Per case the child records, each as a sha256:
 
   - ``summary.json`` without ``digest`` and the ``events_*`` counters
-  - ``flows.csv``, the sorted ``schedule.log`` lines and ``repr(res.events)``
+  - ``flows.csv``, the sorted ``schedule.log`` lines and the MFU's sleep
+    and wake commands in ``res.events`` (a tree that also logs light-sleep
+    reports, wakes and alarms there has them in the ledgers and summary)
   - ``omci_delays``, ``bursts``, the sorted ``upstream_slots``, the MIB
     snapshots and ``relay_overflow_drops``
   - the wire bytes of every response the OLT received, in order: the
@@ -53,6 +55,8 @@ ROOT = Path(__file__).resolve().parent.parent
 MODES = ("centralized", "distributed", "mac_integrated", "phy_relay")
 # fields compared on their own line
 EVENT_FIELDS = ("digest", "events")
+# the kinds of `res.events` entries compared: what the MFU sends
+COMMANDS = ("deep_sleep_command", "wake_command")
 
 
 def _yaml_cases() -> list[dict]:
@@ -226,7 +230,7 @@ def record(case: dict) -> dict[str, str]:
         "summary": _sha(summary_bytes(summary)),
         "flows": _sha(flows_csv),
         "schedule": _sha(sorted(schedule_dump_bytes(res).splitlines())),
-        "events_log": _sha(res.events),
+        "events_log": _sha([e for e in res.events if e[1] in COMMANDS]),
         "omci_delays": _sha(res.omci_delays),
         "olt_received": _sha(bytes(received)),
         "bursts": _sha(res.bursts),
