@@ -318,32 +318,32 @@ RUN_PINS = {
         "a48165ce01637efe8f0075f23a4cdcf7d789918d13523397a35a42be76d227e8",
         "27aecd51dd70386d137bfec2c892ec1dd632f87f6158fb4c2ce9fe6674369350",
         "e1486fa41656d4e09fba885285609606874e4cce8d09895c6c0470a3c21ad2a1",
-        "09dc764fe476ebd02f919c8e126bb7894d101ba0a43020d59ef5cd1a604b2447"),
+        "184d15bedc298104adc7dfe0552ee0f74b93ced665038344b30e000f0b3bcf02"),
     ("sleep_deep_wake", "distributed"): (
         "509781dc9860fc1d39d107eb82d49eacdcc4a374153182ad1cea0e74c6f37578",
         "b167da573fddcff0ad3b23c7c580314be325799ca8cb4ca5ad3165e7d56dc025",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "09dc764fe476ebd02f919c8e126bb7894d101ba0a43020d59ef5cd1a604b2447"),
+        "184d15bedc298104adc7dfe0552ee0f74b93ced665038344b30e000f0b3bcf02"),
     ("storm_kill_bursts", "centralized"): (
         "25175bbc6fcab057886a5996736b19e38042b2450986017eb981f794c57085d9",
         "bafe1e01724777eeb67776754f779c4a1344c72e29e6721eb274fac85bc9518e",
         "5761fcedb63998499758c0638bf064596e1a6507b9959195560775f9473b466e",
-        "3992aed451ddc5119fc48f4833d9214c4e6cdf43fd9017a96c487d3c276d1fa3"),
+        "09c46aa5f863a0e7343495657018f6f16d6b9af475fe38dab8d448c8d6c9526d"),
     ("storm_kill_bursts", "phy_relay"): (
         "a23738c5c2cda294c4013b1cbeec2e8fc834273428caec267f05124a2ce5b682",
         "c9a49b2224e9ff53cbbbbace35a10d593285152029794a1e968cc12f87e90b5f",
         "1937ddc9fa8ff4d030b36c166e1dbeef4b8207ad74425f54277cfe852103e399",
-        "3992aed451ddc5119fc48f4833d9214c4e6cdf43fd9017a96c487d3c276d1fa3"),
+        "09c46aa5f863a0e7343495657018f6f16d6b9af475fe38dab8d448c8d6c9526d"),
     ("iot_rf_off_overflow", "centralized"): (
         "8d1fb8556b4e98a47b6f573958fa9aa6285cb407e37dc24007daa1b72ae15911",
         "d4eae6b6d98aff5f1e3d3053620229f5e6ff1bccbf5fa4500bb9bd415021938f",
         "477baee3dc1b56b0a72ae54057e7e72b3faa76d9524c58ddd8a114940eda43ae",
-        "eda1d957f9eea5d3ed3e8854aeb1d6e4340980dc64c0043a806c8bbed54b3127"),
+        "4005ae09378888a9ee28496de50616378d6d89c4cb65d24887242142764cd711"),
     ("iot_rf_off_overflow", "distributed"): (
         "95ac3ec18c71d7a9c0ee4363921fe6e2211831bb308567760b7c924d79d840ea",
         "4869d77470a26af6aaeee703d57eeced96322dfe7e3993de74e2c4b20beb41ce",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "eda1d957f9eea5d3ed3e8854aeb1d6e4340980dc64c0043a806c8bbed54b3127"),
+        "4005ae09378888a9ee28496de50616378d6d89c4cb65d24887242142764cd711"),
 }
 
 
