@@ -1,7 +1,8 @@
-"""tools/diffcheck.py on a few cases: HEAD against itself, and a difference
-planted in one result; properties of the runs of its random scenarios; and
-four metamorphic relations over them, which say how two runs must relate
-(the relay-buffer one also over draws of its own)."""
+"""tools/diffcheck.py on a few cases: HEAD against itself, a difference
+planted in one result, and `--explain` on hand-built numbers; properties of
+the runs of its random scenarios; and four metamorphic relations over them,
+which say how two runs must relate (the relay-buffer one also over draws of
+its own)."""
 
 import copy
 import importlib.util
@@ -83,6 +84,37 @@ def test_a_planted_difference_is_reported(head_twice):
     b["random0"]["ledgers"] = "0" * 64
     assert tool.fields_line(tool.compare(a, b)["model"]) == (
         "fields: ledgers 2, bursts 1")
+
+
+def test_explain_reports_how_far_each_metric_moved(head_twice):
+    tool, (a, b) = head_twice
+    report = tool.explain(a, b)
+    assert list(report) == list(a["storm_kill_bursts/phy_relay"]["numbers"])
+    assert all(entry == {"cases_moved": 0} for entry in report.values())
+
+    def numbers(p50: int, joules: float, drops: int) -> dict:
+        return {"summary": "0" * 64, "numbers": {
+            "flow.latency_p50_ns": {"f0": p50, "f1": 100},
+            "node.joules": {"a": joules, "mfu": 1.0},
+            "relay_overflow_drops": {"": drops}}}
+
+    base = {"c1": numbers(1000, 2.0, 0), "c2": numbers(1000, 2.0, 0),
+            "c3": {"exit": "0" * 64}}
+    head = {"c1": numbers(1100, 2.0, 0), "c2": numbers(700, 1.0, 3),
+            "c3": {"exit": "0" * 64}}
+    # the numbers are not compared as hashes
+    assert tool.compare(base, head) == {"model": [], "events": []}
+    report = tool.explain(base, head)
+    assert report["node.joules"] == {
+        "cases_moved": 1, "median_change": 0.5, "largest_change": -0.5,
+        "case": "c2", "item": "a", "base": 2.0, "head": 1.0}
+    assert tool.explain_lines(report) == [
+        "flow.latency_p50_ns: 2 cases moved, median 20%, largest -30% in "
+        "c2 f0 (1000 -> 700)",
+        "node.joules: 1 cases moved, median 50%, largest -50% in c2 a "
+        "(2.0 -> 1.0)",
+        "relay_overflow_drops: 1 cases moved, median inf%, largest +inf% in "
+        "c2 (0 -> 3)"]
 
 
 def test_source_lines_are_the_lines_of_the_package_modules():

@@ -26,13 +26,23 @@ to how events are scheduled moves them by design. The summary line also
 gives the summed ``events_dispatched`` of each side, base -> head, and a
 last line the lines of ``src/fttrsim/*.py`` in each tree.
 
+Beside its hashes the child returns each run's numbers (``numbers``): per
+flow offered, delivered, dropped, late and the p50 and p99 latency; per
+room air time and collisions; joules per node; ``omci_delivered`` and the
+largest OMCI delay; bursts forwarded and ``relay_overflow_drops``.
+``--explain`` prints, per metric, the cases it moved in, the median and
+the largest relative change, and the case and item of the largest;
+``--json PATH`` writes the same, a change from 0 as ``Infinity``. Neither
+changes the comparison of hashes or the exit status.
+
 Cases: the shipped scenarios in all four modes at seeds 1 and 7, the
 ``*_RUN`` dicts of ``tests/test_output_pins.py`` in all four modes, the three
 benchmark sweeps at seeds 41 and 42, the seed-41 ``control_plane`` sweep in
 the other three modes, and ``--random N`` scenarios from ``random_scenario``.
 
 Usage, from a git checkout:
-    python3 tools/diffcheck.py BASE [HEAD] [--random N]
+    python3 tools/diffcheck.py BASE [HEAD] [--random N] [--explain]
+                               [--json PATH]
 Exit status 0 when every model field matches, 1 otherwise.
 """
 
@@ -43,8 +53,10 @@ import ast
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import random
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -57,6 +69,8 @@ MODES = ("centralized", "distributed", "mac_integrated", "phy_relay")
 EVENT_FIELDS = ("digest", "events")
 # the kinds of `res.events` entries compared: what the MFU sends
 COMMANDS = ("deep_sleep_command", "wake_command")
+# a field of the child's record that is not a hash
+NUMBERS = "numbers"
 
 
 def _yaml_cases() -> list[dict]:
@@ -201,8 +215,31 @@ def _sha(value) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def record(case: dict) -> dict[str, str]:
-    """The compared fields of one case, each as a sha256."""
+def numbers(res, summary: dict) -> dict[str, dict[str, float]]:
+    """The numbers of one run that `--explain` compares, as metric ->
+    {flow, room or node: value}; the item of a run-wide value is ""."""
+    flows, cells = summary["flows"], summary["cells"]
+    out = {f"flow.{key}": {name: row[key] for name, row in flows.items()}
+           for key in ("offered", "delivered", "dropped")}
+    out["flow.late"] = {name: flow.late
+                        for name, flow in sorted(res.flow_stats.items())}
+    for key in ("latency_p50_ns", "latency_p99_ns"):
+        out[f"flow.{key}"] = {name: row[key] for name, row in flows.items()}
+    for key in ("airtime_ns", "collisions"):
+        out[f"room.{key}"] = {name: row[key] for name, row in cells.items()}
+    out["node.joules"] = {name: row["joules"]
+                          for name, row in summary["nodes"].items()}
+    management, uplink = summary["management"], summary["uplink"]
+    out["omci_delivered"] = {"": management["omci_delivered"]}
+    out["max_omci_delay_ns"] = {"": management["max_upstream_omci_delay_ns"]}
+    out["bursts"] = {"": uplink["bursts"]}
+    out["relay_overflow_drops"] = {"": uplink["relay_overflow_drops"]}
+    return out
+
+
+def record(case: dict) -> dict:
+    """The compared fields of one case, each as a sha256, and its
+    `numbers`."""
     from fttrsim.engine import SimError
     from fttrsim.energy import LedgerError
     from fttrsim.frames import encode_omci
@@ -242,6 +279,7 @@ def record(case: dict) -> dict[str, str]:
                          for name, ledger in res.ledgers.items()}),
         "digest": digest,
         "events": json.dumps(events, sort_keys=True),
+        NUMBERS: numbers(res, summary),
     }
 
 
@@ -297,7 +335,7 @@ def compare(base: dict, head: dict) -> dict:
     model, moved = [], []
     for case, a in base.items():
         b = head.get(case, {})
-        for name in sorted(set(a) | set(b)):
+        for name in sorted((set(a) | set(b)) - {NUMBERS}):
             if name not in EVENT_FIELDS and a.get(name) != b.get(name):
                 model.append((case, name))
         if any(a.get(name) != b.get(name) for name in EVENT_FIELDS):
@@ -310,6 +348,55 @@ def fields_line(model: list[tuple[str, str]]) -> str:
     differs, the most frequent first."""
     counts = Counter(name for _, name in model).most_common()
     return "fields: " + ", ".join(f"{name} {n}" for name, n in counts)
+
+
+def relative(x: float, y: float) -> float:
+    """The change from `x` to `y` relative to `x`; from 0 it is infinite."""
+    return (y - x) / abs(x) if x else math.copysign(math.inf, y - x)
+
+
+def explain(base: dict, head: dict) -> dict[str, dict]:
+    """Per metric of the cases' `numbers`, in the order the records give
+    them: the cases it moved in, the median and the largest relative change
+    over every moved value (the median of their sizes), and the case, item
+    and values of the largest. A case that ends with exit 2 or 3 on either
+    side has no numbers to compare."""
+    moves: dict[str, list] = {}
+    for case, a in base.items():
+        b = head.get(case, {})
+        if NUMBERS not in a or NUMBERS not in b:
+            continue
+        for metric, values in a[NUMBERS].items():
+            moved = moves.setdefault(metric, [])
+            other = b[NUMBERS].get(metric, {})
+            for item, x in values.items():
+                y = other.get(item, x)
+                if y != x:
+                    moved.append((relative(x, y), case, item, x, y))
+    report = {}
+    for metric, moved in moves.items():
+        report[metric] = entry = {"cases_moved": len({m[1] for m in moved})}
+        if moved:
+            change, case, item, x, y = max(moved, key=lambda m: abs(m[0]))
+            entry.update(median_change=statistics.median(
+                abs(m[0]) for m in moved), largest_change=change,
+                case=case, item=item, base=x, head=y)
+    return report
+
+
+def explain_lines(report: dict[str, dict]) -> list[str]:
+    """One line per metric of `explain`'s report."""
+    lines = []
+    for metric, entry in report.items():
+        line = f"{metric}: {entry['cases_moved']} cases moved"
+        if entry["cases_moved"]:
+            where = entry["case"] + (f" {entry['item']}" if entry["item"]
+                                     else "")
+            line += (f", median {100 * entry['median_change']:.3g}%, "
+                     f"largest {100 * entry['largest_change']:+.3g}% in "
+                     f"{where} ({entry['base']} -> {entry['head']})")
+        lines.append(line)
+    return lines
 
 
 def dispatched(results: dict) -> int:
@@ -342,6 +429,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="head revision (default: the working tree)")
     parser.add_argument("--random", type=int, default=0, metavar="N",
                         help="add N random scenarios")
+    parser.add_argument("--explain", action="store_true",
+                        help="print how far each run metric moved")
+    parser.add_argument("--json", metavar="PATH",
+                        help="write how far each run metric moved to PATH")
     args = parser.parse_args(argv)
     cases = case_list(args.random)
     with tempfile.TemporaryDirectory(prefix="diffcheck-") as tmp:
@@ -351,6 +442,11 @@ def main(argv: list[str] | None = None) -> int:
         base, head = run_trees([base_tree, head_tree], cases)
         lines = (f"src/fttrsim lines: {source_lines(base_tree)} -> "
                  f"{source_lines(head_tree)}")
+    report = explain(base, head)
+    if args.explain:
+        print("\n".join(explain_lines(report)))
+    if args.json:
+        Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
     diff = compare(base, head)
     if diff["model"]:
         case, name = diff["model"][0]
