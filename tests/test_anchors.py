@@ -54,12 +54,34 @@ cycle after r + C:
                     (so delay = 0 whenever D ≥ C and r mod A lies in the
                     first case's range)
     uncoordinated:  delay = (⌊(r + C)/A⌋ + 1)·A + S + G − r
+
+Downlink latency of one room's constant-rate flow, savings off. Notation:
+t = a frame's arrival at the MFU, O = its optical serialization, Pd = the
+link's propagation delay, W = its air time (preamble + payload at the air
+rate + SIFS + ACK), P = the MFU's plus the room's processing delay. The
+frames are far enough apart that each finds the link free and its room's
+queue empty, so it reaches its room at rx = t + O + Pd:
+
+    centralized:  Y = status_cycle, C = control_delay. The first status
+                  cycle after rx reports the frame: c = (⌊rx / Y⌋ + 1)·Y,
+                  since a cycle at exactly rx runs first (its sequence
+                  number was reserved one cycle earlier, before the frame
+                  left the MFU). Its grant starts at c + C:
+                  latency = c + C + W − t + P
+    distributed:  one isolated room contends alone, from rx: it waits DIFS
+                  and k idle slots, k = the room's next draw from [0,
+                  cw_min] on its own stream, and always wins:
+                  latency = rx + DIFS + k·slot + W − t + P
+A frame whose air time would end after the horizon is not delivered.
 """
 
 import pytest
 
 from fttrsim.energy import PowerState
-from fttrsim.frames import OmciType, decode_omci_stream
+from fttrsim.engine import RngStreams, draw_int, transmit_time_ns
+from fttrsim.frames import (APDU_OVERHEAD, FEM_HEADER_LEN, OmciType,
+                            decode_omci_stream, pma_wire_len)
+from fttrsim.links import WifiOverhead
 from fttrsim.management import AdapterError, OmciAdapter
 from fttrsim.metrics import build_summary
 from fttrsim.scenario import parse_scenario
@@ -238,3 +260,80 @@ def test_burst_forwarding_delay(coordinated, delay_us, guard_ns, alloc_us,
         assert res.bursts == expected
         assert [d for _, _, d, tcont in res.upstream_slots
                 if tcont == 2] == [slot] * 29
+
+
+# 1500-byte frames every 1.25 ms; the air rate is the default 1.2 Gb/s and
+# the downstream link 1 Gb/s
+LATENCY_SIZE, LATENCY_RATE_MBPS, LATENCY_PROP_NS = 1500, 9.6, 50
+OVERHEAD = WifiOverhead()
+AIR_NS = (OVERHEAD.preamble_ns + transmit_time_ns(LATENCY_SIZE, 1_200_000_000)
+          + OVERHEAD.sifs_ns + OVERHEAD.ack_ns)
+OPTICAL_NS = transmit_time_ns(
+    pma_wire_len(APDU_OVERHEAD + LATENCY_SIZE + FEM_HEADER_LEN),
+    1_000_000_000)
+STATUS_CYCLE_NS = 500_000
+
+
+def latency_run(mode: str, start_ns: int, control_delay_us: int = 5,
+                seed: int = 1):
+    """A 20 ms run of one room `a` with savings off and one constant-rate
+    flow of LATENCY_SIZE-byte frames from `start_ns`; its results and the
+    arrival times of its frames at the MFU."""
+    res = run_scenario_config(parse_scenario({
+        "seed": seed, "horizon_ms": 20, "mode": mode,
+        "topology": {"sfus": ["a"]},
+        "optical": {"prop_delay_ns": LATENCY_PROP_NS},
+        "control": {"status_cycle_us": STATUS_CYCLE_NS // 1000,
+                    "control_delay_us": control_delay_us},
+        "flows": [{"name": "f", "dst": "a", "size_bytes": LATENCY_SIZE,
+                   "rate_mbps": LATENCY_RATE_MBPS,
+                   "start_ms": start_ns / 1e6}],
+        "energy": {"savings_enabled": False}}))
+    period = transmit_time_ns(LATENCY_SIZE, int(LATENCY_RATE_MBPS * 1e6))
+    arrivals = range(start_ns, res.config.horizon_ns + 1, period)
+    assert res.flow_stats["f"].offered == len(arrivals)
+    return res, arrivals
+
+
+def delivered_latencies(res, ends: list[tuple[int, int]]) -> list[int]:
+    """The latencies of the frames, given as (arrival, air time end), whose
+    air time ends by the horizon."""
+    cfg = res.config
+    proc = cfg.proc_mfu_ns + cfg.proc_sfu_ns
+    return [end - t + proc for t, end in ends if end <= cfg.horizon_ns]
+
+
+# rx on a cycle start, one ns before and after one, and two other phases
+@pytest.mark.parametrize("start_ns", [
+    0, 123_456, STATUS_CYCLE_NS - OPTICAL_NS - LATENCY_PROP_NS,
+    2 * STATUS_CYCLE_NS - OPTICAL_NS - LATENCY_PROP_NS - 1,
+    3 * STATUS_CYCLE_NS - OPTICAL_NS - LATENCY_PROP_NS + 1])
+@pytest.mark.parametrize("control_delay_us", [5, 250])
+def test_centralized_latency_waits_for_the_next_status_cycle(
+        start_ns, control_delay_us):
+    res, arrivals = latency_run("centralized", start_ns, control_delay_us)
+    y, c = STATUS_CYCLE_NS, control_delay_us * 1000
+    ends = []
+    for t in arrivals:
+        rx = t + OPTICAL_NS + LATENCY_PROP_NS
+        ends.append((t, (rx // y + 1) * y + c + AIR_NS))
+    expected = delivered_latencies(res, ends)
+    assert len(expected) >= 8
+    assert list(res.flow_stats["f"].latencies) == expected
+
+
+@pytest.mark.parametrize("seed,start_ns", [(1, 0), (2, 333_333), (3, 7),
+                                           (7, 1_000_000)])
+def test_distributed_latency_of_an_isolated_room_is_its_backoff(seed,
+                                                                start_ns):
+    res, arrivals = latency_run("distributed", start_ns, seed=seed)
+    bits = RngStreams(seed).for_node("a").getrandbits
+    ends = []
+    for t in arrivals:
+        rx = t + OPTICAL_NS + LATENCY_PROP_NS
+        k = draw_int(bits, OVERHEAD.cw_min)
+        ends.append((t, rx + OVERHEAD.difs_ns + k * OVERHEAD.slot_ns
+                     + AIR_NS))
+    expected = delivered_latencies(res, ends)
+    assert len(expected) >= 8
+    assert list(res.flow_stats["f"].latencies) == expected
