@@ -17,8 +17,8 @@ Unresponsive alarm, a storm over several rooms, bursts with and without
 forwarding delay), the sha256 of `summary.json`, `flows.csv`,
 `schedule.log`, and of what no file holds: the MFU's sleep and wake
 commands (`res.events`) with every node's ledger records, which fix the
-time of each power transition. A third dict takes an IoT-resident room to RF_OFF and back to
-ACTIVE by traffic, and overflows a sleep buffer.
+time of each power transition. A third dict takes an IoT-resident room to
+RF_OFF and back to ACTIVE by traffic, and overflows a sleep buffer.
 
 `golden` and `ofdma_uplink_burst` have no `phy_relay` pin: in that mode
 their relayed bursts are longer than the room between two OMCI windows,

@@ -591,6 +591,7 @@ def wakes(res, room: str) -> list[int]:
 
 
 def alarms(res) -> list[tuple]:
+    """(room, kind, raised, cleared) of each alarm of the run."""
     return [(a.source, a.kind.value, a.raised_at, a.cleared_at)
             for a in res.alarms]
 
@@ -656,14 +657,14 @@ def test_a_room_dead_while_its_sleep_check_is_due_sleeps_again(starts_ms,
     assert res.events[0] == (sleep_at, "deep_sleep_command", MFU)
 
 
-@pytest.mark.parametrize("iot,tail,commands", [
+@pytest.mark.parametrize("iot,tail,events", [
     (False, [("light_sleep", 10_000_000, 10_005_000),
              ("deep_sleep", 10_005_000, 60_000_000)],
      [(10_000_000, "deep_sleep_command", MFU)]),
     (True, [("rf_off", 10_000_000, 60_000_000)], []),
 ])
 def test_a_room_that_recovers_with_nothing_queued_sleeps_again(iot, tail,
-                                                               commands):
+                                                               events):
     # a is killed at 0.5 ms and recovered at 10 ms; no traffic. Its sleep
     # check, due at 3 ms, moves to the recovery, where a sleeps at once: it
     # used to stay IDLE to the horizon. b has been asleep since 3 ms, so a
@@ -679,7 +680,7 @@ def test_a_room_that_recovers_with_nothing_queued_sleeps_again(iot, tail,
             for state, start, end in res.ledgers["a"].records] == [
         ("active", 0, 1_000_000), ("idle", 1_000_000, 10_000_000), *tail]
     assert sleep_reports(res, "b") == [3_000_000]
-    assert res.events == [(3_000_000, "deep_sleep_command", MFU), *commands]
+    assert res.events == [(3_000_000, "deep_sleep_command", MFU), *events]
 
 
 def test_a_woken_room_sleeps_only_after_its_flushed_frames_arrive():
