@@ -1,8 +1,8 @@
 """tools/diffcheck.py on a few cases: HEAD against itself, a difference
-planted in one result, and `--explain` on hand-built numbers; properties of
-the runs of its random scenarios; and four metamorphic relations over them,
-which say how two runs must relate (the relay-buffer one also over draws of
-its own)."""
+planted in one result, and how far each run number moved on hand-built
+records; properties of the runs of its random scenarios; and four
+metamorphic relations over them, which say how two runs must relate (the
+relay-buffer one also over draws of its own)."""
 
 import copy
 import importlib.util
@@ -86,12 +86,9 @@ def test_a_planted_difference_is_reported(head_twice):
         "fields: ledgers 2, bursts 1")
 
 
-def test_explain_reports_how_far_each_metric_moved(head_twice):
-    tool, (a, b) = head_twice
-    report = tool.explain(a, b)
-    assert list(report) == list(a["storm_kill_bursts/phy_relay"]["numbers"])
-    assert all(entry == {"cases_moved": 0} for entry in report.values())
-
+def hand_built_records() -> tuple[dict, dict]:
+    """Base and head records of three cases: two whose numbers move, one
+    that ends with an exit."""
     def numbers(p50: int, joules: float, drops: int) -> dict:
         return {"summary": "0" * 64, "numbers": {
             "flow.latency_p50_ns": {"f0": p50, "f1": 100},
@@ -102,19 +99,51 @@ def test_explain_reports_how_far_each_metric_moved(head_twice):
             "c3": {"exit": "0" * 64}}
     head = {"c1": numbers(1100, 2.0, 0), "c2": numbers(700, 1.0, 3),
             "c3": {"exit": "0" * 64}}
+    return base, head
+
+
+EXPLAIN_LINES = [
+    "flow.latency_p50_ns: 2 cases moved, median 20%, largest -30% in "
+    "c2 f0 (1000 -> 700)",
+    "node.joules: 1 cases moved, median 50%, largest -50% in c2 a "
+    "(2.0 -> 1.0)",
+    "relay_overflow_drops: 1 cases moved, median inf%, largest +inf% in "
+    "c2 (0 -> 3)"]
+
+
+def test_explain_reports_how_far_each_metric_moved(head_twice):
+    tool, (a, b) = head_twice
+    report = tool.explain(a, b)
+    assert list(report) == list(a["storm_kill_bursts/phy_relay"]["numbers"])
+    assert all(entry == {"cases_moved": 0} for entry in report.values())
+
+    base, head = hand_built_records()
     # the numbers are not compared as hashes
     assert tool.compare(base, head) == {"model": [], "events": []}
     report = tool.explain(base, head)
     assert report["node.joules"] == {
         "cases_moved": 1, "median_change": 0.5, "largest_change": -0.5,
         "case": "c2", "item": "a", "base": 2.0, "head": 1.0}
-    assert tool.explain_lines(report) == [
-        "flow.latency_p50_ns: 2 cases moved, median 20%, largest -30% in "
-        "c2 f0 (1000 -> 700)",
-        "node.joules: 1 cases moved, median 50%, largest -50% in c2 a "
-        "(2.0 -> 1.0)",
-        "relay_overflow_drops: 1 cases moved, median inf%, largest +inf% in "
-        "c2 (0 -> 3)"]
+    assert tool.explain_lines(report) == EXPLAIN_LINES
+
+
+def test_main_prints_the_explain_lines_before_the_summary_line(
+        monkeypatch, tmp_path, capsys):
+    tool = diffcheck()
+    base, head = hand_built_records()
+    monkeypatch.setattr(tool, "case_list", lambda n_random: [])
+    monkeypatch.setattr(tool, "export", lambda rev, dest: ROOT)
+    monkeypatch.setattr(tool, "run_trees", lambda trees, cases: [base, head])
+    path = tmp_path / "explain.json"
+    assert tool.main(["HEAD", "--json", str(path)]) == 0
+    n = tool.source_lines(ROOT)
+    assert capsys.readouterr().out.splitlines() == EXPLAIN_LINES + [
+        "diffcheck HEAD -> working tree: 3 cases (1 end with exit 2/3), "
+        "0 differ in model fields, digest/events_* moved in 0, "
+        "events_dispatched 0 -> 0",
+        f"src/fttrsim lines: {n} -> {n}"]
+    # a change from 0 is written as Infinity
+    assert json.loads(path.read_text()) == tool.explain(base, head)
 
 
 def test_source_lines_are_the_lines_of_the_package_modules():
@@ -266,9 +295,9 @@ def test_asleep_is_the_ledgers_sleep_state_after_every_event(monkeypatch):
 
 def run_outputs(raw: dict) -> dict:
     """The outputs of one run of `raw`: its summary, without the mode, the
-    digest and the `events_*` counters, its ledgers, command log, alarms,
-    grants, upstream slots and MIBs; or the exit code and message of a run that ends with exit 2
-    or 3."""
+    digest and the `events_*` counters, its ledgers, command log, grants,
+    upstream slots and MIBs; or the exit code and message of a run that
+    ends with exit 2 or 3."""
     try:
         res = run_scenario_config(parse_scenario(raw))
     except ConfigError as exc:
@@ -284,7 +313,6 @@ def run_outputs(raw: dict) -> dict:
             "ledgers": {node: ledger.records
                         for node, ledger in res.ledgers.items()},
             "events": res.events,
-            "alarms": res.alarms,
             "grants": res.grants,
             "upstream_slots": sorted(res.upstream_slots),
             "mibs": {room: mib.snapshot() for room, mib in res.mibs.items()}}

@@ -30,10 +30,10 @@ Beside its hashes the child returns each run's numbers (``numbers``): per
 flow offered, delivered, dropped, late and the p50 and p99 latency; per
 room air time and collisions; joules per node; ``omci_delivered`` and the
 largest OMCI delay; bursts forwarded and ``relay_overflow_drops``.
-``--explain`` prints, per metric, the cases it moved in, the median and
-the largest relative change, and the case and item of the largest;
-``--json PATH`` writes the same, a change from 0 as ``Infinity``. Neither
-changes the comparison of hashes or the exit status.
+Before the summary line one line per metric gives the cases it moved in,
+the median and the largest relative change, and the case and item of the
+largest; ``--json PATH`` writes the same, a change from 0 as ``Infinity``.
+Neither changes the comparison of hashes or the exit status.
 
 Cases: the shipped scenarios in all four modes at seeds 1 and 7, the
 ``*_RUN`` dicts of ``tests/test_output_pins.py`` in all four modes, the three
@@ -41,8 +41,7 @@ benchmark sweeps at seeds 41 and 42, the seed-41 ``control_plane`` sweep in
 the other three modes, and ``--random N`` scenarios from ``random_scenario``.
 
 Usage, from a git checkout:
-    python3 tools/diffcheck.py BASE [HEAD] [--random N] [--explain]
-                               [--json PATH]
+    python3 tools/diffcheck.py BASE [HEAD] [--random N] [--json PATH]
 Exit status 0 when every model field matches, 1 otherwise.
 """
 
@@ -216,7 +215,7 @@ def _sha(value) -> str:
 
 
 def numbers(res, summary: dict) -> dict[str, dict[str, float]]:
-    """The numbers of one run that `--explain` compares, as metric ->
+    """The numbers of one run that `explain` compares, as metric ->
     {flow, room or node: value}; the item of a run-wide value is ""."""
     flows, cells = summary["flows"], summary["cells"]
     out = {f"flow.{key}": {name: row[key] for name, row in flows.items()}
@@ -429,8 +428,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="head revision (default: the working tree)")
     parser.add_argument("--random", type=int, default=0, metavar="N",
                         help="add N random scenarios")
-    parser.add_argument("--explain", action="store_true",
-                        help="print how far each run metric moved")
     parser.add_argument("--json", metavar="PATH",
                         help="write how far each run metric moved to PATH")
     args = parser.parse_args(argv)
@@ -443,8 +440,7 @@ def main(argv: list[str] | None = None) -> int:
         lines = (f"src/fttrsim lines: {source_lines(base_tree)} -> "
                  f"{source_lines(head_tree)}")
     report = explain(base, head)
-    if args.explain:
-        print("\n".join(explain_lines(report)))
+    print("\n".join(explain_lines(report)))
     if args.json:
         Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
     diff = compare(base, head)
