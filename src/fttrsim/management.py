@@ -146,17 +146,16 @@ class LivenessMonitor:
         self._open: dict[str, Alarm] = {}
 
     def record_poll(self, sfu: str, responded: bool, announced_sleep: bool,
-                    now: int) -> Alarm | None:
-        """The alarm this poll raises or clears, if any."""
+                    now: int) -> None:
+        """Raise or clear `sfu`'s alarm in `alarms` as this poll requires."""
         if responded or announced_sleep:
             self.misses[sfu] = 0
             alarm = self._open.pop(sfu, None)
             if alarm is not None:
                 alarm.cleared_at = now
-            return alarm
+            return
         self.misses[sfu] = self.misses.get(sfu, 0) + 1
         if self.misses[sfu] < self.k_miss or sfu in self._open:
-            return None
+            return
         self._open[sfu] = alarm = Alarm(sfu, AlarmKind.UNRESPONSIVE, now)
         self.alarms.append(alarm)
-        return alarm

@@ -3,7 +3,7 @@ import pytest
 from fttrsim.frames import OmciMessage, OmciType, FrameError
 from fttrsim.management import (MibStore, OmciAdapter, AdapterError,
                                 UnknownEntityError, apply_omci,
-                                LivenessMonitor, AlarmKind)
+                                LivenessMonitor, Alarm, AlarmKind)
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +123,13 @@ def test_unsupported_type_is_an_error_response():
 
 def test_alarm_after_consecutive_misses():
     mon = LivenessMonitor(k_miss=2)
-    assert mon.record_poll("r", False, False, 1000) is None
-    alarm = mon.record_poll("r", False, False, 2000)
-    assert alarm is not None
-    assert alarm.kind is AlarmKind.UNRESPONSIVE and alarm.raised_at == 2000
+    mon.record_poll("r", False, False, 1000)
+    assert mon.alarms == []
+    mon.record_poll("r", False, False, 2000)
+    assert mon.alarms == [Alarm("r", AlarmKind.UNRESPONSIVE, 2000)]
     # stays raised without duplicating
-    assert mon.record_poll("r", False, False, 3000) is None
-    assert len(mon.alarms) == 1
+    mon.record_poll("r", False, False, 3000)
+    assert mon.alarms == [Alarm("r", AlarmKind.UNRESPONSIVE, 2000)]
 
 
 def test_single_miss_recovers():
@@ -143,17 +143,17 @@ def test_single_miss_recovers():
 def test_announced_sleep_suppresses_alarm():
     mon = LivenessMonitor(k_miss=2)
     for t in (1000, 2000, 3000, 4000):
-        assert mon.record_poll("r", False, True, t) is None
-    assert mon.alarms == []
+        mon.record_poll("r", False, True, t)
+        assert mon.alarms == []
 
 
 def test_recovery_clears_alarm():
     mon = LivenessMonitor(k_miss=1)
     mon.record_poll("r", False, False, 1000)
-    cleared = mon.record_poll("r", True, False, 2000)
-    assert cleared is not None and cleared.cleared_at == 2000
-    assert cleared.log_lines() == ["1000 r Unresponsive raised",
-                                   "2000 r Unresponsive cleared"]
+    mon.record_poll("r", True, False, 2000)
+    assert mon.alarms == [Alarm("r", AlarmKind.UNRESPONSIVE, 1000, 2000)]
+    assert mon.alarms[0].log_lines() == ["1000 r Unresponsive raised",
+                                         "2000 r Unresponsive cleared"]
 
 
 def test_k_miss_must_be_positive():
