@@ -447,12 +447,31 @@ class OmciMessage(NamedTuple):
         return self.mfu_port_id is not None
 
 
-# the codec's per-message calls, bound once: an `OmciMessage` from its
-# seven fields without the keyword-aware constructor, and the packers
+class _PerLength(dict):
+    """One message layout's bound `pack` or `unpack`, per content
+    length, each made from `fmt % length` on the length's first use. At
+    most `PER_LENGTH_MAX` are kept: a full table is emptied first."""
+
+    def __init__(self, fmt: str, method: str) -> None:
+        self.fmt, self.method = fmt, method
+
+    def __missing__(self, n: int):
+        if len(self) >= PER_LENGTH_MAX:
+            self.clear()
+        fn = self[n] = getattr(struct.Struct(self.fmt % n), self.method)
+        return fn
+
+
+PER_LENGTH_MAX = 64
+# a whole standard or extended message but its MIC, by content length
+# without the routing bytes; and a whole message, MIC included
+_STANDARD = _PerLength(">HBBHHH%ds", "pack")
+_EXTENDED = _PerLength(">HBBHHH%dsBB", "pack")
+_WHOLE = _PerLength(">HBBHHH%dsI", "unpack")
+# an `OmciMessage` from its seven fields without the keyword-aware
+# constructor, and the calls of the MIC and the stream's header
 _new = tuple.__new__
-_pack_header, _unpack_header = OMCI_HEADER.pack, OMCI_HEADER.unpack_from
-_pack_mic, _unpack_mic = OMCI_MIC.pack, OMCI_MIC.unpack_from
-_pack_route = struct.Struct("BB").pack  # the extended form's routing bytes
+_pack_mic, _unpack_header = OMCI_MIC.pack, OMCI_HEADER.unpack_from
 _crc32 = zlib.crc32
 
 
@@ -460,18 +479,17 @@ def encode_omci(msg: OmciMessage) -> bytes:
     tid, mtype, eclass, einst, content, port, sfu_id = msg
     if (port is None) != (sfu_id is None):
         raise FrameError("extended form requires both routing bytes")
+    n = len(content)
     if port is None:
-        n = len(content)
         if n > 0xFFFF:
             raise OversizeError("OMCI content too long")
-        body = _pack_header(tid, mtype, OMCI_STANDARD, eclass, einst,
-                            n) + content
+        body = _STANDARD[n](tid, mtype, OMCI_STANDARD, eclass, einst, n,
+                            content)
     else:
-        n = len(content) + 2
-        if n > 0xFFFF:
+        if n > 0xFFFD:
             raise OversizeError("OMCI content too long")
-        body = (_pack_header(tid, mtype, OMCI_EXTENDED, eclass, einst, n)
-                + content + _pack_route(port & 0xFF, sfu_id & 0xFF))
+        body = _EXTENDED[n](tid, mtype, OMCI_EXTENDED, eclass, einst, n + 2,
+                            content, port & 0xFF, sfu_id & 0xFF)
     return body + _pack_mic(_crc32(body))
 
 
@@ -484,23 +502,20 @@ def decode_omci(data: bytes) -> OmciMessage:
     n = len(data)
     if n < 14:
         raise FrameError("OMCI message shorter than minimum 14 bytes")
-    tid, mtype, flags, eclass, einst, content_len = _unpack_header(data)
-    end = 10 + content_len
-    if n != end + 4:
+    tid, mtype, flags, eclass, einst, clen, content, mic = _WHOLE[n - 14](data)
+    if clen != n - 14:
         raise FrameError(
-            f"OMCI framing error: content_len {content_len} vs total {n}")
-    body = data[:end]
-    if _crc32(body) != _unpack_mic(data, end)[0]:
+            f"OMCI framing error: content_len {clen} vs total {n}")
+    if _crc32(data[:-4]) != mic:
         raise IntegrityError("OMCI MIC mismatch")
     if flags == OMCI_EXTENDED:
-        if content_len < 2:
+        if clen < 2:
             raise FrameError("extended OMCI content missing routing bytes")
-        return _new(OmciMessage, (tid, mtype, eclass, einst, body[10:-2],
-                                  body[-2], body[-1]))
+        return _new(OmciMessage, (tid, mtype, eclass, einst, content[:-2],
+                                  content[-2], content[-1]))
     if flags != OMCI_STANDARD:
         raise FrameError(f"unknown OMCI device flags 0x{flags:02x}")
-    return _new(OmciMessage, (tid, mtype, eclass, einst, body[10:], None,
-                              None))
+    return _new(OmciMessage, (tid, mtype, eclass, einst, content, None, None))
 
 
 def decode_omci_stream(data: bytes) -> list[OmciMessage]:

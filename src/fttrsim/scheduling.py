@@ -178,6 +178,21 @@ def generate_tamap(requests: list[UplinkBwRequest],
     return tamap, carry
 
 
+def first_fit_start(free: int, earliest: int, duration: int, cycle: int,
+                    window: int) -> int:
+    """Start of a data burst on the upstream calendar: the first time at or
+    after `earliest` and `free` that clears the `window` (OMCI slot and
+    guard) at the head of its `cycle` and ends by the next cycle's start.
+    The caller checks that `duration` fits `cycle - window`."""
+    start = earliest if earliest > free else free
+    head = start - start % cycle
+    if start < head + window:
+        start = head + window
+    if start + duration > head + cycle:
+        start = head + cycle + window
+    return start
+
+
 # ---------------------------------------------------------------------------
 # PHY-relay arithmetic (SFU as a baseband relay)
 

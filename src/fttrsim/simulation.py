@@ -25,7 +25,7 @@ from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import partial
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heapreplace
 from itertools import repeat
 from typing import Callable
 
@@ -36,8 +36,9 @@ from .frames import (APDU_OVERHEAD, DATA_TCONT_BASE, FEM_HEADER_LEN,
                      encode_omci, decode_omci)
 from .links import WifiCell, InterferenceGraph
 from .scheduling import (SchedulerMode, SfuStatusReport, AirGrant,
-                         grant_downlink_airtime, phy_relay_buffer_bytes,
-                         phy_relay_slot_ns, ofdma_uplink_request)
+                         first_fit_start, grant_downlink_airtime,
+                         phy_relay_buffer_bytes, phy_relay_slot_ns,
+                         ofdma_uplink_request)
 from .management import (MibStore, OmciAdapter, LivenessMonitor,
                          AdapterError, apply_omci)
 from .energy import (PowerMachine, PowerState, SleepBuffer, select_policy,
@@ -358,9 +359,6 @@ class Simulation:
         self.results.mibs = {s: MibStore(s) for s in cfg.sfus}
         self.results.cell_stats = self.sfus
         self.mfu = PowerMachine(MFU, PowerState.ACTIVE, cfg.t_act_idle_ns)
-        # (bytes, slot) of the bursts of each burst spec
-        self.burst_slots = [self._burst_slot(spec)
-                            for spec in cfg.uplink_bursts]
         # the ends of the burst slots that end by the horizon, in time order
         self.burst_ends: deque[int] = deque()
         self.mfu_tx_free = 0
@@ -384,7 +382,6 @@ class Simulation:
         # (created, sfu, response) of the OMCI responses awaiting the
         # upstream management slot, oldest first
         self.omci_upstream: deque[tuple[int, str, OmciMessage]] = deque()
-        self.upstream_next_free = 0
         # upstream time for data bursts between two OMCI windows
         self.data_room_ns = cfg.alloc_cycle_ns - cfg.omci_slot_ns - cfg.guard_ns
         # the killed room, and the span [from, to) it is dead for: to the
@@ -614,27 +611,6 @@ class Simulation:
             self.sim.schedule(nxt, MFU, "status_cycle")
 
     # ------------------------------------------------------------------
-    # upstream allocation calendar (OMCI window, data slots)
-
-    def _reserve_data_slot(self, earliest: int, duration: int,
-                           sfu: str) -> int:
-        """Place a data burst on the upstream calendar, skipping the reserved
-        OMCI window at the head of every allocation cycle. `_uplink_bursts`
-        checks that `duration` fits between two OMCI windows."""
-        cfg = self.cfg
-        start = max(earliest, self.upstream_next_free)
-        cycle = start - start % cfg.alloc_cycle_ns
-        window = cfg.omci_slot_ns + cfg.guard_ns
-        start = max(start, cycle + window)
-        # duration <= data_room_ns, so the burst fits the next cycle
-        if start + duration > cycle + cfg.alloc_cycle_ns:
-            start = cycle + cfg.alloc_cycle_ns + window
-        self.upstream_next_free = start + duration + cfg.guard_ns
-        self.results.upstream_slots.append((sfu, start, duration,
-                                            DATA_TCONT_BASE))
-        return start
-
-    # ------------------------------------------------------------------
     # OMCI management plane
 
     def _omci_plane(self) -> None:
@@ -656,6 +632,8 @@ class Simulation:
         request j reaches the OLT before the response sent in that cycle.
         A response that arrives at the OLT by the horizon is decoded, which
         checks its framing and MIC, and its bytes and its delay are kept.
+        The horizon tests compare j with the last cycles, set before the
+        loop, whose request, error response or response arrives by then.
 
         Every request and response takes every codec hop. The request
         contents are the bytes `rng.randrange(256)` would draw from the
@@ -681,34 +659,40 @@ class Simulation:
         per_chunk = max(1, CONTENT_CHUNK // (size or 1))
         d = max(1, -(-delay // cycle))
         wait = d * cycle + slot_ns + pipe_ns - delay  # every response's delay
+        # the last cycle whose request reaches its room by the horizon, and
+        # those whose error response and response reach the OLT by it
+        last_rx = (horizon - delay) // cycle
+        last_error = (horizon - pipe_ns) // cycle
+        last_response = (horizon - slot_ns - pipe_ns) // cycle
+        to_standard, to_extended = adapter.to_standard, adapter.to_extended
+        new, n_routes = tuple.__new__, len(routes)
         # (cycle, room, response) of the answered requests whose responses
         # leave in a cycle not yet reached
         answered: deque[tuple[int, str, OmciMessage]] = deque()
         for j in range(sent + d):
-            now = j * cycle
             if j < sent:
                 k = j % per_chunk * size
                 if not k:
                     chunk = draw_bytes(bits,
                                        min(per_chunk, sent - j) * size)
-                port, sfu_id = routes[j % len(routes)]
-                data = encode_omci(tuple.__new__(OmciMessage, (
+                port, sfu_id = routes[j % n_routes]
+                data = encode_omci(new(OmciMessage, (
                     j & 0xFFFF, _SET, eclass, j % 64, chunk[k:k + size],
                     port, sfu_id)))
                 try:
-                    room, std = adapter.to_standard(decode_omci(data))
+                    room, std = to_standard(decode_omci(data))
                 except AdapterError:
                     res.omci_failed += 1
                     data = encode_omci(_ERROR)
-                    if now + pipe_ns <= horizon:
+                    if j <= last_error:
                         decode_omci(data)
                         received += data
                         delays.append(pipe_ns)
                 else:
                     data = encode_omci(std)
-                    rx = now + delay
-                    if rx <= horizon and (room != dead
-                                          or not dead_from <= rx < dead_to):
+                    rx = j * cycle + delay
+                    if j <= last_rx and (room != dead
+                                         or not dead_from <= rx < dead_to):
                         msg = apply_omci(decode_omci(data), mibs[room])
                         if j + d < n_cycles:
                             answered.append((j + d, room, msg))
@@ -716,8 +700,8 @@ class Simulation:
                             upstream.append((rx, room, msg))
             if answered and answered[0][0] == j:
                 _, room, msg = answered.popleft()
-                data = encode_omci(adapter.to_extended(msg, room))
-                if now + slot_ns + pipe_ns <= horizon:
+                data = encode_omci(to_extended(msg, room))
+                if j <= last_response:
                     decode_omci(data)
                     received += data
                     delays.append(wait)
@@ -731,52 +715,61 @@ class Simulation:
         the order their events had: by time, then by the order they were
         scheduled in, which a counter gives, as it does the relay drains.
         Every burst must fit between two OMCI windows, whether or not its
-        room is alive to send it; a dead room sends no burst."""
-        cfg = self.cfg
+        room is alive to send it; a dead room sends no burst. The calendar
+        is `scheduling.first_fit_start`; the pass keeps its free time, where
+        the last slot's guard ends, in a local."""
+        cfg, res = self.cfg, self.results
         relay = cfg.mode == SchedulerMode.PHY_RELAY
-        specs = cfg.uplink_bursts
-        heap = [(spec.start_ns, i, i) for i, spec in enumerate(specs)]
+        horizon, cycle, guard = cfg.horizon_ns, cfg.alloc_cycle_ns, cfg.guard_ns
+        window, delay = cfg.omci_slot_ns + guard, cfg.control_delay_ns
+        room_ns = self.data_room_ns
+        dead, dead_from, dead_to = self.dead
+        slots, bursts, ends = res.upstream_slots, res.bursts, self.burst_ends
+        # (room, period, air duration, coordinated, bytes, slot) per spec
+        specs = [(spec.sfu, spec.period_ns, spec.air_duration_ns,
+                  spec.coordinated, *self._burst_slot(spec))
+                 for spec in cfg.uplink_bursts]
+        heap = [(spec.start_ns, i, i)
+                for i, spec in enumerate(cfg.uplink_bursts)]
         heapify(heap)
         order = len(heap)
         # (end, order, bytes) of the relayed slots not yet drained
         relayed: deque[tuple[int, int, int]] = deque()
-        level = 0
-        while heap and heap[0][0] <= cfg.horizon_ns:
-            now, key, i = heappop(heap)
-            spec = specs[i]
-            ready = now + spec.air_duration_ns
-            nbytes, duration = self.burst_slots[i]
-            if duration > self.data_room_ns:
-                raise SimError(
-                    f"upstream burst of {duration} ns from {spec.sfu} does "
-                    f"not fit the {self.data_room_ns} ns between two OMCI "
-                    f"windows (alloc cycle {cfg.alloc_cycle_ns} ns)")
-            if nbytes > 0 and not self._dead_at(spec.sfu, now):
+        level = free = 0  # relay buffer bytes; where the last guard ends
+        while heap and heap[0][0] <= horizon:
+            now, key, i = heap[0]
+            room, period, air, coordinated, nbytes, duration = specs[i]
+            if duration > room_ns:
+                raise SimError(f"upstream burst of {duration} ns from {room} "
+                               f"does not fit the {room_ns} ns between two "
+                               f"OMCI windows (alloc cycle {cycle} ns)")
+            if nbytes > 0 and (room != dead or not dead_from <= now < dead_to):
                 if relay:
                     while relayed and relayed[0][:2] < (now, key):
                         level = max(0, level - relayed.popleft()[2])
                     level += nbytes
                     if level > cfg.relay_buffer_bytes:
-                        self.results.relay_overflow_drops += 1
+                        res.relay_overflow_drops += 1
                         level = cfg.relay_buffer_bytes
-                if spec.coordinated:
+                ready = now + air
+                if coordinated:
                     # bandwidth pre-request sent at trigger time: the slot
                     # can start the moment the data is ready
-                    earliest = max(ready, now + cfg.control_delay_ns)
+                    earliest = now + delay if now + delay > ready else ready
                 else:
-                    request_at = ready + cfg.control_delay_ns
                     # the start of the first cycle after the request
-                    earliest = ((request_at // cfg.alloc_cycle_ns + 1)
-                                * cfg.alloc_cycle_ns)
-                at = self._reserve_data_slot(earliest, duration, spec.sfu)
-                self.results.bursts.append(at - ready)
+                    earliest = ((ready + delay) // cycle + 1) * cycle
+                at = first_fit_start(free, earliest, duration, cycle, window)
+                free = at + duration + guard
+                slots.append((room, at, duration, DATA_TCONT_BASE))
+                bursts.append(at - ready)
                 end = at + duration
                 if relay:
                     relayed.append((end, order, nbytes))
                 order += 1
-                if end <= cfg.horizon_ns:
-                    self.burst_ends.append(end)
-            heappush(heap, (now + spec.period_ns, order, i))
+                if end <= horizon:
+                    ends.append(end)
+            heapreplace(heap, (now + period, order, i))
             order += 1
 
     def _burst_slot(self, spec: UplinkBurstSpec) -> tuple[int, int]:
@@ -903,10 +896,6 @@ class Simulation:
         nxt = now + self.cfg.poll_cycle_ns
         if nxt <= self.cfg.horizon_ns:
             self.sim.schedule(nxt, MFU, "poll_cycle")
-
-    def _dead_at(self, room: str, t: int) -> bool:
-        dead, dead_from, dead_to = self.dead
-        return room == dead and dead_from <= t < dead_to
 
     def _kill(self, sfu: SfuSim, ev: Event) -> None:
         sfu.alive = False

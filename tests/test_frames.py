@@ -423,6 +423,31 @@ def test_omci_content_length_limit_matches_reference(content_len, route):
     assert outcome(fr.encode_omci, msg) == outcome(reference_encode_omci, msg)
 
 
+@pytest.mark.parametrize("content_len", [0, 1, 0xFFFD, 0xFFFE])
+def test_extended_omci_at_the_length_edges_matches_reference(content_len):
+    # 0xFFFD content bytes and the two routing bytes fill the length field;
+    # one more is too long
+    content = random.Random(content_len).randbytes(content_len)
+    msg = fr.OmciMessage(1, fr.OmciType.SET, 2, 3, content, 4, 5)
+    wire = outcome(fr.encode_omci, msg)
+    assert wire == outcome(reference_encode_omci, msg)
+    if content_len > 0xFFFD:
+        assert wire is fr.OversizeError
+    else:
+        assert fr.decode_omci(wire) == reference_decode_omci(wire) == msg
+
+
+def test_the_per_length_struct_tables_stay_bounded():
+    # every content length has a struct of its own, so a run of many
+    # lengths (Hypothesis draws up to 65,535 B) must not keep them all
+    for n in [*range(3 * fr.PER_LENGTH_MAX), 0xFFFD]:
+        for route in ((None, None), (1, 2)):
+            msg = fr.OmciMessage(1, fr.OmciType.SET, 2, 3, bytes(n), *route)
+            assert fr.decode_omci(fr.encode_omci(msg)) == msg
+    for table in (fr._STANDARD, fr._EXTENDED, fr._WHOLE):
+        assert 0 < len(table) <= fr.PER_LENGTH_MAX
+
+
 @given(data=st.binary(min_size=1, max_size=1000))
 def test_pma_roundtrip_property(data):
     assert fr.pma_decode(fr.pma_encode(data)) == data

@@ -1,6 +1,6 @@
 """Smoke test of tools/scaling_sweep.py: small points and the OMCI codec
-point in fresh interpreters; and the memory an OMCI storm run retains per
-cycle."""
+point in fresh interpreters, and the scenario of the uplink bursts point;
+and the memory an OMCI storm run retains per cycle."""
 
 import gc
 import importlib.util
@@ -54,6 +54,26 @@ def test_one_storm_point_reports_cost_and_memory():
     assert 0 < result["gc_s"] < result["host_s"]
     # the untraced timed run, then a second run under tracemalloc
     assert 0 < result["retained_kib"] <= result["traced_peak_kib"]
+
+
+def test_one_uplink_bursts_point_reports_cost_and_memory():
+    point = {"kind": "uplink_bursts", "mode": "centralized", "horizon_ms": 20}
+    result = run_point(point)
+    assert (result["s_per_sim_s"] * point["horizon_ms"] / 1000
+            == approx(result["ref_s"]))
+    assert result["s_per_sim_s"] > 0
+    assert result["peak_rss_mb"] > 0
+    assert 0 < result["retained_kib"] <= result["traced_peak_kib"]
+
+
+def test_the_uplink_bursts_point_runs_the_control_plane_bursts_alone():
+    raw = load_sweep().uplink_bursts("centralized", 20)
+    assert "flows" not in raw and "management" not in raw
+    bursts = raw["uplink_bursts"]
+    assert len(bursts) == len(raw["topology"]["sfus"]) == 8
+    assert sum(b["coordinated"] for b in bursts) == 4
+    res = Simulation(parse_scenario(raw)).run()
+    assert res.bursts and res.omci_sent == 0
 
 
 def test_the_omci_codec_point_reports_calls_per_second_per_shape():

@@ -12,7 +12,7 @@ from fttrsim.frames import OmciType, decode_omci_stream
 from fttrsim.management import AdapterError, OmciAdapter
 from fttrsim.metrics import build_summary
 from fttrsim.scenario import load_scenario, parse_scenario
-from fttrsim.scheduling import (AirGrant, SfuStatusReport,
+from fttrsim.scheduling import (AirGrant, SfuStatusReport, first_fit_start,
                                 grant_downlink_airtime)
 from fttrsim.simulation import (MFU, ContentionDomain, Frame, Simulation,
                                 run_scenario_config)
@@ -285,16 +285,74 @@ def calendar_requests(draw):
 @given(calendar_requests())
 def test_data_slot_matches_the_cycle_by_cycle_calendar(case):
     cycle_us, omci_us, guard_ns, next_free, earliest, duration = case
-    sim = Simulation(parse_scenario({
-        "horizon_ms": 1, "topology": {"sfus": ["a"]},
-        "control": {"alloc_cycle_us": cycle_us, "omci_slot_us": omci_us,
-                    "guard_ns": guard_ns}}))
-    sim.upstream_next_free = next_free
-    start = sim._reserve_data_slot(earliest, duration, "a")
-    assert (start, sim.upstream_next_free) == reference_reserve_data_slot(
+    start = first_fit_start(next_free, earliest, duration, cycle_us * 1000,
+                            omci_us * 1000 + guard_ns)
+    assert (start, start + duration + guard_ns) == reference_reserve_data_slot(
         cycle_us * 1000, omci_us * 1000, guard_ns, next_free, earliest,
         duration)
-    assert sim.results.upstream_slots == [("a", start, duration, 2)]
+
+
+@st.composite
+def burst_runs(draw):
+    """A scenario of up to five burst specs over three rooms, coordinated
+    or not, some sending nothing, with a dead window in most runs, in
+    centralized or phy_relay mode."""
+    mode = draw(st.sampled_from(["centralized", "phy_relay"]))
+    # a relayed burst must drain within the 239.9 us between OMCI windows
+    air_us = st.integers(5, 55 if mode == "phy_relay" else 150)
+    rus = st.lists(st.builds(dict, bytes=st.integers(1, 4000)), max_size=3)
+    bursts = draw(st.lists(st.fixed_dictionaries({
+        "sfu": st.sampled_from("abc"),
+        "period_us": st.sampled_from([100, 250, 300, 500, 1000]),
+        "air_duration_us": air_us,
+        "start_ms": st.sampled_from([0, 0.005, 0.25, 0.3, 1]),
+        "coordinated": st.booleans(),
+        "rus": rus}), min_size=1, max_size=5))
+    raw = {"horizon_ms": 3, "mode": mode, "topology": {"sfus": ["a", "b", "c"]},
+           "uplink_bursts": bursts,
+           "phy_relay": {"buffer_bytes": 50_000}}
+    kill = draw(st.one_of(st.none(), st.fixed_dictionaries(
+        {"sfu": st.sampled_from("abc"), "at_ms": st.sampled_from([0, 0.3, 1])},
+        optional={"recover_ms": st.sampled_from([1.25, 2])})))
+    if kill is not None:
+        raw["management"] = {"kill": kill}
+    return raw
+
+
+@given(burst_runs())
+def test_the_burst_pass_books_the_slots_of_the_reference_calendar(raw):
+    # the starts are replayed by (time, push order), the order the start
+    # events had, and each burst of a living room that sends bytes is
+    # placed by the cycle-by-cycle calendar from where the last one's
+    # guard ends
+    cfg = parse_scenario(raw)
+    sim = Simulation(cfg)
+    sim._uplink_bursts()
+    cycle, delay = cfg.alloc_cycle_ns, cfg.control_delay_ns
+    room, dead_from, dead_to = sim.dead
+    pending = [(spec.start_ns, i, i)
+               for i, spec in enumerate(cfg.uplink_bursts)]
+    pushed, free, slots, waits = len(pending), 0, [], []
+    while True:
+        now, _, i = min(pending)
+        if now > cfg.horizon_ns:
+            break
+        pending.remove((now, _, i))
+        spec = cfg.uplink_bursts[i]
+        nbytes, duration = sim._burst_slot(spec)
+        if nbytes and not (spec.sfu == room and dead_from <= now < dead_to):
+            ready = now + spec.air_duration_ns
+            earliest = (max(ready, now + delay) if spec.coordinated
+                        else ((ready + delay) // cycle + 1) * cycle)
+            start, free = reference_reserve_data_slot(
+                cycle, cfg.omci_slot_ns, cfg.guard_ns, free, earliest,
+                duration)
+            slots.append((spec.sfu, start, duration, 2))
+            waits.append(start - ready)
+        pending.append((now + spec.period_ns, pushed, i))
+        pushed += 1
+    assert sim.results.upstream_slots == slots
+    assert sim.results.bursts == waits
 
 
 def test_storm_responses_reach_the_olt_in_request_order():

@@ -11,6 +11,11 @@ each in centralized and distributed mode, and
     and nothing else, over 1, 10 and 40 s, in centralized mode: the
     management plane's own scaling, and the memory its retained records
     (responses at the OLT, upstream slots) take as the horizon grows
+  - the uplink bursts of the benchmark's seed-41 `control_plane` instance
+    (8 rooms, half of them coordinated) and nothing else: no storm, no
+    flows, no kill and no sleep, over 1, 10 and 40 s, in centralized mode:
+    the cost of the burst pass, with the OMCI slot booking every burst run
+    makes
   - the OMCI codec alone (kind "omci_codec"): `encode_omci` and
     `decode_omci` calls per second, for each of the three message shapes
     a storm sends: an extended SET request with 16 B of content, its
@@ -45,6 +50,8 @@ Usage, from the root of a source checkout:
     python3 tools/scaling_sweep.py --point \
         '{"kind": "ring", "sfus": 4, "mode": "centralized", "horizon_ms": 20}'
     python3 tools/scaling_sweep.py --point '{"kind": "omci_codec"}'
+    python3 tools/scaling_sweep.py --point \
+        '{"kind": "uplink_bursts", "mode": "centralized", "horizon_ms": 1000}'
 One line per point goes to stderr; stdout gets one JSON object per run
 (with --point) or one JSON list of all points.
 """
@@ -68,7 +75,7 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 RING_SIZES = (4, 8, 16, 32, 64)
 MODES = ("centralized", "distributed")
 RING_MS = 1000
-HORIZONS_S = (1, 10, 40)  # conflict_pair and the OMCI storm
+HORIZONS_S = (1, 10, 40)  # conflict_pair, the OMCI storm and the bursts
 STORM_ROOMS = 8
 STORM_CYCLE_US = 250
 REPEATS = 5  # fresh-interpreter runs per point
@@ -116,11 +123,27 @@ def storm(mode: str, horizon_ms: float) -> dict:
     }
 
 
+def uplink_bursts(mode: str, horizon_ms: float) -> dict:
+    """The rooms, alloc cycle and uplink bursts of the first instance of the
+    benchmark's seed-41 `control_plane` sweep, and nothing else."""
+    if PERFBENCH not in sys.path:
+        sys.path.insert(0, PERFBENCH)
+    from workloads import sweep
+
+    raw = sweep("control_plane", 41)[0]
+    return {"name": "bursts8", "horizon_ms": horizon_ms, "mode": mode,
+            **{key: raw[key] for key in ("topology", "control",
+                                         "uplink_bursts")},
+            "energy": {"savings_enabled": False}}
+
+
 def scenario(point: dict) -> dict:
     if point["kind"] == "ring":
         return ring(point["sfus"], point["mode"], point["horizon_ms"])
     if point["kind"] == "storm":
         return storm(point["mode"], point["horizon_ms"])
+    if point["kind"] == "uplink_bursts":
+        return uplink_bursts(point["mode"], point["horizon_ms"])
     return conflict_pair(point["mode"], point["horizon_ms"])
 
 
@@ -216,8 +239,8 @@ def points() -> list[dict]:
            for n in RING_SIZES for mode in MODES]
     out += [{"kind": "conflict_pair", "mode": mode, "horizon_ms": s * 1000}
             for s in HORIZONS_S for mode in MODES]
-    out += [{"kind": "storm", "mode": "centralized", "horizon_ms": s * 1000}
-            for s in HORIZONS_S]
+    out += [{"kind": kind, "mode": "centralized", "horizon_ms": s * 1000}
+            for kind in ("storm", "uplink_bursts") for s in HORIZONS_S]
     return out
 
 
