@@ -463,8 +463,8 @@ class _PerLength(dict):
 
 
 PER_LENGTH_MAX = 64
-# a whole standard or extended message but its MIC, by content length
-# without the routing bytes; and a whole message, MIC included
+# a standard or extended message but its MIC, by its content's length;
+# and a whole message, MIC included, by its length less header and MIC
 _STANDARD = _PerLength(">HBBHHH%ds", "pack")
 _EXTENDED = _PerLength(">HBBHHH%dsBB", "pack")
 _WHOLE = _PerLength(">HBBHHH%dsI", "unpack")
