@@ -1,5 +1,6 @@
-"""Discrete-event engine: integer-nanosecond clock, ordered event queue,
-per-node RNG substreams and a deterministic trace digest.
+"""Discrete-event engine: integer-nanosecond clock, one ordered queue of
+events and arrival heads, per-node RNG substreams and a deterministic trace
+digest.
 
 All simulation time is an integer count of nanoseconds since run start.
 Events and arrivals are totally ordered by (time, insertion sequence number)
@@ -117,19 +118,19 @@ DIGEST_BATCH = 64
 class Simulator:
     """Single-threaded event loop with a horizon and a dispatch digest.
 
-    The queue is a heap of `(fire_time, seq, target, kind)` tuples.
-    `reserve` hands out a sequence number without pushing an event, so that
-    an action the model applies later, without an event, keeps its place
-    in that total order; `schedule_at` pushes an event at such a number.
+    The queue is one heap, ordered by (time, seq). An event is a
+    `(fire_time, seq, target, kind)` entry. `reserve` hands out a sequence
+    number without pushing an event, so that an action the model applies
+    later, without an event, keeps its place in that total order;
+    `schedule_at` pushes an event at such a number.
 
-    Arrivals are not events. A second heap holds `(time, seq, item)` heads,
-    each the next arrival of one stream, pushed by `add_arrival`.
-    `run_until` merges it with the queue in (time, seq) order and calls
-    `on_arrival(time, item)` for each head it reaches; the callback returns
-    the stream's next arrival time, which takes the next sequence number
-    as the callback returns, or None when the stream ends. An arrival adds
-    no digest line and counts in none of `n_scheduled`, `n_dispatched` and
-    `n_beyond_horizon`.
+    Arrivals are not events. The head of each arrival stream, its next
+    arrival, is a `(time, seq, None, item)` entry of the same heap, pushed
+    by `add_arrival`. `run_until` calls `on_arrival(time, item)` for each
+    head it reaches; the callback returns the stream's next arrival time,
+    which takes the next sequence number as the callback returns, or None
+    when the stream ends. An arrival adds no digest line and counts in none
+    of `n_scheduled`, `n_dispatched` and `n_beyond_horizon`.
 
     The digest is the SHA-256 of one `time|target|kind` line per dispatched
     event, fed in batches of at most `DIGEST_BATCH` lines.
@@ -138,8 +139,8 @@ class Simulator:
     def __init__(self, seed: int = 0):
         self.now: SimTime = 0
         self.rng = RngStreams(seed)
-        self._queue: list[tuple[int, int, str, str]] = []
-        self._heads: list[tuple[int, int, Any]] = []
+        # events and arrival heads; an arrival head's target is None
+        self._queue: list[tuple[int, int, str | None, Any]] = []
         self.on_arrival: Callable[[SimTime, Any], SimTime | None] | None = None
         self._seq = 0
         self._handlers: dict[str, Callable[[Event], None]] = {}
@@ -180,48 +181,36 @@ class Simulator:
             raise SimError(
                 f"attempt to add an arrival at t={time} ns while clock is "
                 f"at t={self.now} ns")
-        heapq.heappush(self._heads, (time, self.reserve(), item))
+        heapq.heappush(self._queue, (time, self.reserve(), None, item))
 
     def run_until(self, horizon: SimTime) -> str:
         """Dispatch every event, and run every arrival, with time <= horizon,
         in (time, seq) order; return the trace digest."""
-        queue, heads, handlers = self._queue, self._heads, self._handlers
-        pop, replace = heapq.heappop, heapq.heapreplace
+        queue, handlers = self._queue, self._handlers
+        pop, push = heapq.heappop, heapq.heappush
         feed, arrive = self._digest.update, self.on_arrival
-        # ordered after every key due by the horizon
-        end = (horizon + 1,)
         ev = Event(0, 0, "", "")
         lines: list[str] = []
         add, batch = lines.append, DIGEST_BATCH
         n = self.n_dispatched
         try:
-            while True:
-                head = queue[0] if queue else end
-                if head[0] > horizon:
-                    head = end
-                if heads and heads[0] < head:
-                    t, _, item = heads[0]
-                    if t < self.now:
-                        raise SimError("clock regression detected")
-                    self.now = t
-                    nxt = arrive(t, item)
-                    if nxt is None:
-                        pop(heads)
-                        continue
-                    if nxt < t:
-                        raise SimError(
-                            f"attempt to add an arrival at t={nxt} ns while "
-                            f"clock is at t={t} ns")
-                    seq = self._seq
-                    self._seq = seq + 1
-                    replace(heads, (nxt, seq, item))
-                    continue
-                if head is end:
-                    break
+            while queue and queue[0][0] <= horizon:
                 t, seq, target, kind = pop(queue)
                 if t < self.now:
                     raise SimError("clock regression detected")
                 self.now = t
+                if target is None:
+                    # an arrival head: `kind` is the stream's item
+                    nxt = arrive(t, kind)
+                    if nxt is not None:
+                        if nxt < t:
+                            raise SimError(
+                                f"attempt to add an arrival at t={nxt} ns "
+                                f"while clock is at t={t} ns")
+                        seq = self._seq
+                        self._seq = seq + 1
+                        push(queue, (nxt, seq, None, kind))
+                    continue
                 add(f"{t}|{target}|{kind}\n")
                 if len(lines) == batch:
                     feed("".join(lines).encode())
@@ -241,5 +230,5 @@ class Simulator:
             if lines:
                 feed("".join(lines).encode())
         self.now = horizon
-        self.n_beyond_horizon = len(queue)
+        self.n_beyond_horizon = sum(e[2] is not None for e in queue)
         return self._digest.hexdigest()

@@ -5,8 +5,8 @@ machines, and collects metrics.
 
 Traffic, contention and the rooms' sleep checks run on one event loop.
 A frame's arrival at the MFU is not an event: each flow's next arrival is
-a head the engine merges with its queue in (time, seq) order, and runs at
-its place (`Simulation._flow_arrival`). Nor are a frame's receive at its
+a head in the engine's one (time, seq) queue, run at its place
+(`Simulation._flow_arrival`). Nor are a frame's receive at its
 room and a centralized air grant: each keeps a place in the loop's (time,
 seq) order, reserved when the frame is sent or the grant issued, and is
 applied at that place before the next event that could read what it moves

@@ -2,10 +2,11 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from fttrsim.engine import (DIGEST_BATCH, Simulator, SimError, RngStreams,
-                            draw_bytes, draw_int, transmit_time_ns, NS_PER_S)
+from fttrsim.engine import (DIGEST_BATCH, Event, Simulator, SimError,
+                            RngStreams, draw_bytes, draw_int, transmit_time_ns,
+                            NS_PER_S)
 
 
 def collect(sim, horizon):
@@ -305,6 +306,146 @@ def test_arrivals_count_in_no_event_counter_and_add_no_digest_line():
     assert sim.n_beyond_horizon == 2
     assert sim.n_scheduled == sim.n_dispatched + sim.n_beyond_horizon
     assert digest == run(False)[2]
+
+
+class ListSimulator:
+    """The engine's contract replayed on a plain list: each step takes the
+    smallest (time, seq) entry, an event or an arrival head (target None)."""
+
+    def __init__(self):
+        self.now = 0
+        self.seq = 0
+        self.entries = []
+        self.handlers = {}
+        self.on_arrival = None
+        self.lines = []
+        self.n_scheduled = self.n_dispatched = self.n_beyond_horizon = 0
+
+    def register(self, target, handler):
+        self.handlers[target] = handler
+
+    def reserve(self):
+        self.seq += 1
+        return self.seq - 1
+
+    def schedule(self, fire_time, target, kind):
+        self.schedule_at(fire_time, self.reserve(), target, kind)
+
+    def schedule_at(self, fire_time, seq, target, kind):
+        assert fire_time >= self.now
+        self.n_scheduled += 1
+        self.entries.append((fire_time, seq, target, kind))
+
+    def add_arrival(self, time, item):
+        assert time >= self.now
+        self.entries.append((time, self.reserve(), None, item))
+
+    def run_until(self, horizon):
+        while (due := [e for e in self.entries if e[0] <= horizon]):
+            entry = min(due)
+            self.entries.remove(entry)
+            t, seq, target, kind = entry
+            self.now = t
+            if target is None:
+                nxt = self.on_arrival(t, kind)
+                if nxt is not None:
+                    self.entries.append((nxt, self.reserve(), None, kind))
+            else:
+                self.lines.append(f"{t}|{target}|{kind}\n")
+                self.n_dispatched += 1
+                self.handlers[target](Event(t, seq, target, kind))
+        self.now = horizon
+        self.n_beyond_horizon = sum(e[2] is not None for e in self.entries)
+        return hashlib.sha256("".join(self.lines).encode()).hexdigest()
+
+
+GRID = 10  # ns: a coarse grid, so that many entries share a time
+grid_times = st.integers(0, 12).map(lambda k: k * GRID)
+
+
+@st.composite
+def engine_runs(draw):
+    """Setup steps in drawn order: up to 6 arrival streams (`periodic`,
+    `ending` after `count` arrivals, or `primed` with every head added up
+    front) and up to 10 events, pushed by `schedule` or by `schedule_at` at
+    a number reserved in setup order; the follow-up actions that arrivals
+    and handlers take, one per step while they last; a spare pool of
+    reserved numbers, and the two horizons of `run_until`."""
+    streams = draw(st.lists(st.tuples(
+        st.sampled_from(["periodic", "ending", "primed"]), grid_times,
+        st.integers(1, 3).map(lambda k: k * GRID), st.integers(1, 4)),
+        max_size=6))
+    events = draw(st.lists(st.tuples(grid_times, st.booleans(),
+                                     st.sampled_from("ab")), max_size=10))
+    steps = draw(st.permutations([("stream", i) for i in range(len(streams))]
+                                 + [("event", i) for i in range(len(events))]))
+    follow = draw(st.lists(st.one_of(
+        st.none(), st.tuples(st.sampled_from(["schedule", "pooled"]),
+                             st.integers(0, 3).map(lambda k: k * GRID))),
+        max_size=12))
+    spare = draw(st.integers(0, 3))
+    horizon = draw(grid_times)
+    cut = draw(st.integers(0, horizon))
+    return streams, events, steps, follow, spare, cut, horizon
+
+
+def replay(sim, streams, events, steps, follow, spare, cut, horizon):
+    """Set `sim` up from one drawn run and run it; return the run order
+    (what ran, and `now` at each step), the counters and the digest."""
+    order, actions, ran = [], list(reversed(follow)), [0] * len(streams)
+    pool = [sim.reserve() for _ in range(spare)]
+
+    def act(now):
+        # arrivals and handlers schedule further events
+        action = actions.pop() if actions else None
+        if action is not None:
+            how, delta = action
+            if how == "pooled" and pool:
+                sim.schedule_at(now + delta, pool.pop(), "b", "pooled")
+            else:
+                sim.schedule(now + delta, "a", "follow")
+
+    def handler(ev):
+        order.append((sim.now, ev.fire_time, ev.seq, ev.target, ev.kind))
+        act(sim.now)
+
+    def arrive(now, item):
+        order.append((sim.now, now, item))
+        act(now)
+        i = item[0]
+        ran[i] += 1
+        mode, _, period, count = streams[i]
+        if mode == "periodic" or (mode == "ending" and ran[i] < count):
+            return now + period
+        return None
+
+    sim.register("a", handler)
+    sim.register("b", handler)
+    sim.on_arrival = arrive
+    reserved = []
+    for what, i in steps:
+        if what == "stream":
+            mode, start, period, count = streams[i]
+            for k in range(count if mode == "primed" else 1):
+                sim.add_arrival(start + k * period, (i, k))
+        else:
+            t, at_reserved, target = events[i]
+            if at_reserved:
+                reserved.append((t, sim.reserve(), target, f"e{i}"))
+            else:
+                sim.schedule(t, target, f"e{i}")
+    for t, seq, target, kind in reversed(reserved):
+        sim.schedule_at(t, seq, target, kind)
+    sim.run_until(cut)
+    digest = sim.run_until(horizon)
+    return (order, sim.now, sim.n_scheduled, sim.n_dispatched,
+            sim.n_beyond_horizon, digest)
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=engine_runs())
+def test_the_one_queue_runs_in_the_order_of_a_plain_list(run):
+    assert replay(Simulator(), *run) == replay(ListSimulator(), *run)
 
 
 def test_rng_substream_depends_only_on_seed_and_name():
