@@ -442,10 +442,6 @@ class OmciMessage(NamedTuple):
     mfu_port_id: int | None = None
     sfu_id: int | None = None
 
-    @property
-    def is_extended(self) -> bool:
-        return self.mfu_port_id is not None
-
 
 class _PerLength(dict):
     """One message layout's bound `pack` or `unpack`, per content

@@ -12,6 +12,7 @@ import io
 import json
 from pathlib import Path
 
+from .scenario import MFU
 from .simulation import SimResults
 
 
@@ -56,7 +57,8 @@ def build_summary(res: SimResults) -> dict:
     total_j = 0.0
     for name in sorted(res.ledgers):
         ledger = res.ledgers[name]
-        joules = ledger.joules(res.profiles[name])
+        joules = ledger.joules(cfg.mfu_profile if name == MFU
+                               else cfg.sfu_profile)
         total_j += joules
         nodes[name] = {
             "joules": round(joules, 9),

@@ -60,7 +60,6 @@ class SimResults:
     flow_stats: dict[str, FlowRun] = field(default_factory=dict)
     cell_stats: dict[str, SfuSim] = field(default_factory=dict)
     ledgers: dict = field(default_factory=dict)          # node -> EnergyLedger
-    profiles: dict = field(default_factory=dict)         # node -> PowerProfile
     grants: list[AirGrant] = field(default_factory=list)
     upstream_slots: list[tuple[str, int, int, int]] = field(default_factory=list)
     omci_sent: int = 0
@@ -946,8 +945,6 @@ class Simulation:
             ledger.close(cfg.horizon_ns)
             ledger.check_tiling(cfg.horizon_ns)
             res.ledgers[machine.node] = ledger
-            res.profiles[machine.node] = (cfg.mfu_profile if machine is self.mfu
-                                          else cfg.sfu_profile)
             res.rejected_transitions += machine.rejected
         res.alarms = self.monitor.alarms
         res.counters = {

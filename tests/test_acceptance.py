@@ -279,7 +279,7 @@ def test_energy_accounting_and_sleep():
 
     for node, ledger in res.ledgers.items():
         ledger.check_tiling(cfg.horizon_ns)
-        profile = res.profiles[node]
+        profile = cfg.mfu_profile if node == "mfu" else cfg.sfu_profile
         # closed-form: per-state residency times state power
         closed = sum(ns * profile.watts[next(s for s in profile.watts
                                              if s.value == state)]
@@ -291,7 +291,9 @@ def test_energy_accounting_and_sleep():
     always_on = run_scenario_config(parse_scenario(raw))
 
     def total(r):
-        return sum(led.joules(r.profiles[n]) for n, led in r.ledgers.items())
+        c = r.config
+        return sum(led.joules(c.mfu_profile if n == "mfu" else c.sfu_profile)
+                   for n, led in r.ledgers.items())
 
     assert total(res) < total(always_on)
 

@@ -207,12 +207,12 @@ def test_idle_rooms_step_down_on_their_timers(t_us, ts_us, c_us):
     assert {node: ledger.records for node, ledger in res.ledgers.items()
             } == expected
     nodes = build_summary(res)["nodes"]
+    cfg = res.config
     for node, records in expected.items():
-        watts = res.profiles[node].watts
+        watts = (cfg.mfu_profile if node == "mfu" else cfg.sfu_profile).watts
         joules = sum((end - start) * watts[state]
                      for state, start, end in records) / 1e9
         assert nodes[node]["joules"] == round(joules, 9)
-    cfg = res.config
     assert res.ftth_joules == (t * cfg.ftth_active_w
                                + (h - t) * cfg.ftth_idle_w) / 1e9
 

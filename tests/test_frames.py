@@ -298,9 +298,10 @@ _REF_HEADER = struct.Struct(">HBBHH")
 def reference_encode_omci(msg):
     if (msg.mfu_port_id is None) != (msg.sfu_id is None):
         raise fr.FrameError("extended form requires both routing bytes")
-    flags = fr.OMCI_EXTENDED if msg.is_extended else fr.OMCI_STANDARD
+    extended = msg.mfu_port_id is not None
+    flags = fr.OMCI_EXTENDED if extended else fr.OMCI_STANDARD
     content = msg.content
-    if msg.is_extended:
+    if extended:
         content = content + bytes([msg.mfu_port_id & 0xFF, msg.sfu_id & 0xFF])
     if len(content) > 0xFFFF:
         raise fr.OversizeError("OMCI content too long")

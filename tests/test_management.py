@@ -38,7 +38,7 @@ def test_downstream_conversion_strips_routing_and_keeps_content():
     ext = OmciMessage(5, OmciType.SET, 256, 1, b"abc", mfu_port_id=1, sfu_id=2)
     node, std = a.to_standard(ext)
     assert node == "room2"
-    assert not std.is_extended
+    assert std.mfu_port_id is None
     assert (std.transaction_id, std.content) == (5, b"abc")
 
 
