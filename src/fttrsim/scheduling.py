@@ -48,7 +48,8 @@ class UplinkBwRequest:
 def report_order_key(report: SfuStatusReport) -> tuple[int, int, str]:
     """Grant ordering: highest priority first, then most buffered bytes,
     then node id ascending. Strict total order on distinct reports."""
-    return (-report.top_priority, -report.buffered_bytes, report.sfu)
+    sfu, buffered, top, _ = report  # a named or a plain tuple
+    return (-top, -buffered, sfu)
 
 
 def grant_downlink_airtime(reports: list[SfuStatusReport],

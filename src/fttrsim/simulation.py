@@ -29,27 +29,21 @@ from heapq import heapify, heapreplace
 from itertools import repeat
 from typing import Callable
 
-from .engine import (Event, Simulator, SimError, SimTime, draw_bytes,
-                     transmit_time_ns)
+from .engine import Event, Simulator, SimError, draw_bytes, transmit_time_ns
 from .frames import (APDU_OVERHEAD, DATA_TCONT_BASE, FEM_HEADER_LEN,
                      classification_tag, pma_wire_len, OmciMessage, OmciType,
                      encode_omci, decode_omci)
 from .links import WifiCell, InterferenceGraph
-from .scheduling import (SchedulerMode, SfuStatusReport, AirGrant,
-                         first_fit_start, grant_downlink_airtime,
-                         phy_relay_buffer_bytes, phy_relay_slot_ns,
-                         ofdma_uplink_request)
+from .scheduling import (SchedulerMode, AirGrant, first_fit_start,
+                         grant_downlink_airtime, phy_relay_buffer_bytes,
+                         phy_relay_slot_ns, ofdma_uplink_request)
 from .management import (MibStore, OmciAdapter, LivenessMonitor,
                          AdapterError, apply_omci)
 from .energy import (PowerMachine, PowerState, SleepBuffer, select_policy,
                      ftth_baseline_joules, merge_spans)
 from .scenario import MFU, OLT, ScenarioConfig, FlowSpec, UplinkBurstSpec
 
-
-@dataclass(slots=True)
-class Frame:
-    flow: FlowRun                # size, tag, air and optical times
-    created_at: SimTime
+Frame = tuple  # (flow, created_at): a plain tuple, built once per arrival
 
 
 @dataclass
@@ -98,13 +92,13 @@ _SET = OmciType.SET
 
 class SfuSim:
     """One room (SFU): its tag queues, power and sleep state, contention
-    window and counters. Its fields are fixed slots, so a misspelt field
-    raises."""
+    window, the rooms whose cells conflict with its own (`conflicts`) and
+    counters. Its fields are fixed slots, so a misspelt field raises."""
 
     __slots__ = ("name", "target", "power", "queues", "queued_bytes",
                  "queued_airtime_ns", "cw", "cw_bits", "domain", "alive",
                  "asleep", "wake_pending", "wake_lost", "sleep_buffer", "iot",
-                 "grant_end", "airtime_ns", "collisions")
+                 "grant_end", "conflicts", "airtime_ns", "collisions")
 
     def __init__(self, name: str, cfg: ScenarioConfig):
         self.name = name
@@ -141,7 +135,7 @@ class SfuSim:
         self.cw_bits = (cw + 1).bit_length()
 
     def enqueue(self, frame: Frame) -> None:
-        flow = frame.flow
+        flow = frame[0]
         q = self.queues[flow.tag]
         if q is None:
             q = self.queues[flow.tag] = deque()
@@ -153,7 +147,7 @@ class SfuSim:
         for q in self.queues:
             if q:
                 frame = q.popleft()
-                flow = frame.flow
+                flow = frame[0]
                 self.queued_bytes -= flow.size
                 self.queued_airtime_ns -= flow.airtime_ns
                 return frame
@@ -177,7 +171,7 @@ class SfuSim:
         used = size = 0
         for q in self.queues:
             while q:
-                flow = q[0].flow
+                flow = q[0][0]
                 airtime = used + flow.airtime_ns
                 if airtime > budget:
                     break
@@ -232,14 +226,15 @@ class ContentionDomain:
             # no contender: a frame still on the MFU link wakes the domain
             # when it reaches its room
             if not self.wake_pending:
-                for rx, seq, frame in self.sim.inbound:
-                    if frame.flow.sfu.domain is self:
-                        self.wake(rx, seq, frame.flow.sfu)
+                for rx, seq, (flow, _) in self.sim.inbound:
+                    if flow.sfu.domain is self:
+                        self.wake(rx, seq, flow.sfu)
                         break
             return
         self.round_pending = True
         engine = self.sim.sim
-        engine.schedule(max(engine.now, self.busy_until), self.target, "round")
+        now, busy = engine.now, self.busy_until
+        engine.schedule(busy if busy > now else now, self.target, "round")
 
     def wake(self, rx: int, seq: int, sfu: SfuSim) -> None:
         """Push the `optical_rx` event of the inbound frame at (rx, seq)."""
@@ -280,7 +275,7 @@ class ContentionDomain:
         if tied is None:
             sfu = winner[0]
             frame = sfu.pop_frame()
-            dur = frame.flow.airtime_ns
+            dur = frame[0].airtime_ns
             sfu.airtime_ns += dur
             sfu.set_cw(oh.cw_min)
             self.busy_until = start + dur
@@ -288,9 +283,11 @@ class ContentionDomain:
         else:
             dur = 0
             for sfu, _ in tied:
-                dur = max(dur, sfu.head_frame().flow.airtime_ns)
+                airtime = sfu.head_frame()[0].airtime_ns
+                dur = airtime if airtime > dur else dur
                 sfu.collisions += 1
-                sfu.set_cw(min((sfu.cw + 1) * 2 - 1, oh.cw_max))
+                cw = (sfu.cw + 1) * 2 - 1
+                sfu.set_cw(cw if cw < oh.cw_max else oh.cw_max)
             self.busy_until = start + dur
         self.notify()
 
@@ -407,6 +404,8 @@ class Simulation:
             "sleep_check": self._sleep_check,
         }
         for sfu in self.sfus.values():
+            sfu.conflicts = tuple(map(self.sfus.get, sorted(
+                self.graph.neighbors(sfu.name))))
             table = {kind: partial(handler, sfu)
                      for kind, handler in per_sfu.items()}
             self.sim.register(sfu.target, _dispatcher("SFU", table, self))
@@ -459,20 +458,19 @@ class Simulation:
         moves, so it leaves them to the next event."""
         flow.offered += 1
         sfu = flow.sfu
-        frame = Frame(flow, now)
         ends = self.burst_ends
         mfu = self.mfu
         while ends and ends[0] <= now:
             mfu.active(ends.popleft())
         mfu.active(now)
         if sfu.asleep:
-            dropped = sfu.sleep_buffer.push(frame)
+            dropped = sfu.sleep_buffer.push((flow, now))
             if dropped is not None:
-                dropped.flow.dropped += 1
+                dropped[0].dropped += 1
                 self.results.sleep_drops += 1
             self._trigger_wake(sfu)
         else:
-            self._optical_downstream(frame)
+            self._optical_downstream((flow, now))
         if flow.interarrival_ns is None:  # batch: every arrival is primed
             return None
         nxt = now + flow.interarrival_ns
@@ -490,8 +488,11 @@ class Simulation:
         reserved now, and reaches its room before any later event is
         handled. An idle contention domain is woken by an event at that
         place."""
-        flow = frame.flow
-        depart = max(self.sim.now, self.mfu_tx_free)
+        flow = frame[0]
+        # a conditional, not max(), here and in `ContentionDomain`'s rounds:
+        # CPython 3.11 takes about six times as long for a builtin call
+        now, free = self.sim.now, self.mfu_tx_free
+        depart = free if free > now else now
         self.mfu_tx_free = depart + flow.optical_ns
         rx = self.mfu_tx_free + self.cfg.prop_delay_ns
         seq = self.sim.reserve()
@@ -519,7 +520,7 @@ class Simulation:
             head = grants[0] if grants and grants[0] < key else key
             while inbound and inbound[0] < head:
                 rx, _, frame = inbound.popleft()
-                sfu = frame.flow.sfu
+                sfu = frame[0].sfu
                 if sfu.alive:
                     sfu.power.active(rx)
                 sfu.enqueue(frame)
@@ -544,14 +545,14 @@ class Simulation:
         applied or by the CSMA/CA round it wins; no event marks its end. A
         frame whose air time ends after the horizon is not delivered in
         this run: it counts in its flow's `late`, and in `lost`."""
+        flow, created_at = frame
         if t > self.cfg.horizon_ns:
-            frame.flow.late += 1
+            flow.late += 1
             return
-        flow = frame.flow
         flow.delivered += 1
-        flow.latencies.append(t - frame.created_at + self._proc_ns)
+        flow.latencies.append(t - created_at + self._proc_ns)
         spans = self.results.activity_spans
-        spans.append((frame.created_at, t))
+        spans.append((created_at, t))
         if len(spans) >= self._spans_merge_at:
             spans[:] = merge_spans(spans)
             self._spans_merge_at = max(2 * len(spans), SPANS_MERGE_MIN)
@@ -563,13 +564,11 @@ class Simulation:
         cfg = self.cfg
         now = self.sim.now
         sfus = self.sfus
-        new = tuple.__new__
         # a room with nothing queued would get no grant, so it sends no
-        # report; each report is built without the named tuple's
-        # keyword-aware constructor
-        reports = [new(SfuStatusReport, (sfu.name, sfu.queued_bytes,
-                                         sfu.top_priority(),
-                                         sfu.queued_airtime_ns))
+        # report; each report is a plain tuple in `SfuStatusReport`'s
+        # field order
+        reports = [(sfu.name, sfu.queued_bytes, sfu.top_priority(),
+                    sfu.queued_airtime_ns)
                    for sfu in sfus.values()
                    if sfu.queued_bytes > 0 and sfu.alive and not sfu.asleep]
         t0 = now + cfg.control_delay_ns
@@ -577,17 +576,16 @@ class Simulation:
                                         t0, t0 + cfg.status_cycle_ns)
         self.results.grants.extend(grants)
         reserve = self.sim.reserve
-        neighbors = self.graph.neighbors
         due = []
         for name, start, duration in grants:
+            sfu = sfus[name]
             # no grant may start before a conflicting room's latest grant,
             # of this cycle or an earlier one, ends
-            for other in neighbors(name):
-                if sfus[other].grant_end > start:
+            for other in sfu.conflicts:
+                if other.grant_end > start:
                     raise SimError(
                         f"grant to {name} at {start} ns starts before the "
-                        f"grant to {other} ends at {sfus[other].grant_end} ns")
-            sfu = sfus[name]
+                        f"grant to {other.name} ends at {other.grant_end} ns")
             end = start + duration
             if end > sfu.grant_end:
                 sfu.grant_end = end
@@ -911,10 +909,10 @@ class Simulation:
         """Every offered frame is delivered, dropped, delivered after the
         horizon, or still held: in a room's queue, in a sleep buffer or on
         the MFU link. Otherwise the run raises `SimError`."""
-        held = Counter(frame.flow for _, _, frame in self.inbound)
+        held = Counter(frame[0] for _, _, frame in self.inbound)
         for sfu in self.sfus.values():
-            held.update(frame.flow for q in sfu.queues if q for frame in q)
-            held.update(frame.flow for frame in sfu.sleep_buffer.frames)
+            held.update(frame[0] for q in sfu.queues if q for frame in q)
+            held.update(frame[0] for frame in sfu.sleep_buffer.frames)
         for flow in self.flows:
             if (flow.delivered + flow.dropped + flow.late + held[flow]
                     != flow.offered):

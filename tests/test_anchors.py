@@ -73,6 +73,29 @@ queue empty, so it reaches its room at rx = t + O + Pd:
                   cw_min] on its own stream, and always wins:
                   latency = rx + DIFS + k·slot + W − t + P
 A frame whose air time would end after the horizon is not delivered.
+
+MFU downstream link. Notation: O = a frame's optical serialization, Pd =
+the link's propagation delay. The link is FIFO: a frame leaves at
+max(t, F), where t is its arrival at the MFU and F the time the link
+frees, and reaches its room at rx = max(t, F) + O + Pd. So k frames
+offered together at t, on a free link, reach their room at
+t + i·O + Pd for i = 1..k; a frame offered while they are sent leaves
+after them, and one offered once the link has freed leaves at its own
+arrival.
+
+Saturated n-clique, centralized. Notation: Y = `status_cycle`, X =
+`txop_max`, C = `control_delay`, W = a frame's air time. Every room of
+the clique conflicts with every other and always holds more than X of air
+time. The status cycle at j·Y grants in the window [j·Y + C, j·Y + C + Y):
+each grant starts where the one before it ends, and lasts min(X, the
+rest of the window), so the cycle grants
+
+    g_i = min(X, Y − i·X)     for i = 0, 1, ... while Y − i·X > 0, i < n
+    granted = Σ g_i = min(n·X, Y)
+
+A grant sends whole frames only, back to back from its start, so the air
+the cycle uses is Σ ⌊g_i / W⌋·W. The first cycle, at 0, has nothing to
+grant: no frame has reached a room yet.
 """
 
 import pytest
@@ -337,3 +360,86 @@ def test_distributed_latency_of_an_isolated_room_is_its_backoff(seed,
     expected = delivered_latencies(res, ends)
     assert len(expected) >= 8
     assert list(res.flow_stats["f"].latencies) == expected
+
+
+# a propagation delay longer than every send below, so that no frame has
+# reached its room by the horizon, one ns before the first would
+LINK_PROP_NS = 250_000
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("mode", ["centralized", "distributed"])
+def test_mfu_link_sends_frames_in_arrival_order(mode, k):
+    o, pd, t = OPTICAL_NS, LINK_PROP_NS, 1_000_000
+    # k frames at t; one offered while they are sent; one at the instant
+    # the link frees; one after it has freed
+    busy, at_free = t + o // 2, t + (k + 1) * o
+    after = at_free + o + 7_000
+    horizon = t + o + pd - 1
+    batch = {"dst": "a", "size_bytes": LATENCY_SIZE, "model": "batch"}
+    sim = Simulation(parse_scenario({
+        "horizon_ms": horizon / 1e6, "mode": mode,
+        "topology": {"sfus": ["a"]}, "optical": {"prop_delay_ns": pd},
+        "flows": [{**batch, "name": "burst", "count": k, "start_ms": t / 1e6},
+                  {**batch, "name": "busy", "count": 1,
+                   "start_ms": busy / 1e6},
+                  {**batch, "name": "at_free", "count": 1,
+                   "start_ms": at_free / 1e6},
+                  {**batch, "name": "after", "count": 1,
+                   "start_ms": after / 1e6}],
+        "energy": {"savings_enabled": False}}))
+    assert all(run.optical_ns == o for run in sim.flows)
+    res = sim.run()
+    assert res.config.horizon_ns == horizon
+    expected = [(t + i * o + pd, "burst", t) for i in range(1, k + 1)]
+    expected += [(t + (k + 1) * o + pd, "busy", busy),
+                 (at_free + o + pd, "at_free", at_free),
+                 (after + o + pd, "after", after)]
+    assert [(rx, flow.spec.name, created)
+            for rx, _, (flow, created) in sim.inbound] == expected
+    assert sum(run.delivered for run in sim.flows) == 0
+
+
+def saturated_clique_run(n: int):
+    """A 30 ms centralized run of n rooms that all conflict, each sent
+    1500-byte frames at 900 Mb/s, with the default control timings."""
+    rooms = [f"r{i}" for i in range(n)]
+    return run_scenario_config(parse_scenario({
+        "horizon_ms": 30, "mode": "centralized",
+        "topology": {"sfus": rooms,
+                     "conflicts": [[a, b] for i, a in enumerate(rooms)
+                                   for b in rooms[i + 1:]]},
+        "flows": [{"name": room, "dst": room, "size_bytes": LATENCY_SIZE,
+                   "rate_mbps": 900} for room in rooms],
+        "energy": {"savings_enabled": False}}))
+
+
+# n: (granted, air used) per mid-run status cycle, in ns
+CLIQUE_CYCLE = {2: (4_800_000, 4_700_000), 3: (5_000_000, 4_888_000),
+                5: (5_000_000, 4_888_000)}
+
+
+@pytest.mark.parametrize("n", sorted(CLIQUE_CYCLE))
+def test_saturated_clique_grants_min_of_txops_and_the_cycle(n):
+    res = saturated_clique_run(n)
+    cfg = res.config
+    y, x, c, w = (cfg.status_cycle_ns, cfg.txop_max_ns, cfg.control_delay_ns,
+                  AIR_NS)
+    assert (y, x, c, w) == (5_000_000, 2_400_000, 5_000, 94_000)
+    durations = [min(x, y - i * x) for i in range(n) if y - i * x > 0]
+    assert sum(durations) == min(n * x, y) == CLIQUE_CYCLE[n][0]
+    assert sum(g // w * w for g in durations) == CLIQUE_CYCLE[n][1]
+    cycles = range(1, cfg.horizon_ns // y + 1)
+    grants = sorted(res.grants, key=lambda g: g.start)
+    # each cycle's grants, back to back from its window's start
+    assert [(g.start, g.max_duration) for g in grants] == [
+        (j * y + c + i * x, g) for j in cycles
+        for i, g in enumerate(durations)]
+    # the grants that start by the horizon send whole frames only
+    applied = [g for g in grants if g.start <= cfg.horizon_ns]
+    assert {room: sfu.airtime_ns for room, sfu in res.cell_stats.items()} == {
+        room: sum(g.max_duration // w * w for g in applied if g.sfu == room)
+        for room in res.cell_stats}
+    assert sum(run.delivered + run.late
+               for run in res.flow_stats.values()) == sum(
+        g.max_duration // w for g in applied)

@@ -40,6 +40,26 @@ def test_one_ring_point_reports_rate_and_memory():
     # gen-0, gen-1 and gen-2 collections during the run, and their time
     assert len(result["gc_collections"]) == 3
     assert result["gc_s"] >= 0
+    # four rooms at 20 Mb/s: 1500 B frames every 600 us, each 13,056 ns on
+    # the MFU link (PMA framing included)
+    assert result["offered_load"] == approx(4 * 13_056 / 600_000)
+
+
+def test_ring_points_stay_below_the_link_but_one_overload_point():
+    sweep = load_sweep()
+    loads = {(p["sfus"], p["mode"], p.get("label")):
+             (p["rate_mbps"], sweep.offered_load(sweep.scenario(p)))
+             for p in sweep.points() if p["kind"] == "ring"}
+    assert {key: rate for key, (rate, _) in loads.items()} == {
+        **{(n, mode, None): 20 if n < 64 else 11
+           for n in (4, 8, 16, 32, 64)
+           for mode in ("centralized", "distributed")},
+        (64, "centralized", "overload"): 20}
+    assert loads[64, "centralized", "overload"][1] == approx(1.39264)
+    assert max(load for key, (_, load) in loads.items()
+               if key[2] is None) == approx(0.7659513617)
+    # one Mb/s more per room would pass 0.8
+    assert sweep.offered_load(sweep.ring(64, "centralized", 1000, 12)) > 0.8
 
 
 def test_one_storm_point_reports_cost_and_memory():

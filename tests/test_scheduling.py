@@ -152,6 +152,27 @@ def test_grants_match_all_pairs_reference(edges, raw, txop, window_end, now):
 
 
 @given(edges_st,
+       st.lists(st.tuples(st.sampled_from(CELLS), st.integers(0, 5000),
+                          st.integers(-1, 7), st.integers(0, 5000)),
+                max_size=10),
+       st.integers(500, 4000), st.integers(1000, 12_000),
+       st.integers(0, 3000))
+def test_plain_tuple_reports_grant_as_named_ones(edges, raw, txop,
+                                                 window_end, now):
+    # a run sends its reports as plain 4-tuples in the named tuple's field
+    # order; they sort and grant exactly as `SfuStatusReport`s do
+    graph = graph_of(edges)
+    named = [sch.SfuStatusReport(*r) for r in raw]
+    key = sch.report_order_key
+    assert [key(r) for r in raw] == [key(r) for r in named]
+    assert sorted(raw, key=key) == sorted(named, key=key)
+    grants = sch.grant_downlink_airtime(raw, graph, txop, now, window_end)
+    assert grants == sch.grant_downlink_airtime(named, graph, txop, now,
+                                                window_end)
+    assert all(type(g) is sch.AirGrant for g in grants)
+
+
+@given(edges_st,
        st.lists(st.tuples(st.sampled_from(CELLS), st.integers(0, 300),
                           st.integers(1, 200)), max_size=12))
 def test_overlap_checker_matches_all_pairs_reference(edges, raw):

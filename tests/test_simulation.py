@@ -14,7 +14,7 @@ from fttrsim.metrics import build_summary
 from fttrsim.scenario import load_scenario, parse_scenario
 from fttrsim.scheduling import (AirGrant, SfuStatusReport, first_fit_start,
                                 grant_downlink_airtime)
-from fttrsim.simulation import (MFU, ContentionDomain, Frame, Simulation,
+from fttrsim.simulation import (MFU, ContentionDomain, Simulation,
                                 run_scenario_config)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -136,21 +136,33 @@ def test_a_grant_ordered_before_a_queued_one_ends_the_run(monkeypatch):
 
 def test_grants_and_reports_are_the_named_tuples_the_benchmark_reads(
         monkeypatch):
-    # the run builds reports and grants with `tuple.__new__`; the benchmark
-    # reads the grants' fields by name
-    reports = []
+    # the run builds grants with `tuple.__new__`, and the benchmark reads
+    # their fields by name; each report is a plain tuple in
+    # `SfuStatusReport`'s field order, taken from its room's queue
+    reports, rooms = [], {}
+    status_cycle = Simulation._status_cycle
+
+    def spy_cycle(sim, ev):
+        rooms.update(sim.sfus)
+        status_cycle(sim, ev)
 
     def spy(reps, graph, txop_max_ns, now, window_end):
-        reports.extend(reps)
+        reports.extend((r, (rooms[r[0]].queued_bytes,
+                            rooms[r[0]].top_priority(),
+                            rooms[r[0]].queued_airtime_ns)) for r in reps)
         return grant_downlink_airtime(reps, graph, txop_max_ns, now,
                                       window_end)
 
+    monkeypatch.setattr(Simulation, "_status_cycle", spy_cycle)
     monkeypatch.setattr(simulation, "grant_downlink_airtime", spy)
     res = two_conflicting_rooms_run()
     assert reports and res.grants
-    for r in reports:
-        assert type(r) is SfuStatusReport
-        assert (r.sfu, r.buffered_bytes, r.top_priority, r.airtime_ns) == r
+    for r, queued in reports:
+        assert type(r) is tuple and len(r) == 4
+        report = SfuStatusReport(*r)
+        assert report == r
+        assert (report.buffered_bytes, report.top_priority,
+                report.airtime_ns) == queued
     for g in res.grants:
         assert type(g) is AirGrant
         assert AirGrant(sfu=g.sfu, start=g.start,
@@ -176,10 +188,10 @@ def queued_room():
     runs = {run.spec.name: run for run in sim.flows}
     sfu = sim.sfus["a"]
     for k, (name, _, _) in enumerate(QUEUED):
-        sfu.enqueue(Frame(runs[name], k))
+        sfu.enqueue((runs[name], k))
     sent = []
-    sim._deliver = lambda frame, t: sent.append((frame.flow.spec.name,
-                                                 frame.created_at, t))
+    sim._deliver = lambda frame, t: sent.append((frame[0].spec.name,
+                                                 frame[1], t))
     return sim, sfu, runs, sent
 
 
@@ -188,12 +200,12 @@ def reference_grant(sfu, start: int, end: int, sent: list) -> None:
     cursor = start
     while True:
         head = sfu.head_frame()
-        if head is None or cursor + head.flow.airtime_ns > end:
+        if head is None or cursor + head[0].airtime_ns > end:
             break
-        frame = sfu.pop_frame()
-        cursor += frame.flow.airtime_ns
-        sent.append((frame.flow.spec.name, frame.created_at, cursor))
-        sfu.airtime_ns += frame.flow.airtime_ns
+        flow, created_at = sfu.pop_frame()
+        cursor += flow.airtime_ns
+        sent.append((flow.spec.name, created_at, cursor))
+        sfu.airtime_ns += flow.airtime_ns
 
 
 def apply_grant(sim, sfu, start: int, end: int) -> None:
@@ -205,8 +217,8 @@ def apply_grant(sim, sfu, start: int, end: int) -> None:
 
 def room_state(sfu) -> tuple:
     return (sfu.queued_bytes, sfu.queued_airtime_ns, sfu.airtime_ns,
-            [[(f.flow.spec.name, f.created_at) for f in q] for q in sfu.queues
-             if q])
+            [[(flow.spec.name, created_at) for flow, created_at in q]
+             for q in sfu.queues if q])
 
 
 def test_a_grant_stops_at_the_first_head_frame_that_does_not_fit():
@@ -524,7 +536,7 @@ def test_inlined_backoff_draw_matches_draw_int_and_randint(seed, moves):
     for move in ["succeed", *moves]:
         cw = min((cw + 1) * 2 - 1, oh.cw_max) if move == "collide" else oh.cw_min
         sfu.set_cw(cw)
-        sfu.enqueue(Frame(flow, 0))
+        sfu.enqueue((flow, 0))
         domain.on_round(Event(0, 0, domain.target, "round"))
         slots, rest = divmod(domain.busy_until - oh.difs_ns - flow.airtime_ns,
                              oh.slot_ns)
@@ -917,11 +929,11 @@ def test_arrivals_at_one_ns_with_a_status_cycle_and_a_sleep_check(
     # moved on, comes first and restarts the timer, and `a` sleeps 3 ms
     # after it
     order = []
-    frame, register = simulation.Frame, simulation.Simulator.register
+    arrival, register = Simulation._flow_arrival, simulation.Simulator.register
 
-    def spy_frame(flow, created_at):
-        order.append((created_at, flow.spec.name))
-        return frame(flow, created_at)
+    def spy_arrival(sim, now, flow):
+        order.append((now, flow.spec.name))
+        return arrival(sim, now, flow)
 
     def spy_register(engine, target, handler):
         def spied(ev):
@@ -930,7 +942,7 @@ def test_arrivals_at_one_ns_with_a_status_cycle_and_a_sleep_check(
             handler(ev)
         register(engine, target, spied)
 
-    monkeypatch.setattr(simulation, "Frame", spy_frame)
+    monkeypatch.setattr(Simulation, "_flow_arrival", spy_arrival)
     monkeypatch.setattr(simulation.Simulator, "register", spy_register)
     res = run_scenario_config(parse_scenario({
         "horizon_ms": 10, "topology": {"sfus": ["a", "b"]},

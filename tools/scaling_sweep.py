@@ -4,9 +4,13 @@ horizon grow.
 
 Points:
   - a conflict ring of 4, 8, 16, 32 and 64 rooms, one constant-rate
-    downlink flow per room (1500 B frames at 20 Mb/s), for 1 s
+    downlink flow per room of 1500 B frames, for 1 s. Each room gets
+    20 Mb/s, or the largest whole Mb/s below it that keeps the offered
+    load on the MFU's downstream link at most 0.8: 11 Mb/s at 64 rooms
   - scenarios/conflict_pair.yaml over 1, 10 and 40 s
 each in centralized and distributed mode, and
+  - the 64-room ring at 20 Mb/s per room, in centralized mode, labelled
+    ``overload``: it offers the link 1.39 times what it carries
   - an OMCI storm over 8 rooms, one request per 250 us allocation cycle
     and nothing else, over 1, 10 and 40 s, in centralized mode: the
     management plane's own scaling, and the memory its retained records
@@ -35,6 +39,9 @@ gen-1 and gen-2 collection scans them again. After the timed run and its
 peak RSS, the point is run once more, untimed, under ``tracemalloc``:
 ``traced_peak_kib`` is that run's traced peak and ``retained_kib`` what it
 still holds with its results kept, both in KiB of Python allocations.
+``offered_load`` is the offered load on the MFU's downstream link, framing
+included: Σ frame rate × optical time per frame over the flows, all of
+them constant-rate.
 ``s_per_sim_s`` is ``ref_s`` per simulated second: unlike events/s, it
 compares two versions of the simulator that reach the same outputs with
 different numbers of events. A single run of a second or less still
@@ -75,6 +82,8 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 RING_SIZES = (4, 8, 16, 32, 64)
 MODES = ("centralized", "distributed")
 RING_MS = 1000
+RING_RATE_MBPS = 20  # per room, unless that overloads the MFU link
+MAX_LOAD = 0.8  # the largest offered downstream load of a ring point
 HORIZONS_S = (1, 10, 40)  # conflict_pair, the OMCI storm and the bursts
 STORM_ROOMS = 8
 STORM_CYCLE_US = 250
@@ -82,7 +91,12 @@ REPEATS = 5  # fresh-interpreter runs per point
 CODEC_CALLS = 20_000  # codec calls per shape and direction in one timed run
 
 
-def ring(sfus: int, mode: str, horizon_ms: float) -> dict:
+def ring(sfus: int, mode: str, horizon_ms: float,
+         rate_mbps: int | None = None) -> dict:
+    """A conflict ring of `sfus` rooms, one constant-rate flow of 1500 B
+    frames to each, at `rate_mbps`, by default `ring_rate_mbps(sfus)`."""
+    if rate_mbps is None:
+        rate_mbps = ring_rate_mbps(sfus)
     rooms = [f"room{i:02d}" for i in range(sfus)]
     return {
         "name": f"ring{sfus}_{mode}",
@@ -92,10 +106,32 @@ def ring(sfus: int, mode: str, horizon_ms: float) -> dict:
                      "conflicts": [[rooms[i], rooms[(i + 1) % sfus]]
                                    for i in range(sfus)]},
         "flows": [{"name": f"dl_{room}", "dst": room, "size_bytes": 1500,
-                   "model": "constant_rate", "rate_mbps": 20}
+                   "model": "constant_rate", "rate_mbps": rate_mbps}
                   for room in rooms],
         "energy": {"savings_enabled": False},
     }
+
+
+def offered_load(raw: dict) -> float:
+    """The offered load on the MFU's downstream link in scenario `raw`, of
+    constant-rate flows: Σ frame rate × optical time per frame, framing
+    included."""
+    if os.path.join(ROOT, "src") not in sys.path:
+        sys.path.insert(0, os.path.join(ROOT, "src"))
+    from fttrsim.scenario import parse_scenario
+    from fttrsim.simulation import Simulation
+
+    return sum(flow.optical_ns / flow.interarrival_ns
+               for flow in Simulation(parse_scenario(raw)).flows)
+
+
+def ring_rate_mbps(sfus: int) -> int:
+    """The per-room rate of a ring point: RING_RATE_MBPS, or the largest
+    whole Mb/s below it whose offered load stays at most MAX_LOAD."""
+    rate = RING_RATE_MBPS
+    while offered_load(ring(sfus, "centralized", RING_MS, rate)) > MAX_LOAD:
+        rate -= 1
+    return rate
 
 
 def conflict_pair(mode: str, horizon_ms: float) -> dict:
@@ -139,7 +175,8 @@ def uplink_bursts(mode: str, horizon_ms: float) -> dict:
 
 def scenario(point: dict) -> dict:
     if point["kind"] == "ring":
-        return ring(point["sfus"], point["mode"], point["horizon_ms"])
+        return ring(point["sfus"], point["mode"], point["horizon_ms"],
+                    point.get("rate_mbps"))
     if point["kind"] == "storm":
         return storm(point["mode"], point["horizon_ms"])
     if point["kind"] == "uplink_bursts":
@@ -213,7 +250,7 @@ def run_point(point: dict) -> dict:
     events = run["res"].counters["events_dispatched"]
     ref_s = run["host_s"] * calibrate.scale(before, after)
     result = {**point, "events": events, "host_s": run["host_s"],
-              "ref_s": ref_s,
+              "ref_s": ref_s, "offered_load": offered_load(raw),
               "s_per_sim_s": ref_s / (point["horizon_ms"] / 1000),
               "events_per_s": events / ref_s,
               "us_per_event": ref_s / events * 1e6,
@@ -235,8 +272,12 @@ def run_point(point: dict) -> dict:
 
 
 def points() -> list[dict]:
-    out = [{"kind": "ring", "sfus": n, "mode": mode, "horizon_ms": RING_MS}
+    out = [{"kind": "ring", "sfus": n, "mode": mode, "horizon_ms": RING_MS,
+            "rate_mbps": ring_rate_mbps(n)}
            for n in RING_SIZES for mode in MODES]
+    out.append({"kind": "ring", "sfus": 64, "mode": "centralized",
+                "horizon_ms": RING_MS, "rate_mbps": RING_RATE_MBPS,
+                "label": "overload"})
     out += [{"kind": "conflict_pair", "mode": mode, "horizon_ms": s * 1000}
             for s in HORIZONS_S for mode in MODES]
     out += [{"kind": kind, "mode": "centralized", "horizon_ms": s * 1000}
@@ -286,6 +327,7 @@ def main(argv: list[str] | None = None) -> int:
         costs = [r["s_per_sim_s"] for r in runs]
         result = {**point, "events": runs[0]["events"],
                   "digest": runs[0]["digest"], "runs": len(runs),
+                  "offered_load": runs[0]["offered_load"],
                   "s_per_sim_s": statistics.median(costs),
                   "s_per_sim_s_min": min(costs),
                   "s_per_sim_s_max": max(costs),
@@ -306,6 +348,8 @@ def main(argv: list[str] | None = None) -> int:
         results.append(result)
         label = (f"ring{point['sfus']}" if point["kind"] == "ring"
                  else point["kind"])
+        if "label" in point:
+            label += f" {point['label']}"
         print(f"{label:>14} {point['mode']:<12} "
               f"{point['horizon_ms'] / 1000:6.2f} s  "
               f"{result['s_per_sim_s']:6.3f} s/sim_s "
@@ -313,7 +357,8 @@ def main(argv: list[str] | None = None) -> int:
               f"{result['events_per_s']:9.0f} events/s "
               f"({min(rates):.0f}-{max(rates):.0f})  "
               f"{result['us_per_event']:6.2f} us/event  "
-              f"{result['peak_rss_mb']:6.1f} MiB", file=sys.stderr)
+              f"{result['peak_rss_mb']:6.1f} MiB  "
+              f"load {result['offered_load']:.3f}", file=sys.stderr)
     print(json.dumps(results))
     return 0
 
