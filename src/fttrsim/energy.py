@@ -8,8 +8,8 @@ step from ACTIVE to IDLE from a unit's activity times, for every unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .engine import NS_PER_S
 
@@ -43,8 +43,7 @@ class LedgerError(RuntimeError):
     """Gap or overlap in the energy ledger - fatal accounting error."""
 
 
-@dataclass
-class PowerProfile:
+class PowerProfile(NamedTuple):
     watts: dict[PowerState, float]
     wake_light_ns: int = 10_000_000     # 10 ms
     wake_deep_ns: int = 100_000_000     # 100 ms

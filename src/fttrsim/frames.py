@@ -22,7 +22,6 @@ import functools
 import hashlib
 import struct
 import zlib
-from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import NamedTuple
 
@@ -56,8 +55,7 @@ def classification_tag(priority: int) -> int:
 # ---------------------------------------------------------------------------
 # SDU / APDU
 
-@dataclass(frozen=True)
-class Sdu:
+class Sdu(NamedTuple):
     dest: int
     payload_len: int
     priority: int
@@ -74,8 +72,7 @@ class Sdu:
             raise FrameError(f"unknown service class {self.service_class!r}")
 
 
-@dataclass(frozen=True)
-class Apdu:
+class Apdu(NamedTuple):
     inner: Sdu
     target_node: int
     classification_tag: int
@@ -130,8 +127,7 @@ FEM_HEADER_LEN = FEM_HEADER.size  # 5
 FEM_MAX_PAYLOAD = 0xFFFF
 
 
-@dataclass(frozen=True)
-class FemFrame:
+class FemFrame(NamedTuple):
     kind: FemKind
     seq: int
     payload: bytes
@@ -170,8 +166,7 @@ def parse_fem_frame(data: bytes) -> tuple[FemFrame, int]:
     return FemFrame(kind, seq, bytes(data[FEM_HEADER_LEN:end])), end
 
 
-@dataclass(frozen=True)
-class Mpdu:
+class Mpdu(NamedTuple):
     frames: tuple[FemFrame, ...]
 
     @property
@@ -206,8 +201,7 @@ class PloamKind(IntEnum):
 PLOAM_FMT = struct.Struct(">BHI")
 
 
-@dataclass(frozen=True)
-class PloamMsg:
+class PloamMsg(NamedTuple):
     kind: PloamKind
     target_sfu: int
     arg: int = 0
@@ -225,16 +219,14 @@ TAMAP_HEAD = struct.Struct(">QH")
 TAMAP_ENTRY = struct.Struct(">HIIH")
 
 
-@dataclass(frozen=True)
-class TamapEntry:
+class TamapEntry(NamedTuple):
     sfu: int
     offset_ns: int
     duration_ns: int
     tcont: int
 
 
-@dataclass(frozen=True)
-class Tamap:
+class Tamap(NamedTuple):
     cycle_start: int
     entries: tuple[TamapEntry, ...] = ()
 
@@ -281,8 +273,7 @@ class Tamap:
         return tamap, pos
 
 
-@dataclass(frozen=True)
-class PcsFrame:
+class PcsFrame(NamedTuple):
     ploam_msgs: tuple[PloamMsg, ...]
     tamap: Tamap
     payload: bytes  # serialized MPDU
@@ -432,8 +423,8 @@ class OmciType(IntEnum):
 
 
 class OmciMessage(NamedTuple):
-    """Immutable; a tuple rather than a frozen dataclass because the
-    management plane builds several per message."""
+    """Immutable, like every record here; the management plane builds
+    several per message."""
     transaction_id: int
     msg_type: int
     entity_class: int

@@ -10,7 +10,7 @@ and the arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import transmit_time_ns
 
@@ -19,8 +19,7 @@ def _is_pow2_minus_1(v: int) -> bool:
     return v >= 0 and ((v + 1) & v) == 0
 
 
-@dataclass
-class WifiOverhead:
+class WifiOverhead(NamedTuple):
     difs_ns: int = 34_000
     sifs_ns: int = 16_000
     slot_ns: int = 9_000
@@ -36,8 +35,7 @@ class WifiOverhead:
             raise ValueError("cw_min exceeds cw_max")
 
 
-@dataclass
-class WifiCell:
+class WifiCell(NamedTuple):
     """The air model every cell of a scenario shares: one rate, one set of
     overheads."""
     air_rate_bps: int

@@ -5,8 +5,8 @@ and liveness/fault alarms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .frames import OMCI_SFU_ID_MAX, OmciMessage, OmciType, FrameError
 
@@ -119,8 +119,7 @@ class AlarmKind(Enum):
     UNRESPONSIVE = "Unresponsive"
 
 
-@dataclass
-class Alarm:
+class Alarm(NamedTuple):
     source: str
     kind: AlarmKind
     raised_at: int
@@ -143,19 +142,20 @@ class LivenessMonitor:
         self.k_miss = k_miss
         self.misses: dict[str, int] = {}
         self.alarms: list[Alarm] = []
-        self._open: dict[str, Alarm] = {}
+        # room -> index in `alarms` of its open alarm
+        self._open: dict[str, int] = {}
 
     def record_poll(self, sfu: str, responded: bool, announced_sleep: bool,
                     now: int) -> None:
         """Raise or clear `sfu`'s alarm in `alarms` as this poll requires."""
         if responded or announced_sleep:
             self.misses[sfu] = 0
-            alarm = self._open.pop(sfu, None)
-            if alarm is not None:
-                alarm.cleared_at = now
+            i = self._open.pop(sfu, None)
+            if i is not None:
+                self.alarms[i] = self.alarms[i]._replace(cleared_at=now)
             return
         self.misses[sfu] = self.misses.get(sfu, 0) + 1
         if self.misses[sfu] < self.k_miss or sfu in self._open:
             return
-        self._open[sfu] = alarm = Alarm(sfu, AlarmKind.UNRESPONSIVE, now)
-        self.alarms.append(alarm)
+        self._open[sfu] = len(self.alarms)
+        self.alarms.append(Alarm(sfu, AlarmKind.UNRESPONSIVE, now))

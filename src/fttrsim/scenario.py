@@ -10,7 +10,6 @@ declared once, by `_key`; checks that span fields are in `parse_scenario`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .energy import PowerProfile, PowerState
@@ -105,9 +104,12 @@ _ms, _us = _per(1_000_000, round), _per(1_000, round)   # to nanoseconds
 _giga, _mega = _per(1e9), _per(1e6)
 
 
-_KEY = "scenario key"
 _REQUIRED = object()   # the key must be given
 _OMIT = object()       # when the key is absent the constructor's default holds
+
+
+class _Key(tuple):
+    """A field's (key, default, check, convert, bounds), made by `_key`."""
 
 
 def _key(key: str, default=_REQUIRED, convert=None, check=_num, **bounds):
@@ -116,25 +118,20 @@ def _key(key: str, default=_REQUIRED, convert=None, check=_num, **bounds):
     value, `convert` turns it into the field's value, and that value must
     lie within `bounds` (see `_bound`). A None default is kept as is, and
     so is a None value where it is the default."""
-    return field(metadata={_KEY: (key, default, check, convert, bounds)})
+    return _Key((key, default, check, convert, bounds))
 
 
 def _table(specs: dict) -> tuple:
-    """(rows, known) for `specs`, which maps argument names to `_key`
-    fields: a row per field and, for each mapping a key passes through (by
-    key prefix, parents first), the keys known in it."""
+    """(rows, known) for `specs`, which maps argument names to `_Key`s: a
+    row per field and, for each mapping a key passes through (by key
+    prefix, parents first), the keys known in it."""
     rows, known = [], {(): set()}
-    for name, spec in specs.items():
-        key, *rest = spec.metadata[_KEY]
+    for name, (key, *rest) in specs.items():
         parts = key.split(".")
         for i, part in enumerate(parts):
             known.setdefault(tuple(parts[:i]), set()).add(part)
         rows.append((name, key, tuple(parts[:-1]), parts[-1], *rest))
     return rows, known
-
-
-def _keyed(cls) -> dict:
-    return {f.name: f for f in fields(cls) if _KEY in f.metadata}
 
 
 def _read(section, path: str, table: tuple) -> dict:
@@ -171,7 +168,7 @@ def _read(section, path: str, table: tuple) -> dict:
 
 def _spec(cls):
     """Check that reads a mapping into `cls` through its fields' keys."""
-    table = _table(_keyed(cls))
+    table = _table(cls._keys)
     return lambda value, path: cls(**_read(value, path, table))
 
 
@@ -231,8 +228,37 @@ _PROFILE_TABLE = _table({
     "t_listen_ns": _key("t_listen_ms", _OMIT, _ms)})
 
 
-@dataclass
-class FlowSpec:
+class _Record:
+    """A mutable record of the fields annotated in its class body, each
+    given by keyword and compared by `==`. `_keys` maps the fields that
+    the class body gives a `_Key` to it, in declaration order."""
+
+    __hash__ = None
+
+    def __init_subclass__(cls):
+        # CPython 3.11 reads an instance attribute that a class attribute
+        # shadows about three times as slowly, so the keys leave the class
+        cls._keys = {name: k for name, k in vars(cls).items()
+                     if isinstance(k, _Key)}
+        for name in cls._keys:
+            delattr(cls, name)
+
+    def __init__(self, **fields):
+        if fields.keys() != self.__annotations__.keys():
+            raise TypeError(f"{type(self).__name__} takes exactly the "
+                            f"fields {', '.join(self.__annotations__)}")
+        # not one `__dict__` update, which makes every later read slower
+        for name, value in fields.items():
+            setattr(self, name, value)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__annotations__)
+
+
+class FlowSpec(_Record):
     name: str = _key("name", None, check=_str)   # None until parsed: flow<i>
     dst: str = _key("dst", check=_str)           # target SFU
     service_class: str = _key("service_class", "video",
@@ -249,8 +275,7 @@ class FlowSpec:
     stop_ns: int | None = _key("stop_ms", None, _ms, ge=0)
 
 
-@dataclass
-class UplinkBurstSpec:
+class UplinkBurstSpec(_Record):
     sfu: str = _key("sfu", check=_str)
     period_ns: int = _key("period_us", convert=_us, gt=0)
     air_duration_ns: int = _key("air_duration_us", convert=_us, gt=0)
@@ -261,15 +286,13 @@ class UplinkBurstSpec:
     coordinated: bool = _key("coordinated", True, check=_bool)
 
 
-@dataclass
-class KillSpec:
+class KillSpec(_Record):
     sfu: str = _key("sfu", check=_str)
     at_ns: int = _key("at_ms", convert=_ms, ge=0)
     recover_ns: int | None = _key("recover_ms", None, _ms)
 
 
-@dataclass
-class StormSpec:
+class StormSpec(_Record):
     count: int = _key("count", convert=int, gt=0)
     # None until parsed: every SFU
     targets: list[str] = _key("targets", None,
@@ -280,8 +303,7 @@ class StormSpec:
     content_bytes: int = _key("content_bytes", 8, int, ge=0, le=0xFFFF - 2)
 
 
-@dataclass
-class ScenarioConfig:
+class ScenarioConfig(_Record):
     name: str = _key("name", "scenario", check=_str)
     seed: int = _key("seed", 1, int)
     horizon_ns: int = _key("horizon_ms", convert=_ms, gt=0)
@@ -338,7 +360,7 @@ class ScenarioConfig:
     dump_schedule: bool = _key("dump_schedule", False, check=_bool)
 
 
-_SCENARIO_TABLE = _table({**_keyed(ScenarioConfig), **_WIFI_FIELDS})
+_SCENARIO_TABLE = _table({**ScenarioConfig._keys, **_WIFI_FIELDS})
 
 
 def load_scenario(path: str | Path, overrides: dict | None = None) -> ScenarioConfig:

@@ -10,7 +10,6 @@ invariants be checked without running a simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -39,8 +38,7 @@ class AirGrant(NamedTuple):
     max_duration: int
 
 
-@dataclass(frozen=True)
-class UplinkBwRequest:
+class UplinkBwRequest(NamedTuple):
     sfu: str
     bytes_expected: int
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from functools import partial
 from heapq import heapify, heapreplace
 from itertools import repeat
@@ -46,38 +45,38 @@ from .scenario import MFU, OLT, ScenarioConfig, FlowSpec, UplinkBurstSpec
 Frame = tuple  # (flow, created_at): a plain tuple, built once per arrival
 
 
-@dataclass
 class SimResults:
-    config: ScenarioConfig
-    digest: str = ""
-    # each flow's and each room's record, which holds its counters
-    flow_stats: dict[str, FlowRun] = field(default_factory=dict)
-    cell_stats: dict[str, SfuSim] = field(default_factory=dict)
-    ledgers: dict = field(default_factory=dict)          # node -> EnergyLedger
-    grants: list[AirGrant] = field(default_factory=list)
-    upstream_slots: list[tuple[str, int, int, int]] = field(default_factory=list)
-    omci_sent: int = 0
-    omci_delivered: int = 0
-    omci_failed: int = 0
-    omci_delays: list[int] = field(default_factory=list)
-    # the wire bytes of every response the OLT received, one after another;
-    # `frames.decode_omci_stream` reads them back
-    olt_received: bytearray = field(default_factory=bytearray)
-    mibs: dict[str, MibStore] = field(default_factory=dict)
-    alarms: list = field(default_factory=list)
-    bursts: list[int] = field(default_factory=list)  # forwarding delays, ns
-    relay_overflow_drops: int = 0
-    sleep_drops: int = 0
-    # the MFU's commands, (time, kind, target): `deep_sleep_command` to
-    # every room and `wake_command` to one; a room's power states are in
-    # its ledger and the alarms in `alarms`
-    events: list[tuple[int, str, str]] = field(default_factory=list)
-    # (created, delivered) of delivered frames, folded by merge_spans
-    # whenever the list doubles
-    activity_spans: list[tuple[int, int]] = field(default_factory=list)
-    counters: dict = field(default_factory=dict)
-    ftth_joules: float = 0.0
-    rejected_transitions: int = 0
+    def __init__(self, config: ScenarioConfig):
+        self.config = config
+        self.digest = ""
+        # each flow's and each room's record, which holds its counters
+        self.flow_stats: dict[str, FlowRun] = {}
+        self.cell_stats: dict[str, SfuSim] = {}
+        self.ledgers: dict = {}                     # node -> EnergyLedger
+        self.grants: list[AirGrant] = []
+        self.upstream_slots: list[tuple[str, int, int, int]] = []
+        self.omci_sent = 0
+        self.omci_delivered = 0
+        self.omci_failed = 0
+        self.omci_delays: list[int] = []
+        # the wire bytes of every response the OLT received, one after
+        # another; `frames.decode_omci_stream` reads them back
+        self.olt_received = bytearray()
+        self.mibs: dict[str, MibStore] = {}
+        self.alarms: list = []
+        self.bursts: list[int] = []                 # forwarding delays, ns
+        self.relay_overflow_drops = 0
+        self.sleep_drops = 0
+        # the MFU's commands, (time, kind, target): `deep_sleep_command` to
+        # every room and `wake_command` to one; a room's power states are in
+        # its ledger and the alarms in `alarms`
+        self.events: list[tuple[int, str, str]] = []
+        # (created, delivered) of delivered frames, folded by merge_spans
+        # whenever the list doubles
+        self.activity_spans: list[tuple[int, int]] = []
+        self.counters: dict = {}
+        self.ftth_joules = 0.0
+        self.rejected_transitions = 0
 
 
 # activity spans held before the first merge

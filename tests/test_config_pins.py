@@ -1,21 +1,20 @@
 """Config pins for every shipped scenario in all four modes.
 
 Each pin is the sha256 of a canonical dump of the parsed `ScenarioConfig`:
-dataclass fields sorted by name, sets and mappings sorted, and every value
+record fields sorted by name, sets and mappings sorted, and every value
 kept with its type name. It catches drift in fields that no output pin can
 see, such as `min_slot_ns` or `dump_schedule`, and an int read as a float
 or the other way round. A change to the scenario schema that is meant to
 parse every shipped file as before leaves these unchanged.
 """
 
-import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from fttrsim.scenario import load_scenario
+from fttrsim.scenario import _Record, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 MODES = ("centralized", "distributed", "mac_integrated", "phy_relay")
@@ -24,9 +23,12 @@ MODES = ("centralized", "distributed", "mac_integrated", "phy_relay")
 def canonical(value):
     """A JSON-able dump of `value` that keeps every type name."""
     kind = type(value).__name__
-    if dataclasses.is_dataclass(value):
-        return [kind, {f.name: canonical(getattr(value, f.name))
-                       for f in dataclasses.fields(value)}]
+    # a scenario section by its annotated fields, a named tuple by _fields
+    names = (type(value).__annotations__ if isinstance(value, _Record)
+             else getattr(value, "_fields", None))
+    if names is not None:
+        return [kind, {name: canonical(getattr(value, name))
+                       for name in names}]
     if isinstance(value, (set, frozenset)):
         return [kind, sorted(canonical(v) for v in value)]
     if isinstance(value, dict):

@@ -156,6 +156,20 @@ def test_recovery_clears_alarm():
                                          "2000 r Unresponsive cleared"]
 
 
+def test_clearing_one_alarm_keeps_every_alarm_in_its_place():
+    mon = LivenessMonitor(k_miss=1)
+    mon.record_poll("a", False, False, 1000)
+    mon.record_poll("b", False, False, 1500)
+    mon.record_poll("a", True, False, 2000)
+    assert mon.alarms == [Alarm("a", AlarmKind.UNRESPONSIVE, 1000, 2000),
+                          Alarm("b", AlarmKind.UNRESPONSIVE, 1500)]
+    mon.record_poll("b", True, False, 2500)
+    mon.record_poll("a", False, False, 3000)
+    assert mon.alarms == [Alarm("a", AlarmKind.UNRESPONSIVE, 1000, 2000),
+                          Alarm("b", AlarmKind.UNRESPONSIVE, 1500, 2500),
+                          Alarm("a", AlarmKind.UNRESPONSIVE, 3000)]
+
+
 def test_k_miss_must_be_positive():
     with pytest.raises(ValueError):
         LivenessMonitor(k_miss=0)

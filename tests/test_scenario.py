@@ -5,6 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from fttrsim.energy import PowerProfile
+from fttrsim.frames import Tamap
+from fttrsim.links import WifiOverhead
 from fttrsim.scenario import load_scenario, parse_scenario, ConfigError
 from fttrsim.scheduling import SchedulerMode
 
@@ -306,8 +309,8 @@ def key_rows() -> list[tuple]:
     from fttrsim import scenario as sc
     tables = [sc._SCENARIO_TABLE, sc._SFU_TABLE, sc._RU_TABLE,
               sc._PROFILE_TABLE] + [
-        sc._table(sc._keyed(cls)) for cls in (sc.FlowSpec, sc.UplinkBurstSpec,
-                                              sc.StormSpec, sc.KillSpec)]
+        sc._table(cls._keys) for cls in (sc.FlowSpec, sc.UplinkBurstSpec,
+                                         sc.StormSpec, sc.KillSpec)]
     return [row for rows, _ in tables for row in rows]
 
 
@@ -333,11 +336,14 @@ def test_every_time_and_rate_key_converts_as_it_is_read():
             assert convert not in by_unit.values(), key
 
 
-def test_run_path_imports_no_yaml():
-    # only load_scenario parses YAML; a run built from a dict does not pay
-    # for importing it
+@pytest.mark.parametrize("module", ["yaml", "dataclasses", "inspect"])
+def test_run_path_does_not_import(module):
+    # only load_scenario parses YAML, so a run built from a dict does not
+    # pay for importing it; and no record is a dataclass: that module and
+    # the inspect it pulls in cost about as much to import as the
+    # simulator's own modules
     code = ("import sys, fttrsim.scenario, fttrsim.simulation, "
-            "fttrsim.metrics; print('yaml' in sys.modules)")
+            f"fttrsim.metrics; print({module!r} in sys.modules)")
     src = str(SCENARIO_DIR.parent / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
@@ -345,3 +351,45 @@ def test_run_path_imports_no_yaml():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_records_take_exactly_their_fields_and_compare_by_them():
+    from fttrsim.scenario import _Record
+
+    class Pair(_Record):
+        a: int
+        b: str
+
+    assert Pair(a=1, b="x") == Pair(b="x", a=1)
+    assert Pair(a=1, b="x") != Pair(a=2, b="x")
+    assert Pair(a=1, b="x") != (1, "x")
+    assert Pair.__hash__ is None
+    for fields in ({"a": 1}, {"a": 1, "b": "x", "c": 0}, {}):
+        with pytest.raises(TypeError):
+            Pair(**fields)
+    with pytest.raises(TypeError):
+        Pair(1, "x")
+    cfg = parse_scenario(minimal())
+    assert cfg == parse_scenario(minimal())
+    assert cfg != parse_scenario(minimal(seed=2))
+
+
+def test_scenario_key_table_keeps_declaration_order():
+    from fttrsim import scenario as sc
+    keyed = list(sc.ScenarioConfig._keys)
+    assert keyed[:5] == ["name", "seed", "horizon_ns", "mode", "sfus"]
+    assert keyed == [f for f in sc.ScenarioConfig.__annotations__
+                     if f not in ("iot_sfus", "wifi_overhead")]
+    # no class attribute shadows a field: CPython 3.11 reads a shadowed
+    # one about three times as slowly
+    for cls in (sc.FlowSpec, sc.UplinkBurstSpec, sc.KillSpec, sc.StormSpec,
+                sc.ScenarioConfig):
+        assert not any(hasattr(cls, f) for f in cls.__annotations__), cls
+
+
+@pytest.mark.parametrize("record,field", [
+    (WifiOverhead(), "cw_min"), (PowerProfile({}), "wake_light_ns"),
+    (Tamap(0), "cycle_start")], ids=["WifiOverhead", "PowerProfile", "Tamap"])
+def test_immutable_records_refuse_assignment(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, 1)
