@@ -8,9 +8,11 @@ child process per tree (``PYTHONPATH=<tree>/src``), the two trees at the
 same time. Per case the child records, each as a sha256:
 
   - ``summary.json`` without ``digest`` and the ``events_*`` counters
-  - ``flows.csv``, the sorted ``schedule.log`` lines and the MFU's sleep
-    and wake commands in ``res.events`` (a tree that also logs light-sleep
-    reports, wakes and alarms there has them in the ledgers and summary)
+  - ``flows.csv``, ``schedule.log`` as written, grants in the order they
+    were issued (its writer orders the SLOT lines itself), and the MFU's
+    sleep and wake commands in ``res.events`` (a tree that also logs
+    light-sleep reports, wakes and alarms there has them in the ledgers and
+    summary)
   - ``omci_delays``, ``bursts``, the sorted ``upstream_slots``, the MIB
     snapshots and ``relay_overflow_drops``
   - the wire bytes of every response the OLT received, in order: the
@@ -36,9 +38,9 @@ largest; ``--json PATH`` writes the same, a change from 0 as ``Infinity``.
 Neither changes the comparison of hashes or the exit status.
 
 Cases: the shipped scenarios in all four modes at seeds 1 and 7, the
-``*_RUN`` dicts of ``tests/test_output_pins.py`` in all four modes, the three
-benchmark sweeps at seeds 41 and 42, the seed-41 ``control_plane`` sweep in
-the other three modes, and ``--random N`` scenarios from ``random_scenario``.
+scenarios of ``tests/data/runs/`` in all four modes, the three benchmark
+sweeps at seeds 41 and 42, the seed-41 ``control_plane`` sweep in the other
+three modes, and ``--random N`` scenarios from ``random_scenario``.
 
 Usage, from a git checkout:
     python3 tools/diffcheck.py BASE [HEAD] [--random N] [--json PATH]
@@ -48,7 +50,6 @@ Exit status 0 when every model field matches, 1 otherwise.
 from __future__ import annotations
 
 import argparse
-import ast
 import hashlib
 import importlib.util
 import json
@@ -63,6 +64,9 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
+# small scenarios that reach what no shipped one does
+RUNS = ROOT / "tests" / "data" / "runs"
 MODES = ("centralized", "distributed", "mac_integrated", "phy_relay")
 # fields compared on their own line
 EVENT_FIELDS = ("digest", "events")
@@ -72,31 +76,24 @@ COMMANDS = ("deep_sleep_command", "wake_command")
 NUMBERS = "numbers"
 
 
-def _yaml_cases() -> list[dict]:
+def scenario_dicts(folder: Path) -> dict[str, dict]:
+    """The scenarios of `folder`'s YAML files, by file name stem."""
     import yaml
-    cases = []
-    for path in sorted((ROOT / "scenarios").glob("*.yaml")):
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-        for mode in MODES:
-            for seed in (1, 7):
-                cases.append({"id": f"{path.stem}/{mode}/seed{seed}",
-                              "raw": raw,
-                              "overrides": {"mode": mode, "seed": seed}})
-    return cases
+    return {path.stem: yaml.safe_load(path.read_text(encoding="utf-8"))
+            for path in sorted(folder.glob("*.yaml"))}
 
 
-def _run_dicts() -> dict[str, dict]:
-    """The `*_RUN` scenario dicts of tests/test_output_pins.py, read as
-    literals."""
-    tree = ast.parse((ROOT / "tests" / "test_output_pins.py").read_text())
-    runs = {}
-    for node in tree.body:
-        if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id.endswith("_RUN")):
-            raw = ast.literal_eval(node.value)
-            runs[raw["name"]] = raw
-    return runs
+def mode_cases(raws: dict[str, dict]) -> list[dict]:
+    """Each scenario at its own seed in all four modes."""
+    return [{"id": f"{name}/{mode}", "raw": raw, "overrides": {"mode": mode}}
+            for name, raw in raws.items() for mode in MODES]
+
+
+def _yaml_cases() -> list[dict]:
+    return [{"id": f"{name}/{mode}/seed{seed}", "raw": raw,
+             "overrides": {"mode": mode, "seed": seed}}
+            for name, raw in scenario_dicts(SCENARIOS).items()
+            for mode in MODES for seed in (1, 7)]
 
 
 def _sweep_cases() -> list[dict]:
@@ -194,11 +191,7 @@ def random_scenario(rng: random.Random) -> dict:
 
 
 def case_list(n_random: int = 0) -> list[dict]:
-    runs = _run_dicts()
-    cases = _yaml_cases()
-    cases += [{"id": f"{name}/{mode}", "raw": raw, "overrides": {"mode": mode}}
-              for name, raw in runs.items() for mode in MODES]
-    cases += _sweep_cases()
+    cases = _yaml_cases() + mode_cases(scenario_dicts(RUNS)) + _sweep_cases()
     rng = random.Random(0)
     cases += [{"id": f"random{i}", "raw": random_scenario(rng),
                "overrides": {}} for i in range(n_random)]
@@ -265,7 +258,7 @@ def record(case: dict) -> dict:
     return {
         "summary": _sha(summary_bytes(summary)),
         "flows": _sha(flows_csv),
-        "schedule": _sha(sorted(schedule_dump_bytes(res).splitlines())),
+        "schedule": _sha(schedule_dump_bytes(res)),
         "events_log": _sha([e for e in res.events if e[1] in COMMANDS]),
         "omci_delays": _sha(res.omci_delays),
         "olt_received": _sha(bytes(received)),
