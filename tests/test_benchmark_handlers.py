@@ -9,10 +9,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from diffcheck import RUNS, SCENARIOS, mode_cases, scenario_dicts
 from fttrsim.engine import Simulator
 from fttrsim.scenario import load_scenario, parse_scenario
 from fttrsim.simulation import run_scenario_config
-from test_output_pins import RUN_PINS, RUNS, SCENARIOS
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -37,8 +37,8 @@ def test_benchmark_lists_every_scheduled_handler(monkeypatch):
         return schedule(sim, fire_time, target, kind, *args, **kwargs)
 
     monkeypatch.setattr(Simulator, "schedule", spy)
-    for name, mode in RUN_PINS:
-        run_scenario_config(parse_scenario(RUNS[name], {"mode": mode}))
+    for case in mode_cases(scenario_dicts(RUNS)):
+        run_scenario_config(parse_scenario(case["raw"], case["overrides"]))
     for name in ("golden", "staged_kill"):
         run_scenario_config(load_scenario(SCENARIOS / f"{name}.yaml"))
     listed = {(target, kind) for target, kinds

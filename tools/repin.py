@@ -52,6 +52,11 @@ def canonical(value):
     return [kind, repr(value)]
 
 
+def config_hash(cfg) -> str:
+    text = json.dumps(canonical(cfg), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def pins() -> dict[str, dict]:
     """Case id -> the case's pin."""
     from fttrsim.scenario import parse_scenario
@@ -60,9 +65,8 @@ def pins() -> dict[str, dict]:
                             **scenario_dicts(RUNS)}):
         pin = record(case)
         pin.pop(NUMBERS, None)
-        cfg = parse_scenario(case["raw"], case["overrides"])
-        pin["config"] = hashlib.sha256(json.dumps(
-            canonical(cfg), sort_keys=True).encode()).hexdigest()
+        pin["config"] = config_hash(parse_scenario(case["raw"],
+                                                   case["overrides"]))
         out[case["id"]] = pin
     return out
 
