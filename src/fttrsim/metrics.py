@@ -15,6 +15,9 @@ from pathlib import Path
 from .scenario import MFU
 from .simulation import SimResults
 
+FLOW_COLUMNS = ("offered", "delivered", "lost", "dropped", "latency_p50_ns",
+                "latency_p95_ns", "latency_p99_ns")
+
 
 def percentiles(values: list[int], pcts: tuple[float, ...]) -> list[int]:
     """Nearest-rank percentiles over complete per-frame records, from one
@@ -109,12 +112,9 @@ def summary_bytes(summary: dict) -> bytes:
 def flow_table_bytes(summary: dict) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["flow", "offered", "delivered", "lost", "dropped",
-                     "latency_p50_ns", "latency_p95_ns", "latency_p99_ns"])
+    writer.writerow(["flow", *FLOW_COLUMNS])
     for name, row in summary["flows"].items():
-        writer.writerow([name, row["offered"], row["delivered"], row["lost"],
-                         row["dropped"], row["latency_p50_ns"],
-                         row["latency_p95_ns"], row["latency_p99_ns"]])
+        writer.writerow([name, *[row[key] for key in FLOW_COLUMNS]])
     return buf.getvalue().encode()
 
 
@@ -139,9 +139,9 @@ def write_outputs(res: SimResults, out_dir: str | Path) -> dict:
     (out / "flows.csv").write_bytes(flow_table_bytes(summary))
     if res.config.dump_schedule:
         (out / "schedule.log").write_bytes(schedule_dump_bytes(res))
-    if res.alarms:
-        lines = [line for a in res.alarms for line in a.log_lines()]
-        (out / "alarms.log").write_bytes(("\n".join(lines) + "\n").encode())
+    alarms = summary["management"]["alarms"]
+    if alarms:
+        (out / "alarms.log").write_bytes(("\n".join(alarms) + "\n").encode())
     return summary
 
 

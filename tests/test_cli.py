@@ -2,7 +2,9 @@ import json
 from pathlib import Path
 
 from fttrsim.cli import main
-from fttrsim.simulation import Simulation
+from fttrsim.metrics import write_outputs
+from fttrsim.scenario import load_scenario
+from fttrsim.simulation import Simulation, run_scenario_config
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = str(ROOT / "scenarios" / "golden.yaml")
@@ -33,6 +35,14 @@ def test_run_writes_outputs(tmp_path, capsys):
     assert summary["scenario"] == "golden"
     header = (out / "flows.csv").read_text().splitlines()[0]
     assert header.startswith("flow,offered,delivered")
+
+
+def test_alarms_log_holds_each_alarms_lines(tmp_path):
+    storm = ROOT / "tests" / "data" / "runs" / "storm_kill_bursts.yaml"
+    res = run_scenario_config(load_scenario(storm))
+    write_outputs(res, tmp_path)
+    lines = [line for alarm in res.alarms for line in alarm.log_lines()]
+    assert lines and (tmp_path / "alarms.log").read_text().splitlines() == lines
 
 
 def test_run_rejects_bad_scenario(tmp_path):
