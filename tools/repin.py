@@ -75,7 +75,8 @@ def dumps(pins: dict[str, dict]) -> str:
     return json.dumps(pins, indent=1, sort_keys=True) + "\n"
 
 
-def main() -> int:
+def main() -> None:
+    # pin this tree's package, not an installed one
     sys.path.insert(0, str(ROOT / "src"))
     from fttrsim.metrics import build_summary, summary_bytes
     from fttrsim.scenario import load_scenario
@@ -84,8 +85,7 @@ def main() -> int:
     golden = run_scenario_config(load_scenario(SCENARIOS / "golden.yaml"))
     GOLDEN.write_bytes(summary_bytes(build_summary(golden)))
     diffcheck_main(["HEAD"])
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
