@@ -83,8 +83,7 @@ def main(argv: list[str] | None = None) -> int:
     run_p = sub.add_parser("run", help="run one scenario")
     run_p.add_argument("scenario", help="scenario YAML file")
     run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--mode", choices=["distributed", "centralized",
-                                          "mac_integrated", "phy_relay"])
+    run_p.add_argument("--mode")
     run_p.add_argument("--duration-ms", type=float, dest="duration_ms")
     run_p.add_argument("--out", help="output directory")
     run_p.add_argument("--dump-schedule", action="store_true")

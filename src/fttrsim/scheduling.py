@@ -1,6 +1,6 @@
 """MFU control plane: status reports, contention-free downlink air grants,
 OFDMA uplink coordination, upstream TAMap generation (DBA) and the
-architecture-variant arithmetic (MAC-integrated, PHY-relay).
+per-mode arithmetic (PHY-relay buffer and slot sizes, processing delays).
 
 All functions here are pure policy: they take reports/requests and emit
 grants or maps. The event-driven side (when reports arrive, when grants are
@@ -21,7 +21,6 @@ from .frames import Tamap, TamapEntry, OMCI_TCONT, DATA_TCONT_BASE
 class SchedulerMode(Enum):
     DISTRIBUTED_BASELINE = "distributed"
     CENTRALIZED_COORDINATED = "centralized"
-    MAC_INTEGRATED = "mac_integrated"
     PHY_RELAY = "phy_relay"
 
 
@@ -212,6 +211,5 @@ def phy_relay_slot_ns(buffered_bytes: int, optical_upstream_bps: int) -> int:
 PROCESSING_NS = {
     SchedulerMode.DISTRIBUTED_BASELINE: {"mfu": 0, "sfu": 20_000},
     SchedulerMode.CENTRALIZED_COORDINATED: {"mfu": 0, "sfu": 20_000},
-    SchedulerMode.MAC_INTEGRATED: {"mfu": 25_000, "sfu": 0},
     SchedulerMode.PHY_RELAY: {"mfu": 30_000, "sfu": 0},
 }

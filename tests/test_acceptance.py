@@ -161,9 +161,12 @@ def _sweep_configs():
         (["a", "b", "c", "d"], [("a", "b"), ("c", "d")]),
         (["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")]),
     ]
+    # each topology at the default processing delays, and at those of a
+    # MAC-integrated MFU (25 us at the MFU, none at the room)
+    processing = [{}, {"mfu_us": 25, "sfu_us": 0}]
     configs = []
-    for i, ((sfus, conflicts), mode) in enumerate(itertools.product(
-            topologies, ["centralized", "mac_integrated"])):
+    for i, ((sfus, conflicts), proc) in enumerate(itertools.product(
+            topologies, processing)):
         for seed in (1, 2):
             flows = [{"name": f"f{j}", "dst": s, "size_bytes": 3000 + 500 * j,
                       "rate_mbps": 20 + 7 * j, "priority": (3 * j + i) % 8,
@@ -171,7 +174,7 @@ def _sweep_configs():
                      for j, s in enumerate(sfus)]
             raw = {
                 "name": f"sweep{i}_{seed}", "seed": seed, "horizon_ms": 100,
-                "mode": mode,
+                "mode": "centralized", "processing": proc,
                 "topology": {"sfus": list(sfus),
                              "conflicts": [list(c) for c in conflicts]},
                 "wifi": {"air_rate_mbps": 300},

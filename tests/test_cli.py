@@ -23,6 +23,25 @@ def test_validate_rejects_bad_schema(tmp_path, capsys):
     assert "topology.sfus" in capsys.readouterr().err
 
 
+MODE_ERROR = ("scenario error: mode: expected one of distributed, "
+              "centralized, phy_relay, got 'mac_integrated'")
+
+
+def test_run_rejects_an_unknown_mode_flag(tmp_path, capsys):
+    # the scenario parser holds the only list of modes
+    assert main(["run", GOLDEN, "--mode", "mac_integrated",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.strip() == MODE_ERROR
+
+
+def test_validate_rejects_an_unknown_mode(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("horizon_ms: 10\nmode: mac_integrated\n"
+                   "topology:\n  sfus: [a]\n")
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().err.strip() == MODE_ERROR
+
+
 def test_run_writes_outputs(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", GOLDEN, "--out", str(out), "--dump-schedule"]) == 0

@@ -1,4 +1,4 @@
-"""The `config` pin of every shipped scenario in all four modes, checked
+"""The `config` pin of every shipped scenario in every mode, checked
 from a parse alone, without a run.
 
 The pin is the sha256 of `canonical`'s dump of the parsed `ScenarioConfig`

@@ -1,8 +1,9 @@
 """tools/diffcheck.py on a few cases: HEAD against itself, a difference
 planted in one result, and how far each run number moved on hand-built
-records; properties of the runs of its random scenarios; and four
-metamorphic relations over them, which say how two runs must relate (the
-relay-buffer one also over draws of its own)."""
+records; that its mode list is the scheduler's; properties of the runs of
+its random scenarios; and three metamorphic relations over them, which say
+how two runs must relate (the relay-buffer one also over draws of its
+own)."""
 
 import copy
 import importlib.util
@@ -14,19 +15,20 @@ from pathlib import Path
 
 import pytest
 
+from diffcheck import MODES
 from fttrsim import simulation
 from fttrsim.energy import PowerState
 from fttrsim.engine import Simulator
 from fttrsim.frames import OmciType, decode_omci_stream
 from fttrsim.metrics import build_summary
 from fttrsim.scenario import ConfigError, parse_scenario
+from fttrsim.scheduling import SchedulerMode
 from fttrsim.simulation import (Simulation, SimResults,
                                 run_scenario_config)
 
 ROOT = Path(__file__).resolve().parent.parent
 CASES = ("conflict_pair/centralized/seed1", "golden/phy_relay/seed1",
          "storm_kill_bursts/phy_relay")
-MODES = ("centralized", "distributed", "mac_integrated", "phy_relay")
 
 
 def diffcheck():
@@ -146,6 +148,12 @@ def test_main_prints_the_explain_lines_before_the_summary_line(
     assert json.loads(path.read_text()) == tool.explain(base, head)
 
 
+def test_the_case_list_runs_every_scheduler_mode():
+    # MODES is a literal, so that the case list does not depend on the tree
+    # compared; it must still name every mode, and no other
+    assert sorted(MODES) == sorted(m.value for m in SchedulerMode)
+
+
 def test_source_lines_are_the_lines_of_the_package_modules():
     modules = list((ROOT / "src" / "fttrsim").glob("*.py"))
     assert {"engine.py", "frames.py", "simulation.py"} <= {
@@ -208,7 +216,7 @@ def test_no_random_run_has_a_response_from_a_room_dead_at_its_receive():
                         and dead_from <= rx < dead_to), (
                 f"random scenario {i}: response {msg.transaction_id} "
                 f"from {kill.sfu}, dead at {rx} ns")
-    # 161 storm runs, 87 of them with a kill, and 7,807 responses
+    # 176 storm runs, 87 of them with a kill, and 7,668 responses
     assert storms >= 100 and killed >= 40 and responses > 5000
 
 
@@ -250,7 +258,7 @@ def test_every_awake_room_has_one_sleep_check_chain(monkeypatch):
                 f"random scenario {i}, {sfu.name}")
             checked += want
             rf_off += sfu.power.state == PowerState.RF_OFF
-    # 193 rooms with a check pending at the horizon, 83 of them RF_OFF
+    # 193 rooms with a check pending at the horizon, 93 of them RF_OFF
     assert checked > 150 and rf_off > 60
 
 
@@ -289,15 +297,15 @@ def test_asleep_is_the_ledgers_sleep_state_after_every_event(monkeypatch):
                 running[0].run()
             except (ConfigError, RuntimeError):  # exit 2 or 3
                 continue
-    # 37,298 room checks find the room asleep and 101,091 awake
+    # 28,809 room checks find the room asleep and 72,990 awake
     assert seen[True] > 20_000 and seen[False] > 50_000
 
 
 def run_outputs(raw: dict) -> dict:
-    """The outputs of one run of `raw`: its summary, without the mode, the
-    digest and the `events_*` counters, its ledgers, command log, grants,
-    upstream slots and MIBs; or the exit code and message of a run that
-    ends with exit 2 or 3."""
+    """The outputs of one run of `raw`: its summary, without the digest and
+    the `events_*` counters, its ledgers, command log, grants, upstream
+    slots and MIBs; or the exit code and message of a run that ends with
+    exit 2 or 3."""
     try:
         res = run_scenario_config(parse_scenario(raw))
     except ConfigError as exc:
@@ -305,8 +313,7 @@ def run_outputs(raw: dict) -> dict:
     except RuntimeError as exc:
         return {"exit": (3, str(exc))}
     summary = build_summary(res)
-    for key in ("mode", "digest"):
-        del summary[key]
+    del summary["digest"]
     summary["counters"] = {k: v for k, v in summary["counters"].items()
                            if not k.startswith("events_")}
     return {"summary": summary,
@@ -316,23 +323,6 @@ def run_outputs(raw: dict) -> dict:
             "grants": res.grants,
             "upstream_slots": sorted(res.upstream_slots),
             "mibs": {room: mib.snapshot() for room, mib in res.mibs.items()}}
-
-
-def test_mac_integrated_and_centralized_agree_at_equal_processing_delays():
-    # The two modes differ only in their default processing delays, which
-    # are added to each recorded latency. With equal delays every output
-    # but the mode is the same
-    draw = diffcheck().random_scenario
-    rng = random.Random(0)
-    ran = 0
-    for i in range(300):
-        raw = {**draw(rng), "processing": {"mfu_us": 25, "sfu_us": 0}}
-        a = run_outputs({**raw, "mode": "centralized"})
-        b = run_outputs({**raw, "mode": "mac_integrated"})
-        assert a == b, f"random scenario {i}"
-        ran += "exit" not in a
-    # all 300 pairs run to the horizon
-    assert ran > 250
 
 
 def without_room(out: dict, room: str) -> dict:
@@ -374,7 +364,7 @@ def test_an_idle_isolated_room_changes_no_other_output():
             assert a == b, f"random scenario {i} in {mode}"
             ran[mode] += "exit" not in a
     # all 300 draws run to the horizon in each mode but phy_relay, where
-    # 116 end with exit 3: a relayed burst outgrows the room between two
+    # 107 end with exit 3: a relayed burst outgrows the room between two
     # OMCI windows
     assert min(ran[mode] for mode in MODES) > 150
 
@@ -406,7 +396,7 @@ def test_a_flow_that_starts_after_the_horizon_changes_no_other_output():
             assert row["offered"] == 0, f"random scenario {i}"
         assert a == b, f"random scenario {i}"
         ran += "exit" not in a
-    # 268 of the 300 draws run to the horizon
+    # 265 of the 300 draws run to the horizon
     assert ran > 250
 
 
@@ -490,7 +480,7 @@ def test_a_larger_relay_buffer_never_drops_more_bursts(monkeypatch):
         if runs is not None:
             ran += 1
             dropping += bool(runs[0])
-    # 184 draws run to the horizon, 96 of them dropping bursts at the
+    # 193 draws run to the horizon, 108 of them dropping bursts at the
     # smallest size
     assert ran > 150 and dropping > 50
     # burst sizes near the buffer size, around it

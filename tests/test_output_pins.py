@@ -1,5 +1,5 @@
 """Output pins: every shipped scenario at its own seed and every scenario of
-tests/data/runs/, each in all four modes, against tests/data/pins.json.
+tests/data/runs/, each in every mode, against tests/data/pins.json.
 
 A pin is one case's `diffcheck.record` without its numbers, plus the hash
 of its parsed config (`pins` in tools/repin.py). `digest` and `events` (the

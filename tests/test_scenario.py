@@ -57,8 +57,8 @@ def test_times_round_to_whole_ns_and_rates_truncate_to_whole_bits():
 
 
 def test_processing_defaults_follow_mode():
-    cfg = parse_scenario(minimal(mode="mac_integrated"))
-    assert cfg.proc_mfu_ns == 25_000 and cfg.proc_sfu_ns == 0
+    cfg = parse_scenario(minimal(mode="centralized"))
+    assert cfg.proc_mfu_ns == 0 and cfg.proc_sfu_ns == 20_000
     cfg = parse_scenario(minimal(mode="phy_relay"))
     assert cfg.proc_mfu_ns == 30_000
 

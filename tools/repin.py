@@ -6,7 +6,7 @@ against HEAD, for CHANGES.md.
 A pin is `diffcheck.record` of one case without its `numbers`, plus
 `config`, the sha256 of `canonical`'s dump of the parsed scenario. The cases
 are every shipped scenario at its own seed and every scenario of
-tests/data/runs/, each in all four modes. tests/test_output_pins.py
+tests/data/runs/, each in every mode. tests/test_output_pins.py
 compares `pins()` with the file field by field, and the file with
 `dumps(pins())` byte for byte. golden_summary.json is the full
 `summary.json` of `golden` at its own seed and mode.
