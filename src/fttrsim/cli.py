@@ -26,8 +26,6 @@ def _run(args) -> int:
         overrides["mode"] = args.mode
     if args.duration_ms is not None:
         overrides["duration_ms"] = args.duration_ms
-    if args.dump_schedule:
-        overrides["dump_schedule"] = True
     try:
         cfg = load_scenario(args.scenario, overrides)
     except ConfigError as exc:
@@ -39,7 +37,7 @@ def _run(args) -> int:
         print(f"invariant breach: {exc}", file=sys.stderr)
         return 3
     out = args.out or f"out/{cfg.name}"
-    summary = write_outputs(res, out)
+    summary = write_outputs(res, out, args.dump_schedule)
     print(f"wrote {out}/summary.json")
     print(f"digest {summary['digest']}")
     return 0

@@ -9,7 +9,6 @@ step from ACTIVE to IDLE from a unit's activity times, for every unit.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple
 
 from .engine import NS_PER_S
 
@@ -41,26 +40,6 @@ LEGAL_TRANSITIONS: dict[PowerState, set[PowerState]] = {
 
 class LedgerError(RuntimeError):
     """Gap or overlap in the energy ledger - fatal accounting error."""
-
-
-class PowerProfile(NamedTuple):
-    watts: dict[PowerState, float]
-    wake_light_ns: int = 10_000_000     # 10 ms
-    wake_deep_ns: int = 100_000_000     # 100 ms
-    t_listen_ns: int = 1_000_000_000    # deep-sleep listen interval
-
-    def validate(self):
-        w = self.watts
-        order = [PowerState.ACTIVE, PowerState.IDLE, PowerState.LIGHT_SLEEP,
-                 PowerState.DEEP_SLEEP]
-        present = [s for s in order if s in w]
-        for a, b in zip(present, present[1:]):
-            if w[a] < w[b]:
-                raise ValueError(f"power ordering violated: {a} < {b}")
-        if any(v <= 0 for v in w.values()):
-            raise ValueError("state power must be > 0 W")
-        if min(self.wake_light_ns, self.wake_deep_ns, self.t_listen_ns) <= 0:
-            raise ValueError("wake latencies and listen interval must be > 0")
 
 
 def select_policy(iot: bool) -> PowerState:
@@ -106,8 +85,8 @@ class EnergyLedger:
         if self.records[-1][2] != horizon:
             raise LedgerError(f"{self.node}: ledger does not end at horizon")
 
-    def joules(self, profile: PowerProfile) -> float:
-        return sum((end - start) * profile.watts[state]
+    def joules(self, watts: dict[PowerState, float]) -> float:
+        return sum((end - start) * watts[state]
                    for state, start, end in self.records) / NS_PER_S
 
     def residency_ns(self) -> dict[str, int]:

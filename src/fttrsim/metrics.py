@@ -60,8 +60,8 @@ def build_summary(res: SimResults) -> dict:
     total_j = 0.0
     for name in sorted(res.ledgers):
         ledger = res.ledgers[name]
-        joules = ledger.joules(cfg.mfu_profile if name == MFU
-                               else cfg.sfu_profile)
+        joules = ledger.joules(cfg.mfu_watts if name == MFU
+                               else cfg.sfu_watts)
         total_j += joules
         nodes[name] = {
             "joules": round(joules, 9),
@@ -131,13 +131,14 @@ def schedule_dump_bytes(res: SimResults) -> bytes:
     return ("\n".join(lines) + "\n").encode() if lines else b""
 
 
-def write_outputs(res: SimResults, out_dir: str | Path) -> dict:
+def write_outputs(res: SimResults, out_dir: str | Path,
+                  schedule: bool = False) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = build_summary(res)
     (out / "summary.json").write_bytes(summary_bytes(summary))
     (out / "flows.csv").write_bytes(flow_table_bytes(summary))
-    if res.config.dump_schedule:
+    if schedule:
         (out / "schedule.log").write_bytes(schedule_dump_bytes(res))
     alarms = summary["management"]["alarms"]
     if alarms:

@@ -1,7 +1,7 @@
 """Scenario configuration: YAML schema, defaults and validation.
 
 A scenario file is the unit of reproducibility: topology, link parameters,
-scheduler mode, traffic flows, power profiles and the seed. CLI flags may
+scheduler mode, traffic flows, power draw and the seed. CLI flags may
 override scalar fields. Validation errors carry the config-path of the
 offending field. Each field's key, default, bounds and unit conversion are
 declared once, by `_key`; checks that span fields are in `parse_scenario`.
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .energy import PowerProfile, PowerState
+from .energy import PowerState
 from .frames import (APDU_OVERHEAD, FEM_MAX_PAYLOAD, OMCI_SFU_ID_MAX,
                      SERVICE_CLASSES)
 from .links import WifiOverhead
@@ -37,6 +37,9 @@ _DEFAULT_SFU_WATTS = {
     PowerState.ACTIVE: 4.5, PowerState.IDLE: 3.0, PowerState.RF_OFF: 2.0,
     PowerState.LIGHT_SLEEP: 1.0, PowerState.DEEP_SLEEP: 0.3}
 _DEFAULT_MFU_WATTS = {PowerState.ACTIVE: 8.0, PowerState.IDLE: 6.0}
+# states whose watts may not rise down the list; RF_OFF is not ranked
+_RANKED = (PowerState.ACTIVE, PowerState.IDLE, PowerState.LIGHT_SLEEP,
+           PowerState.DEEP_SLEEP)
 
 
 def _num(value, path: str):
@@ -182,37 +185,32 @@ def _entry(table: tuple):
     return entry
 
 
-def _watts(value, path: str) -> dict:
-    watts = {}
-    for name, w in _mapping(value, path).items():
-        try:
-            state = PowerState(name)
-        except ValueError:
-            raise ConfigError(path, f"unknown state {name!r}") from None
-        watts[state] = _bound(_num(w, p := f"{path}.{name}"), p, gt=0)
+def _watts(defaults: dict):
+    """Check that reads a node's watts per power state: a given state
+    replaces its default, and a state that `defaults` does not name is
+    unknown."""
+    states = {state.value: state for state in defaults}
+
+    def watts(value, path: str) -> dict:
+        out = dict(defaults)
+        for name, w in _mapping(value, path).items():
+            if name not in states:
+                raise ConfigError(path, f"unknown state {name!r}")
+            out[states[name]] = _bound(_num(w, p := f"{path}.{name}"), p,
+                                       gt=0)
+        ranked = [(s.value, out[s]) for s in _RANKED if s in out]
+        for (a, wa), (b, wb) in zip(ranked, ranked[1:]):
+            if wa < wb:
+                raise ConfigError(path, f"power ordering violated: {a} < {b}")
+        return out
     return watts
-
-
-def _profile(default_watts: dict):
-    """Check that reads a node's power profile; given watts replace the
-    node's defaults state by state."""
-    def profile(value, path: str) -> PowerProfile:
-        args = _read(value, path, _PROFILE_TABLE)
-        prof = PowerProfile(watts={**default_watts, **args.pop("watts")},
-                            **args)
-        try:
-            prof.validate()
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from None
-        return prof
-    return profile
 
 
 _SFU_TABLE = _table({"name": _key("name", check=_str),
                      "iot_resident": _key("iot_resident", False, check=_bool)})
 _RU_TABLE = _table({"sta": _key("sta", None, check=_str),
                     "bytes": _key("bytes", convert=int, ge=0)})
-# unset timings keep the WifiOverhead and PowerProfile defaults
+# unset timings keep the WifiOverhead defaults
 _WIFI_FIELDS = {
     "difs_ns": _key("wifi.difs_us", _OMIT, _us, ge=0),
     "sifs_ns": _key("wifi.sifs_us", _OMIT, _us, ge=0),
@@ -221,11 +219,6 @@ _WIFI_FIELDS = {
     "cw_max": _key("wifi.cw_max", _OMIT, int),
     "preamble_ns": _key("wifi.preamble_us", _OMIT, _us, ge=0),
     "ack_ns": _key("wifi.ack_us", _OMIT, _us, ge=0)}
-_PROFILE_TABLE = _table({
-    "watts": _key("watts", {}, check=_watts),
-    "wake_light_ns": _key("wake_light_ms", _OMIT, _ms),
-    "wake_deep_ns": _key("wake_deep_ms", _OMIT, _ms),
-    "t_listen_ns": _key("t_listen_ms", _OMIT, _ms)})
 
 
 class _Record:
@@ -326,7 +319,6 @@ class ScenarioConfig(_Record):
     alloc_cycle_ns: int = _key("control.alloc_cycle_us", 250, _us, gt=0)
     guard_ns: int = _key("control.guard_ns", 100, int, ge=0)
     omci_slot_ns: int = _key("control.omci_slot_us", 10, _us, gt=0)
-    min_slot_ns: int = _key("control.min_slot_us", 5, _us, gt=0)
     flows: list[FlowSpec] = _key("flows", [], check=_items(_spec(FlowSpec)))
     uplink_bursts: list[UplinkBurstSpec] = _key(
         "uplink_bursts", [], check=_items(_spec(UplinkBurstSpec)))
@@ -340,10 +332,14 @@ class ScenarioConfig(_Record):
     savings_enabled: bool = _key("energy.savings_enabled", True, check=_bool)
     t_act_idle_ns: int = _key("energy.t_act_idle_ms", 100, _ms, gt=0)
     t_idle_sleep_ns: int = _key("energy.t_idle_sleep_ms", 10_000, _ms, gt=0)
-    sfu_profile: PowerProfile = _key("energy.sfu", {},
-                                     check=_profile(_DEFAULT_SFU_WATTS))
-    mfu_profile: PowerProfile = _key("energy.mfu", {},
-                                     check=_profile(_DEFAULT_MFU_WATTS))
+    sfu_watts: dict[PowerState, float] = _key(
+        "energy.sfu.watts", {}, check=_watts(_DEFAULT_SFU_WATTS))
+    wake_light_ns: int = _key("energy.sfu.wake_light_ms", 10, _ms, gt=0)
+    wake_deep_ns: int = _key("energy.sfu.wake_deep_ms", 100, _ms, gt=0)
+    # deep-sleep listen interval
+    t_listen_ns: int = _key("energy.sfu.t_listen_ms", 1000, _ms, gt=0)
+    mfu_watts: dict[PowerState, float] = _key(
+        "energy.mfu.watts", {}, check=_watts(_DEFAULT_MFU_WATTS))
     ftth_active_w: float = _key("energy.ftth_active_w", 13.0, gt=0)
     ftth_idle_w: float = _key("energy.ftth_idle_w", 12.0, gt=0)
     sleep_buffer_frames: int = _key("energy.sleep_buffer_frames", 4096, int,
@@ -357,7 +353,6 @@ class ScenarioConfig(_Record):
     relay_buffer_bytes: int = _key("phy_relay.buffer_bytes", 10_000_000, int,
                                    gt=0)
     per_sta_overhead: int = _key("per_sta_overhead", 0, int, ge=0)
-    dump_schedule: bool = _key("dump_schedule", False, check=_bool)
 
 
 _SCENARIO_TABLE = _table({**ScenarioConfig._keys, **_WIFI_FIELDS})
@@ -380,8 +375,7 @@ def load_scenario(path: str | Path, overrides: dict | None = None) -> ScenarioCo
 
 def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
     """The checked config of the scenario mapping `raw`. `overrides` may
-    replace `seed`, `mode`, `dump_schedule` and, as `duration_ms`,
-    `horizon_ms`."""
+    replace `seed`, `mode` and, as `duration_ms`, `horizon_ms`."""
     raw = {**_mapping(raw, "<root>"),
            **{"horizon_ms" if k == "duration_ms" else k: v
               for k, v in (overrides or {}).items()}}

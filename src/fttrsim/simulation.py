@@ -845,17 +845,17 @@ class Simulation:
         if sfu.wake_pending or not sfu.asleep:
             return
         sfu.wake_pending = True
-        prof = self.cfg.sfu_profile
-        cmd_at = now + self.cfg.control_delay_ns
+        cfg = self.cfg
+        cmd_at = now + cfg.control_delay_ns
         if sfu.power.state == PowerState.DEEP_SLEEP:
             # command is only heard at the next deep-sleep listen window,
             # counted from the room's entry to deep sleep
             enter = sfu.power.ledger.since
-            k = max(1, -(-(cmd_at - enter) // prof.t_listen_ns))
-            cmd_at = enter + k * prof.t_listen_ns
-            wake_done = cmd_at + prof.wake_deep_ns
+            k = max(1, -(-(cmd_at - enter) // cfg.t_listen_ns))
+            cmd_at = enter + k * cfg.t_listen_ns
+            wake_done = cmd_at + cfg.wake_deep_ns
         else:
-            wake_done = cmd_at + prof.wake_light_ns
+            wake_done = cmd_at + cfg.wake_light_ns
         self.results.events.append((now, "wake_command", sfu.name))
         self.sim.schedule(wake_done, sfu.target, "wake_done")
 

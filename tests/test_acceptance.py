@@ -282,12 +282,11 @@ def test_energy_accounting_and_sleep():
 
     for node, ledger in res.ledgers.items():
         ledger.check_tiling(cfg.horizon_ns)
-        profile = cfg.mfu_profile if node == "mfu" else cfg.sfu_profile
+        watts = cfg.mfu_watts if node == "mfu" else cfg.sfu_watts
         # closed-form: per-state residency times state power
-        closed = sum(ns * profile.watts[next(s for s in profile.watts
-                                             if s.value == state)]
+        closed = sum(ns * watts[PowerState(state)]
                      for state, ns in ledger.residency_ns().items()) / 1e9
-        assert abs(ledger.joules(profile) - closed) <= 1e-9 * max(closed, 1.0)
+        assert abs(ledger.joules(watts) - closed) <= 1e-9 * max(closed, 1.0)
 
     raw = yaml.safe_load((SCENARIOS / "idle_night.yaml").read_text())
     raw["energy"]["savings_enabled"] = False
@@ -295,7 +294,7 @@ def test_energy_accounting_and_sleep():
 
     def total(r):
         c = r.config
-        return sum(led.joules(c.mfu_profile if n == "mfu" else c.sfu_profile)
+        return sum(led.joules(c.mfu_watts if n == "mfu" else c.sfu_watts)
                    for n, led in r.ledgers.items())
 
     assert total(res) < total(always_on)
@@ -335,8 +334,8 @@ def test_four_room_reference_ratio():
     # 100 ms hold-down and Idle for the rest of the minute
     hold = cfg.t_act_idle_ns / 1e9
     rest = cfg.horizon_ns / 1e9 - hold
-    mfu = cfg.mfu_profile.watts
-    sfu = cfg.sfu_profile.watts
+    mfu = cfg.mfu_watts
+    sfu = cfg.sfu_watts
     fttr = (mfu[PowerState.ACTIVE] * hold + mfu[PowerState.IDLE] * rest
             + 4 * (sfu[PowerState.ACTIVE] * hold + sfu[PowerState.IDLE] * rest))
     ftth = cfg.ftth_active_w * hold + cfg.ftth_idle_w * rest

@@ -232,7 +232,7 @@ def test_idle_rooms_step_down_on_their_timers(t_us, ts_us, c_us):
     nodes = build_summary(res)["nodes"]
     cfg = res.config
     for node, records in expected.items():
-        watts = (cfg.mfu_profile if node == "mfu" else cfg.sfu_profile).watts
+        watts = cfg.mfu_watts if node == "mfu" else cfg.sfu_watts
         joules = sum((end - start) * watts[state]
                      for state, start, end in records) / 1e9
         assert nodes[node]["joules"] == round(joules, 9)

@@ -62,6 +62,8 @@ def test_alarms_log_holds_each_alarms_lines(tmp_path):
     write_outputs(res, tmp_path)
     lines = [line for alarm in res.alarms for line in alarm.log_lines()]
     assert lines and (tmp_path / "alarms.log").read_text().splitlines() == lines
+    # the schedule only with `fttr-sim run --dump-schedule`
+    assert not (tmp_path / "schedule.log").exists()
 
 
 def test_run_rejects_bad_scenario(tmp_path):

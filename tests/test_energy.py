@@ -3,11 +3,10 @@ from random import Random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from fttrsim.energy import (PowerState, PowerProfile, PowerMachine,
+from fttrsim.energy import (PowerState, PowerMachine,
                             EnergyLedger, LedgerError, select_policy,
                             SleepBuffer, ftth_baseline_joules, merge_spans,
                             LEGAL_TRANSITIONS)
-from fttrsim.engine import NS_PER_S
 
 WATTS = {PowerState.ACTIVE: 4.5, PowerState.IDLE: 3.0,
          PowerState.RF_OFF: 2.0, PowerState.LIGHT_SLEEP: 1.0,
@@ -148,64 +147,17 @@ def test_joules_is_interval_sum():
     led = EnergyLedger("r", PowerState.ACTIVE)
     led.transition(PowerState.IDLE, 100_000_000)       # 0.1 s active
     led.close(1_000_000_000)                           # 0.9 s idle
-    profile = PowerProfile(watts=WATTS)
-    assert led.joules(profile) == pytest.approx(4.5 * 0.1 + 3.0 * 0.9,
-                                                rel=1e-12)
+    assert led.joules(WATTS) == pytest.approx(4.5 * 0.1 + 3.0 * 0.9,
+                                              rel=1e-12)
     assert led.residency_ns() == {"active": 100_000_000, "idle": 900_000_000}
-
-
-def test_profile_power_ordering_enforced():
-    bad = dict(WATTS)
-    bad[PowerState.DEEP_SLEEP] = 5.0
-    with pytest.raises(ValueError):
-        PowerProfile(watts=bad).validate()
-    with pytest.raises(ValueError):
-        PowerProfile(watts={PowerState.ACTIVE: 0.0}).validate()
-    PowerProfile(watts=WATTS).validate()
 
 
 # ---------------------------------------------------------------------------
 # sleep rule
 
-SHORT_IDLE_NS = 10 * NS_PER_S
-LONG_IDLE_NS = 60 * NS_PER_S
-
-
-def reference_policy(load_class, services, user_activity, idle_ns):
-    """The strategy table the sleep rule replaced, kept as its reference:
-    it maps scenario features to one of rf_off, tx_power_adjust,
-    light_sleep or deep_sleep."""
-    iot = "iot" in services
-    low_activity = load_class in ("idle", "background") and not user_activity
-    if iot and low_activity:
-        return "rf_off"
-    if load_class == "moderate":
-        return "tx_power_adjust"
-    if idle_ns >= LONG_IDLE_NS and not iot:
-        return "deep_sleep"
-    if idle_ns >= SHORT_IDLE_NS and not iot:
-        return "light_sleep"
-    return "light_sleep" if not iot else "rf_off"
-
-
 def test_iot_host_deactivates_radio_instead_of_sleeping():
     assert select_policy(True) is PowerState.RF_OFF
     assert select_policy(False) is PowerState.LIGHT_SLEEP
-
-
-# a sleep check runs only after t_act_idle + t_idle_sleep without traffic,
-# so a run asks about an idle room with no user activity, with or without
-# a resident IoT device, after any idle time
-@given(iot=st.booleans(),
-       idle_ns=st.integers(min_value=0) | st.sampled_from(
-           [SHORT_IDLE_NS - 1, SHORT_IDLE_NS, LONG_IDLE_NS - 1, LONG_IDLE_NS]))
-def test_sleep_rule_matches_the_table_on_every_input_a_run_gives(iot, idle_ns):
-    table = reference_policy("idle", frozenset({"iot"}) if iot else frozenset(),
-                             False, idle_ns)
-    # a run turned every answer but rf_off into a light-sleep report; deep
-    # sleep comes only from the MFU's command
-    assert select_policy(iot) is (PowerState.RF_OFF if table == "rf_off"
-                                  else PowerState.LIGHT_SLEEP)
 
 
 # ---------------------------------------------------------------------------

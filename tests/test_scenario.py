@@ -1,11 +1,13 @@
+import copy
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from fttrsim.energy import PowerProfile
+from fttrsim.energy import PowerState
 from fttrsim.frames import Tamap
 from fttrsim.links import WifiOverhead
 from fttrsim.scenario import load_scenario, parse_scenario, ConfigError
@@ -169,15 +171,26 @@ def test_kill_and_storm_target_validation():
 
 def test_energy_profile_override_and_validation():
     cfg = parse_scenario(minimal(energy={"sfu": {"watts": {"active": 6.0}}}))
-    from fttrsim.energy import PowerState
-    assert cfg.sfu_profile.watts[PowerState.ACTIVE] == 6.0
-    for node in ("sfu", "mfu"):
-        for state in ("warp", "reduced_tx"):  # unknown power states
+    assert cfg.sfu_watts == {
+        PowerState.ACTIVE: 6.0, PowerState.IDLE: 3.0, PowerState.RF_OFF: 2.0,
+        PowerState.LIGHT_SLEEP: 1.0, PowerState.DEEP_SLEEP: 0.3}
+    assert cfg.mfu_watts == {PowerState.ACTIVE: 8.0, PowerState.IDLE: 6.0}
+    assert (cfg.wake_light_ns, cfg.wake_deep_ns, cfg.t_listen_ns) == (
+        10_000_000, 100_000_000, 1_000_000_000)
+    # unknown power states; the MFU only goes between ACTIVE and IDLE
+    for node, states in (("sfu", ("warp", "reduced_tx")),
+                         ("mfu", ("warp", "light_sleep", "deep_sleep",
+                                  "rf_off"))):
+        for state in states:
             with pytest.raises(ConfigError,
                                match=f"energy.{node}.watts: unknown state"):
                 parse_scenario(minimal(energy={node: {"watts": {state: 1}}}))
-    with pytest.raises(ConfigError):  # ordering violated
-        parse_scenario(minimal(energy={"sfu": {"watts": {"active": 0.1}}}))
+    # active >= idle >= light_sleep >= deep_sleep; RF_OFF is not ranked
+    for node, watts in (("sfu", {"active": 0.1}), ("sfu", {"deep_sleep": 5}),
+                        ("mfu", {"idle": 9})):
+        with pytest.raises(ConfigError, match="power ordering violated"):
+            parse_scenario(minimal(energy={node: {"watts": watts}}))
+    parse_scenario(minimal(energy={"sfu": {"watts": {"rf_off": 9}}}))
 
 
 def test_iot_marker_parsed():
@@ -222,7 +235,7 @@ BURST = {"sfu": "a", "period_us": 1000, "air_duration_us": 10,
     ({"energy": {"savings_enabled": "no"}}, "energy.savings_enabled"),
     ({"topology": {"sfus": ["a", {"name": "b", "iot_resident": "yes"}]}},
      "topology.sfus[1].iot_resident"),
-    ({"dump_schedule": 1}, "dump_schedule"),
+    ({"dump_schedule": 1}, "dump_schedule"),   # a key the schema lacks
     ({"wifi": 5}, "wifi"),
     ({"flows": ["x"]}, "flows[0]"),
     ({"uplink_bursts": [5]}, "uplink_bursts[0]"),
@@ -231,7 +244,7 @@ BURST = {"sfu": "a", "period_us": 1000, "air_duration_us": 10,
     ({"wifi": {"difs_us": "x"}}, "wifi.difs_us"),
     ({"wifi": {"cw_min": "x"}}, "wifi.cw_min"),
     ({"energy": {"sfu": {"wake_light_ms": "x"}}}, "energy.sfu.wake_light_ms"),
-    ({"energy": {"sfu": {"t_listen_ms": 0}}}, "energy.sfu"),
+    ({"energy": {"sfu": {"t_listen_ms": 0}}}, "energy.sfu.t_listen_ms"),
     ({"processing": {"mfu_us": "x"}}, "processing.mfu_us"),
     # not lists
     ({"flows": 5}, "flows"),
@@ -283,6 +296,24 @@ BURST = {"sfu": "a", "period_us": 1000, "air_duration_us": 10,
     ({"uplink_bursts": [{**BURST, "period_us": 0.0001}]},
      "uplink_bursts[0].period_us"),
     ({"flows": [{**FLOW, "model": "on_off", "on_ms": 1e-7}]}, "flows[0].on_ms"),
+    # settings no run read: output switches are flags of `fttr-sim run`, the
+    # DBA's minimum slot has no reader in a run, and the MFU only goes
+    # between ACTIVE and IDLE
+    ({"dump_schedule": True}, "dump_schedule"),
+    ({"control": {"min_slot_us": 5}}, "control.min_slot_us"),
+    ({"energy": {"mfu": {"wake_light_ms": 10}}}, "energy.mfu.wake_light_ms"),
+    ({"energy": {"mfu": {"wake_deep_ms": 100}}}, "energy.mfu.wake_deep_ms"),
+    ({"energy": {"mfu": {"t_listen_ms": 3}}}, "energy.mfu.t_listen_ms"),
+    ({"energy": {"mfu": {"watts": {"light_sleep": 1}}}}, "energy.mfu.watts"),
+    ({"energy": {"mfu": {"watts": {"deep_sleep": 1}}}}, "energy.mfu.watts"),
+    ({"energy": {"mfu": {"watts": {"rf_off": 1}}}}, "energy.mfu.watts"),
+    # a node's watts and an SFU's wake timings
+    ({"energy": {"sfu": {"watts": {"idle": 0}}}}, "energy.sfu.watts.idle"),
+    ({"energy": {"mfu": {"watts": {"active": -1}}}}, "energy.mfu.watts.active"),
+    ({"energy": {"sfu": {"watts": {"deep_sleep": 5}}}}, "energy.sfu.watts"),
+    ({"energy": {"sfu": {"wake_light_ms": 0}}}, "energy.sfu.wake_light_ms"),
+    ({"energy": {"sfu": {"wake_deep_ms": 1e-7}}}, "energy.sfu.wake_deep_ms"),
+    ({"energy": {"sfu": 5}}, "energy.sfu"),
 ])
 def test_malformed_fields_rejected_with_path(extra, path):
     # each used to raise a raw exception while parsing or running, or was
@@ -303,21 +334,154 @@ def test_largest_frame_and_equal_kill_times_accepted():
     assert cfg.storm.entity_class == 65535
 
 
-def key_rows() -> list[tuple]:
-    """A row per scenario key: (field, key, prefix, leaf, default, check,
-    convert, bounds)."""
+def key_rows() -> dict[str, tuple]:
+    """Each scenario key's row, (field, key, prefix, leaf, default, check,
+    convert, bounds), by the key's path in a scenario: `flows[].rate_mbps`
+    is the `rate_mbps` of every flow entry."""
     from fttrsim import scenario as sc
-    tables = [sc._SCENARIO_TABLE, sc._SFU_TABLE, sc._RU_TABLE,
-              sc._PROFILE_TABLE] + [
-        sc._table(cls._keys) for cls in (sc.FlowSpec, sc.UplinkBurstSpec,
-                                         sc.StormSpec, sc.KillSpec)]
-    return [row for rows, _ in tables for row in rows]
+    tables = {"": sc._SCENARIO_TABLE, "topology.sfus[].": sc._SFU_TABLE,
+              "uplink_bursts[].rus[].": sc._RU_TABLE, **{
+                  prefix: sc._table(cls._keys) for prefix, cls in (
+                      ("flows[].", sc.FlowSpec),
+                      ("uplink_bursts[].", sc.UplinkBurstSpec),
+                      ("management.storm.", sc.StormSpec),
+                      ("management.kill.", sc.KillSpec))}}
+    return {prefix + row[1]: row
+            for prefix, (rows, _) in tables.items() for row in rows}
+
+
+# keys that no run reads, kept because perfbench/workloads.py sets them
+# and its scenarios must parse as before (ROADMAP item 14)
+NO_EFFECT = {
+    "flows[].service_class": "perfbench draws one per flow; no run reads "
+                             "a flow's service class",
+    "uplink_bursts[].rus[].sta": "perfbench names each resource unit's "
+                                 "station; a run reads only its bytes"}
+# key path with entry indices -> (scenario, mode, value): setting the key
+# to the value in the scenario, run in the mode with a horizon of at most
+# 40 ms, changes a model field of the run's `diffcheck.record`
+EFFECTS = {
+    "name": ("golden", "centralized", "renamed"),
+    "seed": ("conflict_pair", "distributed", 2),
+    "horizon_ms": ("golden", "centralized", 20),
+    "mode": ("golden", "centralized", "distributed"),
+    "topology.sfus": ("four_room_household", "centralized", ["room1"]),
+    "topology.conflicts": ("golden", "centralized", []),
+    "optical.downstream_gbps": ("golden", "centralized", 0.1),
+    "optical.upstream_gbps": ("phy_relay_burst", "phy_relay", 5.0),
+    "optical.prop_delay_ns": ("golden", "distributed", 1000),
+    "wifi.air_rate_mbps": ("golden", "centralized", 300),
+    # conflict_pair's 15,000 B frames take 1 ms of air at 120 Mb/s
+    "wifi.txop_max_us": ("conflict_pair", "centralized", 500),
+    "wifi.difs_us": ("conflict_pair", "distributed", 50),
+    "wifi.sifs_us": ("conflict_pair", "distributed", 30),
+    "wifi.slot_us": ("conflict_pair", "distributed", 20),
+    "wifi.cw_min": ("conflict_pair", "distributed", 31),
+    "wifi.cw_max": ("conflict_pair", "distributed", 15),
+    "wifi.preamble_us": ("conflict_pair", "distributed", 80),
+    "wifi.ack_us": ("conflict_pair", "distributed", 50),
+    "control.status_cycle_us": ("golden", "centralized", 1000),
+    "control.control_delay_us": ("golden", "centralized", 50),
+    "control.alloc_cycle_us": ("golden", "centralized", 500),
+    "control.guard_ns": ("provisioning_storm", "centralized", 5000),
+    "control.omci_slot_us": ("golden", "centralized", 20),
+    "flows": ("golden", "centralized", []),
+    "uplink_bursts": ("golden", "centralized", []),
+    "management.poll_cycle_ms": ("storm_kill_bursts", "centralized", 5),
+    "management.k_miss": ("storm_kill_bursts", "centralized", 5),
+    "management.storm": ("golden", "centralized", None),
+    "management.kill": ("storm_kill_bursts", "centralized", None),
+    "management.olt_pipe_us": ("golden", "centralized", 100),
+    "energy.savings_enabled": ("iot_rf_off_overflow", "centralized", False),
+    "energy.t_act_idle_ms": ("four_room_household", "centralized", 5),
+    "energy.t_idle_sleep_ms": ("iot_rf_off_overflow", "centralized", 5),
+    "energy.sfu.watts": ("golden", "centralized", {"active": 5.0}),
+    "energy.sfu.wake_light_ms": ("sleep_deep_wake", "centralized", 2),
+    "energy.sfu.wake_deep_ms": ("sleep_deep_wake", "centralized", 5),
+    "energy.sfu.t_listen_ms": ("sleep_deep_wake", "centralized", 6),
+    "energy.mfu.watts": ("golden", "centralized", {"active": 9.0}),
+    "energy.ftth_active_w": ("golden", "centralized", 14.0),
+    "energy.ftth_idle_w": ("iot_rf_off_overflow", "centralized", 11.0),
+    "energy.sleep_buffer_frames": ("iot_rf_off_overflow", "centralized", 6),
+    "processing.mfu_us": ("golden", "centralized", 10),
+    "processing.sfu_us": ("golden", "centralized", 10),
+    "phy_relay.sample_rate_msps": ("phy_relay_burst", "phy_relay", 80),
+    "phy_relay.bit_width": ("phy_relay_burst", "phy_relay", 12),
+    # one burst of phy_relay_burst is 48,000 B
+    "phy_relay.buffer_bytes": ("phy_relay_burst", "phy_relay", 24_000),
+    "per_sta_overhead": ("ofdma_uplink_burst", "centralized", 100),
+    "topology.sfus[0].name": ("four_room_household", "centralized", "den"),
+    "topology.sfus[0].iot_resident": ("iot_rf_off_overflow", "centralized",
+                                      True),
+    "flows[0].name": ("golden", "centralized", "tv"),
+    "flows[0].dst": ("golden", "centralized", "office"),
+    "flows[1].priority": ("golden", "centralized", 0),
+    "flows[0].size_bytes": ("golden", "centralized", 1500),
+    "flows[2].model": ("golden", "centralized", "constant_rate"),
+    "flows[0].rate_mbps": ("golden", "centralized", 10),
+    "flows[2].on_ms": ("golden", "centralized", 10),
+    "flows[2].off_ms": ("golden", "centralized", 5),
+    "flows[0].count": ("iot_rf_off_overflow", "centralized", 3),
+    "flows[0].interval_us": ("iot_rf_off_overflow", "centralized", 500),
+    "flows[0].start_ms": ("golden", "centralized", 5),
+    "flows[0].stop_ms": ("golden", "centralized", 5),
+    "uplink_bursts[0].sfu": ("golden", "centralized", "bedroom"),
+    "uplink_bursts[0].period_us": ("golden", "centralized", 1000),
+    "uplink_bursts[0].air_duration_us": ("golden", "centralized", 40),
+    "uplink_bursts[0].rus": ("golden", "centralized", [{"bytes": 100}]),
+    "uplink_bursts[0].rus[0].bytes": ("golden", "centralized", 5000),
+    "uplink_bursts[0].start_ms": ("golden", "centralized", 1),
+    "uplink_bursts[0].coordinated": ("golden", "centralized", False),
+    "management.storm.count": ("golden", "centralized", 3),
+    "management.storm.targets": ("golden", "centralized", ["office"]),
+    "management.storm.entity_class": ("golden", "centralized", 7),
+    "management.storm.content_bytes": ("golden", "centralized", 20),
+    "management.kill.sfu": ("storm_kill_bursts", "centralized", "b"),
+    "management.kill.at_ms": ("storm_kill_bursts", "centralized", 10),
+    "management.kill.recover_ms": ("storm_kill_bursts", "centralized", 30),
+}
+
+
+def with_value(raw: dict, path: str, value) -> dict:
+    """A copy of `raw` with the key at `path` set to `value`; an SFU entry
+    given as a bare name becomes a mapping."""
+    raw = copy.deepcopy(raw)
+    *steps, leaf = re.findall(r"[^.\[\]]+|\[\d+\]", path)
+    node = raw
+    for step in steps:
+        if step.startswith("["):
+            i = int(step[1:-1])
+            if isinstance(node[i], str):
+                node[i] = {"name": node[i]}
+            node = node[i]
+        else:
+            node = node.setdefault(step, {})
+    node[leaf] = value
+    return raw
+
+
+def test_every_scenario_key_changes_a_run():
+    from diffcheck import RUNS, compare, record, scenario_dicts
+    scenarios = {**scenario_dicts(SCENARIO_DIR), **scenario_dicts(RUNS)}
+    idle = []
+    for path, (name, mode, value) in EFFECTS.items():
+        raw = {**scenarios[name], "mode": mode,
+               "horizon_ms": min(scenarios[name]["horizon_ms"], 40)}
+        base, changed = (record({"raw": r, "overrides": {}})
+                         for r in (raw, with_value(raw, path, value)))
+        # a run that ends with exit 2 or 3 shows no effect
+        if ("exit" in base or "exit" in changed
+                or not compare({path: base}, {path: changed})["model"]):
+            idle.append(path)
+    assert idle == []
+    assert {re.sub(r"\[\d+\]", "[]", p) for p in EFFECTS} == (
+        key_rows().keys() - NO_EFFECT.keys())
 
 
 def test_every_scenario_key_is_documented():
     doc = (SCENARIO_DIR.parent / "docs" / "FORMATS.md").read_text()
     doc = doc[doc.index("## Scenario file"):doc.index("## summary.json")]
-    for row in key_rows():
+    for row in key_rows().values():
         assert f"| `{row[1]}` |" in doc, row[1]
 
 
@@ -327,7 +491,7 @@ def test_every_time_and_rate_key_converts_as_it_is_read():
     from fttrsim import scenario as sc
     by_unit = {"_ms": sc._ms, "_us": sc._us, "_mbps": sc._mega,
                "_msps": sc._mega, "_gbps": sc._giga}
-    for row in key_rows():
+    for row in key_rows().values():
         key, convert = row[1], row[6]
         units = [u for u in by_unit if key.endswith(u)]
         if units:
@@ -388,8 +552,8 @@ def test_scenario_key_table_keeps_declaration_order():
 
 
 @pytest.mark.parametrize("record,field", [
-    (WifiOverhead(), "cw_min"), (PowerProfile({}), "wake_light_ns"),
-    (Tamap(0), "cycle_start")], ids=["WifiOverhead", "PowerProfile", "Tamap"])
+    (WifiOverhead(), "cw_min"), (Tamap(0), "cycle_start")],
+    ids=["WifiOverhead", "Tamap"])
 def test_immutable_records_refuse_assignment(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, 1)

@@ -97,27 +97,6 @@ def all_pairs_grants(reports, graph, txop_max_ns, now, window_end):
     return grants
 
 
-# The neighbour-indexed allocator before its max() calls were inlined,
-# kept as the reference for the one in scheduling.py.
-
-def reference_grants(reports, graph, txop_max_ns, now, window_end):
-    grants = []
-    granted_end = {}
-    for report in sorted(reports, key=sch.report_order_key):
-        if report.buffered_bytes <= 0:
-            continue
-        start = now
-        for other in graph.neighbors(report.sfu):
-            start = max(start, granted_end.get(other, start))
-        duration = min(report.airtime_ns, txop_max_ns, window_end - start)
-        if duration <= 0:
-            continue
-        grants.append(sch.AirGrant(report.sfu, start, duration))
-        granted_end[report.sfu] = max(granted_end.get(report.sfu, 0),
-                                      start + duration)
-    return grants
-
-
 def all_pairs_overlaps(grants, graph):
     return [(a, b) for i, a in enumerate(grants) for b in grants[i + 1:]
             if graph.conflicts(a.sfu, b.sfu)
@@ -148,7 +127,6 @@ def test_grants_match_all_pairs_reference(edges, raw, txop, window_end, now):
     args = (reports, graph, txop, now, window_end)
     grants = sch.grant_downlink_airtime(*args)
     assert grants == all_pairs_grants(*args)
-    assert grants == reference_grants(*args)
 
 
 @given(edges_st,

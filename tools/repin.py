@@ -32,8 +32,9 @@ GOLDEN = ROOT / "tests" / "data" / "golden_summary.json"
 def canonical(value):
     """A JSON-able dump of `value` that keeps every type name: record
     fields by name, sets and mappings sorted. It shows drift that no output
-    does, such as in `min_slot_ns` or `dump_schedule`, and an int read as a
-    float or the other way round."""
+    does, such as in `wake_deep_ns` of a scenario where no room sleeps deep
+    or in the station of a resource unit, and an int read as a float or the
+    other way round."""
     from fttrsim.scenario import _Record
     kind = type(value).__name__
     # a scenario section by its annotated fields, a named tuple by _fields
