@@ -235,7 +235,7 @@ BURST = {"sfu": "a", "period_us": 1000, "air_duration_us": 10,
     ({"energy": {"savings_enabled": "no"}}, "energy.savings_enabled"),
     ({"topology": {"sfus": ["a", {"name": "b", "iot_resident": "yes"}]}},
      "topology.sfus[1].iot_resident"),
-    ({"dump_schedule": 1}, "dump_schedule"),   # a key the schema lacks
+    ({"dump_schedule": 1}, "dump_schedule"),   # a flag of `fttr-sim run`
     ({"wifi": 5}, "wifi"),
     ({"flows": ["x"]}, "flows[0]"),
     ({"uplink_bursts": [5]}, "uplink_bursts[0]"),
@@ -296,10 +296,8 @@ BURST = {"sfu": "a", "period_us": 1000, "air_duration_us": 10,
     ({"uplink_bursts": [{**BURST, "period_us": 0.0001}]},
      "uplink_bursts[0].period_us"),
     ({"flows": [{**FLOW, "model": "on_off", "on_ms": 1e-7}]}, "flows[0].on_ms"),
-    # settings no run read: output switches are flags of `fttr-sim run`, the
-    # DBA's minimum slot has no reader in a run, and the MFU only goes
+    # keys no run would read: no run calls the DBA, and the MFU only goes
     # between ACTIVE and IDLE
-    ({"dump_schedule": True}, "dump_schedule"),
     ({"control": {"min_slot_us": 5}}, "control.min_slot_us"),
     ({"energy": {"mfu": {"wake_light_ms": 10}}}, "energy.mfu.wake_light_ms"),
     ({"energy": {"mfu": {"wake_deep_ms": 100}}}, "energy.mfu.wake_deep_ms"),
