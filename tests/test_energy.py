@@ -7,6 +7,7 @@ from fttrsim.energy import (PowerState, PowerMachine,
                             EnergyLedger, LedgerError, select_policy,
                             SleepBuffer, ftth_baseline_joules, merge_spans,
                             LEGAL_TRANSITIONS)
+from fttrsim.scenario import ConfigError, parse_scenario
 
 WATTS = {PowerState.ACTIVE: 4.5, PowerState.IDLE: 3.0,
          PowerState.RF_OFF: 2.0, PowerState.LIGHT_SLEEP: 1.0,
@@ -150,6 +151,18 @@ def test_joules_is_interval_sum():
     assert led.joules(WATTS) == pytest.approx(4.5 * 0.1 + 3.0 * 0.9,
                                               rel=1e-12)
     assert led.residency_ns() == {"active": 100_000_000, "idle": 900_000_000}
+
+
+def test_profile_power_ordering_enforced():
+    def scenario(watts):
+        return {"horizon_ms": 1, "topology": {"sfus": ["a"]},
+                "energy": {"sfu": {"watts": watts}}}
+    good = {state.value: w for state, w in WATTS.items()}
+    with pytest.raises(ConfigError, match="power ordering violated"):
+        parse_scenario(scenario(dict(good, deep_sleep=5.0)))
+    with pytest.raises(ConfigError, match="energy.sfu.watts.active"):
+        parse_scenario(scenario({"active": 0.0}))
+    assert parse_scenario(scenario(good)).sfu_watts == WATTS
 
 
 # ---------------------------------------------------------------------------
