@@ -25,7 +25,7 @@ def _run(args) -> int:
     if args.mode is not None:
         overrides["mode"] = args.mode
     if args.duration_ms is not None:
-        overrides["duration_ms"] = args.duration_ms
+        overrides["horizon_ms"] = args.duration_ms
     try:
         cfg = load_scenario(args.scenario, overrides)
     except ConfigError as exc:

@@ -1,11 +1,11 @@
-"""Physical-medium models of the Wi-Fi air interface (cells, overhead
-parameters, conflict graph).
+"""Physical-medium models of the Wi-Fi air interface (cells and the
+conflict graph).
 
 The Wi-Fi model works at transaction granularity: one transmission occupies
 the medium for preamble + payload serialization + SIFS + ACK. Interference
 is binary through the conflict graph. Event-driven contention itself lives
-in the simulation module; this module holds the static medium parameters
-and the arithmetic.
+in the simulation module, and the scenario holds the 802.11 timings; this
+module holds the air-time arithmetic and the conflict graph.
 """
 
 from __future__ import annotations
@@ -15,37 +15,16 @@ from typing import NamedTuple
 from .engine import transmit_time_ns
 
 
-def _is_pow2_minus_1(v: int) -> bool:
-    return v >= 0 and ((v + 1) & v) == 0
-
-
-class WifiOverhead(NamedTuple):
-    difs_ns: int = 34_000
-    sifs_ns: int = 16_000
-    slot_ns: int = 9_000
-    cw_min: int = 15
-    cw_max: int = 1023
-    preamble_ns: int = 40_000
-    ack_ns: int = 28_000
-
-    def validate(self):
-        if not (_is_pow2_minus_1(self.cw_min) and _is_pow2_minus_1(self.cw_max)):
-            raise ValueError("cw_min/cw_max must be powers of two minus one")
-        if self.cw_min > self.cw_max:
-            raise ValueError("cw_min exceeds cw_max")
-
-
 class WifiCell(NamedTuple):
-    """The air model every cell of a scenario shares: one rate, one set of
-    overheads."""
+    """The air model every cell of a scenario shares: one rate, and the
+    fixed part of a transmission (preamble + SIFS + ACK)."""
     air_rate_bps: int
-    overhead: WifiOverhead
+    overhead_ns: int
 
     def airtime_ns(self, payload_bytes: int) -> int:
         """Full medium occupancy of one transmission including ACK exchange."""
-        oh = self.overhead
-        return (oh.preamble_ns + transmit_time_ns(payload_bytes, self.air_rate_bps)
-                + oh.sifs_ns + oh.ack_ns)
+        return (self.overhead_ns
+                + transmit_time_ns(payload_bytes, self.air_rate_bps))
 
 
 class InterferenceGraph:

@@ -15,7 +15,6 @@ from pathlib import Path
 from .energy import PowerState
 from .frames import (APDU_OVERHEAD, FEM_MAX_PAYLOAD, OMCI_SFU_ID_MAX,
                      SERVICE_CLASSES)
-from .links import WifiOverhead
 from .scheduling import PROCESSING_NS, SchedulerMode
 
 
@@ -108,7 +107,6 @@ _giga, _mega = _per(1e9), _per(1e6)
 
 
 _REQUIRED = object()   # the key must be given
-_OMIT = object()       # when the key is absent the constructor's default holds
 
 
 class _Key(tuple):
@@ -154,8 +152,6 @@ def _read(section, path: str, table: tuple) -> dict:
     args = {}
     for name, key, prefix, leaf, default, check, convert, bounds in rows:
         value = nodes[prefix].get(leaf, default)
-        if value is _OMIT:
-            continue
         if value is not None or default is not None:
             where = f"{path}.{key}" if path else key
             if value is _REQUIRED:
@@ -185,6 +181,16 @@ def _entry(table: tuple):
     return entry
 
 
+def _cw(value, path: str) -> int:
+    """Check for a contention window, in whole slots: a power of two minus
+    one."""
+    cw = int(_num(value, path))
+    if cw < 0 or (cw + 1) & cw:
+        raise ConfigError(path, f"must be a power of two minus one, "
+                                f"got {value}")
+    return cw
+
+
 def _watts(defaults: dict):
     """Check that reads a node's watts per power state: a given state
     replaces its default, and a state that `defaults` does not name is
@@ -210,15 +216,6 @@ _SFU_TABLE = _table({"name": _key("name", check=_str),
                      "iot_resident": _key("iot_resident", False, check=_bool)})
 _RU_TABLE = _table({"sta": _key("sta", None, check=_str),
                     "bytes": _key("bytes", convert=int, ge=0)})
-# unset timings keep the WifiOverhead defaults
-_WIFI_FIELDS = {
-    "difs_ns": _key("wifi.difs_us", _OMIT, _us, ge=0),
-    "sifs_ns": _key("wifi.sifs_us", _OMIT, _us, ge=0),
-    "slot_ns": _key("wifi.slot_us", _OMIT, _us, ge=0),
-    "cw_min": _key("wifi.cw_min", _OMIT, int),
-    "cw_max": _key("wifi.cw_max", _OMIT, int),
-    "preamble_ns": _key("wifi.preamble_us", _OMIT, _us, ge=0),
-    "ack_ns": _key("wifi.ack_us", _OMIT, _us, ge=0)}
 
 
 class _Record:
@@ -312,7 +309,13 @@ class ScenarioConfig(_Record):
     upstream_bps: int = _key("optical.upstream_gbps", 1.0, _giga, gt=0)
     prop_delay_ns: int = _key("optical.prop_delay_ns", 50, int, ge=0)
     air_rate_bps: int = _key("wifi.air_rate_mbps", 1200.0, _mega, gt=0)
-    wifi_overhead: WifiOverhead
+    difs_ns: int = _key("wifi.difs_us", 34, _us, ge=0)
+    sifs_ns: int = _key("wifi.sifs_us", 16, _us, ge=0)
+    slot_ns: int = _key("wifi.slot_us", 9, _us, ge=0)
+    cw_min: int = _key("wifi.cw_min", 15, check=_cw)
+    cw_max: int = _key("wifi.cw_max", 1023, check=_cw)
+    preamble_ns: int = _key("wifi.preamble_us", 40, _us, ge=0)
+    ack_ns: int = _key("wifi.ack_us", 28, _us, ge=0)
     txop_max_ns: int = _key("wifi.txop_max_us", 2400, _us, gt=0)
     status_cycle_ns: int = _key("control.status_cycle_us", 5000, _us, gt=0)
     control_delay_ns: int = _key("control.control_delay_us", 5, _us, ge=0)
@@ -344,9 +347,9 @@ class ScenarioConfig(_Record):
     ftth_idle_w: float = _key("energy.ftth_idle_w", 12.0, gt=0)
     sleep_buffer_frames: int = _key("energy.sleep_buffer_frames", 4096, int,
                                     gt=0)
-    # absent: the mode's PROCESSING_NS
-    proc_mfu_ns: int = _key("processing.mfu_us", _OMIT, _us, ge=0)
-    proc_sfu_ns: int = _key("processing.sfu_us", _OMIT, _us, ge=0)
+    # per-frame processing delay; None until parsed: the mode's
+    # PROCESSING_NS
+    processing_ns: int = _key("processing_us", None, _us, ge=0)
     sample_rate_sps: int = _key("phy_relay.sample_rate_msps", 160, _mega,
                                 gt=0)
     bit_width: int = _key("phy_relay.bit_width", 24, int, gt=0)
@@ -355,7 +358,7 @@ class ScenarioConfig(_Record):
     per_sta_overhead: int = _key("per_sta_overhead", 0, int, ge=0)
 
 
-_SCENARIO_TABLE = _table({**ScenarioConfig._keys, **_WIFI_FIELDS})
+_SCENARIO_TABLE = _table(ScenarioConfig._keys)
 
 
 def load_scenario(path: str | Path, overrides: dict | None = None) -> ScenarioConfig:
@@ -375,20 +378,14 @@ def load_scenario(path: str | Path, overrides: dict | None = None) -> ScenarioCo
 
 def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
     """The checked config of the scenario mapping `raw`. `overrides` may
-    replace `seed`, `mode` and, as `duration_ms`, `horizon_ms`."""
-    raw = {**_mapping(raw, "<root>"),
-           **{"horizon_ms" if k == "duration_ms" else k: v
-              for k, v in (overrides or {}).items()}}
+    replace `seed`, `mode` and `horizon_ms`."""
+    raw = {**_mapping(raw, "<root>"), **(overrides or {})}
     args = _read(raw, "", _SCENARIO_TABLE)
-    overhead = WifiOverhead(**{k: args.pop(k) for k in _WIFI_FIELDS
-                               if k in args})
-    try:
-        overhead.validate()
-    except ValueError as exc:
-        raise ConfigError("wifi", str(exc)) from None
-    proc_ns = PROCESSING_NS[args["mode"]]
-    args.setdefault("proc_mfu_ns", proc_ns["mfu"])
-    args.setdefault("proc_sfu_ns", proc_ns["sfu"])
+    if args["cw_min"] > args["cw_max"]:
+        raise ConfigError("wifi.cw_min", f"{args['cw_min']} exceeds "
+                                         f"wifi.cw_max ({args['cw_max']})")
+    if args["processing_ns"] is None:
+        args["processing_ns"] = PROCESSING_NS[args["mode"]]
 
     entries = args.pop("sfus")
     sfus = [name for name, _ in entries]
@@ -440,5 +437,5 @@ def parse_scenario(raw: dict, overrides: dict | None = None) -> ScenarioConfig:
         if kill.recover_ns is not None and kill.recover_ns < kill.at_ns:
             raise ConfigError("management.kill.recover_ms",
                               f"earlier than at_ms ({kill.at_ns} ns)")
-    return ScenarioConfig(**args, sfus=sfus, wifi_overhead=overhead,
+    return ScenarioConfig(**args, sfus=sfus,
                           iot_sfus={name for name, iot in entries if iot})

@@ -206,10 +206,11 @@ def phy_relay_slot_ns(buffered_bytes: int, optical_upstream_bps: int) -> int:
     return transmit_time_ns(buffered_bytes, optical_upstream_bps)
 
 
-# Per-frame processing-latency constants by mode (ns); modeling defaults,
-# overridable per scenario.
+# Per-frame processing delay by mode (ns): the room's in a MAC mode, the
+# MFU's baseband processing in PHY relay; modeling defaults, overridable
+# per scenario.
 PROCESSING_NS = {
-    SchedulerMode.DISTRIBUTED_BASELINE: {"mfu": 0, "sfu": 20_000},
-    SchedulerMode.CENTRALIZED_COORDINATED: {"mfu": 0, "sfu": 20_000},
-    SchedulerMode.PHY_RELAY: {"mfu": 30_000, "sfu": 0},
+    SchedulerMode.DISTRIBUTED_BASELINE: 20_000,
+    SchedulerMode.CENTRALIZED_COORDINATED: 20_000,
+    SchedulerMode.PHY_RELAY: 30_000,
 }

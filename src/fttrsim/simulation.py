@@ -108,7 +108,7 @@ class SfuSim:
         self.queues: list[deque[Frame] | None] = [None] * 8
         self.queued_bytes = 0
         self.queued_airtime_ns = 0
-        self.set_cw(cfg.wifi_overhead.cw_min)
+        self.set_cw(cfg.cw_min)
         # the CSMA/CA domain the SFU contends in; None unless distributed
         self.domain: ContentionDomain | None = None
         self.alive = True
@@ -206,8 +206,6 @@ class ContentionDomain:
         self.round_pending = False
         # an `optical_rx` event waits at a member's first inbound frame
         self.wake_pending = False
-        # every cell of a run shares the scenario's overhead parameters
-        self.overhead = sim.cfg.wifi_overhead
         # per member, in name order: its SFU and the getrandbits of its
         # backoff stream
         self.stations = [(sim.sfus[m], sim.sim.rng.for_node(m).getrandbits)
@@ -269,14 +267,14 @@ class ContentionDomain:
             # no contender: wake the domain at its next inbound frame
             self.notify()
             return
-        oh = self.overhead
-        start = ev.fire_time + oh.difs_ns + best * oh.slot_ns
+        cfg = sim.cfg
+        start = ev.fire_time + cfg.difs_ns + best * cfg.slot_ns
         if tied is None:
             sfu = winner[0]
             frame = sfu.pop_frame()
             dur = frame[0].airtime_ns
             sfu.airtime_ns += dur
-            sfu.set_cw(oh.cw_min)
+            sfu.set_cw(cfg.cw_min)
             self.busy_until = start + dur
             sim._deliver(frame, start + dur)
         else:
@@ -286,7 +284,7 @@ class ContentionDomain:
                 dur = airtime if airtime > dur else dur
                 sfu.collisions += 1
                 cw = (sfu.cw + 1) * 2 - 1
-                sfu.set_cw(cw if cw < oh.cw_max else oh.cw_max)
+                sfu.set_cw(cw if cw < cfg.cw_max else cfg.cw_max)
             self.busy_until = start + dur
         self.notify()
 
@@ -364,11 +362,12 @@ class Simulation:
         # applied, in (start, seq) order
         self.grants: deque[tuple[int, int, SfuSim, int]] = deque()
         # every room's cell has the scenario's air rate and overheads
-        cell = WifiCell(cfg.air_rate_bps, cfg.wifi_overhead)
+        cell = WifiCell(cfg.air_rate_bps,
+                        cfg.preamble_ns + cfg.sifs_ns + cfg.ack_ns)
         self.flows = [FlowRun(f, self.sfus[f.dst], cell, cfg)
                       for f in cfg.flows]
         self.results.flow_stats = {run.spec.name: run for run in self.flows}
-        self._proc_ns = cfg.proc_mfu_ns + cfg.proc_sfu_ns
+        self._proc_ns = cfg.processing_ns
         self._spans_merge_at = SPANS_MERGE_MIN
         self.monitor = LivenessMonitor(cfg.k_miss)
         self.adapter = OmciAdapter(port_id=1)
@@ -418,10 +417,13 @@ class Simulation:
             flow = run.spec
             start = flow.start_ns
             if flow.model == "batch":
+                # the times rise with k: none after the first past the
+                # stop is offered
                 for k in range(flow.count):
                     t = start + k * flow.interval_ns
-                    if t <= run.stop_ns:
-                        self.sim.add_arrival(t, run)
+                    if t > run.stop_ns:
+                        break
+                    self.sim.add_arrival(t, run)
             else:
                 self.sim.add_arrival(start, run)
                 if flow.model == "on_off":

@@ -161,9 +161,9 @@ def _sweep_configs():
         (["a", "b", "c", "d"], [("a", "b"), ("c", "d")]),
         (["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")]),
     ]
-    # each topology at the default processing delays, and at those of a
-    # MAC-integrated MFU (25 us at the MFU, none at the room)
-    processing = [{}, {"mfu_us": 25, "sfu_us": 0}]
+    # each topology at the default processing delay, and at that of a
+    # MAC-integrated MFU (25 us)
+    processing = [{}, {"processing_us": 25}]
     configs = []
     for i, ((sfus, conflicts), proc) in enumerate(itertools.product(
             topologies, processing)):
@@ -174,7 +174,7 @@ def _sweep_configs():
                      for j, s in enumerate(sfus)]
             raw = {
                 "name": f"sweep{i}_{seed}", "seed": seed, "horizon_ms": 100,
-                "mode": "centralized", "processing": proc,
+                "mode": "centralized", **proc,
                 "topology": {"sfus": list(sfus),
                              "conflicts": [list(c) for c in conflicts]},
                 "wifi": {"air_rate_mbps": 300},

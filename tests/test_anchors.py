@@ -104,7 +104,6 @@ from fttrsim.energy import PowerState
 from fttrsim.engine import RngStreams, draw_int, transmit_time_ns
 from fttrsim.frames import (APDU_OVERHEAD, FEM_HEADER_LEN, OmciType,
                             decode_omci_stream, pma_wire_len)
-from fttrsim.links import WifiOverhead
 from fttrsim.management import AdapterError, OmciAdapter
 from fttrsim.metrics import build_summary
 from fttrsim.scenario import parse_scenario
@@ -288,7 +287,8 @@ def test_burst_forwarding_delay(coordinated, delay_us, guard_ns, alloc_us,
 # 1500-byte frames every 1.25 ms; the air rate is the default 1.2 Gb/s and
 # the downstream link 1 Gb/s
 LATENCY_SIZE, LATENCY_RATE_MBPS, LATENCY_PROP_NS = 1500, 9.6, 50
-OVERHEAD = WifiOverhead()
+# the default Wi-Fi timings
+OVERHEAD = parse_scenario({"horizon_ms": 1, "topology": {"sfus": ["a"]}})
 AIR_NS = (OVERHEAD.preamble_ns + transmit_time_ns(LATENCY_SIZE, 1_200_000_000)
           + OVERHEAD.sifs_ns + OVERHEAD.ack_ns)
 OPTICAL_NS = transmit_time_ns(
@@ -322,7 +322,7 @@ def delivered_latencies(res, ends: list[tuple[int, int]]) -> list[int]:
     """The latencies of the frames, given as (arrival, air time end), whose
     air time ends by the horizon."""
     cfg = res.config
-    proc = cfg.proc_mfu_ns + cfg.proc_sfu_ns
+    proc = cfg.processing_ns
     return [end - t + proc for t, end in ends if end <= cfg.horizon_ns]
 
 

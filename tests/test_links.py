@@ -1,29 +1,20 @@
 import pytest
 
-from fttrsim.links import WifiOverhead, WifiCell, InterferenceGraph
+from fttrsim.links import WifiCell, InterferenceGraph
+
+# the default preamble + SIFS + ACK: 40 + 16 + 28 us
+OVERHEAD_NS = 84_000
 
 
 def test_airtime_includes_full_exchange():
-    cell = WifiCell(120_000_000, WifiOverhead())
+    cell = WifiCell(120_000_000, OVERHEAD_NS)
     # 1500 B at 120 Mb/s serializes in 100 us; preamble 40 + SIFS 16 + ACK 28
     assert cell.airtime_ns(1500) == (40 + 100 + 16 + 28) * 1000
 
 
 def test_airtime_rounds_serialization_up():
-    cell = WifiCell(999_999_999, WifiOverhead())
-    base = WifiOverhead()
-    overhead = base.preamble_ns + base.sifs_ns + base.ack_ns
-    assert cell.airtime_ns(1) == overhead + 9  # 8 bits needs 8.000000008 ns
-
-
-def test_contention_windows_must_be_pow2_minus_one():
-    with pytest.raises(ValueError):
-        WifiOverhead(cw_min=16).validate()
-    with pytest.raises(ValueError):
-        WifiOverhead(cw_max=1000).validate()
-    with pytest.raises(ValueError):
-        WifiOverhead(cw_min=127, cw_max=63).validate()
-    WifiOverhead().validate()
+    cell = WifiCell(999_999_999, OVERHEAD_NS)
+    assert cell.airtime_ns(1) == OVERHEAD_NS + 9  # 8 bits needs 8.000000008 ns
 
 
 def test_conflicts_are_symmetric_and_irreflexive():

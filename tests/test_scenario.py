@@ -9,7 +9,6 @@ import pytest
 
 from fttrsim.energy import PowerState
 from fttrsim.frames import Tamap
-from fttrsim.links import WifiOverhead
 from fttrsim.scenario import load_scenario, parse_scenario, ConfigError
 from fttrsim.scheduling import SchedulerMode
 
@@ -37,7 +36,10 @@ def test_defaults_fill_in():
     assert cfg.downstream_bps == 1_000_000_000
     assert cfg.poll_cycle_ns == 1_000_000_000
     assert cfg.savings_enabled is True
-    assert cfg.proc_sfu_ns == 20_000 and cfg.proc_mfu_ns == 0
+    assert cfg.processing_ns == 20_000
+    assert (cfg.cw_min, cfg.cw_max) == (15, 1023)
+    assert (cfg.difs_ns, cfg.sifs_ns, cfg.slot_ns, cfg.preamble_ns,
+            cfg.ack_ns) == (34_000, 16_000, 9_000, 40_000, 28_000)
 
 
 def test_times_round_to_whole_ns_and_rates_truncate_to_whole_bits():
@@ -60,9 +62,12 @@ def test_times_round_to_whole_ns_and_rates_truncate_to_whole_bits():
 
 def test_processing_defaults_follow_mode():
     cfg = parse_scenario(minimal(mode="centralized"))
-    assert cfg.proc_mfu_ns == 0 and cfg.proc_sfu_ns == 20_000
+    assert cfg.processing_ns == 20_000
     cfg = parse_scenario(minimal(mode="phy_relay"))
-    assert cfg.proc_mfu_ns == 30_000
+    assert cfg.processing_ns == 30_000
+    # a given delay holds in every mode
+    cfg = parse_scenario(minimal(mode="phy_relay", processing_us=25))
+    assert cfg.processing_ns == 25_000
 
 
 def test_missing_horizon_reports_path():
@@ -202,7 +207,7 @@ def test_iot_marker_parsed():
 def test_overrides_take_precedence():
     raw = minimal(seed=3, mode="centralized")
     cfg = parse_scenario(raw, {"seed": 42, "mode": "distributed",
-                               "duration_ms": 5})
+                               "horizon_ms": 5})
     assert cfg.seed == 42
     assert cfg.mode is SchedulerMode.DISTRIBUTED_BASELINE
     assert cfg.horizon_ns == 5_000_000
@@ -245,7 +250,13 @@ BURST = {"sfu": "a", "period_us": 1000, "air_duration_us": 10,
     ({"wifi": {"cw_min": "x"}}, "wifi.cw_min"),
     ({"energy": {"sfu": {"wake_light_ms": "x"}}}, "energy.sfu.wake_light_ms"),
     ({"energy": {"sfu": {"t_listen_ms": 0}}}, "energy.sfu.t_listen_ms"),
-    ({"processing": {"mfu_us": "x"}}, "processing.mfu_us"),
+    ({"processing_us": "x"}, "processing_us"),
+    ({"processing_us": -1}, "processing_us"),
+    # contention windows: each a power of two minus one, the first no
+    # larger than the second
+    ({"wifi": {"cw_min": 16}}, "wifi.cw_min"),
+    ({"wifi": {"cw_max": 1000}}, "wifi.cw_max"),
+    ({"wifi": {"cw_min": 127, "cw_max": 63}}, "wifi.cw_min"),
     # not lists
     ({"flows": 5}, "flows"),
     ({"flows": "ab"}, "flows"),
@@ -285,6 +296,8 @@ BURST = {"sfu": "a", "period_us": 1000, "air_duration_us": 10,
     ({"management": {"storm": {"count": 2, "target": ["a"]}}},
      "management.storm.target"),
     ({"energy": {"mfu": {"wake_light": 5}}}, "energy.mfu.wake_light"),
+    # the processing delay is one key
+    ({"processing": {"mfu_us": 25, "sfu_us": 0}}, "processing"),
     # a flow that would stop before it starts
     ({"flows": [{**FLOW, "start_ms": 5, "stop_ms": 2}]}, "flows[0].stop_ms"),
     # the names of the MFU and the OLT, whose RNG substreams and event
@@ -319,6 +332,14 @@ def test_malformed_fields_rejected_with_path(extra, path):
     with pytest.raises(ConfigError) as exc:
         parse_scenario(minimal(**extra))
     assert exc.value.path == path
+
+
+def test_contention_window_order_error_names_both_windows():
+    with pytest.raises(ConfigError,
+                       match=r"^wifi\.cw_min: 127 exceeds wifi\.cw_max \(63\)$"):
+        parse_scenario(minimal(wifi={"cw_min": 127, "cw_max": 63}))
+    cfg = parse_scenario(minimal(wifi={"cw_min": 63, "cw_max": 63}))
+    assert cfg.cw_min == cfg.cw_max == 63
 
 
 def test_largest_frame_and_equal_kill_times_accepted():
@@ -401,8 +422,7 @@ EFFECTS = {
     "energy.ftth_active_w": ("golden", "centralized", 14.0),
     "energy.ftth_idle_w": ("iot_rf_off_overflow", "centralized", 11.0),
     "energy.sleep_buffer_frames": ("iot_rf_off_overflow", "centralized", 6),
-    "processing.mfu_us": ("golden", "centralized", 10),
-    "processing.sfu_us": ("golden", "centralized", 10),
+    "processing_us": ("golden", "centralized", 10),
     "phy_relay.sample_rate_msps": ("phy_relay_burst", "phy_relay", 80),
     "phy_relay.bit_width": ("phy_relay_burst", "phy_relay", 12),
     # one burst of phy_relay_burst is 48,000 B
@@ -541,7 +561,7 @@ def test_scenario_key_table_keeps_declaration_order():
     keyed = list(sc.ScenarioConfig._keys)
     assert keyed[:5] == ["name", "seed", "horizon_ns", "mode", "sfus"]
     assert keyed == [f for f in sc.ScenarioConfig.__annotations__
-                     if f not in ("iot_sfus", "wifi_overhead")]
+                     if f != "iot_sfus"]
     # no class attribute shadows a field: CPython 3.11 reads a shadowed
     # one about three times as slowly
     for cls in (sc.FlowSpec, sc.UplinkBurstSpec, sc.KillSpec, sc.StormSpec,
@@ -550,8 +570,7 @@ def test_scenario_key_table_keeps_declaration_order():
 
 
 @pytest.mark.parametrize("record,field", [
-    (WifiOverhead(), "cw_min"), (Tamap(0), "cycle_start")],
-    ids=["WifiOverhead", "Tamap"])
+    (Tamap(0), "cycle_start")], ids=["Tamap"])
 def test_immutable_records_refuse_assignment(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, 1)

@@ -269,5 +269,5 @@ def test_relay_buffer_and_slot_arithmetic():
 
 def test_processing_constants_by_mode():
     assert sch.PROCESSING_NS[sch.SchedulerMode.CENTRALIZED_COORDINATED] == \
-        {"mfu": 0, "sfu": 20_000}
-    assert sch.PROCESSING_NS[sch.SchedulerMode.PHY_RELAY]["mfu"] == 30_000
+        20_000
+    assert sch.PROCESSING_NS[sch.SchedulerMode.PHY_RELAY] == 30_000

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -68,6 +69,19 @@ def test_stop_ms_bounds_arrivals():
     assert offered_in(batch) == 10
     # a flow may stop when it starts: it offers its first frame only
     assert offered_in({"rate_mbps": 1, "start_ms": 4, "stop_ms": 4}) == 1
+
+
+def test_batch_priming_stops_at_the_first_arrival_past_the_stop():
+    # arrivals at 0, 1, ..., 10 ms of a 10 ms run; priming went through all
+    # of `count`, about 32 ns per skipped arrival, so this took about 30 s
+    cfg = parse_scenario({
+        "horizon_ms": 10, "topology": {"sfus": ["a"]},
+        "flows": [{"name": "f", "dst": "a", "size_bytes": 100,
+                   "model": "batch", "count": 10**9, "interval_us": 1000}]})
+    start = time.perf_counter()
+    res = run_scenario_config(cfg)
+    assert time.perf_counter() - start < 5
+    assert res.flow_stats["f"].offered == 11
 
 
 def two_conflicting_rooms_run():
@@ -529,7 +543,7 @@ def test_inlined_backoff_draw_matches_draw_int_and_randint(seed, moves):
     }))
     sfu, flow = sim.sfus["a"], sim.flows[0]
     domain = sfu.domain
-    oh = domain.overhead
+    oh = sim.cfg
     domain.stations[0] = (sfu, random.Random(seed).getrandbits)
     by_draw_int, by_randint = random.Random(seed), random.Random(seed)
     cw = oh.cw_min
@@ -555,12 +569,12 @@ def test_backoff_bit_count_follows_the_window(monkeypatch):
         on_round(domain, ev)
         for sfu, _ in domain.stations:
             assert sfu.cw_bits == (sfu.cw + 1).bit_length()
-            seen["doubled"] += sfu.cw > domain.overhead.cw_min
+            seen["doubled"] += sfu.cw > domain.sim.cfg.cw_min
 
     monkeypatch.setattr(ContentionDomain, "on_round", checked)
     res = run_scenario_config(load_scenario(SCENARIOS / "conflict_pair.yaml",
                                             {"mode": "distributed",
-                                             "duration_ms": 200}))
+                                             "horizon_ms": 200}))
     cells = res.cell_stats.values()
     # both successes and collisions happened, and windows grew past cw_min
     assert sum(c.collisions for c in cells) > 0
@@ -893,7 +907,7 @@ def test_a_grant_and_a_receive_at_one_instant_apply_in_sequence_order(
     # sent the priority-0 frame, and waits itself
     res = grant_and_receive_run(hi_start_us)
     sent = {}
-    proc_ns = res.config.proc_mfu_ns + res.config.proc_sfu_ns
+    proc_ns = res.config.processing_ns
     for name, flow in res.flow_stats.items():
         assert flow.delivered == 1
         created = flow.spec.start_ns
