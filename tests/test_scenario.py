@@ -251,12 +251,6 @@ BURST = {"sfu": "a", "period_us": 1000, "air_duration_us": 10,
     ({"energy": {"sfu": {"wake_light_ms": "x"}}}, "energy.sfu.wake_light_ms"),
     ({"energy": {"sfu": {"t_listen_ms": 0}}}, "energy.sfu.t_listen_ms"),
     ({"processing_us": "x"}, "processing_us"),
-    ({"processing_us": -1}, "processing_us"),
-    # contention windows: each a power of two minus one, the first no
-    # larger than the second
-    ({"wifi": {"cw_min": 16}}, "wifi.cw_min"),
-    ({"wifi": {"cw_max": 1000}}, "wifi.cw_max"),
-    ({"wifi": {"cw_min": 127, "cw_max": 63}}, "wifi.cw_min"),
     # not lists
     ({"flows": 5}, "flows"),
     ({"flows": "ab"}, "flows"),
@@ -296,8 +290,6 @@ BURST = {"sfu": "a", "period_us": 1000, "air_duration_us": 10,
     ({"management": {"storm": {"count": 2, "target": ["a"]}}},
      "management.storm.target"),
     ({"energy": {"mfu": {"wake_light": 5}}}, "energy.mfu.wake_light"),
-    # the processing delay is one key
-    ({"processing": {"mfu_us": 25, "sfu_us": 0}}, "processing"),
     # a flow that would stop before it starts
     ({"flows": [{**FLOW, "start_ms": 5, "stop_ms": 2}]}, "flows[0].stop_ms"),
     # the names of the MFU and the OLT, whose RNG substreams and event
@@ -325,6 +317,14 @@ BURST = {"sfu": "a", "period_us": 1000, "air_duration_us": 10,
     ({"energy": {"sfu": {"wake_light_ms": 0}}}, "energy.sfu.wake_light_ms"),
     ({"energy": {"sfu": {"wake_deep_ms": 1e-7}}}, "energy.sfu.wake_deep_ms"),
     ({"energy": {"sfu": 5}}, "energy.sfu"),
+    # contention windows: each a power of two minus one, the first no
+    # larger than the second
+    ({"wifi": {"cw_min": 16}}, "wifi.cw_min"),
+    ({"wifi": {"cw_max": 1000}}, "wifi.cw_max"),
+    ({"wifi": {"cw_min": 127, "cw_max": 63}}, "wifi.cw_min"),
+    # the processing delay is one key
+    ({"processing_us": -1}, "processing_us"),
+    ({"processing": {"mfu_us": 25, "sfu_us": 0}}, "processing"),
 ])
 def test_malformed_fields_rejected_with_path(extra, path):
     # each used to raise a raw exception while parsing or running, or was
