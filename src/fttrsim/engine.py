@@ -10,10 +10,19 @@ platform.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import random
 from typing import Any, Callable
+
+try:
+    # the interpreter's own SHA-256: importing hashlib loads OpenSSL, which
+    # costs more than the rest of the engine's imports
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 SimTime = int  # nanoseconds
 
@@ -103,7 +112,7 @@ class RngStreams:
     def for_node(self, name: str) -> random.Random:
         rng = self._streams.get(name)
         if rng is None:
-            material = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
+            material = sha256(f"{self.seed}:{name}".encode()).digest()
             rng = random.Random(int.from_bytes(material[:8], "big"))
             self._streams[name] = rng
         return rng
@@ -144,7 +153,7 @@ class Simulator:
         self.on_arrival: Callable[[SimTime, Any], SimTime | None] | None = None
         self._seq = 0
         self._handlers: dict[str, Callable[[Event], None]] = {}
-        self._digest = hashlib.sha256()
+        self._digest = sha256()
         # events pushed onto the queue
         self.n_scheduled = 0
         self.n_dispatched = 0

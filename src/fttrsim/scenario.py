@@ -31,6 +31,9 @@ MFU = "mfu"
 OLT = "olt"
 # largest frame one FEM frame carries after its APDU header
 MAX_FRAME_BYTES = FEM_MAX_PAYLOAD - APDU_OVERHEAD
+# most frames of a batch flow: a run holds all of them at once, about 190 B
+# each, when they arrive together before the stop
+MAX_BATCH_COUNT = 1_000_000
 
 _DEFAULT_SFU_WATTS = {
     PowerState.ACTIVE: 4.5, PowerState.IDLE: 3.0, PowerState.RF_OFF: 2.0,
@@ -259,7 +262,7 @@ class FlowSpec(_Record):
     rate_bps: int = _key("rate_mbps", 0.0, _mega, ge=0)
     on_ns: int = _key("on_ms", 0.0, _ms, ge=0)
     off_ns: int = _key("off_ms", 0.0, _ms, ge=0)
-    count: int = _key("count", 0, int, ge=0)
+    count: int = _key("count", 0, int, ge=0, le=MAX_BATCH_COUNT)
     interval_ns: int = _key("interval_us", 0.0, _us, ge=0)
     start_ns: int = _key("start_ms", 0.0, _ms, ge=0)
     stop_ns: int | None = _key("stop_ms", None, _ms, ge=0)

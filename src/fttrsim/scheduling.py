@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .engine import transmit_time_ns
 from .links import InterferenceGraph
-from .frames import Tamap, TamapEntry, OMCI_TCONT, DATA_TCONT_BASE
+from .frames import OMCI_TCONT, DATA_TCONT_BASE
 
 
 class SchedulerMode(Enum):
@@ -134,6 +134,8 @@ def generate_tamap(requests: list[UplinkBwRequest],
     that does not fit is returned as per-SFU carryover bytes for the next
     cycle.
     """
+    # only the tests call the DBA, so a run does not import the codecs
+    from .framing import Tamap, TamapEntry
     merged: dict[str, int] = {}
     for req in requests:
         merged[req.sfu] = merged.get(req.sfu, 0) + req.bytes_expected

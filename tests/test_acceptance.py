@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from fttrsim import frames as fr
+from fttrsim import frames as fr, framing as fm
 from fttrsim.energy import PowerState
 from fttrsim.engine import RngStreams
 from fttrsim.links import InterferenceGraph
@@ -67,30 +67,30 @@ def test_codec_roundtrips_at_scale():
     t0 = time.monotonic()
 
     for _ in range(n):
-        frame = fr.FemFrame(fr.FemKind(rng.randint(1, 3)),
+        frame = fm.FemFrame(fm.FemKind(rng.randint(1, 3)),
                             rng.randint(0, 0xFFFF),
                             rng.randbytes(rng.randint(1, 24)))
-        back, _ = fr.parse_fem_frame(frame.encode())
+        back, _ = fm.parse_fem_frame(frame.encode())
         assert back == frame
 
-    pool = [fr.FemFrame(fr.FemKind.APDU, i, bytes([i % 251] or [1]) * (i % 9 + 1))
+    pool = [fm.FemFrame(fm.FemKind.APDU, i, bytes([i % 251] or [1]) * (i % 9 + 1))
             for i in range(64)]
     for i in range(n):
-        mpdu = fr.Mpdu(tuple(pool[(i + k) % 64] for k in range(1 + i % 3)))
-        assert fr.Mpdu.decode(mpdu.encode()) == mpdu
+        mpdu = fm.Mpdu(tuple(pool[(i + k) % 64] for k in range(1 + i % 3)))
+        assert fm.Mpdu.decode(mpdu.encode()) == mpdu
 
     for i in range(n):
         entries, offset = [], 0
         for k in range(i % 3):
             dur = rng.randint(1, 500)
-            entries.append(fr.TamapEntry(k, offset, dur, 1 if k == 0 else 2))
+            entries.append(fm.TamapEntry(k, offset, dur, 1 if k == 0 else 2))
             offset += dur + rng.randint(1, 50)
-        ploams = [fr.PloamMsg(fr.PloamKind(rng.randint(1, 5)),
+        ploams = [fm.PloamMsg(fm.PloamKind(rng.randint(1, 5)),
                               rng.randint(0, 0xFFFF), rng.randint(0, 2**32 - 1))
                   for _ in range(i % 3)]
-        pcs = fr.PcsFrame(tuple(ploams), fr.Tamap(i, tuple(entries)),
+        pcs = fm.PcsFrame(tuple(ploams), fm.Tamap(i, tuple(entries)),
                           rng.randbytes(rng.randint(0, 16)))
-        assert fr.parse_pcs_frame(pcs.encode()) == pcs
+        assert fm.parse_pcs_frame(pcs.encode()) == pcs
 
     for i in range(n):
         extended = i % 2 == 0
@@ -104,7 +104,7 @@ def test_codec_roundtrips_at_scale():
 
     for _ in range(n):
         data = rng.randbytes(rng.randint(1, 48))
-        assert fr.pma_decode(fr.pma_encode(data)) == data
+        assert fm.pma_decode(fm.pma_encode(data)) == data
 
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0, f"codec sweep took {elapsed:.1f} s"

@@ -10,6 +10,7 @@ import importlib.util
 import json
 import random
 import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -146,6 +147,32 @@ def test_main_prints_the_explain_lines_before_the_summary_line(
         f"src/fttrsim lines: {n} -> {n}"]
     # a change from 0 is written as Infinity
     assert json.loads(path.read_text()) == tool.explain(base, head)
+
+
+def test_runs_match_under_another_hash_seed(monkeypatch, tmp_path, capsys):
+    # `--python PATH` runs the working tree under this interpreter and under
+    # PATH; here PATH is this interpreter under another hash seed, so that
+    # the test needs no second interpreter
+    wrapper = tmp_path / "python"
+    wrapper.write_text(f'#!/bin/sh\nPYTHONHASHSEED=7 exec "{sys.executable}" '
+                       '"$@"\n')
+    wrapper.chmod(0o755)
+    monkeypatch.setenv("PYTHONHASHSEED", "0")
+    probe = ["-c", "print(hash('room1'))"]
+    assert len({subprocess.run(cmd, check=True, capture_output=True,
+                               text=True).stdout
+                for cmd in ([sys.executable, *probe],
+                            [str(wrapper), *probe])}) == 2
+    tool = diffcheck()
+    assert tool.main(["--python", str(wrapper)]) == 0
+    name = tool.python_name(sys.executable)
+    summary = capsys.readouterr().out.splitlines()[-2]
+    assert summary.startswith(
+        f"diffcheck {name} -> {name}: {len(tool.case_list())} cases ")
+    assert ", 0 differ in model fields, digest/events_* moved in 0, " in (
+        summary)
+    with pytest.raises(SystemExit):  # revisions or interpreters, not both
+        tool.main(["HEAD", "--python", sys.executable])
 
 
 def test_the_case_list_runs_every_scheduler_mode():

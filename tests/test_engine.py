@@ -455,6 +455,15 @@ def test_rng_substream_depends_only_on_seed_and_name():
            [b.randint(0, 1000) for _ in range(20)]
 
 
+def test_rng_substream_is_seeded_from_the_sha256_of_seed_and_name():
+    # the formula itself, which the pins check only through a run's draws
+    seed = int.from_bytes(hashlib.sha256(b"1:room1").digest()[:8], "big")
+    ref = random.Random(seed)
+    rng = RngStreams(1).for_node("room1")
+    assert [rng.getrandbits(32) for _ in range(50)] == \
+           [ref.getrandbits(32) for _ in range(50)]
+
+
 def test_rng_substreams_are_isolated():
     lone = RngStreams(1).for_node("room1").randint(0, 10**9)
     # drawing from another node's stream first must not move room1's sequence

@@ -5,7 +5,7 @@ import zlib
 import pytest
 from hypothesis import given, strategies as st
 
-from fttrsim import frames as fr
+from fttrsim import frames as fr, framing as fm
 
 
 # ---------------------------------------------------------------------------
@@ -22,55 +22,55 @@ def test_out_of_range_priority_rejected(bad):
 
 
 def test_apdu_roundtrip_preserves_classification():
-    sdu = fr.Sdu(dest=3, payload_len=64, priority=5, service_class="gaming",
+    sdu = fm.Sdu(dest=3, payload_len=64, priority=5, service_class="gaming",
                  created_at=123456, flow_id=9)
-    apdu = fr.encapsulate_sdu(sdu)
+    apdu = fm.encapsulate_sdu(sdu)
     assert apdu.classification_tag == 2
-    back = fr.Apdu.decode(apdu.encode())
+    back = fm.Apdu.decode(apdu.encode())
     assert back == apdu
 
 
 def test_apdu_unknown_destination_rejected():
-    sdu = fr.Sdu(dest=9, payload_len=10, priority=1, service_class="iot",
+    sdu = fm.Sdu(dest=9, payload_len=10, priority=1, service_class="iot",
                  created_at=0, flow_id=1)
     with pytest.raises(fr.FrameError):
-        fr.encapsulate_sdu(sdu, known_nodes={1, 2, 3})
+        fm.encapsulate_sdu(sdu, known_nodes={1, 2, 3})
 
 
 # ---------------------------------------------------------------------------
 # FEM frames / MPDU
 
 def test_fem_frame_byte_layout():
-    frame = fr.build_fem_frame(fr.FemKind.APDU, 0x0102, bytes(100))
+    frame = fm.build_fem_frame(fm.FemKind.APDU, 0x0102, bytes(100))
     wire = frame.encode()
     assert len(wire) == 105
     assert wire[:5] == b"\x01\x01\x02\x00\x64"
-    back, span = fr.parse_fem_frame(wire)
+    back, span = fm.parse_fem_frame(wire)
     assert span == 105 and back == frame
 
 
 def test_fem_payload_bounds():
     with pytest.raises(fr.FrameError):
-        fr.FemFrame(fr.FemKind.APDU, 0, b"").encode()
+        fm.FemFrame(fm.FemKind.APDU, 0, b"").encode()
     with pytest.raises(fr.OversizeError):
-        fr.FemFrame(fr.FemKind.APDU, 0, bytes(65536)).encode()
-    fr.FemFrame(fr.FemKind.APDU, 0, bytes(65535)).encode()  # max fits
+        fm.FemFrame(fm.FemKind.APDU, 0, bytes(65536)).encode()
+    fm.FemFrame(fm.FemKind.APDU, 0, bytes(65535)).encode()  # max fits
 
 
 def test_fem_parse_rejects_garbage():
     with pytest.raises(fr.FrameError):
-        fr.parse_fem_frame(b"\x00\x00")
+        fm.parse_fem_frame(b"\x00\x00")
     with pytest.raises(fr.FrameError):  # unknown kind code
-        fr.parse_fem_frame(b"\x09\x00\x00\x00\x01A")
+        fm.parse_fem_frame(b"\x09\x00\x00\x00\x01A")
     with pytest.raises(fr.FrameError):  # truncated payload
-        fr.parse_fem_frame(b"\x01\x00\x00\x00\x05AB")
+        fm.parse_fem_frame(b"\x01\x00\x00\x00\x05AB")
 
 
 def test_mpdu_concatenation_roundtrip():
-    parts = [fr.build_fem_frame(fr.FemKind.APDU, i, bytes([i]) * (i + 1))
+    parts = [fm.build_fem_frame(fm.FemKind.APDU, i, bytes([i]) * (i + 1))
              for i in range(5)]
-    mpdu = fr.Mpdu(tuple(parts))
-    back = fr.Mpdu.decode(mpdu.encode())
+    mpdu = fm.Mpdu(tuple(parts))
+    back = fm.Mpdu.decode(mpdu.encode())
     assert back == mpdu
     assert back.total_len == sum(5 + i + 1 for i in range(5))
 
@@ -79,32 +79,32 @@ def test_mpdu_concatenation_roundtrip():
 # PLOAM / TAMap / PCS
 
 def test_ploam_roundtrip_every_kind():
-    for kind in fr.PloamKind:
-        msg = fr.PloamMsg(kind, target_sfu=7, arg=0xDEADBEEF)
-        assert fr.PloamMsg.decode(msg.encode()) == msg
+    for kind in fm.PloamKind:
+        msg = fm.PloamMsg(kind, target_sfu=7, arg=0xDEADBEEF)
+        assert fm.PloamMsg.decode(msg.encode()) == msg
 
 
 def _tamap():
-    return fr.Tamap(1000, (
-        fr.TamapEntry(0, 0, 10_000, fr.OMCI_TCONT),
-        fr.TamapEntry(1, 10_100, 5_000, fr.DATA_TCONT_BASE),
-        fr.TamapEntry(2, 15_200, 7_000, fr.DATA_TCONT_BASE),
+    return fm.Tamap(1000, (
+        fm.TamapEntry(0, 0, 10_000, fr.OMCI_TCONT),
+        fm.TamapEntry(1, 10_100, 5_000, fr.DATA_TCONT_BASE),
+        fm.TamapEntry(2, 15_200, 7_000, fr.DATA_TCONT_BASE),
     ))
 
 
 def test_tamap_roundtrip():
     tamap = _tamap()
-    back, span = fr.Tamap.decode(tamap.encode())
+    back, span = fm.Tamap.decode(tamap.encode())
     assert back == tamap and span == len(tamap.encode())
 
 
 def test_tamap_overlap_rejected():
-    bad = fr.Tamap(0, (fr.TamapEntry(0, 0, 100, 1),
-                       fr.TamapEntry(1, 99, 50, 2)))
+    bad = fm.Tamap(0, (fm.TamapEntry(0, 0, 100, 1),
+                       fm.TamapEntry(1, 99, 50, 2)))
     with pytest.raises(fr.FrameError):
         bad.validate()
     with pytest.raises(fr.FrameError):
-        fr.Tamap.decode(bad.encode())
+        fm.Tamap.decode(bad.encode())
 
 
 def test_tamap_must_fit_cycle_and_carry_one_management_slot():
@@ -112,40 +112,40 @@ def test_tamap_must_fit_cycle_and_carry_one_management_slot():
     tamap.validate(cycle_ns=25_000, require_omci=True)
     with pytest.raises(fr.FrameError):
         tamap.validate(cycle_ns=20_000)
-    no_omci = fr.Tamap(0, (fr.TamapEntry(0, 0, 10, fr.DATA_TCONT_BASE),))
+    no_omci = fm.Tamap(0, (fm.TamapEntry(0, 0, 10, fr.DATA_TCONT_BASE),))
     with pytest.raises(fr.FrameError):
         no_omci.validate(require_omci=True)
 
 
 def test_pcs_frame_roundtrip():
-    mpdu = fr.Mpdu((fr.build_fem_frame(fr.FemKind.FMCI_DU, 1, b"ctl"),))
-    ploams = [fr.PloamMsg(fr.PloamKind.SLEEP_ALLOW, 2, 5)]
-    pcs = fr.build_pcs_frame(mpdu, ploams, _tamap())
-    back = fr.parse_pcs_frame(pcs.encode())
+    mpdu = fm.Mpdu((fm.build_fem_frame(fm.FemKind.FMCI_DU, 1, b"ctl"),))
+    ploams = [fm.PloamMsg(fm.PloamKind.SLEEP_ALLOW, 2, 5)]
+    pcs = fm.build_pcs_frame(mpdu, ploams, _tamap())
+    back = fm.parse_pcs_frame(pcs.encode())
     assert back == pcs
-    assert fr.Mpdu.decode(back.payload).frames[0].payload == b"ctl"
+    assert fm.Mpdu.decode(back.payload).frames[0].payload == b"ctl"
 
 
 def test_pcs_header_corruption_detected():
-    pcs = fr.build_pcs_frame(fr.Mpdu(()), [], _tamap())
+    pcs = fm.build_pcs_frame(fm.Mpdu(()), [], _tamap())
     wire = bytearray(pcs.encode())
     wire[3] ^= 0x40  # inside the header, before the check word
     with pytest.raises(fr.IntegrityError):
-        fr.parse_pcs_frame(bytes(wire))
+        fm.parse_pcs_frame(bytes(wire))
 
 
 def test_pcs_payload_length_mismatch_detected():
-    pcs = fr.build_pcs_frame(
-        fr.Mpdu((fr.build_fem_frame(fr.FemKind.APDU, 0, b"abc"),)), [], _tamap())
+    pcs = fm.build_pcs_frame(
+        fm.Mpdu((fm.build_fem_frame(fm.FemKind.APDU, 0, b"abc"),)), [], _tamap())
     with pytest.raises(fr.FrameError):
-        fr.parse_pcs_frame(pcs.encode() + b"x")
+        fm.parse_pcs_frame(pcs.encode() + b"x")
 
 
 def test_pcs_refuses_invalid_map_at_build_time():
-    bad = fr.Tamap(0, (fr.TamapEntry(0, 0, 100, 1),
-                       fr.TamapEntry(1, 50, 100, 2)))
+    bad = fm.Tamap(0, (fm.TamapEntry(0, 0, 100, 1),
+                       fm.TamapEntry(1, 50, 100, 2)))
     with pytest.raises(fr.FrameError):
-        fr.build_pcs_frame(fr.Mpdu(()), [], bad)
+        fm.build_pcs_frame(fm.Mpdu(()), [], bad)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,7 @@ def test_pma_expansion_arithmetic():
     assert fr.pma_wire_len(478) == 510
     assert fr.pma_wire_len(0) == 0
     for n in (1, 100, 239, 240, 500, 1000):
-        assert len(fr.pma_encode(bytes(n))) == fr.pma_wire_len(n)
+        assert len(fm.pma_encode(bytes(n))) == fr.pma_wire_len(n)
 
 
 @pytest.mark.parametrize("sizes", [range(1, 1001), range(4760, 4764),
@@ -166,11 +166,11 @@ def test_run_side_wire_length_matches_the_encoded_frame(sizes):
     # a run times a frame's optical transfer from this length alone; the
     # APDU header and the FEM header bring 4,760 B to 20 FEC blocks
     for size in sizes:
-        sdu = fr.Sdu(dest=3, payload_len=size, priority=5,
+        sdu = fm.Sdu(dest=3, payload_len=size, priority=5,
                      service_class="video", created_at=123, flow_id=9)
-        fem = fr.build_fem_frame(fr.FemKind.APDU, size,
-                                 fr.encapsulate_sdu(sdu).encode())
-        wire = fr.pma_encode(fem.encode())
+        fem = fm.build_fem_frame(fm.FemKind.APDU, size,
+                                 fm.encapsulate_sdu(sdu).encode())
+        wire = fm.pma_encode(fem.encode())
         assert fr.pma_wire_len(
             fr.APDU_OVERHEAD + size + fr.FEM_HEADER_LEN) == len(wire), size
 
@@ -179,24 +179,24 @@ def test_pma_roundtrip():
     rng = random.Random(5)
     for n in (1, 50, 239, 240, 700):
         data = rng.randbytes(n)
-        assert fr.pma_decode(fr.pma_encode(data)) == data
+        assert fm.pma_decode(fm.pma_encode(data)) == data
 
 
 def test_pma_output_is_scrambled():
     data = bytes(500)  # all zeros must not appear on the wire as-is
-    wire = fr.pma_encode(data)
+    wire = fm.pma_encode(data)
     assert wire[:239] != data[:239]
 
 
 def test_pma_single_bit_flip_detected():
     rng = random.Random(6)
     data = rng.randbytes(300)
-    wire = bytearray(fr.pma_encode(data))
+    wire = bytearray(fm.pma_encode(data))
     for pos in (0, 100, 254, 255, len(wire) - 1):
         bad = bytearray(wire)
         bad[pos] ^= 0x01
         with pytest.raises(fr.IntegrityError):
-            fr.pma_decode(bytes(bad))
+            fm.pma_decode(bytes(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +267,12 @@ def test_omci_rejects_unknown_device_flags():
 # ---------------------------------------------------------------------------
 # property-based roundtrips
 
-@given(kind=st.sampled_from(list(fr.FemKind)),
+@given(kind=st.sampled_from(list(fm.FemKind)),
        seq=st.integers(0, 0xFFFF),
        payload=st.binary(min_size=1, max_size=200))
 def test_fem_roundtrip_property(kind, seq, payload):
-    frame = fr.build_fem_frame(kind, seq, payload)
-    back, span = fr.parse_fem_frame(frame.encode())
+    frame = fm.build_fem_frame(kind, seq, payload)
+    back, span = fm.parse_fem_frame(frame.encode())
     assert back == frame and span == frame.wire_len
 
 
@@ -451,4 +451,4 @@ def test_the_per_length_struct_tables_stay_bounded():
 
 @given(data=st.binary(min_size=1, max_size=1000))
 def test_pma_roundtrip_property(data):
-    assert fr.pma_decode(fr.pma_encode(data)) == data
+    assert fm.pma_decode(fm.pma_encode(data)) == data

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from fttrsim.energy import PowerState
-from fttrsim.frames import Tamap
+from fttrsim.framing import Tamap
 from fttrsim.scenario import load_scenario, parse_scenario, ConfigError
 from fttrsim.scheduling import SchedulerMode
 
@@ -325,6 +325,9 @@ BURST = {"sfu": "a", "period_us": 1000, "air_duration_us": 10,
     # the processing delay is one key
     ({"processing_us": -1}, "processing_us"),
     ({"processing": {"mfu_us": 25, "sfu_us": 0}}, "processing"),
+    # a batch flow holds every frame it offers before its stop at once
+    ({"flows": [{**FLOW, "model": "batch", "count": 1_000_001}]},
+     "flows[0].count"),
 ])
 def test_malformed_fields_rejected_with_path(extra, path):
     # each used to raise a raw exception while parsing or running, or was
@@ -344,11 +347,13 @@ def test_contention_window_order_error_names_both_windows():
 
 def test_largest_frame_and_equal_kill_times_accepted():
     cfg = parse_scenario(minimal(
-        flows=[{**FLOW, "size_bytes": 65520}],
+        flows=[{**FLOW, "size_bytes": 65520},
+               {**FLOW, "model": "batch", "count": 1_000_000}],
         management={"kill": {"sfu": "a", "at_ms": 3, "recover_ms": 3},
                     "storm": {"count": 1, "entity_class": 65535,
                               "content_bytes": 0}}))
     assert cfg.flows[0].size_bytes == 65520
+    assert cfg.flows[1].count == 1_000_000
     assert cfg.kill.recover_ns == cfg.kill.at_ns == 3_000_000
     assert cfg.storm.entity_class == 65535
 
@@ -518,12 +523,15 @@ def test_every_time_and_rate_key_converts_as_it_is_read():
             assert convert not in by_unit.values(), key
 
 
-@pytest.mark.parametrize("module", ["yaml", "dataclasses", "inspect"])
+@pytest.mark.parametrize("module", ["yaml", "dataclasses", "inspect",
+                                    "_hashlib", "fttrsim.framing"])
 def test_run_path_does_not_import(module):
     # only load_scenario parses YAML, so a run built from a dict does not
     # pay for importing it; and no record is a dataclass: that module and
     # the inspect it pulls in cost about as much to import as the
-    # simulator's own modules
+    # simulator's own modules. The engine's SHA-256 is the interpreter's
+    # own, not OpenSSL's (`_hashlib`, which `import hashlib` loads), and
+    # the reference codecs of `framing` are for the tests alone
     code = ("import sys, fttrsim.scenario, fttrsim.simulation, "
             f"fttrsim.metrics; print({module!r} in sys.modules)")
     src = str(SCENARIO_DIR.parent / "src")

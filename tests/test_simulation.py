@@ -73,11 +73,14 @@ def test_stop_ms_bounds_arrivals():
 
 def test_batch_priming_stops_at_the_first_arrival_past_the_stop():
     # arrivals at 0, 1, ..., 10 ms of a 10 ms run; priming went through all
-    # of `count`, about 32 ns per skipped arrival, so this took about 30 s
+    # of `count`, about 32 ns per skipped arrival, so this took about 30 s.
+    # The schema allows at most MAX_BATCH_COUNT frames, so the count is set
+    # past it on the parsed record
     cfg = parse_scenario({
         "horizon_ms": 10, "topology": {"sfus": ["a"]},
         "flows": [{"name": "f", "dst": "a", "size_bytes": 100,
-                   "model": "batch", "count": 10**9, "interval_us": 1000}]})
+                   "model": "batch", "count": 1, "interval_us": 1000}]})
+    cfg.flows[0].count = 10**9
     start = time.perf_counter()
     res = run_scenario_config(cfg)
     assert time.perf_counter() - start < 5

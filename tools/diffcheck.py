@@ -42,8 +42,14 @@ scenarios of ``tests/data/runs/`` in every mode, the three benchmark sweeps
 at seeds 41 and 42, the seed-41 ``control_plane`` sweep in every mode but
 ``centralized``, and ``--random N`` scenarios from ``random_scenario``.
 
+``--python PATH`` compares interpreters instead of revisions: the working
+tree's case list runs once under this interpreter and once under PATH, and
+the lines above compare the two. A run of a (scenario, seed) pair must give
+the same bytes under every interpreter the package supports.
+
 Usage, from a git checkout:
     python3 tools/diffcheck.py BASE [HEAD] [--random N] [--json PATH]
+    python3 tools/diffcheck.py --python PATH [--random N] [--json PATH]
 Exit status 0 when every model field matches, 1 otherwise.
 """
 
@@ -297,10 +303,10 @@ def export(rev: str, dest: Path) -> Path:
     return dest
 
 
-def start(tree: Path, cases: list[dict]) -> subprocess.Popen:
+def start(tree: Path, cases: list[dict], python: str) -> subprocess.Popen:
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     proc = subprocess.Popen(
-        [sys.executable, str(Path(__file__).resolve()), "--child"],
+        [python, str(Path(__file__).resolve()), "--child"],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True)
     proc.stdin.write(json.dumps(cases))
     proc.stdin.close()
@@ -316,10 +322,21 @@ def finish(proc: subprocess.Popen, tree: Path) -> dict:
     return out["results"]
 
 
-def run_trees(trees: list[Path], cases: list[dict]) -> list[dict]:
-    """Run `cases` in each tree, all trees at the same time."""
-    procs = [start(tree, cases) for tree in trees]
+def run_trees(trees: list[Path], cases: list[dict],
+              pythons: list[str] | None = None) -> list[dict]:
+    """Run `cases` in each tree, all trees at the same time, each under its
+    interpreter of `pythons` (by default this one)."""
+    pythons = pythons or [sys.executable] * len(trees)
+    procs = [start(tree, cases, python)
+             for tree, python in zip(trees, pythons)]
     return [finish(proc, tree) for proc, tree in zip(procs, trees)]
+
+
+def python_name(python: str) -> str:
+    """`python <version>` of the interpreter `python`."""
+    return "python " + subprocess.run(
+        [python, "-c", "import platform; print(platform.python_version())"],
+        check=True, capture_output=True, text=True).stdout.strip()
 
 
 def compare(base: dict, head: dict) -> dict:
@@ -417,22 +434,36 @@ def summary_line(base_name: str, head_name: str, base: dict,
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("base", help="base revision")
+    parser.add_argument("base", nargs="?", help="base revision")
     parser.add_argument("head", nargs="?",
                         help="head revision (default: the working tree)")
+    parser.add_argument("--python", metavar="PATH",
+                        help="in place of revisions, compare the working "
+                        "tree under this interpreter and under PATH")
     parser.add_argument("--random", type=int, default=0, metavar="N",
                         help="add N random scenarios")
     parser.add_argument("--json", metavar="PATH",
                         help="write how far each run metric moved to PATH")
     args = parser.parse_args(argv)
+    if (args.base is None) == (args.python is None):
+        parser.error("give a base revision or --python, not both")
     cases = case_list(args.random)
-    with tempfile.TemporaryDirectory(prefix="diffcheck-") as tmp:
-        base_tree = export(args.base, Path(tmp) / "base")
-        head_tree = (export(args.head, Path(tmp) / "head") if args.head
-                     else ROOT)
-        base, head = run_trees([base_tree, head_tree], cases)
-        lines = (f"src/fttrsim lines: {source_lines(base_tree)} -> "
-                 f"{source_lines(head_tree)}")
+    if args.python:
+        base_name, head_name = python_name(sys.executable), python_name(
+            args.python)
+        base, head = run_trees([ROOT, ROOT], cases,
+                               [sys.executable, args.python])
+        n = source_lines(ROOT)
+        lines = f"src/fttrsim lines: {n} -> {n}"
+    else:
+        base_name, head_name = args.base, args.head or "working tree"
+        with tempfile.TemporaryDirectory(prefix="diffcheck-") as tmp:
+            base_tree = export(args.base, Path(tmp) / "base")
+            head_tree = (export(args.head, Path(tmp) / "head") if args.head
+                         else ROOT)
+            base, head = run_trees([base_tree, head_tree], cases)
+            lines = (f"src/fttrsim lines: {source_lines(base_tree)} -> "
+                     f"{source_lines(head_tree)}")
     report = explain(base, head)
     print("\n".join(explain_lines(report)))
     if args.json:
@@ -445,7 +476,7 @@ def main(argv: list[str] | None = None) -> int:
     if diff["events"]:
         print(f"digest/events_* moved in {len(diff['events'])} cases, "
               f"first {diff['events'][0]}")
-    print(summary_line(args.base, args.head or "working tree", base, head))
+    print(summary_line(base_name, head_name, base, head))
     print(lines)
     return 1 if diff["model"] else 0
 
