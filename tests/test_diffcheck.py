@@ -171,8 +171,9 @@ def test_runs_match_under_another_hash_seed(monkeypatch, tmp_path, capsys):
         f"diffcheck {name} -> {name}: {len(tool.case_list())} cases ")
     assert ", 0 differ in model fields, digest/events_* moved in 0, " in (
         summary)
-    with pytest.raises(SystemExit):  # revisions or interpreters, not both
+    with pytest.raises(SystemExit) as exc:  # revisions or interpreters
         tool.main(["HEAD", "--python", sys.executable])
+    assert exc.value.code == 2
 
 
 def test_the_case_list_runs_every_scheduler_mode():
