@@ -44,7 +44,7 @@ at seeds 41 and 42, the seed-41 ``control_plane`` sweep in every mode but
 
 ``--python PATH`` compares interpreters instead of revisions: the working
 tree's case list runs once under this interpreter and once under PATH, and
-the lines above compare the two. A run of a (scenario, seed) pair must give
+the same lines compare the two runs. A run of a (scenario, seed) pair must give
 the same bytes under every interpreter the package supports.
 
 Usage, from a git checkout:
